@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Everything the learned stages need lives here: a ``Tensor`` graph node, a
-closed set of differentiable primitives, and an adaptive-moment optimizer
-with decoupled weight decay. Shapes are strictly 2-D; vectors are 1 x n.
+closed set of differentiable primitives, an adaptive-moment optimizer with
+decoupled weight decay, and the one training loop every stage runs. Shapes
+are strictly 2-D; vectors are 1 x n.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
 """
@@ -65,18 +66,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Populate gradients of every reachable node by reverse traversal.
@@ -242,16 +231,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _node(y, (a,), backward)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column-wise mean over rows; result is 1 x cols."""
-    rows = a.rows
-
-    def backward(g):
-        _accumulate(a, np.repeat(g, rows, axis=0) / rows)
-
-    return _node(a.value.mean(axis=0, keepdims=True), (a,), backward)
-
-
 def total_sum(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, np.full_like(a.value, g[0, 0]))
@@ -310,22 +289,9 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _node(a.value[:, start:stop].copy(), (a,), backward)
 
 
-def gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, Array]:
-    """Run backward and return per-parameter gradients.
-
-    Parameters unreachable from the loss receive an explicit zero matrix.
-    """
-    loss.backward()
-    out = {}
-    for p in params:
-        out[p] = p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
-    return out
-
-
-def uniform_init(rng: np.random.Generator, rows: int, cols: int,
-                 fan_in: int | None = None) -> Tensor:
+def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """Scaled-uniform (fan-in) parameter initialization."""
-    span = 1.0 / math.sqrt(fan_in if fan_in is not None else rows)
+    span = 1.0 / math.sqrt(rows)
     return Tensor(rng.uniform(-span, span, size=(rows, cols)), requires_grad=True)
 
 
@@ -382,3 +348,23 @@ class Adam:
             if self.weight_decay:
                 update = update + self.lr * self.weight_decay * p.value
             p.value -= update
+
+
+def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
+        lr: float, weight_decay: float = 0.0,
+        log: Callable[[str], None] | None = None, tag: str = "fit") -> list[float]:
+    """Adam on ``loss_fn()``, rebuilt each epoch; returns the per-epoch losses.
+
+    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``.
+    """
+    optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
+    trace: list[float] = []
+    for epoch in range(epochs):
+        optimizer.zero_grad()
+        loss = loss_fn()
+        loss.backward()
+        optimizer.step()
+        trace.append(float(loss.value[0, 0]))
+        if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
+            log(f"[{tag}] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
+    return trace

@@ -1,7 +1,7 @@
 """Reference synthetic benchmark: dataset recipe plus pipeline settings.
 
-One pinned-seed configuration shared by the acceptance tests and the
-benchmark script: a 12-sensor, 3-type plant simulated for 28k steps, the
+One pinned-seed configuration shared by the benchmark harness
+(``perfbench/``) and ``scripts/run_synthetic_benchmark.py``: a 12-sensor, 3-type plant simulated for 28k steps, the
 first 20k anomaly-free for training, the rest holding five labeled events
 that cover all three archetypes (plain offsets, a delayed drift, and two
 cascades that spread over graph neighbors).

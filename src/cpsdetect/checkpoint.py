@@ -35,31 +35,21 @@ MAGIC = b"CPSD"
 VERSION = 1
 
 
+def _stages(pipe: TrainedPipeline) -> list[tuple[str, object]]:
+    """The learned stages present, by block-name prefix, in checkpoint order."""
+    stages = [("temporal", pipe.temporal), ("vgae", pipe.vgae),
+              ("svdd", pipe.svdd)]
+    return [(prefix, stage) for prefix, stage in stages if stage is not None]
+
+
 def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
     blocks: list[tuple[str, np.ndarray]] = []
     if pipe.normalizer is not None:
         blocks.append(("normalizer/mean", pipe.normalizer.mean.reshape(1, -1)))
         blocks.append(("normalizer/std", pipe.normalizer.std.reshape(1, -1)))
-    if pipe.temporal is not None:
-        enc = pipe.temporal
-        for h in range(enc.heads):
-            blocks.append((f"temporal/w_query{h}", enc.w_query[h].value))
-            blocks.append((f"temporal/w_key{h}", enc.w_key[h].value))
-            blocks.append((f"temporal/w_value{h}", enc.w_value[h].value))
-        blocks.extend([
-            ("temporal/w_out", enc.w_out.value),
-            ("temporal/w_ff1", enc.w_ff1.value),
-            ("temporal/b_ff1", enc.b_ff1.value),
-            ("temporal/w_ff2", enc.w_ff2.value),
-            ("temporal/b_ff2", enc.b_ff2.value),
-            ("temporal/w_pred", enc.w_pred.value),
-            ("temporal/b_pred", enc.b_pred.value),
-        ])
-    if pipe.vgae is not None:
-        blocks.append(("vgae/w_hidden", pipe.vgae.w_hidden.value))
-        blocks.append(("vgae/w_heads", pipe.vgae.w_heads.value))
-    for i, w in enumerate(pipe.svdd.weights):
-        blocks.append((f"svdd/w{i}", w.value))
+    for prefix, stage in _stages(pipe):
+        blocks.extend((f"{prefix}/{name}", p.value)
+                      for name, p in stage.named_parameters())
     blocks.append(("detector/center", pipe.svdd.center.reshape(1, -1)))
     return blocks
 
@@ -130,10 +120,14 @@ def _read_blocks(path) -> dict[str, object]:
     return blocks
 
 
-def _restore(target, name: str, blocks: dict) -> None:
+def _block(blocks: dict, name: str):
     if name not in blocks:
         raise DataError(f"checkpoint is missing block {name!r}")
-    stored = blocks[name]
+    return blocks[name]
+
+
+def _restore(target, name: str, blocks: dict) -> None:
+    stored = _block(blocks, name)
     if stored.shape != target.value.shape:
         raise DataError(
             f"checkpoint block {name!r} has shape {stored.shape}, "
@@ -144,17 +138,13 @@ def _restore(target, name: str, blocks: dict) -> None:
 def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
     """Rebuild a trained pipeline; the topology must match the training one."""
     blocks = _read_blocks(path)
-    if "config" not in blocks:
-        raise DataError(f"{path}: checkpoint has no config snapshot")
-    config = parse_config_text(blocks["config"], base=PipelineConfig())
+    config = parse_config_text(_block(blocks, "config"), base=PipelineConfig())
     config.validate()
 
     normalizer = None
     if config.run.normalize:
-        if "normalizer/mean" not in blocks:
-            raise DataError(f"{path}: checkpoint has no normalizer block")
-        mean = blocks["normalizer/mean"][0]
-        std = blocks["normalizer/std"][0]
+        mean = _block(blocks, "normalizer/mean")[0]
+        std = _block(blocks, "normalizer/std")[0]
         if mean.shape[0] != topology.n:
             raise DataError(
                 f"checkpoint was trained on {mean.shape[0]} sensors, "
@@ -168,37 +158,22 @@ def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
             topology.n, config.window.length, config.temporal.heads,
             config.temporal.head_dim, config.temporal.model_dim, rng,
             positional_encoding=config.temporal.positional_encoding)
-        for h in range(temporal.heads):
-            _restore(temporal.w_query[h], f"temporal/w_query{h}", blocks)
-            _restore(temporal.w_key[h], f"temporal/w_key{h}", blocks)
-            _restore(temporal.w_value[h], f"temporal/w_value{h}", blocks)
-        for name in ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-                     "w_pred", "b_pred"):
-            _restore(getattr(temporal, name), f"temporal/{name}", blocks)
 
     vgae = None
     if config.vgae.enabled:
-        if "vgae/w_hidden" not in blocks:
-            raise DataError(f"{path}: checkpoint has no vgae blocks")
-        input_dim = blocks["vgae/w_hidden"].shape[0]
+        input_dim = _block(blocks, "vgae/w_hidden").shape[0]
         vgae = VgaeEncoder(input_dim, config.vgae.hidden_dim,
                            config.vgae.embed_dim, rng,
                            kl_weight=config.vgae.kl_weight)
-        _restore(vgae.w_hidden, "vgae/w_hidden", blocks)
-        _restore(vgae.w_heads, "vgae/w_heads", blocks)
 
-    if "svdd/w0" not in blocks:
-        raise DataError(f"{path}: checkpoint has no svdd blocks")
-    input_dim = blocks["svdd/w0"].shape[0]
+    input_dim = _block(blocks, "svdd/w0").shape[0]
     net = SvddNet(input_dim, config.svdd.widths, config.svdd.slope, rng)
-    for i in range(len(net.weights)):
-        _restore(net.weights[i], f"svdd/w{i}", blocks)
-    if "detector/center" not in blocks:
-        raise DataError(f"{path}: checkpoint has no center block")
-    net.center = blocks["detector/center"][0]
+    net.center = _block(blocks, "detector/center")[0]
     net.trained = True
 
-    if "detector/threshold" not in blocks:
-        raise DataError(f"{path}: checkpoint has no threshold block")
-    return TrainedPipeline(config, topology, normalizer, temporal, vgae,
-                           net, float(blocks["detector/threshold"]))
+    pipe = TrainedPipeline(config, topology, normalizer, temporal, vgae, net,
+                           float(_block(blocks, "detector/threshold")))
+    for prefix, stage in _stages(pipe):
+        for name, param in stage.named_parameters():
+            _restore(param, f"{prefix}/{name}", blocks)
+    return pipe

@@ -22,8 +22,8 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import pipeline as pipeline_mod
-from .config import (PipelineConfig, apply_setting, config_to_text,
-                     load_config, parse_anomaly_spec)
+from .config import (PipelineConfig, apply_setting, load_config,
+                     parse_anomaly_spec)
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -98,10 +98,9 @@ def _build_config(args) -> PipelineConfig:
         config.synthetic.seed = args.seed
     if args.out is not None:
         config.paths.out = args.out
-    for attr, field_name in (("data", "data"), ("topology", "topology"),
-                             ("checkpoint", "checkpoint")):
-        if getattr(args, attr, None):
-            setattr(config.paths, field_name, getattr(args, attr))
+    for name in ("data", "topology", "checkpoint"):
+        if getattr(args, name, None):
+            setattr(config.paths, name, getattr(args, name))
     return config
 
 
@@ -212,15 +211,10 @@ def cmd_score(args) -> int:
     if args.dump_graphs and segments:
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
-        values = stream.values
-        if pipe.normalizer is not None:
-            values = data_mod.apply_normalizer(pipe.normalizer, values)
-        labels = np.zeros(values.shape[0], dtype=np.int64)
-        graph_segments = data_mod.segment_stream(
-            values, labels, config.window.length, config.window.stride)
-        for graph in pipeline_mod.segment_graphs(pipe.config, topology,
-                                                 pipe.temporal, graph_segments):
-            np.savetxt(graph_dir / f"graph_{graph.segment_index:05d}.csv",
+        graphs = pipeline_mod.segment_graphs(pipe.config, topology,
+                                             pipe.temporal, segments)
+        for result, graph in zip(results, graphs):
+            np.savetxt(graph_dir / f"graph_{result.segment_index:05d}.csv",
                        graph.adjacency, delimiter=",")
 
     flagged = sum(r.predicted for r in results)

@@ -120,18 +120,6 @@ class PipelineConfig:
                 f"run.calibration_fraction must be in [0, 1), got {r.calibration_fraction}")
 
 
-_SECTIONS = {
-    "paths": "paths",
-    "window": "window",
-    "temporal": "temporal",
-    "graph": "graph",
-    "vgae": "vgae",
-    "svdd": "svdd",
-    "run": "run",
-    "synthetic": "synthetic",
-}
-
-
 def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:
     windows = []
     text = text.strip()
@@ -200,9 +188,9 @@ def _coerce(section: str, key: str, raw, current):
 
 
 def apply_setting(config: PipelineConfig, section: str, key: str, raw) -> None:
-    if section not in _SECTIONS:
+    if section not in {f.name for f in fields(PipelineConfig)}:
         raise ConfigError(f"unknown config section [{section}]")
-    group = getattr(config, _SECTIONS[section])
+    group = getattr(config, section)
     names = {f.name for f in fields(group)}
     if key not in names:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -234,9 +222,9 @@ def load_config(path) -> PipelineConfig:
 def config_to_text(config: PipelineConfig) -> str:
     """Deterministic serialization; parse_config_text inverts it."""
     out = io.StringIO()
-    for section, attr in _SECTIONS.items():
-        group = getattr(config, attr)
-        out.write(f"[{section}]\n")
+    for section in fields(PipelineConfig):
+        group = getattr(config, section.name)
+        out.write(f"[{section.name}]\n")
         for f in fields(group):
             value = getattr(group, f.name)
             if f.name == "anomalies":

@@ -4,8 +4,7 @@ File formats:
 
 * data CSV: UTF-8 with a header row. Columns that match topology sensor
   names are the signal; an optional ``label`` column carries 0/1 or
-  Normal/Attack; any other column (e.g. a timestamp) is kept for reporting
-  but ignored for math.
+  Normal/Attack; any other column (e.g. a timestamp) is ignored.
 * topology file: line oriented, ``sensor <name> <type>`` lines followed by
   ``edge <nameA> <nameB>`` lines. Blank lines and ``#`` comments allowed.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +60,6 @@ class SensorTopology:
         if used != expected:
             raise DataError(
                 f"type indices used {sorted(used)} do not cover 0..{self.type_count - 1}")
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown sensor name {name!r}") from None
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from ``source``; unreachable sensors get -1."""
@@ -151,13 +144,16 @@ class RawStream:
 
     values: np.ndarray
     labels: np.ndarray
-    timestamps: list[str] | None = None
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
 
-def _parse_label(cell: str, row: int) -> int:
+def _parse_label(record: list[str], col: int, row: int) -> int:
+    if col >= len(record):
+        raise DataError(f"row {row}: no label value (the row has "
+                        f"{len(record)} of the header's columns)")
+    cell = record[col]
     text = cell.strip().lower()
     if text in ("0", "0.0", "normal"):
         return 0
@@ -183,13 +179,9 @@ def load_csv(path, topology: SensorTopology,
             raise DataError(f"{path}: sensor columns missing from header: {missing}")
         sensor_cols = [column_of[name] for name in topology.names]
         label_col = column_of.get(label_column)
-        passthrough = [i for i, name in enumerate(header)
-                       if name not in topology.names and i != label_col]
-        ts_col = passthrough[0] if passthrough else None
 
         rows: list[list[float]] = []
         labels: list[int] = []
-        timestamps: list[str] = []
         for rownum, record in enumerate(reader, start=2):
             if not record or all(not c.strip() for c in record):
                 continue
@@ -203,10 +195,8 @@ def load_csv(path, topology: SensorTopology,
                         f"{path}: row {rownum}, column {name!r}: "
                         f"cannot parse numeric value {cell!r}") from None
             rows.append(values)
-            labels.append(_parse_label(record[label_col], rownum)
+            labels.append(_parse_label(record, label_col, rownum)
                           if label_col is not None else 0)
-            if ts_col is not None and ts_col < len(record):
-                timestamps.append(record[ts_col])
 
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), topology.n)
     if len(rows) and not np.isfinite(values).all():
@@ -214,8 +204,7 @@ def load_csv(path, topology: SensorTopology,
         raise DataError(
             f"{path}: non-finite value at row {bad[0] + 2}, "
             f"column {topology.names[bad[1]]!r}")
-    return RawStream(values, np.asarray(labels, dtype=np.int64),
-                     timestamps if ts_col is not None else None)
+    return RawStream(values, np.asarray(labels, dtype=np.int64))
 
 
 def load_labels(path, label_column: str = "label") -> np.ndarray:
@@ -231,7 +220,7 @@ def load_labels(path, label_column: str = "label") -> np.ndarray:
             raise DataError(f"{path}: no {label_column!r} column in header")
         col = header.index(label_column)
         labels = [
-            _parse_label(record[col], rownum)
+            _parse_label(record, col, rownum)
             for rownum, record in enumerate(reader, start=2)
             if record and any(c.strip() for c in record)
         ]
@@ -268,14 +257,11 @@ class Normalizer:
     std: np.ndarray
 
 
-def fit_normalizer(values: np.ndarray, start: int = 0,
-                   stop: int | None = None) -> Normalizer:
-    stop = values.shape[0] if stop is None else stop
-    window = values[start:stop]
-    if window.shape[0] == 0:
-        raise DataError(f"empty normalization range [{start}:{stop})")
-    mean = window.mean(axis=0)
-    std = window.std(axis=0)
+def fit_normalizer(values: np.ndarray) -> Normalizer:
+    if values.shape[0] == 0:
+        raise DataError("cannot fit a normalizer on an empty stream")
+    mean = values.mean(axis=0)
+    std = values.std(axis=0)
     # Constant sensors get a floored std, so their normalized values are 0.
     std = np.maximum(std, STD_FLOOR)
     return Normalizer(mean, std)
@@ -298,7 +284,6 @@ class Segment:
     labels: np.ndarray
     label: int
     successor_start: int | None = None
-    successor: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def end(self) -> int:
@@ -309,8 +294,9 @@ def segment_stream(values: np.ndarray, labels: np.ndarray,
                    length: int, stride: int) -> list[Segment]:
     """Cut the stream into windows of ``length`` every ``stride`` steps.
 
-    Each segment records where its successor window (the next ``length``
-    timestamps) starts when one exists, for use as a prediction target.
+    ``successor_start`` is the row right after the window when the stream
+    still holds ``length`` rows from there, else None; a caller that wants
+    the successor window as a prediction target slices it from ``values``.
     The trailing remainder that does not fill a window is dropped.
     """
     if length < 2:
@@ -330,8 +316,6 @@ def segment_stream(values: np.ndarray, labels: np.ndarray,
             labels=window_labels.copy(),
             label=int(window_labels.any()),
             successor_start=succ,
-            successor=(values[succ:succ + length].T.copy()
-                       if succ is not None else None),
         ))
     return segments
 

@@ -24,13 +24,6 @@ class WeightedGraph:
 
     adjacency: np.ndarray
     attributes: np.ndarray
-    segment_index: int = -1
-
-
-@dataclass
-class TypeSimilarity:
-    matrix: np.ndarray
-    embeddings: np.ndarray
 
 
 def type_embeddings(attributes: np.ndarray,
@@ -43,7 +36,7 @@ def type_embeddings(attributes: np.ndarray,
     return out
 
 
-def type_similarity(embeddings: np.ndarray) -> TypeSimilarity:
+def type_similarity(embeddings: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity between type embeddings.
 
     A zero-norm embedding is degenerate: its similarity is defined as 0 to
@@ -58,38 +51,36 @@ def type_similarity(embeddings: np.ndarray) -> TypeSimilarity:
         sim = (embeddings @ embeddings.T) / denom
     sim[denom == 0.0] = 0.0
     np.fill_diagonal(sim, 1.0)
-    return TypeSimilarity(np.clip(sim, -1.0, 1.0), embeddings)
+    return np.clip(sim, -1.0, 1.0)
 
 
-def expand_similarity(similarity: TypeSimilarity,
+def expand_similarity(similarity: np.ndarray,
                       topology: SensorTopology) -> np.ndarray:
-    """Map the type-level similarity onto sensor pairs via type lookup."""
+    """Map the (types x types) similarity onto sensor pairs via type lookup."""
     idx = topology.type_of
-    return similarity.matrix[np.ix_(idx, idx)]
+    return similarity[np.ix_(idx, idx)]
 
 
 def build_graph(adjacency: np.ndarray, expanded: np.ndarray,
-                attributes: np.ndarray, segment_index: int = -1) -> WeightedGraph:
+                attributes: np.ndarray) -> WeightedGraph:
     if adjacency.shape != expanded.shape:
         raise ValueError(
             f"adjacency {adjacency.shape} vs similarity {expanded.shape}")
     if attributes.shape[0] != adjacency.shape[0]:
         raise ValueError(
             f"attributes {attributes.shape} do not match {adjacency.shape[0]} nodes")
-    return WeightedGraph(adjacency * expanded, attributes, segment_index)
+    return WeightedGraph(adjacency * expanded, attributes)
 
 
 def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
-                   segment_index: int = -1, weighting: bool = True) -> WeightedGraph:
+                   weighting: bool = True) -> WeightedGraph:
     """Full pipeline from attributes to a weighted attributed graph.
 
     With ``weighting`` off the binary adjacency is used untouched (the
     ablation configuration).
     """
     if not weighting:
-        return WeightedGraph(topology.adjacency.astype(float),
-                             attributes, segment_index)
+        return WeightedGraph(topology.adjacency.astype(float), attributes)
     sim = type_similarity(type_embeddings(attributes, topology))
     return build_graph(topology.adjacency.astype(float),
-                       expand_similarity(sim, topology),
-                       attributes, segment_index)
+                       expand_similarity(sim, topology), attributes)

@@ -25,6 +25,15 @@ def _binary_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _binary_pair(labels, predictions) -> tuple[np.ndarray, np.ndarray]:
+    lab = _binary_array(labels, "labels")
+    pred = _binary_array(predictions, "predictions")
+    if len(lab) != len(pred):
+        raise DataError(
+            f"length mismatch: {len(lab)} labels vs {len(pred)} predictions")
+    return lab, pred
+
+
 def anomaly_runs(labels) -> list[tuple[int, int]]:
     """Half-open [start, end) index ranges of maximal runs of 1-labels."""
     arr = _binary_array(labels, "labels")
@@ -38,11 +47,7 @@ def point_adjust(labels, predictions) -> np.ndarray:
     Predictions at indices whose label is 0 pass through unchanged, so the
     operation is idempotent and can only raise recall.
     """
-    lab = _binary_array(labels, "labels")
-    pred = _binary_array(predictions, "predictions")
-    if len(lab) != len(pred):
-        raise DataError(
-            f"length mismatch: {len(lab)} labels vs {len(pred)} predictions")
+    lab, pred = _binary_pair(labels, predictions)
     adjusted = pred.copy()
     for start, end in anomaly_runs(lab):
         if adjusted[start:end].any():
@@ -52,11 +57,7 @@ def point_adjust(labels, predictions) -> np.ndarray:
 
 def confusion_counts(labels, predictions) -> tuple[int, int, int, int]:
     """Return (tp, fp, fn, tn)."""
-    lab = _binary_array(labels, "labels")
-    pred = _binary_array(predictions, "predictions")
-    if len(lab) != len(pred):
-        raise DataError(
-            f"length mismatch: {len(lab)} labels vs {len(pred)} predictions")
+    lab, pred = _binary_pair(labels, predictions)
     tp = int(((lab == 1) & (pred == 1)).sum())
     fp = int(((lab == 0) & (pred == 1)).sum())
     fn = int(((lab == 1) & (pred == 0)).sum())

@@ -1,13 +1,14 @@
 """Stage-wise training and scoring orchestration.
 
 Training order: fit the temporal encoder on next-window prediction over
-normal data, freeze it, build weighted attributed graphs from its
-embeddings, fit the graph autoencoder, freeze it, then fit the hypersphere
-detector on the resulting features and calibrate the alarm threshold on a
-held-out slice of normal segments. Ablation toggles swap a stage for the
-identity: raw window matrices stand in for missing temporal embeddings, the
-binary adjacency for missing edge weighting, and pooled embeddings for the
-missing graph autoencoder.
+normal data, freeze it, embed each normal segment once and build its
+weighted attributed graph, fit the graph autoencoder on those graphs, freeze
+it, then fit the hypersphere detector on the pooled posterior means of the
+same graphs and calibrate the alarm threshold on a held-out slice of normal
+segments. Ablation toggles swap a stage for the identity: raw window
+matrices stand in for missing temporal embeddings, the binary adjacency for
+missing edge weighting, and the pooled embeddings themselves for the missing
+graph autoencoder, in which case no graph is built.
 """
 from __future__ import annotations
 
@@ -16,15 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import svdd as svdd_mod
-from . import vgae as vgae_mod
 from .autodiff import Tensor
 from .config import PipelineConfig
 from .data import (Normalizer, Segment, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
 from .errors import DataError, NumericError
-from .graphgen import weighted_graph
-from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
+from .graphgen import WeightedGraph, weighted_graph
+from .svdd import (DetectionResult, SvddNet, calibrate_threshold,
+                   pool_embedding, train_svdd)
 from .temporal import TemporalEncoder, train_temporal
 from .vgae import VgaeEncoder, train_vgae
 
@@ -41,23 +41,31 @@ class TrainedPipeline:
     traces: dict[str, list[float]] = field(default_factory=dict)
 
 
-def _embed_segment(pipe_temporal: TemporalEncoder | None,
-                   segment_values: np.ndarray) -> np.ndarray:
-    if pipe_temporal is None:
-        return segment_values
-    return pipe_temporal.encode(Tensor(segment_values)).value
+def _embed(temporal: TemporalEncoder | None, segment: Segment) -> np.ndarray:
+    """Node attributes of a segment: its temporal embedding, or the raw window."""
+    if temporal is None:
+        return segment.values
+    return temporal.encode(Tensor(segment.values)).value
+
+
+def _pooled(config: PipelineConfig, embeddings) -> np.ndarray:
+    return np.asarray([pool_embedding(e, config.svdd.pooling)[0]
+                       for e in embeddings])
+
+
+def _graph_features(config: PipelineConfig, vgae_encoder: VgaeEncoder,
+                    graphs: Sequence[WeightedGraph]) -> np.ndarray:
+    """Pooled posterior means: inference is deterministic, no samples."""
+    return _pooled(config, (vgae_encoder.encode(g, noise=None).values
+                            for g in graphs))
 
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                    temporal: TemporalEncoder | None,
-                   segments: Sequence[Segment]):
-    """Weighted attributed graphs for each segment (ablations honored)."""
-    graphs = []
-    for index, segment in enumerate(segments):
-        attrs = _embed_segment(temporal, segment.values)
-        graphs.append(weighted_graph(topology, attrs, index,
-                                     weighting=config.graph.weighting))
-    return graphs
+                   segments: Sequence[Segment]) -> list[WeightedGraph]:
+    """Embed each segment once and build its weighted attributed graph."""
+    return [weighted_graph(topology, _embed(temporal, s),
+                           weighting=config.graph.weighting) for s in segments]
 
 
 def segment_features(config: PipelineConfig, topology: SensorTopology,
@@ -66,18 +74,13 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
                      segments: Sequence[Segment]) -> np.ndarray:
     """One feature row per segment, through whichever stages are enabled.
 
-    Inference is deterministic: the graph autoencoder contributes its
-    posterior means, not samples.
+    Each segment is embedded once; its graph is built only for the graph
+    autoencoder.
     """
-    rows = []
-    for index, segment in enumerate(segments):
-        attrs = _embed_segment(temporal, segment.values)
-        if vgae_encoder is not None:
-            graph = weighted_graph(topology, attrs, index,
-                                   weighting=config.graph.weighting)
-            attrs = vgae_encoder.encode(graph, noise=None).values
-        rows.append(svdd_mod.pool_embedding(attrs, config.svdd.pooling)[0])
-    return np.asarray(rows)
+    if vgae_encoder is None:
+        return _pooled(config, (_embed(temporal, s) for s in segments))
+    return _graph_features(config, vgae_encoder,
+                           segment_graphs(config, topology, temporal, segments))
 
 
 def _successor_is_clean(segment: Segment, labels: np.ndarray, length: int) -> bool:
@@ -133,8 +136,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             topology.n, length, config.temporal.heads, config.temporal.head_dim,
             config.temporal.model_dim, np.random.default_rng(seeds[0]),
             positional_encoding=config.temporal.positional_encoding)
-        pairs = [(s.values, s.successor) for s in normal
-                 if _successor_is_clean(s, labels, length)]
+        pairs = [(s.values, values[s.successor_start:s.successor_start + length].T)
+                 for s in normal if _successor_is_clean(s, labels, length)]
         if not pairs:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
@@ -154,8 +157,10 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
+        features = _graph_features(config, vgae_encoder, graphs)
+    else:
+        features = segment_features(config, topology, temporal, None, normal)
 
-    features = segment_features(config, topology, temporal, vgae_encoder, normal)
     split = len(features)
     if config.run.calibration_fraction > 0.0 and len(features) > 1:
         split = max(1, int(round(len(features) *

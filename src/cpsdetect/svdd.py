@@ -10,7 +10,7 @@ the center regardless of input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,14 +29,11 @@ class DetectionResult:
     predicted: int
 
 
-def flatten_embedding(matrix: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a per-node embedding to a single sample row."""
-    return np.asarray(matrix, dtype=float).reshape(1, -1)
-
-
 def pool_embedding(matrix: np.ndarray, mode: str = "flatten") -> np.ndarray:
+    """One sample row from a per-node embedding: row-major flattening or the
+    mean over nodes."""
     if mode == "flatten":
-        return flatten_embedding(matrix)
+        return np.asarray(matrix, dtype=float).reshape(1, -1)
     if mode == "mean":
         return np.asarray(matrix, dtype=float).mean(axis=0, keepdims=True)
     raise ValueError(f"unknown pooling mode {mode!r}")
@@ -58,12 +55,13 @@ class SvddNet:
         self.center: np.ndarray | None = None
         self.trained = False
 
-    @property
-    def output_dim(self) -> int:
-        return self.widths[-1]
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        """Parameters by name, in checkpoint order."""
+        for i, w in enumerate(self.weights):
+            yield f"w{i}", w
 
     def parameters(self) -> list[Tensor]:
-        return list(self.weights)
+        return [p for _, p in self.named_parameters()]
 
     def forward(self, x: Tensor) -> Tensor:
         """Map a batch of sample rows through the network."""
@@ -106,26 +104,15 @@ class SvddNet:
         diff = image - center
         return (diff * diff).sum(axis=1)
 
-    def score(self, sample: np.ndarray) -> float:
-        return float(self.scores(np.atleast_2d(sample))[0])
 
-
-def svdd_objective(net: SvddNet, samples: np.ndarray,
-                   weight_decay: float) -> Tensor:
-    """Mean squared center distance plus the (decay/2) squared weight norm."""
+def svdd_objective(net: SvddNet, samples: np.ndarray) -> Tensor:
+    """Mean squared distance of the samples' images to the center."""
     samples = np.atleast_2d(samples)
     center = net._require_center()
     tiled = Tensor(np.tile(center, (samples.shape[0], 1)))
-    distance = ad.scale(
+    return ad.scale(
         ad.frobenius_sq(ad.sub(net.forward(Tensor(samples)), tiled)),
         1.0 / samples.shape[0])
-    if weight_decay == 0.0:
-        return distance
-    penalty = None
-    for w in net.weights:
-        term = ad.frobenius_sq(w)
-        penalty = term if penalty is None else ad.add(penalty, term)
-    return ad.add(distance, ad.scale(penalty, weight_decay / 2.0))
 
 
 def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
@@ -140,16 +127,8 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     if samples.shape[0] == 0:
         raise DataError("no training samples")
     net._require_center()
-    optimizer = ad.Adam(net.parameters(), lr=lr, weight_decay=weight_decay)
-    trace: list[float] = []
-    for epoch in range(epochs):
-        optimizer.zero_grad()
-        loss = svdd_objective(net, samples, weight_decay=0.0)
-        loss.backward()
-        optimizer.step()
-        trace.append(float(loss.value[0, 0]))
-        if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
-            log(f"[svdd] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
+    trace = ad.fit(net.parameters(), lambda: svdd_objective(net, samples),
+                   epochs, lr, weight_decay=weight_decay, log=log, tag="svdd")
     net.trained = True
     return trace
 
@@ -164,10 +143,3 @@ def calibrate_threshold(net: SvddNet, samples: np.ndarray,
         raise DataError("no calibration samples")
     return float(np.quantile(net.scores(samples), quantile))
 
-
-def detect(net: SvddNet, sample: np.ndarray, threshold: float,
-           segment_index: int = -1) -> DetectionResult:
-    """Score one sample; positive only when strictly above the threshold."""
-    score = net.score(sample)
-    return DetectionResult(segment_index, score, threshold,
-                           int(score > threshold))

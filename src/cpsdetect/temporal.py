@@ -10,8 +10,7 @@ next window; training minimizes the mean squared prediction error over all
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import math
 
@@ -20,14 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-
-
-@dataclass
-class TemporalEmbedding:
-    """Per-segment encoder output: one embedding row per sensor."""
-
-    values: np.ndarray
-    segment_index: int = -1
 
 
 def positional_ramp(sensors: int, window: int) -> np.ndarray:
@@ -60,14 +51,18 @@ class TemporalEncoder:
         self.b_pred = ad.zeros_init(sensors, window)
         self._pos = positional_ramp(sensors, window) if positional_encoding else None
 
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        """Parameters by name, in checkpoint order."""
+        for h in range(self.heads):
+            yield f"w_query{h}", self.w_query[h]
+            yield f"w_key{h}", self.w_key[h]
+            yield f"w_value{h}", self.w_value[h]
+        for name in ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
+                     "w_pred", "b_pred"):
+            yield name, getattr(self, name)
+
     def parameters(self) -> list[Tensor]:
-        params = []
-        params.extend(self.w_query)
-        params.extend(self.w_key)
-        params.extend(self.w_value)
-        params.extend([self.w_out, self.w_ff1, self.w_ff2, self.b_ff1,
-                       self.b_ff2, self.w_pred, self.b_pred])
-        return params
+        return [p for _, p in self.named_parameters()]
 
     def _check_input(self, t: Tensor) -> None:
         if t.shape != (self.sensors, self.window):
@@ -112,11 +107,6 @@ class TemporalEncoder:
                 f"({self.sensors}, {self.model_dim})")
         return ad.add(ad.matmul(embedding, self.w_pred), self.b_pred)
 
-    def embed(self, segment_values: np.ndarray, segment_index: int = -1) -> TemporalEmbedding:
-        """Inference-mode embedding of a raw segment matrix."""
-        return TemporalEmbedding(self.encode(Tensor(segment_values)).value,
-                                 segment_index)
-
 
 def prediction_loss(encoder: TemporalEncoder,
                     pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> Tensor:
@@ -136,14 +126,5 @@ def train_temporal(encoder: TemporalEncoder,
                    epochs: int, lr: float,
                    log: Callable[[str], None] | None = None) -> list[float]:
     """Fit the encoder on (window, successor) pairs; returns per-epoch losses."""
-    optimizer = ad.Adam(encoder.parameters(), lr=lr)
-    trace: list[float] = []
-    for epoch in range(epochs):
-        optimizer.zero_grad()
-        loss = prediction_loss(encoder, pairs)
-        loss.backward()
-        optimizer.step()
-        trace.append(float(loss.value[0, 0]))
-        if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
-            log(f"[temporal] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
-    return trace
+    return ad.fit(encoder.parameters(), lambda: prediction_loss(encoder, pairs),
+                  epochs, lr, log=log, tag="temporal")

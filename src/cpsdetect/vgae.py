@@ -11,7 +11,7 @@ self-loops) plus a weighted diagonal-Gaussian KL term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class GraphEmbedding:
     r: Tensor
     mean: Tensor
     logvar: Tensor
-    segment_index: int = -1
 
     @property
     def values(self) -> np.ndarray:
@@ -69,12 +68,16 @@ class VgaeEncoder:
         self.w_hidden = ad.uniform_init(rng, input_dim, hidden_dim)
         self.w_heads = ad.uniform_init(rng, hidden_dim, 2 * embed_dim)
 
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        """Parameters by name, in checkpoint order."""
+        yield "w_hidden", self.w_hidden
+        yield "w_heads", self.w_heads
+
     def parameters(self) -> list[Tensor]:
-        return [self.w_hidden, self.w_heads]
+        return [p for _, p in self.named_parameters()]
 
     def encode_normalized(self, norm: Tensor, attributes: Tensor,
-                          noise: np.ndarray | None,
-                          segment_index: int = -1) -> GraphEmbedding:
+                          noise: np.ndarray | None) -> GraphEmbedding:
         """Encode with a precomputed normalized adjacency (training fast path)."""
         hidden = ad.relu(ad.matmul(ad.matmul(norm, attributes), self.w_hidden))
         heads = ad.matmul(ad.matmul(norm, hidden), self.w_heads)
@@ -86,7 +89,7 @@ class VgaeEncoder:
         else:
             std = ad.exp(ad.scale(logvar, 0.5))
             r = ad.add(mean, ad.mul(std, Tensor(noise)))
-        return GraphEmbedding(r, mean, logvar, segment_index)
+        return GraphEmbedding(r, mean, logvar)
 
     def encode(self, graph: WeightedGraph,
                noise: np.ndarray | None = None) -> GraphEmbedding:
@@ -96,8 +99,7 @@ class VgaeEncoder:
                 f"attribute dim {graph.attributes.shape[1]} does not match "
                 f"encoder input dim {self.input_dim}")
         norm = Tensor(normalize_adjacency(graph.adjacency))
-        return self.encode_normalized(norm, Tensor(graph.attributes), noise,
-                                      graph.segment_index)
+        return self.encode_normalized(norm, Tensor(graph.attributes), noise)
 
 
 def decode(r: Tensor) -> Tensor:
@@ -121,45 +123,43 @@ def vgae_loss(target: np.ndarray, reconstructed: Tensor,
                                                 embedding.logvar), kl_weight))
 
 
-def vgae_objective(encoder: VgaeEncoder, graphs: Sequence[WeightedGraph],
-                   noises: Sequence[np.ndarray | None]) -> Tensor:
-    """Mean training loss over graphs with fixed per-graph noise draws."""
+def prepare_graphs(graphs: Sequence[WeightedGraph]
+                   ) -> list[tuple[Tensor, Tensor, np.ndarray]]:
+    """Per graph: normalized adjacency, attributes and reconstruction target.
+
+    These stay fixed while the encoder trains, so they are computed once.
+    """
     if not graphs:
         raise DataError("no graphs to train on")
+    return [(Tensor(normalize_adjacency(g.adjacency)), Tensor(g.attributes),
+             reconstruction_target(g.adjacency)) for g in graphs]
+
+
+def vgae_objective(encoder: VgaeEncoder,
+                   prepared: Sequence[tuple[Tensor, Tensor, np.ndarray]],
+                   noises: Sequence[np.ndarray]) -> Tensor:
+    """Mean training loss over prepared graphs with one noise draw per graph."""
     total = None
-    for graph, noise in zip(graphs, noises):
-        embedding = encoder.encode(graph, noise)
-        loss = vgae_loss(reconstruction_target(graph.adjacency),
-                         decode(embedding.r), embedding, encoder.kl_weight)
+    for (norm, attrs, target), noise in zip(prepared, noises):
+        embedding = encoder.encode_normalized(norm, attrs, noise)
+        loss = vgae_loss(target, decode(embedding.r), embedding,
+                         encoder.kl_weight)
         total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(graphs))
+    return ad.scale(total, 1.0 / len(prepared))
 
 
 def train_vgae(encoder: VgaeEncoder, graphs: Sequence[WeightedGraph],
                epochs: int, lr: float, rng: np.random.Generator,
                log: Callable[[str], None] | None = None) -> list[float]:
-    """Fit the encoder on training graphs; returns per-epoch mean losses."""
-    if not graphs:
-        raise DataError("no graphs to train on")
-    prepared = [(Tensor(normalize_adjacency(g.adjacency)),
-                 Tensor(g.attributes),
-                 reconstruction_target(g.adjacency),
-                 g.adjacency.shape[0]) for g in graphs]
-    optimizer = ad.Adam(encoder.parameters(), lr=lr)
-    trace: list[float] = []
-    for epoch in range(epochs):
-        optimizer.zero_grad()
-        total = None
-        for norm, attrs, target, nodes in prepared:
-            noise = rng.standard_normal((nodes, encoder.embed_dim))
-            embedding = encoder.encode_normalized(norm, attrs, noise)
-            loss = vgae_loss(target, decode(embedding.r), embedding,
-                             encoder.kl_weight)
-            total = loss if total is None else ad.add(total, loss)
-        mean_loss = ad.scale(total, 1.0 / len(prepared))
-        mean_loss.backward()
-        optimizer.step()
-        trace.append(float(mean_loss.value[0, 0]))
-        if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
-            log(f"[vgae] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
-    return trace
+    """Fit the encoder on training graphs; returns per-epoch mean losses.
+
+    Each epoch draws fresh reparameterization noise, graph by graph.
+    """
+    prepared = prepare_graphs(graphs)
+
+    def loss() -> Tensor:
+        noises = [rng.standard_normal((norm.rows, encoder.embed_dim))
+                  for norm, _, _ in prepared]
+        return vgae_objective(encoder, prepared, noises)
+
+    return ad.fit(encoder.parameters(), loss, epochs, lr, log=log, tag="vgae")

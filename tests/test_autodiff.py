@@ -81,12 +81,16 @@ class TestBackward:
             ad.add(p, p).backward()
 
     def test_unreached_parameter_gets_zero(self):
+        # A parameter the loss never reaches keeps no gradient, and an
+        # optimizer step without decay treats that as zero: it stays put.
         used = param([[1.0]])
         unused = param([[5.0]])
-        loss = ad.frobenius_sq(used)
-        grads = ad.gradients(loss, [used, unused])
-        np.testing.assert_array_equal(grads[unused], [[0.0]])
-        np.testing.assert_allclose(grads[used], [[2.0]])
+        ad.frobenius_sq(used).backward()
+        np.testing.assert_allclose(used.grad, [[2.0]])
+        assert unused.grad is None
+        ad.Adam([used, unused], lr=0.1).step()
+        np.testing.assert_array_equal(unused.value, [[5.0]])
+        assert used.value[0, 0] < 1.0
 
     def test_repeated_backward_is_deterministic(self):
         rng = np.random.default_rng(0)
@@ -123,7 +127,7 @@ class TestFiniteness:
     def test_public_ops_stay_finite_on_large_inputs(self):
         x = ad.Tensor(np.full((3, 4), 1e150))
         for op in (ad.relu, ad.sigmoid, ad.softmax_rows, ad.transpose,
-                   ad.mean_rows):
+                   ad.total_sum):
             assert np.isfinite(op(x).value).all()
 
 
@@ -141,7 +145,6 @@ UNARY_OPS = [
     ("exp", ad.exp, (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("transpose", ad.transpose, (3, 4)),
-    ("mean_rows", ad.mean_rows, (3, 4)),
     ("total_sum", ad.total_sum, (3, 4)),
     ("frobenius_sq", ad.frobenius_sq, (3, 4)),
     ("scale", lambda t: ad.scale(t, -1.7), (3, 4)),
@@ -282,3 +285,27 @@ def test_uniform_init_is_seeded_and_bounded():
     np.testing.assert_array_equal(a.value, b.value)
     assert (np.abs(a.value) <= 1.0 / math.sqrt(4)).all()
     assert a.requires_grad
+
+
+class TestFit:
+    def test_descends_and_logs_each_tenth_with_tag(self):
+        p = param([[3.0, -2.0]])
+        lines = []
+        trace = ad.fit([p], lambda: ad.frobenius_sq(p), epochs=20, lr=0.1,
+                       log=lines.append, tag="toy")
+        assert len(trace) == 20 and trace[-1] < trace[0]
+        assert trace[0] == pytest.approx(13.0)
+        assert len(lines) == 10
+        assert lines[-1] == f"[toy] epoch 20/20 loss={trace[-1]:.6f}"
+
+    def test_zero_epochs_never_calls_the_loss(self):
+        def loss():
+            raise AssertionError("loss evaluated")
+        assert ad.fit([param([[1.0]])], loss, epochs=0, lr=0.1) == []
+
+    def test_weight_decay_reaches_the_optimizer(self):
+        p = param([[2.0]])
+        zero = ad.Tensor([[0.0]])
+        ad.fit([p], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
+               weight_decay=0.5)
+        assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)

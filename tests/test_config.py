@@ -1,0 +1,72 @@
+from dataclasses import fields
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
+                              parse_config_text)
+from cpsdetect.errors import ConfigError
+
+# configparser interpolates "%" and strips surrounding blanks, so text values
+# draw from a plain alphabet; paths and names in practice fit in it.
+TEXT = st.text(st.sampled_from("abcXYZ019/._-"), max_size=12)
+
+
+def _scalar_strategy(value):
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-10**9, 10**9)
+    if isinstance(value, float):
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(value, str):
+        return TEXT
+    if value is None:  # synthetic.split
+        return st.none() | st.integers(0, 10**9)
+    return None  # tuples (widths, anomalies) are not scalars
+
+
+def _scalar_fields():
+    default = PipelineConfig()
+    out = {}
+    for section in fields(PipelineConfig):
+        for f in fields(getattr(default, section.name)):
+            strategy = _scalar_strategy(getattr(getattr(default, section.name), f.name))
+            if strategy is not None:
+                out[(section.name, f.name)] = strategy
+    return out
+
+
+SCALARS = _scalar_fields()
+
+
+def test_every_section_has_scalar_fields():
+    assert {section for section, _ in SCALARS} == {
+        f.name for f in fields(PipelineConfig)}
+
+
+@given(st.fixed_dictionaries(SCALARS))
+def test_text_round_trip_over_scalar_fields(values):
+    config = PipelineConfig()
+    for (section, key), value in values.items():
+        setattr(getattr(config, section), key, value)
+    assert parse_config_text(config_to_text(config)) == config
+
+
+def test_sections_are_written_in_declaration_order():
+    headers = [line for line in config_to_text(PipelineConfig()).splitlines()
+               if line.startswith("[")]
+    assert headers == [f"[{f.name}]" for f in fields(PipelineConfig)]
+
+
+def test_unknown_section_rejected():
+    with pytest.raises(ConfigError, match=r"unknown config section \[bogus\]"):
+        parse_config_text("[bogus]\nkey = 1\n")
+    with pytest.raises(ConfigError, match="section"):
+        apply_setting(PipelineConfig(), "windows", "length", "3")
+
+
+def test_unknown_key_rejected():
+    with pytest.raises(ConfigError, match=r"unknown key 'lenght' in section \[window\]"):
+        parse_config_text("[window]\nlenght = 10\n")

@@ -36,29 +36,29 @@ class TestTypeEmbeddings:
 class TestTypeSimilarity:
     def test_identical_rows(self):
         sim = graphgen.type_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(sim.matrix, np.ones((2, 2)))
+        np.testing.assert_allclose(sim, np.ones((2, 2)))
 
     def test_orthogonal_rows(self):
         sim = graphgen.type_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(sim.matrix, np.eye(2))
+        np.testing.assert_allclose(sim, np.eye(2))
 
     def test_closed_form_cosine(self):
         sim = graphgen.type_similarity(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        assert sim.matrix[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert sim[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_zero_norm_row_warns_and_degrades(self):
         with pytest.warns(RuntimeWarning, match="zero-norm"):
             sim = graphgen.type_similarity(np.array([[0.0, 0.0], [1.0, 2.0]]))
-        assert sim.matrix[0, 0] == 1.0
-        assert sim.matrix[0, 1] == 0.0
-        assert sim.matrix[1, 0] == 0.0
+        assert sim[0, 0] == 1.0
+        assert sim[0, 1] == 0.0
+        assert sim[1, 0] == 0.0
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30)
     def test_symmetric_unit_diagonal_bounded(self, seed):
         rng = np.random.default_rng(seed)
         emb = rng.normal(size=(4, 6))
-        sim = graphgen.type_similarity(emb).matrix
+        sim = graphgen.type_similarity(emb)
         np.testing.assert_allclose(sim, sim.T)
         np.testing.assert_allclose(np.diag(sim), 1.0)
         assert (np.abs(sim) <= 1.0).all()
@@ -66,16 +66,16 @@ class TestTypeSimilarity:
     def test_scale_invariance_is_exact_for_binary_powers(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(3, 5))
-        base = graphgen.type_similarity(emb).matrix
+        base = graphgen.type_similarity(emb)
         for alpha in (0.5, 2.0, 4.0, 1024.0):
-            scaled = graphgen.type_similarity(alpha * emb).matrix
+            scaled = graphgen.type_similarity(alpha * emb)
             np.testing.assert_array_equal(scaled, base)
 
     def test_scale_invariance_near_exact_for_general_scalars(self):
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(3, 5))
-        base = graphgen.type_similarity(emb).matrix
-        scaled = graphgen.type_similarity(3.7 * emb).matrix
+        base = graphgen.type_similarity(emb)
+        scaled = graphgen.type_similarity(3.7 * emb)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
@@ -88,8 +88,7 @@ class TestExpandSimilarity:
 
     def test_two_types_direct_mapping(self):
         topology = data.parse_topology("sensor A x\nsensor B y\nedge A B\n")
-        sim = graphgen.TypeSimilarity(
-            np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros((2, 2)))
+        sim = np.array([[1.0, 0.5], [0.5, 1.0]])
         np.testing.assert_array_equal(
             graphgen.expand_similarity(sim, topology),
             [[1.0, 0.5], [0.5, 1.0]])
@@ -99,8 +98,7 @@ class TestExpandSimilarity:
         topology = data.generate_topology(7, 3, 0.3, rng)
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
         c = (c + c.T) / 2.0
-        sim = graphgen.TypeSimilarity(c, np.zeros((3, 3)))
-        out = graphgen.expand_similarity(sim, topology)
+        out = graphgen.expand_similarity(c, topology)
         for i in range(7):
             for j in range(7):
                 assert out[i, j] == c[topology.type_of[i], topology.type_of[j]]
@@ -120,8 +118,7 @@ class TestBuildGraph:
     def test_hand_path_graph(self):
         # Types are (flow, flow, level); put similarity 0.5 across the pair.
         c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        sim = graphgen.TypeSimilarity(c, np.zeros((2, 2)))
-        expanded = graphgen.expand_similarity(sim, PATH_TOPOLOGY)
+        expanded = graphgen.expand_similarity(c, PATH_TOPOLOGY)
         g = graphgen.build_graph(PATH_TOPOLOGY.adjacency.astype(float),
                                  expanded, np.zeros((3, 2)))
         np.testing.assert_array_equal(

@@ -25,17 +25,17 @@ def numpy_forward(net, x):
 class TestFlatten:
     def test_row_major_order(self):
         np.testing.assert_array_equal(
-            svdd.flatten_embedding(np.array([[1.0, 2.0], [3.0, 4.0]])),
+            svdd.pool_embedding(np.array([[1.0, 2.0], [3.0, 4.0]])),
             [[1.0, 2.0, 3.0, 4.0]])
 
     def test_single_row_verbatim(self):
         np.testing.assert_array_equal(
-            svdd.flatten_embedding(np.array([[5.0, 6.0]])), [[5.0, 6.0]])
+            svdd.pool_embedding(np.array([[5.0, 6.0]])), [[5.0, 6.0]])
 
     def test_round_trip_reshape(self):
         m = np.arange(12.0).reshape(3, 4)
         np.testing.assert_array_equal(
-            svdd.flatten_embedding(m).reshape(3, 4), m)
+            svdd.pool_embedding(m, "flatten").reshape(3, 4), m)
 
     def test_mean_pooling(self):
         m = np.array([[1.0, 3.0], [3.0, 5.0]])
@@ -49,6 +49,7 @@ class TestNetStructure:
         net = make_net(input_dim=6, widths=(5, 3))
         shapes = [p.shape for p in net.parameters()]
         assert shapes == [(6, 5), (5, 3)]  # weights only, no bias rows
+        assert [name for name, _ in net.named_parameters()] == ["w0", "w1"]
 
     def test_forward_matches_numpy_oracle(self):
         net = make_net(seed=3)
@@ -147,7 +148,7 @@ class TestScore:
         net = self._trained()
         x = np.random.default_rng(17).normal(size=(1, 6))
         net.center = numpy_forward(net, x)[0]
-        assert net.score(x) == pytest.approx(0.0)
+        assert net.scores(x)[0] == pytest.approx(0.0)
 
     def test_unit_offset_scores_one(self):
         net = self._trained()
@@ -155,7 +156,7 @@ class TestScore:
         offset = np.zeros(3)
         offset[1] = 1.0
         net.center = numpy_forward(net, x)[0] + offset
-        assert net.score(x) == pytest.approx(1.0)
+        assert net.scores(x)[0] == pytest.approx(1.0)
 
     def test_matches_independent_oracle(self):
         net = self._trained(seed=19)
@@ -167,7 +168,7 @@ class TestScore:
         net = make_net()
         net.init_center(np.zeros((1, 6)))
         with pytest.raises(RuntimeError, match="trained"):
-            net.score(np.zeros((1, 6)))
+            net.scores(np.zeros((1, 6)))
 
     def test_scores_non_negative(self):
         net = self._trained(seed=21)
@@ -182,13 +183,13 @@ class TestScore:
         x = rng.normal(size=(1, 6))
         lip = np.prod([np.linalg.svd(w.value, compute_uv=False)[0]
                        for w in net.weights])
-        base = net.score(x)
+        base = net.scores(x)[0]
         radius = np.sqrt(base)
         for scale in (1e-1, 1e-2, 1e-3):
             d = rng.normal(size=(1, 6))
             d *= scale / np.linalg.norm(d)
             bound = 2.0 * (radius + lip * scale) * lip * scale
-            assert abs(net.score(x + d) - base) <= bound + 1e-12
+            assert abs(net.scores(x + d)[0] - base) <= bound + 1e-12
 
 
 class TestObjectiveGradients:
@@ -198,9 +199,9 @@ class TestObjectiveGradients:
         net.init_center(x)
 
         def loss_value():
-            return float(svdd.svdd_objective(net, x, 0.05).value[0, 0])
+            return float(svdd.svdd_objective(net, x).value[0, 0])
 
-        loss = svdd.svdd_objective(net, x, 0.05)
+        loss = svdd.svdd_objective(net, x)
         loss.backward()
         for w in net.weights:
             numeric = finite_difference(loss_value, w.value)
@@ -254,25 +255,3 @@ class TestThreshold:
         high = (scores > thr + bump).sum()
         assert high <= low
 
-
-class TestDetect:
-    def _trained(self):
-        net = make_net(seed=30)
-        net.init_center(np.random.default_rng(31).normal(size=(3, 6)))
-        net.trained = True
-        return net
-
-    def test_below_threshold(self):
-        net = self._trained()
-        x = np.random.default_rng(32).normal(size=(1, 6))
-        net.center = numpy_forward(net, x)[0]  # score 0
-        result = svdd.detect(net, x, threshold=0.5, segment_index=4)
-        assert result.predicted == 0
-        assert result.segment_index == 4
-
-    def test_boundary_is_strict(self):
-        net = self._trained()
-        x = np.random.default_rng(33).normal(size=(1, 6))
-        score = net.score(x)
-        assert svdd.detect(net, x, threshold=score).predicted == 0
-        assert svdd.detect(net, x, threshold=score - 1e-9).predicted == 1

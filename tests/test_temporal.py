@@ -116,12 +116,18 @@ class TestEncode:
         assert not np.allclose(plain, pos1)
         np.testing.assert_array_equal(pos1, pos2)
 
-    def test_embed_returns_plain_embedding(self):
-        enc = make_encoder()
-        emb = enc.embed(np.zeros((3, 4)), segment_index=17)
-        assert isinstance(emb, temporal.TemporalEmbedding)
-        assert emb.segment_index == 17
-        assert emb.values.shape == (3, 4)
+
+class TestParameters:
+    def test_named_in_checkpoint_order_each_once(self):
+        enc = make_encoder(heads=2)
+        names = [name for name, _ in enc.named_parameters()]
+        assert names == ["w_query0", "w_key0", "w_value0",
+                         "w_query1", "w_key1", "w_value1",
+                         "w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
+                         "w_pred", "b_pred"]
+        params = enc.parameters()
+        assert len({id(p) for p in params}) == len(params) == len(names)
+        assert all(p.requires_grad for p in params)
 
 
 class TestPredictNext:

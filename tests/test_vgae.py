@@ -171,10 +171,12 @@ def test_objective_gradients_pass_finite_differences():
     noises = [np.random.default_rng(14).standard_normal((3, 2)),
               np.random.default_rng(15).standard_normal((3, 2))]
 
-    def loss_value():
-        return float(vgae.vgae_objective(enc, graphs, noises).value[0, 0])
+    prepared = vgae.prepare_graphs(graphs)
 
-    loss = vgae.vgae_objective(enc, graphs, noises)
+    def loss_value():
+        return float(vgae.vgae_objective(enc, prepared, noises).value[0, 0])
+
+    loss = vgae.vgae_objective(enc, prepared, noises)
     loss.backward()
     for p in enc.parameters():
         numeric = finite_difference(loss_value, p.value)
@@ -197,6 +199,19 @@ class TestTraining:
         assert trace == []
         for p, b in zip(enc.parameters(), before):
             np.testing.assert_array_equal(p.value, b)
+
+    def test_epoch_loss_is_the_objective_at_the_drawn_noise(self):
+        # train_vgae's first recorded loss is vgae_objective at the initial
+        # weights with one noise draw per graph, graph by graph.
+        graphs = [toy_graph(seed=30), toy_graph(seed=31)]
+        enc = make_encoder(seed=32)
+        rng = np.random.default_rng(33)
+        noises = [rng.standard_normal((3, 2)) for _ in graphs]
+        expected = vgae.vgae_objective(enc, vgae.prepare_graphs(graphs),
+                                       noises).value[0, 0]
+        trace = vgae.train_vgae(enc, graphs, epochs=1, lr=0.01,
+                                rng=np.random.default_rng(33))
+        assert trace == [expected]
 
     def test_seeded_runs_identical(self):
         traces = []
