@@ -2,13 +2,17 @@
 
 Everything the learned stages need lives here: a ``Tensor`` graph node, a
 closed set of differentiable primitives, an adaptive-moment optimizer with
-decoupled weight decay, and the one training loop every stage runs. Shapes
-are strictly 2-D; vectors are 1 x n.
+decoupled weight decay, and the one training loop every stage runs. A value
+is a matrix or a stack of matrices (leading batch axes; vectors are 1 x n);
+ops act on the last two axes, and an operand of the other's trailing shape
+is shared across the stack, its gradient summed over the batch axes.
+``no_grad`` turns graph recording off for inference.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -19,19 +23,27 @@ from .errors import NumericError
 Array = np.ndarray
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results have no parents."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _as_matrix(value) -> Array:
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ValueError(f"tensors are 2-D, got array of shape {arr.shape}")
-    return arr
+    return arr.reshape(1, -1) if arr.ndim < 2 else arr
 
 
 class Tensor:
-    """A 2-D float64 matrix plus the plumbing to replay its backward pass.
+    """A float64 matrix (or stack) plus the plumbing to replay its backward pass.
 
     ``value`` is the forward result, ``grad`` is materialized lazily during
     :meth:`backward`. Leaf tensors created with ``requires_grad=True`` are
@@ -53,15 +65,7 @@ class Tensor:
         self._backward = _backward
 
     @property
-    def rows(self) -> int:
-        return self.value.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.value.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
@@ -103,25 +107,29 @@ class Tensor:
 def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
+    if g.ndim > t.value.ndim:  # a shared operand: sum over the batch axes
+        g = g.sum(axis=tuple(range(g.ndim - t.value.ndim)))
     if t.grad is None:
         t.grad = np.zeros_like(t.value)
     t.grad += g
 
 
 def _node(value, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True,
                       _parents=tuple(parents), _backward=backward)
     return Tensor(value)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    """Equal shapes, or one shape is the other's trailing shape."""
+    short, long = sorted((a.shape, b.shape), key=len)
+    if long[len(long) - len(short):] != short:
         raise ValueError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    _check_broadcast(a, b, "add")
 
     def backward(g):
         _accumulate(a, g)
@@ -131,7 +139,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
+    _check_broadcast(a, b, "sub")
 
     def backward(g):
         _accumulate(a, g)
@@ -142,7 +150,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
-    _check_same_shape(a, b, "mul")
+    _check_broadcast(a, b, "mul")
 
     def backward(g):
         _accumulate(a, g * b.value)
@@ -152,21 +160,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
+    """Matrix product over the last two axes; a 2-D operand is shared."""
+    stacks = a.shape[:-2], b.shape[:-2]
+    if a.shape[-1] != b.shape[-2] or (all(stacks) and stacks[0] != stacks[1]):
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def backward(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
+        _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
 
     return _node(a.value @ b.value, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return _node(a.value.T.copy(), (a,), backward)
+    return _node(np.swapaxes(a.value, -1, -2).copy(), (a,), backward)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -220,12 +231,12 @@ def exp(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction for stability."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(a, y * (g - inner))
 
     return _node(y, (a,), backward)
@@ -260,33 +271,32 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
     if not parts:
         raise ValueError("concat_cols needs at least one tensor")
-    rows = parts[0].rows
     for p in parts:
-        if p.rows != rows:
+        if p.shape[:-1] != parts[0].shape[:-1]:
             raise ValueError(
                 f"concat_cols row mismatch: {p.shape} vs {parts[0].shape}")
-    widths = [p.cols for p in parts]
+    widths = [p.shape[-1] for p in parts]
 
     def backward(g):
         j = 0
         for p, w in zip(parts, widths):
-            _accumulate(p, g[:, j:j + w])
+            _accumulate(p, g[..., j:j + w])
             j += w
 
-    return _node(np.concatenate([p.value for p in parts], axis=1),
+    return _node(np.concatenate([p.value for p in parts], axis=-1),
                  parts, backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.cols):
+    if not (0 <= start < stop <= a.shape[-1]):
         raise ValueError(f"column slice [{start}:{stop}] out of range for {a.shape}")
 
     def backward(g):
         full = np.zeros_like(a.value)
-        full[:, start:stop] = g
+        full[..., start:stop] = g
         _accumulate(a, full)
 
-    return _node(a.value[:, start:stop].copy(), (a,), backward)
+    return _node(a.value[..., start:stop].copy(), (a,), backward)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

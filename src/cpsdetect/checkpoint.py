@@ -91,6 +91,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, count: int) -> str:
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: invalid utf-8 before byte {self.pos}") from None
+
 
 def _read_blocks(path) -> dict[str, object]:
     reader = _Reader(Path(path).read_bytes(), path)
@@ -105,7 +111,7 @@ def _read_blocks(path) -> dict[str, object]:
     for _ in range(count):
         kind = reader.take(1)
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len)
         if kind == b"M":
             rows, cols = reader.unpack("<II")
             payload = reader.take(rows * cols * 8)
@@ -114,7 +120,7 @@ def _read_blocks(path) -> dict[str, object]:
             (blocks[name],) = reader.unpack("<d")
         elif kind == b"T":
             (length,) = reader.unpack("<Q")
-            blocks[name] = reader.take(length).decode("utf-8")
+            blocks[name] = reader.text(length)
         else:
             raise DataError(f"{path}: unknown block kind {kind!r}")
     return blocks
@@ -126,13 +132,13 @@ def _block(blocks: dict, name: str):
     return blocks[name]
 
 
-def _restore(target, name: str, blocks: dict) -> None:
+def _shaped(blocks: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     stored = _block(blocks, name)
-    if stored.shape != target.value.shape:
+    if stored.shape != shape:
         raise DataError(
             f"checkpoint block {name!r} has shape {stored.shape}, "
-            f"model expects {target.value.shape}")
-    target.value = stored
+            f"model expects {shape}")
+    return stored
 
 
 def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
@@ -168,12 +174,12 @@ def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
 
     input_dim = _block(blocks, "svdd/w0").shape[0]
     net = SvddNet(input_dim, config.svdd.widths, config.svdd.slope, rng)
-    net.center = _block(blocks, "detector/center")[0]
+    net.center = _shaped(blocks, "detector/center", (1, net.widths[-1]))[0]
     net.trained = True
 
     pipe = TrainedPipeline(config, topology, normalizer, temporal, vgae, net,
                            float(_block(blocks, "detector/threshold")))
     for prefix, stage in _stages(pipe):
         for name, param in stage.named_parameters():
-            _restore(param, f"{prefix}/{name}", blocks)
+            param.value = _shaped(blocks, f"{prefix}/{name}", param.value.shape)
     return pipe

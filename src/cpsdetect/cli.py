@@ -213,9 +213,9 @@ def cmd_score(args) -> int:
         graph_dir.mkdir(exist_ok=True)
         graphs = pipeline_mod.segment_graphs(pipe.config, topology,
                                              pipe.temporal, segments)
-        for result, graph in zip(results, graphs):
+        for result, adjacency in zip(results, graphs.adjacency):
             np.savetxt(graph_dir / f"graph_{result.segment_index:05d}.csv",
-                       graph.adjacency, delimiter=",")
+                       adjacency, delimiter=",")
 
     flagged = sum(r.predicted for r in results)
     print(f"scored {len(results)} segments ({flagged} flagged) "

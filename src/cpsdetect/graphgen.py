@@ -6,7 +6,8 @@ sensor pairs through each sensor's type, and the expansion is multiplied
 elementwise into the binary adjacency. Weighting therefore reshapes existing
 edges but never creates new ones, and weights stay in [-1, 1]. Negative
 similarities are kept as negative weights; the downstream degree
-normalization handles them.
+normalization handles them. Every step takes a (sensors x dim) attribute
+matrix or a (segments x sensors x dim) stack.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .data import SensorTopology
 
 @dataclass
 class WeightedGraph:
-    """Weighted adjacency plus node attributes for one segment."""
+    """Weighted adjacency plus node attributes of one graph or a stack."""
 
     adjacency: np.ndarray
     attributes: np.ndarray
@@ -28,12 +29,12 @@ class WeightedGraph:
 
 def type_embeddings(attributes: np.ndarray,
                     topology: SensorTopology) -> np.ndarray:
-    """Mean attribute row per sensor type, (types x dim)."""
+    """Mean attribute row per sensor type: (types x dim) per attribute matrix."""
     k = topology.type_count
-    out = np.empty((k, attributes.shape[1]))
-    for tau in range(k):
-        out[tau] = attributes[topology.type_of == tau].mean(axis=0)
-    return out
+    sums = np.zeros(attributes.shape[:-2] + (k, attributes.shape[-1]))
+    # Sensor by sensor in index order: the same sums as a per-type mean.
+    np.add.at(sums, (..., topology.type_of, slice(None)), attributes)
+    return sums / np.bincount(topology.type_of, minlength=k)[:, None]
 
 
 def type_similarity(embeddings: np.ndarray) -> np.ndarray:
@@ -42,45 +43,36 @@ def type_similarity(embeddings: np.ndarray) -> np.ndarray:
     A zero-norm embedding is degenerate: its similarity is defined as 0 to
     every other type and 1 to itself, with a warning.
     """
-    norms = np.linalg.norm(embeddings, axis=1)
+    norms = np.linalg.norm(embeddings, axis=-1)
     if (norms == 0.0).any():
         warnings.warn("zero-norm type embedding; treating its similarity "
                       "to other types as 0", RuntimeWarning, stacklevel=2)
-    denom = np.outer(norms, norms)
+    denom = norms[..., :, None] * norms[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        sim = (embeddings @ embeddings.T) / denom
+        sim = (embeddings @ np.swapaxes(embeddings, -1, -2)) / denom
     sim[denom == 0.0] = 0.0
-    np.fill_diagonal(sim, 1.0)
+    sim[..., np.eye(sim.shape[-1], dtype=bool)] = 1.0
     return np.clip(sim, -1.0, 1.0)
-
-
-def expand_similarity(similarity: np.ndarray,
-                      topology: SensorTopology) -> np.ndarray:
-    """Map the (types x types) similarity onto sensor pairs via type lookup."""
-    idx = topology.type_of
-    return similarity[np.ix_(idx, idx)]
-
-
-def build_graph(adjacency: np.ndarray, expanded: np.ndarray,
-                attributes: np.ndarray) -> WeightedGraph:
-    if adjacency.shape != expanded.shape:
-        raise ValueError(
-            f"adjacency {adjacency.shape} vs similarity {expanded.shape}")
-    if attributes.shape[0] != adjacency.shape[0]:
-        raise ValueError(
-            f"attributes {attributes.shape} do not match {adjacency.shape[0]} nodes")
-    return WeightedGraph(adjacency * expanded, attributes)
 
 
 def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
                    weighting: bool = True) -> WeightedGraph:
-    """Full pipeline from attributes to a weighted attributed graph.
+    """Weighted attributed graphs of one attribute matrix or a stack.
 
-    With ``weighting`` off the binary adjacency is used untouched (the
-    ablation configuration).
+    The (types x types) similarity reaches sensor pairs through each
+    sensor's type. With ``weighting`` off every graph keeps the binary
+    adjacency untouched (the ablation configuration).
     """
+    if attributes.shape[-2] != topology.n:
+        raise ValueError(
+            f"attributes {attributes.shape} do not match {topology.n} nodes")
+    adjacency = topology.adjacency.astype(float)
     if not weighting:
-        return WeightedGraph(topology.adjacency.astype(float), attributes)
+        return WeightedGraph(
+            np.broadcast_to(adjacency, attributes.shape[:-2] + adjacency.shape),
+            attributes)
+    idx = topology.type_of
     sim = type_similarity(type_embeddings(attributes, topology))
-    return build_graph(topology.adjacency.astype(float),
-                       expand_similarity(sim, topology), attributes)
+    # take() keeps the stack C-ordered: later row sums add as for one graph.
+    return WeightedGraph(adjacency * sim.take(idx, axis=-2).take(idx, axis=-1),
+                         attributes)

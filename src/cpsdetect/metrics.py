@@ -4,10 +4,12 @@ The adjustment rule treats each maximal run of consecutive positive ground
 truth labels as one event: if any prediction inside the run fires, the whole
 run counts as detected. Predictions outside true runs are never modified.
 AUC is always computed on raw scores, without adjustment, since it is a
-threshold-free metric defined on score orderings.
+threshold-free metric defined on score orderings; on labels of one class it
+is undefined (NaN in a report, printed as ``undefined``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,8 +124,12 @@ def evaluate_scores(labels, scores, threshold: float | None = None,
         predictions = (sc > threshold).astype(np.int64)
     adjusted = point_adjust(labels, predictions) if adjust else predictions
     precision, recall, f1, (tp, fp, fn, tn) = precision_recall_f1(labels, adjusted)
-    auc = roc_auc(labels, sc)
+    auc = roc_auc(labels, sc) if 0 < tp + fn < tp + fp + fn + tn else math.nan
     return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn, adjusted)
+
+
+def _auc_text(auc: float, digits: int) -> str:
+    return "undefined" if math.isnan(auc) else f"{auc:.{digits}f}"
 
 
 def report_keyvalues(report: MetricReport) -> str:
@@ -131,7 +137,7 @@ def report_keyvalues(report: MetricReport) -> str:
         f"precision={report.precision:.6f}",
         f"recall={report.recall:.6f}",
         f"f1={report.f1:.6f}",
-        f"auc={report.auc:.6f}",
+        f"auc={_auc_text(report.auc, 6)}",
         f"tp={report.tp}",
         f"fp={report.fp}",
         f"fn={report.fn}",
@@ -146,6 +152,6 @@ def report_text(report: MetricReport) -> str:
         f"  precision : {report.precision:.4f}\n"
         f"  recall    : {report.recall:.4f}\n"
         f"  f1        : {report.f1:.4f}\n"
-        f"  auc       : {report.auc:.4f}\n"
+        f"  auc       : {_auc_text(report.auc, 4)}\n"
         f"  counts    : tp={report.tp} fp={report.fp} fn={report.fn} tn={report.tn}\n"
     )

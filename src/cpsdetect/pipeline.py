@@ -1,14 +1,15 @@
 """Stage-wise training and scoring orchestration.
 
 Training order: fit the temporal encoder on next-window prediction over
-normal data, freeze it, embed each normal segment once and build its
-weighted attributed graph, fit the graph autoencoder on those graphs, freeze
+normal data, freeze it, embed the normal segments once and build their
+weighted attributed graphs, fit the graph autoencoder on those graphs, freeze
 it, then fit the hypersphere detector on the pooled posterior means of the
 same graphs and calibrate the alarm threshold on a held-out slice of normal
 segments. Ablation toggles swap a stage for the identity: raw window
 matrices stand in for missing temporal embeddings, the binary adjacency for
 missing edge weighting, and the pooled embeddings themselves for the missing
-graph autoencoder, in which case no graph is built.
+graph autoencoder, in which case no graph is built. Each stage runs once
+over all segments stacked; scoring records no autodiff graph.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .config import PipelineConfig
 from .data import (Normalizer, Segment, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
@@ -41,31 +43,21 @@ class TrainedPipeline:
     traces: dict[str, list[float]] = field(default_factory=dict)
 
 
-def _embed(temporal: TemporalEncoder | None, segment: Segment) -> np.ndarray:
-    """Node attributes of a segment: its temporal embedding, or the raw window."""
+def _embed(temporal: TemporalEncoder | None,
+           segments: Sequence[Segment]) -> np.ndarray:
+    """Node attributes of the stacked segments: embeddings, or raw windows."""
+    windows = np.stack([s.values for s in segments])
     if temporal is None:
-        return segment.values
-    return temporal.encode(Tensor(segment.values)).value
-
-
-def _pooled(config: PipelineConfig, embeddings) -> np.ndarray:
-    return np.asarray([pool_embedding(e, config.svdd.pooling)[0]
-                       for e in embeddings])
-
-
-def _graph_features(config: PipelineConfig, vgae_encoder: VgaeEncoder,
-                    graphs: Sequence[WeightedGraph]) -> np.ndarray:
-    """Pooled posterior means: inference is deterministic, no samples."""
-    return _pooled(config, (vgae_encoder.encode(g, noise=None).values
-                            for g in graphs))
+        return windows
+    return temporal.encode(Tensor(windows)).value
 
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                    temporal: TemporalEncoder | None,
-                   segments: Sequence[Segment]) -> list[WeightedGraph]:
-    """Embed each segment once and build its weighted attributed graph."""
-    return [weighted_graph(topology, _embed(temporal, s),
-                           weighting=config.graph.weighting) for s in segments]
+                   segments: Sequence[Segment]) -> WeightedGraph:
+    """Embed the segments once and build their stacked weighted graphs."""
+    return weighted_graph(topology, _embed(temporal, segments),
+                          weighting=config.graph.weighting)
 
 
 def segment_features(config: PipelineConfig, topology: SensorTopology,
@@ -74,20 +66,14 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
                      segments: Sequence[Segment]) -> np.ndarray:
     """One feature row per segment, through whichever stages are enabled.
 
-    Each segment is embedded once; its graph is built only for the graph
-    autoencoder.
+    The segments are embedded once; graphs are built only for the graph
+    autoencoder, whose posterior means (no samples) are pooled.
     """
     if vgae_encoder is None:
-        return _pooled(config, (_embed(temporal, s) for s in segments))
-    return _graph_features(config, vgae_encoder,
-                           segment_graphs(config, topology, temporal, segments))
-
-
-def _successor_is_clean(segment: Segment, labels: np.ndarray, length: int) -> bool:
-    if segment.successor_start is None:
-        return False
-    window = labels[segment.successor_start:segment.successor_start + length]
-    return not window.any()
+        return pool_embedding(_embed(temporal, segments), config.svdd.pooling)
+    graphs = segment_graphs(config, topology, temporal, segments)
+    return pool_embedding(vgae_encoder.encode(graphs).mean.value,
+                          config.svdd.pooling)
 
 
 def train_pipeline(config: PipelineConfig, topology: SensorTopology,
@@ -136,28 +122,35 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             topology.n, length, config.temporal.heads, config.temporal.head_dim,
             config.temporal.model_dim, np.random.default_rng(seeds[0]),
             positional_encoding=config.temporal.positional_encoding)
-        pairs = [(s.values, values[s.successor_start:s.successor_start + length].T)
-                 for s in normal if _successor_is_clean(s, labels, length)]
-        if not pairs:
+        # windows[i] is the (sensors x length) window at row i; a pair needs
+        # a successor window without anomalous rows.
+        windows = sliding_window_view(values, length, axis=0)
+        clean = ~sliding_window_view(labels, length).any(axis=1)
+        starts = np.array([s.start for s in normal if s.successor_start is not None],
+                          dtype=int)
+        starts = starts[clean[starts + length]]
+        if not starts.size:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
-        say(f"[temporal] training on {len(pairs)} prediction pairs")
+        say(f"[temporal] training on {starts.size} prediction pairs")
         traces["temporal"] = train_temporal(
-            temporal, pairs, config.temporal.epochs, config.temporal.lr, log)
+            temporal, windows[starts], windows[starts + length],
+            config.temporal.epochs, config.temporal.lr, log)
 
     vgae_encoder = None
     if config.vgae.enabled:
         graphs = segment_graphs(config, topology, temporal, normal)
-        input_dim = graphs[0].attributes.shape[1]
+        input_dim = graphs.attributes.shape[-1]
         vgae_encoder = VgaeEncoder(
             input_dim, config.vgae.hidden_dim, config.vgae.embed_dim,
             np.random.default_rng(seeds[1]), kl_weight=config.vgae.kl_weight)
-        say(f"[vgae] training on {len(graphs)} graphs "
+        say(f"[vgae] training on {len(normal)} graphs "
             f"(attribute dim {input_dim})")
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
-        features = _graph_features(config, vgae_encoder, graphs)
+        features = pool_embedding(vgae_encoder.encode(graphs).mean.value,
+                                  config.svdd.pooling)
     else:
         features = segment_features(config, topology, temporal, None, normal)
 
@@ -206,9 +199,10 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     dummy_labels = np.zeros(values.shape[0], dtype=np.int64)
     segments = segment_stream(values, dummy_labels, config.window.length,
                               config.window.stride)
-    features = segment_features(config, pipe.topology, pipe.temporal,
-                                pipe.vgae, segments)
-    scores = pipe.svdd.scores(features)
+    with no_grad():
+        features = segment_features(config, pipe.topology, pipe.temporal,
+                                    pipe.vgae, segments)
+        scores = pipe.svdd.scores(features)
     results = [
         DetectionResult(i, float(s), pipe.threshold, int(s > pipe.threshold))
         for i, s in enumerate(scores)

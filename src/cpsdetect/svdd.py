@@ -29,13 +29,14 @@ class DetectionResult:
     predicted: int
 
 
-def pool_embedding(matrix: np.ndarray, mode: str = "flatten") -> np.ndarray:
-    """One sample row from a per-node embedding: row-major flattening or the
-    mean over nodes."""
+def pool_embedding(stack: np.ndarray, mode: str = "flatten") -> np.ndarray:
+    """One sample row per (nodes x dim) embedding of a stack: row-major
+    flattening or the mean over nodes."""
+    stack = np.asarray(stack, dtype=float)
     if mode == "flatten":
-        return np.asarray(matrix, dtype=float).reshape(1, -1)
+        return stack.reshape(stack.shape[0], -1)
     if mode == "mean":
-        return np.asarray(matrix, dtype=float).mean(axis=0, keepdims=True)
+        return stack.mean(axis=1)
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 

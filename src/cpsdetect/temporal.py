@@ -6,11 +6,12 @@ matrix is (sensors x sensors): sensors attend to each other, sharing temporal
 information. Scores are scaled by sqrt(window_length). The feed-forward
 refinement uses full per-sensor bias matrices, and a linear head predicts the
 next window; training minimizes the mean squared prediction error over all
-(window, successor) pairs drawn from normal data.
+(window, successor) pairs drawn from normal data. Segments pass every layer
+together as one (segments x sensors x window_length) stack.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import math
 
@@ -65,7 +66,7 @@ class TemporalEncoder:
         return [p for _, p in self.named_parameters()]
 
     def _check_input(self, t: Tensor) -> None:
-        if t.shape != (self.sensors, self.window):
+        if t.shape[-2:] != (self.sensors, self.window):
             raise ValueError(
                 f"segment shape {t.shape} does not match encoder "
                 f"({self.sensors}, {self.window})")
@@ -91,7 +92,7 @@ class TemporalEncoder:
         return ad.matmul(weights, v)
 
     def encode(self, t: Tensor) -> Tensor:
-        """Embed one segment as a (sensors x model_dim) matrix."""
+        """Embed a segment, or a stack of them, as (sensors x model_dim) matrices."""
         self._check_input(t)
         merged = ad.matmul(
             ad.concat_cols([self.attention_head(t, h) for h in range(self.heads)]),
@@ -101,30 +102,27 @@ class TemporalEncoder:
 
     def predict_next(self, embedding: Tensor) -> Tensor:
         """Linear prediction of the next window from an embedding."""
-        if embedding.shape != (self.sensors, self.model_dim):
+        if embedding.shape[-2:] != (self.sensors, self.model_dim):
             raise ValueError(
                 f"embedding shape {embedding.shape} does not match encoder "
                 f"({self.sensors}, {self.model_dim})")
         return ad.add(ad.matmul(embedding, self.w_pred), self.b_pred)
 
 
-def prediction_loss(encoder: TemporalEncoder,
-                    pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-    """Mean squared Frobenius error of next-window predictions over pairs."""
-    if not pairs:
+def prediction_loss(encoder: TemporalEncoder, windows: np.ndarray,
+                    successors: np.ndarray) -> Tensor:
+    """Mean squared Frobenius error of next-window predictions over a stack."""
+    if len(windows) == 0:
         raise DataError("no training pairs with successor windows")
-    total = None
-    for current, successor in pairs:
-        predicted = encoder.predict_next(encoder.encode(Tensor(current)))
-        err = ad.frobenius_sq(ad.sub(Tensor(successor), predicted))
-        total = err if total is None else ad.add(total, err)
-    return ad.scale(total, 1.0 / len(pairs))
+    predicted = encoder.predict_next(encoder.encode(Tensor(windows)))
+    return ad.scale(ad.frobenius_sq(ad.sub(Tensor(successors), predicted)),
+                    1.0 / len(windows))
 
 
-def train_temporal(encoder: TemporalEncoder,
-                   pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                   epochs: int, lr: float,
+def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
+                   successors: np.ndarray, epochs: int, lr: float,
                    log: Callable[[str], None] | None = None) -> list[float]:
-    """Fit the encoder on (window, successor) pairs; returns per-epoch losses."""
-    return ad.fit(encoder.parameters(), lambda: prediction_loss(encoder, pairs),
+    """Fit the encoder on stacked (window, successor) pairs; returns losses."""
+    return ad.fit(encoder.parameters(),
+                  lambda: prediction_loss(encoder, windows, successors),
                   epochs, lr, log=log, tag="temporal")

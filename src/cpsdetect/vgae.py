@@ -6,12 +6,13 @@ isolated or negatively weighted rows stay finite). The second layer emits
 mean and log-variance heads side by side; reparameterized samples decode
 back to edge probabilities through a sigmoid Gram matrix. The training loss
 is squared reconstruction error against the binary edge support (plus
-self-loops) plus a weighted diagonal-Gaussian KL term.
+self-loops) plus a weighted diagonal-Gaussian KL term, averaged over a stack
+of graphs (leading axis) that passes every step at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,15 +27,11 @@ LOGVAR_RANGE = 10.0
 
 @dataclass
 class GraphEmbedding:
-    """Latent summary of one graph: sampled rows plus the posterior moments."""
+    """Latent summary of a graph (or stack): samples plus posterior moments."""
 
     r: Tensor
     mean: Tensor
     logvar: Tensor
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.r.value
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -45,15 +42,15 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     is at least 1 and the normalized entries stay bounded. The floor only
     guards pathological all-zero rows.
     """
-    with_loops = adjacency + np.eye(adjacency.shape[0])
-    degrees = np.maximum(np.abs(with_loops).sum(axis=1), DEGREE_FLOOR)
+    with_loops = adjacency + np.eye(adjacency.shape[-1])
+    degrees = np.maximum(np.abs(with_loops).sum(axis=-1), DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
+    return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]
 
 
 def reconstruction_target(adjacency: np.ndarray) -> np.ndarray:
     """Binary edge support plus self-loops, matching the sigmoid decoder range."""
-    return ((adjacency != 0.0) | np.eye(adjacency.shape[0], dtype=bool)).astype(float)
+    return ((adjacency != 0.0) | np.eye(adjacency.shape[-1], dtype=bool)).astype(float)
 
 
 class VgaeEncoder:
@@ -76,10 +73,16 @@ class VgaeEncoder:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def encode_normalized(self, norm: Tensor, attributes: Tensor,
-                          noise: np.ndarray | None) -> GraphEmbedding:
-        """Encode with a precomputed normalized adjacency (training fast path)."""
-        hidden = ad.relu(ad.matmul(ad.matmul(norm, attributes), self.w_hidden))
+    def encode(self, graph: WeightedGraph,
+               noise: np.ndarray | None = None) -> GraphEmbedding:
+        """Encode a graph or a stack; ``noise=None`` is deterministic."""
+        if graph.attributes.shape[-1] != self.input_dim:
+            raise ValueError(
+                f"attribute dim {graph.attributes.shape[-1]} does not match "
+                f"encoder input dim {self.input_dim}")
+        norm = Tensor(normalize_adjacency(graph.adjacency))
+        hidden = ad.relu(ad.matmul(ad.matmul(norm, Tensor(graph.attributes)),
+                                   self.w_hidden))
         heads = ad.matmul(ad.matmul(norm, hidden), self.w_heads)
         mean = ad.slice_cols(heads, 0, self.embed_dim)
         logvar = ad.clamp(ad.slice_cols(heads, self.embed_dim, 2 * self.embed_dim),
@@ -90,16 +93,6 @@ class VgaeEncoder:
             std = ad.exp(ad.scale(logvar, 0.5))
             r = ad.add(mean, ad.mul(std, Tensor(noise)))
         return GraphEmbedding(r, mean, logvar)
-
-    def encode(self, graph: WeightedGraph,
-               noise: np.ndarray | None = None) -> GraphEmbedding:
-        """Encode a weighted attributed graph; ``noise=None`` is deterministic."""
-        if graph.attributes.shape[1] != self.input_dim:
-            raise ValueError(
-                f"attribute dim {graph.attributes.shape[1]} does not match "
-                f"encoder input dim {self.input_dim}")
-        norm = Tensor(normalize_adjacency(graph.adjacency))
-        return self.encode_normalized(norm, Tensor(graph.attributes), noise)
 
 
 def decode(r: Tensor) -> Tensor:
@@ -123,43 +116,27 @@ def vgae_loss(target: np.ndarray, reconstructed: Tensor,
                                                 embedding.logvar), kl_weight))
 
 
-def prepare_graphs(graphs: Sequence[WeightedGraph]
-                   ) -> list[tuple[Tensor, Tensor, np.ndarray]]:
-    """Per graph: normalized adjacency, attributes and reconstruction target.
-
-    These stay fixed while the encoder trains, so they are computed once.
-    """
-    if not graphs:
-        raise DataError("no graphs to train on")
-    return [(Tensor(normalize_adjacency(g.adjacency)), Tensor(g.attributes),
-             reconstruction_target(g.adjacency)) for g in graphs]
+def vgae_objective(encoder: VgaeEncoder, graphs: WeightedGraph,
+                   noise: np.ndarray) -> Tensor:
+    """Mean training loss over a stack of graphs at a (graphs x nodes x
+    embed_dim) noise draw."""
+    embedding = encoder.encode(graphs, noise)
+    loss = vgae_loss(reconstruction_target(graphs.adjacency),
+                     decode(embedding.r), embedding, encoder.kl_weight)
+    return ad.scale(loss, 1.0 / len(graphs.adjacency))
 
 
-def vgae_objective(encoder: VgaeEncoder,
-                   prepared: Sequence[tuple[Tensor, Tensor, np.ndarray]],
-                   noises: Sequence[np.ndarray]) -> Tensor:
-    """Mean training loss over prepared graphs with one noise draw per graph."""
-    total = None
-    for (norm, attrs, target), noise in zip(prepared, noises):
-        embedding = encoder.encode_normalized(norm, attrs, noise)
-        loss = vgae_loss(target, decode(embedding.r), embedding,
-                         encoder.kl_weight)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(prepared))
-
-
-def train_vgae(encoder: VgaeEncoder, graphs: Sequence[WeightedGraph],
+def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
                epochs: int, lr: float, rng: np.random.Generator,
                log: Callable[[str], None] | None = None) -> list[float]:
-    """Fit the encoder on training graphs; returns per-epoch mean losses.
+    """Fit the encoder on a stack of graphs; returns per-epoch mean losses.
 
-    Each epoch draws fresh reparameterization noise, graph by graph.
+    Each epoch draws fresh noise for the stack at once: the same numbers as
+    one draw per graph in stack order.
     """
-    prepared = prepare_graphs(graphs)
-
-    def loss() -> Tensor:
-        noises = [rng.standard_normal((norm.rows, encoder.embed_dim))
-                  for norm, _, _ in prepared]
-        return vgae_objective(encoder, prepared, noises)
-
-    return ad.fit(encoder.parameters(), loss, epochs, lr, log=log, tag="vgae")
+    if len(graphs.adjacency) == 0:
+        raise DataError("no graphs to train on")
+    shape = graphs.attributes.shape[:-1] + (encoder.embed_dim,)
+    return ad.fit(encoder.parameters(),
+                  lambda: vgae_objective(encoder, graphs, rng.standard_normal(shape)),
+                  epochs, lr, log=log, tag="vgae")

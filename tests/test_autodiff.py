@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,3 +310,116 @@ class TestFit:
         ad.fit([p], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
                weight_decay=0.5)
         assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+# -- the leading batch axis ---------------------------------------------------
+
+BATCHED_UNARY = [
+    ("transpose", ad.transpose),
+    ("softmax_rows", ad.softmax_rows),
+    ("slice_cols", lambda t: ad.slice_cols(t, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("name,op", BATCHED_UNARY, ids=[u[0] for u in BATCHED_UNARY])
+def test_gradient_check_unary_batched(name, op):
+    rng = np.random.default_rng(hash(name) % 2 ** 31)
+    x = param(rng.normal(size=(2, 3, 4)))
+    probe = _scalar_probe(rng, op(ad.Tensor(x.value)).shape)
+    probe(op(x)).backward()
+    numeric = finite_difference(
+        lambda: float(probe(op(ad.Tensor(x.value))).value[0, 0]), x.value)
+    assert relative_gradient_error(x.grad, numeric) < RTOL
+
+
+BATCHED_BINARY = [
+    ("matmul-stacks", ad.matmul, (2, 3, 4), (2, 4, 2)),
+    ("matmul-shared-right", ad.matmul, (2, 3, 4), (4, 2)),
+    ("matmul-shared-left", ad.matmul, (3, 4), (2, 4, 2)),
+    ("add-shared", ad.add, (2, 3, 4), (3, 4)),
+    ("sub-shared", ad.sub, (3, 4), (2, 3, 4)),
+    ("mul-shared", ad.mul, (2, 3, 4), (3, 4)),
+    ("concat_cols", lambda a, b: ad.concat_cols([a, b]), (2, 3, 2), (2, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("name,op,sa,sb", BATCHED_BINARY,
+                         ids=[b[0] for b in BATCHED_BINARY])
+def test_gradient_check_binary_batched(name, op, sa, sb):
+    # A 2-D operand is one parameter shared by every matrix of the stack:
+    # its gradient has its own shape and sums the batch.
+    rng = np.random.default_rng(hash(name) % 2 ** 31)
+    a = param(rng.normal(size=sa))
+    b = param(rng.normal(size=sb))
+    probe = _scalar_probe(rng, op(ad.Tensor(a.value), ad.Tensor(b.value)).shape)
+    probe(op(a, b)).backward()
+    assert a.grad.shape == sa and b.grad.shape == sb
+    for p in (a, b):
+        numeric = finite_difference(
+            lambda: float(probe(op(ad.Tensor(a.value), ad.Tensor(b.value))).value[0, 0]),
+            p.value)
+        assert relative_gradient_error(p.grad, numeric) < RTOL
+
+
+def test_shared_parameter_gradient_is_the_sum_over_the_stack():
+    rng = np.random.default_rng(3)
+    w = param(rng.normal(size=(4, 2)))
+    x = rng.normal(size=(3, 5, 4))
+    ad.frobenius_sq(ad.matmul(ad.Tensor(x), w)).backward()
+    per_matrix = []
+    for xb in x:
+        w_b = param(w.value.copy())
+        ad.frobenius_sq(ad.matmul(ad.Tensor(xb), w_b)).backward()
+        per_matrix.append(w_b.grad)
+    np.testing.assert_allclose(w.grad, sum(per_matrix), rtol=1e-12)
+
+
+def test_batched_forward_equals_matrix_by_matrix():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 4, 5))
+    w = ad.Tensor(rng.normal(size=(5, 4)))
+    stacked = ad.softmax_rows(ad.matmul(ad.Tensor(x), w)).value
+    for xb, out in zip(x, stacked):
+        assert np.array_equal(ad.softmax_rows(ad.matmul(ad.Tensor(xb), w)).value, out)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+@pytest.mark.parametrize("sa,sb", [((2, 3, 4), (4, 3)), ((2, 3, 4), (3, 3, 4)),
+                                   ((3, 4), (3, 5)), ((1, 4), (3, 4))])
+def test_elementwise_mismatch_names_both_shapes(op, sa, sb):
+    a, b = ad.Tensor(np.zeros(sa)), ad.Tensor(np.zeros(sb))
+    pattern = rf"{re.escape(str(sa))} vs {re.escape(str(sb))}"
+    with pytest.raises(ValueError, match=pattern):
+        op(a, b)
+
+
+def test_batched_matmul_mismatch_names_both_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 4, 2))))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(3, 2\)"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 2))))
+
+
+class TestNoGrad:
+    def test_records_no_parents(self):
+        p = param([[1.0, 2.0]])
+        with ad.no_grad():
+            out = ad.relu(ad.add(p, p))
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert p.requires_grad
+        again = ad.add(p, p)
+        assert again._parents == (p, p) and again.requires_grad
+
+    def test_restores_the_previous_state_after_an_exception(self):
+        p = param([[1.0]])
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.add(p, p).requires_grad
+        with ad.no_grad():
+            with pytest.raises(ValueError):
+                with ad.no_grad():
+                    raise ValueError
+            assert not ad.add(p, p).requires_grad
+        assert ad.add(p, p).requires_grad

@@ -87,3 +87,14 @@ def test_wrong_shape_block_is_a_data_error(tmp_path, monkeypatch, trained, name)
         (n, np.zeros((1, m.shape[1] + 1)) if n == name else m) for n, m in blocks])
     with pytest.raises(DataError, match=f"block '{name}' has shape"):
         checkpoint.load_checkpoint(path, pipe.topology)
+
+
+def test_center_of_the_wrong_width_is_a_data_error(tmp_path, monkeypatch, trained):
+    # svdd.widths ends in 4; a 3-entry center used to load and then fail
+    # at scoring with a numpy broadcast error.
+    pipe, _ = trained
+    path = tmp_path / "model.ckpt"
+    _save_altered(monkeypatch, path, pipe, lambda blocks: [
+        (n, m[:, :3] if n == "detector/center" else m) for n, m in blocks])
+    with pytest.raises(DataError, match=r"'detector/center' has shape \(1, 3\)"):
+        checkpoint.load_checkpoint(path, pipe.topology)

@@ -80,57 +80,67 @@ class TestTypeSimilarity:
 
 
 class TestExpandSimilarity:
+    """The type similarity reaches each edge through its sensors' types."""
+
     def test_single_type_gives_all_ones(self):
         topology = data.parse_topology("sensor A x\nsensor B x\nedge A B\n")
-        sim = graphgen.type_similarity(np.array([[1.0, 1.0]]))
-        np.testing.assert_array_equal(
-            graphgen.expand_similarity(sim, topology), np.ones((2, 2)))
+        attrs = np.random.default_rng(0).normal(size=(3, 2, 4))
+        g = graphgen.weighted_graph(topology, attrs)
+        np.testing.assert_array_equal(g.adjacency, np.ones((3, 1, 1))
+                                      * topology.adjacency)
 
     def test_two_types_direct_mapping(self):
         topology = data.parse_topology("sensor A x\nsensor B y\nedge A B\n")
-        sim = np.array([[1.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_array_equal(
-            graphgen.expand_similarity(sim, topology),
-            [[1.0, 0.5], [0.5, 1.0]])
+        attrs = np.array([[[3.0, 4.0], [4.0, 3.0]]])  # cosine 24/25
+        g = graphgen.weighted_graph(topology, attrs)
+        np.testing.assert_array_equal(g.adjacency,
+                                      [[[0.0, 24 / 25], [24 / 25, 0.0]]])
 
     def test_matches_index_lookup_oracle(self):
         rng = np.random.default_rng(1)
         topology = data.generate_topology(7, 3, 0.3, rng)
-        c = rng.uniform(-1.0, 1.0, size=(3, 3))
-        c = (c + c.T) / 2.0
-        out = graphgen.expand_similarity(c, topology)
-        for i in range(7):
-            for j in range(7):
-                assert out[i, j] == c[topology.type_of[i], topology.type_of[j]]
+        attrs = rng.normal(size=(4, 7, 5))
+        g = graphgen.weighted_graph(topology, attrs)
+        for b in range(4):
+            c = graphgen.type_similarity(
+                graphgen.type_embeddings(attrs[b], topology))
+            for i in range(7):
+                for j in range(7):
+                    assert g.adjacency[b, i, j] == (
+                        topology.adjacency[i, j]
+                        * c[topology.type_of[i], topology.type_of[j]])
 
 
 class TestBuildGraph:
+    """Weighting multiplies the similarity into the existing edges only."""
+
     def test_all_ones_similarity_is_noop(self):
-        a = PATH_TOPOLOGY.adjacency.astype(float)
-        g = graphgen.build_graph(a, np.ones((3, 3)), np.zeros((3, 2)))
-        np.testing.assert_array_equal(g.adjacency, a)
+        # Parallel type means (1, 0) and (2, 0) have cosine exactly 1.
+        attrs = np.array([[[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs)
+        np.testing.assert_array_equal(g.adjacency[0], PATH_TOPOLOGY.adjacency)
+        np.testing.assert_array_equal(g.attributes, attrs)
 
     def test_empty_adjacency_stays_empty(self):
-        g = graphgen.build_graph(np.zeros((3, 3)),
-                                 np.full((3, 3), 0.9), np.zeros((3, 2)))
-        np.testing.assert_array_equal(g.adjacency, 0.0)
+        topology = data.parse_topology("sensor A x\nsensor B y\nsensor C x\n")
+        attrs = np.random.default_rng(4).normal(size=(2, 3, 2))
+        g = graphgen.weighted_graph(topology, attrs)
+        np.testing.assert_array_equal(g.adjacency, np.zeros((2, 3, 3)))
 
     def test_hand_path_graph(self):
-        # Types are (flow, flow, level); put similarity 0.5 across the pair.
-        c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        expanded = graphgen.expand_similarity(c, PATH_TOPOLOGY)
-        g = graphgen.build_graph(PATH_TOPOLOGY.adjacency.astype(float),
-                                 expanded, np.zeros((3, 2)))
+        # Types are (flow, flow, level); the flow mean (3, 4) and the level
+        # row (4, 3) have cosine 24/25, the weight of the cross-type edge.
+        attrs = np.array([[[2.0, 4.0], [4.0, 4.0], [4.0, 3.0]]])
+        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs)
         np.testing.assert_array_equal(
-            g.adjacency, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+            g.adjacency,
+            [[[0.0, 1.0, 0.0], [1.0, 0.0, 24 / 25], [0.0, 24 / 25, 0.0]]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="similarity"):
-            graphgen.build_graph(np.zeros((3, 3)), np.zeros((2, 2)),
-                                 np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="nodes"):
-            graphgen.build_graph(np.zeros((3, 3)), np.zeros((3, 3)),
-                                 np.zeros((2, 2)))
+        for attrs in (np.zeros((2, 2)), np.zeros((4, 2, 2))):
+            for weighting in (True, False):
+                with pytest.raises(ValueError, match="nodes"):
+                    graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting)
 
 
 class TestWeightedGraph:
@@ -157,3 +167,20 @@ class TestWeightedGraph:
         a1 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)))
         a2 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)))
         assert not np.array_equal(a1.adjacency, a2.adjacency)
+
+
+class TestStack:
+    """A stack of attribute matrices gives the stack of single graphs."""
+
+    @pytest.mark.parametrize("weighting", [True, False])
+    def test_stack_equals_one_graph_at_a_time(self, weighting):
+        rng = np.random.default_rng(5)
+        topology = data.generate_topology(9, 3, 0.4, rng)
+        attrs = rng.normal(size=(6, 9, 5))
+        g = graphgen.weighted_graph(topology, attrs, weighting)
+        singles = [graphgen.weighted_graph(topology, a, weighting) for a in attrs]
+        assert g.adjacency.shape == (6, 9, 9)
+        assert np.array_equal(g.adjacency, np.stack([s.adjacency for s in singles]))
+        assert np.array_equal(g.attributes, attrs)
+        if weighting:
+            assert g.adjacency.flags.c_contiguous

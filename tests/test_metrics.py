@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +143,16 @@ def test_report_formats_round_trip():
     parsed = dict(line.split("=") for line in kv.strip().splitlines())
     assert float(parsed["f1"]) == 1.0
     assert "precision" in metrics.report_text(report)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_labels_leave_auc_undefined(label):
+    labels = [label] * 4
+    report = metrics.evaluate_scores(labels, [0.1, 0.9, 0.4, 0.2], threshold=0.5)
+    assert math.isnan(report.auc)
+    # One hit at 0.9: a false alarm among normals, or (point-adjusted) the
+    # whole all-anomalous run detected.
+    assert (report.tp, report.fp, report.fn, report.tn) == (
+        (0, 1, 0, 3) if label == 0 else (4, 0, 0, 0))
+    assert "auc=undefined" in metrics.report_keyvalues(report)
+    assert "auc       : undefined" in metrics.report_text(report)

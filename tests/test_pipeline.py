@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpsdetect import data, pipeline, svdd
+from cpsdetect import benchmark, data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
 from cpsdetect.temporal import TemporalEncoder
@@ -55,16 +55,17 @@ class TestEmbedOnce:
     """Training embeds each normal segment once and builds its graph once."""
 
     def _train_counting(self, monkeypatch, variant):
-        calls = {"encode": 0, "graph": 0}
+        counts = {"encode calls": 0, "segments embedded": 0, "graphs": 0}
         encode, graph = TemporalEncoder.encode, pipeline.weighted_graph
 
         def counted_encode(self, t):
-            calls["encode"] += 1
+            counts["encode calls"] += 1
+            counts["segments embedded"] += t.shape[0]
             return encode(self, t)
 
-        def counted_graph(*args, **kwargs):
-            calls["graph"] += 1
-            return graph(*args, **kwargs)
+        def counted_graph(topology, attributes, *args, **kwargs):
+            counts["graphs"] += attributes.shape[0]
+            return graph(topology, attributes, *args, **kwargs)
 
         monkeypatch.setattr(TemporalEncoder, "encode", counted_encode)
         monkeypatch.setattr(pipeline, "weighted_graph", counted_graph)
@@ -72,15 +73,63 @@ class TestEmbedOnce:
         topology, values, labels, _ = tiny_data(config)
         pipe = pipeline.train_pipeline(config, topology, values, labels)
         # All 30 training windows are normal; 29 have a full successor.
-        return calls, pipe
+        # Each of the 2 temporal epochs embeds the 29 as one stack, and the
+        # feature pass embeds the 30 once more.
+        return counts, pipe
 
     def test_full(self, monkeypatch):
-        calls, pipe = self._train_counting(monkeypatch, "full")
-        assert calls == {"encode": 2 * 29 + 30, "graph": 30}
+        counts, pipe = self._train_counting(monkeypatch, "full")
+        assert counts == {"encode calls": 3, "segments embedded": 2 * 29 + 30,
+                          "graphs": 30}
         assert len(pipe.traces["vgae"]) == 2
 
     def test_no_graph_without_the_autoencoder(self, monkeypatch):
-        calls, pipe = self._train_counting(monkeypatch, "temporal-only")
-        assert calls == {"encode": 2 * 29 + 30, "graph": 0}
+        counts, pipe = self._train_counting(monkeypatch, "temporal-only")
+        assert counts == {"encode calls": 3, "segments embedded": 2 * 29 + 30,
+                          "graphs": 0}
         assert pipe.vgae is None
 
+
+def _tiny_pipeline(variant, pooling="flatten"):
+    config = tiny_config(variant)
+    config.svdd.pooling = pooling
+    topology, values, labels, test = tiny_data(config)
+    return pipeline.train_pipeline(config, topology, values, labels), test
+
+
+@pytest.mark.parametrize("variant,pooling", [
+    *((v, "flatten") for v in benchmark.VARIANTS), ("full", "mean")])
+def test_whole_stream_scores_equal_per_window_scores(variant, pooling):
+    pipe, test = _tiny_pipeline(variant, pooling)
+    segments, results = pipeline.score_stream(pipe, test)
+    assert len(segments) == 10
+    for segment, result in zip(segments, results):
+        _, (alone,) = pipeline.score_stream(pipe, test[segment.start:segment.end])
+        assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)
+        assert alone.predicted == result.predicted
+
+
+def test_scoring_records_no_graph(monkeypatch):
+    pipe, test = _tiny_pipeline("full")
+    recorded = []
+    tensor_init = Tensor.__init__
+
+    def spy(self, value, requires_grad=False, _parents=(), _backward=None):
+        recorded.append(bool(_parents))
+        tensor_init(self, value, requires_grad, _parents, _backward)
+
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    pipeline.score_stream(pipe, test)
+    assert recorded and not any(recorded)
+
+
+def test_prediction_pairs_skip_dirty_successors():
+    # 30 windows of 10 rows; rows 105-107 make window 10 anomalous. Of the
+    # 29 normal windows, 29 has no successor and 9's successor is window 10.
+    config = tiny_config("temporal-only")
+    topology, values, labels, _ = tiny_data(config)
+    labels = labels.copy()
+    labels[105:108] = 1
+    lines = []
+    pipeline.train_pipeline(config, topology, values, labels, log=lines.append)
+    assert "[temporal] training on 27 prediction pairs" in lines

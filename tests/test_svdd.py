@@ -23,23 +23,27 @@ def numpy_forward(net, x):
 
 
 class TestFlatten:
+    """pool_embedding turns a (segments x nodes x dim) stack into rows."""
+
     def test_row_major_order(self):
         np.testing.assert_array_equal(
-            svdd.pool_embedding(np.array([[1.0, 2.0], [3.0, 4.0]])),
-            [[1.0, 2.0, 3.0, 4.0]])
+            svdd.pool_embedding(np.array([[[1.0, 2.0], [3.0, 4.0]],
+                                          [[5.0, 6.0], [7.0, 8.0]]])),
+            [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
     def test_single_row_verbatim(self):
         np.testing.assert_array_equal(
-            svdd.pool_embedding(np.array([[5.0, 6.0]])), [[5.0, 6.0]])
+            svdd.pool_embedding(np.array([[[5.0, 6.0]]])), [[5.0, 6.0]])
 
     def test_round_trip_reshape(self):
-        m = np.arange(12.0).reshape(3, 4)
+        m = np.arange(24.0).reshape(2, 3, 4)
         np.testing.assert_array_equal(
-            svdd.pool_embedding(m, "flatten").reshape(3, 4), m)
+            svdd.pool_embedding(m, "flatten").reshape(2, 3, 4), m)
 
     def test_mean_pooling(self):
-        m = np.array([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_array_equal(svdd.pool_embedding(m, "mean"), [[2.0, 4.0]])
+        m = np.array([[[1.0, 3.0], [3.0, 5.0]], [[0.0, 1.0], [2.0, 1.0]]])
+        np.testing.assert_array_equal(svdd.pool_embedding(m, "mean"),
+                                      [[2.0, 4.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="pooling"):
             svdd.pool_embedding(m, "max")
 

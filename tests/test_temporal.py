@@ -117,6 +117,31 @@ class TestEncode:
         np.testing.assert_array_equal(pos1, pos2)
 
 
+class TestStack:
+    def test_stack_equals_one_segment_at_a_time(self):
+        enc = make_encoder(sensors=4, window=5, seed=17, positional_encoding=True)
+        stack = np.random.default_rng(18).normal(size=(6, 4, 5))
+        batched = enc.encode(Tensor(stack)).value
+        assert batched.shape == (6, 4, 4)
+        assert np.array_equal(
+            batched, np.stack([enc.encode(Tensor(t)).value for t in stack]))
+        predicted = enc.predict_next(Tensor(batched)).value
+        assert np.array_equal(
+            predicted, np.stack([enc.predict_next(Tensor(u)).value for u in batched]))
+
+    def test_loss_is_the_mean_of_per_pair_losses(self):
+        enc = make_encoder(seed=19)
+        windows, successors = np.random.default_rng(20).normal(size=(2, 5, 3, 4))
+        per_pair = [temporal.prediction_loss(enc, w[None], s[None]).value[0, 0]
+                    for w, s in zip(windows, successors)]
+        loss = temporal.prediction_loss(enc, windows, successors).value[0, 0]
+        assert loss == pytest.approx(np.mean(per_pair), rel=1e-12)
+
+    def test_wrong_segment_shape_rejected(self):
+        with pytest.raises(ValueError, match="segment shape"):
+            make_encoder().encode(Tensor(np.zeros((2, 3, 5))))
+
+
 class TestParameters:
     def test_named_in_checkpoint_order_each_once(self):
         enc = make_encoder(heads=2)
@@ -157,13 +182,12 @@ def test_prediction_loss_gradients_pass_finite_differences():
     enc = make_encoder(sensors=3, window=4, heads=2, head_dim=2, model_dim=4,
                        seed=21)
     rng = np.random.default_rng(22)
-    pairs = [(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-             for _ in range(2)]
+    windows, successors = rng.normal(size=(2, 2, 3, 4))
 
     def loss_value():
-        return float(temporal.prediction_loss(enc, pairs).value[0, 0])
+        return float(temporal.prediction_loss(enc, windows, successors).value[0, 0])
 
-    loss = temporal.prediction_loss(enc, pairs)
+    loss = temporal.prediction_loss(enc, windows, successors)
     loss.backward()
     for p in enc.parameters():
         analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
@@ -173,13 +197,14 @@ def test_prediction_loss_gradients_pass_finite_differences():
 
 class TestTraining:
     def _constant_pairs(self, value=0.7, sensors=4, window=8, count=4):
-        block = np.full((sensors, window), value)
-        return [(block.copy(), block.copy()) for _ in range(count)]
+        """(windows, successors) stacks of one constant block."""
+        block = np.full((count, sensors, window), value)
+        return block, block.copy()
 
     def test_constant_stream_converges(self):
         enc = make_encoder(sensors=4, window=8, heads=1, head_dim=2, model_dim=4,
                            seed=5)
-        trace = temporal.train_temporal(enc, self._constant_pairs(),
+        trace = temporal.train_temporal(enc, *self._constant_pairs(),
                                         epochs=200, lr=0.002)
         assert trace[-1] < 1e-4
 
@@ -187,15 +212,15 @@ class TestTraining:
         enc = make_encoder(sensors=4, window=8, heads=1, head_dim=2, model_dim=4,
                            seed=5)
         trace = np.asarray(temporal.train_temporal(
-            enc, self._constant_pairs(), epochs=200, lr=0.002))
+            enc, *self._constant_pairs(), epochs=200, lr=0.002))
         smoothed = np.convolve(trace, np.ones(5) / 5.0, mode="valid")
         assert (np.diff(smoothed) <= 1e-9 * np.maximum(smoothed[:-1], 1.0)).all()
 
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder(seed=5)
         before = [p.value.copy() for p in enc.parameters()]
-        trace = temporal.train_temporal(enc, self._constant_pairs(sensors=3, window=4),
-                                        epochs=0, lr=0.05)
+        trace = temporal.train_temporal(
+            enc, *self._constant_pairs(sensors=3, window=4), epochs=0, lr=0.05)
         assert trace == []
         for p, b in zip(enc.parameters(), before):
             np.testing.assert_array_equal(p.value, b)
@@ -205,10 +230,11 @@ class TestTraining:
         for _ in range(2):
             enc = make_encoder(seed=8)
             traces.append(temporal.train_temporal(
-                enc, self._constant_pairs(sensors=3, window=4), epochs=20, lr=0.02))
+                enc, *self._constant_pairs(sensors=3, window=4), epochs=20, lr=0.02))
         assert traces[0] == traces[1]
 
     def test_empty_pairs_rejected(self):
         enc = make_encoder()
+        empty = np.zeros((0, 3, 4))
         with pytest.raises(DataError, match="no training pairs"):
-            temporal.train_temporal(enc, [], epochs=1, lr=0.01)
+            temporal.train_temporal(enc, empty, empty, epochs=1, lr=0.01)

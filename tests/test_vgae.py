@@ -26,6 +26,12 @@ def toy_graph(seed=1, nodes=3, dim=4):
     return WeightedGraph(adjacency, rng.normal(size=(nodes, dim)))
 
 
+def stack(*graphs):
+    """One stacked WeightedGraph of single graphs."""
+    return WeightedGraph(np.stack([g.adjacency for g in graphs]),
+                         np.stack([g.attributes for g in graphs]))
+
+
 class TestNormalizeAdjacency:
     def test_empty_graph_normalizes_to_identity(self):
         np.testing.assert_allclose(
@@ -63,19 +69,19 @@ class TestEncode:
     def test_zero_noise_returns_mean(self):
         enc = make_encoder()
         g = toy_graph()
-        emb = enc.encode(g, noise=None)
-        np.testing.assert_array_equal(emb.values, emb.mean.value)
+        emb = enc.encode(stack(g, toy_graph(seed=2)), noise=None)
+        np.testing.assert_array_equal(emb.r.value, emb.mean.value)
 
     def test_zero_weights_collapse_to_pure_noise(self):
         enc = make_encoder()
         enc.w_hidden.value[:] = 0.0
         enc.w_heads.value[:] = 0.0
-        g = toy_graph()
-        noise = np.random.default_rng(2).normal(size=(3, 2))
+        g = stack(toy_graph(), toy_graph(seed=2))
+        noise = np.random.default_rng(2).normal(size=(2, 3, 2))
         emb = enc.encode(g, noise=noise)
         np.testing.assert_array_equal(emb.mean.value, 0.0)
         np.testing.assert_array_equal(emb.logvar.value, 0.0)
-        np.testing.assert_allclose(emb.values, noise)  # sigma = exp(0) = 1
+        np.testing.assert_allclose(emb.r.value, noise)  # sigma = exp(0) = 1
 
     def test_matches_composed_numpy_oracle(self):
         enc = make_encoder(seed=5)
@@ -88,7 +94,7 @@ class TestEncode:
         heads = norm @ hidden @ enc.w_heads.value
         mean, logvar = heads[:, :2], np.clip(heads[:, 2:], -10.0, 10.0)
         expected = mean + np.exp(0.5 * logvar) * noise
-        np.testing.assert_allclose(emb.values, expected, atol=1e-12)
+        np.testing.assert_allclose(emb.r.value, expected, atol=1e-12)
 
     def test_logvar_is_clamped(self):
         enc = make_encoder()
@@ -98,10 +104,24 @@ class TestEncode:
 
     def test_deterministic_mode_is_pure(self):
         enc = make_encoder(seed=9)
-        g = toy_graph(seed=10)
-        first = enc.encode(g).values
-        second = enc.encode(g).values
+        g = stack(toy_graph(seed=10), toy_graph(seed=11))
+        first = enc.encode(g).r.value
+        second = enc.encode(g).r.value
         np.testing.assert_array_equal(first, second)
+
+    def test_stack_equals_one_graph_at_a_time(self):
+        enc = make_encoder(seed=12)
+        graphs = [toy_graph(seed=s) for s in (13, 14, 15)]
+        graphs[1].adjacency[0, 1] = graphs[1].adjacency[1, 0] = -0.4
+        noise = np.random.default_rng(16).normal(size=(3, 3, 2))
+        for n in (None, noise):
+            batched = enc.encode(stack(*graphs), noise=n)
+            singles = [enc.encode(g, noise=None if n is None else n[b])
+                       for b, g in enumerate(graphs)]
+            for field in ("r", "mean", "logvar"):
+                assert np.array_equal(
+                    getattr(batched, field).value,
+                    np.stack([getattr(e, field).value for e in singles]))
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ValueError, match="input dim"):
@@ -167,16 +187,14 @@ class TestLoss:
 
 def test_objective_gradients_pass_finite_differences():
     enc = make_encoder(seed=11)
-    graphs = [toy_graph(seed=12), toy_graph(seed=13)]
-    noises = [np.random.default_rng(14).standard_normal((3, 2)),
-              np.random.default_rng(15).standard_normal((3, 2))]
-
-    prepared = vgae.prepare_graphs(graphs)
+    graphs = stack(toy_graph(seed=12), toy_graph(seed=13))
+    noise = np.stack([np.random.default_rng(14).standard_normal((3, 2)),
+                      np.random.default_rng(15).standard_normal((3, 2))])
 
     def loss_value():
-        return float(vgae.vgae_objective(enc, prepared, noises).value[0, 0])
+        return float(vgae.vgae_objective(enc, graphs, noise).value[0, 0])
 
-    loss = vgae.vgae_objective(enc, prepared, noises)
+    loss = vgae.vgae_objective(enc, graphs, noise)
     loss.backward()
     for p in enc.parameters():
         numeric = finite_difference(loss_value, p.value)
@@ -189,12 +207,12 @@ class TestTraining:
         for i, j in ((0, 1), (1, 2), (2, 3)):
             adjacency[i, j] = adjacency[j, i] = 1.0
         attrs = np.eye(4)
-        return WeightedGraph(adjacency, attrs)
+        return WeightedGraph(adjacency[None], attrs[None])
 
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder()
         before = [p.value.copy() for p in enc.parameters()]
-        trace = vgae.train_vgae(enc, [toy_graph()], epochs=0, lr=0.01,
+        trace = vgae.train_vgae(enc, stack(toy_graph()), epochs=0, lr=0.01,
                                 rng=np.random.default_rng(0))
         assert trace == []
         for p, b in zip(enc.parameters(), before):
@@ -202,13 +220,13 @@ class TestTraining:
 
     def test_epoch_loss_is_the_objective_at_the_drawn_noise(self):
         # train_vgae's first recorded loss is vgae_objective at the initial
-        # weights with one noise draw per graph, graph by graph.
-        graphs = [toy_graph(seed=30), toy_graph(seed=31)]
+        # weights; its one draw for the stack equals one draw per graph,
+        # graph by graph.
+        graphs = stack(toy_graph(seed=30), toy_graph(seed=31))
         enc = make_encoder(seed=32)
         rng = np.random.default_rng(33)
-        noises = [rng.standard_normal((3, 2)) for _ in graphs]
-        expected = vgae.vgae_objective(enc, vgae.prepare_graphs(graphs),
-                                       noises).value[0, 0]
+        noise = np.stack([rng.standard_normal((3, 2)) for _ in range(2)])
+        expected = vgae.vgae_objective(enc, graphs, noise).value[0, 0]
         trace = vgae.train_vgae(enc, graphs, epochs=1, lr=0.01,
                                 rng=np.random.default_rng(33))
         assert trace == [expected]
@@ -217,22 +235,23 @@ class TestTraining:
         traces = []
         for _ in range(2):
             enc = make_encoder(seed=20)
-            traces.append(vgae.train_vgae(enc, [toy_graph(seed=21)], epochs=15,
+            traces.append(vgae.train_vgae(enc, stack(toy_graph(seed=21)), epochs=15,
                                           lr=0.02, rng=np.random.default_rng(22)))
         assert traces[0] == traces[1]
 
     def test_empty_graphs_rejected(self):
         with pytest.raises(DataError, match="no graphs"):
-            vgae.train_vgae(make_encoder(), [], epochs=1, lr=0.01,
-                            rng=np.random.default_rng(0))
+            vgae.train_vgae(make_encoder(),
+                            WeightedGraph(np.zeros((0, 3, 3)), np.zeros((0, 3, 4))),
+                            epochs=1, lr=0.01, rng=np.random.default_rng(0))
 
     def test_toy_reconstruction_auc_after_training(self):
         g = self._four_node_toy()
         enc = make_encoder(input_dim=4, hidden_dim=8, embed_dim=2, seed=23)
-        vgae.train_vgae(enc, [g], epochs=100, lr=0.05,
+        vgae.train_vgae(enc, g, epochs=100, lr=0.05,
                         rng=np.random.default_rng(24))
-        reconstructed = vgae.decode(enc.encode(g).r).value
-        target = vgae.reconstruction_target(g.adjacency)
+        reconstructed = vgae.decode(enc.encode(g).r).value[0]
+        target = vgae.reconstruction_target(g.adjacency[0])
         iu = np.triu_indices(4, k=1)
         auc = metrics.roc_auc(target[iu].astype(int), reconstructed[iu])
         assert auc > 0.9
