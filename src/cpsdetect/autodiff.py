@@ -9,6 +9,13 @@ is shared across the stack, its gradient summed over the batch axes.
 ``no_grad`` turns graph recording off for inference.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
+
+The reverse pass does only work that reaches a trainable tensor: gradients
+flow only to tensors that require them, so a constant operand (an input, a
+fixed adjacency) gets no product computed and keeps ``grad is None``. A
+node's first gradient contribution is stored as it arrives, without a copy,
+so one ``.grad`` array may be shared by several nodes or be a view of
+another: treat every ``.grad`` as read-only and never write into it.
 """
 from __future__ import annotations
 
@@ -72,7 +79,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Populate gradients of every reachable node by reverse traversal.
+        """Populate gradients of every reachable node that requires one.
 
         Requires a 1x1 (scalar) value. Each call recomputes gradients from
         scratch: grads of all nodes in this graph are cleared first, so
@@ -105,13 +112,14 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
-    if not t.requires_grad:
-        return
+    """Add ``g`` to the gradient of ``t``, which must require one.
+
+    The first contribution is stored as it is; a later one makes a new sum,
+    so no ``.grad`` array is ever written in place.
+    """
     if g.ndim > t.value.ndim:  # a shared operand: sum over the batch axes
         g = g.sum(axis=tuple(range(g.ndim - t.value.ndim)))
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _node(value, parents: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -132,8 +140,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, g)
 
     return _node(a.value + b.value, (a, b), backward)
 
@@ -142,8 +152,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, -g)
 
     return _node(a.value - b.value, (a, b), backward)
 
@@ -153,8 +165,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def backward(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
+        if a.requires_grad:
+            _accumulate(a, g * b.value)
+        if b.requires_grad:
+            _accumulate(b, g * a.value)
 
     return _node(a.value * b.value, (a, b), backward)
 
@@ -166,8 +180,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def backward(g):
-        _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
 
     return _node(a.value @ b.value, (a, b), backward)
 
@@ -200,12 +216,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    mask = a.value > 0.0
+    factor = np.where(a.value > 0.0, 1.0, slope)  # the output's derivative
 
     def backward(g):
-        _accumulate(a, g * np.where(mask, 1.0, slope))
+        _accumulate(a, g * factor)
 
-    return _node(np.where(mask, a.value, slope * a.value), (a,), backward)
+    return _node(a.value * factor, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -280,7 +296,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     def backward(g):
         j = 0
         for p, w in zip(parts, widths):
-            _accumulate(p, g[..., j:j + w])
+            if p.requires_grad:
+                _accumulate(p, g[..., j:j + w])
             j += w
 
     return _node(np.concatenate([p.value for p in parts], axis=-1),
@@ -314,7 +331,8 @@ class Adam:
 
     Weight decay is applied directly to the parameter (not mixed into the
     moment estimates), so a nonzero ``weight_decay`` realizes an L2 penalty
-    on the weights independently of the gradient scaling.
+    on the weights independently of the gradient scaling. ``step`` only
+    reads each ``.grad``; it never writes into one.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float,

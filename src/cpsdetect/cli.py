@@ -7,7 +7,8 @@ and label files).
 
 Every configuration field can be overridden with ``--set section.key=value``;
 the most common ones also have dedicated flags. Exit codes: 0 success,
-1 usage or configuration error, 2 data error, 3 numeric failure.
+1 usage or configuration error, 2 data error (an input that is malformed,
+unreadable or not utf-8), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as err:
+    except (DataError, OSError, UnicodeDecodeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

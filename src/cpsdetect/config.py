@@ -159,8 +159,9 @@ def _coerce(section: str, key: str, raw, current):
     if section == "synthetic" and key == "split":
         if raw is None or isinstance(raw, int):
             return raw
-        text = str(raw).strip()
-        return int(text) if text and text.lower() != "none" else None
+        if str(raw).strip().lower() in ("", "none"):
+            return None
+        current = 0  # otherwise an integer, parsed as any other below
     if section == "svdd" and key == "widths":
         if isinstance(raw, tuple):
             return raw
@@ -214,7 +215,7 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     return parse_config_text(text)
 

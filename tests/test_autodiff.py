@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,3 +424,95 @@ class TestNoGrad:
                     raise ValueError
             assert not ad.add(p, p).requires_grad
         assert ad.add(p, p).requires_grad
+
+
+# A constant of 2 MB: much larger than tracemalloc's own bookkeeping.
+BIG = (8, 128, 256)
+
+
+def _lean_matmul(rng):
+    # A constant stack times a narrow shared weight: the product the
+    # constant would get is (8 x 128 x 256), the weight's is (256 x 2).
+    c = ad.Tensor(rng.normal(size=BIG))
+    w = param(rng.normal(size=(BIG[2], 2)))
+    return c, w, ad.total_sum(ad.matmul(c, w)), [(BIG[0], BIG[1], 2), w.shape]
+
+
+def _lean_sub(rng):
+    # A shared parameter minus a constant stack: the constant's product
+    # would be -g, as large as the constant.
+    c = ad.Tensor(rng.normal(size=BIG))
+    p = param(rng.normal(size=BIG[1:]))
+    return c, p, ad.total_sum(ad.sub(p, c)), [BIG, p.shape]
+
+
+def _lean_mul(rng):
+    # The parameter's own gradient g * c is as large as the constant.
+    c = ad.Tensor(rng.normal(size=BIG))
+    p = param(rng.normal(size=BIG))
+    return c, p, ad.total_sum(ad.mul(p, c)), [BIG, BIG]
+
+
+@pytest.mark.parametrize("build", [_lean_matmul, _lean_sub, _lean_mul],
+                         ids=["matmul", "sub", "mul"])
+def test_backward_makes_no_product_for_a_constant_operand(build):
+    # The reverse pass may allocate the loss's upstream gradient and the
+    # parameter's gradient (``needed``), and nothing for the constant: no
+    # product for it, and no zero-filled buffer behind a first gradient.
+    c, p, loss, needed = build(np.random.default_rng(0))
+    budget = sum(8 * math.prod(shape) for shape in needed)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.grad is None and p.grad.shape == p.shape
+    assert peak < budget + c.value.nbytes // 2, (peak, budget, c.value.nbytes)
+
+
+def test_parameter_gradients_equal_a_hand_computed_reference_bitwise():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(3, 5, 4))
+    y = rng.normal(size=(3, 5, 2))
+    m = rng.normal(size=(3, 5, 2))
+    w = param(rng.normal(size=(4, 2)))
+    b = param(rng.normal(size=(5, 2)))
+    z = ad.add(ad.matmul(ad.Tensor(x), w), b)
+    ad.frobenius_sq(ad.mul(ad.sub(z, ad.Tensor(y)), ad.Tensor(m))).backward()
+    r = (x @ w.value + b.value) - y
+    g = 2.0 * (r * m) * m
+    assert np.array_equal(w.grad, (np.swapaxes(x, -1, -2) @ g).sum(axis=0))
+    assert np.array_equal(b.grad, g.sum(axis=0))
+
+
+def test_leaf_used_twice_gets_both_contributions_and_a_constant_none():
+    p = param([[1.0, 2.0]])
+    c = ad.Tensor([[3.0, 5.0]])
+    ad.total_sum(ad.add(ad.mul(p, c), ad.mul(p, p))).backward()
+    np.testing.assert_array_equal(p.grad, [[5.0, 9.0]])  # c + 2p
+    assert c.grad is None
+
+
+def test_a_later_contribution_never_writes_into_a_shared_gradient():
+    # add hands one upstream array to both operands; p's second
+    # contribution must make a new sum, leaving q's gradient alone.
+    p = param([[1.0, 2.0]])
+    q = param([[4.0, 4.0]])
+    c = ad.Tensor([[3.0, 5.0]])
+    ad.total_sum(ad.add(ad.add(p, q), ad.mul(p, c))).backward()
+    np.testing.assert_array_equal(p.grad, [[4.0, 6.0]])
+    np.testing.assert_array_equal(q.grad, [[1.0, 1.0]])
+
+
+def test_adam_step_leaves_every_gradient_unchanged():
+    rng = np.random.default_rng(2)
+    p = param(rng.normal(size=(3, 2)))
+    q = param(rng.normal(size=(3, 2)))
+    loss = ad.frobenius_sq(ad.leaky_relu(ad.add(ad.add(p, q), p)))
+    loss.backward()
+    before = {id(t): (t.grad, t.grad.copy()) for t in (p, q)}
+    ad.Adam([p, q], lr=0.1, weight_decay=0.5).step()
+    for t in (p, q):
+        grad, copy = before[id(t)]
+        assert t.grad is grad and np.array_equal(grad, copy)

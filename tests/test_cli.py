@@ -87,3 +87,63 @@ def test_evaluate_all_normal_labels_reports_auc_undefined(tmp_path, capsys):
               (tmp_path / "metrics.kv").read_text().splitlines())
     assert kv["auc"] == "undefined"
     assert (float(kv["precision"]), float(kv["recall"]), int(kv["fp"])) == (0.0, 0.0, 1)
+
+
+def _non_numeric_cell(blob):
+    lines = blob.split(b"\n")
+    cells = lines[3].split(b",")
+    cells[1] = b"abc"  # the first sensor column
+    lines[3] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+# case -> (flag, what it is given, documented exit code). Bytes are written
+# to a file; a function maps the trained fixture's file for that flag to the
+# bad bytes; None passes a directory; a string is passed as it is.
+EXIT_CASES = {
+    "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
+    "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
+    "topology edge to unknown sensor": (
+        "topology", b"sensor s0 t0\nsensor s1 t0\nedge s0 s9\n", 2),
+    "csv not utf-8": ("data", lambda b: b.replace(b"\n", b"\n\xff", 1), 2),
+    "csv non-numeric cell": ("data", _non_numeric_cell, 2),
+    "csv missing header": ("data", b"", 2),
+    "score csv not utf-8": ("scores", b"index,score,predicted\n0,\xff,0\n", 2),
+    "config not utf-8": ("config", b"[run]\nseed = 1\xff\n", 1),
+    "config unknown key": ("config", b"[run]\nbogus = 1\n", 1),
+    "config split not an integer": ("set", "synthetic.split=abc", 1),
+    "checkpoint config split not an integer": (
+        "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
+    **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
+       for n in (0, 3, 11, 40, 700)},
+    "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),
+    **{f"directory as --{flag}": (flag, None, 2)
+       for flag in ("topology", "data", "checkpoint")},
+    "directory as --config": ("config", None, 1),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, case):
+    flag, given, expected = EXIT_CASES[case]
+    args = {"data": trained / "test.csv", "topology": trained / "topology.txt",
+            "checkpoint": trained / "model.ckpt"}
+    if given is None:
+        args[flag] = tmp_path
+    elif isinstance(given, str):
+        args[flag] = given
+    else:
+        bad = tmp_path / "bad"
+        bad.write_bytes(given if isinstance(given, bytes)
+                        else given(args[flag].read_bytes()))
+        args[flag] = bad
+    if flag == "scores":
+        argv = ["evaluate", "--data", str(args["data"]), "--scores", str(args["scores"])]
+    else:
+        argv = ["score", *(arg for name, value in args.items()
+                           for arg in (f"--{name}", str(value)))]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err.startswith("error: " if expected == 1 else "data error: "), err
+    assert "Traceback" not in err
