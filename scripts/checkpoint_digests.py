@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print one content digest per benchmark variant, to check "same behaviour".
+
+For each of ``benchmark.VARIANTS``: train on the first ``TRAIN_ROWS`` rows
+of the pinned benchmark stream with epochs (temporal, vgae, svdd) =
+(1, 1, 300), score the rest, and hash, in this order, every checkpoint
+matrix block (its utf-8 name, then its ``<f8`` bytes), the threshold
+(``<f8``), the three outputs of ``expand_to_timestamps`` (indices and
+predictions ``<i8``, scores ``<f8``) and the per-segment scores (``<f8``).
+Hashing the contents rather than a saved file keeps the digest stable when
+only the checkpoint format changes.
+
+Two trees behave the same when they print the same digests on the same
+host. The digests depend on BLAS threading, so compare runs made with the
+same thread settings. Run from the repository root::
+
+    PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
+"""
+import argparse
+import hashlib
+
+import numpy as np
+
+from cpsdetect import benchmark, checkpoint, pipeline
+from cpsdetect.benchmark import TRAIN_ROWS
+
+EPOCHS = (1, 1, 300)
+
+
+def digest(name: str, topology, values, labels) -> str:
+    config = benchmark.apply_variant(benchmark.benchmark_config(), name)
+    config.temporal.epochs, config.vgae.epochs, config.svdd.epochs = EPOCHS
+    pipe = pipeline.train_pipeline(config, topology, values[:TRAIN_ROWS],
+                                   labels[:TRAIN_ROWS])
+    segments, results = pipeline.score_stream(pipe, values[TRAIN_ROWS:])
+    indices, scores, predictions = pipeline.expand_to_timestamps(
+        segments, results, pipe.threshold)
+
+    h = hashlib.sha256()
+    for block, matrix in checkpoint._matrix_blocks(pipe):
+        h.update(block.encode("utf-8"))
+        h.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    for array, dtype in ((pipe.threshold, "<f8"), (indices, "<i8"),
+                         (scores, "<f8"), (predictions, "<i8"),
+                         ([r.score for r in results], "<f8")):
+        h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("variants", nargs="*", metavar="variant",
+                        help=f"any of {', '.join(benchmark.VARIANTS)} (default: all)")
+    args = parser.parse_args()
+    unknown = sorted(set(args.variants) - set(benchmark.VARIANTS))
+    if unknown:
+        parser.error(f"unknown variants {unknown}")
+    topology, values, labels = benchmark.benchmark_data()
+    for name in args.variants or benchmark.VARIANTS:
+        print(f"{name}: {digest(name, topology, values, labels)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,9 @@ Layout (all integers little-endian):
         T: u64 byte length, then utf-8 text
 
 Block names are namespaced per stage (``temporal/w_out``) and written in a
-fixed order, so identical training runs produce byte-identical files. A
+fixed order, so identical training runs produce byte-identical files. Two
+text blocks lead: ``config`` and ``topology``, the training topology in the
+topology file format; loading against any other topology is an error. A
 version mismatch on load is an error, never a silent migration.
 """
 from __future__ import annotations
@@ -24,15 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, config_to_text, parse_config_text
-from .data import Normalizer, SensorTopology
-from .errors import ConfigError, DataError
+from .data import Normalizer, SensorTopology, format_topology
+from .errors import ConfigError, DataError, reading
 from .pipeline import TrainedPipeline
 from .svdd import SvddNet
 from .temporal import TemporalEncoder
 from .vgae import VgaeEncoder
 
 MAGIC = b"CPSD"
-VERSION = 1
+VERSION = 2
 
 
 def _stages(pipe: TrainedPipeline) -> list[tuple[str, object]]:
@@ -56,15 +58,18 @@ def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(path, pipe: TrainedPipeline) -> None:
     matrices = _matrix_blocks(pipe)
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(matrices) + 2)]
+    texts = [("config", config_to_text(pipe.config)),
+             ("topology", format_topology(pipe.topology))]
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(texts) + len(matrices) + 1)]
 
     def write_name(kind: bytes, name: str) -> None:
         encoded = name.encode("utf-8")
         chunks.append(kind + struct.pack("<H", len(encoded)) + encoded)
 
-    config_text = config_to_text(pipe.config).encode("utf-8")
-    write_name(b"T", "config")
-    chunks.append(struct.pack("<Q", len(config_text)) + config_text)
+    for name, text in texts:
+        encoded = text.encode("utf-8")
+        write_name(b"T", name)
+        chunks.append(struct.pack("<Q", len(encoded)) + encoded)
     write_name(b"S", "detector/threshold")
     chunks.append(struct.pack("<d", pipe.threshold))
     for name, matrix in matrices:
@@ -76,14 +81,13 @@ def save_checkpoint(path, pipe: TrainedPipeline) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: bytes):
         self.blob = blob
         self.pos = 0
-        self.path = path
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
-            raise DataError(f"{self.path}: truncated checkpoint")
+            raise DataError("truncated checkpoint")
         out = self.blob[self.pos:self.pos + count]
         self.pos += count
         return out
@@ -95,13 +99,13 @@ class _Reader:
         try:
             return self.take(count).decode("utf-8")
         except UnicodeDecodeError:
-            raise DataError(f"{self.path}: invalid utf-8 before byte {self.pos}") from None
+            raise DataError(f"invalid utf-8 before byte {self.pos}") from None
 
 
 def _read_blocks(path) -> dict[str, object]:
-    reader = _Reader(Path(path).read_bytes(), path)
+    reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
+        raise DataError("not a checkpoint file")
     version, count = reader.unpack("<II")
     if version != VERSION:
         raise ConfigError(
@@ -122,7 +126,7 @@ def _read_blocks(path) -> dict[str, object]:
             (length,) = reader.unpack("<Q")
             blocks[name] = reader.text(length)
         else:
-            raise DataError(f"{path}: unknown block kind {kind!r}")
+            raise DataError(f"unknown block kind {kind!r}")
     return blocks
 
 
@@ -142,20 +146,26 @@ def _shaped(blocks: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
-    """Rebuild a trained pipeline; the topology must match the training one."""
-    blocks = _read_blocks(path)
+    """Rebuild a trained pipeline; the topology must equal the training one.
+
+    A malformed or mismatched checkpoint is a DataError that names ``path``.
+    """
+    with reading(path):
+        return _rebuild(_read_blocks(path), topology)
+
+
+def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
+    if _block(blocks, "topology") != format_topology(topology):
+        raise DataError("checkpoint was trained on another topology "
+                        "(sensors, types or edges differ)")
     config = parse_config_text(_block(blocks, "config"), base=PipelineConfig())
     config.validate()
 
     normalizer = None
     if config.run.normalize:
-        mean = _block(blocks, "normalizer/mean")[0]
-        std = _block(blocks, "normalizer/std")[0]
-        if mean.shape[0] != topology.n:
-            raise DataError(
-                f"checkpoint was trained on {mean.shape[0]} sensors, "
-                f"topology has {topology.n}")
-        normalizer = Normalizer(mean, std)
+        normalizer = Normalizer(
+            _shaped(blocks, "normalizer/mean", (1, topology.n))[0],
+            _shaped(blocks, "normalizer/std", (1, topology.n))[0])
 
     rng = np.random.default_rng(0)  # weights are overwritten below
     temporal = None

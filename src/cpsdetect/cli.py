@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import pipeline as pipeline_mod
 from .config import (PipelineConfig, apply_setting, load_config,
                      parse_anomaly_spec)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,8 +196,8 @@ def cmd_score(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["segment", "start", "end", "score", "threshold",
                          "predicted"])
-        for segment, result in zip(segments, results):
-            writer.writerow([result.segment_index, segment.start, segment.end,
+        for start, end, result in zip(segments.starts, segments.ends, results):
+            writer.writerow([result.segment_index, start, end,
                              repr(result.score), repr(result.threshold),
                              result.predicted])
 
@@ -209,11 +209,11 @@ def cmd_score(args) -> int:
         for i, s, p in zip(indices, ts_scores, ts_preds):
             writer.writerow([int(i), repr(float(s)), int(p)])
 
-    if args.dump_graphs and segments:
+    if args.dump_graphs and len(segments):
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
         graphs = pipeline_mod.segment_graphs(pipe.config, topology,
-                                             pipe.temporal, segments)
+                                             pipe.temporal, segments.values)
         for result, adjacency in zip(results, graphs.adjacency):
             np.savetxt(graph_dir / f"graph_{result.segment_index:05d}.csv",
                        adjacency, delimiter=",")
@@ -226,16 +226,22 @@ def cmd_score(args) -> int:
 
 def _read_score_csv(path, columns) -> dict[str, np.ndarray]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise DataError(f"{path}: missing header row")
+            raise DataError("missing header row")
         for column in columns:
             if column not in reader.fieldnames:
-                raise DataError(f"{path}: missing column {column!r}")
-        rows = list(reader)
-    return {column: np.array([float(r[column]) for r in rows])
-            for column in columns}
+                raise DataError(f"missing column {column!r}")
+        table = {column: [] for column in columns}
+        for record in reader:
+            for column in columns:
+                try:
+                    table[column].append(float(record[column]))
+                except (TypeError, ValueError):  # None is a missing cell
+                    raise DataError(f"row {reader.line_num}: {column!r} value "
+                                    f"{record[column]!r} is not a number") from None
+    return {column: np.array(values) for column, values in table.items()}
 
 
 def cmd_evaluate(args) -> int:

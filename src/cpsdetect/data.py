@@ -7,6 +7,10 @@ File formats:
   Normal/Attack; any other column (e.g. a timestamp) is ignored.
 * topology file: line oriented, ``sensor <name> <type>`` lines followed by
   ``edge <nameA> <nameB>`` lines. Blank lines and ``#`` comments allowed.
+
+A loader's DataError begins with the file's path. ``segment_stream`` cuts a
+stream into one ``Segments`` stack; labels and prediction targets are not
+windowed with it but indexed with its (windows x length) ``rows``.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 STD_FLOOR = 1e-8
 
@@ -127,7 +131,8 @@ def format_topology(topology: SensorTopology) -> str:
 
 
 def load_topology(path) -> SensorTopology:
-    return parse_topology(Path(path).read_text(encoding="utf-8"))
+    with reading(path):
+        return parse_topology(Path(path).read_text(encoding="utf-8"))
 
 
 def save_topology(path, topology: SensorTopology) -> None:
@@ -166,17 +171,17 @@ def load_csv(path, topology: SensorTopology,
              label_column: str = "label") -> RawStream:
     """Read a stream CSV, mapping columns onto topology sensor order."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: missing header row") from None
+            raise DataError("missing header row") from None
         header = [h.strip() for h in header]
         column_of = {name: i for i, name in enumerate(header)}
         missing = [name for name in topology.names if name not in column_of]
         if missing:
-            raise DataError(f"{path}: sensor columns missing from header: {missing}")
+            raise DataError(f"sensor columns missing from header: {missing}")
         sensor_cols = [column_of[name] for name in topology.names]
         label_col = column_of.get(label_column)
 
@@ -192,7 +197,7 @@ def load_csv(path, topology: SensorTopology,
                     values.append(float(cell))
                 except ValueError:
                     raise DataError(
-                        f"{path}: row {rownum}, column {name!r}: "
+                        f"row {rownum}, column {name!r}: "
                         f"cannot parse numeric value {cell!r}") from None
             rows.append(values)
             labels.append(_parse_label(record, label_col, rownum)
@@ -210,14 +215,14 @@ def load_csv(path, topology: SensorTopology,
 def load_labels(path, label_column: str = "label") -> np.ndarray:
     """Read just the label column of a stream CSV."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise DataError(f"{path}: missing header row") from None
+            raise DataError("missing header row") from None
         if label_column not in header:
-            raise DataError(f"{path}: no {label_column!r} column in header")
+            raise DataError(f"no {label_column!r} column in header")
         col = header.index(label_column)
         labels = [
             _parse_label(record, col, rownum)
@@ -276,27 +281,29 @@ def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Segment:
-    """One sliding-window slice: values are (sensors x window_length)."""
+class Segments:
+    """Sliding windows of a stream as one C-contiguous (windows x sensors x
+    length) stack; window ``i`` covers rows ``starts[i]:ends[i]``."""
 
     values: np.ndarray
-    start: int
-    labels: np.ndarray
-    label: int
-    successor_start: int | None = None
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
     @property
-    def end(self) -> int:
-        return self.start + self.values.shape[1]
+    def ends(self) -> np.ndarray:
+        return self.starts + self.values.shape[2]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (windows x length) index of the rows each window covers."""
+        return self.starts[:, None] + np.arange(self.values.shape[2])
 
 
-def segment_stream(values: np.ndarray, labels: np.ndarray,
-                   length: int, stride: int) -> list[Segment]:
-    """Cut the stream into windows of ``length`` every ``stride`` steps.
+def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
+    """Cut the stream into windows of ``length`` rows every ``stride`` rows.
 
-    ``successor_start`` is the row right after the window when the stream
-    still holds ``length`` rows from there, else None; a caller that wants
-    the successor window as a prediction target slices it from ``values``.
     The trailing remainder that does not fill a window is dropped.
     """
     if length < 2:
@@ -306,18 +313,9 @@ def segment_stream(values: np.ndarray, labels: np.ndarray,
     total = values.shape[0]
     if total < length:
         raise DataError(f"stream of length {total} is shorter than one window ({length})")
-    segments = []
-    for start in range(0, total - length + 1, stride):
-        window_labels = labels[start:start + length]
-        succ = start + length if start + 2 * length <= total else None
-        segments.append(Segment(
-            values=values[start:start + length].T.copy(),
-            start=start,
-            labels=window_labels.copy(),
-            label=int(window_labels.any()),
-            successor_start=succ,
-        ))
-    return segments
+    starts = np.arange(0, total - length + 1, stride)
+    rows = starts[:, None] + np.arange(length)
+    return Segments(values[rows].transpose(0, 2, 1).copy(), starts)
 
 
 # ---------------------------------------------------------------------------

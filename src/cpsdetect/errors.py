@@ -3,6 +3,7 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
+from contextlib import contextmanager
 
 
 class ConfigError(ValueError):
@@ -15,3 +16,15 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values appeared where finite math was required."""
+
+
+@contextmanager
+def reading(path):
+    """Turn a DataError or a decoding error raised while reading ``path``
+    into a DataError whose message begins with the path."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not utf-8 text ({err.reason})") from None
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None

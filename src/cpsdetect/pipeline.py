@@ -8,8 +8,10 @@ same graphs and calibrate the alarm threshold on a held-out slice of normal
 segments. Ablation toggles swap a stage for the identity: raw window
 matrices stand in for missing temporal embeddings, the binary adjacency for
 missing edge weighting, and the pooled embeddings themselves for the missing
-graph autoencoder, in which case no graph is built. Each stage runs once
-over all segments stacked; scoring records no autodiff graph.
+graph autoencoder, in which case no graph is built. The stream is windowed
+once into one stack; training drops anomalous windows and picks prediction
+pairs with masks over its row index, every stage runs once over the stack,
+and scoring records no autodiff graph.
 """
 from __future__ import annotations
 
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, no_grad
 from .config import PipelineConfig
-from .data import (Normalizer, Segment, SensorTopology, apply_normalizer,
+from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
 from .errors import DataError, NumericError
 from .graphgen import WeightedGraph, weighted_graph
@@ -43,10 +44,8 @@ class TrainedPipeline:
     traces: dict[str, list[float]] = field(default_factory=dict)
 
 
-def _embed(temporal: TemporalEncoder | None,
-           segments: Sequence[Segment]) -> np.ndarray:
-    """Node attributes of the stacked segments: embeddings, or raw windows."""
-    windows = np.stack([s.values for s in segments])
+def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
+    """Node attributes of a window stack: embeddings, or the raw windows."""
     if temporal is None:
         return windows
     return temporal.encode(Tensor(windows)).value
@@ -54,24 +53,24 @@ def _embed(temporal: TemporalEncoder | None,
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                    temporal: TemporalEncoder | None,
-                   segments: Sequence[Segment]) -> WeightedGraph:
-    """Embed the segments once and build their stacked weighted graphs."""
-    return weighted_graph(topology, _embed(temporal, segments),
+                   windows: np.ndarray) -> WeightedGraph:
+    """Embed a window stack once and build its stacked weighted graphs."""
+    return weighted_graph(topology, _embed(temporal, windows),
                           weighting=config.graph.weighting)
 
 
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
-                     segments: Sequence[Segment]) -> np.ndarray:
-    """One feature row per segment, through whichever stages are enabled.
+                     windows: np.ndarray) -> np.ndarray:
+    """One feature row per window of a stack, through the enabled stages.
 
-    The segments are embedded once; graphs are built only for the graph
+    The windows are embedded once; graphs are built only for the graph
     autoencoder, whose posterior means (no samples) are pooled.
     """
     if vgae_encoder is None:
-        return pool_embedding(_embed(temporal, segments), config.svdd.pooling)
-    graphs = segment_graphs(config, topology, temporal, segments)
+        return pool_embedding(_embed(temporal, windows), config.svdd.pooling)
+    graphs = segment_graphs(config, topology, temporal, windows)
     return pool_embedding(vgae_encoder.encode(graphs).mean.value,
                           config.svdd.pooling)
 
@@ -102,14 +101,13 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         values = apply_normalizer(normalizer, values)
 
     length, stride = config.window.length, config.window.stride
-    segments = segment_stream(values, labels, length, stride)
-    normal = [s for s in segments if s.label == 0]
-    dropped = len(segments) - len(normal)
-    anomalous_rows = int(labels.sum())
-    if dropped:
-        say(f"[data] filtered {dropped} anomalous training segments "
-            f"({anomalous_rows} anomalous rows)")
-    if not normal:
+    segments = segment_stream(values, length, stride)
+    anomalous = labels[segments.rows].any(axis=1)
+    normal = segments.values[~anomalous]
+    if anomalous.any():
+        say(f"[data] filtered {anomalous.sum()} anomalous training segments "
+            f"({int(labels.sum())} anomalous rows)")
+    if not len(normal):
         raise DataError("no normal training segments remain after filtering")
     say(f"[data] {len(normal)} normal training segments of length {length}")
 
@@ -122,19 +120,17 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             topology.n, length, config.temporal.heads, config.temporal.head_dim,
             config.temporal.model_dim, np.random.default_rng(seeds[0]),
             positional_encoding=config.temporal.positional_encoding)
-        # windows[i] is the (sensors x length) window at row i; a pair needs
-        # a successor window without anomalous rows.
-        windows = sliding_window_view(values, length, axis=0)
-        clean = ~sliding_window_view(labels, length).any(axis=1)
-        starts = np.array([s.start for s in normal if s.successor_start is not None],
-                          dtype=int)
-        starts = starts[clean[starts + length]]
-        if not starts.size:
+        # A pair is a normal window and the `length` rows right after it,
+        # which must lie in the stream and hold no anomalous row.
+        pairs = np.flatnonzero(~anomalous & (segments.ends + length <= len(values)))
+        pairs = pairs[~labels[segments.rows[pairs] + length].any(axis=1)]
+        successors = segments.rows[pairs] + length
+        if not pairs.size:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
-        say(f"[temporal] training on {starts.size} prediction pairs")
+        say(f"[temporal] training on {pairs.size} prediction pairs")
         traces["temporal"] = train_temporal(
-            temporal, windows[starts], windows[starts + length],
+            temporal, segments.values[pairs], values[successors].transpose(0, 2, 1),
             config.temporal.epochs, config.temporal.lr, log)
 
     vgae_encoder = None
@@ -181,10 +177,10 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
 
 
 def score_stream(pipe: TrainedPipeline, values: np.ndarray
-                 ) -> tuple[list[Segment], list[DetectionResult]]:
+                 ) -> tuple[Segments, list[DetectionResult]]:
     """Segment and score a stream with a trained pipeline.
 
-    Streams shorter than one window yield no segments (and no error), so
+    Streams shorter than one window yield empty segments (and no error), so
     header-only outputs are possible downstream.
     """
     config = pipe.config
@@ -194,14 +190,13 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
             f"{pipe.topology.n} sensors")
     if pipe.normalizer is not None and values.shape[0]:
         values = apply_normalizer(pipe.normalizer, values)
-    if values.shape[0] < config.window.length:
-        return [], []
-    dummy_labels = np.zeros(values.shape[0], dtype=np.int64)
-    segments = segment_stream(values, dummy_labels, config.window.length,
-                              config.window.stride)
+    length = config.window.length
+    if values.shape[0] < length:
+        return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []
+    segments = segment_stream(values, length, config.window.stride)
     with no_grad():
         features = segment_features(config, pipe.topology, pipe.temporal,
-                                    pipe.vgae, segments)
+                                    pipe.vgae, segments.values)
         scores = pipe.svdd.scores(features)
     results = [
         DetectionResult(i, float(s), pipe.threshold, int(s > pipe.threshold))
@@ -210,7 +205,7 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     return segments, results
 
 
-def expand_to_timestamps(segments: Sequence[Segment],
+def expand_to_timestamps(segments: Segments,
                          results: Sequence[DetectionResult],
                          threshold: float
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,14 +215,9 @@ def expand_to_timestamps(segments: Sequence[Segment],
     segment score; its prediction is the strict threshold comparison, which
     equals the OR of the covering segments' predictions.
     """
-    if not segments:
-        empty = np.array([], dtype=np.int64)
-        return empty, np.array([]), empty.copy()
-    covered = max(s.end for s in segments)
-    scores = np.full(covered, -np.inf)
-    for segment, result in zip(segments, results):
-        span = slice(segment.start, segment.end)
-        scores[span] = np.maximum(scores[span], result.score)
+    scores = np.full(segments.ends.max(initial=0), -np.inf)
+    np.maximum.at(scores, segments.rows,
+                  np.array([r.score for r in results])[:, None])
     indices = np.flatnonzero(np.isfinite(scores))
     scores = scores[indices]
     predictions = (scores > threshold).astype(np.int64)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from cpsdetect import benchmark, checkpoint, pipeline
+from cpsdetect import benchmark, checkpoint, data, pipeline
 from cpsdetect.errors import DataError
 
 from tiny import tiny_config, tiny_data
@@ -57,7 +59,8 @@ def test_block_names_follow_the_stage_order(trained):
 
 
 # Blocks whose shape the loader does not read to size a stage.
-CHECKED = ("temporal/w_key1", "temporal/b_pred", "vgae/w_heads", "svdd/w1")
+CHECKED = ("normalizer/mean", "normalizer/std", "temporal/w_key1",
+           "temporal/b_pred", "vgae/w_heads", "svdd/w1")
 
 
 def _save_altered(monkeypatch, path, pipe, alter):
@@ -69,7 +72,7 @@ def _save_altered(monkeypatch, path, pipe, alter):
 
 
 @pytest.mark.parametrize("name", CHECKED + (
-    "normalizer/std", "vgae/w_hidden", "svdd/w0", "detector/center"))
+    "vgae/w_hidden", "svdd/w0", "detector/center"))
 def test_missing_block_is_a_data_error(tmp_path, monkeypatch, trained, name):
     pipe, _ = trained
     path = tmp_path / "model.ckpt"
@@ -98,3 +101,28 @@ def test_center_of_the_wrong_width_is_a_data_error(tmp_path, monkeypatch, traine
         (n, m[:, :3] if n == "detector/center" else m) for n, m in blocks])
     with pytest.raises(DataError, match=r"'detector/center' has shape \(1, 3\)"):
         checkpoint.load_checkpoint(path, pipe.topology)
+
+
+def _drop_one_edge(topology):
+    adjacency = topology.adjacency.copy()
+    i, j = np.argwhere(np.triu(adjacency))[0]
+    adjacency[i, j] = adjacency[j, i] = 0
+    return data.SensorTopology(topology.names, adjacency, topology.type_of,
+                               topology.type_names)
+
+
+def test_checkpoint_stores_its_topology(tmp_path, trained):
+    pipe, _ = trained
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    assert data.format_topology(pipe.topology).encode() in path.read_bytes()
+    # The same graph written another way loads: edges reversed, a comment.
+    lines = data.format_topology(pipe.topology).splitlines()
+    sensors = [line for line in lines if line.startswith("sensor")]
+    edges = [f"edge {b} {a}" for a, b in (line.split()[1:] for line in lines
+                                         if line.startswith("edge"))]
+    same = data.parse_topology("\n".join(["# again", *sensors, *edges[::-1]]))
+    checkpoint.load_checkpoint(path, same)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: checkpoint was trained on another topology")):
+        checkpoint.load_checkpoint(path, _drop_one_edge(pipe.topology))

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import pytest
 
@@ -97,6 +98,20 @@ def _non_numeric_cell(blob):
     return b"\n".join(lines)
 
 
+def _without_first_edge(blob):
+    lines = blob.split(b"\n")
+    lines.remove(next(line for line in lines if line.startswith(b"edge")))
+    return b"\n".join(lines)
+
+
+def _narrow_std(blob):
+    """The checkpoint with its normalizer/std block one sensor short."""
+    at = blob.index(b"normalizer/std") + len(b"normalizer/std")
+    rows, cols = struct.unpack("<II", blob[at:at + 8])
+    return (blob[:at] + struct.pack("<II", rows, cols - 1)
+            + blob[at + 8:at + 8 * cols] + blob[at + 8 + 8 * cols:])
+
+
 # case -> (flag, what it is given, documented exit code). Bytes are written
 # to a file; a function maps the trained fixture's file for that flag to the
 # bad bytes; None passes a directory; a string is passed as it is.
@@ -105,10 +120,13 @@ EXIT_CASES = {
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
     "topology edge to unknown sensor": (
         "topology", b"sensor s0 t0\nsensor s1 t0\nedge s0 s9\n", 2),
+    "topology other than the checkpoint's": ("topology", _without_first_edge, 2),
     "csv not utf-8": ("data", lambda b: b.replace(b"\n", b"\n\xff", 1), 2),
     "csv non-numeric cell": ("data", _non_numeric_cell, 2),
     "csv missing header": ("data", b"", 2),
     "score csv not utf-8": ("scores", b"index,score,predicted\n0,\xff,0\n", 2),
+    "score csv non-numeric score": ("scores", b"index,score,predicted\n0,abc,0\n", 2),
+    "score csv short row": ("scores", b"index,score,predicted\n0,0.5\n", 2),
     "config not utf-8": ("config", b"[run]\nseed = 1\xff\n", 1),
     "config unknown key": ("config", b"[run]\nbogus = 1\n", 1),
     "config split not an integer": ("set", "synthetic.split=abc", 1),
@@ -117,6 +135,7 @@ EXIT_CASES = {
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
        for n in (0, 3, 11, 40, 700)},
     "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),
+    "checkpoint normalizer one sensor short": ("checkpoint", _narrow_std, 2),
     **{f"directory as --{flag}": (flag, None, 2)
        for flag in ("topology", "data", "checkpoint")},
     "directory as --config": ("config", None, 1),
@@ -147,3 +166,7 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     assert code == expected, err
     assert err.startswith("error: " if expected == 1 else "data error: "), err
     assert "Traceback" not in err
+    if expected == 2:
+        # A data error names its file; a topology mismatch, the checkpoint.
+        named = "checkpoint" if case.endswith("checkpoint's") else flag
+        assert str(args[named]) in err

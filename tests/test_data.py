@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsdetect import data
+from cpsdetect import data, pipeline
 from cpsdetect.errors import ConfigError, DataError
+
+from tiny import tiny_config, tiny_data
 
 PATH_TOPOLOGY = """\
 sensor A flow
@@ -160,67 +162,104 @@ class TestNormalizer:
             assert corr == pytest.approx(1.0, abs=1e-12)
 
 
+def _train_log(labels, length: int, stride: int, variant: str = "temporal-only"):
+    """Train the tiny pipeline on the first len(labels) rows with the given
+    window and row labels; returns its log lines."""
+    config = tiny_config(variant)
+    config.window.length, config.window.stride = length, stride
+    topology, values, _, _ = tiny_data(config)
+    lines = []
+    pipeline.train_pipeline(config, topology, values[:len(labels)],
+                            np.asarray(labels, dtype=np.int64), log=lines.append)
+    return lines
+
+
+def _pairs(lines) -> int:
+    (line,) = [line for line in lines if "prediction pairs" in line]
+    return int(line.split()[3])
+
+
 class TestSegmentation:
     def _stream(self, length, n=2):
-        vals = np.arange(length * n, dtype=float).reshape(length, n)
-        return vals, np.zeros(length, dtype=np.int64)
+        return np.arange(length * n, dtype=float).reshape(length, n)
 
     def test_enumerated_starts(self):
-        vals, labels = self._stream(10)
-        segs = data.segment_stream(vals, labels, length=4, stride=2)
-        assert [s.start for s in segs] == [0, 2, 4, 6]
+        segs = data.segment_stream(self._stream(10), length=4, stride=2)
+        assert segs.starts.tolist() == [0, 2, 4, 6]
+        assert segs.ends.tolist() == [4, 6, 8, 10]
         assert len(segs) == 4
 
     def test_single_window_no_successor(self):
-        vals, labels = self._stream(4)
-        segs = data.segment_stream(vals, labels, length=4, stride=1)
-        assert len(segs) == 1
-        assert segs[0].successor_start is None
+        assert len(data.segment_stream(self._stream(4), length=4, stride=1)) == 1
+        # The one window has no rows after it, so there is nothing to predict.
+        with pytest.raises(DataError, match=r"no normal \(window, successor\) pairs"):
+            _train_log(np.zeros(4), length=4, stride=1)
 
     def test_disjoint_tiling(self):
-        vals, labels = self._stream(23)
-        segs = data.segment_stream(vals, labels, length=5, stride=5)
+        segs = data.segment_stream(self._stream(23), length=5, stride=5)
         assert len(segs) == 23 // 5
 
     def test_segment_values_are_sensor_major(self):
-        vals, labels = self._stream(6, n=3)
-        seg = data.segment_stream(vals, labels, length=4, stride=4)[0]
-        assert seg.values.shape == (3, 4)
-        np.testing.assert_array_equal(seg.values[:, 0], vals[0])
+        vals = self._stream(6, n=3)
+        segs = data.segment_stream(vals, length=4, stride=4)
+        assert segs.values.shape == (1, 3, 4)
+        np.testing.assert_array_equal(segs.values[0][:, 0], vals[0])
 
     def test_successor_is_next_window(self):
-        vals, labels = self._stream(12)
-        segs = data.segment_stream(vals, labels, length=4, stride=2)
         # Starts 0, 2, 4 have a full window after them; 6 and 8 do not.
-        assert [s.successor_start for s in segs] == [4, 6, 8, None, None]
+        assert _pairs(_train_log(np.zeros(12), length=4, stride=2)) == 3
+
+    def test_successor_need_not_be_a_window_start(self):
+        # stride < length: 5-row windows start at 0, 3, 6, 9, 12 and 15.
+        # Row 10 is anomalous, so windows 6 and 9 are dropped. Of the normal
+        # 0, 3, 12 and 15, only 0, 3 and 12 have 5 rows after them; 3's
+        # successor (rows 8..12) holds row 10, and the clean successors of
+        # 0 and 12 start at rows 5 and 17, where no window starts.
+        labels = np.zeros(22)
+        labels[10] = 1
+        lines = _train_log(labels, length=5, stride=3)
+        assert "[data] filtered 2 anomalous training segments (1 anomalous rows)" in lines
+        assert _pairs(lines) == 2
 
     def test_segment_label_is_or_of_labels(self):
-        vals, _ = self._stream(8)
-        labels = np.array([0, 0, 0, 1, 0, 0, 0, 0])
-        segs = data.segment_stream(vals, labels, length=4, stride=4)
-        assert [s.label for s in segs] == [1, 0]
+        lines = _train_log([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], length=4,
+                           stride=4, variant="raw")
+        assert "[data] filtered 1 anomalous training segments (1 anomalous rows)" in lines
+        assert "[data] 2 normal training segments of length 4" in lines
 
     def test_too_short_stream(self):
-        vals, labels = self._stream(3)
         with pytest.raises(DataError, match="shorter than one window"):
-            data.segment_stream(vals, labels, length=4, stride=1)
+            data.segment_stream(self._stream(3), length=4, stride=1)
 
     def test_bad_parameters(self):
-        vals, labels = self._stream(10)
+        vals = self._stream(10)
         with pytest.raises(ConfigError):
-            data.segment_stream(vals, labels, length=1, stride=1)
+            data.segment_stream(vals, length=1, stride=1)
         with pytest.raises(ConfigError):
-            data.segment_stream(vals, labels, length=4, stride=0)
+            data.segment_stream(vals, length=4, stride=0)
 
     @given(st.integers(8, 200), st.integers(2, 12), st.integers(1, 15))
     @settings(max_examples=60)
     def test_count_formula(self, total, length, stride):
-        vals = np.zeros((total, 2))
-        labels = np.zeros(total, dtype=np.int64)
         if total < length:
             return
-        segs = data.segment_stream(vals, labels, length, stride)
+        segs = data.segment_stream(np.zeros((total, 2)), length, stride)
         assert len(segs) == (total - length) // stride + 1
+
+    @given(st.integers(2, 60), st.integers(1, 4), st.integers(2, 12),
+           st.integers(1, 15), st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_windows_are_transposed_row_slices(self, total, n, length, stride, seed):
+        if total < length:
+            return
+        vals = np.random.default_rng(seed).normal(size=(total, n))
+        segs = data.segment_stream(vals, length, stride)
+        assert segs.values.shape == (len(segs), n, length)
+        assert segs.values.flags["C_CONTIGUOUS"]
+        for i, start in enumerate(segs.starts):
+            np.testing.assert_array_equal(segs.values[i], vals[start:start + length].T)
+        np.testing.assert_array_equal(segs.rows, [np.arange(s, s + length)
+                                                  for s in segs.starts])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -232,8 +271,9 @@ class TestSegmentation:
         labels = np.zeros(total, dtype=np.int64)
         covered = ((total - length) // stride) * stride + length
         labels[rng.integers(0, covered)] = 1
-        segs = data.segment_stream(np.zeros((total, 2)), labels, length, stride)
-        assert any(s.label == 1 for s in segs)
+        segs = data.segment_stream(np.zeros((total, 2)), length, stride)
+        # A window's label is the OR of its rows' labels.
+        assert labels[segs.rows].any(axis=1).any()
 
 
 class TestSynthetic:

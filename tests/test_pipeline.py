@@ -34,7 +34,7 @@ class TestScoreStream:
         values = np.random.default_rng(32).normal(size=(6, 2))
         pipe.svdd.center = pipe.svdd.forward(Tensor(window_row(values, 0))).value[0]
         segments, results = pipeline.score_stream(pipe, values)
-        assert [s.start for s in segments] == [0, 3]
+        assert segments.starts.tolist() == [0, 3]
         assert results[0].score == pytest.approx(0.0)
         assert results[0].predicted == 0
         assert [r.segment_index for r in results] == [0, 1]
@@ -48,7 +48,11 @@ class TestScoreStream:
         assert results[0].predicted == 1
 
     def test_short_stream_yields_nothing(self):
-        assert pipeline.score_stream(raw_pipeline(1.0), np.zeros((2, 2))) == ([], [])
+        segments, results = pipeline.score_stream(raw_pipeline(1.0), np.zeros((2, 2)))
+        assert len(segments) == 0 and results == []
+        assert segments.values.shape == (0, 2, 3)
+        assert [len(a) for a in pipeline.expand_to_timestamps(
+            segments, results, 1.0)] == [0, 0, 0]
 
 
 class TestEmbedOnce:
@@ -103,8 +107,8 @@ def test_whole_stream_scores_equal_per_window_scores(variant, pooling):
     pipe, test = _tiny_pipeline(variant, pooling)
     segments, results = pipeline.score_stream(pipe, test)
     assert len(segments) == 10
-    for segment, result in zip(segments, results):
-        _, (alone,) = pipeline.score_stream(pipe, test[segment.start:segment.end])
+    for start, end, result in zip(segments.starts, segments.ends, results):
+        _, (alone,) = pipeline.score_stream(pipe, test[start:end])
         assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)
         assert alone.predicted == result.predicted
 
@@ -133,3 +137,45 @@ def test_prediction_pairs_skip_dirty_successors():
     lines = []
     pipeline.train_pipeline(config, topology, values, labels, log=lines.append)
     assert "[temporal] training on 27 prediction pairs" in lines
+
+
+def test_prediction_pairs_are_a_window_and_the_rows_after_it(monkeypatch):
+    # 6-row windows every 4 rows over 120 rows; rows 50-51 make the window
+    # at 48 anomalous and the successors of 40 and 44 (rows 46..51 and
+    # 50..55) dirty. Windows after 108 have no 6 rows after them.
+    config = tiny_config("temporal-only")
+    config.window.length, config.window.stride = 6, 4
+    topology, values, labels, _ = tiny_data(config)
+    values, labels = values[:120], labels[:120].copy()
+    labels[50:52] = 1
+    seen = {}
+    train = pipeline.train_temporal
+
+    def spy(encoder, windows, successors, *args):
+        seen.update(windows=windows, successors=successors)
+        return train(encoder, windows, successors, *args)
+
+    monkeypatch.setattr(pipeline, "train_temporal", spy)
+    pipe = pipeline.train_pipeline(config, topology, values, labels)
+    values = data.apply_normalizer(pipe.normalizer, values)
+    starts = [s for s in range(0, 120 - 12 + 1, 4) if s not in (40, 44, 48)]
+    np.testing.assert_array_equal(
+        seen["windows"], [values[s:s + 6].T for s in starts])
+    np.testing.assert_array_equal(
+        seen["successors"], [values[s + 6:s + 12].T for s in starts])
+
+
+def test_timestamp_scores_are_the_max_over_covering_windows():
+    # Windows of 5 rows every 2 rows over 12 rows: most rows lie in two or
+    # three windows, and row 11 in none.
+    segments = data.segment_stream(np.zeros((12, 1)), 5, 2)
+    scores = [0.3, 0.9, 0.1, 0.5]
+    results = [svdd.DetectionResult(i, s, 0.4, int(s > 0.4))
+               for i, s in enumerate(scores)]
+    indices, ts_scores, predictions = pipeline.expand_to_timestamps(
+        segments, results, 0.4)
+    expected = [max(s for start, s in zip((0, 2, 4, 6), scores)
+                    if start <= t < start + 5) for t in range(11)]
+    assert indices.tolist() == list(range(11))
+    assert ts_scores.tolist() == expected
+    assert predictions.tolist() == [int(s > 0.4) for s in expected]
