@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print one content digest per benchmark variant, to check "same behaviour".
 
-For each of ``benchmark.VARIANTS``: train on the first ``TRAIN_ROWS`` rows
-of the pinned benchmark stream with epochs (temporal, vgae, svdd) =
-(1, 1, 300), score the rest, and hash, in this order, every checkpoint
-matrix block (its utf-8 name, then its ``<f8`` bytes), the threshold
-(``<f8``), the three outputs of ``expand_to_timestamps`` (indices and
-predictions ``<i8``, scores ``<f8``) and the per-segment scores (``<f8``).
+For each of ``benchmark.VARIANTS``, run ``benchmark.short_run``: train on
+the first ``TRAIN_ROWS`` rows of the pinned benchmark stream with epochs
+(temporal, vgae, svdd) = (1, 1, 300) and score the rest. Hash, in this
+order, every checkpoint matrix block (its utf-8 name, then its ``<f8``
+bytes), the threshold (``<f8``), the three outputs of
+``expand_to_timestamps`` (indices and predictions ``<i8``, scores ``<f8``)
+and the per-segment scores (``<f8``).
 Hashing the contents rather than a saved file keeps the digest stable when
 only the checkpoint format changes.
 
@@ -22,17 +23,10 @@ import hashlib
 import numpy as np
 
 from cpsdetect import benchmark, checkpoint, pipeline
-from cpsdetect.benchmark import TRAIN_ROWS
-
-EPOCHS = (1, 1, 300)
 
 
 def digest(name: str, topology, values, labels) -> str:
-    config = benchmark.apply_variant(benchmark.benchmark_config(), name)
-    config.temporal.epochs, config.vgae.epochs, config.svdd.epochs = EPOCHS
-    pipe = pipeline.train_pipeline(config, topology, values[:TRAIN_ROWS],
-                                   labels[:TRAIN_ROWS])
-    segments, results = pipeline.score_stream(pipe, values[TRAIN_ROWS:])
+    pipe, segments, results = benchmark.short_run(name, topology, values, labels)
     indices, scores, predictions = pipeline.expand_to_timestamps(
         segments, results, pipe.threshold)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pipeline
 from .config import PipelineConfig
 from .data import AnomalyWindow, SensorTopology, SyntheticConfig, generate_synthetic
 
@@ -69,3 +70,14 @@ def apply_variant(config: PipelineConfig, name: str) -> PipelineConfig:
     config.graph.weighting = weighting
     config.vgae.enabled = vgae
     return config
+
+
+def short_run(name: str, topology: SensorTopology, values, labels):
+    """Variant ``name`` trained with epochs (temporal, vgae, svdd) = (1, 1,
+    300) on the first ``TRAIN_ROWS`` rows: the pipeline and its
+    ``score_stream`` output, (segments, results), on the rest."""
+    config = apply_variant(benchmark_config(), name)
+    config.temporal.epochs, config.vgae.epochs, config.svdd.epochs = 1, 1, 300
+    pipe = pipeline.train_pipeline(config, topology, values[:TRAIN_ROWS],
+                                   labels[:TRAIN_ROWS])
+    return (pipe, *pipeline.score_stream(pipe, values[TRAIN_ROWS:]))

@@ -175,14 +175,17 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
             config.temporal.head_dim, config.temporal.model_dim, rng,
             positional_encoding=config.temporal.positional_encoding)
 
+    # Stage widths come from the config, so every block is checked against it.
+    width = (config.temporal.model_dim if config.temporal.enabled
+             else config.window.length)
     vgae = None
     if config.vgae.enabled:
-        input_dim = _block(blocks, "vgae/w_hidden").shape[0]
-        vgae = VgaeEncoder(input_dim, config.vgae.hidden_dim,
+        vgae = VgaeEncoder(width, config.vgae.hidden_dim,
                            config.vgae.embed_dim, rng,
                            kl_weight=config.vgae.kl_weight)
+        width = config.vgae.embed_dim
 
-    input_dim = _block(blocks, "svdd/w0").shape[0]
+    input_dim = topology.n * width if config.svdd.pooling == "flatten" else width
     net = SvddNet(input_dim, config.svdd.widths, config.svdd.slope, rng)
     net.center = _shaped(blocks, "detector/center", (1, net.widths[-1]))[0]
     net.trained = True

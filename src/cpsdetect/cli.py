@@ -13,7 +13,6 @@ unreadable or not utf-8), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -146,14 +145,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_trace(path: Path, trace) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, repr(loss)])
-
-
 def cmd_train(args) -> int:
     config = _build_config(args)
     if args.train_fraction is not None:
@@ -176,7 +167,8 @@ def cmd_train(args) -> int:
     ckpt_path = Path(config.paths.checkpoint or out / "model.ckpt")
     ckpt.save_checkpoint(ckpt_path, pipe)
     for stage, trace in pipe.traces.items():
-        _write_trace(out / f"trace_{stage}.csv", trace)
+        data_mod.write_columns(out / f"trace_{stage}.csv",
+                               {"epoch": range(len(trace)), "loss": trace})
     print(f"checkpoint written to {ckpt_path}")
     return 0
 
@@ -192,56 +184,30 @@ def cmd_score(args) -> int:
     segments, results = pipeline_mod.score_stream(pipe, stream.values)
     out = _out_dir(config)
 
-    with (out / "segments.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "start", "end", "score", "threshold",
-                         "predicted"])
-        for start, end, result in zip(segments.starts, segments.ends, results):
-            writer.writerow([result.segment_index, start, end,
-                             repr(result.score), repr(result.threshold),
-                             result.predicted])
+    scores = np.array([r.score for r in results])
+    data_mod.write_columns(out / "segments.csv", {
+        "segment": range(len(segments)), "start": segments.starts,
+        "end": segments.ends, "score": scores,
+        "threshold": np.full(len(segments), pipe.threshold),
+        "predicted": scores > pipe.threshold})
 
     indices, ts_scores, ts_preds = pipeline_mod.expand_to_timestamps(
         segments, results, pipe.threshold)
-    with (out / "timestamps.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "score", "predicted"])
-        for i, s, p in zip(indices, ts_scores, ts_preds):
-            writer.writerow([int(i), repr(float(s)), int(p)])
+    data_mod.write_columns(out / "timestamps.csv", {
+        "index": indices, "score": ts_scores, "predicted": ts_preds})
 
     if args.dump_graphs and len(segments):
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
         graphs = pipeline_mod.segment_graphs(pipe.config, topology,
                                              pipe.temporal, segments.values)
-        for result, adjacency in zip(results, graphs.adjacency):
-            np.savetxt(graph_dir / f"graph_{result.segment_index:05d}.csv",
-                       adjacency, delimiter=",")
+        for i, adjacency in enumerate(graphs.adjacency):
+            np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
 
-    flagged = sum(r.predicted for r in results)
-    print(f"scored {len(results)} segments ({flagged} flagged) "
+    flagged = int((scores > pipe.threshold).sum())
+    print(f"scored {len(segments)} segments ({flagged} flagged) "
           f"over {len(indices)} timestamps; outputs in {out}")
     return 0
-
-
-def _read_score_csv(path, columns) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with reading(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("missing header row")
-        for column in columns:
-            if column not in reader.fieldnames:
-                raise DataError(f"missing column {column!r}")
-        table = {column: [] for column in columns}
-        for record in reader:
-            for column in columns:
-                try:
-                    table[column].append(float(record[column]))
-                except (TypeError, ValueError):  # None is a missing cell
-                    raise DataError(f"row {reader.line_num}: {column!r} value "
-                                    f"{record[column]!r} is not a number") from None
-    return {column: np.array(values) for column, values in table.items()}
 
 
 def cmd_evaluate(args) -> int:
@@ -250,29 +216,25 @@ def cmd_evaluate(args) -> int:
     data_path = _require(args.data or config.paths.data, "a labeled CSV", "--data")
     labels = data_mod.load_labels(data_path)
 
-    if args.granularity == "timestamp":
-        table = _read_score_csv(scores_path, ["index", "score", "predicted"])
-        indices = table["index"].astype(np.int64)
-        if indices.size and indices.max() >= len(labels):
-            raise DataError(
-                f"score index {indices.max()} exceeds {len(labels)} labeled rows")
-        unit_labels = labels[indices]
-    else:
-        table = _read_score_csv(scores_path, ["start", "end", "score",
-                                              "predicted"])
-        starts = table["start"].astype(np.int64)
-        ends = table["end"].astype(np.int64)
-        if starts.size and ends.max() > len(labels):
-            raise DataError(
-                f"segment end {ends.max()} exceeds {len(labels)} labeled rows")
-        unit_labels = np.array([int(labels[s:e].any())
-                                for s, e in zip(starts, ends)])
-    if len(unit_labels) == 0:
-        raise DataError(f"{scores_path}: no score rows to evaluate")
-
-    report = metrics_mod.evaluate_scores(
-        unit_labels, table["score"], threshold=None, adjust=True,
-        predictions=table["predicted"].astype(np.int64))
+    # A timestamp row covers rows [index, index + 1), a segment row [start, end).
+    span = ["index"] if args.granularity == "timestamp" else ["start", "end"]
+    table = data_mod.read_columns(scores_path, {
+        **dict.fromkeys(span, np.int64), "score": data_mod.finite,
+        "predicted": np.int64})
+    starts = table[span[0]]
+    ends = table["end"] if "end" in table else starts + 1
+    with reading(scores_path):
+        if not len(starts):
+            raise DataError("no score rows to evaluate")
+        outside = np.flatnonzero((starts < 0) | (ends <= starts) | (ends > len(labels)))
+        if outside.size:
+            i = outside[0]
+            raise DataError(f"score row span [{starts[i]}, {ends[i]}) is empty or "
+                            f"outside the {len(labels)} labeled rows")
+        covered = np.concatenate([[0], np.cumsum(labels)])
+        report = metrics_mod.evaluate_scores(
+            (covered[ends] > covered[starts]).astype(np.int64), table["score"],
+            threshold=None, adjust=True, predictions=table["predicted"])
     out = _out_dir(config)
     (out / "metrics.txt").write_text(metrics_mod.report_text(report),
                                      encoding="utf-8")

@@ -1,20 +1,36 @@
 """Stream ingestion, windowing, and the labeled synthetic benchmark generator.
 
-File formats:
+Tables are UTF-8 CSV with a header row, read by ``read_columns`` (blank rows
+skipped, other columns ignored) and written by ``write_columns`` (floats as
+``repr(float(x))``, which reads back bit-exactly, other cells as ``int(x)``).
+A read error is a DataError naming the file and, for a missing column, a
+short row or a rejected cell, the file line and the column.
 
-* data CSV: UTF-8 with a header row. Columns that match topology sensor
-  names are the signal; an optional ``label`` column carries 0/1 or
-  Normal/Attack; any other column (e.g. a timestamp) is ignored.
-* topology file: line oriented, ``sensor <name> <type>`` lines followed by
-  ``edge <nameA> <nameB>`` lines. Blank lines and ``#`` comments allowed.
+* stream CSV (``data.csv``, ``train.csv``, ``test.csv``): one float column
+  per topology sensor, named as the sensor; ``nan``, ``inf`` or text is an
+  error. An optional ``label`` column holds ``0``/``0.0``/``Normal`` or
+  ``1``/``1.0``/``Attack`` in any case, anything else is an error; without
+  it every row is normal. ``synth``'s int ``timestamp`` column is ignored.
+* ``timestamps.csv``: int ``index`` (a stream row), float ``score`` (the
+  maximum over the windows covering it), 0/1 ``predicted``.
+* ``segments.csv``: int ``segment``, ``start`` and ``end`` (rows ``[start,
+  end)``), float ``score`` and ``threshold``, 0/1 ``predicted``.
+* ``trace_<stage>.csv``: int ``epoch``, float ``loss``.
 
-A loader's DataError begins with the file's path. ``segment_stream`` cuts a
-stream into one ``Segments`` stack; labels and prediction targets are not
-windowed with it but indexed with its (windows x length) ``rows``.
+``evaluate`` rejects a fractional ``index``, ``start``, ``end`` or
+``predicted``, a non-finite ``score``, a ``predicted`` other than 0/1, and a
+row whose span, ``[index, index + 1)`` or ``[start, end)``, is empty or
+outside the labeled rows.
+
+The topology file is line oriented: ``sensor <name> <type>`` lines, then
+``edge <nameA> <nameB>`` lines; blank lines and ``#`` comments allowed.
+``segment_stream`` cuts a stream into one ``Segments`` stack; labels and
+prediction targets are indexed with its (windows x length) ``rows``.
 """
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,100 +170,88 @@ class RawStream:
         return self.values.shape[0]
 
 
-def _parse_label(record: list[str], col: int, row: int) -> int:
-    if col >= len(record):
-        raise DataError(f"row {row}: no label value (the row has "
-                        f"{len(record)} of the header's columns)")
-    cell = record[col]
+def finite(cell: str) -> float:
+    """A float cell; ``nan`` and ``inf`` are rejected."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def label(cell: str) -> int:
+    """A 0/1 label cell, also ``Normal``/``Attack`` in any case."""
     text = cell.strip().lower()
     if text in ("0", "0.0", "normal"):
         return 0
     if text in ("1", "1.0", "attack"):
         return 1
-    raise DataError(f"row {row}: cannot parse label value {cell!r}")
+    raise ValueError(cell)
 
 
-def load_csv(path, topology: SensorTopology,
-             label_column: str = "label") -> RawStream:
-    """Read a stream CSV, mapping columns onto topology sensor order."""
+def read_columns(path, parsers: dict, optional=()) -> dict[str, np.ndarray]:
+    """One array per column of ``parsers``: ``finite`` gives float64,
+    ``np.int64`` and ``label`` give int64. A column in ``optional`` may be
+    missing from the header, and then from the result."""
     path = Path(path)
     with reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("missing header row") from None
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise DataError("missing header row")
         column_of = {name: i for i, name in enumerate(header)}
-        missing = [name for name in topology.names if name not in column_of]
+        missing = [name for name in parsers
+                   if name not in column_of and name not in optional]
         if missing:
-            raise DataError(f"sensor columns missing from header: {missing}")
-        sensor_cols = [column_of[name] for name in topology.names]
-        label_col = column_of.get(label_column)
-
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for rownum, record in enumerate(reader, start=2):
-            if not record or all(not c.strip() for c in record):
+            raise DataError(f"columns missing from header: {missing}")
+        table = {name: [] for name in parsers if name in column_of}
+        for record in reader:
+            if not any(cell.strip() for cell in record):
                 continue
-            values = []
-            for name, col in zip(topology.names, sensor_cols):
-                cell = record[col] if col < len(record) else ""
-                try:
-                    values.append(float(cell))
-                except ValueError:
+            for name, cells in table.items():
+                col, parser = column_of[name], parsers[name]
+                if col >= len(record):
                     raise DataError(
-                        f"row {rownum}, column {name!r}: "
-                        f"cannot parse numeric value {cell!r}") from None
-            rows.append(values)
-            labels.append(_parse_label(record, label_col, rownum)
-                          if label_col is not None else 0)
-
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), topology.n)
-    if len(rows) and not np.isfinite(values).all():
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise DataError(
-            f"{path}: non-finite value at row {bad[0] + 2}, "
-            f"column {topology.names[bad[1]]!r}")
-    return RawStream(values, np.asarray(labels, dtype=np.int64))
+                        f"row {reader.line_num}: no {name} value (the row has "
+                        f"{len(record)} of the header's columns)")
+                try:
+                    cells.append(parser(record[col]))
+                except (ValueError, OverflowError):
+                    raise DataError(
+                        f"row {reader.line_num}, column {name!r}: {record[col]!r} "
+                        f"is not a valid {parser.__name__} value") from None
+    return {name: np.array(cells, np.float64 if parsers[name] is finite else np.int64)
+            for name, cells in table.items()}
 
 
-def load_labels(path, label_column: str = "label") -> np.ndarray:
+def write_columns(path, columns: dict) -> None:
+    """A header of the column names, then one row per entry."""
+    cells = [[repr(float(x)) for x in column] if np.asarray(column).dtype.kind == "f"
+             else [int(x) for x in column] for column in columns.values()]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+
+
+def load_csv(path, topology: SensorTopology) -> RawStream:
+    """Read a stream CSV, mapping columns onto topology sensor order."""
+    table = read_columns(path, {**dict.fromkeys(topology.names, finite),
+                                "label": label}, optional=("label",))
+    values = np.stack([table[name] for name in topology.names], axis=1)
+    return RawStream(values, table.get("label", np.zeros(len(values), np.int64)))
+
+
+def load_labels(path) -> np.ndarray:
     """Read just the label column of a stream CSV."""
-    path = Path(path)
-    with reading(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError("missing header row") from None
-        if label_column not in header:
-            raise DataError(f"no {label_column!r} column in header")
-        col = header.index(label_column)
-        labels = [
-            _parse_label(record, col, rownum)
-            for rownum, record in enumerate(reader, start=2)
-            if record and any(c.strip() for c in record)
-        ]
-    return np.asarray(labels, dtype=np.int64)
+    return read_columns(path, {"label": label})["label"]
 
 
 def save_csv(path, topology: SensorTopology, values: np.ndarray,
              labels: np.ndarray | None = None,
              timestamps=None) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["timestamp"] + list(topology.names)
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for t in range(values.shape[0]):
-            row = [timestamps[t] if timestamps is not None else t]
-            row.extend(repr(float(v)) for v in values[t])
-            if labels is not None:
-                row.append(int(labels[t]))
-            writer.writerow(row)
+    columns = {"timestamp": range(len(values)) if timestamps is None else timestamps,
+               **dict(zip(topology.names, values.T))}
+    write_columns(path, columns if labels is None else {**columns, "label": labels})
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +478,12 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
     return out, labels
 
 
-def generate_synthetic(config: SyntheticConfig,
-                       topology: SensorTopology | None = None
+def generate_synthetic(config: SyntheticConfig
                        ) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
     """Seed-deterministic synthetic stream with labeled anomaly windows."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    if topology is None:
-        topology = generate_topology(config.sensors, config.types,
-                                     config.density, rng)
-    elif topology.n != config.sensors:
-        raise ConfigError(
-            f"provided topology has {topology.n} sensors, config says {config.sensors}")
+    topology = generate_topology(config.sensors, config.types, config.density, rng)
     clean = generate_normal_stream(topology, config.length, config.noise, rng)
     values, labels = inject_anomalies(
         clean, topology, config.anomalies,

@@ -1,6 +1,7 @@
 import csv
 import struct
 
+import numpy as np
 import pytest
 
 from cpsdetect.cli import main
@@ -104,17 +105,27 @@ def _without_first_edge(blob):
     return b"\n".join(lines)
 
 
-def _narrow_std(blob):
-    """The checkpoint with its normalizer/std block one sensor short."""
-    at = blob.index(b"normalizer/std") + len(b"normalizer/std")
-    rows, cols = struct.unpack("<II", blob[at:at + 8])
-    return (blob[:at] + struct.pack("<II", rows, cols - 1)
-            + blob[at + 8:at + 8 * cols] + blob[at + 8 + 8 * cols:])
+def _one_short(block, axis):
+    """The checkpoint with matrix ``block`` one row (axis 0) or column short."""
+    name = block.encode()
+
+    def cut(blob):
+        at = blob.index(name) + len(name)
+        rows, cols = struct.unpack("<II", blob[at:at + 8])
+        matrix = np.frombuffer(blob, "<f8", rows * cols, at + 8).reshape(rows, cols)
+        matrix = np.delete(matrix, -1, axis=axis)
+        return (blob[:at] + struct.pack("<II", *matrix.shape) + matrix.tobytes()
+                + blob[at + 8 + 8 * rows * cols:])
+    return cut
+
+
+_SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 
 
 # case -> (flag, what it is given, documented exit code). Bytes are written
 # to a file; a function maps the trained fixture's file for that flag to the
-# bad bytes; None passes a directory; a string is passed as it is.
+# bad bytes; None passes a directory; a string is passed as it is. The flag
+# "segments" passes the file as --scores with --granularity segment.
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
@@ -127,6 +138,15 @@ EXIT_CASES = {
     "score csv not utf-8": ("scores", b"index,score,predicted\n0,\xff,0\n", 2),
     "score csv non-numeric score": ("scores", b"index,score,predicted\n0,abc,0\n", 2),
     "score csv short row": ("scores", b"index,score,predicted\n0,0.5\n", 2),
+    "score csv fractional index": ("scores", b"index,score,predicted\n0.5,0.1,0\n", 2),
+    "score csv negative index": ("scores", b"index,score,predicted\n-1,0.1,0\n", 2),
+    "score csv nan score": ("scores", b"index,score,predicted\n0,nan,0\n", 2),
+    "score csv fractional prediction": (
+        "scores", b"index,score,predicted\n0,0.1,0.7\n", 2),
+    "segment csv end before start": (
+        "segments", _SEGMENTS_HEADER + b"0,20,10,0.1,0.2,0\n", 2),
+    "segment csv negative start": (
+        "segments", _SEGMENTS_HEADER + b"0,-10,10,0.1,0.2,0\n", 2),
     "config not utf-8": ("config", b"[run]\nseed = 1\xff\n", 1),
     "config unknown key": ("config", b"[run]\nbogus = 1\n", 1),
     "config split not an integer": ("set", "synthetic.split=abc", 1),
@@ -135,7 +155,11 @@ EXIT_CASES = {
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
        for n in (0, 3, 11, 40, 700)},
     "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),
-    "checkpoint normalizer one sensor short": ("checkpoint", _narrow_std, 2),
+    "checkpoint normalizer one sensor short": (
+        "checkpoint", _one_short("normalizer/std", axis=1), 2),
+    "checkpoint svdd/w0 one row short": ("checkpoint", _one_short("svdd/w0", axis=0), 2),
+    "checkpoint vgae/w_hidden one row short": (
+        "checkpoint", _one_short("vgae/w_hidden", axis=0), 2),
     **{f"directory as --{flag}": (flag, None, 2)
        for flag in ("topology", "data", "checkpoint")},
     "directory as --config": ("config", None, 1),
@@ -156,8 +180,10 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
         bad.write_bytes(given if isinstance(given, bytes)
                         else given(args[flag].read_bytes()))
         args[flag] = bad
-    if flag == "scores":
-        argv = ["evaluate", "--data", str(args["data"]), "--scores", str(args["scores"])]
+    if flag in ("scores", "segments"):
+        argv = ["evaluate", "--data", str(args["data"]), "--scores", str(args[flag])]
+        if flag == "segments":
+            argv += ["--granularity", "segment"]
     else:
         argv = ["score", *(arg for name, value in args.items()
                            for arg in (f"--{name}", str(value)))]

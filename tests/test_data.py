@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpsdetect import data, pipeline
 from cpsdetect.errors import ConfigError, DataError
@@ -79,6 +80,13 @@ class TestCsv:
         with pytest.raises(DataError, match="row 3.*'B'"):
             data.load_csv(f, path_topology)
 
+    def test_non_finite_cell_names_its_file_line_and_column(self, tmp_path,
+                                                            path_topology):
+        f = tmp_path / "d.csv"
+        f.write_text("A,B,C\n1,2,3\n\n\n1,nan,3\n")
+        with pytest.raises(DataError, match="row 5, column 'B'"):
+            data.load_csv(f, path_topology)
+
     def test_missing_label_column_means_normal(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("A,B,C\n1,2,3\n")
@@ -104,14 +112,19 @@ class TestCsv:
         with pytest.raises(DataError, match="row 3: no label value"):
             data.load_labels(f)
 
-    def test_save_load_round_trip(self, tmp_path, path_topology):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(5, 3))
-        labels = np.array([0, 1, 0, 0, 1])
-        f = tmp_path / "d.csv"
-        data.save_csv(f, path_topology, values, labels)
-        stream = data.load_csv(f, path_topology)
-        np.testing.assert_array_equal(stream.values, values)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                       [2.2250738585072014e-308, -1e-320, -1e300]]))
+    def test_save_load_round_trip(self, tmp_path_factory, values):
+        topology = data.parse_topology(PATH_TOPOLOGY)
+        labels = np.arange(len(values)) % 2
+        f = tmp_path_factory.mktemp("csv") / "d.csv"
+        data.save_csv(f, topology, values, labels)
+        stream = data.load_csv(f, topology)
+        # Bit-exact: -0.0 and subnormals must come back as written.
+        assert stream.values.shape == values.shape
+        assert stream.values.tobytes() == values.tobytes()
         np.testing.assert_array_equal(stream.labels, labels)
 
     def test_load_labels_only(self, tmp_path):
