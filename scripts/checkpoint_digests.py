@@ -13,16 +13,21 @@ only the checkpoint format changes.
 
 Two trees behave the same when they print the same digests on the same
 host. The digests depend on BLAS threading, so compare runs made with the
-same thread settings. Run from the repository root::
+same thread settings; the first line printed names them, e.g.
+``threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset
+MKL_NUM_THREADS=unset (nproc 2)``. Run from the repository root::
 
     PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
 """
 import argparse
 import hashlib
+import os
 
 import numpy as np
 
 from cpsdetect import benchmark, checkpoint, pipeline
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def digest(name: str, topology, values, labels) -> str:
@@ -49,6 +54,9 @@ def main() -> None:
     unknown = sorted(set(args.variants) - set(benchmark.VARIANTS))
     if unknown:
         parser.error(f"unknown variants {unknown}")
+    print("threads: " + " ".join(f"{v}={os.environ.get(v, 'unset')}"
+                                 for v in THREAD_VARIABLES)
+          + f" (nproc {os.cpu_count()})", flush=True)
     topology, values, labels = benchmark.benchmark_data()
     for name in args.variants or benchmark.VARIANTS:
         print(f"{name}: {digest(name, topology, values, labels)}", flush=True)

@@ -12,10 +12,13 @@ Every public operation validates that its result is finite and raises
 
 The reverse pass does only work that reaches a trainable tensor: gradients
 flow only to tensors that require them, so a constant operand (an input, a
-fixed adjacency) gets no product computed and keeps ``grad is None``. A
-node's first gradient contribution is stored as it arrives, without a copy,
-so one ``.grad`` array may be shared by several nodes or be a view of
-another: treat every ``.grad`` as read-only and never write into it.
+fixed adjacency) gets no product computed and keeps ``grad is None``. Only
+leaves keep a ``.grad`` after :meth:`Tensor.backward`: an interior node's
+gradient is dropped as soon as it has been passed on to its parents, so a
+reverse pass holds a few gradients at a time, not one per node. A node's
+first gradient contribution is stored as it arrives, without a copy, so one
+``.grad`` array may be shared by several nodes or be a view of another:
+treat every ``.grad`` as read-only and never write into it.
 """
 from __future__ import annotations
 
@@ -79,12 +82,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Populate gradients of every reachable node that requires one.
+        """Populate the gradient of every reachable leaf that requires one.
 
         Requires a 1x1 (scalar) value. Each call recomputes gradients from
         scratch: grads of all nodes in this graph are cleared first, so
         repeated calls on the same graph are deterministic and each node is
-        visited exactly once.
+        visited exactly once. An interior node's gradient is dropped once
+        its parents have received their share, so afterwards only leaves
+        (parameters and ``requires_grad`` inputs) hold a ``.grad``.
         """
         if self.shape != (1, 1):
             raise ValueError(f"backward requires a 1x1 loss, got shape {self.shape}")
@@ -109,6 +114,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
@@ -212,11 +218,12 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _node(np.where(mask, a.value, 0.0), (a,), backward)
+    return _node(np.maximum(a.value, 0.0), (a,), backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    factor = np.where(a.value > 0.0, 1.0, slope)  # the output's derivative
+    # The output's derivative, picked without np.where's branchy loop.
+    factor = np.array([slope, 1.0])[(a.value > 0.0).view(np.uint8)]
 
     def backward(g):
         _accumulate(a, g * factor)

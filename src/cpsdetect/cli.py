@@ -231,6 +231,10 @@ def cmd_evaluate(args) -> int:
             i = outside[0]
             raise DataError(f"score row span [{starts[i]}, {ends[i]}) is empty or "
                             f"outside the {len(labels)} labeled rows")
+        values, counts = np.unique(starts, return_counts=True)
+        if (counts > 1).any():
+            raise DataError(f"{span[0]} {values[counts > 1][0]} appears in "
+                            f"more than one score row")
         covered = np.concatenate([[0], np.cumsum(labels)])
         report = metrics_mod.evaluate_scores(
             (covered[ends] > covered[starts]).astype(np.int64), table["score"],

@@ -3,8 +3,8 @@
 Tables are UTF-8 CSV with a header row, read by ``read_columns`` (blank rows
 skipped, other columns ignored) and written by ``write_columns`` (floats as
 ``repr(float(x))``, which reads back bit-exactly, other cells as ``int(x)``).
-A read error is a DataError naming the file and, for a missing column, a
-short row or a rejected cell, the file line and the column.
+A read error is a DataError naming the file and, for a missing or repeated
+column, a short row or a rejected cell, the file line and the column.
 
 * stream CSV (``data.csv``, ``train.csv``, ``test.csv``): one float column
   per topology sensor, named as the sensor; ``nan``, ``inf`` or text is an
@@ -18,9 +18,9 @@ short row or a rejected cell, the file line and the column.
 * ``trace_<stage>.csv``: int ``epoch``, float ``loss``.
 
 ``evaluate`` rejects a fractional ``index``, ``start``, ``end`` or
-``predicted``, a non-finite ``score``, a ``predicted`` other than 0/1, and a
-row whose span, ``[index, index + 1)`` or ``[start, end)``, is empty or
-outside the labeled rows.
+``predicted``, a non-finite ``score``, a ``predicted`` other than 0/1, a
+repeated ``index`` or ``start``, and a row whose span, ``[index, index + 1)``
+or ``[start, end)``, is empty or outside the labeled rows.
 
 The topology file is line oriented: ``sensor <name> <type>`` lines, then
 ``edge <nameA> <nameB>`` lines; blank lines and ``#`` comments allowed.
@@ -198,6 +198,10 @@ def read_columns(path, parsers: dict, optional=()) -> dict[str, np.ndarray]:
         header = [h.strip() for h in next(reader, [])]
         if not header:
             raise DataError("missing header row")
+        repeated = [name for name in parsers if header.count(name) > 1]
+        if repeated:
+            raise DataError(f"column {repeated[0]!r} appears more than once "
+                            f"in the header")
         column_of = {name: i for i, name in enumerate(header)}
         missing = [name for name in parsers
                    if name not in column_of and name not in optional]

@@ -516,3 +516,67 @@ def test_adam_step_leaves_every_gradient_unchanged():
     for t in (p, q):
         grad, copy = before[id(t)]
         assert t.grad is grad and np.array_equal(grad, copy)
+
+
+def test_backward_holds_a_few_gradients_at_a_time():
+    # Eight elementwise ops on a 1 MiB parameter. Keeping every interior
+    # gradient until the end would hold about seven such arrays at once.
+    rng = np.random.default_rng(4)
+    p = param(rng.normal(size=(128, 1024)))
+    c = ad.Tensor(rng.normal(size=p.shape))
+    t = p
+    for op in (lambda t: ad.scale(t, 0.5), lambda t: ad.mul(t, c), ad.relu,
+               lambda t: ad.add(t, c), ad.leaky_relu, lambda t: ad.sub(t, c),
+               ad.exp, lambda t: ad.clamp(t, -1.0, 2.0)):
+        t = op(t)
+    loss = ad.total_sum(t)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.grad.shape == p.shape
+    assert peak < 4 * p.value.nbytes, (peak, p.value.nbytes)
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)  # an input
+    w = param(rng.normal(size=(4, 2)))
+    c = ad.Tensor(rng.normal(size=(5, 2)))
+    z = ad.matmul(x, w)
+    h = ad.mul(z, c)
+    s = ad.scale(h, 0.5)
+    loss = ad.frobenius_sq(s)
+    loss.backward()
+    assert all(t.grad is None for t in (z, h, s, loss, c))
+    g = (2.0 * s.value) * 0.5 * c.value
+    assert np.array_equal(x.grad, g @ w.value.T)
+    assert np.array_equal(w.grad, (np.swapaxes(x.value, -1, -2) @ g).sum(axis=0))
+
+
+def _activation_inputs():
+    # Large enough for numpy's SIMD loops, with both zeros and subnormals.
+    rng = np.random.default_rng(6)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300])
+    values = np.concatenate([rng.normal(size=20_000), np.tile(special, 500)])
+    return rng.permutation(values).reshape(4, 60, 100)
+
+
+def test_relu_matches_the_masked_select_bitwise():
+    a = param(_activation_inputs())
+    y = ad.relu(a)
+    assert y.value.tobytes() == np.where(a.value > 0.0, a.value, 0.0).tobytes()
+    assert not np.signbit(ad.relu(param([[-0.0]])).value).any()
+    ad.total_sum(y).backward()
+    assert a.grad.tobytes() == (np.ones_like(a.value) * (a.value > 0.0)).tobytes()
+
+
+def test_leaky_relu_matches_the_masked_factor_bitwise():
+    a = param(_activation_inputs())
+    factor = np.where(a.value > 0.0, 1.0, 0.1)
+    y = ad.leaky_relu(a)
+    assert y.value.tobytes() == (a.value * factor).tobytes()
+    ad.total_sum(y).backward()
+    assert a.grad.tobytes() == (np.ones_like(a.value) * factor).tobytes()

@@ -91,12 +91,38 @@ def test_evaluate_all_normal_labels_reports_auc_undefined(tmp_path, capsys):
     assert (float(kv["precision"]), float(kv["recall"]), int(kv["fp"])) == (0.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("granularity, rows", [
+    ("timestamp", "index,score,predicted\n0,0.1,0\n1,0.2,1\n1,0.2,1\n1,0.2,1\n"),
+    ("segment", "segment,start,end,score,threshold,predicted\n"
+                "0,1,3,0.1,0.5,0\n1,2,4,0.1,0.5,0\n2,1,3,0.9,0.5,1\n")],
+    ids=["timestamp", "segment"])
+def test_evaluate_repeated_row_names_its_file_and_value(tmp_path, capsys,
+                                                        granularity, rows):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("A,label\n" + "0.0,0\n0.0,1\n0.0,1\n0.0,0\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text(rows)
+    code = main(["evaluate", "--out", str(tmp_path), "--scores", str(scores),
+                 "--data", str(data_csv), "--granularity", granularity])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    column = "index" if granularity == "timestamp" else "start"
+    assert f"{scores}: {column} 1 appears in more than one score row" in err
+
+
 def _non_numeric_cell(blob):
     lines = blob.split(b"\n")
     cells = lines[3].split(b",")
     cells[1] = b"abc"  # the first sensor column
     lines[3] = b",".join(cells)
     return b"\n".join(lines)
+
+
+def _first_sensor_twice(blob):
+    """The stream with a second copy of its first sensor column, all zeros."""
+    header, *rows = blob.splitlines()
+    name = header.split(b",")[1]
+    return b"\n".join([header + b"," + name, *(row + b",0.0" for row in rows)])
 
 
 def _without_first_edge(blob):
@@ -135,6 +161,7 @@ EXIT_CASES = {
     "csv not utf-8": ("data", lambda b: b.replace(b"\n", b"\n\xff", 1), 2),
     "csv non-numeric cell": ("data", _non_numeric_cell, 2),
     "csv missing header": ("data", b"", 2),
+    "csv sensor column repeated": ("data", _first_sensor_twice, 2),
     "score csv not utf-8": ("scores", b"index,score,predicted\n0,\xff,0\n", 2),
     "score csv non-numeric score": ("scores", b"index,score,predicted\n0,abc,0\n", 2),
     "score csv short row": ("scores", b"index,score,predicted\n0,0.5\n", 2),
@@ -143,6 +170,10 @@ EXIT_CASES = {
     "score csv nan score": ("scores", b"index,score,predicted\n0,nan,0\n", 2),
     "score csv fractional prediction": (
         "scores", b"index,score,predicted\n0,0.1,0.7\n", 2),
+    "score csv repeated index": (
+        "scores", b"index,score,predicted\n1,0.1,0\n1,0.1,0\n1,0.1,0\n", 2),
+    "segment csv repeated start": (
+        "segments", _SEGMENTS_HEADER + b"0,0,10,0.1,0.2,0\n1,0,10,0.1,0.2,0\n", 2),
     "segment csv end before start": (
         "segments", _SEGMENTS_HEADER + b"0,20,10,0.1,0.2,0\n", 2),
     "segment csv negative start": (

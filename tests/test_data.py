@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +88,20 @@ class TestCsv:
         f.write_text("A,B,C\n1,2,3\n\n\n1,nan,3\n")
         with pytest.raises(DataError, match="row 5, column 'B'"):
             data.load_csv(f, path_topology)
+
+    def test_repeated_column_names_its_file_and_column(self, tmp_path,
+                                                       path_topology):
+        f = tmp_path / "d.csv"
+        f.write_text("A,B,C,A\n1,2,3,9\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{f}: column 'A' appears more than once")):
+            data.load_csv(f, path_topology)
+
+    def test_repeated_unread_column_is_ignored(self, tmp_path, path_topology):
+        f = tmp_path / "d.csv"
+        f.write_text("A,B,C,note,note\n1,2,3,x,y\n")
+        np.testing.assert_array_equal(data.load_csv(f, path_topology).values,
+                                      [[1, 2, 3]])
 
     def test_missing_label_column_means_normal(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
