@@ -3,9 +3,12 @@
 Everything the learned stages need lives here: a ``Tensor`` graph node, a
 closed set of differentiable primitives, an adaptive-moment optimizer with
 decoupled weight decay, and the one training loop every stage runs. A value
-is a matrix or a stack of matrices (leading batch axes; vectors are 1 x n);
-ops act on the last two axes, and an operand of the other's trailing shape
-is shared across the stack, its gradient summed over the batch axes.
+is a matrix or a stack of matrices (leading stack axes; vectors are 1 x n);
+ops act on the last two axes. An elementwise operand of the other's trailing
+shape is shared across the stack. ``matmul`` broadcasts its operands' stack
+axes by numpy rules, so a (B, 1, n, k) stack times an (H, k, m) stack gives
+(B, H, n, m); an operand broadcast along an axis gets its gradient summed
+over that axis.
 ``no_grad`` turns graph recording off for inference.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
@@ -120,11 +123,17 @@ class Tensor:
 def _accumulate(t: Tensor, g: Array) -> None:
     """Add ``g`` to the gradient of ``t``, which must require one.
 
+    A ``g`` of the broadcast result's shape is first summed over every axis
+    ``t`` was broadcast along: the leading axes it lacks and its size-1 axes.
     The first contribution is stored as it is; a later one makes a new sum,
     so no ``.grad`` array is ever written in place.
     """
-    if g.ndim > t.value.ndim:  # a shared operand: sum over the batch axes
-        g = g.sum(axis=tuple(range(g.ndim - t.value.ndim)))
+    shape = t.value.shape
+    if g.shape != shape:
+        lead = g.ndim - len(shape)
+        axes = tuple(range(lead)) + tuple(
+            lead + i for i, n in enumerate(shape) if n == 1)
+        g = g.sum(axis=axes, keepdims=True).reshape(shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -180,10 +189,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; a 2-D operand is shared."""
-    stacks = a.shape[:-2], b.shape[:-2]
-    if a.shape[-1] != b.shape[-2] or (all(stacks) and stacks[0] != stacks[1]):
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    """Matrix product over the last two axes; the stack axes broadcast."""
+    try:
+        value = a.value @ b.value
+    except ValueError:
+        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
 
     def backward(g):
         if a.requires_grad:
@@ -191,15 +201,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
 
-    return _node(a.value @ b.value, (a, b), backward)
+    return _node(value, (a, b), backward)
+
+
+def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; the result is a C-contiguous copy."""
+    def backward(g):
+        _accumulate(a, np.swapaxes(g, axis1, axis2))
+
+    return _node(np.swapaxes(a.value, axis1, axis2).copy(), (a,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    def backward(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
+    return swap_axes(a, -1, -2)
 
-    return _node(np.swapaxes(a.value, -1, -2).copy(), (a,), backward)
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries, read in C order, in a new shape."""
+    def backward(g):
+        _accumulate(a, g.reshape(a.shape))
+
+    return _node(a.value.reshape(shape), (a,), backward)
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Equal-shaped tensors stacked along a new leading axis."""
+    parts = tuple(parts)
+
+    def backward(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accumulate(p, g[i])
+
+    return _node(np.stack([p.value for p in parts]), parts, backward)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -232,8 +267,12 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # exp(-logaddexp(0, -x)) is the overflow-safe logistic for both tails.
-    y = np.exp(-np.logaddexp(0.0, -a.value))
+    # exp(-logaddexp(0, -x)) is the overflow-safe logistic for both tails,
+    # computed in place in the one array the negation allocates.
+    y = np.negative(a.value)
+    np.logaddexp(0.0, y, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
 
     def backward(g):
         _accumulate(a, g * y * (1.0 - y))
@@ -254,9 +293,11 @@ def exp(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction for stability."""
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # One full-size array: the shifted logits, exponentiated and normalized
+    # in place.
+    y = a.value - a.value.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -288,27 +329,6 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
         _accumulate(a, g * mask)
 
     return _node(np.clip(a.value, low, high), (a,), backward)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
-    for p in parts:
-        if p.shape[:-1] != parts[0].shape[:-1]:
-            raise ValueError(
-                f"concat_cols row mismatch: {p.shape} vs {parts[0].shape}")
-    widths = [p.shape[-1] for p in parts]
-
-    def backward(g):
-        j = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accumulate(p, g[..., j:j + w])
-            j += w
-
-    return _node(np.concatenate([p.value for p in parts], axis=-1),
-                 parts, backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

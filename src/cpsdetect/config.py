@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from .data import AnomalyWindow, SyntheticConfig
@@ -88,6 +89,13 @@ class PipelineConfig:
 
     def validate(self) -> None:
         w, t, v, s, r = self.window, self.temporal, self.vgae, self.svdd, self.run
+        # NaN passes every comparison below, and an infinite rate or weight
+        # would only fail later, as a numeric error inside training.
+        for section in ("temporal", "vgae", "svdd", "run"):
+            for f in fields(getattr(self, section)):
+                value = getattr(getattr(self, section), f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
         positive = {
             "window.length": w.length, "window.stride": w.stride,
             "temporal.heads": t.heads, "temporal.head_dim": t.head_dim,

@@ -110,7 +110,8 @@ def svdd_objective(net: SvddNet, samples: np.ndarray) -> Tensor:
     """Mean squared distance of the samples' images to the center."""
     samples = np.atleast_2d(samples)
     center = net._require_center()
-    tiled = Tensor(np.tile(center, (samples.shape[0], 1)))
+    # A read-only view, one center row for every sample: nothing is copied.
+    tiled = Tensor(np.broadcast_to(center, (samples.shape[0], center.shape[-1])))
     return ad.scale(
         ad.frobenius_sq(ad.sub(net.forward(Tensor(samples)), tiled)),
         1.0 / samples.shape[0])

@@ -3,7 +3,11 @@
 A segment enters as a (sensors x window_length) matrix. Each attention head
 projects the per-sensor time rows to query/key/value spaces, so the attention
 matrix is (sensors x sensors): sensors attend to each other, sharing temporal
-information. Scores are scaled by sqrt(window_length). The feed-forward
+information. Scores are scaled by sqrt(window_length). The heads are one
+stack axis: the input, reshaped to (..., 1, sensors, window_length), is
+multiplied by the stacked per-head projections, so every head runs in the
+same array operations, and the head outputs are laid side by side as column
+blocks, head h in columns h*head_dim to (h+1)*head_dim. The feed-forward
 refinement uses full per-sensor bias matrices, and a linear head predicts the
 next window; training minimizes the mean squared prediction error over all
 (window, successor) pairs drawn from normal data. Segments pass every layer
@@ -65,40 +69,46 @@ class TemporalEncoder:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def _check_input(self, t: Tensor) -> None:
+    def _heads_input(self, t: Tensor) -> Tensor:
+        """The input as (..., 1, sensors, window), one matrix for every head."""
         if t.shape[-2:] != (self.sensors, self.window):
             raise ValueError(
                 f"segment shape {t.shape} does not match encoder "
                 f"({self.sensors}, {self.window})")
-
-    def _prepare(self, t: Tensor) -> Tensor:
         if self._pos is not None:
-            return ad.add(t, Tensor(self._pos))
-        return t
+            t = ad.add(t, Tensor(self._pos))
+        return ad.reshape(t, t.shape[:-2] + (1, self.sensors, self.window))
 
-    def attention_weights(self, t: Tensor, head: int) -> Tensor:
-        """The (sensors x sensors) softmax attention matrix of one head."""
-        self._check_input(t)
-        t = self._prepare(t)
-        q = ad.matmul(t, self.w_query[head])
-        k = ad.matmul(t, self.w_key[head])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(self.window))
-        return ad.softmax_rows(scores)
+    def _attention(self, t: Tensor) -> Tensor:
+        # The queries and keys live only inside this expression and each
+        # temporary is dropped once used, so a long stack's working set
+        # does not grow with every head's projections at once.
+        return ad.softmax_rows(ad.scale(
+            ad.matmul(ad.matmul(t, ad.stack(self.w_query)),
+                      ad.transpose(ad.matmul(t, ad.stack(self.w_key)))),
+            1.0 / math.sqrt(self.window)))
 
-    def attention_head(self, t: Tensor, head: int) -> Tensor:
-        """One head's output: attention-weighted value projections, (sensors x head_dim)."""
-        weights = self.attention_weights(t, head)
-        v = ad.matmul(self._prepare(t), self.w_value[head])
-        return ad.matmul(weights, v)
+    def attention_weights(self, t: Tensor) -> Tensor:
+        """Every head's (sensors x sensors) softmax attention matrix, as
+        (..., heads, sensors, sensors)."""
+        return self._attention(self._heads_input(t))
+
+    def attend(self, t: Tensor) -> Tensor:
+        """The attention output, (..., sensors, heads * head_dim): head h's
+        attention-weighted value projections fill column block h."""
+        t = self._heads_input(t)
+        heads = ad.swap_axes(
+            ad.matmul(self._attention(t), ad.matmul(t, ad.stack(self.w_value))), -3, -2)
+        return ad.reshape(heads, heads.shape[:-2] + (self.heads * self.head_dim,))
 
     def encode(self, t: Tensor) -> Tensor:
         """Embed a segment, or a stack of them, as (sensors x model_dim) matrices."""
-        self._check_input(t)
-        merged = ad.matmul(
-            ad.concat_cols([self.attention_head(t, h) for h in range(self.heads)]),
-            self.w_out)
-        hidden = ad.relu(ad.add(ad.matmul(merged, self.w_ff1), self.b_ff1))
-        return ad.add(merged, ad.add(ad.matmul(hidden, self.w_ff2), self.b_ff2))
+        merged = ad.matmul(self.attend(t), self.w_out)
+        # One expression, so that each temporary (the hidden layer too) is
+        # dropped as soon as the next operation has used it.
+        return ad.add(merged, ad.add(ad.matmul(
+            ad.relu(ad.add(ad.matmul(merged, self.w_ff1), self.b_ff1)),
+            self.w_ff2), self.b_ff2))
 
     def predict_next(self, embedding: Tensor) -> Tensor:
         """Linear prediction of the next window from an embedding."""

@@ -104,7 +104,7 @@ def kl_divergence(mean: Tensor, logvar: Tensor) -> Tensor:
     """KL from the diagonal Gaussian posterior to the standard normal prior."""
     variance = ad.exp(logvar)
     inner = ad.sub(ad.add(ad.mul(mean, mean), variance), logvar)
-    ones = Tensor(np.ones(inner.shape))
+    ones = Tensor(np.broadcast_to(1.0, inner.shape))
     return ad.scale(ad.total_sum(ad.sub(inner, ones)), 0.5)
 
 

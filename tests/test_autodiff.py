@@ -195,23 +195,6 @@ def test_gradient_check_binary(name, op, sa, sb):
         assert relative_gradient_error(analytic[label], numeric) < RTOL
 
 
-def test_gradient_check_concat_cols():
-    rng = np.random.default_rng(11)
-    a = param(rng.normal(size=(3, 2)))
-    b = param(rng.normal(size=(3, 3)))
-    probe = _scalar_probe(rng, (3, 5))
-
-    loss = probe(ad.concat_cols([a, b]))
-    loss.backward()
-    analytic = {id(a): a.grad.copy(), id(b): b.grad.copy()}
-    for p in (a, b):
-        def loss_fn():
-            return float(probe(ad.concat_cols(
-                [ad.Tensor(a.value), ad.Tensor(b.value)])).value[0, 0])
-        numeric = finite_difference(loss_fn, p.value)
-        assert relative_gradient_error(analytic[id(p)], numeric) < RTOL
-
-
 def test_gradient_check_composite_graph():
     rng = np.random.default_rng(42)
     w1 = param(rng.normal(size=(4, 3)))
@@ -319,6 +302,8 @@ BATCHED_UNARY = [
     ("transpose", ad.transpose),
     ("softmax_rows", ad.softmax_rows),
     ("slice_cols", lambda t: ad.slice_cols(t, 1, 3)),
+    ("reshape", lambda t: ad.reshape(t, (3, 1, 8))),
+    ("swap_axes", lambda t: ad.swap_axes(t, 0, 1)),
 ]
 
 
@@ -340,7 +325,9 @@ BATCHED_BINARY = [
     ("add-shared", ad.add, (2, 3, 4), (3, 4)),
     ("sub-shared", ad.sub, (3, 4), (2, 3, 4)),
     ("mul-shared", ad.mul, (2, 3, 4), (3, 4)),
-    ("concat_cols", lambda a, b: ad.concat_cols([a, b]), (2, 3, 2), (2, 3, 3)),
+    ("stack", lambda a, b: ad.stack([a, b]), (2, 3, 2), (2, 3, 2)),
+    ("matmul-broadcast-heads", ad.matmul, (2, 1, 3, 4), (3, 4, 2)),
+    ("matmul-broadcast-both", ad.matmul, (2, 1, 3, 4), (1, 3, 4, 2)),
 ]
 
 
@@ -373,6 +360,51 @@ def test_shared_parameter_gradient_is_the_sum_over_the_stack():
         ad.frobenius_sq(ad.matmul(ad.Tensor(xb), w_b)).backward()
         per_matrix.append(w_b.grad)
     np.testing.assert_allclose(w.grad, sum(per_matrix), rtol=1e-12)
+
+
+def test_broadcast_operand_gradients_are_the_sums_of_the_per_slice_gradients():
+    # (B, 1, n, k) @ (H, k, m): each input slice meets every head, each head
+    # every input slice, so each gradient sums over the axis it was
+    # broadcast along.
+    rng = np.random.default_rng(7)
+    x = param(rng.normal(size=(3, 1, 5, 4)))
+    w = param(rng.normal(size=(2, 4, 6)))
+    ad.frobenius_sq(ad.matmul(x, w)).backward()
+    x_grads = np.zeros_like(x.value)
+    w_grads = np.zeros_like(w.value)
+    for b in range(3):
+        for h in range(2):
+            x_bh, w_bh = param(x.value[b, 0].copy()), param(w.value[h].copy())
+            ad.frobenius_sq(ad.matmul(x_bh, w_bh)).backward()
+            x_grads[b, 0] += x_bh.grad
+            w_grads[h] += w_bh.grad
+    np.testing.assert_allclose(x.grad, x_grads, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, w_grads, rtol=1e-12)
+
+
+def test_stacked_heads_equal_head_by_head_bitwise():
+    # One product against a stack of per-head weights gives, bit for bit,
+    # what one product per head gives, and each head's gradient is its own.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 12, 30))
+    heads = [param(rng.normal(size=(30, 8))) for _ in range(4)]
+    out = ad.matmul(ad.reshape(ad.Tensor(x), (5, 1, 12, 30)), ad.stack(heads))
+    assert out.shape == (5, 4, 12, 8)
+    probe = rng.normal(size=out.shape)
+    ad.total_sum(ad.mul(out, ad.Tensor(probe))).backward()
+    for h, w in enumerate(heads):
+        assert np.array_equal(out.value[:, h], x @ w.value)
+        expected = (np.swapaxes(x, -1, -2) @ probe[:, h]).sum(axis=0)
+        assert np.array_equal(w.grad, expected)
+
+
+def test_reshape_and_swap_axes_keep_every_entry():
+    a = ad.Tensor(np.arange(24.0).reshape(2, 3, 4))
+    np.testing.assert_array_equal(ad.reshape(a, (4, 6)).value,
+                                  np.arange(24.0).reshape(4, 6))
+    swapped = ad.swap_axes(a, 0, 1)
+    np.testing.assert_array_equal(swapped.value, np.swapaxes(a.value, 0, 1))
+    assert swapped.value.flags.c_contiguous
 
 
 def test_batched_forward_equals_matrix_by_matrix():
@@ -580,3 +612,26 @@ def test_leaky_relu_matches_the_masked_factor_bitwise():
     assert y.value.tobytes() == (a.value * factor).tobytes()
     ad.total_sum(y).backward()
     assert a.grad.tobytes() == (np.ones_like(a.value) * factor).tobytes()
+
+
+def test_sigmoid_matches_the_logaddexp_formula_bitwise():
+    a = param(_activation_inputs())
+    expected = np.exp(-np.logaddexp(0.0, -a.value))
+    y = ad.sigmoid(a)
+    assert y.value.tobytes() == expected.tobytes()
+    ad.total_sum(y).backward()
+    assert a.grad.tobytes() == (np.ones_like(a.value) * expected
+                                * (1.0 - expected)).tobytes()
+
+
+def test_softmax_rows_matches_the_shifted_exp_formula_bitwise():
+    a = param(_activation_inputs())
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    expected = e / e.sum(axis=-1, keepdims=True)
+    y = ad.softmax_rows(a)
+    assert y.value.tobytes() == expected.tobytes()
+    r = np.random.default_rng(9).normal(size=a.shape)
+    ad.total_sum(ad.mul(y, ad.Tensor(r))).backward()
+    inner = (r * expected).sum(axis=-1, keepdims=True)
+    assert a.grad.tobytes() == (expected * (r - inner)).tobytes()

@@ -151,7 +151,8 @@ _SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 # case -> (flag, what it is given, documented exit code). Bytes are written
 # to a file; a function maps the trained fixture's file for that flag to the
 # bad bytes; None passes a directory; a string is passed as it is. The flag
-# "segments" passes the file as --scores with --granularity segment.
+# "segments" passes the file as --scores with --granularity segment; the flag
+# "train-set" passes its string as a --set of a tiny `train` run.
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
@@ -181,6 +182,9 @@ EXIT_CASES = {
     "config not utf-8": ("config", b"[run]\nseed = 1\xff\n", 1),
     "config unknown key": ("config", b"[run]\nbogus = 1\n", 1),
     "config split not an integer": ("set", "synthetic.split=abc", 1),
+    **{f"config {setting} not finite": ("train-set", setting, 1)
+       for setting in ("svdd.lr=nan", "temporal.lr=inf", "vgae.kl_weight=inf",
+                       "svdd.slope=nan")},
     "checkpoint config split not an integer": (
         "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
@@ -215,6 +219,9 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
         argv = ["evaluate", "--data", str(args["data"]), "--scores", str(args[flag])]
         if flag == "segments":
             argv += ["--granularity", "segment"]
+    elif flag == "train-set":
+        argv = ["train", "--data", str(trained / "train.csv"),
+                "--topology", str(args["topology"]), *_sets(SETTINGS), "--set", given]
     else:
         argv = ["score", *(arg for name, value in args.items()
                            for arg in (f"--{name}", str(value)))]
@@ -223,6 +230,8 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     assert code == expected, err
     assert err.startswith("error: " if expected == 1 else "data error: "), err
     assert "Traceback" not in err
+    if flag == "train-set":
+        assert f"{given.split('=')[0]} must be finite" in err, err
     if expected == 2:
         # A data error names its file; a topology mismatch, the checkpoint.
         named = "checkpoint" if case.endswith("checkpoint's") else flag
