@@ -22,6 +22,7 @@ MKL_NUM_THREADS=unset (nproc 2)``. Run from the repository root::
 import argparse
 import hashlib
 import os
+import sys
 
 import numpy as np
 
@@ -63,4 +64,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -3``): stop without a
+        # traceback, and point stdout at devnull so the interpreter's final
+        # flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -225,18 +225,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(a.value.reshape(shape), (a,), backward)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Equal-shaped tensors stacked along a new leading axis."""
-    parts = tuple(parts)
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                _accumulate(p, g[i])
-
-    return _node(np.stack([p.value for p in parts]), parts, backward)
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (not differentiated w.r.t. the scalar)."""
     factor = float(factor)
@@ -257,8 +245,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    # The output's derivative, picked without np.where's branchy loop.
-    factor = np.array([slope, 1.0])[(a.value > 0.0).view(np.uint8)]
+    # The output's derivative, gathered with take(): in the SVDD fit it beats
+    # both np.where's branchy loop and fancy indexing.
+    factor = np.array([slope, 1.0]).take((a.value > 0.0).view(np.uint8))
 
     def backward(g):
         _accumulate(a, g * factor)
@@ -293,9 +282,15 @@ def exp(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction for stability."""
-    # One full-size array: the shifted logits, exponentiated and normalized
-    # in place.
-    y = a.value - a.value.max(axis=-1, keepdims=True)
+    # The row max as a running maximum over the columns: one pass over every
+    # row per column, where a reduction along a short last axis pays per row.
+    # A max is exact in any order. Then one full-size array: the shifted
+    # logits, exponentiated and normalized in place.
+    x = a.value
+    row_max = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j:j + 1], out=row_max)
+    y = x - row_max
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -343,10 +338,11 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _node(a.value[..., start:stop].copy(), (a,), backward)
 
 
-def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    """Scaled-uniform (fan-in) parameter initialization."""
-    span = 1.0 / math.sqrt(rows)
-    return Tensor(rng.uniform(-span, span, size=(rows, cols)), requires_grad=True)
+def uniform_init(rng: np.random.Generator, *shape: int) -> Tensor:
+    """Scaled-uniform (fan-in) parameter initialization of a matrix, or of a
+    stack of (rows x cols) matrices drawn one after the other."""
+    span = 1.0 / math.sqrt(shape[-2])
+    return Tensor(rng.uniform(-span, span, size=shape), requires_grad=True)
 
 
 def zeros_init(rows: int, cols: int) -> Tensor:
@@ -393,15 +389,22 @@ class Adam:
             elif g.shape != p.value.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter {p.value.shape}")
+            # lr * m_hat / (sqrt(v_hat) + eps) [+ lr * decay * p], in the
+            # order of that formula, in two scratch arrays.
             m *= self.beta1
             m += (1.0 - self.beta1) * g
+            den = (1.0 - self.beta2) * g
+            den *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += den
+            np.divide(v, 1.0 - self.beta2 ** t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            update = m / (1.0 - self.beta1 ** t)
+            update *= self.lr
+            update /= den
             if self.weight_decay:
-                update = update + self.lr * self.weight_decay * p.value
+                update += np.multiply(self.lr * self.weight_decay, p.value, out=den)
             p.value -= update
 
 

@@ -192,7 +192,8 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
 
     pipe = TrainedPipeline(config, topology, normalizer, temporal, vgae, net,
                            float(_block(blocks, "detector/threshold")))
+    # In place: a per-head view writes into its stage's stored stack.
     for prefix, stage in _stages(pipe):
         for name, param in stage.named_parameters():
-            param.value = _shaped(blocks, f"{prefix}/{name}", param.value.shape)
+            param.value[...] = _shaped(blocks, f"{prefix}/{name}", param.value.shape)
     return pipe

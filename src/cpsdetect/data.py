@@ -33,6 +33,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,18 @@ class SensorTopology:
     @property
     def type_count(self) -> int:
         return len(self.type_names)
+
+    @cached_property
+    def type_members(self) -> np.ndarray:
+        """(types x largest type size) sensor indices: row ``k`` lists type
+        ``k``'s sensors in index order, padded with ``n`` (one past the last
+        sensor). Built once per topology."""
+        counts = np.bincount(self.type_of, minlength=self.type_count)
+        members = np.full((self.type_count, counts.max()), self.n)
+        for k, row in enumerate(members):
+            sensors = np.flatnonzero(self.type_of == k)
+            row[:len(sensors)] = sensors
+        return members
 
     def validate(self) -> None:
         a = self.adjacency

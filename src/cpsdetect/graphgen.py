@@ -8,6 +8,13 @@ edges but never creates new ones, and weights stay in [-1, 1]. Negative
 similarities are kept as negative weights; the downstream degree
 normalization handles them. Every step takes a (sensors x dim) attribute
 matrix or a (segments x sensors x dim) stack.
+
+A type's mean is the sum of its sensors' rows, added to +0.0 one sensor at
+a time in sensor index order, divided by the type's size. The topology's
+``type_members`` table (each type's sensors, padded with the index of an
+appended zero row) makes those sums one gather per member position for the
+whole stack, so every graph of a stack gets the bits a graph built alone
+gets.
 """
 from __future__ import annotations
 
@@ -30,11 +37,19 @@ class WeightedGraph:
 def type_embeddings(attributes: np.ndarray,
                     topology: SensorTopology) -> np.ndarray:
     """Mean attribute row per sensor type: (types x dim) per attribute matrix."""
-    k = topology.type_count
-    sums = np.zeros(attributes.shape[:-2] + (k, attributes.shape[-1]))
-    # Sensor by sensor in index order: the same sums as a per-type mean.
-    np.add.at(sums, (..., topology.type_of, slice(None)), attributes)
-    return sums / np.bincount(topology.type_of, minlength=k)[:, None]
+    members = topology.type_members
+    # Padding indices point at an appended zero row.
+    padded = np.concatenate(
+        (attributes, np.zeros(attributes.shape[:-2] + (1, attributes.shape[-1]))),
+        axis=-2)
+    # Sums start at +0.0 (a -0.0 first member becomes +0.0) and add one
+    # member at a time in sensor order: numpy may add the entries of a
+    # reduction axis pairwise instead.
+    sums = padded.take(members[:, 0], axis=-2)
+    sums += 0.0
+    for column in members[:, 1:].T:
+        sums += padded.take(column, axis=-2)
+    return sums / np.bincount(topology.type_of, minlength=len(members))[:, None]
 
 
 def type_similarity(embeddings: np.ndarray) -> np.ndarray:

@@ -18,13 +18,14 @@ from .errors import DataError
 
 
 def _binary_array(values, name: str) -> np.ndarray:
+    """``values`` as int64 0/1 labels; checked before the cast, so 0.5 or
+    NaN is an error, not a truncated 0."""
     arr = np.asarray(values)
-    arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise DataError(f"{name} must be 1-D, got shape {arr.shape}")
     if not np.isin(arr, (0, 1)).all():
         raise DataError(f"{name} must contain only 0 and 1")
-    return arr
+    return arr.astype(np.int64)
 
 
 def _binary_pair(labels, predictions) -> tuple[np.ndarray, np.ndarray]:

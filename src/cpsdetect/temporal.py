@@ -4,14 +4,19 @@ A segment enters as a (sensors x window_length) matrix. Each attention head
 projects the per-sensor time rows to query/key/value spaces, so the attention
 matrix is (sensors x sensors): sensors attend to each other, sharing temporal
 information. Scores are scaled by sqrt(window_length). The heads are one
-stack axis: the input, reshaped to (..., 1, sensors, window_length), is
-multiplied by the stacked per-head projections, so every head runs in the
-same array operations, and the head outputs are laid side by side as column
-blocks, head h in columns h*head_dim to (h+1)*head_dim. The feed-forward
-refinement uses full per-sensor bias matrices, and a linear head predicts the
-next window; training minimizes the mean squared prediction error over all
-(window, successor) pairs drawn from normal data. Segments pass every layer
-together as one (segments x sensors x window_length) stack.
+stack axis: each projection is stored as one (heads x window_length x
+head_dim) parameter, the input, reshaped to (..., 1, sensors, window_length),
+is multiplied by it, so every head runs in the same array operations, and
+the head outputs are laid side by side as column blocks, head h in columns
+h*head_dim to (h+1)*head_dim. The feed-forward refinement uses full
+per-sensor bias matrices, and a linear head predicts the next window;
+training minimizes the mean squared prediction error over all (window,
+successor) pairs drawn from normal data. Segments pass every layer together
+as one (segments x sensors x window_length) stack.
+
+Checkpoints keep one block per head (``w_query0``, ``w_key0``, ``w_value0``,
+``w_query1``, ...): ``named_parameters`` yields each head's block as a view
+of the stored stack, and loading writes into those views in place.
 """
 from __future__ import annotations
 
@@ -44,9 +49,11 @@ class TemporalEncoder:
         self.head_dim = head_dim
         self.model_dim = model_dim
         self.positional_encoding = positional_encoding
-        self.w_query = [ad.uniform_init(rng, window, head_dim) for _ in range(heads)]
-        self.w_key = [ad.uniform_init(rng, window, head_dim) for _ in range(heads)]
-        self.w_value = [ad.uniform_init(rng, window, head_dim) for _ in range(heads)]
+        # One (heads x window x head_dim) draw each: the numbers of one draw
+        # per head, in head order.
+        self.w_query = ad.uniform_init(rng, heads, window, head_dim)
+        self.w_key = ad.uniform_init(rng, heads, window, head_dim)
+        self.w_value = ad.uniform_init(rng, heads, window, head_dim)
         self.w_out = ad.uniform_init(rng, heads * head_dim, model_dim)
         self.w_ff1 = ad.uniform_init(rng, model_dim, model_dim)
         self.w_ff2 = ad.uniform_init(rng, model_dim, model_dim)
@@ -56,18 +63,24 @@ class TemporalEncoder:
         self.b_pred = ad.zeros_init(sensors, window)
         self._pos = positional_ramp(sensors, window) if positional_encoding else None
 
+    _SHARED = ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2", "w_pred", "b_pred")
+
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        """Parameters by name, in checkpoint order."""
+        """Parameters by name, in checkpoint order. Head h's projections
+        come as ``w_query{h}``, ``w_key{h}`` and ``w_value{h}``: tensors
+        whose values are views of block h of the stored stacks, so writing
+        into one writes into the stack."""
         for h in range(self.heads):
-            yield f"w_query{h}", self.w_query[h]
-            yield f"w_key{h}", self.w_key[h]
-            yield f"w_value{h}", self.w_value[h]
-        for name in ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-                     "w_pred", "b_pred"):
+            yield f"w_query{h}", Tensor(self.w_query.value[h])
+            yield f"w_key{h}", Tensor(self.w_key.value[h])
+            yield f"w_value{h}", Tensor(self.w_value.value[h])
+        for name in self._SHARED:
             yield name, getattr(self, name)
 
     def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
+        """The trainable tensors: the three projection stacks, then the rest."""
+        return [self.w_query, self.w_key, self.w_value] + [
+            getattr(self, name) for name in self._SHARED]
 
     def _heads_input(self, t: Tensor) -> Tensor:
         """The input as (..., 1, sensors, window), one matrix for every head."""
@@ -84,8 +97,8 @@ class TemporalEncoder:
         # temporary is dropped once used, so a long stack's working set
         # does not grow with every head's projections at once.
         return ad.softmax_rows(ad.scale(
-            ad.matmul(ad.matmul(t, ad.stack(self.w_query)),
-                      ad.transpose(ad.matmul(t, ad.stack(self.w_key)))),
+            ad.matmul(ad.matmul(t, self.w_query),
+                      ad.transpose(ad.matmul(t, self.w_key))),
             1.0 / math.sqrt(self.window)))
 
     def attention_weights(self, t: Tensor) -> Tensor:
@@ -98,7 +111,7 @@ class TemporalEncoder:
         attention-weighted value projections fill column block h."""
         t = self._heads_input(t)
         heads = ad.swap_axes(
-            ad.matmul(self._attention(t), ad.matmul(t, ad.stack(self.w_value))), -3, -2)
+            ad.matmul(self._attention(t), ad.matmul(t, self.w_value)), -3, -2)
         return ad.reshape(heads, heads.shape[:-2] + (self.heads * self.head_dim,))
 
     def encode(self, t: Tensor) -> Tensor:

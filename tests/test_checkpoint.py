@@ -58,6 +58,22 @@ def test_block_names_follow_the_stage_order(trained):
         "svdd/w0", "svdd/w1", "detector/center"]
 
 
+def test_head_blocks_are_the_slices_of_the_stored_stacks(tmp_path, trained):
+    pipe, _ = trained
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    blocks = checkpoint._read_blocks(path)
+    loaded = checkpoint.load_checkpoint(path, pipe.topology)
+    for kind in ("w_query", "w_key", "w_value"):
+        stored, reloaded = getattr(pipe.temporal, kind), getattr(loaded.temporal, kind)
+        assert stored.shape == reloaded.shape == (2,) + blocks[f"temporal/{kind}0"].shape
+        for h in range(2):
+            block = blocks[f"temporal/{kind}{h}"]
+            assert block.tobytes() == stored.value[h].tobytes()
+            # The loader wrote into the stack the encoder computes with.
+            assert block.tobytes() == reloaded.value[h].tobytes()
+
+
 # Blocks whose shape the loader does not read to size a stage.
 CHECKED = ("normalizer/mean", "normalizer/std", "temporal/w_key1",
            "temporal/b_pred", "vgae/w_heads", "svdd/w1")

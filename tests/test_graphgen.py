@@ -33,6 +33,70 @@ class TestTypeEmbeddings:
                                        np.mean([u[i] for i in members], axis=0))
 
 
+def add_at_means(attributes, topology):
+    """Per-type means by np.add.at: rows added to a +0.0 start in sensor order."""
+    k = topology.type_count
+    sums = np.zeros(attributes.shape[:-2] + (k, attributes.shape[-1]))
+    np.add.at(sums, (..., topology.type_of, slice(None)), attributes)
+    return sums / np.bincount(topology.type_of, minlength=k)[:, None]
+
+
+# Uneven and interleaved types: flow has 8 sensors, level 3, valve 1.
+MIXED_TOPOLOGY = data.parse_topology("".join(
+    f"sensor s{i} {kind}\n" for i, kind in enumerate(
+        ["flow", "level", "flow", "valve", "flow", "level",
+         "flow", "flow", "flow", "level", "flow", "flow"])))
+
+
+def awkward_attributes(shape, seed):
+    """Entries over many magnitudes, with +-0.0 and subnormals; in the first
+    column every flow sensor (the largest type, so no padding) and every
+    level sensor (1, 5 and 9) holds -0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+    mask = rng.random(shape) < 0.3
+    values[mask] = rng.choice(special, size=int(mask.sum()))
+    values[..., MIXED_TOPOLOGY.type_of != 2, 0] = -0.0
+    return values
+
+
+class TestTypeMeansMatchAddAt:
+    @pytest.mark.parametrize("shape", [(12, 5), (12, 1), (1, 12, 5), (1, 12, 1),
+                                       (266, 12, 32)])
+    def test_bytes_equal_the_add_at_means(self, shape):
+        values = awkward_attributes(shape, seed=len(shape) * 100 + shape[-1])
+        out = graphgen.type_embeddings(values, MIXED_TOPOLOGY)
+        expected = add_at_means(values, MIXED_TOPOLOGY)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_all_negative_zero_type_mean_is_positive_zero(self):
+        # add.at starts every sum at +0.0, so -0.0 rows sum to +0.0.
+        values = awkward_attributes((12, 3), seed=1)
+        out = graphgen.type_embeddings(values, MIXED_TOPOLOGY)
+        assert (out[:2, 0] == 0.0).all() and not np.signbit(out[:2, 0]).any()
+
+    @pytest.mark.parametrize("shape", [(12, 1), (1, 12, 1), (3, 12, 1), (12, 2)])
+    def test_sums_run_in_sensor_order_at_any_width(self, shape):
+        # In sensor order 1 + 1e-16 rounds back to 1 at every step; summed
+        # in pairs the tiny terms first make 2e-16 and survive. A one-column
+        # sum over a gathered (types x members) axis is a contiguous
+        # reduction that numpy adds pairwise, so it would read 1 + 2e-16.
+        values = np.zeros(shape)
+        values[..., MIXED_TOPOLOGY.type_members[0], 0] = [1.0] + [1e-16] * 7
+        out = graphgen.type_embeddings(values, MIXED_TOPOLOGY)
+        assert out.tobytes() == add_at_means(values, MIXED_TOPOLOGY).tobytes()
+        assert (out[..., 0, 0] == 1.0 / 8).all()
+
+    def test_member_table_lists_each_type_in_sensor_order(self):
+        assert MIXED_TOPOLOGY.type_members.tolist() == [
+            [0, 2, 4, 6, 7, 8, 10, 11],
+            [1, 5, 9, 12, 12, 12, 12, 12],
+            [3, 12, 12, 12, 12, 12, 12, 12]]
+        assert PATH_TOPOLOGY.type_members.tolist() == [[0, 1], [2, 3]]
+
+
 class TestTypeSimilarity:
     def test_identical_rows(self):
         sim = graphgen.type_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]))

@@ -73,6 +73,22 @@ class TestPrecisionRecallF1:
         with pytest.raises(DataError, match="0 and 1"):
             metrics.precision_recall_f1([0, 2], [0, 1])
 
+    @pytest.mark.parametrize("bad", [0.5, 0.9, 2, -1, math.nan])
+    def test_rejects_a_value_that_is_not_exactly_0_or_1(self, bad):
+        with pytest.raises(DataError, match="^labels must contain only 0 and 1"):
+            metrics.precision_recall_f1([bad, 1.0, 0.0], [0, 1, 0])
+        with pytest.raises(DataError, match="^predictions must contain only 0 and 1"):
+            metrics.precision_recall_f1([0, 1, 0], [bad, 1.0, 0.0])
+        with pytest.raises(DataError, match="^labels must contain only 0 and 1"):
+            metrics.evaluate_scores([0, bad, 1], [0.1, 0.2, 0.3], threshold=0.15)
+
+    def test_bools_and_float_zeros_and_ones_are_labels(self):
+        expected = metrics.precision_recall_f1([0, 1, 1, 0], [0, 1, 0, 1])
+        assert metrics.precision_recall_f1(
+            [False, True, True, False], np.array([0.0, 1.0, 0.0, 1.0])) == expected
+        assert metrics.precision_recall_f1(
+            np.array([0.0, 1.0, 1.0, -0.0]), [False, True, False, True]) == expected
+
 
 class TestRocAuc:
     def test_hand_example(self):

@@ -22,9 +22,9 @@ def numpy_encode(enc, t):
     """Independent numpy composition of the attention + feed-forward formulas."""
     heads = []
     for h in range(enc.heads):
-        q = t @ enc.w_query[h].value
-        k = t @ enc.w_key[h].value
-        v = t @ enc.w_value[h].value
+        q = t @ enc.w_query.value[h]
+        k = t @ enc.w_key.value[h]
+        v = t @ enc.w_value.value[h]
         scores = (q @ k.T) / math.sqrt(enc.window)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
@@ -44,7 +44,7 @@ class TestAttentionHead:
         assert weights.shape == (1, 1, 1)
         np.testing.assert_allclose(weights[0], [[1.0]])
         out = enc.attend(Tensor(t)).value
-        np.testing.assert_allclose(out[:, 0:2], t @ enc.w_value[0].value)
+        np.testing.assert_allclose(out[:, 0:2], t @ enc.w_value.value[0])
 
     def test_zero_input_gives_uniform_attention_and_zero_output(self):
         enc = make_encoder(sensors=3, window=4, heads=1, head_dim=2)
@@ -55,9 +55,9 @@ class TestAttentionHead:
 
     def test_hand_executed_two_by_two(self):
         enc = make_encoder(sensors=2, window=2, heads=1, head_dim=1)
-        enc.w_query[0].value = np.array([[1.0], [0.0]])
-        enc.w_key[0].value = np.array([[1.0], [0.0]])
-        enc.w_value[0].value = np.array([[0.0], [1.0]])
+        enc.w_query.value[0] = [[1.0], [0.0]]
+        enc.w_key.value[0] = [[1.0], [0.0]]
+        enc.w_value.value[0] = [[0.0], [1.0]]
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
         # Hand execution: q = k = [[1],[0]], v = [[0],[1]],
         # scores/sqrt(2) = [[s,0],[0,0]] with s = 1/sqrt(2).
@@ -85,14 +85,14 @@ class TestAttentionHead:
         assert weights.shape == (2, 3, 4, 4) and out.shape == (2, 4, 6)
         for t, w, o in zip(stack, weights, out):
             for h in range(enc.heads):
-                q = t @ enc.w_query[h].value
-                k = t @ enc.w_key[h].value
+                q = t @ enc.w_query.value[h]
+                k = t @ enc.w_key.value[h]
                 scores = (q @ k.T) / math.sqrt(enc.window)
                 e = np.exp(scores - scores.max(axis=1, keepdims=True))
                 np.testing.assert_allclose(w[h], e / e.sum(axis=1, keepdims=True),
                                            atol=1e-12)
                 np.testing.assert_allclose(o[:, 2 * h:2 * h + 2],
-                                           w[h] @ (t @ enc.w_value[h].value),
+                                           w[h] @ (t @ enc.w_value.value[h]),
                                            atol=1e-12)
 
 
@@ -200,8 +200,36 @@ class TestParameters:
                          "w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
                          "w_pred", "b_pred"]
         params = enc.parameters()
-        assert len({id(p) for p in params}) == len(params) == len(names)
+        assert len({id(p) for p in params}) == len(params) == len(names) - 3
         assert all(p.requires_grad for p in params)
+
+    def test_projections_are_three_stored_stacks(self):
+        enc = make_encoder(window=4, heads=3, head_dim=2)
+        stacks = enc.parameters()[:3]
+        assert stacks == [enc.w_query, enc.w_key, enc.w_value]
+        assert all(p.shape == (3, 4, 2) for p in stacks)
+        assert len(enc.parameters()) == 3 + 7
+
+    def test_head_parameters_are_views_of_the_stacks(self):
+        enc = make_encoder(heads=2)
+        named = dict(enc.named_parameters())
+        for h in range(2):
+            for kind in ("w_query", "w_key", "w_value"):
+                view = named[f"{kind}{h}"].value
+                assert np.array_equal(view, getattr(enc, kind).value[h])
+                view[...] = h + 1.0
+                assert (getattr(enc, kind).value[h] == h + 1.0).all()
+
+    def test_stacked_draws_equal_the_per_head_draws(self):
+        # One (heads x window x head_dim) draw per projection gives the
+        # numbers of one (window x head_dim) draw per head.
+        enc = make_encoder(window=4, heads=3, head_dim=2, seed=30)
+        rng = np.random.default_rng(30)
+        for kind in ("w_query", "w_key", "w_value"):
+            for h in range(3):
+                assert np.array_equal(getattr(enc, kind).value[h],
+                                      ad.uniform_init(rng, 4, 2).value)
+        assert np.array_equal(enc.w_out.value, ad.uniform_init(rng, 6, 4).value)
 
 
 class TestPredictNext:
