@@ -11,6 +11,11 @@ and the per-segment scores (``<f8``).
 Hashing the contents rather than a saved file keeps the digest stable when
 only the checkpoint format changes.
 
+Each variant's pipeline is also saved to a temporary directory and loaded
+back; the script exits 1, naming the variant, unless everything hashed
+(matrix blocks, threshold and test-stream scores) is bit for bit the same
+for the loaded pipeline.
+
 Two trees behave the same when they print the same digests on the same
 host. The digests depend on BLAS threading, so compare runs made with the
 same thread settings; the first line printed names them, e.g.
@@ -23,6 +28,8 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -31,20 +38,36 @@ from cpsdetect import benchmark, checkpoint, pipeline
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def digest(name: str, topology, values, labels) -> str:
-    pipe, segments, results = benchmark.short_run(name, topology, values, labels)
+def contents(pipe, segments, results) -> list[bytes]:
+    """What the digest hashes, in order: every checkpoint matrix block (its
+    utf-8 name, then its ``<f8`` bytes), the threshold, the three outputs of
+    ``expand_to_timestamps`` and the per-segment scores."""
     indices, scores, predictions = pipeline.expand_to_timestamps(
         segments, results, pipe.threshold)
-
-    h = hashlib.sha256()
+    parts = []
     for block, matrix in checkpoint._matrix_blocks(pipe):
-        h.update(block.encode("utf-8"))
-        h.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+        parts += [block.encode("utf-8"),
+                  np.ascontiguousarray(matrix, dtype="<f8").tobytes()]
     for array, dtype in ((pipe.threshold, "<f8"), (indices, "<i8"),
                          (scores, "<f8"), (predictions, "<i8"),
                          ([r.score for r in results], "<f8")):
-        h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
-    return h.hexdigest()
+        parts.append(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return parts
+
+
+def digest(name: str, topology, values, labels) -> str:
+    pipe, segments, results = benchmark.short_run(name, topology, values, labels)
+    trained = contents(pipe, segments, results)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        checkpoint.save_checkpoint(path, pipe)
+        loaded = checkpoint.load_checkpoint(path, pipe.topology)
+    test = values[benchmark.TRAIN_ROWS:]
+    if contents(loaded, *pipeline.score_stream(loaded, test)) != trained:
+        print(f"{name}: the loaded checkpoint differs from the trained "
+              "pipeline", file=sys.stderr)
+        sys.exit(1)
+    return hashlib.sha256(b"".join(trained)).hexdigest()
 
 
 def main() -> None:

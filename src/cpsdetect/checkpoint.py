@@ -17,6 +17,8 @@ fixed order, so identical training runs produce byte-identical files. Two
 text blocks lead: ``config`` and ``topology``, the training topology in the
 topology file format; loading against any other topology is an error. A
 version mismatch on load is an error, never a silent migration.
+Loading builds the stages from the stored config through
+``pipeline.build_stages``, then shape-checks every block against them.
 """
 from __future__ import annotations
 
@@ -28,20 +30,10 @@ import numpy as np
 from .config import PipelineConfig, config_to_text, parse_config_text
 from .data import Normalizer, SensorTopology, format_topology
 from .errors import ConfigError, DataError, reading
-from .pipeline import TrainedPipeline
-from .svdd import SvddNet
-from .temporal import TemporalEncoder
-from .vgae import VgaeEncoder
+from .pipeline import TrainedPipeline, build_stages, named_stages
 
 MAGIC = b"CPSD"
 VERSION = 2
-
-
-def _stages(pipe: TrainedPipeline) -> list[tuple[str, object]]:
-    """The learned stages present, by block-name prefix, in checkpoint order."""
-    stages = [("temporal", pipe.temporal), ("vgae", pipe.vgae),
-              ("svdd", pipe.svdd)]
-    return [(prefix, stage) for prefix, stage in stages if stage is not None]
 
 
 def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
@@ -49,7 +41,7 @@ def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
     if pipe.normalizer is not None:
         blocks.append(("normalizer/mean", pipe.normalizer.mean.reshape(1, -1)))
         blocks.append(("normalizer/std", pipe.normalizer.std.reshape(1, -1)))
-    for prefix, stage in _stages(pipe):
+    for prefix, stage in named_stages((pipe.temporal, pipe.vgae, pipe.svdd)):
         blocks.extend((f"{prefix}/{name}", p.value)
                       for name, p in stage.named_parameters())
     blocks.append(("detector/center", pipe.svdd.center.reshape(1, -1)))
@@ -167,33 +159,15 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
             _shaped(blocks, "normalizer/mean", (1, topology.n))[0],
             _shaped(blocks, "normalizer/std", (1, topology.n))[0])
 
-    rng = np.random.default_rng(0)  # weights are overwritten below
-    temporal = None
-    if config.temporal.enabled:
-        temporal = TemporalEncoder(
-            topology.n, config.window.length, config.temporal.heads,
-            config.temporal.head_dim, config.temporal.model_dim, rng,
-            positional_encoding=config.temporal.positional_encoding)
-
-    # Stage widths come from the config, so every block is checked against it.
-    width = (config.temporal.model_dim if config.temporal.enabled
-             else config.window.length)
-    vgae = None
-    if config.vgae.enabled:
-        vgae = VgaeEncoder(width, config.vgae.hidden_dim,
-                           config.vgae.embed_dim, rng,
-                           kl_weight=config.vgae.kl_weight)
-        width = config.vgae.embed_dim
-
-    input_dim = topology.n * width if config.svdd.pooling == "flatten" else width
-    net = SvddNet(input_dim, config.svdd.widths, config.svdd.slope, rng)
-    net.center = _shaped(blocks, "detector/center", (1, net.widths[-1]))[0]
-    net.trained = True
-
-    pipe = TrainedPipeline(config, topology, normalizer, temporal, vgae, net,
-                           float(_block(blocks, "detector/threshold")))
-    # In place: a per-head view writes into its stage's stored stack.
-    for prefix, stage in _stages(pipe):
+    stages = build_stages(config, topology,
+                          np.random.SeedSequence(config.run.seed).spawn(4))
+    # Each block overwrites its initial draw in place: a per-head view
+    # writes into its stage's stored stack.
+    for prefix, stage in named_stages(stages):
         for name, param in stage.named_parameters():
             param.value[...] = _shaped(blocks, f"{prefix}/{name}", param.value.shape)
-    return pipe
+    net = stages[-1]
+    net.center = _shaped(blocks, "detector/center", (1, net.widths[-1]))[0]
+    net.trained = True
+    return TrainedPipeline(config, topology, normalizer, *stages,
+                           float(_block(blocks, "detector/threshold")))

@@ -127,9 +127,6 @@ def cmd_synth(args) -> int:
     out = _out_dir(config)
     data_mod.save_topology(out / "topology.txt", topology)
     if synth.split is not None:
-        if not 0 < synth.split < synth.length:
-            raise ConfigError(f"split {synth.split} outside stream of "
-                              f"length {synth.length}")
         data_mod.save_csv(out / "train.csv", topology, values[:synth.split],
                           labels[:synth.split])
         data_mod.save_csv(out / "test.csv", topology,

@@ -108,7 +108,7 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for name, value in (("temporal.epochs", t.epochs),
                             ("vgae.epochs", v.epochs),
-                            ("svdd.epochs", s.epochs)):
+                            ("svdd.epochs", s.epochs), ("run.seed", r.seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
         if v.kl_weight < 0:

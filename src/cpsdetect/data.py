@@ -393,6 +393,11 @@ class SyntheticConfig:
             raise ConfigError(f"density must be in [0, 1], got {self.density}")
         if self.drift_delay < 0 or self.cascade_lag < 0:
             raise ConfigError("delays must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic.seed must be non-negative, got {self.seed}")
+        if self.split is not None and not 0 < self.split < self.length:
+            raise ConfigError(f"synthetic.split {self.split} outside stream "
+                              f"of length {self.length}")
         spans = sorted((w.start, w.start + w.duration) for w in self.anomalies)
         for (s0, e0), (s1, _) in zip(spans, spans[1:]):
             if s1 < e0:

@@ -11,7 +11,9 @@ missing edge weighting, and the pooled embeddings themselves for the missing
 graph autoencoder, in which case no graph is built. The stream is windowed
 once into one stack; training drops anomalous windows and picks prediction
 pairs with masks over its row index, every stage runs once over the stack,
-and scoring records no autodiff graph.
+and scoring records no autodiff graph. ``build_stages`` alone decides which
+learned stages exist, their shapes (from the config and topology only) and
+their initial draws' seeds; training and checkpoint loading start from it.
 """
 from __future__ import annotations
 
@@ -42,6 +44,36 @@ class TrainedPipeline:
     svdd: SvddNet
     threshold: float
     traces: dict[str, list[float]] = field(default_factory=dict)
+
+
+def build_stages(config: PipelineConfig, topology: SensorTopology,
+                 seeds: Sequence[np.random.SeedSequence]
+                 ) -> tuple[TemporalEncoder | None, VgaeEncoder | None, SvddNet]:
+    """The untrained (temporal, vgae, svdd) stages the config enables, drawn
+    from ``seeds`` 0, 1 and 3; seed 2 is the VGAE's sampling noise."""
+    t, v = config.temporal, config.vgae
+    temporal = vgae = None
+    width = config.window.length
+    if t.enabled:
+        temporal = TemporalEncoder(topology.n, width, t.heads, t.head_dim,
+                                   t.model_dim, np.random.default_rng(seeds[0]),
+                                   positional_encoding=t.positional_encoding)
+        width = t.model_dim
+    if v.enabled:
+        vgae = VgaeEncoder(width, v.hidden_dim, v.embed_dim,
+                           np.random.default_rng(seeds[1]), kl_weight=v.kl_weight)
+        width = v.embed_dim
+    input_dim = topology.n * width if config.svdd.pooling == "flatten" else width
+    svdd = SvddNet(input_dim, config.svdd.widths, config.svdd.slope,
+                   np.random.default_rng(seeds[3]))
+    return temporal, vgae, svdd
+
+
+def named_stages(stages: Sequence[object]) -> list[tuple[str, object]]:
+    """(block-name prefix, stage) for each stage present in a (temporal,
+    vgae, svdd) triple, in checkpoint order."""
+    return [pair for pair in zip(("temporal", "vgae", "svdd"), stages)
+            if pair[1] is not None]
 
 
 def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
@@ -112,14 +144,10 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     say(f"[data] {len(normal)} normal training segments of length {length}")
 
     seeds = np.random.SeedSequence(config.run.seed).spawn(4)
+    temporal, vgae_encoder, net = build_stages(config, topology, seeds)
     traces: dict[str, list[float]] = {}
 
-    temporal = None
-    if config.temporal.enabled:
-        temporal = TemporalEncoder(
-            topology.n, length, config.temporal.heads, config.temporal.head_dim,
-            config.temporal.model_dim, np.random.default_rng(seeds[0]),
-            positional_encoding=config.temporal.positional_encoding)
+    if temporal is not None:
         # A pair is a normal window and the `length` rows right after it,
         # which must lie in the stream and hold no anomalous row.
         pairs = np.flatnonzero(~anomalous & (segments.ends + length <= len(values)))
@@ -133,15 +161,10 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             temporal, segments.values[pairs], values[successors].transpose(0, 2, 1),
             config.temporal.epochs, config.temporal.lr, log)
 
-    vgae_encoder = None
-    if config.vgae.enabled:
+    if vgae_encoder is not None:
         graphs = segment_graphs(config, topology, temporal, normal)
-        input_dim = graphs.attributes.shape[-1]
-        vgae_encoder = VgaeEncoder(
-            input_dim, config.vgae.hidden_dim, config.vgae.embed_dim,
-            np.random.default_rng(seeds[1]), kl_weight=config.vgae.kl_weight)
         say(f"[vgae] training on {len(normal)} graphs "
-            f"(attribute dim {input_dim})")
+            f"(attribute dim {vgae_encoder.input_dim})")
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
@@ -157,8 +180,6 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     fit_features = features[:split]
     calibration_features = features[split:] if split < len(features) else fit_features
 
-    net = SvddNet(features.shape[1], config.svdd.widths, config.svdd.slope,
-                  np.random.default_rng(seeds[3]))
     net.init_center(fit_features)
     say(f"[svdd] training on {fit_features.shape[0]} samples of dim "
         f"{features.shape[1]}, calibrating on {len(calibration_features)}")

@@ -1,11 +1,13 @@
-"""One-class hypersphere detector over flattened graph embeddings.
+"""One-class hypersphere detector over one pooled feature row per window.
 
-A small bias-free network maps each embedding vector into an output space
-where training pulls normal samples toward a fixed center; the anomaly score
-of a sample is its squared distance to that center. Bias-free layers and an
-unbounded leaky activation are deliberate: together with a nonzero fixed
-center they block the degenerate solution where everything collapses onto
-the center regardless of input.
+Each input row is one window's (nodes x dim) embedding, flattened or averaged
+over nodes: VGAE posterior means with the graph autoencoder on, otherwise
+temporal embeddings or the raw window. A small bias-free network maps each
+row to an output space where training pulls normal rows toward a fixed
+center; a row's anomaly score is its squared distance to that center.
+Bias-free layers and an unbounded leaky activation are deliberate: with a
+nonzero fixed center they block the degenerate solution where everything
+collapses onto the center regardless of input.
 """
 from __future__ import annotations
 

@@ -145,14 +145,21 @@ def _one_short(block, axis):
     return cut
 
 
+def _replace_once(blob, old, new):
+    assert blob.count(old) == 1 and len(old) == len(new)
+    return blob.replace(old, new)
+
+
 _SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 
 
-# case -> (flag, what it is given, documented exit code). Bytes are written
-# to a file; a function maps the trained fixture's file for that flag to the
-# bad bytes; None passes a directory; a string is passed as it is. The flag
-# "segments" passes the file as --scores with --granularity segment; the flag
-# "train-set" passes its string as a --set of a tiny `train` run.
+# case -> (flag, what it is given, documented exit code[, text the message
+# must contain]). Bytes are written to a file; a function maps the trained
+# fixture's file for that flag to the bad bytes; None passes a directory; a
+# string is passed as it is. The flag "segments" passes the file as --scores
+# with --granularity segment; the flag "train-set" passes its string as a
+# --set of a tiny `train` run, and "synth" its words as the flags of a tiny
+# `synth` run.
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
@@ -182,11 +189,24 @@ EXIT_CASES = {
     "config not utf-8": ("config", b"[run]\nseed = 1\xff\n", 1),
     "config unknown key": ("config", b"[run]\nbogus = 1\n", 1),
     "config split not an integer": ("set", "synthetic.split=abc", 1),
-    **{f"config {setting} not finite": ("train-set", setting, 1)
+    **{f"config {setting} not finite": (
+        "train-set", setting, 1, f"{setting.split('=')[0]} must be finite")
        for setting in ("svdd.lr=nan", "temporal.lr=inf", "vgae.kl_weight=inf",
                        "svdd.slope=nan")},
+    "config negative run seed": (
+        "train-set", "run.seed=-1", 1, "run.seed must be non-negative, got -1"),
+    "synth negative seed": (
+        "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
+    **{f"synth split {split}": (
+        "synth", f"--split {split}", 1,
+        f"synthetic.split {split} outside stream of length 400")
+       for split in ("0", "400", "-5")},
     "checkpoint config split not an integer": (
         "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
+    "checkpoint negative run seed": (
+        "checkpoint", lambda b: _replace_once(b, b"[run]\nseed = 7\n",
+                                              b"[run]\nseed =-7\n"),
+        1, "run.seed must be non-negative, got -7"),
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
        for n in (0, 3, 11, 40, 700)},
     "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),
@@ -203,7 +223,7 @@ EXIT_CASES = {
 
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, case):
-    flag, given, expected = EXIT_CASES[case]
+    flag, given, expected, *message = EXIT_CASES[case]
     args = {"data": trained / "test.csv", "topology": trained / "topology.txt",
             "checkpoint": trained / "model.ckpt"}
     if given is None:
@@ -222,6 +242,8 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     elif flag == "train-set":
         argv = ["train", "--data", str(trained / "train.csv"),
                 "--topology", str(args["topology"]), *_sets(SETTINGS), "--set", given]
+    elif flag == "synth":
+        argv = ["synth", *_sets(SETTINGS), *given.split()]
     else:
         argv = ["score", *(arg for name, value in args.items()
                            for arg in (f"--{name}", str(value)))]
@@ -230,8 +252,11 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     assert code == expected, err
     assert err.startswith("error: " if expected == 1 else "data error: "), err
     assert "Traceback" not in err
-    if flag == "train-set":
-        assert f"{given.split('=')[0]} must be finite" in err, err
+    for text in message:
+        assert text in err, err
+    if flag == "synth":
+        # Synth checks its settings before it writes anything.
+        assert not (tmp_path / "out").exists()
     if expected == 2:
         # A data error names its file; a topology mismatch, the checkpoint.
         named = "checkpoint" if case.endswith("checkpoint's") else flag

@@ -399,3 +399,10 @@ class TestSynthetic:
             self._config(types=1).validate()
         with pytest.raises(ConfigError):
             self._config(density=1.5).validate()
+        with pytest.raises(ConfigError, match="synthetic.seed"):
+            self._config(seed=-1).validate()
+        for split in (-1, 0, 400, 401):
+            with pytest.raises(ConfigError, match="synthetic.split"):
+                self._config(split=split).validate()
+        for split in (None, 1, 399):
+            self._config(seed=0, split=split).validate()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpsdetect import benchmark, data, pipeline, svdd
+from cpsdetect import benchmark, checkpoint, data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
 from cpsdetect.temporal import TemporalEncoder
@@ -111,6 +111,35 @@ def test_whole_stream_scores_equal_per_window_scores(variant, pooling):
         _, (alone,) = pipeline.score_stream(pipe, test[start:end])
         assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)
         assert alone.predicted == result.predicted
+
+
+@pytest.mark.parametrize("variant,pooling", [
+    *((v, "flatten") for v in benchmark.VARIANTS), ("full", "mean")])
+def test_training_starts_from_the_built_stages(tmp_path, variant, pooling):
+    # With no epochs, training leaves every stage as build_stages drew it.
+    config = tiny_config(variant)
+    config.svdd.pooling = pooling
+    config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 0
+    topology, values, labels, _ = tiny_data(config)
+    pipe = pipeline.train_pipeline(config, topology, values, labels)
+    built = pipeline.named_stages(pipeline.build_stages(
+        config, topology, np.random.SeedSequence(config.run.seed).spawn(4)))
+    trained = pipeline.named_stages((pipe.temporal, pipe.vgae, pipe.svdd))
+    assert [prefix for prefix, _ in built] == [prefix for prefix, _ in trained]
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    blocks = checkpoint._read_blocks(path)
+    compared = []
+    for (prefix, fresh), (_, kept) in zip(built, trained):
+        for (name, drawn), (kept_name, param) in zip(
+                fresh.named_parameters(), kept.named_parameters(), strict=True):
+            assert kept_name == name
+            assert drawn.value.shape == blocks[f"{prefix}/{name}"].shape
+            assert drawn.value.tobytes() == param.value.tobytes()
+            compared.append(f"{prefix}/{name}")
+    assert compared == [name for name, _ in checkpoint._matrix_blocks(pipe)
+                        if name.split("/")[0] in ("temporal", "vgae", "svdd")]
+    assert blocks["detector/center"].shape == (1, built[-1][1].widths[-1])
 
 
 def test_scoring_records_no_graph(monkeypatch):
