@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-Everything the learned stages need lives here: a ``Tensor`` graph node, a
-closed set of differentiable primitives, an adaptive-moment optimizer with
-decoupled weight decay, and the one training loop every stage runs. A value
+Everything the learned stages need lives here: a ``Tensor`` (a value plus,
+if it requires a gradient, its graph node), a closed set of differentiable
+primitives, an adaptive-moment optimizer with decoupled weight decay, and
+the one training loop every stage runs. A value
 is a matrix or a stack of matrices (leading stack axes; vectors are 1 x n);
 ops act on the last two axes. An elementwise operand of the other's trailing
 shape is shared across the stack. ``matmul`` broadcasts its operands' stack
@@ -12,6 +13,18 @@ over that axis.
 ``no_grad`` turns graph recording off for inference.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
+
+A recorded graph is a chain of small node records, kept apart from the
+tensors' forward values. A node holds its parents' nodes (the operands that
+require a gradient), the op's backward closure, the value's shape and the
+gradient received so far. Each closure captures only the arrays its
+backward reads: ``matmul`` and ``mul`` the other operand, and only for a
+side that needs a gradient; ``frobenius_sq`` its input; ``exp``,
+``sigmoid`` and ``softmax_rows`` their own output; ``relu`` and ``clamp``
+their masks; ``leaky_relu`` its factor. Every other forward value, such as
+a bias sum or the attention logits before the softmax, is freed as soon as
+the expression that made it no longer holds its tensor, so a graph keeps
+about half the bytes it would if every node kept its value.
 
 The reverse pass does only work that reaches a trainable tensor: gradients
 flow only to tensors that require them, so a constant operand (an input, a
@@ -27,7 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,7 +54,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no graph inside the block: results have no parents."""
+    """Record no graph inside the block: results require no gradient."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -55,16 +68,35 @@ def _as_matrix(value) -> Array:
     return arr.reshape(1, -1) if arr.ndim < 2 else arr
 
 
-class Tensor:
-    """A float64 matrix (or stack) plus the plumbing to replay its backward pass.
+class _Node:
+    """A tensor that requires a gradient, as the reverse pass sees it.
 
-    ``value`` is the forward result, ``grad`` is materialized lazily during
-    :meth:`backward`. Leaf tensors created with ``requires_grad=True`` are
-    trainable parameters; everything else is either a constant or an
-    intermediate node holding references to its parents.
+    ``parents`` are the nodes of the operands that require a gradient (an
+    operand used twice appears twice), ``backward`` hands a gradient of
+    ``shape`` on to them (``None`` for a leaf), and ``grad`` is the gradient
+    received so far. No forward value is kept here.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward", "shape", "grad")
+
+    def __init__(self, parents: tuple, backward: Callable | None,
+                 shape: tuple[int, ...]):
+        self.parents = parents
+        self.backward = backward
+        self.shape = shape
+        self.grad: Array | None = None
+
+
+class Tensor:
+    """A float64 matrix (or stack) plus, if it requires a gradient, its node.
+
+    ``value`` is the forward result. Leaf tensors created with
+    ``requires_grad=True`` are trainable parameters; a recorded op's result
+    requires a gradient too, and its node links the graph. A constant has
+    no node and its ``grad`` is always ``None``.
+    """
+
+    __slots__ = ("value", "_node")
 
     def __init__(self, value, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
@@ -72,10 +104,23 @@ class Tensor:
         if not np.isfinite(self.value).all():
             raise NumericError(
                 f"non-finite entries in tensor of shape {self.value.shape}")
-        self.grad: Array | None = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._node = (_Node(_parents, _backward, self.value.shape)
+                      if requires_grad else None)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Array | None:
+        node = self._node
+        return None if node is None else node.grad
+
+    @grad.setter
+    def grad(self, g: Array | None) -> None:
+        if self._node is None:
+            raise AttributeError("a tensor that requires no gradient has no .grad")
+        self._node.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,56 +137,66 @@ class Tensor:
         repeated calls on the same graph are deterministic and each node is
         visited exactly once. An interior node's gradient is dropped once
         its parents have received their share, so afterwards only leaves
-        (parameters and ``requires_grad`` inputs) hold a ``.grad``.
+        (parameters and ``requires_grad`` inputs) hold a ``.grad``. It
+        reads only the arrays the ops' closures captured, so the loss's
+        intermediate tensors need not be alive.
         """
         if self.shape != (1, 1):
             raise ValueError(f"backward requires a 1x1 loss, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node] = []
+        seen: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
+            for parent in node.parents:
+                if parent not in seen:
                     stack.append((parent, False))
         for node in topo:
             node.grad = None
-        self.grad = np.ones((1, 1))
+        root.grad = np.ones((1, 1))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
                 node.grad = None
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
-    """Add ``g`` to the gradient of ``t``, which must require one.
+def _accumulate(node: _Node, g: Array) -> None:
+    """Add ``g`` to the gradient of ``node``.
 
     A ``g`` of the broadcast result's shape is first summed over every axis
-    ``t`` was broadcast along: the leading axes it lacks and its size-1 axes.
-    The first contribution is stored as it is; a later one makes a new sum,
-    so no ``.grad`` array is ever written in place.
+    the node's value was broadcast along: the leading axes it lacks and its
+    size-1 axes. The first contribution is stored as it is; a later one
+    makes a new sum, so no ``.grad`` array is ever written in place.
     """
-    shape = t.value.shape
+    shape = node.shape
     if g.shape != shape:
         lead = g.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(
             lead + i for i, n in enumerate(shape) if n == 1)
         g = g.sum(axis=axes, keepdims=True).reshape(shape)
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
-def _node(value, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True,
-                      _parents=tuple(parents), _backward=backward)
-    return Tensor(value)
+# Every op first computes its value, then reads its operands' nodes: with
+# recording off (``no_grad``) or no operand requiring a gradient, it returns
+# a constant and builds no closure. Otherwise the result's parents are the
+# operands' nodes that are not None.
+
+
+def _pair(na: _Node | None, nb: _Node | None) -> tuple:
+    if na is None:
+        return (nb,)
+    return (na,) if nb is None else (na, nb)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -153,39 +208,53 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
+    value = a.value + b.value
+    na, nb = a._node, b._node
+    if not _grad_enabled or (na is None and nb is None):
+        return Tensor(value)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+        if na is not None:
+            _accumulate(na, g)
+        if nb is not None:
+            _accumulate(nb, g)
 
-    return _node(a.value + b.value, (a, b), backward)
+    return Tensor(value, True, _pair(na, nb), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
+    value = a.value - b.value
+    na, nb = a._node, b._node
+    if not _grad_enabled or (na is None and nb is None):
+        return Tensor(value)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
+        if na is not None:
+            _accumulate(na, g)
+        if nb is not None:
+            _accumulate(nb, -g)
 
-    return _node(a.value - b.value, (a, b), backward)
+    return Tensor(value, True, _pair(na, nb), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
     _check_broadcast(a, b, "mul")
+    value = a.value * b.value
+    na, nb = a._node, b._node
+    if not _grad_enabled or (na is None and nb is None):
+        return Tensor(value)
+    av = a.value if nb is not None else None
+    bv = b.value if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.value)
-        if b.requires_grad:
-            _accumulate(b, g * a.value)
+        if na is not None:
+            _accumulate(na, g * bv)
+        if nb is not None:
+            _accumulate(nb, g * av)
 
-    return _node(a.value * b.value, (a, b), backward)
+    return Tensor(value, True, _pair(na, nb), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -194,22 +263,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         value = a.value @ b.value
     except ValueError:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
+    na, nb = a._node, b._node
+    if not _grad_enabled or (na is None and nb is None):
+        return Tensor(value)
+    av = a.value if nb is not None else None
+    bv = b.value if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        if na is not None:
+            _accumulate(na, g @ np.swapaxes(bv, -1, -2))
+        if nb is not None:
+            _accumulate(nb, np.swapaxes(av, -1, -2) @ g)
 
-    return _node(value, (a, b), backward)
+    return Tensor(value, True, _pair(na, nb), backward)
 
 
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; the result is a C-contiguous copy."""
-    def backward(g):
-        _accumulate(a, np.swapaxes(g, axis1, axis2))
+    value = np.swapaxes(a.value, axis1, axis2).copy()
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
-    return _node(np.swapaxes(a.value, axis1, axis2).copy(), (a,), backward)
+    def backward(g):
+        _accumulate(node, np.swapaxes(g, axis1, axis2))
+
+    return Tensor(value, True, (node,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -219,40 +298,57 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """The same entries, read in C order, in a new shape."""
-    def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+    value = a.value.reshape(shape)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
-    return _node(a.value.reshape(shape), (a,), backward)
+    def backward(g):
+        _accumulate(node, g.reshape(node.shape))
+
+    return Tensor(value, True, (node,), backward)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (not differentiated w.r.t. the scalar)."""
     factor = float(factor)
+    value = a.value * factor
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
     def backward(g):
-        _accumulate(a, g * factor)
+        _accumulate(node, g * factor)
 
-    return _node(a.value * factor, (a,), backward)
+    return Tensor(value, True, (node,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    value = np.maximum(a.value, 0.0)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
     mask = a.value > 0.0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(node, g * mask)
 
-    return _node(np.maximum(a.value, 0.0), (a,), backward)
+    return Tensor(value, True, (node,), backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     # The output's derivative, gathered with take(): in the SVDD fit it beats
     # both np.where's branchy loop and fancy indexing.
     factor = np.array([slope, 1.0]).take((a.value > 0.0).view(np.uint8))
+    value = a.value * factor
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
     def backward(g):
-        _accumulate(a, g * factor)
+        _accumulate(node, g * factor)
 
-    return _node(a.value * factor, (a,), backward)
+    return Tensor(value, True, (node,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -262,22 +358,28 @@ def sigmoid(a: Tensor) -> Tensor:
     np.logaddexp(0.0, y, out=y)
     np.negative(y, out=y)
     np.exp(y, out=y)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(y)
 
     def backward(g):
-        _accumulate(a, g * y * (1.0 - y))
+        _accumulate(node, g * y * (1.0 - y))
 
-    return _node(y, (a,), backward)
+    return Tensor(y, True, (node,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     # Overflow surfaces as a NumericError from the constructor, not a warning.
     with np.errstate(over="ignore"):
         y = np.exp(a.value)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(y)
 
     def backward(g):
-        _accumulate(a, g * y)
+        _accumulate(node, g * y)
 
-    return _node(y, (a,), backward)
+    return Tensor(y, True, (node,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -293,49 +395,71 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = x - row_max
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(y)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - inner))
+        _accumulate(node, y * (g - inner))
 
-    return _node(y, (a,), backward)
+    return Tensor(y, True, (node,), backward)
 
 
 def total_sum(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, np.full_like(a.value, g[0, 0]))
+    value = [[a.value.sum()]]
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
-    return _node([[a.value.sum()]], (a,), backward)
+    def backward(g):
+        _accumulate(node, np.full(node.shape, g[0, 0]))
+
+    return Tensor(value, True, (node,), backward)
 
 
 def frobenius_sq(a: Tensor) -> Tensor:
     """Squared Frobenius norm, i.e. the sum of squared entries."""
-    def backward(g):
-        _accumulate(a, 2.0 * g[0, 0] * a.value)
+    x = a.value
+    value = [[float((x * x).sum())]]
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
-    return _node([[float((a.value * a.value).sum())]], (a,), backward)
+    def backward(g):
+        _accumulate(node, 2.0 * g[0, 0] * x)
+
+    return Tensor(value, True, (node,), backward)
 
 
 def clamp(a: Tensor, low: float, high: float) -> Tensor:
     """Clip entries to [low, high]; gradient flows where the input is in range."""
+    value = np.clip(a.value, low, high)
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
     mask = (a.value >= low) & (a.value <= high)
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(node, g * mask)
 
-    return _node(np.clip(a.value, low, high), (a,), backward)
+    return Tensor(value, True, (node,), backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[-1]):
         raise ValueError(f"column slice [{start}:{stop}] out of range for {a.shape}")
+    value = a.value[..., start:stop].copy()
+    node = a._node
+    if not _grad_enabled or node is None:
+        return Tensor(value)
 
     def backward(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros(node.shape)
         full[..., start:stop] = g
-        _accumulate(a, full)
+        _accumulate(node, full)
 
-    return _node(a.value[..., start:stop].copy(), (a,), backward)
+    return Tensor(value, True, (node,), backward)
 
 
 def uniform_init(rng: np.random.Generator, *shape: int) -> Tensor:
@@ -414,6 +538,14 @@ def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
     """Adam on ``loss_fn()``, rebuilt each epoch; returns the per-epoch losses.
 
     Every tenth of the run is logged as ``[tag] epoch e/E loss=...``.
+
+    An epoch's ``loss``, and through its node the epoch's recorded graph,
+    stays referenced until the next epoch's ``loss_fn()`` has built the
+    next graph, so the peak holds two graphs. Dropping it earlier frees the
+    top of the heap each epoch; the allocator then hands that memory back
+    to the OS and faults it back in on the next epoch, which costs more
+    time than it saves memory. A graph holds only what its backward reads,
+    which keeps both graphs small instead.
     """
     optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
     trace: list[float] = []

@@ -101,7 +101,7 @@ def _read_blocks(path) -> dict[str, object]:
     version, count = reader.unpack("<II")
     if version != VERSION:
         raise ConfigError(
-            f"{path}: checkpoint format version {version} is not "
+            f"checkpoint format version {version} is not "
             f"supported (expected {VERSION})")
     blocks: dict[str, object] = {}
     for _ in range(count):
@@ -140,7 +140,8 @@ def _shaped(blocks: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
     """Rebuild a trained pipeline; the topology must equal the training one.
 
-    A malformed or mismatched checkpoint is a DataError that names ``path``.
+    A malformed or mismatched checkpoint is a DataError, and a bad stored
+    config a ConfigError; either names ``path``.
     """
     with reading(path):
         return _rebuild(_read_blocks(path), topology)

@@ -20,11 +20,12 @@ class NumericError(ArithmeticError):
 
 @contextmanager
 def reading(path):
-    """Turn a DataError or a decoding error raised while reading ``path``
-    into a DataError whose message begins with the path."""
+    """Put ``path`` in front of the message of a DataError or ConfigError
+    raised while reading it, keeping its type; a decoding error becomes a
+    DataError that names the path."""
     try:
         yield
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not utf-8 text ({err.reason})") from None
-    except DataError as err:
-        raise DataError(f"{path}: {err}") from None
+    except (DataError, ConfigError) as err:
+        raise type(err)(f"{path}: {err}") from None

@@ -49,7 +49,6 @@ class SvddNet:
                  slope: float, rng: np.random.Generator):
         if not widths:
             raise ValueError("need at least one layer width")
-        self.input_dim = input_dim
         self.widths = tuple(int(w) for w in widths)
         self.slope = slope
         dims = [input_dim, *self.widths]

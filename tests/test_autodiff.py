@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -476,11 +477,12 @@ class TestNoGrad:
         p = param([[1.0, 2.0]])
         with ad.no_grad():
             out = ad.relu(ad.add(p, p))
-        assert out._parents == () and out._backward is None
+        assert out._node is None and out.grad is None
         assert not out.requires_grad
         assert p.requires_grad
         again = ad.add(p, p)
-        assert again._parents == (p, p) and again.requires_grad
+        assert again._node.parents == (p._node, p._node) and again.requires_grad
+        assert again._node.backward is not None
 
     def test_restores_the_previous_state_after_an_exception(self):
         p = param([[1.0]])
@@ -689,3 +691,44 @@ def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(leng
     values[1, :, 0] = 0.0
     values[1, :, -1] = -0.0
     assert_softmax_rows_matches_the_shifted_exp_formula(values, length)
+
+
+# Ops whose backward never reads their input's value, with a constant for
+# the binary ones.
+INPUT_FREE_OPS = [
+    ("add", lambda t, c: ad.add(t, c)),
+    ("sub", lambda t, c: ad.sub(c, t)),
+    ("scale", lambda t, c: ad.scale(t, -1.7)),
+    ("reshape", lambda t, c: ad.reshape(t, (4, 6))),
+    ("swap_axes", lambda t, c: ad.swap_axes(t, 0, 1)),
+    ("relu", lambda t, c: ad.relu(t)),
+    ("clamp", lambda t, c: ad.clamp(t, -0.5, 0.5)),
+    ("slice_cols", lambda t, c: ad.slice_cols(t, 1, 3)),
+    ("softmax_rows", lambda t, c: ad.softmax_rows(t)),
+    ("exp", lambda t, c: ad.exp(t)),
+    ("sigmoid", lambda t, c: ad.sigmoid(t)),
+    ("total_sum", lambda t, c: ad.total_sum(t)),
+]
+
+
+@pytest.mark.parametrize("name,op", INPUT_FREE_OPS, ids=[o[0] for o in INPUT_FREE_OPS])
+def test_graph_drops_an_input_its_backward_does_not_read(name, op):
+    rng = np.random.default_rng(7)
+    p = param(rng.normal(size=(2, 3, 4)))
+    c = ad.Tensor(rng.normal(size=(2, 3, 4)))
+
+    def forward(t):
+        # The op's input is an interior tensor with a value of its own.
+        return op(ad.scale(t, 1.5), c)
+
+    probe = _scalar_probe(rng, forward(ad.Tensor(p.value)).shape)
+    x = ad.scale(p, 1.5)
+    freed = weakref.ref(x.value)
+    y = op(x, c)
+    loss = probe(y)
+    del x, y
+    assert freed() is None
+    loss.backward()
+    numeric = finite_difference(
+        lambda: float(probe(forward(ad.Tensor(p.value))).value[0, 0]), p.value)
+    assert relative_gradient_error(p.grad, numeric) < RTOL

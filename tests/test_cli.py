@@ -257,7 +257,8 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     if flag == "synth":
         # Synth checks its settings before it writes anything.
         assert not (tmp_path / "out").exists()
-    if expected == 2:
-        # A data error names its file; a topology mismatch, the checkpoint.
+    if expected == 2 or flag == "checkpoint":
+        # A data error names its file; a topology mismatch, the checkpoint;
+        # a bad config stored in a checkpoint, the checkpoint too.
         named = "checkpoint" if case.endswith("checkpoint's") else flag
         assert str(args[named]) in err
