@@ -537,7 +537,8 @@ def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
         log: Callable[[str], None] | None = None, tag: str = "fit") -> list[float]:
     """Adam on ``loss_fn()``, rebuilt each epoch; returns the per-epoch losses.
 
-    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``.
+    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``, and a
+    ``NumericError`` is raised again as ``[tag] epoch e/E: ...``.
 
     An epoch's ``loss``, and through its node the epoch's recorded graph,
     stays referenced until the next epoch's ``loss_fn()`` has built the
@@ -550,10 +551,14 @@ def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
     optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
     trace: list[float] = []
     for epoch in range(epochs):
-        optimizer.zero_grad()
-        loss = loss_fn()
-        loss.backward()
-        optimizer.step()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                optimizer.zero_grad()
+                loss = loss_fn()
+                loss.backward()
+                optimizer.step()
+        except NumericError as err:
+            raise NumericError(f"[{tag}] epoch {epoch + 1}/{epochs}: {err}") from None
         trace.append(float(loss.value[0, 0]))
         if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
             log(f"[{tag}] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")

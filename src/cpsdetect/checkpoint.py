@@ -15,8 +15,10 @@ Layout (all integers little-endian):
 Block names are namespaced per stage (``temporal/w_out``) and written in a
 fixed order, so identical training runs produce byte-identical files. Two
 text blocks lead: ``config`` and ``topology``, the training topology in the
-topology file format; loading against any other topology is an error. A
-version mismatch on load is an error, never a silent migration.
+topology file format; loading against any other topology is an error. The
+matrix blocks always start with the z-score statistics ``normalizer/mean``
+and ``normalizer/std``. A version mismatch on load is an error, never a
+silent migration.
 Loading builds the stages from the stored config through
 ``pipeline.build_stages``, then shape-checks every block against them.
 """
@@ -33,14 +35,12 @@ from .errors import ConfigError, DataError, reading
 from .pipeline import TrainedPipeline, build_stages, named_stages
 
 MAGIC = b"CPSD"
-VERSION = 2
+VERSION = 3
 
 
 def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
-    blocks: list[tuple[str, np.ndarray]] = []
-    if pipe.normalizer is not None:
-        blocks.append(("normalizer/mean", pipe.normalizer.mean.reshape(1, -1)))
-        blocks.append(("normalizer/std", pipe.normalizer.std.reshape(1, -1)))
+    blocks = [("normalizer/mean", pipe.normalizer.mean.reshape(1, -1)),
+              ("normalizer/std", pipe.normalizer.std.reshape(1, -1))]
     for prefix, stage in named_stages((pipe.temporal, pipe.vgae, pipe.svdd)):
         blocks.extend((f"{prefix}/{name}", p.value)
                       for name, p in stage.named_parameters())
@@ -154,11 +154,8 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
     config = parse_config_text(_block(blocks, "config"), base=PipelineConfig())
     config.validate()
 
-    normalizer = None
-    if config.run.normalize:
-        normalizer = Normalizer(
-            _shaped(blocks, "normalizer/mean", (1, topology.n))[0],
-            _shaped(blocks, "normalizer/std", (1, topology.n))[0])
+    normalizer = Normalizer(_shaped(blocks, "normalizer/mean", (1, topology.n))[0],
+                            _shaped(blocks, "normalizer/std", (1, topology.n))[0])
 
     stages = build_stages(config, topology,
                           np.random.SeedSequence(config.run.seed).spawn(4))

@@ -235,7 +235,7 @@ def cmd_evaluate(args) -> int:
         covered = np.concatenate([[0], np.cumsum(labels)])
         report = metrics_mod.evaluate_scores(
             (covered[ends] > covered[starts]).astype(np.int64), table["score"],
-            threshold=None, adjust=True, predictions=table["predicted"])
+            table["predicted"])
     out = _out_dir(config)
     (out / "metrics.txt").write_text(metrics_mod.report_text(report),
                                      encoding="utf-8")

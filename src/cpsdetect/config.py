@@ -1,8 +1,9 @@
 """Pipeline configuration: dataclasses plus the key = value file format.
 
 Config files are INI-style: ``[section]`` headers with ``key = value`` lines.
-Every field has a CLI flag override; unknown sections or keys are errors so
-typos fail loudly. Anomaly specs for the synthetic generator use a compact
+Every field can be overridden on the command line with ``--set
+section.key=value``; unknown sections or keys are errors so typos fail
+loudly. Anomaly specs for the synthetic generator use a compact
 ``kind:start:duration:sensor[:magnitude]`` syntax, multiple windows joined
 with ``|``.
 """
@@ -39,7 +40,6 @@ class TemporalConfig:
     model_dim: int = 32
     epochs: int = 40
     lr: float = 2e-3
-    positional_encoding: bool = False
 
 
 @dataclass
@@ -65,13 +65,11 @@ class SvddConfig:
     epochs: int = 1500
     lr: float = 1e-3
     quantile: float = 0.99
-    pooling: str = "flatten"
 
 
 @dataclass
 class RunConfig:
     seed: int = 7
-    normalize: bool = True
     train_fraction: float = 1.0
     calibration_fraction: float = 0.15
 
@@ -119,8 +117,6 @@ class PipelineConfig:
             raise ConfigError(f"svdd.widths must be positive, got {s.widths}")
         if not 0.0 < s.quantile <= 1.0:
             raise ConfigError(f"svdd.quantile must be in (0, 1], got {s.quantile}")
-        if s.pooling not in ("flatten", "mean"):
-            raise ConfigError(f"svdd.pooling must be flatten or mean, got {s.pooling!r}")
         if not 0.0 < r.train_fraction <= 1.0:
             raise ConfigError(f"run.train_fraction must be in (0, 1], got {r.train_fraction}")
         if not 0.0 <= r.calibration_fraction < 1.0:
@@ -161,26 +157,20 @@ def format_anomaly_spec(windows) -> str:
         for w in windows)
 
 
-def _coerce(section: str, key: str, raw, current):
+def _coerce(section: str, key: str, raw: str, current):
     if key == "anomalies":
-        return raw if isinstance(raw, tuple) else parse_anomaly_spec(str(raw))
+        return parse_anomaly_spec(raw)
     if section == "synthetic" and key == "split":
-        if raw is None or isinstance(raw, int):
-            return raw
-        if str(raw).strip().lower() in ("", "none"):
+        if raw.strip().lower() in ("", "none"):
             return None
         current = 0  # otherwise an integer, parsed as any other below
     if section == "svdd" and key == "widths":
-        if isinstance(raw, tuple):
-            return raw
         try:
-            return tuple(int(p.strip()) for p in str(raw).split(",") if p.strip())
+            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
         except ValueError:
             raise ConfigError(f"[svdd] widths: cannot parse {raw!r}") from None
     if isinstance(current, bool):
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
+        text = raw.strip().lower()
         if text in ("1", "true", "yes", "on"):
             return True
         if text in ("0", "false", "no", "off"):
@@ -188,15 +178,15 @@ def _coerce(section: str, key: str, raw, current):
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
     try:
         if isinstance(current, int):
-            return int(str(raw).strip())
+            return int(raw.strip())
         if isinstance(current, float):
-            return float(str(raw).strip())
+            return float(raw.strip())
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    return str(raw).strip()
+    return raw.strip()
 
 
-def apply_setting(config: PipelineConfig, section: str, key: str, raw) -> None:
+def apply_setting(config: PipelineConfig, section: str, key: str, raw: str) -> None:
     if section not in {f.name for f in fields(PipelineConfig)}:
         raise ConfigError(f"unknown config section [{section}]")
     group = getattr(config, section)

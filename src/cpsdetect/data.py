@@ -360,6 +360,8 @@ class AnomalyWindow:
             raise ConfigError(f"unknown anomaly kind {self.kind!r}")
         if self.duration < 1:
             raise ConfigError(f"anomaly duration must be positive, got {self.duration}")
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"anomaly magnitude must be finite, got {self.magnitude}")
         if self.start < 0 or self.start + self.duration > length:
             raise DataError(
                 f"anomaly window [{self.start}, {self.start + self.duration}) "
@@ -383,6 +385,13 @@ class SyntheticConfig:
     split: int | None = None
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"synthetic.{name} must be finite, got {value}")
+        if self.length < 1:
+            raise ConfigError(f"synthetic.length must be positive, got {self.length}")
+        if self.noise < 0:
+            raise ConfigError(f"synthetic.noise must be non-negative, got {self.noise}")
         if self.sensors < 4:
             raise ConfigError(f"need at least 4 sensors, got {self.sensors}")
         if self.types < 2:

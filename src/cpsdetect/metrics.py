@@ -114,18 +114,13 @@ class MetricReport:
     adjusted: np.ndarray = field(repr=False)
 
 
-def evaluate_scores(labels, scores, threshold: float | None = None,
-                    adjust: bool = True,
-                    predictions=None) -> MetricReport:
-    """Threshold scores (or take predictions), run-adjust, compute metrics."""
-    sc = np.asarray(scores, dtype=float)
-    if predictions is None:
-        if threshold is None:
-            raise ValueError("either a threshold or explicit predictions required")
-        predictions = (sc > threshold).astype(np.int64)
+def evaluate_scores(labels, scores, predictions,
+                    adjust: bool = True) -> MetricReport:
+    """Metrics of 0/1 predictions, run-adjusted unless ``adjust`` is False,
+    and the AUC of the raw scores."""
     adjusted = point_adjust(labels, predictions) if adjust else predictions
     precision, recall, f1, (tp, fp, fn, tn) = precision_recall_f1(labels, adjusted)
-    auc = roc_auc(labels, sc) if 0 < tp + fn < tp + fp + fn + tn else math.nan
+    auc = roc_auc(labels, scores) if 0 < tp + fn < tp + fp + fn + tn else math.nan
     return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn, adjusted)
 
 

@@ -1,17 +1,18 @@
 """Stage-wise training and scoring orchestration.
 
-Training order: fit the temporal encoder on next-window prediction over
-normal data, freeze it, embed the normal segments once and build their
-weighted attributed graphs, fit the graph autoencoder on those graphs, freeze
-it, then fit the hypersphere detector on the pooled posterior means of the
-same graphs and calibrate the alarm threshold on a held-out slice of normal
-segments. Ablation toggles swap a stage for the identity: raw window
-matrices stand in for missing temporal embeddings, the binary adjacency for
-missing edge weighting, and the pooled embeddings themselves for the missing
-graph autoencoder, in which case no graph is built. The stream is windowed
-once into one stack; training drops anomalous windows and picks prediction
-pairs with masks over its row index, every stage runs once over the stack,
-and scoring records no autodiff graph. ``build_stages`` alone decides which
+Training order: z-score the stream (scoring reuses the statistics), fit the
+temporal encoder on next-window prediction over normal data, freeze it, embed
+the normal segments once and build their weighted attributed graphs, fit the
+graph autoencoder on those graphs, freeze it, then fit the hypersphere
+detector on the node-major flattened posterior means of the same graphs and
+calibrate the alarm threshold on a held-out slice of normal segments.
+Ablation toggles swap a stage for the identity: raw window matrices stand in
+for missing temporal embeddings, the binary adjacency for missing edge
+weighting, and the flattened embeddings themselves for the missing graph
+autoencoder, in which case no graph is built. The stream is windowed once
+into one stack; training drops anomalous windows and picks prediction pairs
+with masks over its row index, every stage runs once over the stack, and
+scoring records no autodiff graph. ``build_stages`` alone decides which
 learned stages exist, their shapes (from the config and topology only) and
 their initial draws' seeds; training and checkpoint loading start from it.
 """
@@ -26,10 +27,9 @@ from .autodiff import Tensor, no_grad
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
-from .errors import DataError, NumericError
+from .errors import DataError
 from .graphgen import WeightedGraph, weighted_graph
-from .svdd import (DetectionResult, SvddNet, calibrate_threshold,
-                   pool_embedding, train_svdd)
+from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
 from .vgae import VgaeEncoder, train_vgae
 
@@ -38,7 +38,7 @@ from .vgae import VgaeEncoder, train_vgae
 class TrainedPipeline:
     config: PipelineConfig
     topology: SensorTopology
-    normalizer: Normalizer | None
+    normalizer: Normalizer
     temporal: TemporalEncoder | None
     vgae: VgaeEncoder | None
     svdd: SvddNet
@@ -56,15 +56,13 @@ def build_stages(config: PipelineConfig, topology: SensorTopology,
     width = config.window.length
     if t.enabled:
         temporal = TemporalEncoder(topology.n, width, t.heads, t.head_dim,
-                                   t.model_dim, np.random.default_rng(seeds[0]),
-                                   positional_encoding=t.positional_encoding)
+                                   t.model_dim, np.random.default_rng(seeds[0]))
         width = t.model_dim
     if v.enabled:
         vgae = VgaeEncoder(width, v.hidden_dim, v.embed_dim,
                            np.random.default_rng(seeds[1]), kl_weight=v.kl_weight)
         width = v.embed_dim
-    input_dim = topology.n * width if config.svdd.pooling == "flatten" else width
-    svdd = SvddNet(input_dim, config.svdd.widths, config.svdd.slope,
+    svdd = SvddNet(topology.n * width, config.svdd.widths, config.svdd.slope,
                    np.random.default_rng(seeds[3]))
     return temporal, vgae, svdd
 
@@ -95,16 +93,18 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
                      windows: np.ndarray) -> np.ndarray:
-    """One feature row per window of a stack, through the enabled stages.
+    """One feature row per window of a stack, through the enabled stages:
+    each window's (nodes x dim) matrix flattened node-major.
 
     The windows are embedded once; graphs are built only for the graph
-    autoencoder, whose posterior means (no samples) are pooled.
+    autoencoder, whose posterior means (no samples) are flattened.
     """
     if vgae_encoder is None:
-        return pool_embedding(_embed(temporal, windows), config.svdd.pooling)
-    graphs = segment_graphs(config, topology, temporal, windows)
-    return pool_embedding(vgae_encoder.encode(graphs).mean.value,
-                          config.svdd.pooling)
+        nodes = _embed(temporal, windows)
+    else:
+        graphs = segment_graphs(config, topology, temporal, windows)
+        nodes = vgae_encoder.encode(graphs).mean.value
+    return nodes.reshape(len(nodes), -1)
 
 
 def train_pipeline(config: PipelineConfig, topology: SensorTopology,
@@ -127,10 +127,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         say(f"[data] training on first {keep} rows "
             f"(fraction {config.run.train_fraction})")
 
-    normalizer = None
-    if config.run.normalize:
-        normalizer = fit_normalizer(values)
-        values = apply_normalizer(normalizer, values)
+    normalizer = fit_normalizer(values)
+    values = apply_normalizer(normalizer, values)
 
     length, stride = config.window.length, config.window.stride
     segments = segment_stream(values, length, stride)
@@ -168,8 +166,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
-        features = pool_embedding(vgae_encoder.encode(graphs).mean.value,
-                                  config.svdd.pooling)
+        means = vgae_encoder.encode(graphs).mean.value
+        features = means.reshape(len(means), -1)
     else:
         features = segment_features(config, topology, temporal, None, normal)
 
@@ -189,10 +187,6 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                                     config.svdd.quantile)
     say(f"[svdd] threshold at quantile {config.svdd.quantile}: {threshold:.6f}")
 
-    for name, trace in traces.items():
-        if trace and not np.isfinite(trace).all():
-            raise NumericError(f"{name} training produced a non-finite loss")
-
     return TrainedPipeline(config, topology, normalizer, temporal,
                            vgae_encoder, net, threshold, traces)
 
@@ -209,11 +203,10 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
         raise DataError(
             f"stream has {values.shape[1]} columns, topology has "
             f"{pipe.topology.n} sensors")
-    if pipe.normalizer is not None and values.shape[0]:
-        values = apply_normalizer(pipe.normalizer, values)
     length = config.window.length
     if values.shape[0] < length:
         return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []
+    values = apply_normalizer(pipe.normalizer, values)
     segments = segment_stream(values, length, config.window.stride)
     with no_grad():
         features = segment_features(config, pipe.topology, pipe.temporal,

@@ -1,13 +1,13 @@
-"""One-class hypersphere detector over one pooled feature row per window.
+"""One-class hypersphere detector over one feature row per window.
 
-Each input row is one window's (nodes x dim) embedding, flattened or averaged
-over nodes: VGAE posterior means with the graph autoencoder on, otherwise
-temporal embeddings or the raw window. A small bias-free network maps each
-row to an output space where training pulls normal rows toward a fixed
-center; a row's anomaly score is its squared distance to that center.
-Bias-free layers and an unbounded leaky activation are deliberate: with a
-nonzero fixed center they block the degenerate solution where everything
-collapses onto the center regardless of input.
+Each input row is one window's (nodes x dim) embedding flattened node-major,
+node i's dim values in columns i*dim to (i+1)*dim: VGAE posterior means with
+the graph autoencoder on, otherwise temporal embeddings or the raw window. A
+small bias-free network maps each row to an output space where training pulls
+normal rows toward a fixed center; a row's anomaly score is its squared
+distance to that center. Bias-free layers and an unbounded leaky activation
+are deliberate: with a nonzero fixed center they block the degenerate
+solution where everything collapses onto the center regardless of input.
 """
 from __future__ import annotations
 
@@ -29,17 +29,6 @@ class DetectionResult:
     score: float
     threshold: float
     predicted: int
-
-
-def pool_embedding(stack: np.ndarray, mode: str = "flatten") -> np.ndarray:
-    """One sample row per (nodes x dim) embedding of a stack: row-major
-    flattening or the mean over nodes."""
-    stack = np.asarray(stack, dtype=float)
-    if mode == "flatten":
-        return stack.reshape(stack.shape[0], -1)
-    if mode == "mean":
-        return stack.mean(axis=1)
-    raise ValueError(f"unknown pooling mode {mode!r}")
 
 
 class SvddNet:

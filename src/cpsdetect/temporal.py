@@ -3,13 +3,14 @@
 A segment enters as a (sensors x window_length) matrix. Each attention head
 projects the per-sensor time rows to query/key/value spaces, so the attention
 matrix is (sensors x sensors): sensors attend to each other, sharing temporal
-information. Scores are scaled by sqrt(window_length). The heads are one
-stack axis: each projection is stored as one (heads x window_length x
-head_dim) parameter, the input, reshaped to (..., 1, sensors, window_length),
-is multiplied by it, so every head runs in the same array operations, and
-the head outputs are laid side by side as column blocks, head h in columns
-h*head_dim to (h+1)*head_dim. The feed-forward refinement uses full
-per-sensor bias matrices, and a linear head predicts the next window;
+information. Time steps are the projections' input coordinates, so no
+positional encoding is added. Scores are scaled by sqrt(window_length). The
+heads are one stack axis: each projection is stored as one (heads x
+window_length x head_dim) parameter, the input, reshaped to (..., 1, sensors,
+window_length), is multiplied by it, so every head runs in the same array
+operations, and the head outputs are laid side by side as column blocks, head
+h in columns h*head_dim to (h+1)*head_dim. The feed-forward refinement uses
+full per-sensor bias matrices, and a linear head predicts the next window;
 training minimizes the mean squared prediction error over all (window,
 successor) pairs drawn from normal data. Segments pass every layer together
 as one (segments x sensors x window_length) stack.
@@ -31,24 +32,16 @@ from .autodiff import Tensor
 from .errors import DataError
 
 
-def positional_ramp(sensors: int, window: int) -> np.ndarray:
-    """A fixed monotone profile over the time axis, repeated for each sensor."""
-    steps = np.arange(window) / max(window - 1, 1)
-    return np.tile(np.sin(0.5 * np.pi * steps), (sensors, 1))
-
-
 class TemporalEncoder:
     """Multi-head sensor attention encoder plus next-window prediction head."""
 
     def __init__(self, sensors: int, window: int, heads: int, head_dim: int,
-                 model_dim: int, rng: np.random.Generator,
-                 positional_encoding: bool = False):
+                 model_dim: int, rng: np.random.Generator):
         self.sensors = sensors
         self.window = window
         self.heads = heads
         self.head_dim = head_dim
         self.model_dim = model_dim
-        self.positional_encoding = positional_encoding
         # One (heads x window x head_dim) draw each: the numbers of one draw
         # per head, in head order.
         self.w_query = ad.uniform_init(rng, heads, window, head_dim)
@@ -61,7 +54,6 @@ class TemporalEncoder:
         self.b_ff2 = ad.zeros_init(sensors, model_dim)
         self.w_pred = ad.uniform_init(rng, model_dim, window)
         self.b_pred = ad.zeros_init(sensors, window)
-        self._pos = positional_ramp(sensors, window) if positional_encoding else None
 
     _SHARED = ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2", "w_pred", "b_pred")
 
@@ -88,8 +80,6 @@ class TemporalEncoder:
             raise ValueError(
                 f"segment shape {t.shape} does not match encoder "
                 f"({self.sensors}, {self.window})")
-        if self._pos is not None:
-            t = ad.add(t, Tensor(self._pos))
         return ad.reshape(t, t.shape[:-2] + (1, self.sensors, self.window))
 
     def _attention(self, t: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -332,6 +333,25 @@ class TestFit:
         ad.fit([p], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
                weight_decay=0.5)
         assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+    def test_numeric_error_names_tag_and_epoch_without_a_warning(self):
+        p = param([[1e200]])
+        # Outside fit, the overflowing product also prints numpy's warning.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericError):
+                ad.matmul(p, ad.Tensor([[1e200]]))
+        epochs = []
+
+        def loss():
+            epochs.append(None)
+            scale = 1e200 if len(epochs) == 3 else 1e-200
+            return ad.frobenius_sq(ad.matmul(p, ad.Tensor([[scale]])))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"^\[toy\] epoch 3/5: non-finite entries"):
+                ad.fit([p], loss, epochs=5, lr=0.1, tag="toy")
 
 
 # -- the leading batch axis ---------------------------------------------------

@@ -197,10 +197,28 @@ EXIT_CASES = {
         "train-set", "run.seed=-1", 1, "run.seed must be non-negative, got -1"),
     "synth negative seed": (
         "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
+    **{f"synth {setting}": ("synth", f"--set {setting}", 1, message)
+       for setting, message in (
+           ("synthetic.noise=-1", "synthetic.noise must be non-negative, got -1.0"),
+           ("synthetic.noise=nan", "synthetic.noise must be finite, got nan"),
+           ("synthetic.noise=inf", "synthetic.noise must be finite, got inf"),
+           ("synthetic.cascade_attenuation=nan",
+            "synthetic.cascade_attenuation must be finite, got nan"),
+           ("synthetic.length=-5", "synthetic.length must be positive, got -5"),
+           ("synthetic.length=0", "synthetic.length must be positive, got 0"))},
+    "synth anomaly magnitude nan": (
+        "synth", "--anomalies offset:10:5:1:nan", 1,
+        "anomaly magnitude must be finite, got nan"),
     **{f"synth split {split}": (
         "synth", f"--split {split}", 1,
         f"synthetic.split {split} outside stream of length 400")
        for split in ("0", "400", "-5")},
+    "train svdd.lr=1e300 overflows": (
+        "train-set", "svdd.lr=1e300", 3,
+        "numeric failure: [svdd] epoch 2/20: non-finite entries"),
+    "checkpoint format version 2": (
+        "checkpoint", lambda b: b[:4] + struct.pack("<I", 2) + b[8:], 1,
+        "checkpoint format version 2 is not supported (expected 3)"),
     "checkpoint config split not an integer": (
         "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
     "checkpoint negative run seed": (
@@ -219,6 +237,10 @@ EXIT_CASES = {
        for flag in ("topology", "data", "checkpoint")},
     "directory as --config": ("config", None, 1),
 }
+
+
+# The start of stderr for each documented exit code.
+PREFIXES = {1: "error: ", 2: "data error: ", 3: "numeric failure: "}
 
 
 @pytest.mark.parametrize("case", EXIT_CASES)
@@ -250,7 +272,8 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
     code = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == expected, err
-    assert err.startswith("error: " if expected == 1 else "data error: "), err
+    assert err.startswith(PREFIXES[expected]), err
+    assert err.count("\n") == 1, err
     assert "Traceback" not in err
     for text in message:
         assert text in err, err

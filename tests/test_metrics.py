@@ -80,7 +80,7 @@ class TestPrecisionRecallF1:
         with pytest.raises(DataError, match="^predictions must contain only 0 and 1"):
             metrics.precision_recall_f1([0, 1, 0], [bad, 1.0, 0.0])
         with pytest.raises(DataError, match="^labels must contain only 0 and 1"):
-            metrics.evaluate_scores([0, bad, 1], [0.1, 0.2, 0.3], threshold=0.15)
+            metrics.evaluate_scores([0, bad, 1], [0.1, 0.2, 0.3], [0, 1, 1])
 
     def test_bools_and_float_zeros_and_ones_are_labels(self):
         expected = metrics.precision_recall_f1([0, 1, 1, 0], [0, 1, 0, 1])
@@ -144,17 +144,8 @@ def test_anomaly_runs_extraction():
     assert metrics.anomaly_runs([0, 0]) == []
 
 
-def test_evaluate_scores_threshold_is_strict():
-    labels = [0, 1, 0, 1]
-    scores = [0.5, 0.5, 0.2, 0.9]
-    report = metrics.evaluate_scores(labels, scores, threshold=0.5)
-    # Score equal to the threshold does not fire.
-    np.testing.assert_array_equal(report.adjusted, [0, 0, 0, 1])
-    assert report.tp == 1 and report.fn == 1
-
-
 def test_report_formats_round_trip():
-    report = metrics.evaluate_scores([0, 1], [0.1, 0.9], threshold=0.5)
+    report = metrics.evaluate_scores([0, 1], [0.1, 0.9], [0, 1])
     kv = metrics.report_keyvalues(report)
     parsed = dict(line.split("=") for line in kv.strip().splitlines())
     assert float(parsed["f1"]) == 1.0
@@ -164,7 +155,7 @@ def test_report_formats_round_trip():
 @pytest.mark.parametrize("label", [0, 1])
 def test_single_class_labels_leave_auc_undefined(label):
     labels = [label] * 4
-    report = metrics.evaluate_scores(labels, [0.1, 0.9, 0.4, 0.2], threshold=0.5)
+    report = metrics.evaluate_scores(labels, [0.1, 0.9, 0.4, 0.2], [0, 1, 0, 0])
     assert math.isnan(report.auc)
     # One hit at 0.9: a false alarm among normals, or (point-adjusted) the
     # whole all-anomalous run detected.

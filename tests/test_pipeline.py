@@ -15,12 +15,12 @@ def raw_pipeline(threshold: float) -> pipeline.TrainedPipeline:
     config = PipelineConfig()
     config.window.length = config.window.stride = 3
     config.temporal.enabled = config.vgae.enabled = False
-    config.run.normalize = False
     net = svdd.SvddNet(6, (4, 2), 0.1, np.random.default_rng(0))
     net.init_center(np.zeros((1, 6)))
     net.trained = True
-    return pipeline.TrainedPipeline(config, topology, None, None, None, net,
-                                    threshold)
+    identity = data.Normalizer(np.zeros(2), np.ones(2))
+    return pipeline.TrainedPipeline(config, topology, identity, None, None,
+                                    net, threshold)
 
 
 def window_row(values: np.ndarray, k: int) -> np.ndarray:
@@ -94,17 +94,20 @@ class TestEmbedOnce:
         assert pipe.vgae is None
 
 
-def _tiny_pipeline(variant, pooling="flatten"):
+# Test ids per variant. Every variant's detector input is its embeddings
+# flattened node-major, and the ids name that layout.
+FLATTENED = [f"{variant}-flatten" for variant in benchmark.VARIANTS]
+
+
+def _tiny_pipeline(variant):
     config = tiny_config(variant)
-    config.svdd.pooling = pooling
     topology, values, labels, test = tiny_data(config)
     return pipeline.train_pipeline(config, topology, values, labels), test
 
 
-@pytest.mark.parametrize("variant,pooling", [
-    *((v, "flatten") for v in benchmark.VARIANTS), ("full", "mean")])
-def test_whole_stream_scores_equal_per_window_scores(variant, pooling):
-    pipe, test = _tiny_pipeline(variant, pooling)
+@pytest.mark.parametrize("variant", benchmark.VARIANTS, ids=FLATTENED)
+def test_whole_stream_scores_equal_per_window_scores(variant):
+    pipe, test = _tiny_pipeline(variant)
     segments, results = pipeline.score_stream(pipe, test)
     assert len(segments) == 10
     for start, end, result in zip(segments.starts, segments.ends, results):
@@ -113,12 +116,10 @@ def test_whole_stream_scores_equal_per_window_scores(variant, pooling):
         assert alone.predicted == result.predicted
 
 
-@pytest.mark.parametrize("variant,pooling", [
-    *((v, "flatten") for v in benchmark.VARIANTS), ("full", "mean")])
-def test_training_starts_from_the_built_stages(tmp_path, variant, pooling):
+@pytest.mark.parametrize("variant", benchmark.VARIANTS, ids=FLATTENED)
+def test_training_starts_from_the_built_stages(tmp_path, variant):
     # With no epochs, training leaves every stage as build_stages drew it.
     config = tiny_config(variant)
-    config.svdd.pooling = pooling
     config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 0
     topology, values, labels, _ = tiny_data(config)
     pipe = pipeline.train_pipeline(config, topology, values, labels)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsdetect import svdd
+from cpsdetect import data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
+from cpsdetect.config import PipelineConfig
 from cpsdetect.errors import DataError
 
 from oracles import finite_difference, relative_gradient_error
@@ -22,30 +23,30 @@ def numpy_forward(net, x):
     return out @ net.weights[-1].value
 
 
+def detector_rows(stack: np.ndarray) -> np.ndarray:
+    """The detector input ``pipeline.segment_features`` makes of a
+    (segments x nodes x dim) stack when no learned stage comes first."""
+    topology = data.parse_topology(
+        "".join(f"sensor S{i} x\n" for i in range(stack.shape[1])))
+    return pipeline.segment_features(PipelineConfig(), topology, None, None, stack)
+
+
 class TestFlatten:
-    """pool_embedding turns a (segments x nodes x dim) stack into rows."""
+    """Each (nodes x dim) embedding becomes one row, flattened node-major."""
 
     def test_row_major_order(self):
         np.testing.assert_array_equal(
-            svdd.pool_embedding(np.array([[[1.0, 2.0], [3.0, 4.0]],
-                                          [[5.0, 6.0], [7.0, 8.0]]])),
+            detector_rows(np.array([[[1.0, 2.0], [3.0, 4.0]],
+                                    [[5.0, 6.0], [7.0, 8.0]]])),
             [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
     def test_single_row_verbatim(self):
         np.testing.assert_array_equal(
-            svdd.pool_embedding(np.array([[[5.0, 6.0]]])), [[5.0, 6.0]])
+            detector_rows(np.array([[[5.0, 6.0]]])), [[5.0, 6.0]])
 
     def test_round_trip_reshape(self):
         m = np.arange(24.0).reshape(2, 3, 4)
-        np.testing.assert_array_equal(
-            svdd.pool_embedding(m, "flatten").reshape(2, 3, 4), m)
-
-    def test_mean_pooling(self):
-        m = np.array([[[1.0, 3.0], [3.0, 5.0]], [[0.0, 1.0], [2.0, 1.0]]])
-        np.testing.assert_array_equal(svdd.pool_embedding(m, "mean"),
-                                      [[2.0, 4.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="pooling"):
-            svdd.pool_embedding(m, "max")
+        np.testing.assert_array_equal(detector_rows(m).reshape(2, 3, 4), m)
 
 
 class TestNetStructure:

@@ -12,10 +12,9 @@ from cpsdetect.errors import DataError
 from oracles import finite_difference, relative_gradient_error
 
 
-def make_encoder(sensors=3, window=4, heads=2, head_dim=2, model_dim=4, seed=0,
-                 **kw):
+def make_encoder(sensors=3, window=4, heads=2, head_dim=2, model_dim=4, seed=0):
     return temporal.TemporalEncoder(sensors, window, heads, head_dim, model_dim,
-                                    np.random.default_rng(seed), **kw)
+                                    np.random.default_rng(seed))
 
 
 def numpy_encode(enc, t):
@@ -136,18 +135,10 @@ class TestEncode:
         t = np.zeros((3, window))
         assert enc.encode(Tensor(t)).shape == (3, 5)
 
-    def test_positional_encoding_changes_output_deterministically(self):
-        t = np.random.default_rng(5).normal(size=(3, 4))
-        plain = make_encoder(seed=1).encode(Tensor(t)).value
-        pos1 = make_encoder(seed=1, positional_encoding=True).encode(Tensor(t)).value
-        pos2 = make_encoder(seed=1, positional_encoding=True).encode(Tensor(t)).value
-        assert not np.allclose(plain, pos1)
-        np.testing.assert_array_equal(pos1, pos2)
-
 
 class TestStack:
     def test_stack_equals_one_segment_at_a_time(self):
-        enc = make_encoder(sensors=4, window=5, seed=17, positional_encoding=True)
+        enc = make_encoder(sensors=4, window=5, seed=17)
         stack = np.random.default_rng(18).normal(size=(6, 4, 5))
         batched = enc.encode(Tensor(stack)).value
         assert batched.shape == (6, 4, 4)
