@@ -4,17 +4,18 @@
 For each of ``benchmark.VARIANTS``, run ``benchmark.short_run``: train on
 the first ``TRAIN_ROWS`` rows of the pinned benchmark stream with epochs
 (temporal, vgae, svdd) = (1, 1, 300) and score the rest. Hash, in this
-order, every checkpoint matrix block (its utf-8 name, then its ``<f8``
-bytes), the threshold (``<f8``), the three outputs of
-``expand_to_timestamps`` (indices and predictions ``<i8``, scores ``<f8``)
-and the per-segment scores (``<f8``).
+order, every array of the checkpoint listing ``checkpoint._arrays`` (its
+utf-8 block name, then its ``<f8`` bytes; the listing ends with the center
+and the threshold), the three outputs of ``expand_to_timestamps`` (indices
+and predictions ``<i8``, scores ``<f8``) and the per-segment scores
+(``<f8``).
 Hashing the contents rather than a saved file keeps the digest stable when
 only the checkpoint format changes.
 
 Each variant's pipeline is also saved to a temporary directory and loaded
 back; the script exits 1, naming the variant, unless everything hashed
-(matrix blocks, threshold and test-stream scores) is bit for bit the same
-for the loaded pipeline.
+(stored arrays and test-stream scores) is bit for bit the same for the
+loaded pipeline.
 
 Two trees behave the same when they print the same digests on the same
 host. The digests depend on BLAS threading, so compare runs made with the
@@ -39,17 +40,16 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def contents(pipe, segments, results) -> list[bytes]:
-    """What the digest hashes, in order: every checkpoint matrix block (its
-    utf-8 name, then its ``<f8`` bytes), the threshold, the three outputs of
+    """What the digest hashes, in order: every stored array (its utf-8
+    block name, then its ``<f8`` bytes), the three outputs of
     ``expand_to_timestamps`` and the per-segment scores."""
     indices, scores, predictions = pipeline.expand_to_timestamps(
         segments, results, pipe.threshold)
     parts = []
-    for block, matrix in checkpoint._matrix_blocks(pipe):
+    for block, array in checkpoint._arrays(pipe):
         parts += [block.encode("utf-8"),
-                  np.ascontiguousarray(matrix, dtype="<f8").tobytes()]
-    for array, dtype in ((pipe.threshold, "<f8"), (indices, "<i8"),
-                         (scores, "<f8"), (predictions, "<i8"),
+                  np.ascontiguousarray(array, dtype="<f8").tobytes()]
+    for array, dtype in ((indices, "<i8"), (scores, "<f8"), (predictions, "<i8"),
                          ([r.score for r in results], "<f8")):
         parts.append(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return parts

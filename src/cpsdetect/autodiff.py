@@ -532,8 +532,20 @@ class Adam:
             p.value -= update
 
 
-def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
-        lr: float, weight_decay: float = 0.0,
+@contextlib.contextmanager
+def numeric_context(label: str):
+    """Raise a ``NumericError`` from inside again as ``label: message``.
+    numpy's overflow and invalid-value warnings stay quiet in here: the
+    ``Tensor`` constructor reports what they would warn about."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NumericError as err:
+        raise NumericError(f"{label}: {err}") from None
+
+
+def fit(named_params: Iterable[tuple[str, Tensor]], loss_fn: Callable[[], Tensor],
+        epochs: int, lr: float, weight_decay: float = 0.0,
         log: Callable[[str], None] | None = None, tag: str = "fit") -> list[float]:
     """Adam on ``loss_fn()``, rebuilt each epoch; returns the per-epoch losses.
 
@@ -548,17 +560,14 @@ def fit(params: Iterable[Tensor], loss_fn: Callable[[], Tensor], epochs: int,
     time than it saves memory. A graph holds only what its backward reads,
     which keeps both graphs small instead.
     """
-    optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
+    optimizer = Adam((p for _, p in named_params), lr=lr, weight_decay=weight_decay)
     trace: list[float] = []
     for epoch in range(epochs):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                optimizer.zero_grad()
-                loss = loss_fn()
-                loss.backward()
-                optimizer.step()
-        except NumericError as err:
-            raise NumericError(f"[{tag}] epoch {epoch + 1}/{epochs}: {err}") from None
+        with numeric_context(f"[{tag}] epoch {epoch + 1}/{epochs}"):
+            optimizer.zero_grad()
+            loss = loss_fn()
+            loss.backward()
+            optimizer.step()
         trace.append(float(loss.value[0, 0]))
         if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
             log(f"[{tag}] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")

@@ -6,53 +6,61 @@ Layout (all integers little-endian):
     u32    format version
     u32    block count
     blocks, each:
-        u8   kind  (M = matrix, S = scalar, T = text)
+        u8   kind  (T = text, A = array)
         u16  name length, then the utf-8 name
-        M: u32 rows, u32 cols, rows*cols little-endian float64
-        S: one little-endian float64
         T: u64 byte length, then utf-8 text
+        A: u8 ndim, ndim u32 dims, then the little-endian float64 values
 
-Block names are namespaced per stage (``temporal/w_out``) and written in a
-fixed order, so identical training runs produce byte-identical files. Two
-text blocks lead: ``config`` and ``topology``, the training topology in the
-topology file format; loading against any other topology is an error. The
-matrix blocks always start with the z-score statistics ``normalizer/mean``
-and ``normalizer/std``. A version mismatch on load is an error, never a
-silent migration.
-Loading builds the stages from the stored config through
-``pipeline.build_stages``, then shape-checks every block against them.
+Two text blocks lead: ``config`` and ``topology``, the training topology in
+the topology file format; loading against any other topology is an error.
+The array blocks follow in the order of ``_arrays``, the one listing of
+stored values: the z-score statistics, each enabled stage's parameters
+under its prefix (``temporal/w_out``), the hypersphere center and the 0-d
+threshold, each in its own shape. Identical training runs write identical
+files. Loading builds the stages from the stored config through
+``pipeline.build_stages`` and writes each block, shape-checked, into the
+array the listing names. The reader accepts exactly what
+``save_checkpoint`` writes; anything else, a version mismatch included, is
+an error, never a silent migration.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, config_to_text, parse_config_text
+from .config import config_to_text, parse_config_text
 from .data import Normalizer, SensorTopology, format_topology
 from .errors import ConfigError, DataError, reading
-from .pipeline import TrainedPipeline, build_stages, named_stages
+from .pipeline import TrainedPipeline, build_stages
 
 MAGIC = b"CPSD"
-VERSION = 3
+VERSION = 4
 
 
-def _matrix_blocks(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
-    blocks = [("normalizer/mean", pipe.normalizer.mean.reshape(1, -1)),
-              ("normalizer/std", pipe.normalizer.std.reshape(1, -1))]
-    for prefix, stage in named_stages((pipe.temporal, pipe.vgae, pipe.svdd)):
-        blocks.extend((f"{prefix}/{name}", p.value)
-                      for name, p in stage.named_parameters())
-    blocks.append(("detector/center", pipe.svdd.center.reshape(1, -1)))
-    return blocks
+def _arrays(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:
+    """Every stored array by block name, in file order. The statistics, the
+    parameters and the center are the pipeline's own arrays; the threshold
+    is a 0-d copy of the float."""
+    arrays = [("normalizer/mean", pipe.normalizer.mean),
+              ("normalizer/std", pipe.normalizer.std)]
+    for prefix, stage in (("temporal", pipe.temporal), ("vgae", pipe.vgae),
+                          ("svdd", pipe.svdd)):
+        if stage is not None:
+            arrays.extend((f"{prefix}/{name}", p.value)
+                          for name, p in stage.named_parameters())
+    arrays.append(("detector/center", pipe.svdd.center))
+    arrays.append(("detector/threshold", np.array(pipe.threshold)))
+    return arrays
 
 
 def save_checkpoint(path, pipe: TrainedPipeline) -> None:
-    matrices = _matrix_blocks(pipe)
     texts = [("config", config_to_text(pipe.config)),
              ("topology", format_topology(pipe.topology))]
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(texts) + len(matrices) + 1)]
+    arrays = _arrays(pipe)
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(texts) + len(arrays))]
 
     def write_name(kind: bytes, name: str) -> None:
         encoded = name.encode("utf-8")
@@ -62,13 +70,11 @@ def save_checkpoint(path, pipe: TrainedPipeline) -> None:
         encoded = text.encode("utf-8")
         write_name(b"T", name)
         chunks.append(struct.pack("<Q", len(encoded)) + encoded)
-    write_name(b"S", "detector/threshold")
-    chunks.append(struct.pack("<d", pipe.threshold))
-    for name, matrix in matrices:
-        write_name(b"M", name)
-        matrix = np.ascontiguousarray(matrix, dtype="<f8")
-        chunks.append(struct.pack("<II", matrix.shape[0], matrix.shape[1]))
-        chunks.append(matrix.tobytes())
+    for name, array in arrays:
+        array = np.asarray(array, dtype="<f8")
+        write_name(b"A", name)
+        chunks.append(struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape))
+        chunks.append(array.tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -94,7 +100,7 @@ class _Reader:
             raise DataError(f"invalid utf-8 before byte {self.pos}") from None
 
 
-def _read_blocks(path) -> dict[str, object]:
+def _read_blocks(path) -> dict[str, str | np.ndarray]:
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != MAGIC:
         raise DataError("not a checkpoint file")
@@ -103,38 +109,34 @@ def _read_blocks(path) -> dict[str, object]:
         raise ConfigError(
             f"checkpoint format version {version} is not "
             f"supported (expected {VERSION})")
-    blocks: dict[str, object] = {}
+    blocks: dict[str, str | np.ndarray] = {}
     for _ in range(count):
         kind = reader.take(1)
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
-        if kind == b"M":
-            rows, cols = reader.unpack("<II")
-            payload = reader.take(rows * cols * 8)
-            blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-        elif kind == b"S":
-            (blocks[name],) = reader.unpack("<d")
+        if name in blocks:
+            raise DataError(f"checkpoint repeats block {name!r}")
+        if kind == b"A":
+            (ndim,) = reader.unpack("<B")
+            shape = reader.unpack(f"<{ndim}I")
+            payload = reader.take(8 * math.prod(shape))
+            blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         elif kind == b"T":
             (length,) = reader.unpack("<Q")
             blocks[name] = reader.text(length)
         else:
             raise DataError(f"unknown block kind {kind!r}")
+    if reader.pos != len(reader.blob):
+        raise DataError(f"trailing bytes after the last block, from byte {reader.pos}")
     return blocks
 
 
-def _block(blocks: dict, name: str):
+def _block(blocks: dict, name: str, kind: type):
     if name not in blocks:
         raise DataError(f"checkpoint is missing block {name!r}")
+    if not isinstance(blocks[name], kind):
+        raise DataError(f"checkpoint block {name!r} is of the wrong kind")
     return blocks[name]
-
-
-def _shaped(blocks: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    stored = _block(blocks, name)
-    if stored.shape != shape:
-        raise DataError(
-            f"checkpoint block {name!r} has shape {stored.shape}, "
-            f"model expects {shape}")
-    return stored
 
 
 def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
@@ -148,24 +150,31 @@ def load_checkpoint(path, topology: SensorTopology) -> TrainedPipeline:
 
 
 def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
-    if _block(blocks, "topology") != format_topology(topology):
+    if _block(blocks, "topology", str) != format_topology(topology):
         raise DataError("checkpoint was trained on another topology "
                         "(sensors, types or edges differ)")
-    config = parse_config_text(_block(blocks, "config"), base=PipelineConfig())
+    config = parse_config_text(_block(blocks, "config", str))
     config.validate()
-
-    normalizer = Normalizer(_shaped(blocks, "normalizer/mean", (1, topology.n))[0],
-                            _shaped(blocks, "normalizer/std", (1, topology.n))[0])
-
     stages = build_stages(config, topology,
                           np.random.SeedSequence(config.run.seed).spawn(4))
-    # Each block overwrites its initial draw in place: a per-head view
-    # writes into its stage's stored stack.
-    for prefix, stage in named_stages(stages):
-        for name, param in stage.named_parameters():
-            param.value[...] = _shaped(blocks, f"{prefix}/{name}", param.value.shape)
     net = stages[-1]
-    net.center = _shaped(blocks, "detector/center", (1, net.widths[-1]))[0]
-    net.trained = True
-    return TrainedPipeline(config, topology, normalizer, *stages,
-                           float(_block(blocks, "detector/threshold")))
+    net.center, net.trained = np.zeros(net.widths[-1]), True
+    normalizer = Normalizer(np.zeros(topology.n), np.zeros(topology.n))
+    pipe = TrainedPipeline(config, topology, normalizer, *stages, 0.0)
+    arrays = _arrays(pipe)
+    listed = dict(arrays).keys() | {"config", "topology"}
+    for name in blocks:
+        if name not in listed:
+            raise DataError(f"checkpoint block {name!r} is not part of the "
+                            "model its config describes")
+    # Each block overwrites its array in place: a stage's initial draw, a
+    # zeroed statistic or center, or the threshold's 0-d copy.
+    for name, array in arrays:
+        stored = _block(blocks, name, np.ndarray)
+        if stored.shape != array.shape:
+            raise DataError(
+                f"checkpoint block {name!r} has shape {stored.shape}, "
+                f"model expects {array.shape}")
+        array[...] = stored
+    pipe.threshold = float(arrays[-1][1])
+    return pipe

@@ -196,8 +196,8 @@ def apply_setting(config: PipelineConfig, section: str, key: str, raw: str) -> N
     setattr(group, key, _coerce(section, key, raw, getattr(group, key)))
 
 
-def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    config = base if base is not None else PipelineConfig()
+def parse_config_text(text: str) -> PipelineConfig:
+    config = PipelineConfig()
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)

@@ -10,7 +10,7 @@ is undefined (NaN in a report, printed as ``undefined``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class MetricReport:
     fp: int
     fn: int
     tn: int
-    adjusted: np.ndarray = field(repr=False)
 
 
 def evaluate_scores(labels, scores, predictions,
@@ -121,7 +120,7 @@ def evaluate_scores(labels, scores, predictions,
     adjusted = point_adjust(labels, predictions) if adjust else predictions
     precision, recall, f1, (tp, fp, fn, tn) = precision_recall_f1(labels, adjusted)
     auc = roc_auc(labels, scores) if 0 < tp + fn < tp + fp + fn + tn else math.nan
-    return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn, adjusted)
+    return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn)
 
 
 def _auc_text(auc: float, digits: int) -> str:

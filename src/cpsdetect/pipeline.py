@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, no_grad, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
@@ -65,13 +65,6 @@ def build_stages(config: PipelineConfig, topology: SensorTopology,
     svdd = SvddNet(topology.n * width, config.svdd.widths, config.svdd.slope,
                    np.random.default_rng(seeds[3]))
     return temporal, vgae, svdd
-
-
-def named_stages(stages: Sequence[object]) -> list[tuple[str, object]]:
-    """(block-name prefix, stage) for each stage present in a (temporal,
-    vgae, svdd) triple, in checkpoint order."""
-    return [pair for pair in zip(("temporal", "vgae", "svdd"), stages)
-            if pair[1] is not None]
 
 
 def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
@@ -159,17 +152,22 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             temporal, segments.values[pairs], values[successors].transpose(0, 2, 1),
             config.temporal.epochs, config.temporal.lr, log)
 
+    # A stage's first pass after its fit is where weights that its last
+    # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
-        graphs = segment_graphs(config, topology, temporal, normal)
+        with numeric_context("[temporal] after training"):
+            graphs = segment_graphs(config, topology, temporal, normal)
         say(f"[vgae] training on {len(normal)} graphs "
             f"(attribute dim {vgae_encoder.input_dim})")
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
-        means = vgae_encoder.encode(graphs).mean.value
+        with numeric_context("[vgae] after training"):
+            means = vgae_encoder.encode(graphs).mean.value
         features = means.reshape(len(means), -1)
     else:
-        features = segment_features(config, topology, temporal, None, normal)
+        with numeric_context("[temporal] after training"):
+            features = segment_features(config, topology, temporal, None, normal)
 
     split = len(features)
     if config.run.calibration_fraction > 0.0 and len(features) > 1:
@@ -183,8 +181,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         f"{features.shape[1]}, calibrating on {len(calibration_features)}")
     traces["svdd"] = train_svdd(net, fit_features, config.svdd.epochs,
                                 config.svdd.lr, config.svdd.weight_decay, log)
-    threshold = calibrate_threshold(net, calibration_features,
-                                    config.svdd.quantile)
+    with numeric_context("[svdd] after training"):
+        threshold = calibrate_threshold(net, calibration_features,
+                                        config.svdd.quantile)
     say(f"[svdd] threshold at quantile {config.svdd.quantile}: {threshold:.6f}")
 
     return TrainedPipeline(config, topology, normalizer, temporal,

@@ -51,9 +51,6 @@ class SvddNet:
         for i, w in enumerate(self.weights):
             yield f"w{i}", w
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def forward(self, x: Tensor) -> Tensor:
         """Map a batch of sample rows through the network."""
         out = x
@@ -119,7 +116,7 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     if samples.shape[0] == 0:
         raise DataError("no training samples")
     net._require_center()
-    trace = ad.fit(net.parameters(), lambda: svdd_objective(net, samples),
+    trace = ad.fit(net.named_parameters(), lambda: svdd_objective(net, samples),
                    epochs, lr, weight_decay=weight_decay, log=log, tag="svdd")
     net.trained = True
     return trace

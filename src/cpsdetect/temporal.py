@@ -14,10 +14,6 @@ full per-sensor bias matrices, and a linear head predicts the next window;
 training minimizes the mean squared prediction error over all (window,
 successor) pairs drawn from normal data. Segments pass every layer together
 as one (segments x sensors x window_length) stack.
-
-Checkpoints keep one block per head (``w_query0``, ``w_key0``, ``w_value0``,
-``w_query1``, ...): ``named_parameters`` yields each head's block as a view
-of the stored stack, and loading writes into those views in place.
 """
 from __future__ import annotations
 
@@ -55,24 +51,12 @@ class TemporalEncoder:
         self.w_pred = ad.uniform_init(rng, model_dim, window)
         self.b_pred = ad.zeros_init(sensors, window)
 
-    _SHARED = ("w_out", "w_ff1", "b_ff1", "w_ff2", "b_ff2", "w_pred", "b_pred")
-
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        """Parameters by name, in checkpoint order. Head h's projections
-        come as ``w_query{h}``, ``w_key{h}`` and ``w_value{h}``: tensors
-        whose values are views of block h of the stored stacks, so writing
-        into one writes into the stack."""
-        for h in range(self.heads):
-            yield f"w_query{h}", Tensor(self.w_query.value[h])
-            yield f"w_key{h}", Tensor(self.w_key.value[h])
-            yield f"w_value{h}", Tensor(self.w_value.value[h])
-        for name in self._SHARED:
+        """Parameters by name, in checkpoint order: the three projection
+        stacks, then the rest."""
+        for name in ("w_query", "w_key", "w_value", "w_out", "w_ff1", "b_ff1",
+                     "w_ff2", "b_ff2", "w_pred", "b_pred"):
             yield name, getattr(self, name)
-
-    def parameters(self) -> list[Tensor]:
-        """The trainable tensors: the three projection stacks, then the rest."""
-        return [self.w_query, self.w_key, self.w_value] + [
-            getattr(self, name) for name in self._SHARED]
 
     def _heads_input(self, t: Tensor) -> Tensor:
         """The input as (..., 1, sensors, window), one matrix for every head."""
@@ -136,6 +120,6 @@ def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
                    successors: np.ndarray, epochs: int, lr: float,
                    log: Callable[[str], None] | None = None) -> list[float]:
     """Fit the encoder on stacked (window, successor) pairs; returns losses."""
-    return ad.fit(encoder.parameters(),
+    return ad.fit(encoder.named_parameters(),
                   lambda: prediction_loss(encoder, windows, successors),
                   epochs, lr, log=log, tag="temporal")

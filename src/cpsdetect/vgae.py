@@ -70,9 +70,6 @@ class VgaeEncoder:
         yield "w_hidden", self.w_hidden
         yield "w_heads", self.w_heads
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def encode(self, graph: WeightedGraph,
                noise: np.ndarray | None = None) -> GraphEmbedding:
         """Encode a graph or a stack; ``noise=None`` is deterministic."""
@@ -137,6 +134,6 @@ def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
     if len(graphs.adjacency) == 0:
         raise DataError("no graphs to train on")
     shape = graphs.attributes.shape[:-1] + (encoder.embed_dim,)
-    return ad.fit(encoder.parameters(),
+    return ad.fit(encoder.named_parameters(),
                   lambda: vgae_objective(encoder, graphs, rng.standard_normal(shape)),
                   epochs, lr, log=log, tag="vgae")

@@ -315,7 +315,7 @@ class TestFit:
     def test_descends_and_logs_each_tenth_with_tag(self):
         p = param([[3.0, -2.0]])
         lines = []
-        trace = ad.fit([p], lambda: ad.frobenius_sq(p), epochs=20, lr=0.1,
+        trace = ad.fit([("p", p)], lambda: ad.frobenius_sq(p), epochs=20, lr=0.1,
                        log=lines.append, tag="toy")
         assert len(trace) == 20 and trace[-1] < trace[0]
         assert trace[0] == pytest.approx(13.0)
@@ -325,12 +325,12 @@ class TestFit:
     def test_zero_epochs_never_calls_the_loss(self):
         def loss():
             raise AssertionError("loss evaluated")
-        assert ad.fit([param([[1.0]])], loss, epochs=0, lr=0.1) == []
+        assert ad.fit([("p", param([[1.0]]))], loss, epochs=0, lr=0.1) == []
 
     def test_weight_decay_reaches_the_optimizer(self):
         p = param([[2.0]])
         zero = ad.Tensor([[0.0]])
-        ad.fit([p], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
+        ad.fit([("p", p)], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
                weight_decay=0.5)
         assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
@@ -351,7 +351,7 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(NumericError,
                                match=r"^\[toy\] epoch 3/5: non-finite entries"):
-                ad.fit([p], loss, epochs=5, lr=0.1, tag="toy")
+                ad.fit([("p", p)], loss, epochs=5, lr=0.1, tag="toy")
 
 
 # -- the leading batch axis ---------------------------------------------------

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,48 +51,54 @@ def test_identical_runs_write_identical_files(tmp_path, trained):
 
 def test_block_names_follow_the_stage_order(trained):
     pipe, _ = trained
-    names = [name for name, _ in checkpoint._matrix_blocks(pipe)]
+    names = [name for name, _ in checkpoint._arrays(pipe)]
     assert names == [
         "normalizer/mean", "normalizer/std",
-        "temporal/w_query0", "temporal/w_key0", "temporal/w_value0",
-        "temporal/w_query1", "temporal/w_key1", "temporal/w_value1",
+        "temporal/w_query", "temporal/w_key", "temporal/w_value",
         "temporal/w_out", "temporal/w_ff1", "temporal/b_ff1",
         "temporal/w_ff2", "temporal/b_ff2", "temporal/w_pred",
         "temporal/b_pred", "vgae/w_hidden", "vgae/w_heads",
-        "svdd/w0", "svdd/w1", "detector/center"]
+        "svdd/w0", "svdd/w1", "detector/center", "detector/threshold"]
 
 
-def test_head_blocks_are_the_slices_of_the_stored_stacks(tmp_path, trained):
+def test_each_array_keeps_its_own_shape(tmp_path, trained):
     pipe, _ = trained
     path = tmp_path / "model.ckpt"
     checkpoint.save_checkpoint(path, pipe)
     blocks = checkpoint._read_blocks(path)
-    loaded = checkpoint.load_checkpoint(path, pipe.topology)
-    for kind in ("w_query", "w_key", "w_value"):
-        stored, reloaded = getattr(pipe.temporal, kind), getattr(loaded.temporal, kind)
-        assert stored.shape == reloaded.shape == (2,) + blocks[f"temporal/{kind}0"].shape
-        for h in range(2):
-            block = blocks[f"temporal/{kind}{h}"]
-            assert block.tobytes() == stored.value[h].tobytes()
-            # The loader wrote into the stack the encoder computes with.
-            assert block.tobytes() == reloaded.value[h].tobytes()
+    assert blocks["normalizer/mean"].shape == (4,)
+    assert blocks["temporal/w_query"].shape == (2, 10, 2)
+    assert blocks["temporal/w_out"].shape == (4, 4)
+    assert blocks["detector/center"].shape == (4,)
+    assert blocks["detector/threshold"].shape == ()
+    assert float(blocks["detector/threshold"]) == pipe.threshold
+
+
+def test_block_of_the_wrong_kind_is_a_data_error(tmp_path, trained):
+    pipe, _ = trained
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    blocks = checkpoint._read_blocks(path)
+    for name, wrong in (("svdd/w0", "text"), ("config", np.zeros(1))):
+        with pytest.raises(DataError, match=f"'{name}' is of the wrong kind"):
+            checkpoint._rebuild({**blocks, name: wrong}, pipe.topology)
 
 
 # Blocks whose shape the loader does not read to size a stage.
-CHECKED = ("normalizer/mean", "normalizer/std", "temporal/w_key1",
+CHECKED = ("normalizer/mean", "normalizer/std", "temporal/w_key",
            "temporal/b_pred", "vgae/w_heads", "svdd/w1")
 
 
 def _save_altered(monkeypatch, path, pipe, alter):
-    original = checkpoint._matrix_blocks
-    monkeypatch.setattr(checkpoint, "_matrix_blocks",
+    original = checkpoint._arrays
+    monkeypatch.setattr(checkpoint, "_arrays",
                         lambda p: alter(original(p)))
     checkpoint.save_checkpoint(path, pipe)
     monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", CHECKED + (
-    "vgae/w_hidden", "svdd/w0", "detector/center"))
+    "vgae/w_hidden", "svdd/w0", "detector/center", "detector/threshold"))
 def test_missing_block_is_a_data_error(tmp_path, monkeypatch, trained, name):
     pipe, _ = trained
     path = tmp_path / "model.ckpt"
@@ -103,7 +113,8 @@ def test_wrong_shape_block_is_a_data_error(tmp_path, monkeypatch, trained, name)
     pipe, _ = trained
     path = tmp_path / "model.ckpt"
     _save_altered(monkeypatch, path, pipe, lambda blocks: [
-        (n, np.zeros((1, m.shape[1] + 1)) if n == name else m) for n, m in blocks])
+        (n, np.zeros(m.shape[:-1] + (m.shape[-1] + 1,)) if n == name else m)
+        for n, m in blocks])
     with pytest.raises(DataError, match=f"block '{name}' has shape"):
         checkpoint.load_checkpoint(path, pipe.topology)
 
@@ -114,8 +125,8 @@ def test_center_of_the_wrong_width_is_a_data_error(tmp_path, monkeypatch, traine
     pipe, _ = trained
     path = tmp_path / "model.ckpt"
     _save_altered(monkeypatch, path, pipe, lambda blocks: [
-        (n, m[:, :3] if n == "detector/center" else m) for n, m in blocks])
-    with pytest.raises(DataError, match=r"'detector/center' has shape \(1, 3\)"):
+        (n, m[:3] if n == "detector/center" else m) for n, m in blocks])
+    with pytest.raises(DataError, match=r"'detector/center' has shape \(3,\)"):
         checkpoint.load_checkpoint(path, pipe.topology)
 
 
@@ -142,3 +153,17 @@ def test_checkpoint_stores_its_topology(tmp_path, trained):
     with pytest.raises(DataError, match=re.escape(
             f"{path}: checkpoint was trained on another topology")):
         checkpoint.load_checkpoint(path, _drop_one_edge(pipe.topology))
+
+
+def test_digest_script_prints_the_raw_digest():
+    # The script reads the checkpoint listing, so it runs here once, on the
+    # quickest variant.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "checkpoint_digests.py"), "raw"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("threads: ")
+    assert len(lines) == 2 and re.fullmatch(r"raw: [0-9a-f]{64}", lines[1])

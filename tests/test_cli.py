@@ -1,4 +1,5 @@
 import csv
+import math
 import struct
 
 import numpy as np
@@ -131,18 +132,42 @@ def _without_first_edge(blob):
     return b"\n".join(lines)
 
 
-def _one_short(block, axis):
-    """The checkpoint with matrix ``block`` one row (axis 0) or column short."""
-    name = block.encode()
+def _array_at(blob, block):
+    """(offset of its ndim byte, shape, offset of its values) of the array
+    block named ``block``."""
+    at = blob.index(block.encode()) + len(block)
+    ndim = blob[at]
+    return at, struct.unpack_from(f"<{ndim}I", blob, at + 1), at + 1 + 4 * ndim
 
+
+def _one_short(block, axis):
+    """The checkpoint with array ``block`` one entry short along ``axis``."""
     def cut(blob):
-        at = blob.index(name) + len(name)
-        rows, cols = struct.unpack("<II", blob[at:at + 8])
-        matrix = np.frombuffer(blob, "<f8", rows * cols, at + 8).reshape(rows, cols)
-        matrix = np.delete(matrix, -1, axis=axis)
-        return (blob[:at] + struct.pack("<II", *matrix.shape) + matrix.tobytes()
-                + blob[at + 8 + 8 * rows * cols:])
+        at, shape, start = _array_at(blob, block)
+        size = math.prod(shape)
+        array = np.frombuffer(blob, "<f8", size, start).reshape(shape)
+        array = np.delete(array, -1, axis=axis)
+        return (blob[:at] + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+                + array.tobytes() + blob[start + 8 * size:])
     return cut
+
+
+def _first_dim_huge(blob):
+    """The checkpoint with the first dim of ``svdd/w0`` set to 2**32 - 1."""
+    at = _array_at(blob, "svdd/w0")[0]
+    return blob[:at + 1] + struct.pack("<I", 2**32 - 1) + blob[at + 5:]
+
+
+def _appended(block, array):
+    """The checkpoint with one more array block, ``block``, at its end."""
+    def add(blob):
+        (count,) = struct.unpack_from("<I", blob, 8)
+        name = block.encode()
+        return (blob[:8] + struct.pack("<I", count + 1) + blob[12:]
+                + b"A" + struct.pack("<H", len(name)) + name
+                + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+                + array.astype("<f8").tobytes())
+    return add
 
 
 def _replace_once(blob, old, new):
@@ -157,9 +182,9 @@ _SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 # must contain]). Bytes are written to a file; a function maps the trained
 # fixture's file for that flag to the bad bytes; None passes a directory; a
 # string is passed as it is. The flag "segments" passes the file as --scores
-# with --granularity segment; the flag "train-set" passes its string as a
-# --set of a tiny `train` run, and "synth" its words as the flags of a tiny
-# `synth` run.
+# with --granularity segment; the flag "train-set" passes each word of its
+# string as a --set of a tiny `train` run, and "synth" its words as the
+# flags of a tiny `synth` run.
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
@@ -216,9 +241,16 @@ EXIT_CASES = {
     "train svdd.lr=1e300 overflows": (
         "train-set", "svdd.lr=1e300", 3,
         "numeric failure: [svdd] epoch 2/20: non-finite entries"),
-    "checkpoint format version 2": (
-        "checkpoint", lambda b: b[:4] + struct.pack("<I", 2) + b[8:], 1,
-        "checkpoint format version 2 is not supported (expected 3)"),
+    # One epoch: the last Adam step leaves the weights huge, and the first
+    # pass after training overflows.
+    **{f"train {stage}.lr=1e300 one epoch overflows after training": (
+        "train-set", f"{stage}.lr=1e300 {stage}.epochs=1", 3,
+        f"numeric failure: [{stage}] after training: non-finite entries")
+       for stage in ("svdd", "temporal", "vgae")},
+    **{f"checkpoint format version {version}": (
+        "checkpoint", lambda b, v=version: b[:4] + struct.pack("<I", v) + b[8:], 1,
+        f"checkpoint format version {version} is not supported (expected 4)")
+       for version in (2, 3)},
     "checkpoint config split not an integer": (
         "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
     "checkpoint negative run seed": (
@@ -228,8 +260,20 @@ EXIT_CASES = {
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
        for n in (0, 3, 11, 40, 700)},
     "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),
+    "checkpoint array dims beyond the file": (
+        "checkpoint", _first_dim_huge, 2, "truncated checkpoint"),
+    "checkpoint trailing byte": (
+        "checkpoint", lambda b: b + b"\0", 2,
+        "trailing bytes after the last block, from byte"),
+    "checkpoint repeated block": (
+        "checkpoint", _appended("detector/center", np.zeros(4)), 2,
+        "checkpoint repeats block 'detector/center'"),
+    "checkpoint block its config does not list": (
+        "checkpoint", lambda b: _replace_once(b, b"[vgae]\nenabled = True",
+                                              b"[vgae]\nenabled = off "),
+        2, "checkpoint block 'vgae/w_hidden' is not part of the model"),
     "checkpoint normalizer one sensor short": (
-        "checkpoint", _one_short("normalizer/std", axis=1), 2),
+        "checkpoint", _one_short("normalizer/std", axis=0), 2),
     "checkpoint svdd/w0 one row short": ("checkpoint", _one_short("svdd/w0", axis=0), 2),
     "checkpoint vgae/w_hidden one row short": (
         "checkpoint", _one_short("vgae/w_hidden", axis=0), 2),
@@ -263,7 +307,8 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
             argv += ["--granularity", "segment"]
     elif flag == "train-set":
         argv = ["train", "--data", str(trained / "train.csv"),
-                "--topology", str(args["topology"]), *_sets(SETTINGS), "--set", given]
+                "--topology", str(args["topology"]), *_sets(SETTINGS),
+                *_sets(given.split())]
     elif flag == "synth":
         argv = ["synth", *_sets(SETTINGS), *given.split()]
     else:

@@ -123,24 +123,26 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
     config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 0
     topology, values, labels, _ = tiny_data(config)
     pipe = pipeline.train_pipeline(config, topology, values, labels)
-    built = pipeline.named_stages(pipeline.build_stages(
-        config, topology, np.random.SeedSequence(config.run.seed).spawn(4)))
-    trained = pipeline.named_stages((pipe.temporal, pipe.vgae, pipe.svdd))
-    assert [prefix for prefix, _ in built] == [prefix for prefix, _ in trained]
+    built = pipeline.build_stages(
+        config, topology, np.random.SeedSequence(config.run.seed).spawn(4))
+    trained = (pipe.temporal, pipe.vgae, pipe.svdd)
+    assert [stage is None for stage in built] == [stage is None for stage in trained]
     path = tmp_path / "model.ckpt"
     checkpoint.save_checkpoint(path, pipe)
     blocks = checkpoint._read_blocks(path)
     compared = []
-    for (prefix, fresh), (_, kept) in zip(built, trained):
+    for prefix, fresh, kept in zip(("temporal", "vgae", "svdd"), built, trained):
+        if fresh is None:
+            continue
         for (name, drawn), (kept_name, param) in zip(
                 fresh.named_parameters(), kept.named_parameters(), strict=True):
             assert kept_name == name
             assert drawn.value.shape == blocks[f"{prefix}/{name}"].shape
             assert drawn.value.tobytes() == param.value.tobytes()
             compared.append(f"{prefix}/{name}")
-    assert compared == [name for name, _ in checkpoint._matrix_blocks(pipe)
+    assert compared == [name for name, _ in checkpoint._arrays(pipe)
                         if name.split("/")[0] in ("temporal", "vgae", "svdd")]
-    assert blocks["detector/center"].shape == (1, built[-1][1].widths[-1])
+    assert blocks["detector/center"].shape == (built[-1].widths[-1],)
 
 
 def test_scoring_records_no_graph(monkeypatch):

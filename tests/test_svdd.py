@@ -52,9 +52,8 @@ class TestFlatten:
 class TestNetStructure:
     def test_bias_free_parameter_inventory(self):
         net = make_net(input_dim=6, widths=(5, 3))
-        shapes = [p.shape for p in net.parameters()]
-        assert shapes == [(6, 5), (5, 3)]  # weights only, no bias rows
-        assert [name for name, _ in net.named_parameters()] == ["w0", "w1"]
+        named = [(name, p.shape) for name, p in net.named_parameters()]
+        assert named == [("w0", (6, 5)), ("w1", (5, 3))]  # weights only, no bias rows
 
     def test_forward_matches_numpy_oracle(self):
         net = make_net(seed=3)

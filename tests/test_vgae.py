@@ -196,7 +196,7 @@ def test_objective_gradients_pass_finite_differences():
 
     loss = vgae.vgae_objective(enc, graphs, noise)
     loss.backward()
-    for p in enc.parameters():
+    for _, p in enc.named_parameters():
         numeric = finite_difference(loss_value, p.value)
         assert relative_gradient_error(p.grad, numeric) < 1e-4
 
@@ -211,11 +211,11 @@ class TestTraining:
 
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder()
-        before = [p.value.copy() for p in enc.parameters()]
+        before = [p.value.copy() for _, p in enc.named_parameters()]
         trace = vgae.train_vgae(enc, stack(toy_graph()), epochs=0, lr=0.01,
                                 rng=np.random.default_rng(0))
         assert trace == []
-        for p, b in zip(enc.parameters(), before):
+        for (_, p), b in zip(enc.named_parameters(), before):
             np.testing.assert_array_equal(p.value, b)
 
     def test_epoch_loss_is_the_objective_at_the_drawn_noise(self):
