@@ -35,6 +35,14 @@ reverse pass holds a few gradients at a time, not one per node. A node's
 first gradient contribution is stored as it arrives, without a copy, so one
 ``.grad`` array may be shared by several nodes or be a view of another:
 treat every ``.grad`` as read-only and never write into it.
+
+A leaf adds each reverse pass to the gradient it already holds, so a loss
+split into parts over consecutive slices of a stack (``CHUNK`` entries
+each, see :func:`chunks`) can be backpropagated one part at a time, each
+part's graph dropped before the next is built. A broadcast operand's
+gradient is summed over the stack in stack order, continuing from the
+gradient its node already holds, so the parts leave a shared weight or bias
+with the bits of one pass over the whole stack.
 """
 from __future__ import annotations
 
@@ -47,6 +55,14 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
+
+# Stack entries (windows or graphs) per part of a chunked loss. A 64-window
+# temporal part's graph holds about 1.9 MB at the default sizes, and the
+# benchmark's training processes reuse that freed heap for the next part.
+# They handed the 3.8 MB of a 128-window part (7.6 MB at 256) back to the
+# OS and faulted it in again part after part: about 270 k minor page faults
+# per training, against about 8 k at 64 (2-vCPU Xeon host, glibc malloc).
+CHUNK = 64
 
 
 _grad_enabled = True
@@ -61,6 +77,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def chunks(count: int) -> list[slice]:
+    """Consecutive slices of at most ``CHUNK`` entries that cover a stack
+    of ``count``, in stack order."""
+    return [slice(start, start + CHUNK) for start in range(0, count, CHUNK)]
 
 
 def _as_matrix(value) -> Array:
@@ -130,13 +152,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Populate the gradient of every reachable leaf that requires one.
+        """Add this loss's gradient to every reachable leaf that requires one.
 
-        Requires a 1x1 (scalar) value. Each call recomputes gradients from
-        scratch: grads of all nodes in this graph are cleared first, so
-        repeated calls on the same graph are deterministic and each node is
-        visited exactly once. An interior node's gradient is dropped once
-        its parents have received their share, so afterwards only leaves
+        Requires a 1x1 (scalar) value. The interior nodes' gradients are
+        cleared first and each node is visited exactly once; a leaf adds to
+        the gradient it already holds (``Adam.zero_grad`` clears it), so
+        the parts of a loss split over a stack can be backpropagated one
+        after another. An interior node's gradient is dropped once its
+        parents have received their share, so afterwards only leaves
         (parameters and ``requires_grad`` inputs) hold a ``.grad``. It
         reads only the arrays the ops' closures captured, so the loss's
         intermediate tensors need not be alive.
@@ -162,29 +185,42 @@ class Tensor:
                 if parent not in seen:
                     stack.append((parent, False))
         for node in topo:
-            node.grad = None
-        root.grad = np.ones((1, 1))
+            if node.backward is not None:
+                node.grad = None
+        _accumulate(root, np.ones((1, 1)))
         for node in reversed(topo):
             if node.backward is not None and node.grad is not None:
                 node.backward(node.grad)
                 node.grad = None
 
 
-def _accumulate(node: _Node, g: Array) -> None:
+def _accumulate(node: _Node, g: Array, fresh: bool = False) -> None:
     """Add ``g`` to the gradient of ``node``.
 
-    A ``g`` of the broadcast result's shape is first summed over every axis
-    the node's value was broadcast along: the leading axes it lacks and its
-    size-1 axes. The first contribution is stored as it is; a later one
-    makes a new sum, so no ``.grad`` array is ever written in place.
+    A ``g`` of the broadcast result's shape is summed over every axis the
+    node's value was broadcast along (the leading axes it lacks and its
+    size-1 axes), in stack order and continuing from the gradient the node
+    already holds: that gradient is added into the first entry of those
+    axes before the sum, so a stack's gradient summed in consecutive parts
+    has the bits of one sum over the whole stack. That entry is written in
+    place only when ``fresh`` says the op has just made ``g`` for this node
+    alone; a shared upstream gradient is copied first. A ``g`` of the node's
+    own shape is stored as it is or makes a new sum with the held one, so
+    no ``.grad`` array is ever written in place.
     """
-    shape = node.shape
+    shape, held = node.shape, node.grad
     if g.shape != shape:
         lead = g.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(
             lead + i for i, n in enumerate(shape) if n == 1)
+        if held is not None:
+            if not fresh:
+                g = g.copy()
+            g[tuple(slice(0, 1) if i in axes else slice(None)
+                    for i in range(g.ndim))] += held
+            held = None
         g = g.sum(axis=axes, keepdims=True).reshape(shape)
-    node.grad = g if node.grad is None else node.grad + g
+    node.grad = g if held is None else held + g
 
 
 # Every op first computes its value, then reads its operands' nodes: with
@@ -233,7 +269,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if na is not None:
             _accumulate(na, g)
         if nb is not None:
-            _accumulate(nb, -g)
+            _accumulate(nb, -g, fresh=True)
 
     return Tensor(value, True, _pair(na, nb), backward)
 
@@ -250,9 +286,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if na is not None:
-            _accumulate(na, g * bv)
+            _accumulate(na, g * bv, fresh=True)
         if nb is not None:
-            _accumulate(nb, g * av)
+            _accumulate(nb, g * av, fresh=True)
 
     return Tensor(value, True, _pair(na, nb), backward)
 
@@ -271,9 +307,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if na is not None:
-            _accumulate(na, g @ np.swapaxes(bv, -1, -2))
+            _accumulate(na, g @ np.swapaxes(bv, -1, -2), fresh=True)
         if nb is not None:
-            _accumulate(nb, np.swapaxes(av, -1, -2) @ g)
+            _accumulate(nb, np.swapaxes(av, -1, -2) @ g, fresh=True)
 
     return Tensor(value, True, _pair(na, nb), backward)
 
@@ -544,31 +580,33 @@ def numeric_context(label: str):
         raise NumericError(f"{label}: {err}") from None
 
 
-def fit(named_params: Iterable[tuple[str, Tensor]], loss_fn: Callable[[], Tensor],
+def fit(named_params: Iterable[tuple[str, Tensor]],
+        loss_fn: Callable[[], Iterable[Tensor]],
         epochs: int, lr: float, weight_decay: float = 0.0,
         log: Callable[[str], None] | None = None, tag: str = "fit") -> list[float]:
-    """Adam on ``loss_fn()``, rebuilt each epoch; returns the per-epoch losses.
+    """Adam on the loss ``loss_fn()`` yields in parts, rebuilt each epoch;
+    returns the per-epoch losses, each the sum of its parts' values.
 
     Every tenth of the run is logged as ``[tag] epoch e/E loss=...``, and a
     ``NumericError`` is raised again as ``[tag] epoch e/E: ...``.
 
-    An epoch's ``loss``, and through its node the epoch's recorded graph,
-    stays referenced until the next epoch's ``loss_fn()`` has built the
-    next graph, so the peak holds two graphs. Dropping it earlier frees the
-    top of the heap each epoch; the allocator then hands that memory back
-    to the OS and faults it back in on the next epoch, which costs more
-    time than it saves memory. A graph holds only what its backward reads,
-    which keeps both graphs small instead.
+    Each part is backpropagated, its gradient adding to what the earlier
+    parts left, and dropped before the next part is built, so the peak
+    holds one part's graph: for a stage that splits its stack into
+    ``chunks``, the same size whatever the stack's length.
     """
     optimizer = Adam((p for _, p in named_params), lr=lr, weight_decay=weight_decay)
     trace: list[float] = []
     for epoch in range(epochs):
+        loss = 0.0
         with numeric_context(f"[{tag}] epoch {epoch + 1}/{epochs}"):
             optimizer.zero_grad()
-            loss = loss_fn()
-            loss.backward()
+            for part in loss_fn():
+                part.backward()
+                loss += float(part.value[0, 0])
+                del part  # its graph goes before the next part is built
             optimizer.step()
-        trace.append(float(loss.value[0, 0]))
+        trace.append(loss)
         if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
             log(f"[{tag}] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
     return trace

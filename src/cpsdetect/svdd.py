@@ -116,7 +116,9 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     if samples.shape[0] == 0:
         raise DataError("no training samples")
     net._require_center()
-    trace = ad.fit(net.named_parameters(), lambda: svdd_objective(net, samples),
+    # One part: the weight gradient is one product over every sample, whose
+    # bits a split into parts would change.
+    trace = ad.fit(net.named_parameters(), lambda: [svdd_objective(net, samples)],
                    epochs, lr, weight_decay=weight_decay, log=log, tag="svdd")
     net.trained = True
     return trace

@@ -13,7 +13,9 @@ h in columns h*head_dim to (h+1)*head_dim. The feed-forward refinement uses
 full per-sensor bias matrices, and a linear head predicts the next window;
 training minimizes the mean squared prediction error over all (window,
 successor) pairs drawn from normal data. Segments pass every layer together
-as one (segments x sensors x window_length) stack.
+as a (segments x sensors x window_length) stack: scoring encodes a stream's
+windows as one stack, and a training epoch passes its pairs in consecutive
+stacks of ``autodiff.CHUNK``, each backpropagated before the next is built.
 """
 from __future__ import annotations
 
@@ -107,19 +109,28 @@ class TemporalEncoder:
 
 
 def prediction_loss(encoder: TemporalEncoder, windows: np.ndarray,
-                    successors: np.ndarray) -> Tensor:
-    """Mean squared Frobenius error of next-window predictions over a stack."""
-    if len(windows) == 0:
-        raise DataError("no training pairs with successor windows")
+                    successors: np.ndarray, count: int) -> Tensor:
+    """Squared Frobenius error of next-window predictions over a stack,
+    divided by ``count``: the stack's length gives the mean, a training
+    epoch's pair count gives a part's share of it."""
     predicted = encoder.predict_next(encoder.encode(Tensor(windows)))
     return ad.scale(ad.frobenius_sq(ad.sub(Tensor(successors), predicted)),
-                    1.0 / len(windows))
+                    1.0 / count)
 
 
 def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
                    successors: np.ndarray, epochs: int, lr: float,
                    log: Callable[[str], None] | None = None) -> list[float]:
-    """Fit the encoder on stacked (window, successor) pairs; returns losses."""
-    return ad.fit(encoder.named_parameters(),
-                  lambda: prediction_loss(encoder, windows, successors),
-                  epochs, lr, log=log, tag="temporal")
+    """Fit the encoder on stacked (window, successor) pairs; returns the
+    per-epoch mean losses. Each epoch's loss is one part per
+    ``autodiff.CHUNK`` pairs."""
+    count = len(windows)
+    if count == 0:
+        raise DataError("no training pairs with successor windows")
+
+    def parts():
+        for rows in ad.chunks(count):
+            yield prediction_loss(encoder, windows[rows], successors[rows], count)
+
+    return ad.fit(encoder.named_parameters(), parts, epochs, lr, log=log,
+                  tag="temporal")

@@ -6,8 +6,10 @@ isolated or negatively weighted rows stay finite). The second layer emits
 mean and log-variance heads side by side; reparameterized samples decode
 back to edge probabilities through a sigmoid Gram matrix. The training loss
 is squared reconstruction error against the binary edge support (plus
-self-loops) plus a weighted diagonal-Gaussian KL term, averaged over a stack
-of graphs (leading axis) that passes every step at once.
+self-loops) plus a weighted diagonal-Gaussian KL term, averaged over the
+training graphs. Graphs pass every step as a stack (leading axis): a
+training epoch passes them in consecutive stacks of ``autodiff.CHUNK``, each
+backpropagated before the next is built.
 """
 from __future__ import annotations
 
@@ -53,6 +55,15 @@ def reconstruction_target(adjacency: np.ndarray) -> np.ndarray:
     return ((adjacency != 0.0) | np.eye(adjacency.shape[-1], dtype=bool)).astype(float)
 
 
+def propagate(graph: WeightedGraph) -> tuple[Tensor, Tensor]:
+    """The constants a graph or a stack enters the encoder as: its
+    normalized adjacency, and that times the node attributes (the first
+    layer's propagation, which holds no parameter). A fit builds them once,
+    not every epoch."""
+    norm = Tensor(normalize_adjacency(graph.adjacency))
+    return norm, ad.matmul(norm, Tensor(graph.attributes))
+
+
 class VgaeEncoder:
     """Two-layer graph convolution with mean / log-variance output heads."""
 
@@ -73,13 +84,17 @@ class VgaeEncoder:
     def encode(self, graph: WeightedGraph,
                noise: np.ndarray | None = None) -> GraphEmbedding:
         """Encode a graph or a stack; ``noise=None`` is deterministic."""
-        if graph.attributes.shape[-1] != self.input_dim:
+        return self.encode_normalized(*propagate(graph), noise)
+
+    def encode_normalized(self, norm: Tensor, mixed: Tensor,
+                          noise: np.ndarray | None = None) -> GraphEmbedding:
+        """``encode`` from ``propagate(graph)``: the normalized adjacency
+        ``norm`` and ``mixed``, that times the node attributes."""
+        if mixed.shape[-1] != self.input_dim:
             raise ValueError(
-                f"attribute dim {graph.attributes.shape[-1]} does not match "
+                f"attribute dim {mixed.shape[-1]} does not match "
                 f"encoder input dim {self.input_dim}")
-        norm = Tensor(normalize_adjacency(graph.adjacency))
-        hidden = ad.relu(ad.matmul(ad.matmul(norm, Tensor(graph.attributes)),
-                                   self.w_hidden))
+        hidden = ad.relu(ad.matmul(mixed, self.w_hidden))
         heads = ad.matmul(ad.matmul(norm, hidden), self.w_heads)
         mean = ad.slice_cols(heads, 0, self.embed_dim)
         logvar = ad.clamp(ad.slice_cols(heads, self.embed_dim, 2 * self.embed_dim),
@@ -113,14 +128,16 @@ def vgae_loss(target: np.ndarray, reconstructed: Tensor,
                                                 embedding.logvar), kl_weight))
 
 
-def vgae_objective(encoder: VgaeEncoder, graphs: WeightedGraph,
-                   noise: np.ndarray) -> Tensor:
-    """Mean training loss over a stack of graphs at a (graphs x nodes x
-    embed_dim) noise draw."""
-    embedding = encoder.encode(graphs, noise)
-    loss = vgae_loss(reconstruction_target(graphs.adjacency),
-                     decode(embedding.r), embedding, encoder.kl_weight)
-    return ad.scale(loss, 1.0 / len(graphs.adjacency))
+def vgae_objective(encoder: VgaeEncoder, inputs: tuple[Tensor, Tensor],
+                   target: np.ndarray, noise: np.ndarray, count: int) -> Tensor:
+    """Training loss summed over a stack of graphs, given as their
+    ``propagate`` constants and ``reconstruction_target``, at a (graphs x
+    nodes x embed_dim) noise draw, divided by ``count``: the stack's length
+    gives the mean, a training epoch's graph count gives a part's share of
+    it."""
+    embedding = encoder.encode_normalized(*inputs, noise)
+    loss = vgae_loss(target, decode(embedding.r), embedding, encoder.kl_weight)
+    return ad.scale(loss, 1.0 / count)
 
 
 def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
@@ -128,12 +145,23 @@ def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
                log: Callable[[str], None] | None = None) -> list[float]:
     """Fit the encoder on a stack of graphs; returns per-epoch mean losses.
 
-    Each epoch draws fresh noise for the stack at once: the same numbers as
-    one draw per graph in stack order.
+    Each epoch's loss is one part per ``autodiff.CHUNK`` graphs, and each
+    part draws fresh noise for its graphs at once: over the epoch, the same
+    numbers as one draw per graph in stack order. A part's constants (its
+    ``propagate`` inputs and reconstruction target) are built once per fit.
     """
-    if len(graphs.adjacency) == 0:
+    count = len(graphs.adjacency)
+    if count == 0:
         raise DataError("no graphs to train on")
-    shape = graphs.attributes.shape[:-1] + (encoder.embed_dim,)
-    return ad.fit(encoder.named_parameters(),
-                  lambda: vgae_objective(encoder, graphs, rng.standard_normal(shape)),
-                  epochs, lr, log=log, tag="vgae")
+    constants = [
+        (propagate(WeightedGraph(graphs.adjacency[rows], graphs.attributes[rows])),
+         reconstruction_target(graphs.adjacency[rows]))
+        for rows in ad.chunks(count)]
+
+    def parts():
+        for inputs, target in constants:
+            noise = rng.standard_normal(target.shape[:-1] + (encoder.embed_dim,))
+            yield vgae_objective(encoder, inputs, target, noise, count)
+
+    return ad.fit(encoder.named_parameters(), parts, epochs, lr, log=log,
+                  tag="vgae")

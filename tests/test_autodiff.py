@@ -116,6 +116,50 @@ class TestBackward:
         ad.add(s, s).backward()
         np.testing.assert_array_equal(p.grad, [[2.0, 2.0]])
 
+    def test_leaf_adds_to_the_gradient_it_holds(self):
+        p = param([[3.0]])
+        ad.frobenius_sq(p).backward()
+        ad.total_sum(p).backward()
+        np.testing.assert_array_equal(p.grad, [[7.0]])
+        ad.Adam([p], lr=0.1).zero_grad()
+        assert p.grad is None
+
+
+class TestParts:
+    """A loss split over consecutive slices of a stack, one backward each."""
+
+    def test_parts_give_the_whole_stack_gradient_bits(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(7, 5, 4))
+        y = rng.normal(size=(7, 5, 3))
+        w = param(rng.normal(size=(4, 3)))
+        b = param(rng.normal(size=(5, 3)))
+
+        def part(rows):
+            predicted = ad.add(ad.matmul(ad.Tensor(x[rows]), w), b)
+            return ad.scale(ad.frobenius_sq(ad.sub(ad.Tensor(y[rows]), predicted)),
+                            1.0 / 7)
+
+        part(slice(0, 7)).backward()
+        whole = w.grad.tobytes(), b.grad.tobytes()
+        w.grad = b.grad = None
+        for rows in (slice(0, 3), slice(3, 6), slice(6, 7)):
+            part(rows).backward()
+        assert (w.grad.tobytes(), b.grad.tobytes()) == whole
+
+    def test_a_held_bias_gradient_leaves_the_shared_upstream_alone(self):
+        # add hands one upstream gradient to both operands: the leaf z keeps
+        # it as its .grad, and the bias b, which already holds a gradient,
+        # must sum it without writing into it.
+        rng = np.random.default_rng(41)
+        r = rng.normal(size=(3, 2, 4))
+        z = param(np.zeros((3, 2, 4)))
+        b = param(np.zeros((2, 4)))
+        b.grad = np.ones((2, 4))
+        ad.total_sum(ad.mul(ad.add(z, b), ad.Tensor(r))).backward()
+        assert z.grad.tobytes() == r.tobytes()
+        assert b.grad.tobytes() == (((1.0 + r[0]) + r[1]) + r[2]).tobytes()
+
 
 class TestFiniteness:
     def test_non_finite_input_rejected(self):
@@ -315,7 +359,7 @@ class TestFit:
     def test_descends_and_logs_each_tenth_with_tag(self):
         p = param([[3.0, -2.0]])
         lines = []
-        trace = ad.fit([("p", p)], lambda: ad.frobenius_sq(p), epochs=20, lr=0.1,
+        trace = ad.fit([("p", p)], lambda: [ad.frobenius_sq(p)], epochs=20, lr=0.1,
                        log=lines.append, tag="toy")
         assert len(trace) == 20 and trace[-1] < trace[0]
         assert trace[0] == pytest.approx(13.0)
@@ -330,7 +374,7 @@ class TestFit:
     def test_weight_decay_reaches_the_optimizer(self):
         p = param([[2.0]])
         zero = ad.Tensor([[0.0]])
-        ad.fit([("p", p)], lambda: ad.total_sum(ad.mul(p, zero)), epochs=1, lr=0.1,
+        ad.fit([("p", p)], lambda: [ad.total_sum(ad.mul(p, zero))], epochs=1, lr=0.1,
                weight_decay=0.5)
         assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
@@ -345,7 +389,7 @@ class TestFit:
         def loss():
             epochs.append(None)
             scale = 1e200 if len(epochs) == 3 else 1e-200
-            return ad.frobenius_sq(ad.matmul(p, ad.Tensor([[scale]])))
+            return [ad.frobenius_sq(ad.matmul(p, ad.Tensor([[scale]])))]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpsdetect import benchmark, checkpoint, data, pipeline, svdd
+from cpsdetect import autodiff, benchmark, checkpoint, data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
 from cpsdetect.temporal import TemporalEncoder
@@ -143,6 +143,19 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
     assert compared == [name for name, _ in checkpoint._arrays(pipe)
                         if name.split("/")[0] in ("temporal", "vgae", "svdd")]
     assert blocks["detector/center"].shape == (built[-1].widths[-1],)
+
+
+@pytest.mark.parametrize("variant", ["full", "no-temporal"])
+def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
+    # The tiny pipelines train on 20-odd windows: 7-window parts split every
+    # stack-shaped fit into several.
+    stored = []
+    for chunk in (10**6, 7):
+        monkeypatch.setattr(autodiff, "CHUNK", chunk)
+        pipe, _ = _tiny_pipeline(variant)
+        stored.append([(name, np.asarray(array).tobytes())
+                       for name, array in checkpoint._arrays(pipe)])
+    assert stored[0] == stored[1]
 
 
 def test_scoring_records_no_graph(monkeypatch):

@@ -151,9 +151,10 @@ class TestStack:
     def test_loss_is_the_mean_of_per_pair_losses(self):
         enc = make_encoder(seed=19)
         windows, successors = np.random.default_rng(20).normal(size=(2, 5, 3, 4))
-        per_pair = [temporal.prediction_loss(enc, w[None], s[None]).value[0, 0]
+        per_pair = [temporal.prediction_loss(enc, w[None], s[None], 1).value[0, 0]
                     for w, s in zip(windows, successors)]
-        loss = temporal.prediction_loss(enc, windows, successors).value[0, 0]
+        loss = temporal.prediction_loss(enc, windows, successors,
+                                        len(windows)).value[0, 0]
         assert loss == pytest.approx(np.mean(per_pair), rel=1e-12)
 
     def test_wrong_segment_shape_rejected(self):
@@ -198,7 +199,7 @@ def test_prediction_loss_graph_keeps_only_what_its_backward_reads():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        loss = temporal.prediction_loss(enc, windows, successors)
+        loss = temporal.prediction_loss(enc, windows, successors, 64)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -265,9 +266,9 @@ def test_prediction_loss_gradients_pass_finite_differences():
     windows, successors = rng.normal(size=(2, 2, 3, 4))
 
     def loss_value():
-        return float(temporal.prediction_loss(enc, windows, successors).value[0, 0])
+        return float(temporal.prediction_loss(enc, windows, successors, 2).value[0, 0])
 
-    loss = temporal.prediction_loss(enc, windows, successors)
+    loss = temporal.prediction_loss(enc, windows, successors, 2)
     loss.backward()
     for _, p in enc.named_parameters():
         analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
@@ -313,8 +314,42 @@ class TestTraining:
                 enc, *self._constant_pairs(sensors=3, window=4), epochs=20, lr=0.02))
         assert traces[0] == traces[1]
 
+    def test_chunked_fit_equals_one_whole_stack_part(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        windows, successors = rng.normal(size=(2, 17, 3, 4))
+        fitted = []
+        for chunk in (10**6, 7):
+            monkeypatch.setattr(ad, "CHUNK", chunk)
+            enc = make_encoder(seed=31)
+            temporal.train_temporal(enc, windows, successors, epochs=3, lr=0.05)
+            fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
+        assert fitted[0] == fitted[1]
+
     def test_empty_pairs_rejected(self):
         enc = make_encoder()
         empty = np.zeros((0, 3, 4))
         with pytest.raises(DataError, match="no training pairs"):
             temporal.train_temporal(enc, empty, empty, epochs=1, lr=0.01)
+
+
+def test_fit_epoch_peak_memory_stays_flat_in_the_stack_length(monkeypatch):
+    # One epoch over 4x the windows holds one 64-window part's graph at a
+    # time, as one over 1x does: 1.01x the 1x peak (numpy 2.4.6, Python
+    # 3.11). A part kept alive while the next is built peaks at about 1.4x,
+    # a single whole-stack part at about 4x.
+    monkeypatch.setattr(ad, "CHUNK", 64)
+    rng = np.random.default_rng(32)
+    windows = rng.normal(size=(256, 12, 30))
+    successors = rng.normal(size=windows.shape)
+    peaks = []
+    for count in (64, 256):
+        enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8,
+                           model_dim=32)
+        tracemalloc.start()
+        try:
+            temporal.train_temporal(enc, windows[:count], successors[:count],
+                                    epochs=1, lr=0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpsdetect import autodiff as ad
 from cpsdetect import metrics, vgae
 from cpsdetect.autodiff import Tensor
 from cpsdetect.errors import DataError
@@ -191,10 +192,13 @@ def test_objective_gradients_pass_finite_differences():
     noise = np.stack([np.random.default_rng(14).standard_normal((3, 2)),
                       np.random.default_rng(15).standard_normal((3, 2))])
 
-    def loss_value():
-        return float(vgae.vgae_objective(enc, graphs, noise).value[0, 0])
+    inputs = vgae.propagate(graphs)
+    target = vgae.reconstruction_target(graphs.adjacency)
 
-    loss = vgae.vgae_objective(enc, graphs, noise)
+    def loss_value():
+        return float(vgae.vgae_objective(enc, inputs, target, noise, 2).value[0, 0])
+
+    loss = vgae.vgae_objective(enc, inputs, target, noise, 2)
     loss.backward()
     for _, p in enc.named_parameters():
         numeric = finite_difference(loss_value, p.value)
@@ -226,7 +230,9 @@ class TestTraining:
         enc = make_encoder(seed=32)
         rng = np.random.default_rng(33)
         noise = np.stack([rng.standard_normal((3, 2)) for _ in range(2)])
-        expected = vgae.vgae_objective(enc, graphs, noise).value[0, 0]
+        expected = vgae.vgae_objective(
+            enc, vgae.propagate(graphs),
+            vgae.reconstruction_target(graphs.adjacency), noise, 2).value[0, 0]
         trace = vgae.train_vgae(enc, graphs, epochs=1, lr=0.01,
                                 rng=np.random.default_rng(33))
         assert trace == [expected]
@@ -238,6 +244,33 @@ class TestTraining:
             traces.append(vgae.train_vgae(enc, stack(toy_graph(seed=21)), epochs=15,
                                           lr=0.02, rng=np.random.default_rng(22)))
         assert traces[0] == traces[1]
+
+    def test_chunked_fit_equals_one_whole_stack_part(self, monkeypatch):
+        graphs = stack(*(toy_graph(seed=40 + i) for i in range(17)))
+        fitted = []
+        for chunk in (10**6, 7):
+            monkeypatch.setattr(ad, "CHUNK", chunk)
+            enc = make_encoder(seed=34)
+            vgae.train_vgae(enc, graphs, epochs=3, lr=0.05,
+                            rng=np.random.default_rng(35))
+            fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
+        assert fitted[0] == fitted[1]
+
+    def test_part_constants_are_built_once_per_fit(self, monkeypatch):
+        # Each part's normalized adjacency and reconstruction target are
+        # built once, not once per epoch.
+        monkeypatch.setattr(ad, "CHUNK", 2)
+        built = []
+        for name in ("normalize_adjacency", "reconstruction_target"):
+            def counting(adjacency, build=getattr(vgae, name), name=name):
+                built.append((name, len(adjacency)))
+                return build(adjacency)
+            monkeypatch.setattr(vgae, name, counting)
+        graphs = stack(*(toy_graph(seed=50 + i) for i in range(5)))
+        vgae.train_vgae(make_encoder(), graphs, epochs=4, lr=0.01,
+                        rng=np.random.default_rng(0))
+        assert built == [(name, n) for n in (2, 2, 1) for name in
+                         ("normalize_adjacency", "reconstruction_target")]
 
     def test_empty_graphs_rejected(self):
         with pytest.raises(DataError, match="no graphs"):
