@@ -11,6 +11,10 @@ axes by numpy rules, so a (B, 1, n, k) stack times an (H, k, m) stack gives
 (B, H, n, m); an operand broadcast along an axis gets its gradient summed
 over that axis.
 ``no_grad`` turns graph recording off for inference.
+Every op records through one helper, ``_record``: the op computes its value
+and hands over one gradient rule per operand, and the helper alone decides
+whether the result is a constant or a recorded tensor, calling only the
+rules of operands that require a gradient.
 Every public operation validates that its result is finite and raises
 ``NumericError`` otherwise, so NaN/Inf never propagate silently.
 
@@ -223,16 +227,48 @@ def _accumulate(node: _Node, g: Array, fresh: bool = False) -> None:
     node.grad = g if held is None else held + g
 
 
-# Every op first computes its value, then reads its operands' nodes: with
-# recording off (``no_grad``) or no operand requiring a gradient, it returns
-# a constant and builds no closure. Otherwise the result's parents are the
-# operands' nodes that are not None.
+# Every op computes its value and hands it to ``_record`` with one gradient
+# rule per operand; ``_record`` alone decides whether the result records.
+# With recording off (``no_grad``) or no operand requiring a gradient, it
+# returns a constant and calls no rule. The rules are module functions, so
+# that path builds no closure and no mask. Otherwise the result's parents are the nodes of the operands that
+# require a gradient, and only their rules are called. A rule takes its
+# operand's node and what the op kept for that operand, and returns the
+# closure that adds the operand's share of a result gradient to the node;
+# the closure holds only what its share reads. A share that is a new array,
+# made for its node alone, is passed on as ``fresh``; the result's gradient
+# itself or a view of it is not.
 
 
-def _pair(na: _Node | None, nb: _Node | None) -> tuple:
+def _record(value: Array, a: Tensor, rule_a: Callable, kept_a=None,
+            b: Tensor | None = None, rule_b: Callable | None = None,
+            kept_b=None) -> Tensor:
+    """The result ``value`` of an op on ``a`` (and ``b``): a constant, or a
+    recorded tensor whose backward runs the closures that the recorded
+    operands' rules return."""
+    na = a._node
+    nb = None if b is None else b._node
+    if not _grad_enabled or (na is None and nb is None):
+        return Tensor(value)
+    if nb is None:
+        return Tensor(value, True, (na,), rule_a(na, kept_a))
     if na is None:
-        return (nb,)
-    return (na,) if nb is None else (na, nb)
+        return Tensor(value, True, (nb,), rule_b(nb, kept_b))
+    share_a, share_b = rule_a(na, kept_a), rule_b(nb, kept_b)
+
+    def backward(g):
+        share_a(g)
+        share_b(g)
+
+    return Tensor(value, True, (na, nb), backward)
+
+
+def _passed(node, _):
+    return lambda g: _accumulate(node, g)
+
+
+def _times(node, factor):
+    return lambda g: _accumulate(node, g * factor, fresh=True)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -244,53 +280,27 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
-    value = a.value + b.value
-    na, nb = a._node, b._node
-    if not _grad_enabled or (na is None and nb is None):
-        return Tensor(value)
-
-    def backward(g):
-        if na is not None:
-            _accumulate(na, g)
-        if nb is not None:
-            _accumulate(nb, g)
-
-    return Tensor(value, True, _pair(na, nb), backward)
+    return _record(a.value + b.value, a, _passed, None, b, _passed)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
-    value = a.value - b.value
-    na, nb = a._node, b._node
-    if not _grad_enabled or (na is None and nb is None):
-        return Tensor(value)
-
-    def backward(g):
-        if na is not None:
-            _accumulate(na, g)
-        if nb is not None:
-            _accumulate(nb, -g, fresh=True)
-
-    return Tensor(value, True, _pair(na, nb), backward)
+    # Times -1.0 is an exact negation.
+    return _record(a.value - b.value, a, _passed, None, b, _times, -1.0)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
     _check_broadcast(a, b, "mul")
-    value = a.value * b.value
-    na, nb = a._node, b._node
-    if not _grad_enabled or (na is None and nb is None):
-        return Tensor(value)
-    av = a.value if nb is not None else None
-    bv = b.value if na is not None else None
+    return _record(a.value * b.value, a, _times, b.value, b, _times, a.value)
 
-    def backward(g):
-        if na is not None:
-            _accumulate(na, g * bv, fresh=True)
-        if nb is not None:
-            _accumulate(nb, g * av, fresh=True)
 
-    return Tensor(value, True, _pair(na, nb), backward)
+def _matmul_left_rule(node, bv):
+    return lambda g: _accumulate(node, g @ np.swapaxes(bv, -1, -2), fresh=True)
+
+
+def _matmul_right_rule(node, av):
+    return lambda g: _accumulate(node, np.swapaxes(av, -1, -2) @ g, fresh=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -299,32 +309,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         value = a.value @ b.value
     except ValueError:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
-    na, nb = a._node, b._node
-    if not _grad_enabled or (na is None and nb is None):
-        return Tensor(value)
-    av = a.value if nb is not None else None
-    bv = b.value if na is not None else None
+    return _record(value, a, _matmul_left_rule, b.value,
+                   b, _matmul_right_rule, a.value)
 
-    def backward(g):
-        if na is not None:
-            _accumulate(na, g @ np.swapaxes(bv, -1, -2), fresh=True)
-        if nb is not None:
-            _accumulate(nb, np.swapaxes(av, -1, -2) @ g, fresh=True)
 
-    return Tensor(value, True, _pair(na, nb), backward)
+def _swap_rule(node, axes):
+    return lambda g: _accumulate(node, np.swapaxes(g, *axes))
 
 
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; the result is a C-contiguous copy."""
-    value = np.swapaxes(a.value, axis1, axis2).copy()
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
-
-    def backward(g):
-        _accumulate(node, np.swapaxes(g, axis1, axis2))
-
-    return Tensor(value, True, (node,), backward)
+    return _record(np.swapaxes(a.value, axis1, axis2).copy(), a, _swap_rule,
+                   (axis1, axis2))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -332,59 +328,38 @@ def transpose(a: Tensor) -> Tensor:
     return swap_axes(a, -1, -2)
 
 
+def _reshape_rule(node, _):
+    return lambda g: _accumulate(node, g.reshape(node.shape))
+
+
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """The same entries, read in C order, in a new shape."""
-    value = a.value.reshape(shape)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
-
-    def backward(g):
-        _accumulate(node, g.reshape(node.shape))
-
-    return Tensor(value, True, (node,), backward)
+    return _record(a.value.reshape(shape), a, _reshape_rule)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (not differentiated w.r.t. the scalar)."""
     factor = float(factor)
-    value = a.value * factor
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
+    return _record(a.value * factor, a, _times, factor)
 
-    def backward(g):
-        _accumulate(node, g * factor)
 
-    return Tensor(value, True, (node,), backward)
+def _relu_rule(node, x):
+    return _times(node, x > 0.0)
 
 
 def relu(a: Tensor) -> Tensor:
-    value = np.maximum(a.value, 0.0)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
-    mask = a.value > 0.0
-
-    def backward(g):
-        _accumulate(node, g * mask)
-
-    return Tensor(value, True, (node,), backward)
+    return _record(np.maximum(a.value, 0.0), a, _relu_rule, a.value)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     # The output's derivative, gathered with take(): in the SVDD fit it beats
     # both np.where's branchy loop and fancy indexing.
     factor = np.array([slope, 1.0]).take((a.value > 0.0).view(np.uint8))
-    value = a.value * factor
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
+    return _record(a.value * factor, a, _times, factor)
 
-    def backward(g):
-        _accumulate(node, g * factor)
 
-    return Tensor(value, True, (node,), backward)
+def _sigmoid_rule(node, y):
+    return lambda g: _accumulate(node, g * y * (1.0 - y), fresh=True)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -394,28 +369,21 @@ def sigmoid(a: Tensor) -> Tensor:
     np.logaddexp(0.0, y, out=y)
     np.negative(y, out=y)
     np.exp(y, out=y)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(y)
-
-    def backward(g):
-        _accumulate(node, g * y * (1.0 - y))
-
-    return Tensor(y, True, (node,), backward)
+    return _record(y, a, _sigmoid_rule, y)
 
 
 def exp(a: Tensor) -> Tensor:
     # Overflow surfaces as a NumericError from the constructor, not a warning.
     with np.errstate(over="ignore"):
         y = np.exp(a.value)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(y)
+    return _record(y, a, _times, y)
 
-    def backward(g):
-        _accumulate(node, g * y)
 
-    return Tensor(y, True, (node,), backward)
+def _softmax_rule(node, y):
+    def share(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        _accumulate(node, y * (g - inner), fresh=True)
+    return share
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -431,71 +399,51 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = x - row_max
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(y)
+    return _record(y, a, _softmax_rule, y)
 
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(node, y * (g - inner))
 
-    return Tensor(y, True, (node,), backward)
+def _sum_rule(node, _):
+    return lambda g: _accumulate(node, np.full(node.shape, g[0, 0]))
 
 
 def total_sum(a: Tensor) -> Tensor:
-    value = [[a.value.sum()]]
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
+    return _record([[a.value.sum()]], a, _sum_rule)
 
-    def backward(g):
-        _accumulate(node, np.full(node.shape, g[0, 0]))
 
-    return Tensor(value, True, (node,), backward)
+def _frobenius_rule(node, x):
+    return lambda g: _accumulate(node, 2.0 * g[0, 0] * x, fresh=True)
 
 
 def frobenius_sq(a: Tensor) -> Tensor:
     """Squared Frobenius norm, i.e. the sum of squared entries."""
     x = a.value
-    value = [[float((x * x).sum())]]
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
+    return _record([[float((x * x).sum())]], a, _frobenius_rule, x)
 
-    def backward(g):
-        _accumulate(node, 2.0 * g[0, 0] * x)
 
-    return Tensor(value, True, (node,), backward)
+def _clamp_rule(node, kept):
+    x, low, high = kept
+    return _times(node, (x >= low) & (x <= high))
 
 
 def clamp(a: Tensor, low: float, high: float) -> Tensor:
     """Clip entries to [low, high]; gradient flows where the input is in range."""
-    value = np.clip(a.value, low, high)
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
-    mask = (a.value >= low) & (a.value <= high)
+    return _record(np.clip(a.value, low, high), a, _clamp_rule, (a.value, low, high))
 
-    def backward(g):
-        _accumulate(node, g * mask)
 
-    return Tensor(value, True, (node,), backward)
+def _slice_rule(node, cols):
+    start, stop = cols
+
+    def share(g):
+        full = np.zeros(node.shape)
+        full[..., start:stop] = g
+        _accumulate(node, full, fresh=True)
+    return share
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[-1]):
         raise ValueError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-    value = a.value[..., start:stop].copy()
-    node = a._node
-    if not _grad_enabled or node is None:
-        return Tensor(value)
-
-    def backward(g):
-        full = np.zeros(node.shape)
-        full[..., start:stop] = g
-        _accumulate(node, full)
-
-    return Tensor(value, True, (node,), backward)
+    return _record(a.value[..., start:stop].copy(), a, _slice_rule, (start, stop))
 
 
 def uniform_init(rng: np.random.Generator, *shape: int) -> Tensor:
@@ -509,6 +457,10 @@ def zeros_init(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)), requires_grad=True)
 
 
+# Adam's moment decay rates and the denominator's guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected adaptive-moment optimizer with decoupled weight decay.
 
@@ -519,17 +471,13 @@ class Adam:
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
@@ -551,16 +499,16 @@ class Adam:
                     f"gradient shape {g.shape} does not match parameter {p.value.shape}")
             # lr * m_hat / (sqrt(v_hat) + eps) [+ lr * decay * p], in the
             # order of that formula, in two scratch arrays.
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            den = (1.0 - self.beta2) * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            den = (1.0 - BETA2) * g
             den *= g
-            v *= self.beta2
+            v *= BETA2
             v += den
-            np.divide(v, 1.0 - self.beta2 ** t, out=den)
+            np.divide(v, 1.0 - BETA2 ** t, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
-            update = m / (1.0 - self.beta1 ** t)
+            den += EPS
+            update = m / (1.0 - BETA1 ** t)
             update *= self.lr
             update /= den
             if self.weight_decay:

@@ -66,7 +66,8 @@ def build_parser() -> _Parser:
     train.add_argument("--no-graph-weighting", action="store_true",
                        help="ablation: binary adjacency instead of learned weights")
     train.add_argument("--no-vgae", action="store_true",
-                       help="ablation: pooled embeddings instead of graph encoding")
+                       help="ablation: flattened node embeddings instead of "
+                            "graph encoding")
 
     score = sub.add_parser("score", help="score a stream with a checkpoint")
     _add_common(score)

@@ -11,10 +11,13 @@ for missing temporal embeddings, the binary adjacency for missing edge
 weighting, and the flattened embeddings themselves for the missing graph
 autoencoder, in which case no graph is built. The stream is windowed once
 into one stack; training drops anomalous windows and picks prediction pairs
-with masks over its row index, every stage runs once over the stack, and
-scoring records no autodiff graph. ``build_stages`` alone decides which
-learned stages exist, their shapes (from the config and topology only) and
-their initial draws' seeds; training and checkpoint loading start from it.
+with masks over its row index and every stage runs once over the stack.
+No pass outside a stage's own fit records an autodiff graph:
+``segment_graphs``, ``segment_features`` and the detector's center and
+scores run without one, and so does training's posterior-mean pass over its
+graphs. ``build_stages`` alone decides which learned stages exist, their
+shapes (from the config and topology only) and their initial draws' seeds;
+training and checkpoint loading start from it.
 """
 from __future__ import annotations
 
@@ -74,6 +77,7 @@ def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
     return temporal.encode(Tensor(windows)).value
 
 
+@no_grad()
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                    temporal: TemporalEncoder | None,
                    windows: np.ndarray) -> WeightedGraph:
@@ -82,6 +86,7 @@ def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                           weighting=config.graph.weighting)
 
 
+@no_grad()
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
@@ -162,7 +167,7 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                     config.vgae.lr,
                                     np.random.default_rng(seeds[2]), log)
-        with numeric_context("[vgae] after training"):
+        with numeric_context("[vgae] after training"), no_grad():
             means = vgae_encoder.encode(graphs).mean.value
         features = means.reshape(len(means), -1)
     else:
@@ -207,10 +212,9 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
         return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []
     values = apply_normalizer(pipe.normalizer, values)
     segments = segment_stream(values, length, config.window.stride)
-    with no_grad():
-        features = segment_features(config, pipe.topology, pipe.temporal,
-                                    pipe.vgae, segments.values)
-        scores = pipe.svdd.scores(features)
+    features = segment_features(config, pipe.topology, pipe.temporal,
+                                pipe.vgae, segments.values)
+    scores = pipe.svdd.scores(features)
     results = [
         DetectionResult(i, float(s), pipe.threshold, int(s > pipe.threshold))
         for i, s in enumerate(scores)

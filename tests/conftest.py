@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from cpsdetect import autodiff
 
 # Make the shared oracle helpers importable from every test module.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -12,3 +15,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def made_tensors(monkeypatch):
+    """For every Tensor made from here on, whether it records a graph and
+    whether an ``autodiff.fit`` was running."""
+    made, fitting = [], []
+    tensor_init, fit = autodiff.Tensor.__init__, autodiff.fit
+
+    def spy(self, value, requires_grad=False, _parents=(), _backward=None):
+        made.append((bool(_parents), bool(fitting)))
+        tensor_init(self, value, requires_grad, _parents, _backward)
+
+    def marked_fit(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", spy)
+    monkeypatch.setattr(autodiff, "fit", marked_fit)
+    return made

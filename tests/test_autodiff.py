@@ -1,8 +1,10 @@
+import ast
 import math
 import re
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,7 +538,56 @@ def test_batched_matmul_mismatch_names_both_shapes():
         ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 2))))
 
 
+# Every public op, on operands of shape (2, 3, 3); a unary op (arity 1)
+# reads only the first.
+OPS = [
+    ("add", 2, ad.add),
+    ("sub", 2, ad.sub),
+    ("mul", 2, ad.mul),
+    ("matmul", 2, ad.matmul),
+    ("swap_axes", 1, lambda a, b: ad.swap_axes(a, 0, 1)),
+    ("transpose", 1, lambda a, b: ad.transpose(a)),
+    ("reshape", 1, lambda a, b: ad.reshape(a, (3, 6))),
+    ("scale", 1, lambda a, b: ad.scale(a, -1.7)),
+    ("relu", 1, lambda a, b: ad.relu(a)),
+    ("leaky_relu", 1, lambda a, b: ad.leaky_relu(a, 0.2)),
+    ("sigmoid", 1, lambda a, b: ad.sigmoid(a)),
+    ("exp", 1, lambda a, b: ad.exp(a)),
+    ("softmax_rows", 1, lambda a, b: ad.softmax_rows(a)),
+    ("total_sum", 1, lambda a, b: ad.total_sum(a)),
+    ("frobenius_sq", 1, lambda a, b: ad.frobenius_sq(a)),
+    ("clamp", 1, lambda a, b: ad.clamp(a, -0.5, 0.5)),
+    ("slice_cols", 1, lambda a, b: ad.slice_cols(a, 1, 3)),
+]
+OP_IDS = [o[0] for o in OPS]
+
+
+def _operands():
+    return np.random.default_rng(3).normal(size=(2, 2, 3, 3))
+
+
 class TestNoGrad:
+    @pytest.mark.parametrize("name,arity,op", OPS, ids=OP_IDS)
+    def test_op_without_a_recorded_operand_gives_a_constant(self, name, arity, op):
+        first, second = _operands()
+        with ad.no_grad():
+            assert op(param(first), param(second))._node is None
+        assert op(ad.Tensor(first), ad.Tensor(second))._node is None
+
+    @pytest.mark.parametrize("recorded", [(True, False), (False, True), (True, True)],
+                             ids=["first", "second", "both"])
+    @pytest.mark.parametrize("name,arity,op", OPS, ids=OP_IDS)
+    def test_op_parents_are_the_recorded_operands_nodes(self, name, arity, op,
+                                                        recorded):
+        operands = [param(v) if r else ad.Tensor(v)
+                    for v, r in zip(_operands(), recorded)]
+        nodes = tuple(t._node for t in operands[:arity] if t._node is not None)
+        out = op(*operands)
+        if nodes:
+            assert out._node.parents == nodes and out._node.backward is not None
+        else:
+            assert out._node is None
+
     def test_records_no_parents(self):
         p = param([[1.0, 2.0]])
         with ad.no_grad():
@@ -560,6 +611,38 @@ class TestNoGrad:
                     raise ValueError
             assert not ad.add(p, p).requires_grad
         assert ad.add(p, p).requires_grad
+
+
+def switch_readers(source: str) -> list[str]:
+    """The functions (methods by their own name) that read ``_grad_enabled``,
+    and ``<module>`` for any other top-level statement that does."""
+    found = set()
+    for statement in ast.parse(source).body:
+        scopes = (statement.body if isinstance(statement, ast.ClassDef)
+                  else [statement])
+        for scope in scopes:
+            if any(isinstance(node, ast.Name) and node.id == "_grad_enabled"
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(scope)):
+                found.add(getattr(scope, "name", "<module>"))
+    return sorted(found)
+
+
+def test_only_no_grad_and_the_recording_helper_read_the_switch():
+    # An op that checked the switch itself would bring back a second
+    # record-or-constant rule beside ``_record``.
+    source = Path(ad.__file__).read_text(encoding="utf-8")
+    assert switch_readers(source) == ["_record", "no_grad"]
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def f():\n    return _grad_enabled\n", ["f"]),
+    ("def f():\n    global _grad_enabled\n    _grad_enabled = False\n", []),
+    ("class C:\n    def m(self):\n        return _grad_enabled\n", ["m"]),
+    ("def f():\n    def g():\n        return not _grad_enabled\n", ["f"]),
+    ("ENABLED = _grad_enabled\n", ["<module>"]),
+])
+def test_switch_readers_finds_every_read(source, readers):
+    assert switch_readers(source) == readers
 
 
 # A constant of 2 MB: much larger than tracemalloc's own bookkeeping.

@@ -41,6 +41,14 @@ def test_dump_graphs_uses_the_checkpoint_window(trained, tmp_path, capsys):
     assert dumped == [f"graph_{int(r['segment']):05d}.csv" for r in rows]
 
 
+def test_dump_graphs_records_no_graph(trained, tmp_path, made_tensors):
+    assert main(["score", "--out", str(tmp_path), "--dump-graphs",
+                 "--data", str(trained / "test.csv"),
+                 "--topology", str(trained / "topology.txt"),
+                 "--checkpoint", str(trained / "model.ckpt")]) == 0
+    assert made_tensors and not any(recorded for recorded, _ in made_tensors)
+
+
 def test_short_csv_row_exits_with_data_error(trained, tmp_path, capsys):
     lines = (trained / "train.csv").read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0]  # drop the label cell

@@ -158,18 +158,18 @@ def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
     assert stored[0] == stored[1]
 
 
-def test_scoring_records_no_graph(monkeypatch):
+def test_scoring_records_no_graph(made_tensors):
     pipe, test = _tiny_pipeline("full")
-    recorded = []
-    tensor_init = Tensor.__init__
-
-    def spy(self, value, requires_grad=False, _parents=(), _backward=None):
-        recorded.append(bool(_parents))
-        tensor_init(self, value, requires_grad, _parents, _backward)
-
-    monkeypatch.setattr(Tensor, "__init__", spy)
+    made_tensors.clear()
     pipeline.score_stream(pipe, test)
-    assert recorded and not any(recorded)
+    assert made_tensors and not any(recorded for recorded, _ in made_tensors)
+
+
+@pytest.mark.parametrize("variant", ["full", "no-temporal"])
+def test_training_records_a_graph_only_inside_its_fits(made_tensors, variant):
+    _tiny_pipeline(variant)
+    assert any(recorded for recorded, fitting in made_tensors if fitting)
+    assert not any(recorded for recorded, fitting in made_tensors if not fitting)
 
 
 def test_prediction_pairs_skip_dirty_successors():
