@@ -15,8 +15,10 @@ Every op records through one helper, ``_record``: the op computes its value
 and hands over one gradient rule per operand, and the helper alone decides
 whether the result is a constant or a recorded tensor, calling only the
 rules of operands that require a gradient.
-Every public operation validates that its result is finite and raises
-``NumericError`` otherwise, so NaN/Inf never propagate silently.
+Two rules keep NaN/Inf from spreading: a value from outside (CSV, config,
+checkpoint array) is checked where it enters, and an op that makes one from
+finite operands traps inside ``numeric_context``, which raises numpy's
+overflow, invalid-value or division-by-zero error as a ``NumericError``.
 
 A recorded graph is a chain of small node records, kept apart from the
 tensors' forward values. A node holds its parents' nodes (the operands that
@@ -127,9 +129,6 @@ class Tensor:
     def __init__(self, value, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
         self.value = _as_matrix(value)
-        if not np.isfinite(self.value).all():
-            raise NumericError(
-                f"non-finite entries in tensor of shape {self.value.shape}")
         self._node = (_Node(_parents, _backward, self.value.shape)
                       if requires_grad else None)
 
@@ -373,9 +372,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    # Overflow surfaces as a NumericError from the constructor, not a warning.
-    with np.errstate(over="ignore"):
-        y = np.exp(a.value)
+    y = np.exp(a.value)
     return _record(y, a, _times, y)
 
 
@@ -518,13 +515,13 @@ class Adam:
 
 @contextlib.contextmanager
 def numeric_context(label: str):
-    """Raise a ``NumericError`` from inside again as ``label: message``.
-    numpy's overflow and invalid-value warnings stay quiet in here: the
-    ``Tensor`` constructor reports what they would warn about."""
+    """Trap numpy's overflow, invalid-value and division-by-zero in here and
+    raise each as ``NumericError("label: message")``; underflow stays quiet.
+    Contexts nest, and the innermost one's label names the failure."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except NumericError as err:
+    except FloatingPointError as err:
         raise NumericError(f"{label}: {err}") from None
 
 
@@ -535,8 +532,8 @@ def fit(named_params: Iterable[tuple[str, Tensor]],
     """Adam on the loss ``loss_fn()`` yields in parts, rebuilt each epoch;
     returns the per-epoch losses, each the sum of its parts' values.
 
-    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``, and a
-    ``NumericError`` is raised again as ``[tag] epoch e/E: ...``.
+    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``, and
+    each epoch runs in a ``numeric_context`` labelled ``[tag] epoch e/E``.
 
     Each part is backpropagated, its gradient adding to what the earlier
     parts left, and dropped before the next part is built, so the peak

@@ -19,9 +19,10 @@ under its prefix (``temporal/w_out``), the hypersphere center and the 0-d
 threshold, each in its own shape. Identical training runs write identical
 files. Loading builds the stages from the stored config through
 ``pipeline.build_stages`` and writes each block, shape-checked, into the
-array the listing names. The reader accepts exactly what
-``save_checkpoint`` writes; anything else, a version mismatch included, is
-an error, never a silent migration.
+array the listing names. A non-finite value, or a std below the floor that
+``fit_normalizer`` keeps, is an error that names its block. The reader
+accepts exactly what ``save_checkpoint`` writes; anything else, a version
+mismatch included, is an error, never a silent migration.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_to_text, parse_config_text
-from .data import Normalizer, SensorTopology, format_topology
+from .data import STD_FLOOR, Normalizer, SensorTopology, format_topology
 from .errors import ConfigError, DataError, reading
 from .pipeline import TrainedPipeline, build_stages
 
@@ -175,6 +176,10 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
             raise DataError(
                 f"checkpoint block {name!r} has shape {stored.shape}, "
                 f"model expects {array.shape}")
+        if not np.isfinite(stored).all():
+            raise DataError(f"checkpoint block {name!r} holds a non-finite value")
         array[...] = stored
+    if (normalizer.std < STD_FLOOR).any():
+        raise DataError(f"checkpoint block 'normalizer/std' is below {STD_FLOOR}")
     pipe.threshold = float(arrays[-1][1])
     return pipe

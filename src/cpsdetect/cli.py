@@ -22,6 +22,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import pipeline as pipeline_mod
+from .autodiff import numeric_context
 from .config import (PipelineConfig, apply_setting, load_config,
                      parse_anomaly_spec)
 from .errors import ConfigError, DataError, NumericError, reading
@@ -171,6 +172,7 @@ def cmd_train(args) -> int:
     return 0
 
 
+@numeric_context("[score]")
 def cmd_score(args) -> int:
     config = _build_config(args)
     topology = data_mod.load_topology(

@@ -15,7 +15,7 @@ class DataError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values appeared where finite math was required."""
+    """An op made a non-finite value, trapped by ``autodiff.numeric_context``."""
 
 
 @contextmanager

@@ -15,9 +15,10 @@ with masks over its row index and every stage runs once over the stack.
 No pass outside a stage's own fit records an autodiff graph:
 ``segment_graphs``, ``segment_features`` and the detector's center and
 scores run without one, and so does training's posterior-mean pass over its
-graphs. ``build_stages`` alone decides which learned stages exist, their
-shapes (from the config and topology only) and their initial draws' seeds;
-training and checkpoint loading start from it.
+graphs. Every numeric step of training and scoring runs in a labelled
+``numeric_context``. ``build_stages`` alone decides which learned stages
+exist, their shapes (from the config and topology only) and their initial
+draws' seeds; training and checkpoint loading start from it.
 """
 from __future__ import annotations
 
@@ -105,6 +106,7 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
     return nodes.reshape(len(nodes), -1)
 
 
+@numeric_context("[train]")
 def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                    values: np.ndarray, labels: np.ndarray,
                    log: Callable[[str], None] | None = None) -> TrainedPipeline:
@@ -125,8 +127,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         say(f"[data] training on first {keep} rows "
             f"(fraction {config.run.train_fraction})")
 
-    normalizer = fit_normalizer(values)
-    values = apply_normalizer(normalizer, values)
+    with numeric_context("[data] normalizer"):
+        normalizer = fit_normalizer(values)
+        values = apply_normalizer(normalizer, values)
 
     length, stride = config.window.length, config.window.stride
     segments = segment_stream(values, length, stride)
@@ -164,9 +167,10 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
             graphs = segment_graphs(config, topology, temporal, normal)
         say(f"[vgae] training on {len(normal)} graphs "
             f"(attribute dim {vgae_encoder.input_dim})")
-        traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
-                                    config.vgae.lr,
-                                    np.random.default_rng(seeds[2]), log)
+        with numeric_context("[vgae]"):
+            traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
+                                        config.vgae.lr,
+                                        np.random.default_rng(seeds[2]), log)
         with numeric_context("[vgae] after training"), no_grad():
             means = vgae_encoder.encode(graphs).mean.value
         features = means.reshape(len(means), -1)
@@ -181,7 +185,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     fit_features = features[:split]
     calibration_features = features[split:] if split < len(features) else fit_features
 
-    net.init_center(fit_features)
+    with numeric_context("[svdd]"):
+        net.init_center(fit_features)
     say(f"[svdd] training on {fit_features.shape[0]} samples of dim "
         f"{features.shape[1]}, calibrating on {len(calibration_features)}")
     traces["svdd"] = train_svdd(net, fit_features, config.svdd.epochs,
@@ -195,6 +200,7 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                            vgae_encoder, net, threshold, traces)
 
 
+@numeric_context("[score]")
 def score_stream(pipe: TrainedPipeline, values: np.ndarray
                  ) -> tuple[Segments, list[DetectionResult]]:
     """Segment and score a stream with a trained pipeline.

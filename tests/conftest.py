@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -19,13 +20,16 @@ settings.load_profile("default")
 
 @pytest.fixture
 def made_tensors(monkeypatch):
-    """For every Tensor made from here on, whether it records a graph and
-    whether an ``autodiff.fit`` was running."""
+    """For every Tensor made from here on: whether it records a graph,
+    whether an ``autodiff.fit`` was running, and whether numpy's overflow,
+    invalid-value and division-by-zero traps were on."""
     made, fitting = [], []
     tensor_init, fit = autodiff.Tensor.__init__, autodiff.fit
 
     def spy(self, value, requires_grad=False, _parents=(), _backward=None):
-        made.append((bool(_parents), bool(fitting)))
+        flags = np.geterr()
+        trapped = all(flags[kind] == "raise" for kind in ("over", "invalid", "divide"))
+        made.append((bool(_parents), bool(fitting), trapped))
         tensor_init(self, value, requires_grad, _parents, _backward)
 
     def marked_fit(*args, **kwargs):

@@ -164,15 +164,24 @@ class TestParts:
 
 
 class TestFiniteness:
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(NumericError):
-            ad.Tensor([[np.inf, 1.0]])
-        with pytest.raises(NumericError):
-            ad.Tensor([[np.nan]])
-
     def test_overflowing_exp_raises(self):
-        with pytest.raises(NumericError):
-            ad.exp(ad.Tensor([[1e4]]))
+        with pytest.raises(NumericError, match=r"^\[exp\]: overflow encountered in exp"):
+            with ad.numeric_context("[exp]"):
+                ad.exp(ad.Tensor([[1e4]]))
+
+    def test_the_innermost_context_names_the_failure(self):
+        big = ad.Tensor([[1e200]])
+        with pytest.raises(NumericError, match=r"^\[inner\]: overflow encountered in matmul$"):
+            with ad.numeric_context("[outer]"), ad.numeric_context("[inner]"):
+                ad.matmul(big, big)
+
+    def test_underflow_stays_quiet_and_the_context_restores_the_flags(self):
+        before = np.geterr()
+        with ad.numeric_context("[tiny]"):
+            assert ad.exp(ad.Tensor([[-1e4]])).value[0, 0] == 0.0
+            tiny = ad.Tensor([[1e-300]])
+            assert ad.mul(tiny, tiny).value[0, 0] == 0.0
+        assert np.geterr() == before
 
     def test_public_ops_stay_finite_on_large_inputs(self):
         x = ad.Tensor(np.full((3, 4), 1e150))
@@ -382,10 +391,9 @@ class TestFit:
 
     def test_numeric_error_names_tag_and_epoch_without_a_warning(self):
         p = param([[1e200]])
-        # Outside fit, the overflowing product also prints numpy's warning.
+        # Outside fit, the overflowing product only warns.
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(NumericError):
-                ad.matmul(p, ad.Tensor([[1e200]]))
+            ad.matmul(p, ad.Tensor([[1e200]]))
         epochs = []
 
         def loss():
@@ -396,7 +404,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError,
-                               match=r"^\[toy\] epoch 3/5: non-finite entries"):
+                               match=r"^\[toy\] epoch 3/5: overflow"):
                 ad.fit([("p", p)], loss, epochs=5, lr=0.1, tag="toy")
 
 

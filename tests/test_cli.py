@@ -1,6 +1,7 @@
 import csv
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ def test_dump_graphs_records_no_graph(trained, tmp_path, made_tensors):
                  "--data", str(trained / "test.csv"),
                  "--topology", str(trained / "topology.txt"),
                  "--checkpoint", str(trained / "model.ckpt")]) == 0
-    assert made_tensors and not any(recorded for recorded, _ in made_tensors)
+    assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
+    assert all(trapped for _, _, trapped in made_tensors)
 
 
 def test_short_csv_row_exits_with_data_error(trained, tmp_path, capsys):
@@ -119,12 +121,15 @@ def test_evaluate_repeated_row_names_its_file_and_value(tmp_path, capsys,
     assert f"{scores}: {column} 1 appears in more than one score row" in err
 
 
-def _non_numeric_cell(blob):
-    lines = blob.split(b"\n")
-    cells = lines[3].split(b",")
-    cells[1] = b"abc"  # the first sensor column
-    lines[3] = b",".join(cells)
-    return b"\n".join(lines)
+def _first_sensor_cell(text):
+    """The stream with its first sensor's cell in data row 3 set to ``text``."""
+    def put(blob):
+        lines = blob.split(b"\n")
+        cells = lines[3].split(b",")
+        cells[1] = text
+        lines[3] = b",".join(cells)
+        return b"\n".join(lines)
+    return put
 
 
 def _first_sensor_twice(blob):
@@ -160,6 +165,14 @@ def _one_short(block, axis):
     return cut
 
 
+def _first_entry(block, value):
+    """The checkpoint with the first value of array ``block`` set to ``value``."""
+    def put(blob):
+        start = _array_at(blob, block)[2]
+        return blob[:start] + struct.pack("<d", value) + blob[start + 8:]
+    return put
+
+
 def _first_dim_huge(blob):
     """The checkpoint with the first dim of ``svdd/w0`` set to 2**32 - 1."""
     at = _array_at(blob, "svdd/w0")[0]
@@ -191,8 +204,9 @@ _SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 # fixture's file for that flag to the bad bytes; None passes a directory; a
 # string is passed as it is. The flag "segments" passes the file as --scores
 # with --granularity segment; the flag "train-set" passes each word of its
-# string as a --set of a tiny `train` run, and "synth" its words as the
-# flags of a tiny `synth` run.
+# string as a --set of a tiny `train` run, "train-data" maps the training
+# CSV of a tiny `train` run, and "synth" passes its words as the flags of a
+# tiny `synth` run.
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
@@ -200,7 +214,7 @@ EXIT_CASES = {
         "topology", b"sensor s0 t0\nsensor s1 t0\nedge s0 s9\n", 2),
     "topology other than the checkpoint's": ("topology", _without_first_edge, 2),
     "csv not utf-8": ("data", lambda b: b.replace(b"\n", b"\n\xff", 1), 2),
-    "csv non-numeric cell": ("data", _non_numeric_cell, 2),
+    "csv non-numeric cell": ("data", _first_sensor_cell(b"abc"), 2),
     "csv missing header": ("data", b"", 2),
     "csv sensor column repeated": ("data", _first_sensor_twice, 2),
     "score csv not utf-8": ("scores", b"index,score,predicted\n0,\xff,0\n", 2),
@@ -248,12 +262,12 @@ EXIT_CASES = {
        for split in ("0", "400", "-5")},
     "train svdd.lr=1e300 overflows": (
         "train-set", "svdd.lr=1e300", 3,
-        "numeric failure: [svdd] epoch 2/20: non-finite entries"),
+        "numeric failure: [svdd] epoch 2/20: overflow encountered in matmul"),
     # One epoch: the last Adam step leaves the weights huge, and the first
     # pass after training overflows.
     **{f"train {stage}.lr=1e300 one epoch overflows after training": (
         "train-set", f"{stage}.lr=1e300 {stage}.epochs=1", 3,
-        f"numeric failure: [{stage}] after training: non-finite entries")
+        f"numeric failure: [{stage}] after training: overflow encountered in matmul")
        for stage in ("svdd", "temporal", "vgae")},
     **{f"checkpoint format version {version}": (
         "checkpoint", lambda b, v=version: b[:4] + struct.pack("<I", v) + b[8:], 1,
@@ -280,6 +294,21 @@ EXIT_CASES = {
         "checkpoint", lambda b: _replace_once(b, b"[vgae]\nenabled = True",
                                               b"[vgae]\nenabled = off "),
         2, "checkpoint block 'vgae/w_hidden' is not part of the model"),
+    # A value from outside is checked where it enters.
+    **{f"checkpoint {block} {value}": (
+        "checkpoint", _first_entry(block, value), 2,
+        f"checkpoint block {block!r} holds a non-finite value")
+       for block, value in (("detector/center", math.nan),
+                            ("detector/threshold", math.nan),
+                            ("detector/threshold", math.inf),
+                            ("svdd/w0", math.nan), ("normalizer/std", math.nan))},
+    **{f"checkpoint normalizer/std {value}": (
+        "checkpoint", _first_entry("normalizer/std", value), 2,
+        "checkpoint block 'normalizer/std' is below 1e-08")
+       for value in (-1.0, 0.0)},
+    "train csv cell 1e300 overflows the normalizer": (
+        "train-data", _first_sensor_cell(b"1e300"), 3,
+        "numeric failure: [data] normalizer: overflow encountered in square"),
     "checkpoint normalizer one sensor short": (
         "checkpoint", _one_short("normalizer/std", axis=0), 2),
     "checkpoint svdd/w0 one row short": ("checkpoint", _one_short("svdd/w0", axis=0), 2),
@@ -299,7 +328,7 @@ PREFIXES = {1: "error: ", 2: "data error: ", 3: "numeric failure: "}
 def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, case):
     flag, given, expected, *message = EXIT_CASES[case]
     args = {"data": trained / "test.csv", "topology": trained / "topology.txt",
-            "checkpoint": trained / "model.ckpt"}
+            "checkpoint": trained / "model.ckpt", "train-data": trained / "train.csv"}
     if given is None:
         args[flag] = tmp_path
     elif isinstance(given, str):
@@ -313,25 +342,30 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
         argv = ["evaluate", "--data", str(args["data"]), "--scores", str(args[flag])]
         if flag == "segments":
             argv += ["--granularity", "segment"]
-    elif flag == "train-set":
-        argv = ["train", "--data", str(trained / "train.csv"),
+    elif flag in ("train-set", "train-data"):
+        argv = ["train", "--data", str(args["train-data"]),
                 "--topology", str(args["topology"]), *_sets(SETTINGS),
-                *_sets(given.split())]
+                *_sets(given.split() if flag == "train-set" else [])]
     elif flag == "synth":
         argv = ["synth", *_sets(SETTINGS), *given.split()]
     else:
         argv = ["score", *(arg for name, value in args.items()
+                           if name != "train-data"
                            for arg in (f"--{name}", str(value)))]
-    code = main([*argv, "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    # A warning would reach stderr as a second line outside the test.
+    assert not warned, [str(w.message) for w in warned]
     assert code == expected, err
     assert err.startswith(PREFIXES[expected]), err
     assert err.count("\n") == 1, err
     assert "Traceback" not in err
     for text in message:
         assert text in err, err
-    if flag == "synth":
-        # Synth checks its settings before it writes anything.
+    if flag in ("synth", "train-set", "train-data"):
+        # A failed synth or train writes nothing: no data, no checkpoint.
         assert not (tmp_path / "out").exists()
     if expected == 2 or flag == "checkpoint":
         # A data error names its file; a topology mismatch, the checkpoint;

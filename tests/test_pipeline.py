@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from cpsdetect import autodiff, benchmark, checkpoint, data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
+from cpsdetect.errors import NumericError
 from cpsdetect.temporal import TemporalEncoder
 
 from tiny import tiny_config, tiny_data
@@ -162,14 +165,49 @@ def test_scoring_records_no_graph(made_tensors):
     pipe, test = _tiny_pipeline("full")
     made_tensors.clear()
     pipeline.score_stream(pipe, test)
-    assert made_tensors and not any(recorded for recorded, _ in made_tensors)
+    assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
+    assert all(trapped for _, _, trapped in made_tensors)
 
 
-@pytest.mark.parametrize("variant", ["full", "no-temporal"])
+@pytest.mark.parametrize("variant", benchmark.VARIANTS)
 def test_training_records_a_graph_only_inside_its_fits(made_tensors, variant):
     _tiny_pipeline(variant)
-    assert any(recorded for recorded, fitting in made_tensors if fitting)
-    assert not any(recorded for recorded, fitting in made_tensors if not fitting)
+    assert any(recorded for recorded, fitting, _ in made_tensors if fitting)
+    assert not any(recorded for recorded, fitting, _ in made_tensors if not fitting)
+    assert all(trapped for _, _, trapped in made_tensors)
+
+
+def _overflow(*args, **kwargs):
+    return np.exp(np.array([1e4]))
+
+
+# (where, step, label): an overflow in the step fails under the label.
+STEP_LABELS = [
+    (pipeline, "fit_normalizer", "[data] normalizer"),
+    (pipeline, "build_stages", "[train]"),
+    (pipeline, "segment_graphs", "[temporal] after training"),
+    (pipeline, "train_vgae", "[vgae]"),
+    (svdd.SvddNet, "init_center", "[svdd]"),
+    (pipeline, "calibrate_threshold", "[svdd] after training"),
+]
+
+
+@pytest.mark.parametrize("where, step, label", STEP_LABELS,
+                         ids=[step for _, step, _ in STEP_LABELS])
+def test_an_overflow_fails_under_its_stage(monkeypatch, where, step, label):
+    config = tiny_config("full")
+    topology, values, labels, _ = tiny_data(config)
+    monkeypatch.setattr(where, step, _overflow)
+    with pytest.raises(NumericError,
+                       match=f"^{re.escape(label)}: overflow encountered in exp$"):
+        pipeline.train_pipeline(config, topology, values, labels)
+
+
+def test_an_overflow_in_scoring_fails_under_score(monkeypatch):
+    pipe, test = _tiny_pipeline("full")
+    monkeypatch.setattr(pipeline, "segment_features", _overflow)
+    with pytest.raises(NumericError, match=r"^\[score\]: overflow encountered in exp$"):
+        pipeline.score_stream(pipe, test)
 
 
 def test_prediction_pairs_skip_dirty_successors():
