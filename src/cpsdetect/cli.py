@@ -22,7 +22,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import pipeline as pipeline_mod
-from .autodiff import numeric_context
+from .autodiff import chunks, numeric_context
 from .config import (PipelineConfig, apply_setting, load_config,
                      parse_anomaly_spec)
 from .errors import ConfigError, DataError, NumericError, reading
@@ -199,10 +199,11 @@ def cmd_score(args) -> int:
     if args.dump_graphs and len(segments):
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
-        graphs = pipeline_mod.segment_graphs(pipe.config, topology,
-                                             pipe.temporal, segments.values)
-        for i, adjacency in enumerate(graphs.adjacency):
-            np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
+        for rows in chunks(len(segments)):
+            graphs = pipeline_mod.segment_graphs(pipe.config, topology,
+                                                 pipe.temporal, segments.values[rows])
+            for i, adjacency in enumerate(graphs.adjacency, start=rows.start):
+                np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
 
     flagged = int((scores > pipe.threshold).sum())
     print(f"scored {len(segments)} segments ({flagged} flagged) "

@@ -15,10 +15,18 @@ with masks over its row index and every stage runs once over the stack.
 No pass outside a stage's own fit records an autodiff graph:
 ``segment_graphs``, ``segment_features`` and the detector's center and
 scores run without one, and so does training's posterior-mean pass over its
-graphs. Every numeric step of training and scoring runs in a labelled
-``numeric_context``. ``build_stages`` alone decides which learned stages
-exist, their shapes (from the config and topology only) and their initial
-draws' seeds; training and checkpoint loading start from it.
+graphs. Those passes embed and encode in ``autodiff.CHUNK`` parts and
+write each part's rows into one stacked result; ``segment_features`` also
+builds each part's graphs before it moves on, while training's graph pass
+keeps the whole stack its VGAE fit reads. When scoring, the arrays that
+grow with the stream are the normalized stream, its window stack, the
+features (one row per window) and the scores; the detector scores all
+features in one call. A library caller's stream is checked where it
+enters: 2-D, one column per sensor, finite. Every numeric step of training
+and scoring runs in a labelled ``numeric_context``. ``build_stages`` alone
+decides which learned stages exist, their shapes (from the config and
+topology only) and their initial draws' seeds; training and checkpoint
+loading start from it.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, numeric_context
+from .autodiff import Tensor, chunks, no_grad, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
@@ -71,11 +79,40 @@ def build_stages(config: PipelineConfig, topology: SensorTopology,
     return temporal, vgae, svdd
 
 
+def _check_stream(values: np.ndarray, topology: SensorTopology) -> None:
+    """A stream from a library caller is (rows x sensors) and finite."""
+    if values.ndim != 2:
+        raise DataError(
+            f"stream must be 2-D (rows x sensors), got shape {values.shape}")
+    if values.shape[1] != topology.n:
+        raise DataError(
+            f"stream has {values.shape[1]} columns, topology has {topology.n} sensors")
+    if not np.isfinite(values).all():
+        row, column = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"non-finite value at row {row}, column "
+                        f"{topology.names[column]!r}")
+
+
+def _in_parts(part: Callable[[slice], np.ndarray], count: int) -> np.ndarray:
+    """``part(rows)`` over ``autodiff.chunks(count)``, each result written
+    into its rows of one stack: only that stack grows with ``count``."""
+    first, *rest = chunks(count)
+    value = part(first)
+    if not rest:
+        return value
+    stack = np.empty((count,) + value.shape[1:])
+    stack[first] = value
+    for rows in rest:
+        stack[rows] = part(rows)
+    return stack
+
+
 def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
     """Node attributes of a window stack: embeddings, or the raw windows."""
     if temporal is None:
         return windows
-    return temporal.encode(Tensor(windows)).value
+    return _in_parts(lambda rows: temporal.encode(Tensor(windows[rows])).value,
+                     len(windows))
 
 
 @no_grad()
@@ -96,13 +133,15 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
     each window's (nodes x dim) matrix flattened node-major.
 
     The windows are embedded once; graphs are built only for the graph
-    autoencoder, whose posterior means (no samples) are flattened.
+    autoencoder, whose posterior means (no samples) are flattened. Each
+    ``autodiff.CHUNK`` windows are embedded, turned into graphs and encoded
+    before the next part starts, so only the features grow with the stack.
     """
     if vgae_encoder is None:
         nodes = _embed(temporal, windows)
     else:
-        graphs = segment_graphs(config, topology, temporal, windows)
-        nodes = vgae_encoder.encode(graphs).mean.value
+        nodes = _in_parts(lambda rows: vgae_encoder.encode(segment_graphs(
+            config, topology, temporal, windows[rows])).mean.value, len(windows))
     return nodes.reshape(len(nodes), -1)
 
 
@@ -113,9 +152,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     """Run all enabled training stages on one stream and calibrate."""
     config.validate()
     topology.validate()
-    if values.shape[1] != topology.n:
-        raise DataError(
-            f"stream has {values.shape[1]} columns, topology has {topology.n} sensors")
+    _check_stream(values, topology)
+    if len(labels) != len(values):
+        raise DataError(f"{len(labels)} labels for a stream of {len(values)} rows")
 
     def say(message: str) -> None:
         if log is not None:
@@ -172,7 +211,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                                         config.vgae.lr,
                                         np.random.default_rng(seeds[2]), log)
         with numeric_context("[vgae] after training"), no_grad():
-            means = vgae_encoder.encode(graphs).mean.value
+            means = _in_parts(lambda rows: vgae_encoder.encode(WeightedGraph(
+                graphs.adjacency[rows], graphs.attributes[rows])).mean.value,
+                len(normal))
         features = means.reshape(len(means), -1)
     else:
         with numeric_context("[temporal] after training"):
@@ -206,13 +247,14 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     """Segment and score a stream with a trained pipeline.
 
     Streams shorter than one window yield empty segments (and no error), so
-    header-only outputs are possible downstream.
+    header-only outputs are possible downstream. A stream that is not
+    (rows x sensors) or holds a non-finite value is a ``DataError``. The
+    normalized stream, the window stack, the features and the scores are
+    whole-stream arrays; the embeddings, graphs and posterior means exist
+    for ``autodiff.CHUNK`` windows at a time.
     """
     config = pipe.config
-    if values.shape[0] and values.shape[1] != pipe.topology.n:
-        raise DataError(
-            f"stream has {values.shape[1]} columns, topology has "
-            f"{pipe.topology.n} sensors")
+    _check_stream(values, pipe.topology)
     length = config.window.length
     if values.shape[0] < length:
         return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []

@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from cpsdetect import autodiff as ad
 from cpsdetect.errors import NumericError
 
+from conftest import traced_peak
 from oracles import finite_difference, relative_gradient_error
 
 RTOL = 1e-4
@@ -688,12 +688,7 @@ def test_backward_makes_no_product_for_a_constant_operand(build):
     # product for it, and no zero-filled buffer behind a first gradient.
     c, p, loss, needed = build(np.random.default_rng(0))
     budget = sum(8 * math.prod(shape) for shape in needed)
-    tracemalloc.start()
-    try:
-        loss.backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(loss.backward)
     assert c.grad is None and p.grad.shape == p.shape
     assert peak < budget + c.value.nbytes // 2, (peak, budget, c.value.nbytes)
 
@@ -757,12 +752,7 @@ def test_backward_holds_a_few_gradients_at_a_time():
                ad.exp, lambda t: ad.clamp(t, -1.0, 2.0)):
         t = op(t)
     loss = ad.total_sum(t)
-    tracemalloc.start()
-    try:
-        loss.backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(loss.backward)
     assert p.grad.shape == p.shape
     assert peak < 4 * p.value.nbytes, (peak, p.value.nbytes)
 

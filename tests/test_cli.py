@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpsdetect import autodiff
 from cpsdetect.cli import main
 
 from tiny import SETTINGS, TRAIN_ROWS
@@ -40,6 +41,21 @@ def test_dump_graphs_uses_the_checkpoint_window(trained, tmp_path, capsys):
     assert {int(r["end"]) - int(r["start"]) for r in rows} == {10}
     dumped = sorted(p.name for p in (tmp_path / "graphs").iterdir())
     assert dumped == [f"graph_{int(r['segment']):05d}.csv" for r in rows]
+
+
+def test_dump_graphs_writes_the_same_bytes_in_parts(trained, tmp_path, monkeypatch):
+    # The 10 test windows in one part, and in parts of 7 and 3.
+    written = []
+    for chunk in (10**6, 7):
+        monkeypatch.setattr(autodiff, "CHUNK", chunk)
+        out = tmp_path / str(chunk)
+        assert main(["score", "--out", str(out), "--dump-graphs",
+                     "--data", str(trained / "test.csv"),
+                     "--topology", str(trained / "topology.txt"),
+                     "--checkpoint", str(trained / "model.ckpt")]) == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((out / "graphs").iterdir())})
+    assert len(written[0]) == 10 and written[0] == written[1]
 
 
 def test_dump_graphs_records_no_graph(trained, tmp_path, made_tensors):

@@ -6,9 +6,10 @@ import pytest
 from cpsdetect import autodiff, benchmark, checkpoint, data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
-from cpsdetect.errors import NumericError
+from cpsdetect.errors import DataError, NumericError
 from cpsdetect.temporal import TemporalEncoder
 
+from conftest import traced_peak
 from tiny import tiny_config, tiny_data
 
 
@@ -148,7 +149,7 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
     assert blocks["detector/center"].shape == (built[-1].widths[-1],)
 
 
-@pytest.mark.parametrize("variant", ["full", "no-temporal"])
+@pytest.mark.parametrize("variant", benchmark.VARIANTS)
 def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
     # The tiny pipelines train on 20-odd windows: 7-window parts split every
     # stack-shaped fit into several.
@@ -159,6 +160,88 @@ def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
         stored.append([(name, np.asarray(array).tobytes())
                        for name, array in checkpoint._arrays(pipe)])
     assert stored[0] == stored[1]
+
+
+@pytest.mark.parametrize("variant", benchmark.VARIANTS)
+def test_chunked_scoring_gives_the_whole_stack_bits(monkeypatch, variant):
+    # The tiny test stream has 10 windows: 7-window parts split it in two.
+    pipe, test = _tiny_pipeline(variant)
+    scored = []
+    for chunk in (10**6, 7):
+        monkeypatch.setattr(autodiff, "CHUNK", chunk)
+        _, results = pipeline.score_stream(pipe, test)
+        scored.append(np.array([r.score for r in results]).tobytes())
+    assert scored[0] == scored[1]
+
+
+def test_feature_working_set_stays_flat_in_the_stack_length(monkeypatch):
+    # The traced peak of a feature pass above its output, for 4x and 16x
+    # the benchmark's 266 test windows at the default sizes: about 1.09 MB
+    # both times (numpy 2.4.6, Python 3.11), one 64-window part's embeddings,
+    # graphs and encodings. One whole-stack pass grows 4x with the stack.
+    monkeypatch.setattr(autodiff, "CHUNK", 64)
+    config = benchmark.benchmark_config()
+    topology, _, _ = benchmark.benchmark_data()
+    temporal, vgae, _ = pipeline.build_stages(
+        config, topology, np.random.SeedSequence(0).spawn(4))
+    windows = np.random.default_rng(40).normal(
+        size=(16 * 266, topology.n, config.window.length))
+    working = []
+    for count in (4 * 266, 16 * 266):
+        features, peak = traced_peak(pipeline.segment_features, config, topology,
+                                     temporal, vgae, windows[:count])
+        assert features.shape == (count, topology.n * config.vgae.embed_dim)
+        working.append(peak - features.nbytes)
+    assert working[1] < 1.2 * working[0], working
+
+
+@pytest.fixture(scope="module")
+def tiny_full():
+    return _tiny_pipeline("full")
+
+
+def _enter(caller, pipe, values):
+    """Hand a stream to training, with as many normal labels, or to scoring."""
+    if caller == "train":
+        pipeline.train_pipeline(pipe.config, pipe.topology, values,
+                                np.zeros(len(values), dtype=np.int64))
+    else:
+        pipeline.score_stream(pipe, values)
+
+
+@pytest.mark.parametrize("caller", ["train", "score"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_cell_is_a_data_error_naming_it(tiny_full, caller, bad):
+    pipe, test = tiny_full
+    test = test.copy()
+    test[13, 2] = bad
+    name = pipe.topology.names[2]
+    with pytest.raises(DataError,
+                       match=f"^non-finite value at row 13, column '{name}'$"):
+        _enter(caller, pipe, test)
+
+
+@pytest.mark.parametrize("caller", ["train", "score"])
+@pytest.mark.parametrize("shape, message", [
+    ((100,), r"must be 2-D \(rows x sensors\), got shape \(100,\)"),
+    ((1, 100, 4), r"must be 2-D \(rows x sensors\), got shape \(1, 100, 4\)"),
+    ((100, 3), "has 3 columns, topology has 4 sensors"),
+], ids=["1-D", "3-D", "columns"])
+def test_a_stream_not_rows_by_sensors_is_a_data_error(tiny_full, caller, shape,
+                                                      message):
+    pipe, test = tiny_full
+    with pytest.raises(DataError, match=f"^stream {message}$"):
+        _enter(caller, pipe, np.resize(test, shape))
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_training_labels_must_match_the_stream(offset):
+    config = tiny_config("full")
+    topology, values, labels, _ = tiny_data(config)
+    count = len(values) + offset
+    with pytest.raises(DataError,
+                       match=f"^{count} labels for a stream of {len(values)} rows$"):
+        pipeline.train_pipeline(config, topology, values, np.resize(labels, count))
 
 
 def test_scoring_records_no_graph(made_tensors):

@@ -9,6 +9,7 @@ from cpsdetect import temporal
 from cpsdetect.autodiff import Tensor
 from cpsdetect.errors import DataError
 
+from conftest import traced_peak
 from oracles import finite_difference, relative_gradient_error
 
 
@@ -173,12 +174,7 @@ def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
     x = Tensor(np.random.default_rng(28).normal(size=(266, 12, 30)))
     with ad.no_grad():
         enc.encode(x)
-        tracemalloc.start()
-        try:
-            out = enc.encode(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(enc.encode, x)
     assert out.shape == (266, 12, 32)
     assert peak <= 3_372_994, peak
 
@@ -196,13 +192,13 @@ def test_prediction_loss_graph_keeps_only_what_its_backward_reads():
     rng = np.random.default_rng(29)
     windows = rng.normal(size=(64, 12, 30))
     successors = rng.normal(size=windows.shape)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
+
+    def build():
+        # Traced bytes start at 0: what is traced now is what the loss holds.
         loss = temporal.prediction_loss(enc, windows, successors, 64)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return loss, tracemalloc.get_traced_memory()[0]
+
+    (loss, kept), _ = traced_peak(build)
     assert loss.requires_grad
     assert kept < 13 * windows.nbytes, (kept, windows.nbytes)
 
@@ -345,11 +341,6 @@ def test_fit_epoch_peak_memory_stays_flat_in_the_stack_length(monkeypatch):
     for count in (64, 256):
         enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8,
                            model_dim=32)
-        tracemalloc.start()
-        try:
-            temporal.train_temporal(enc, windows[:count], successors[:count],
-                                    epochs=1, lr=0.01)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(temporal.train_temporal, enc, windows[:count],
+                                 successors[:count], 1, 0.01)[1])
     assert peaks[1] < 1.2 * peaks[0], peaks
