@@ -15,15 +15,13 @@ from cpsdetect.benchmark import TRAIN_ROWS
 from cpsdetect.data import generate_synthetic
 
 
-def evaluate_variant(name, config, topology, values, labels, quiet=False):
+def evaluate_variant(name, config, topology, values, labels):
     config = benchmark.apply_variant(copy.deepcopy(config), name)
     train_values, train_labels = values[:TRAIN_ROWS], labels[:TRAIN_ROWS]
     test_values, test_labels = values[TRAIN_ROWS:], labels[TRAIN_ROWS:]
 
     started = time.perf_counter()
-    log = None if quiet else print
-    pipe = pipeline.train_pipeline(config, topology, train_values,
-                                   train_labels, log=log)
+    pipe = pipeline.train_pipeline(config, topology, train_values, train_labels)
     trained = time.perf_counter()
     segments, results = pipeline.score_stream(pipe, test_values)
     indices, scores, preds = pipeline.expand_to_timestamps(
@@ -42,7 +40,6 @@ def main():
     parser.add_argument("--variants", nargs="*", default=list(benchmark.VARIANTS),
                         choices=list(benchmark.VARIANTS))
     parser.add_argument("--seed", type=int, help="override both seeds")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args()
 
     config = benchmark.benchmark_config()
@@ -57,7 +54,7 @@ def main():
     rows = []
     for name in args.variants:
         report, f1_raw, train_s, score_s = evaluate_variant(
-            name, config, topology, values, labels, quiet=args.quiet)
+            name, config, topology, values, labels)
         rows.append((name, report, f1_raw, train_s, score_s))
         print(f"[{name}] f1={report.f1:.4f} f1_raw={f1_raw:.4f} "
               f"auc={report.auc:.4f} (train {train_s:.1f}s, score {score_s:.1f}s)\n")

@@ -528,12 +528,11 @@ def numeric_context(label: str):
 def fit(named_params: Iterable[tuple[str, Tensor]],
         loss_fn: Callable[[], Iterable[Tensor]],
         epochs: int, lr: float, weight_decay: float = 0.0,
-        log: Callable[[str], None] | None = None, tag: str = "fit") -> list[float]:
+        tag: str = "fit") -> list[float]:
     """Adam on the loss ``loss_fn()`` yields in parts, rebuilt each epoch;
     returns the per-epoch losses, each the sum of its parts' values.
 
-    Every tenth of the run is logged as ``[tag] epoch e/E loss=...``, and
-    each epoch runs in a ``numeric_context`` labelled ``[tag] epoch e/E``.
+    Each epoch runs in a ``numeric_context`` labelled ``[tag] epoch e/E``.
 
     Each part is backpropagated, its gradient adding to what the earlier
     parts left, and dropped before the next part is built, so the peak
@@ -552,6 +551,4 @@ def fit(named_params: Iterable[tuple[str, Tensor]],
                 del part  # its graph goes before the next part is built
             optimizer.step()
         trace.append(loss)
-        if log is not None and (epoch + 1) % max(1, epochs // 10) == 0:
-            log(f"[{tag}] epoch {epoch + 1}/{epochs} loss={trace[-1]:.6f}")
     return trace

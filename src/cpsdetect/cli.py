@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``synth`` (generate a labeled synthetic dataset), ``train``
-(stage-wise pipeline training to a checkpoint), ``score`` (per-segment and
-per-timestamp anomaly scores), ``evaluate`` (run-adjusted metrics from score
-and label files).
+(stage-wise pipeline training to a checkpoint, its training record to
+``run.json`` in the output directory, and one line per stage of it to
+stdout), ``score`` (per-segment and per-timestamp anomaly scores),
+``evaluate`` (run-adjusted and unadjusted metrics from score and label files).
 
 Every configuration field can be overridden with ``--set section.key=value``;
 the most common ones also have dedicated flags. Exit codes: 0 success,
@@ -13,6 +14,7 @@ unreadable or not utf-8), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -161,14 +163,19 @@ def cmd_train(args) -> int:
     print(f"loaded {len(stream)} rows x {topology.n} sensors")
 
     pipe = pipeline_mod.train_pipeline(config, topology, stream.values,
-                                       stream.labels, log=print)
+                                       stream.labels)
     out = _out_dir(config)
     ckpt_path = Path(config.paths.checkpoint or out / "model.ckpt")
     ckpt.save_checkpoint(ckpt_path, pipe)
-    for stage, trace in pipe.traces.items():
-        data_mod.write_columns(out / f"trace_{stage}.csv",
-                               {"epoch": range(len(trace)), "loss": trace})
-    print(f"checkpoint written to {ckpt_path}")
+    (out / "run.json").write_text(json.dumps(pipe.record), encoding="utf-8")
+    for stage, entry in pipe.record.items():
+        fields = {key: value for key, value in entry.items() if key != "loss"}
+        if "loss" in entry:
+            loss = entry["loss"][:1] + entry["loss"][-1:]
+            fields.update(epochs=len(entry["loss"]),
+                          loss="->".join(f"{value:.6f}" for value in loss))
+        print(f"[{stage}]", *(f"{key}={value}" for key, value in fields.items()))
+    print(f"checkpoint written to {ckpt_path}, training record to {out / 'run.json'}")
     return 0
 
 
@@ -237,15 +244,15 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{span[0]} {values[counts > 1][0]} appears in "
                             f"more than one score row")
         covered = np.concatenate([[0], np.cumsum(labels)])
-        report = metrics_mod.evaluate_scores(
+        reports = [metrics_mod.evaluate_scores(
             (covered[ends] > covered[starts]).astype(np.int64), table["score"],
-            table["predicted"])
+            table["predicted"], adjust=adjust) for adjust in (True, False)]
     out = _out_dir(config)
-    (out / "metrics.txt").write_text(metrics_mod.report_text(report),
-                                     encoding="utf-8")
-    (out / "metrics.kv").write_text(metrics_mod.report_keyvalues(report),
+    text = metrics_mod.report_text(*reports)
+    (out / "metrics.txt").write_text(text, encoding="utf-8")
+    (out / "metrics.kv").write_text(metrics_mod.report_keyvalues(*reports),
                                     encoding="utf-8")
-    print(metrics_mod.report_text(report), end="")
+    print(text, end="")
     print(f"metric files written to {out}")
     return 0
 

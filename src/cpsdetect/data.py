@@ -15,7 +15,13 @@ column, a short row or a rejected cell, the file line and the column.
   maximum over the windows covering it), 0/1 ``predicted``.
 * ``segments.csv``: int ``segment``, ``start`` and ``end`` (rows ``[start,
   end)``), float ``score`` and ``threshold``, 0/1 ``predicted``.
-* ``trace_<stage>.csv``: int ``epoch``, float ``loss``.
+* ``run.json`` (written by ``train``): the training record, one object
+  per stage. ``data``: ``rows`` trained on, ``anomalous_rows``, ``windows``,
+  ``anomalous_windows``, ``normal_windows``, ``window_length``. ``temporal``
+  and ``vgae`` when enabled, and ``svdd``: ``samples`` (prediction pairs,
+  graphs, fit rows) and the per-epoch ``loss`` list; ``vgae`` adds
+  ``attribute_dim``, ``svdd`` adds ``input_dim``, ``calibration_samples``,
+  ``quantile`` and ``threshold``. Floats read back bit-exactly.
 
 ``evaluate`` rejects a fractional ``index``, ``start``, ``end`` or
 ``predicted``, a non-finite ``score``, a ``predicted`` other than 0/1, a

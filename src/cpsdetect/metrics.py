@@ -1,4 +1,4 @@
-"""Detection metrics: run-adjusted precision/recall/F1 and rank-based ROC AUC.
+"""Detection metrics: run-adjusted and raw precision/recall/F1, rank-based ROC AUC.
 
 The adjustment rule treats each maximal run of consecutive positive ground
 truth labels as one event: if any prediction inside the run fires, the whole
@@ -10,7 +10,7 @@ is undefined (NaN in a report, printed as ``undefined``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,30 +123,28 @@ def evaluate_scores(labels, scores, predictions,
     return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn)
 
 
-def _auc_text(auc: float, digits: int) -> str:
-    return "undefined" if math.isnan(auc) else f"{auc:.{digits}f}"
+def _float_text(value: float, digits: int) -> str:
+    """A metric to ``digits`` places; NaN, an AUC on one class, is undefined."""
+    return "undefined" if math.isnan(value) else f"{value:.{digits}f}"
 
 
-def report_keyvalues(report: MetricReport) -> str:
-    lines = [
-        f"precision={report.precision:.6f}",
-        f"recall={report.recall:.6f}",
-        f"f1={report.f1:.6f}",
-        f"auc={_auc_text(report.auc, 6)}",
-        f"tp={report.tp}",
-        f"fp={report.fp}",
-        f"fn={report.fn}",
-        f"tn={report.tn}",
-    ]
-    return "\n".join(lines) + "\n"
+def report_keyvalues(report: MetricReport, raw: MetricReport) -> str:
+    """``report``'s fields, then ``raw``'s precision, recall and F1 as
+    ``*_raw`` keys; one ``key=value`` line each."""
+    values = {**asdict(report), **{f"{key}_raw": getattr(raw, key)
+                                   for key in ("precision", "recall", "f1")}}
+    return "".join(f"{key}={value if isinstance(value, int) else _float_text(value, 6)}\n"
+                   for key, value in values.items())
 
 
-def report_text(report: MetricReport) -> str:
+def report_text(report: MetricReport, raw: MetricReport) -> str:
     return (
         "detection metrics (run-adjusted)\n"
         f"  precision : {report.precision:.4f}\n"
         f"  recall    : {report.recall:.4f}\n"
         f"  f1        : {report.f1:.4f}\n"
-        f"  auc       : {_auc_text(report.auc, 4)}\n"
+        f"  auc       : {_float_text(report.auc, 4)}\n"
         f"  counts    : tp={report.tp} fp={report.fp} fn={report.fn} tn={report.tn}\n"
+        f"  unadjusted: precision={raw.precision:.4f} recall={raw.recall:.4f} "
+        f"f1={raw.f1:.4f}\n"
     )

@@ -30,7 +30,7 @@ loading start from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
 from .errors import DataError
 from .graphgen import WeightedGraph, weighted_graph
+from .metrics import _binary_array
 from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
 from .vgae import VgaeEncoder, train_vgae
@@ -55,7 +56,7 @@ class TrainedPipeline:
     vgae: VgaeEncoder | None
     svdd: SvddNet
     threshold: float
-    traces: dict[str, list[float]] = field(default_factory=dict)
+    record: dict | None = None
 
 
 def build_stages(config: PipelineConfig, topology: SensorTopology,
@@ -147,24 +148,19 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
 
 @numeric_context("[train]")
 def train_pipeline(config: PipelineConfig, topology: SensorTopology,
-                   values: np.ndarray, labels: np.ndarray,
-                   log: Callable[[str], None] | None = None) -> TrainedPipeline:
-    """Run all enabled training stages on one stream and calibrate."""
+                   values: np.ndarray, labels: np.ndarray) -> TrainedPipeline:
+    """Run all enabled training stages on one stream and calibrate; the
+    result's ``record`` is the ``run.json`` that ``data.py`` describes."""
     config.validate()
     topology.validate()
     _check_stream(values, topology)
+    labels = _binary_array(labels, "labels")
     if len(labels) != len(values):
         raise DataError(f"{len(labels)} labels for a stream of {len(values)} rows")
-
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
 
     if config.run.train_fraction < 1.0:
         keep = max(int(round(values.shape[0] * config.run.train_fraction)), 1)
         values, labels = values[:keep], labels[:keep]
-        say(f"[data] training on first {keep} rows "
-            f"(fraction {config.run.train_fraction})")
 
     with numeric_context("[data] normalizer"):
         normalizer = fit_normalizer(values)
@@ -174,16 +170,15 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     segments = segment_stream(values, length, stride)
     anomalous = labels[segments.rows].any(axis=1)
     normal = segments.values[~anomalous]
-    if anomalous.any():
-        say(f"[data] filtered {anomalous.sum()} anomalous training segments "
-            f"({int(labels.sum())} anomalous rows)")
     if not len(normal):
         raise DataError("no normal training segments remain after filtering")
-    say(f"[data] {len(normal)} normal training segments of length {length}")
+    record = {"data": {
+        "rows": len(values), "anomalous_rows": int(labels.sum()),
+        "windows": len(segments), "anomalous_windows": int(anomalous.sum()),
+        "normal_windows": len(normal), "window_length": length}}
 
     seeds = np.random.SeedSequence(config.run.seed).spawn(4)
     temporal, vgae_encoder, net = build_stages(config, topology, seeds)
-    traces: dict[str, list[float]] = {}
 
     if temporal is not None:
         # A pair is a normal window and the `length` rows right after it,
@@ -194,22 +189,20 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         if not pairs.size:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
-        say(f"[temporal] training on {pairs.size} prediction pairs")
-        traces["temporal"] = train_temporal(
+        record["temporal"] = {"samples": int(pairs.size), "loss": train_temporal(
             temporal, segments.values[pairs], values[successors].transpose(0, 2, 1),
-            config.temporal.epochs, config.temporal.lr, log)
+            config.temporal.epochs, config.temporal.lr)}
 
     # A stage's first pass after its fit is where weights that its last
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
             graphs = segment_graphs(config, topology, temporal, normal)
-        say(f"[vgae] training on {len(normal)} graphs "
-            f"(attribute dim {vgae_encoder.input_dim})")
         with numeric_context("[vgae]"):
-            traces["vgae"] = train_vgae(vgae_encoder, graphs, config.vgae.epochs,
-                                        config.vgae.lr,
-                                        np.random.default_rng(seeds[2]), log)
+            record["vgae"] = {
+                "samples": len(normal), "attribute_dim": vgae_encoder.input_dim,
+                "loss": train_vgae(vgae_encoder, graphs, config.vgae.epochs,
+                                   config.vgae.lr, np.random.default_rng(seeds[2]))}
         with numeric_context("[vgae] after training"), no_grad():
             means = _in_parts(lambda rows: vgae_encoder.encode(WeightedGraph(
                 graphs.adjacency[rows], graphs.attributes[rows])).mean.value,
@@ -228,17 +221,17 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
 
     with numeric_context("[svdd]"):
         net.init_center(fit_features)
-    say(f"[svdd] training on {fit_features.shape[0]} samples of dim "
-        f"{features.shape[1]}, calibrating on {len(calibration_features)}")
-    traces["svdd"] = train_svdd(net, fit_features, config.svdd.epochs,
-                                config.svdd.lr, config.svdd.weight_decay, log)
+    loss = train_svdd(net, fit_features, config.svdd.epochs, config.svdd.lr,
+                      config.svdd.weight_decay)
     with numeric_context("[svdd] after training"):
         threshold = calibrate_threshold(net, calibration_features,
                                         config.svdd.quantile)
-    say(f"[svdd] threshold at quantile {config.svdd.quantile}: {threshold:.6f}")
+    record["svdd"] = {"samples": len(fit_features), "input_dim": features.shape[1],
+                      "calibration_samples": len(calibration_features), "loss": loss,
+                      "quantile": config.svdd.quantile, "threshold": threshold}
 
     return TrainedPipeline(config, topology, normalizer, temporal,
-                           vgae_encoder, net, threshold, traces)
+                           vgae_encoder, net, threshold, record)
 
 
 @numeric_context("[score]")

@@ -12,7 +12,7 @@ solution where everything collapses onto the center regardless of input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,8 +107,7 @@ def svdd_objective(net: SvddNet, samples: np.ndarray) -> Tensor:
 
 
 def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
-               weight_decay: float,
-               log: Callable[[str], None] | None = None) -> list[float]:
+               weight_decay: float) -> list[float]:
     """Shrink the hypersphere around the fixed center; returns loss trace.
 
     The weight penalty is realized as decoupled decay inside the optimizer;
@@ -121,7 +120,7 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     # One part: the weight gradient is one product over every sample, whose
     # bits a split into parts would change.
     trace = ad.fit(net.named_parameters(), lambda: [svdd_objective(net, samples)],
-                   epochs, lr, weight_decay=weight_decay, log=log, tag="svdd")
+                   epochs, lr, weight_decay=weight_decay, tag="svdd")
     net.trained = True
     return trace
 

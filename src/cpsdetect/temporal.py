@@ -19,7 +19,7 @@ stacks of ``autodiff.CHUNK``, each backpropagated before the next is built.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import math
 
@@ -119,8 +119,7 @@ def prediction_loss(encoder: TemporalEncoder, windows: np.ndarray,
 
 
 def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
-                   successors: np.ndarray, epochs: int, lr: float,
-                   log: Callable[[str], None] | None = None) -> list[float]:
+                   successors: np.ndarray, epochs: int, lr: float) -> list[float]:
     """Fit the encoder on stacked (window, successor) pairs; returns the
     per-epoch mean losses. Each epoch's loss is one part per
     ``autodiff.CHUNK`` pairs."""
@@ -132,5 +131,4 @@ def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
         for rows in ad.chunks(count):
             yield prediction_loss(encoder, windows[rows], successors[rows], count)
 
-    return ad.fit(encoder.named_parameters(), parts, epochs, lr, log=log,
-                  tag="temporal")
+    return ad.fit(encoder.named_parameters(), parts, epochs, lr, tag="temporal")

@@ -14,7 +14,7 @@ backpropagated before the next is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def vgae_objective(encoder: VgaeEncoder, inputs: tuple[Tensor, Tensor],
 
 
 def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
-               epochs: int, lr: float, rng: np.random.Generator,
-               log: Callable[[str], None] | None = None) -> list[float]:
+               epochs: int, lr: float, rng: np.random.Generator) -> list[float]:
     """Fit the encoder on a stack of graphs; returns per-epoch mean losses.
 
     Each epoch's loss is one part per ``autodiff.CHUNK`` graphs, and each
@@ -163,5 +162,4 @@ def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
             noise = rng.standard_normal(target.shape[:-1] + (encoder.embed_dim,))
             yield vgae_objective(encoder, inputs, target, noise, count)
 
-    return ad.fit(encoder.named_parameters(), parts, epochs, lr, log=log,
-                  tag="vgae")
+    return ad.fit(encoder.named_parameters(), parts, epochs, lr, tag="vgae")

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import struct
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpsdetect import autodiff
+from cpsdetect import autodiff, checkpoint, data
 from cpsdetect.cli import main
 
 from tiny import SETTINGS, TRAIN_ROWS
@@ -26,6 +27,23 @@ def trained(tmp_path_factory):
                  "--topology", str(root / "topology.txt"),
                  *_sets(SETTINGS)]) == 0
     return root
+
+
+def test_train_writes_its_record_as_run_json(trained, tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path), "--data", str(trained / "train.csv"),
+                 "--topology", str(trained / "topology.txt"),
+                 *_sets(SETTINGS)]) == 0
+    record = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert list(record) == ["data", "temporal", "vgae", "svdd"]
+    epochs = {"temporal": 2, "vgae": 2, "svdd": 20}
+    assert {stage: len(record[stage]["loss"]) for stage in epochs} == epochs
+    pipe = checkpoint.load_checkpoint(tmp_path / "model.ckpt",
+                                      data.load_topology(trained / "topology.txt"))
+    assert record["svdd"]["threshold"] == pipe.threshold
+    assert not list(tmp_path.glob("trace_*.csv"))
+    stages = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[")]
+    assert stages == ["[data]", "[temporal]", "[vgae]", "[svdd]"]
 
 
 def test_dump_graphs_uses_the_checkpoint_window(trained, tmp_path, capsys):
@@ -116,6 +134,26 @@ def test_evaluate_all_normal_labels_reports_auc_undefined(tmp_path, capsys):
               (tmp_path / "metrics.kv").read_text().splitlines())
     assert kv["auc"] == "undefined"
     assert (float(kv["precision"]), float(kv["recall"]), int(kv["fp"])) == (0.0, 0.0, 1)
+
+
+def test_evaluate_reports_unadjusted_metrics_beside_adjusted(tmp_path, capsys):
+    # One alarm inside a 3-row event: point adjustment credits the whole event.
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("A,label\n" + "".join(
+        f"0.0,{label}\n" for label in (0, 1, 1, 1, 0, 0)))
+    scores = tmp_path / "timestamps.csv"
+    scores.write_text("index,score,predicted\n" + "".join(
+        f"{t},{0.1 * t},{int(t == 2)}\n" for t in range(6)))
+    assert main(["evaluate", "--out", str(tmp_path), "--scores", str(scores),
+                 "--data", str(data_csv)]) == 0
+    kv = dict(line.split("=") for line in
+              (tmp_path / "metrics.kv").read_text().splitlines())
+    assert (float(kv["recall"]), float(kv["recall_raw"])) == (1.0, 0.333333)
+    assert (float(kv["precision"]), float(kv["precision_raw"])) == (1.0, 1.0)
+    assert float(kv["f1_raw"]) == 0.5
+    line = "  unadjusted: precision=1.0000 recall=0.3333 f1=0.5000\n"
+    assert line in capsys.readouterr().out
+    assert line in (tmp_path / "metrics.txt").read_text()
 
 
 @pytest.mark.parametrize("granularity, rows", [

@@ -191,21 +191,14 @@ class TestNormalizer:
             assert corr == pytest.approx(1.0, abs=1e-12)
 
 
-def _train_log(labels, length: int, stride: int, variant: str = "temporal-only"):
+def _train_record(labels, length: int, stride: int, variant: str = "temporal-only"):
     """Train the tiny pipeline on the first len(labels) rows with the given
-    window and row labels; returns its log lines."""
+    window and row labels; returns its training record."""
     config = tiny_config(variant)
     config.window.length, config.window.stride = length, stride
     topology, values, _, _ = tiny_data(config)
-    lines = []
-    pipeline.train_pipeline(config, topology, values[:len(labels)],
-                            np.asarray(labels, dtype=np.int64), log=lines.append)
-    return lines
-
-
-def _pairs(lines) -> int:
-    (line,) = [line for line in lines if "prediction pairs" in line]
-    return int(line.split()[3])
+    return pipeline.train_pipeline(config, topology, values[:len(labels)],
+                                   np.asarray(labels, dtype=np.int64)).record
 
 
 class TestSegmentation:
@@ -222,7 +215,7 @@ class TestSegmentation:
         assert len(data.segment_stream(self._stream(4), length=4, stride=1)) == 1
         # The one window has no rows after it, so there is nothing to predict.
         with pytest.raises(DataError, match=r"no normal \(window, successor\) pairs"):
-            _train_log(np.zeros(4), length=4, stride=1)
+            _train_record(np.zeros(4), length=4, stride=1)
 
     def test_disjoint_tiling(self):
         segs = data.segment_stream(self._stream(23), length=5, stride=5)
@@ -236,7 +229,7 @@ class TestSegmentation:
 
     def test_successor_is_next_window(self):
         # Starts 0, 2, 4 have a full window after them; 6 and 8 do not.
-        assert _pairs(_train_log(np.zeros(12), length=4, stride=2)) == 3
+        assert _train_record(np.zeros(12), length=4, stride=2)["temporal"]["samples"] == 3
 
     def test_successor_need_not_be_a_window_start(self):
         # stride < length: 5-row windows start at 0, 3, 6, 9, 12 and 15.
@@ -246,15 +239,17 @@ class TestSegmentation:
         # 0 and 12 start at rows 5 and 17, where no window starts.
         labels = np.zeros(22)
         labels[10] = 1
-        lines = _train_log(labels, length=5, stride=3)
-        assert "[data] filtered 2 anomalous training segments (1 anomalous rows)" in lines
-        assert _pairs(lines) == 2
+        record = _train_record(labels, length=5, stride=3)
+        data_record = record["data"]
+        assert (data_record["anomalous_windows"], data_record["anomalous_rows"]) == (2, 1)
+        assert record["temporal"]["samples"] == 2
 
     def test_segment_label_is_or_of_labels(self):
-        lines = _train_log([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], length=4,
-                           stride=4, variant="raw")
-        assert "[data] filtered 1 anomalous training segments (1 anomalous rows)" in lines
-        assert "[data] 2 normal training segments of length 4" in lines
+        record = _train_record([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], length=4,
+                               stride=4, variant="raw")
+        assert record["data"] == {"rows": 12, "anomalous_rows": 1, "windows": 3,
+                                  "anomalous_windows": 1, "normal_windows": 2,
+                                  "window_length": 4}
 
     def test_too_short_stream(self):
         with pytest.raises(DataError, match="shorter than one window"):

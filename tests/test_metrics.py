@@ -146,10 +146,10 @@ def test_anomaly_runs_extraction():
 
 def test_report_formats_round_trip():
     report = metrics.evaluate_scores([0, 1], [0.1, 0.9], [0, 1])
-    kv = metrics.report_keyvalues(report)
+    kv = metrics.report_keyvalues(report, report)
     parsed = dict(line.split("=") for line in kv.strip().splitlines())
-    assert float(parsed["f1"]) == 1.0
-    assert "precision" in metrics.report_text(report)
+    assert float(parsed["f1"]) == float(parsed["f1_raw"]) == 1.0
+    assert "precision" in metrics.report_text(report, report)
 
 
 @pytest.mark.parametrize("label", [0, 1])
@@ -161,5 +161,5 @@ def test_single_class_labels_leave_auc_undefined(label):
     # whole all-anomalous run detected.
     assert (report.tp, report.fp, report.fn, report.tn) == (
         (0, 1, 0, 3) if label == 0 else (4, 0, 0, 0))
-    assert "auc=undefined" in metrics.report_keyvalues(report)
-    assert "auc       : undefined" in metrics.report_text(report)
+    assert "auc=undefined" in metrics.report_keyvalues(report, report)
+    assert "auc       : undefined" in metrics.report_text(report, report)

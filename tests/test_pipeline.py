@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestEmbedOnce:
         counts, pipe = self._train_counting(monkeypatch, "full")
         assert counts == {"encode calls": 3, "segments embedded": 2 * 29 + 30,
                           "graphs": 30}
-        assert len(pipe.traces["vgae"]) == 2
+        assert len(pipe.record["vgae"]["loss"]) == 2
 
     def test_no_graph_without_the_autoencoder(self, monkeypatch):
         counts, pipe = self._train_counting(monkeypatch, "temporal-only")
@@ -244,6 +245,48 @@ def test_training_labels_must_match_the_stream(offset):
         pipeline.train_pipeline(config, topology, values, np.resize(labels, count))
 
 
+def _with_one(labels: np.ndarray, value) -> np.ndarray:
+    labels = labels.astype(float)
+    labels[7] = value
+    return labels
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda labels: labels[:, None], "must be 1-D"),
+    (lambda labels: _with_one(labels, np.nan), "must contain only 0 and 1"),
+    (lambda labels: _with_one(labels, 2), "must contain only 0 and 1"),
+    (lambda labels: _with_one(labels, 0.5), "must contain only 0 and 1"),
+    (lambda labels: _with_one(labels, -1), "must contain only 0 and 1"),
+    (lambda labels: _with_one(labels, 2).tolist(), "must contain only 0 and 1"),
+], ids=["2-D", "nan", "2", "0.5", "-1", "list"])
+def test_training_labels_are_checked_where_they_enter(bad, message):
+    config = tiny_config("full")
+    topology, values, labels, _ = tiny_data(config)
+    with pytest.raises(DataError, match=f"^labels {message}"):
+        pipeline.train_pipeline(config, topology, values, bad(labels))
+
+
+def test_the_record_holds_the_losses_each_fit_returned(monkeypatch):
+    returned = []
+    fit = autodiff.fit
+
+    def spy(*args, **kwargs):
+        returned.append(fit(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(autodiff, "fit", spy)
+    config = tiny_config("full")
+    topology, values, labels, _ = tiny_data(config)
+    record = pipeline.train_pipeline(config, topology, values, labels).record
+    assert list(record) == ["data", "temporal", "vgae", "svdd"]
+    assert [record[stage]["loss"] for stage in ("temporal", "vgae", "svdd")] == returned
+    # Every value is a plain int, float or list, and each float round-trips.
+    assert json.loads(json.dumps(record)) == record
+    leaves = [v for entry in record.values() for v in entry.values()]
+    assert all(type(v) in (int, float, list) for v in leaves)
+    assert all(type(x) is float for v in leaves if type(v) is list for x in v)
+
+
 def test_scoring_records_no_graph(made_tensors):
     pipe, test = _tiny_pipeline("full")
     made_tensors.clear()
@@ -300,9 +343,8 @@ def test_prediction_pairs_skip_dirty_successors():
     topology, values, labels, _ = tiny_data(config)
     labels = labels.copy()
     labels[105:108] = 1
-    lines = []
-    pipeline.train_pipeline(config, topology, values, labels, log=lines.append)
-    assert "[temporal] training on 27 prediction pairs" in lines
+    pipe = pipeline.train_pipeline(config, topology, values, labels)
+    assert pipe.record["temporal"]["samples"] == 27
 
 
 def test_prediction_pairs_are_a_window_and_the_rows_after_it(monkeypatch):
