@@ -10,11 +10,11 @@ shape is shared across the stack. ``matmul`` broadcasts its operands' stack
 axes by numpy rules, so a (B, 1, n, k) stack times an (H, k, m) stack gives
 (B, H, n, m); an operand broadcast along an axis gets its gradient summed
 over that axis.
-``no_grad`` turns graph recording off for inference.
-Every op records through one helper, ``_record``: the op computes its value
-and hands over one gradient rule per operand, and the helper alone decides
-whether the result is a constant or a recorded tensor, calling only the
-rules of operands that require a gradient.
+A parameter is a constant except inside its ``fit``, which alone makes it
+a leaf (through ``trainable``) and a constant again on leaving. Every op
+records through one helper, ``_record``: the op computes its value and
+hands over one gradient rule per operand, and the result records exactly
+when an operand has a node, calling only the rules of operands that do.
 Two rules keep NaN/Inf from spreading: a value from outside (CSV, config,
 checkpoint array) is checked where it enters, and an op that makes one from
 finite operands traps inside ``numeric_context``, which raises numpy's
@@ -71,20 +71,6 @@ Array = np.ndarray
 CHUNK = 64
 
 
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Record no graph inside the block: results require no gradient."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
 def chunks(count: int) -> list[slice]:
     """Consecutive slices of at most ``CHUNK`` entries that cover a stack
     of ``count``, in stack order."""
@@ -118,10 +104,10 @@ class _Node:
 class Tensor:
     """A float64 matrix (or stack) plus, if it requires a gradient, its node.
 
-    ``value`` is the forward result. Leaf tensors created with
-    ``requires_grad=True`` are trainable parameters; a recorded op's result
-    requires a gradient too, and its node links the graph. A constant has
-    no node and its ``grad`` is always ``None``.
+    ``value`` is the forward result. A leaf (``requires_grad=True``, or a
+    parameter inside its ``fit``) collects a gradient; a recorded op's result
+    requires one too, and its node links the graph. A constant has no node
+    and its ``grad`` is always ``None``.
     """
 
     __slots__ = ("value", "_node")
@@ -227,16 +213,15 @@ def _accumulate(node: _Node, g: Array, fresh: bool = False) -> None:
 
 
 # Every op computes its value and hands it to ``_record`` with one gradient
-# rule per operand; ``_record`` alone decides whether the result records.
-# With recording off (``no_grad``) or no operand requiring a gradient, it
-# returns a constant and calls no rule. The rules are module functions, so
-# that path builds no closure and no mask. Otherwise the result's parents are the nodes of the operands that
-# require a gradient, and only their rules are called. A rule takes its
-# operand's node and what the op kept for that operand, and returns the
-# closure that adds the operand's share of a result gradient to the node;
-# the closure holds only what its share reads. A share that is a new array,
-# made for its node alone, is passed on as ``fresh``; the result's gradient
-# itself or a view of it is not.
+# rule per operand; ``_record`` alone decides whether the result records. With
+# no operand requiring a gradient, it returns a constant and calls no rule:
+# the rules are module functions, so that path builds no closure and no mask.
+# Otherwise the result's parents are the nodes of the operands that require a
+# gradient, and only their rules are called. A rule takes its operand's node
+# and what the op kept for that operand, and returns the closure that adds the
+# operand's share of a result gradient to the node; the closure holds only
+# what its share reads. A share made as a new array for its node alone is
+# passed on as ``fresh``; the result's gradient or a view of it is not.
 
 
 def _record(value: Array, a: Tensor, rule_a: Callable, kept_a=None,
@@ -247,7 +232,7 @@ def _record(value: Array, a: Tensor, rule_a: Callable, kept_a=None,
     operands' rules return."""
     na = a._node
     nb = None if b is None else b._node
-    if not _grad_enabled or (na is None and nb is None):
+    if na is None and nb is None:
         return Tensor(value)
     if nb is None:
         return Tensor(value, True, (na,), rule_a(na, kept_a))
@@ -447,11 +432,11 @@ def uniform_init(rng: np.random.Generator, *shape: int) -> Tensor:
     """Scaled-uniform (fan-in) parameter initialization of a matrix, or of a
     stack of (rows x cols) matrices drawn one after the other."""
     span = 1.0 / math.sqrt(shape[-2])
-    return Tensor(rng.uniform(-span, span, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-span, span, size=shape))
 
 
 def zeros_init(rows: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), requires_grad=True)
+    return Tensor(np.zeros((rows, cols)))
 
 
 # Adam's moment decay rates and the denominator's guard.
@@ -525,6 +510,19 @@ def numeric_context(label: str):
         raise NumericError(f"{label}: {err}") from None
 
 
+@contextlib.contextmanager
+def trainable(params: list[Tensor]):
+    """Constants in ``params`` are leaves inside the block, constants after."""
+    made = [p for p in params if p._node is None]
+    for p in made:
+        p._node = _Node((), None, p.shape)
+    try:
+        yield
+    finally:
+        for p in made:
+            p._node = None
+
+
 def fit(named_params: Iterable[tuple[str, Tensor]],
         loss_fn: Callable[[], Iterable[Tensor]],
         epochs: int, lr: float, weight_decay: float = 0.0,
@@ -532,7 +530,8 @@ def fit(named_params: Iterable[tuple[str, Tensor]],
     """Adam on the loss ``loss_fn()`` yields in parts, rebuilt each epoch;
     returns the per-epoch losses, each the sum of its parts' values.
 
-    Each epoch runs in a ``numeric_context`` labelled ``[tag] epoch e/E``.
+    The parameters are leaves for the run (``trainable``). Each epoch runs in
+    a ``numeric_context`` labelled ``[tag] epoch e/E``.
 
     Each part is backpropagated, its gradient adding to what the earlier
     parts left, and dropped before the next part is built, so the peak
@@ -541,14 +540,15 @@ def fit(named_params: Iterable[tuple[str, Tensor]],
     """
     optimizer = Adam((p for _, p in named_params), lr=lr, weight_decay=weight_decay)
     trace: list[float] = []
-    for epoch in range(epochs):
-        loss = 0.0
-        with numeric_context(f"[{tag}] epoch {epoch + 1}/{epochs}"):
-            optimizer.zero_grad()
-            for part in loss_fn():
-                part.backward()
-                loss += float(part.value[0, 0])
-                del part  # its graph goes before the next part is built
-            optimizer.step()
-        trace.append(loss)
+    with trainable(optimizer.params):
+        for epoch in range(epochs):
+            loss = 0.0
+            with numeric_context(f"[{tag}] epoch {epoch + 1}/{epochs}"):
+                optimizer.zero_grad()
+                for part in loss_fn():
+                    part.backward()
+                    loss += float(part.value[0, 0])
+                    del part  # its graph goes before the next part is built
+                optimizer.step()
+            trace.append(loss)
     return trace

@@ -198,7 +198,7 @@ def apply_setting(config: PipelineConfig, section: str, key: str, raw: str) -> N
 
 def parse_config_text(text: str) -> PipelineConfig:
     config = PipelineConfig()
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:

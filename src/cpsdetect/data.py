@@ -28,8 +28,9 @@ column, a short row or a rejected cell, the file line and the column.
 repeated ``index`` or ``start``, and a row whose span, ``[index, index + 1)``
 or ``[start, end)``, is empty or outside the labeled rows.
 
-The topology file is line oriented: ``sensor <name> <type>`` lines, then
-``edge <nameA> <nameB>`` lines; blank lines and ``#`` comments allowed.
+The topology file is line oriented: ``sensor <name> <type>`` lines (not
+``label``, the CSV's label column), then ``edge <nameA> <nameB>`` lines;
+blank lines and ``#`` comments allowed.
 ``segment_stream`` cuts a stream into one ``Segments`` stack; labels and
 prediction targets are indexed with its (windows x length) ``rows``.
 """
@@ -128,6 +129,8 @@ def parse_topology(text: str) -> SensorTopology:
             _, name, tname = parts
             if name in sensor_type:
                 raise DataError(f"line {lineno}: duplicate sensor {name!r}")
+            if name == "label":
+                raise DataError(f"line {lineno}: a sensor cannot be named 'label'")
             sensor_type[name] = tname
             names.append(name)
             if tname not in type_names:

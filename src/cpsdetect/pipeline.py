@@ -12,21 +12,21 @@ weighting, and the flattened embeddings themselves for the missing graph
 autoencoder, in which case no graph is built. The stream is windowed once
 into one stack; training drops anomalous windows and picks prediction pairs
 with masks over its row index and every stage runs once over the stack.
-No pass outside a stage's own fit records an autodiff graph:
-``segment_graphs``, ``segment_features`` and the detector's center and
-scores run without one, and so does training's posterior-mean pass over its
-graphs. Those passes embed and encode in ``autodiff.CHUNK`` parts and
-write each part's rows into one stacked result; ``segment_features`` also
-builds each part's graphs before it moves on, while training's graph pass
-keeps the whole stack its VGAE fit reads. When scoring, the arrays that
-grow with the stream are the normalized stream, its window stack, the
-features (one row per window) and the scores; the detector scores all
-features in one call. A library caller's stream is checked where it
-enters: 2-D, one column per sensor, finite. Every numeric step of training
-and scoring runs in a labelled ``numeric_context``. ``build_stages`` alone
-decides which learned stages exist, their shapes (from the config and
-topology only) and their initial draws' seeds; training and checkpoint
-loading start from it.
+No pass outside a stage's own fit records an autodiff graph, because a
+stage's parameters are constants except inside its ``autodiff.fit``:
+``segment_graphs``, ``segment_features``, the detector's center and scores
+and training's posterior-mean pass run on constants. Those passes embed and
+encode in ``autodiff.CHUNK`` parts and write each part's rows into one
+stacked result; ``segment_features`` also builds each part's graphs before
+it moves on, while training's graph pass keeps the whole stack its VGAE fit
+reads. When scoring, the arrays that grow with the stream are the normalized
+stream, its window stack, the features (one row per window) and the scores;
+the detector scores all features in one call. A library caller's stream is
+checked where it enters: 2-D, one column per sensor, finite. Every numeric
+step of training and scoring runs in a labelled ``numeric_context``.
+``build_stages`` alone decides which learned stages exist, their shapes
+(from the config and topology only) and their initial draws' seeds; training
+and checkpoint loading start from it.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, chunks, no_grad, numeric_context
+from .autodiff import Tensor, chunks, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, segment_stream)
@@ -116,7 +116,6 @@ def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
                      len(windows))
 
 
-@no_grad()
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                    temporal: TemporalEncoder | None,
                    windows: np.ndarray) -> WeightedGraph:
@@ -125,7 +124,6 @@ def segment_graphs(config: PipelineConfig, topology: SensorTopology,
                           weighting=config.graph.weighting)
 
 
-@no_grad()
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
@@ -203,7 +201,7 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                 "samples": len(normal), "attribute_dim": vgae_encoder.input_dim,
                 "loss": train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                    config.vgae.lr, np.random.default_rng(seeds[2]))}
-        with numeric_context("[vgae] after training"), no_grad():
+        with numeric_context("[vgae] after training"):
             means = _in_parts(lambda rows: vgae_encoder.encode(WeightedGraph(
                 graphs.adjacency[rows], graphs.attributes[rows])).mean.value,
                 len(normal))

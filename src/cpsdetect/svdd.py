@@ -58,7 +58,6 @@ class SvddNet:
             out = ad.leaky_relu(ad.matmul(out, w), self.slope)
         return ad.matmul(out, self.weights[-1])
 
-    @ad.no_grad()
     def init_center(self, samples: np.ndarray) -> np.ndarray:
         """Fix the center at the mean initial image of the training samples.
 
@@ -85,7 +84,6 @@ class SvddNet:
         if not self.trained:
             raise RuntimeError("scoring requires a trained network")
 
-    @ad.no_grad()
     def scores(self, samples: np.ndarray) -> np.ndarray:
         """Squared distances to the center, one per sample row."""
         self._require_trained()

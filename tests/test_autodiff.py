@@ -326,7 +326,7 @@ def test_uniform_init_is_seeded_and_bounded():
     b = ad.uniform_init(np.random.default_rng(5), 4, 3)
     np.testing.assert_array_equal(a.value, b.value)
     assert (np.abs(a.value) <= 1.0 / math.sqrt(4)).all()
-    assert a.requires_grad
+    assert not a.requires_grad
 
 
 def _reference_adam(values, grads, lr, weight_decay, beta1=0.9, beta2=0.999,
@@ -402,6 +402,31 @@ class TestFit:
             with pytest.raises(NumericError,
                                match=r"^\[toy\] epoch 3/5: overflow"):
                 ad.fit([("p", p)], loss, epochs=5, lr=0.1, tag="toy")
+
+    def test_each_constant_is_a_leaf_inside_and_a_constant_after(self):
+        p, q = ad.Tensor([[1.0]]), ad.Tensor([[2.0, 3.0]])
+        inside = []
+
+        def loss():
+            inside.append((p.requires_grad, q.requires_grad))
+            return [ad.frobenius_sq(p), ad.frobenius_sq(q)]
+
+        ad.fit([("p", p), ("q", q)], loss, epochs=3, lr=0.1)
+        assert inside == [(True, True)] * 3
+        assert p._node is None and q._node is None
+
+    def test_a_failing_fit_leaves_its_constants_constant(self):
+        p = ad.Tensor([[1e200]])
+        with pytest.raises(NumericError, match="overflow"):
+            ad.fit([("p", p)], lambda: [ad.frobenius_sq(p)], epochs=1, lr=0.1)
+        assert p._node is None
+
+    def test_a_leaf_keeps_its_node_and_gradient(self):
+        p = param([[3.0]])
+        node = p._node
+        ad.fit([("p", p)], lambda: [ad.frobenius_sq(p)], epochs=1, lr=0.1)
+        assert p._node is node
+        np.testing.assert_array_equal(p.grad, [[6.0]])
 
 
 # -- the leading batch axis ---------------------------------------------------
@@ -571,11 +596,11 @@ def _operands():
 
 
 class TestNoGrad:
+    """An op records exactly when an operand requires a gradient."""
+
     @pytest.mark.parametrize("name,arity,op", OPS, ids=OP_IDS)
     def test_op_without_a_recorded_operand_gives_a_constant(self, name, arity, op):
         first, second = _operands()
-        with ad.no_grad():
-            assert op(param(first), param(second))._node is None
         assert op(ad.Tensor(first), ad.Tensor(second))._node is None
 
     @pytest.mark.parametrize("recorded", [(True, False), (False, True), (True, True)],
@@ -592,61 +617,59 @@ class TestNoGrad:
         else:
             assert out._node is None
 
-    def test_records_no_parents(self):
-        p = param([[1.0, 2.0]])
-        with ad.no_grad():
-            out = ad.relu(ad.add(p, p))
-        assert out._node is None and out.grad is None
-        assert not out.requires_grad
-        assert p.requires_grad
-        again = ad.add(p, p)
-        assert again._node.parents == (p._node, p._node) and again.requires_grad
-        assert again._node.backward is not None
 
-    def test_restores_the_previous_state_after_an_exception(self):
-        p = param([[1.0]])
-        with pytest.raises(RuntimeError, match="inside"):
-            with ad.no_grad():
-                raise RuntimeError("inside")
-        assert ad.add(p, p).requires_grad
-        with ad.no_grad():
-            with pytest.raises(ValueError):
-                with ad.no_grad():
-                    raise ValueError
-            assert not ad.add(p, p).requires_grad
-        assert ad.add(p, p).requires_grad
+# The field of each kind of node that holds the name it mentions.
+NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg",
+               ast.keyword: "arg"}
 
 
-def switch_readers(source: str) -> list[str]:
-    """The functions (methods by their own name) that read ``_grad_enabled``,
-    and ``<module>`` for any other top-level statement that does."""
+def mentioners(source: str, name: str) -> list[str]:
+    """The functions (methods by their own name) that mention ``name`` as a
+    variable, an attribute, a parameter or a keyword argument, and
+    ``<module>`` for any other top-level statement that does."""
     found = set()
     for statement in ast.parse(source).body:
         scopes = (statement.body if isinstance(statement, ast.ClassDef)
                   else [statement])
         for scope in scopes:
-            if any(isinstance(node, ast.Name) and node.id == "_grad_enabled"
-                   and isinstance(node.ctx, ast.Load) for node in ast.walk(scope)):
+            if any(getattr(node, NAME_FIELDS[type(node)]) == name
+                   for node in ast.walk(scope) if type(node) in NAME_FIELDS):
                 found.add(getattr(scope, "name", "<module>"))
     return sorted(found)
 
 
-def test_only_no_grad_and_the_recording_helper_read_the_switch():
-    # An op that checked the switch itself would bring back a second
-    # record-or-constant rule beside ``_record``.
+PACKAGE = Path(ad.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(path for path in PACKAGE.glob("*.py")
+                                        if path.name != "autodiff.py"),
+                         ids=lambda path: path.name)
+def test_only_autodiff_decides_whether_a_tensor_records(path):
+    # A module that set or read a node itself, or made its own parameters
+    # trainable, would bring back a second place that decides which tensors
+    # record a graph.
+    source = path.read_text(encoding="utf-8")
+    for name in ("_node", "requires_grad", "trainable"):
+        assert mentioners(source, name) == [], name
+
+
+def test_only_fit_makes_parameters_trainable():
     source = Path(ad.__file__).read_text(encoding="utf-8")
-    assert switch_readers(source) == ["_record", "no_grad"]
+    assert mentioners(source, "trainable") == ["fit"]
 
 
-@pytest.mark.parametrize("source, readers", [
-    ("def f():\n    return _grad_enabled\n", ["f"]),
-    ("def f():\n    global _grad_enabled\n    _grad_enabled = False\n", []),
-    ("class C:\n    def m(self):\n        return _grad_enabled\n", ["m"]),
-    ("def f():\n    def g():\n        return not _grad_enabled\n", ["f"]),
-    ("ENABLED = _grad_enabled\n", ["<module>"]),
-])
-def test_switch_readers_finds_every_read(source, readers):
-    assert switch_readers(source) == readers
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return x\n", ["f"]),
+    ("def f():\n    x = 1\n", ["f"]),
+    ("class C:\n    def m(self):\n        return self.x\n", ["m"]),
+    ("def f():\n    def g():\n        return h(x=1)\n", ["f"]),
+    ("def f(x=None):\n    pass\n", ["f"]),
+    ("Y = x\n", ["<module>"]),
+    ("def x(y):\n    return 'x'\n", []),
+], ids=["read", "assignment", "attribute", "nested-keyword", "parameter", "module",
+        "definition-and-string"])
+def test_mentioners_finds_every_mention(source, found):
+    assert mentioners(source, "x") == found
 
 
 # A constant of 2 MB: much larger than tracemalloc's own bookkeeping.

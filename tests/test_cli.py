@@ -46,6 +46,20 @@ def test_train_writes_its_record_as_run_json(trained, tmp_path, capsys):
     assert stages == ["[data]", "[temporal]", "[vgae]", "[svdd]"]
 
 
+def test_a_percent_sign_in_a_path_survives_the_checkpoint(trained, tmp_path, capsys):
+    # The checkpoint stores paths.data as it is; loading it must read it back.
+    folder = tmp_path / "100%"
+    folder.mkdir()
+    (folder / "train.csv").write_bytes((trained / "train.csv").read_bytes())
+    topology = str(trained / "topology.txt")
+    assert main(["train", "--out", str(folder), "--data", str(folder / "train.csv"),
+                 "--topology", topology, *_sets(SETTINGS)]) == 0
+    code = main(["score", "--out", str(folder), "--data", str(trained / "test.csv"),
+                 "--topology", topology, "--checkpoint", str(folder / "model.ckpt")])
+    assert code == 0, capsys.readouterr().err
+    assert (folder / "segments.csv").is_file()
+
+
 def test_dump_graphs_uses_the_checkpoint_window(trained, tmp_path, capsys):
     # No --set here: the CLI's own default window (30 rows) must not matter.
     code = main(["score", "--out", str(tmp_path), "--dump-graphs",
@@ -264,6 +278,10 @@ _SEGMENTS_HEADER = b"segment,start,end,score,threshold,predicted\n"
 EXIT_CASES = {
     "topology not utf-8": ("topology", b"sensor s\xff0 t0\n", 2),
     "topology unknown line": ("topology", b"sensor s0 t0\nvalve s0 s1\n", 2),
+    # save_csv would write the labels over that sensor's column.
+    "topology sensor named label": (
+        "topology", b"sensor s0 t0\nsensor label t0\n", 2,
+        "line 2: a sensor cannot be named 'label'"),
     "topology edge to unknown sensor": (
         "topology", b"sensor s0 t0\nsensor s1 t0\nedge s0 s9\n", 2),
     "topology other than the checkpoint's": ("topology", _without_first_edge, 2),

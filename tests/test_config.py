@@ -8,9 +8,10 @@ from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
                               parse_config_text)
 from cpsdetect.errors import ConfigError
 
-# configparser interpolates "%" and strips surrounding blanks, so text values
-# draw from a plain alphabet; paths and names in practice fit in it.
-TEXT = st.text(st.sampled_from("abcXYZ019/._-"), max_size=12)
+# configparser strips surrounding blanks, so text values draw from an
+# alphabet without them; "%" and parentheses are in it, since a config value
+# is stored as it is written.
+TEXT = st.text(st.sampled_from("abcXYZ019/._-%()"), max_size=12)
 
 
 def _scalar_strategy(value):

@@ -151,6 +151,34 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
+def test_parameters_are_leaves_only_inside_their_fit(monkeypatch, tmp_path, variant):
+    config = tiny_config(variant)
+    topology, values, labels, _ = tiny_data(config)
+    built = pipeline.build_stages(
+        config, topology, np.random.SeedSequence(config.run.seed).spawn(4))
+    fit, inside = autodiff.fit, []
+
+    def spied_fit(named_params, loss_fn, *args, **kwargs):
+        named_params = list(named_params)
+
+        def spied_loss():
+            inside.append(all(p.requires_grad for _, p in named_params))
+            return loss_fn()
+        return fit(named_params, spied_loss, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "fit", spied_fit)
+    pipe = pipeline.train_pipeline(config, topology, values, labels)
+    assert inside and all(inside)
+    checkpoint.save_checkpoint(tmp_path / "model.ckpt", pipe)
+    loaded = checkpoint.load_checkpoint(tmp_path / "model.ckpt", topology)
+    for stages in (built, (pipe.temporal, pipe.vgae, pipe.svdd),
+                   (loaded.temporal, loaded.vgae, loaded.svdd)):
+        params = [p for stage in stages if stage is not None
+                  for _, p in stage.named_parameters()]
+        assert params and not any(p.requires_grad for p in params)
+
+
+@pytest.mark.parametrize("variant", benchmark.VARIANTS)
 def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
     # The tiny pipelines train on 20-odd windows: 7-window parts split every
     # stack-shaped fit into several.

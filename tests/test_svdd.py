@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpsdetect import autodiff as ad
 from cpsdetect import data, pipeline, svdd
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
@@ -205,11 +206,21 @@ class TestObjectiveGradients:
         def loss_value():
             return float(svdd.svdd_objective(net, x).value[0, 0])
 
-        loss = svdd.svdd_objective(net, x)
-        loss.backward()
-        for w in net.weights:
+        with ad.trainable(net.weights):
+            svdd.svdd_objective(net, x).backward()
+            grads = [w.grad.copy() for w in net.weights]
+        for w, analytic in zip(net.weights, grads):
             numeric = finite_difference(loss_value, w.value)
-            assert relative_gradient_error(w.grad, numeric) < 1e-4
+            assert relative_gradient_error(analytic, numeric) < 1e-4
+
+    def test_objective_outside_a_fit_records_nothing(self, made_tensors):
+        net = make_net(input_dim=4, widths=(4, 3), seed=25)
+        x = np.random.default_rng(26).normal(size=(3, 4))
+        net.init_center(x)
+        made_tensors.clear()
+        loss = svdd.svdd_objective(net, x)
+        assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
+        assert not loss.requires_grad
 
 
 class TestThreshold:

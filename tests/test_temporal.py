@@ -164,7 +164,7 @@ class TestStack:
 
 
 def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
-    # A no_grad encode of the benchmark's 266 test windows at the default
+    # An encode of the benchmark's 266 test windows at the default
     # sizes, measured after one warm-up call. The per-head loop this path
     # replaced peaked at 3,372,994 traced bytes (numpy 2.4.6, Python 3.11), with four
     # (266 x 12 x 32) float64 arrays live at once in the feed-forward block.
@@ -172,9 +172,8 @@ def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
     # (or the hidden layer across the residual add) exceeds that.
     enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8, model_dim=32)
     x = Tensor(np.random.default_rng(28).normal(size=(266, 12, 30)))
-    with ad.no_grad():
-        enc.encode(x)
-        out, peak = traced_peak(enc.encode, x)
+    enc.encode(x)
+    out, peak = traced_peak(enc.encode, x)
     assert out.shape == (266, 12, 32)
     assert peak <= 3_372_994, peak
 
@@ -198,7 +197,8 @@ def test_prediction_loss_graph_keeps_only_what_its_backward_reads():
         loss = temporal.prediction_loss(enc, windows, successors, 64)
         return loss, tracemalloc.get_traced_memory()[0]
 
-    (loss, kept), _ = traced_peak(build)
+    with ad.trainable([p for _, p in enc.named_parameters()]):
+        (loss, kept), _ = traced_peak(build)
     assert loss.requires_grad
     assert kept < 13 * windows.nbytes, (kept, windows.nbytes)
 
@@ -211,7 +211,7 @@ class TestParameters:
             "w_ff2", "b_ff2", "w_pred", "b_pred"]
         params = [p for _, p in named]
         assert len({id(p) for p in params}) == len(params)
-        assert all(p.requires_grad for p in params)
+        assert not any(p.requires_grad for p in params)
 
     def test_projections_are_three_stored_stacks(self):
         enc = make_encoder(window=4, heads=3, head_dim=2)
@@ -264,10 +264,12 @@ def test_prediction_loss_gradients_pass_finite_differences():
     def loss_value():
         return float(temporal.prediction_loss(enc, windows, successors, 2).value[0, 0])
 
-    loss = temporal.prediction_loss(enc, windows, successors, 2)
-    loss.backward()
-    for _, p in enc.named_parameters():
-        analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
+    params = [p for _, p in enc.named_parameters()]
+    with ad.trainable(params):
+        temporal.prediction_loss(enc, windows, successors, 2).backward()
+        grads = [np.zeros_like(p.value) if p.grad is None else p.grad.copy()
+                 for p in params]
+    for p, analytic in zip(params, grads):
         numeric = finite_difference(loss_value, p.value)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
