@@ -455,7 +455,13 @@ def generate_topology(sensors: int, types: int, density: float,
 
 def generate_normal_stream(topology: SensorTopology, length: int,
                            noise: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-type sinusoid mixtures plus AR(1) noise, phase-jittered per sensor."""
+    """Per-type sinusoid mixtures plus AR(1) noise, phase-jittered per sensor.
+
+    The (length x sensors) result is the one whole-stream array made here:
+    the innovations are drawn into it, the AR(1) recurrence runs over its
+    rows in place (one scratch row), and each sensor's sinusoid mixture is
+    then added into its column, a sensor-length array at a time.
+    """
     t = np.arange(length)
     k = topology.type_count
     n = topology.n
@@ -465,21 +471,23 @@ def generate_normal_stream(topology: SensorTopology, length: int,
     jitter = rng.uniform(-0.4, 0.4, size=n)
     gains = rng.uniform(0.9, 1.1, size=n)
 
-    values = np.empty((length, n))
+    # AR(1) noise, one innovation stream per sensor: row s becomes
+    # e_s + 0.8 * row s-1, and row 0 is e_0 + 0.0 (a -0.0 draw turns +0.0,
+    # as from a zero initial state). Additions commute bit for bit, so
+    # adding the mixture to the noise gives the noise-onto-mixture sums.
+    values = rng.normal(scale=noise, size=(length, n))
+    values[:1] += 0.0
+    scaled = np.empty(n)
+    for previous, row in zip(values, values[1:]):
+        row += np.multiply(previous, 0.8, out=scaled)
+
     for i in range(n):
         tau = int(topology.type_of[i])
         signal = np.zeros(length)
         for c in range(3):
             signal += amps[tau, c] * np.sin(
                 2.0 * np.pi * freqs[tau, c] * t + phases[tau, c] + jitter[i])
-        values[:, i] = gains[i] * signal
-
-    # AR(1) noise, one innovation stream per sensor.
-    innovations = rng.normal(scale=noise, size=(length, n))
-    ar = np.zeros(n)
-    for step in range(length):
-        ar = 0.8 * ar + innovations[step]
-        values[step] += ar
+        values[:, i] += gains[i] * signal
     return values
 
 
@@ -488,10 +496,10 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
                      cascade_attenuation: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
     """Additively inject the configured events; labels mark full windows."""
     length, n = values.shape
+    # The std's temporaries are gone before the copy is made.
+    scale = np.maximum(values.std(axis=0), STD_FLOOR)
     out = values.copy()
     labels = np.zeros(length, dtype=np.int64)
-    scale = values.std(axis=0)
-    scale = np.maximum(scale, STD_FLOOR)
     for w in windows:
         w.validate(length, n)
         start, end = w.start, w.start + w.duration
@@ -520,7 +528,10 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
 
 def generate_synthetic(config: SyntheticConfig
                        ) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
-    """Seed-deterministic synthetic stream with labeled anomaly windows."""
+    """Seed-deterministic synthetic stream with labeled anomaly windows.
+
+    The clean stream and its anomalous copy are the only whole-stream
+    arrays, and the clean one is dropped on return."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     topology = generate_topology(config.sensors, config.types, config.density, rng)

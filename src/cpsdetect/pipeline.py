@@ -19,7 +19,13 @@ and training's posterior-mean pass run on constants. Those passes embed and
 encode in ``autodiff.CHUNK`` parts and write each part's rows into one
 stacked result; ``segment_features`` also builds each part's graphs before
 it moves on, while training's graph pass keeps the whole stack its VGAE fit
-reads. When scoring, the arrays that grow with the stream are the normalized
+reads. Training holds each stream-sized array only while a later step reads
+it: the z-scored stream until the prediction pairs' successors are gathered
+from it, the window stack until its normal windows are copied out, the pair
+windows and successors through the temporal fit, and the normal windows
+until their graphs exist (without the VGAE, to the end). At most three such
+arrays coexist: while the stream is windowed and during the temporal fit.
+When scoring, the arrays that grow with the stream are the normalized
 stream, its window stack, the features (one row per window) and the scores;
 the detector scores all features in one call. A library caller's stream is
 checked where it enters: 2-D, one column per sensor, finite. Every numeric
@@ -167,13 +173,14 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     length, stride = config.window.length, config.window.stride
     segments = segment_stream(values, length, stride)
     anomalous = labels[segments.rows].any(axis=1)
-    normal = segments.values[~anomalous]
+    normal, normal_rows = segments.values[~anomalous], segments.rows[~anomalous]
     if not len(normal):
         raise DataError("no normal training segments remain after filtering")
     record = {"data": {
         "rows": len(values), "anomalous_rows": int(labels.sum()),
         "windows": len(segments), "anomalous_windows": int(anomalous.sum()),
         "normal_windows": len(normal), "window_length": length}}
+    del segments  # training reads only the normal windows of the stack
 
     seeds = np.random.SeedSequence(config.run.seed).spawn(4)
     temporal, vgae_encoder, net = build_stages(config, topology, seeds)
@@ -181,30 +188,35 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     if temporal is not None:
         # A pair is a normal window and the `length` rows right after it,
         # which must lie in the stream and hold no anomalous row.
-        pairs = np.flatnonzero(~anomalous & (segments.ends + length <= len(values)))
-        pairs = pairs[~labels[segments.rows[pairs] + length].any(axis=1)]
-        successors = segments.rows[pairs] + length
+        successors = normal_rows + length
+        pairs = np.flatnonzero(successors[:, -1] < len(values))
+        pairs = pairs[~labels[successors[pairs]].any(axis=1)]
         if not pairs.size:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
+        successors = values[successors[pairs]].transpose(0, 2, 1)
+    del values  # nothing reads the z-scored stream after the successors
+    if temporal is not None:
         record["temporal"] = {"samples": int(pairs.size), "loss": train_temporal(
-            temporal, segments.values[pairs], values[successors].transpose(0, 2, 1),
-            config.temporal.epochs, config.temporal.lr)}
+            temporal, normal[pairs], successors, config.temporal.epochs,
+            config.temporal.lr)}
+        del successors
 
     # A stage's first pass after its fit is where weights that its last
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
             graphs = segment_graphs(config, topology, temporal, normal)
+        del normal  # the VGAE and the detector read only its graphs
+        count = len(graphs.attributes)
         with numeric_context("[vgae]"):
             record["vgae"] = {
-                "samples": len(normal), "attribute_dim": vgae_encoder.input_dim,
+                "samples": count, "attribute_dim": vgae_encoder.input_dim,
                 "loss": train_vgae(vgae_encoder, graphs, config.vgae.epochs,
                                    config.vgae.lr, np.random.default_rng(seeds[2]))}
         with numeric_context("[vgae] after training"):
             means = _in_parts(lambda rows: vgae_encoder.encode(WeightedGraph(
-                graphs.adjacency[rows], graphs.attributes[rows])).mean.value,
-                len(normal))
+                graphs.adjacency[rows], graphs.attributes[rows])).mean.value, count)
         features = means.reshape(len(means), -1)
     else:
         with numeric_context("[temporal] after training"):

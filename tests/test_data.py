@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpsdetect import data, pipeline
+from cpsdetect import benchmark, data, pipeline
 from cpsdetect.errors import ConfigError, DataError
 
+from conftest import traced_peak
+from oracles import reference_synthetic
 from tiny import tiny_config, tiny_data
 
 PATH_TOPOLOGY = """\
@@ -318,6 +320,33 @@ class TestSynthetic:
         np.testing.assert_array_equal(t1.adjacency, t2.adjacency)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(l1, l2)
+
+    @pytest.mark.parametrize("small", [False, True], ids=["benchmark", "small"])
+    def test_generator_equals_the_per_row_reference(self, small):
+        config = benchmark.benchmark_synthetic()
+        if small:
+            config = self._config(anomalies=(
+                data.AnomalyWindow("offset", 50, 30, 0),
+                data.AnomalyWindow("drift", 120, 40, 1),
+                data.AnomalyWindow("cascade", 200, 50, 2)), drift_delay=10)
+        topology, clean, values, labels = reference_synthetic(config)
+        rng = np.random.default_rng(config.seed)
+        data.generate_topology(config.sensors, config.types, config.density, rng)
+        stream = data.generate_normal_stream(topology, config.length, config.noise, rng)
+        assert stream.tobytes() == clean.tobytes()
+        got_topology, got_values, got_labels = data.generate_synthetic(config)
+        np.testing.assert_array_equal(got_topology.adjacency, topology.adjacency)
+        assert got_values.tobytes() == values.tobytes()
+        assert got_labels.tobytes() == labels.tobytes()
+
+    def test_generator_holds_two_streams_at_most(self):
+        # The clean stream and its anomalous copy: a traced peak of 2.09x
+        # the stream's bytes (numpy 2.4.6, Python 3.11). A generator that
+        # draws the innovations apart from its result and takes the std
+        # after the copy reads 3.11x.
+        (_, values, _), peak = traced_peak(data.generate_synthetic,
+                                           benchmark.benchmark_synthetic())
+        assert peak <= 2.25 * values.nbytes, peak / values.nbytes
 
     def test_different_seed_differs(self):
         _, v1, _ = data.generate_synthetic(self._config(seed=1))

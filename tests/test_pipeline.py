@@ -224,6 +224,21 @@ def test_feature_working_set_stays_flat_in_the_stack_length(monkeypatch):
     assert working[1] < 1.2 * working[0], working
 
 
+def test_training_drops_each_stack_after_its_last_reader():
+    # The benchmark's training rows tiled twice, one epoch per stage: a
+    # traced peak of 4.04x the stream's bytes (numpy 2.4.6, Python 3.11),
+    # the normal windows, the prediction pairs and one part's graph during
+    # the temporal fit. A training that holds the z-scored stream, the
+    # window stack and the normal windows through every fit reads 6.93x.
+    config = benchmark.benchmark_config()
+    config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 1
+    topology, values, labels = benchmark.benchmark_data()
+    values = np.tile(values[:benchmark.TRAIN_ROWS], (2, 1))
+    labels = np.tile(labels[:benchmark.TRAIN_ROWS], 2)
+    _, peak = traced_peak(pipeline.train_pipeline, config, topology, values, labels)
+    assert peak <= 5 * values.nbytes, peak / values.nbytes
+
+
 @pytest.fixture(scope="module")
 def tiny_full():
     return _tiny_pipeline("full")
