@@ -10,7 +10,10 @@ and the threshold), the three outputs of ``expand_to_timestamps`` (indices
 and predictions ``<i8``, scores ``<f8``) and the per-segment scores
 (``<f8``).
 Hashing the contents rather than a saved file keeps the digest stable when
-only the checkpoint format changes.
+only the checkpoint format changes. Beside it, after ``record``, the script
+prints a digest of the training record ``pipe.record``: the utf-8 bytes of
+``json.dumps(pipe.record)``, the ``run.json`` that ``train`` writes, with
+its counts, per-epoch losses and threshold.
 
 Each variant's pipeline is also saved to a temporary directory and loaded
 back; the script exits 1, naming the variant, unless everything hashed
@@ -21,12 +24,15 @@ Two trees behave the same when they print the same digests on the same
 host. The digests depend on BLAS threading, so compare runs made with the
 same thread settings; the first line printed names them, e.g.
 ``threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset
-MKL_NUM_THREADS=unset (nproc 2)``. Run from the repository root::
+MKL_NUM_THREADS=unset (nproc 2)``. Each variant's line reads
+``<variant>: <model digest> record <record digest>``. Run from the
+repository root::
 
     PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
 """
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -55,7 +61,8 @@ def contents(pipe, segments, results) -> list[bytes]:
     return parts
 
 
-def digest(name: str, topology, values, labels) -> str:
+def digest(name: str, topology, values, labels) -> tuple[str, str]:
+    """The model digest and the record digest of variant ``name``."""
     pipe, segments, results = benchmark.short_run(name, topology, values, labels)
     trained = contents(pipe, segments, results)
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,7 +74,8 @@ def digest(name: str, topology, values, labels) -> str:
         print(f"{name}: the loaded checkpoint differs from the trained "
               "pipeline", file=sys.stderr)
         sys.exit(1)
-    return hashlib.sha256(b"".join(trained)).hexdigest()
+    return (hashlib.sha256(b"".join(trained)).hexdigest(),
+            hashlib.sha256(json.dumps(pipe.record).encode("utf-8")).hexdigest())
 
 
 def main() -> None:
@@ -83,7 +91,8 @@ def main() -> None:
           + f" (nproc {os.cpu_count()})", flush=True)
     topology, values, labels = benchmark.benchmark_data()
     for name in args.variants or benchmark.VARIANTS:
-        print(f"{name}: {digest(name, topology, values, labels)}", flush=True)
+        model, record = digest(name, topology, values, labels)
+        print(f"{name}: {model} record {record}", flush=True)
 
 
 if __name__ == "__main__":

@@ -104,6 +104,8 @@ class PipelineConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if w.length < 2:
+            raise ConfigError(f"window length must be >= 2, got {w.length}")
         for name, value in (("temporal.epochs", t.epochs),
                             ("vgae.epochs", v.epochs),
                             ("svdd.epochs", s.epochs), ("run.seed", r.seed)):
@@ -152,8 +154,10 @@ def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:
 
 
 def format_anomaly_spec(windows) -> str:
+    """The spec ``parse_anomaly_spec`` reads back; a magnitude is written as
+    its ``repr``, so it reads back bit-exactly."""
     return " | ".join(
-        f"{w.kind}:{w.start}:{w.duration}:{w.sensor}:{w.magnitude:g}"
+        f"{w.kind}:{w.start}:{w.duration}:{w.sensor}:{float(w.magnitude)!r}"
         for w in windows)
 
 

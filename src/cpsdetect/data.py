@@ -31,8 +31,16 @@ or ``[start, end)``, is empty or outside the labeled rows.
 The topology file is line oriented: ``sensor <name> <type>`` lines (not
 ``label``, the CSV's label column), then ``edge <nameA> <nameB>`` lines;
 blank lines and ``#`` comments allowed.
-``segment_stream`` cuts a stream into one ``Segments`` stack; labels and
-prediction targets are indexed with its (windows x length) ``rows``.
+``window_starts`` gives the first rows of a stream's windows and
+``window_rows`` the (windows x length) index of the rows they cover, with
+which labels are read; ``gather_windows`` copies the windows at any starts
+out of the stream, so a caller can hold a few windows at a time, not the
+whole stack. ``segment_stream`` gathers every window into one ``Segments``
+stack.
+
+The synthetic generator holds one stream-sized array: the clean stream is
+made in place and ``inject_anomalies`` adds the events into it, after
+``column_std`` has taken each sensor's std in blocks of ``STD_BLOCK`` rows.
 """
 from __future__ import annotations
 
@@ -328,11 +336,12 @@ class Segments:
     @property
     def rows(self) -> np.ndarray:
         """The (windows x length) index of the rows each window covers."""
-        return self.starts[:, None] + np.arange(self.values.shape[2])
+        return window_rows(self.starts, self.values.shape[2])
 
 
-def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
-    """Cut the stream into windows of ``length`` rows every ``stride`` rows.
+def window_starts(total: int, length: int, stride: int) -> np.ndarray:
+    """The first rows of the windows of ``length`` rows every ``stride``
+    rows of a ``total``-row stream.
 
     The trailing remainder that does not fill a window is dropped.
     """
@@ -340,12 +349,28 @@ def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
         raise ConfigError(f"window length must be >= 2, got {length}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    total = values.shape[0]
     if total < length:
         raise DataError(f"stream of length {total} is shorter than one window ({length})")
-    starts = np.arange(0, total - length + 1, stride)
-    rows = starts[:, None] + np.arange(length)
-    return Segments(values[rows].transpose(0, 2, 1).copy(), starts)
+    return np.arange(0, total - length + 1, stride)
+
+
+def window_rows(starts: np.ndarray, length: int) -> np.ndarray:
+    """The (windows x length) index of the rows that the windows of
+    ``length`` rows at ``starts`` cover."""
+    return starts[:, None] + np.arange(length)
+
+
+def gather_windows(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """The windows of ``length`` rows at ``starts`` as one C-ordered
+    (windows x sensors x length) copy."""
+    return values[window_rows(starts, length)].transpose(0, 2, 1).copy()
+
+
+def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
+    """Cut the stream into windows of ``length`` rows every ``stride`` rows
+    (``window_starts``), gathered into one stack."""
+    starts = window_starts(values.shape[0], length, stride)
+    return Segments(gather_windows(values, starts, length), starts)
 
 
 # ---------------------------------------------------------------------------
@@ -491,25 +516,68 @@ def generate_normal_stream(topology: SensorTopology, length: int,
     return values
 
 
+# Rows per block of ``column_std``: a 98 KB block of a 12-sensor stream.
+STD_BLOCK = 1024
+
+
+def _column_sum(values: np.ndarray, term) -> np.ndarray:
+    """The column sums of ``term(block)`` over the ``STD_BLOCK``-row blocks
+    of ``values``, as one sum down the rows. ``term`` returns a new array,
+    and each block's first row adds the previous blocks' sums before the
+    block is summed, the carry ``autodiff._accumulate`` uses."""
+    total = None
+    for start in range(0, len(values), STD_BLOCK):
+        block = term(values[start:start + STD_BLOCK])
+        if total is not None:
+            block[:1] += total
+        total = block.sum(axis=0)
+    return total
+
+
+def column_std(values: np.ndarray) -> np.ndarray:
+    """``values.std(axis=0)``, with one ``STD_BLOCK``-row block as its
+    working set, not a stream-sized deviation array.
+
+    numpy sums the rows of a C-ordered array of two or more columns one
+    after another, so on such an array the bits are those of
+    ``values.std(axis=0)``: the mean and the squared deviations are the
+    same elementwise steps, and the blocked sums the same additions.
+    """
+    count = len(values)
+    mean = _column_sum(values, np.copy) / count
+
+    def squared_deviation(block):
+        deviation = block - mean
+        return np.square(deviation, out=deviation)
+
+    return np.sqrt(_column_sum(values, squared_deviation) / count)
+
+
 def inject_anomalies(values: np.ndarray, topology: SensorTopology,
                      windows, *, drift_delay: int = 60, cascade_lag: int = 5,
-                     cascade_attenuation: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
-    """Additively inject the configured events; labels mark full windows."""
+                     cascade_attenuation: float = 0.6) -> np.ndarray:
+    """Add the configured events into ``values`` in place and return the
+    labels, which mark the events' full windows.
+
+    Every window is validated before ``values`` is touched. An event's size
+    is its magnitude times its sensor's std in the clean stream
+    (``column_std``, floored at ``STD_FLOOR``).
+    """
     length, n = values.shape
-    # The std's temporaries are gone before the copy is made.
-    scale = np.maximum(values.std(axis=0), STD_FLOOR)
-    out = values.copy()
-    labels = np.zeros(length, dtype=np.int64)
+    windows = tuple(windows)
     for w in windows:
         w.validate(length, n)
+    scale = np.maximum(column_std(values), STD_FLOOR)
+    labels = np.zeros(length, dtype=np.int64)
+    for w in windows:
         start, end = w.start, w.start + w.duration
         labels[start:end] = 1
         if w.kind == "offset":
-            out[start:end, w.sensor] += w.magnitude * scale[w.sensor]
+            values[start:end, w.sensor] += w.magnitude * scale[w.sensor]
         elif w.kind == "drift":
             onset = start + drift_delay
             ramp = np.linspace(0.0, 1.0, end - onset, endpoint=True)
-            out[onset:end, w.sensor] += w.magnitude * scale[w.sensor] * ramp
+            values[onset:end, w.sensor] += w.magnitude * scale[w.sensor] * ramp
         elif w.kind == "cascade":
             hops = topology.hop_distances(w.sensor)
             for u in range(n):
@@ -519,25 +587,25 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
                 onset = start + h * cascade_lag
                 if onset >= end:
                     continue
-                out[onset:end, u] += (
+                values[onset:end, u] += (
                     w.magnitude * (cascade_attenuation ** h) * scale[u])
         else:  # pragma: no cover - blocked by validate
             raise ConfigError(f"unknown anomaly kind {w.kind!r}")
-    return out, labels
+    return labels
 
 
 def generate_synthetic(config: SyntheticConfig
                        ) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
     """Seed-deterministic synthetic stream with labeled anomaly windows.
 
-    The clean stream and its anomalous copy are the only whole-stream
-    arrays, and the clean one is dropped on return."""
+    The stream is the one whole-stream array: the events are added into
+    the clean stream in place."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     topology = generate_topology(config.sensors, config.types, config.density, rng)
-    clean = generate_normal_stream(topology, config.length, config.noise, rng)
-    values, labels = inject_anomalies(
-        clean, topology, config.anomalies,
+    values = generate_normal_stream(topology, config.length, config.noise, rng)
+    labels = inject_anomalies(
+        values, topology, config.anomalies,
         drift_delay=config.drift_delay,
         cascade_lag=config.cascade_lag,
         cascade_attenuation=config.cascade_attenuation)

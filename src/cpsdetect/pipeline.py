@@ -9,27 +9,30 @@ calibrate the alarm threshold on a held-out slice of normal segments.
 Ablation toggles swap a stage for the identity: raw window matrices stand in
 for missing temporal embeddings, the binary adjacency for missing edge
 weighting, and the flattened embeddings themselves for the missing graph
-autoencoder, in which case no graph is built. The stream is windowed once
-into one stack; training drops anomalous windows and picks prediction pairs
-with masks over its row index and every stage runs once over the stack.
-No pass outside a stage's own fit records an autodiff graph, because a
-stage's parameters are constants except inside its ``autodiff.fit``:
-``segment_graphs``, ``segment_features``, the detector's center and scores
-and training's posterior-mean pass run on constants. Those passes embed and
-encode in ``autodiff.CHUNK`` parts and write each part's rows into one
-stacked result; ``segment_features`` also builds each part's graphs before
-it moves on, while training's graph pass keeps the whole stack its VGAE fit
-reads. Training holds each stream-sized array only while a later step reads
-it: the z-scored stream until the prediction pairs' successors are gathered
-from it, the window stack until its normal windows are copied out, the pair
-windows and successors through the temporal fit, and the normal windows
-until their graphs exist (without the VGAE, to the end). At most three such
-arrays coexist: while the stream is windowed and during the temporal fit.
-When scoring, the arrays that grow with the stream are the normalized
-stream, its window stack, the features (one row per window) and the scores;
-the detector scores all features in one call. A library caller's stream is
-checked where it enters: 2-D, one column per sensor, finite. Every numeric
-step of training and scoring runs in a labelled ``numeric_context``.
+autoencoder, in which case no graph is built. Training works from window
+start rows: it flags anomalous windows and picks prediction pairs with its
+labels read at ``data.window_rows``, keeps only the z-scored stream, and
+gathers each ``autodiff.CHUNK`` part's windows from it
+(``data.gather_windows``) when a step reads them, so no window stack is
+built. The temporal fit gathers its pairs part by part every epoch; with the
+VGAE, each part's graphs become that part's fit inputs (``vgae.fit_inputs``)
+at once, and the posterior-mean pass encodes those same inputs; without it,
+the features are built part by part. No pass outside a stage's own fit
+records an autodiff graph, because a stage's parameters are constants
+except inside its ``autodiff.fit``: ``segment_graphs``,
+``segment_features``, the detector's center and scores and training's
+posterior-mean pass run on constants. Those passes embed and encode in
+``autodiff.CHUNK`` parts and write each part's rows into one stacked
+result. Training holds the z-scored stream until the VGAE's fit inputs or
+the features exist, and the VGAE's inputs (about 1.9 times the stream's
+bytes at the default sizes) until the posterior means exist; its peak is
+reached as the last input is built. When scoring, the arrays that grow
+with the stream are the normalized stream, its window stack
+(``segment_stream``), the features (one row per window) and the scores; the
+detector scores all features in one call. A library caller's stream is
+converted to float64 and checked where it enters: numbers, 2-D, one column
+per sensor, finite. Every numeric step of training and scoring runs in a
+labelled ``numeric_context``.
 ``build_stages`` alone decides which learned stages exist, their shapes
 (from the config and topology only) and their initial draws' seeds; training
 and checkpoint loading start from it.
@@ -37,20 +40,21 @@ and checkpoint loading start from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, chunks, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
-                   fit_normalizer, segment_stream)
+                   fit_normalizer, gather_windows, segment_stream, window_rows,
+                   window_starts)
 from .errors import DataError
 from .graphgen import WeightedGraph, weighted_graph
 from .metrics import _binary_array
 from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
-from .vgae import VgaeEncoder, train_vgae
+from .vgae import VgaeEncoder, fit_inputs, train_vgae
 
 
 @dataclass
@@ -86,8 +90,13 @@ def build_stages(config: PipelineConfig, topology: SensorTopology,
     return temporal, vgae, svdd
 
 
-def _check_stream(values: np.ndarray, topology: SensorTopology) -> None:
-    """A stream from a library caller is (rows x sensors) and finite."""
+def _checked_stream(values, topology: SensorTopology) -> np.ndarray:
+    """A stream from a library caller as a float64 array, checked to be
+    (rows x sensors) and finite. A float64 array is returned as it is."""
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"stream is not an array of numbers: {err}") from None
     if values.ndim != 2:
         raise DataError(
             f"stream must be 2-D (rows x sensors), got shape {values.shape}")
@@ -98,19 +107,23 @@ def _check_stream(values: np.ndarray, topology: SensorTopology) -> None:
         row, column = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"non-finite value at row {row}, column "
                         f"{topology.names[column]!r}")
+    return values
 
 
-def _in_parts(part: Callable[[slice], np.ndarray], count: int) -> np.ndarray:
-    """``part(rows)`` over ``autodiff.chunks(count)``, each result written
-    into its rows of one stack: only that stack grows with ``count``."""
-    first, *rest = chunks(count)
-    value = part(first)
-    if not rest:
-        return value
-    stack = np.empty((count,) + value.shape[1:])
-    stack[first] = value
-    for rows in rest:
-        stack[rows] = part(rows)
+def _in_parts(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """Consecutive parts of ``count`` rows in all, each written into its
+    rows of one stack as it arrives: only that stack grows with ``count``.
+    A first part of every row is returned as it is."""
+    parts = iter(parts)
+    first = next(parts)
+    if len(first) == count:
+        return first
+    stack = np.empty((count,) + first.shape[1:])
+    stack[:len(first)] = first
+    end = len(first)
+    for value in parts:
+        stack[end:end + len(value)] = value
+        end += len(value)
     return stack
 
 
@@ -118,8 +131,8 @@ def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
     """Node attributes of a window stack: embeddings, or the raw windows."""
     if temporal is None:
         return windows
-    return _in_parts(lambda rows: temporal.encode(Tensor(windows[rows])).value,
-                     len(windows))
+    return _in_parts((temporal.encode(Tensor(windows[rows])).value
+                      for rows in chunks(len(windows))), len(windows))
 
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
@@ -145,8 +158,9 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
     if vgae_encoder is None:
         nodes = _embed(temporal, windows)
     else:
-        nodes = _in_parts(lambda rows: vgae_encoder.encode(segment_graphs(
-            config, topology, temporal, windows[rows])).mean.value, len(windows))
+        nodes = _in_parts((vgae_encoder.encode(segment_graphs(
+            config, topology, temporal, windows[rows])).mean.value
+            for rows in chunks(len(windows))), len(windows))
     return nodes.reshape(len(nodes), -1)
 
 
@@ -157,7 +171,7 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     result's ``record`` is the ``run.json`` that ``data.py`` describes."""
     config.validate()
     topology.validate()
-    _check_stream(values, topology)
+    values = _checked_stream(values, topology)
     labels = _binary_array(labels, "labels")
     if len(labels) != len(values):
         raise DataError(f"{len(labels)} labels for a stream of {len(values)} rows")
@@ -170,17 +184,17 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         normalizer = fit_normalizer(values)
         values = apply_normalizer(normalizer, values)
 
-    length, stride = config.window.length, config.window.stride
-    segments = segment_stream(values, length, stride)
-    anomalous = labels[segments.rows].any(axis=1)
-    normal, normal_rows = segments.values[~anomalous], segments.rows[~anomalous]
-    if not len(normal):
+    length = config.window.length
+    starts = window_starts(len(values), length, config.window.stride)
+    anomalous = labels[window_rows(starts, length)].any(axis=1)
+    normal = starts[~anomalous]
+    count = len(normal)
+    if not count:
         raise DataError("no normal training segments remain after filtering")
     record = {"data": {
         "rows": len(values), "anomalous_rows": int(labels.sum()),
-        "windows": len(segments), "anomalous_windows": int(anomalous.sum()),
-        "normal_windows": len(normal), "window_length": length}}
-    del segments  # training reads only the normal windows of the stack
+        "windows": len(starts), "anomalous_windows": int(anomalous.sum()),
+        "normal_windows": count, "window_length": length}}
 
     seeds = np.random.SeedSequence(config.run.seed).spawn(4)
     temporal, vgae_encoder, net = build_stages(config, topology, seeds)
@@ -188,39 +202,42 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     if temporal is not None:
         # A pair is a normal window and the `length` rows right after it,
         # which must lie in the stream and hold no anomalous row.
-        successors = normal_rows + length
-        pairs = np.flatnonzero(successors[:, -1] < len(values))
-        pairs = pairs[~labels[successors[pairs]].any(axis=1)]
+        pairs = normal[normal + 2 * length <= len(values)]
+        pairs = pairs[~labels[window_rows(pairs + length, length)].any(axis=1)]
         if not pairs.size:
             raise DataError("no normal (window, successor) pairs for "
                             "prediction training; need a longer stream")
-        successors = values[successors[pairs]].transpose(0, 2, 1)
-    del values  # nothing reads the z-scored stream after the successors
-    if temporal is not None:
         record["temporal"] = {"samples": int(pairs.size), "loss": train_temporal(
-            temporal, normal[pairs], successors, config.temporal.epochs,
-            config.temporal.lr)}
-        del successors
+            temporal, values, pairs, config.temporal.epochs, config.temporal.lr)}
+
+    def normal_parts():
+        """Each part of the normal windows, gathered from the stream."""
+        for rows in chunks(count):
+            yield gather_windows(values, normal[rows], length)
 
     # A stage's first pass after its fit is where weights that its last
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
-            graphs = segment_graphs(config, topology, temporal, normal)
-        del normal  # the VGAE and the detector read only its graphs
-        count = len(graphs.attributes)
+            parts = [fit_inputs(segment_graphs(config, topology, temporal, windows))
+                     for windows in normal_parts()]
+        del values  # the VGAE and the detector read only the parts
         with numeric_context("[vgae]"):
             record["vgae"] = {
                 "samples": count, "attribute_dim": vgae_encoder.input_dim,
-                "loss": train_vgae(vgae_encoder, graphs, config.vgae.epochs,
+                "loss": train_vgae(vgae_encoder, parts, config.vgae.epochs,
                                    config.vgae.lr, np.random.default_rng(seeds[2]))}
         with numeric_context("[vgae] after training"):
-            means = _in_parts(lambda rows: vgae_encoder.encode(WeightedGraph(
-                graphs.adjacency[rows], graphs.attributes[rows])).mean.value, count)
-        features = means.reshape(len(means), -1)
+            means = _in_parts((vgae_encoder.encode_normalized(*inputs).mean.value
+                               for inputs, _ in parts), count)
+        del parts  # the detector reads only the posterior means
+        features = means.reshape(count, -1)
     else:
         with numeric_context("[temporal] after training"):
-            features = segment_features(config, topology, temporal, None, normal)
+            features = _in_parts((segment_features(config, topology, temporal, None,
+                                                   windows)
+                                  for windows in normal_parts()), count)
+        del values  # the detector reads only the features
 
     split = len(features)
     if config.run.calibration_fraction > 0.0 and len(features) > 1:
@@ -251,13 +268,14 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
 
     Streams shorter than one window yield empty segments (and no error), so
     header-only outputs are possible downstream. A stream that is not
-    (rows x sensors) or holds a non-finite value is a ``DataError``. The
+    numbers, not (rows x sensors) or holds a non-finite value is a
+    ``DataError``. The
     normalized stream, the window stack, the features and the scores are
     whole-stream arrays; the embeddings, graphs and posterior means exist
     for ``autodiff.CHUNK`` windows at a time.
     """
     config = pipe.config
-    _check_stream(values, pipe.topology)
+    values = _checked_stream(values, pipe.topology)
     length = config.window.length
     if values.shape[0] < length:
         return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []

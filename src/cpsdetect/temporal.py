@@ -15,7 +15,8 @@ training minimizes the mean squared prediction error over all (window,
 successor) pairs drawn from normal data. Segments pass every layer together
 as a (segments x sensors x window_length) stack: scoring encodes a stream's
 windows as one stack, and a training epoch passes its pairs in consecutive
-stacks of ``autodiff.CHUNK``, each backpropagated before the next is built.
+stacks of ``autodiff.CHUNK``, each gathered from the stream and
+backpropagated before the next is built, so no stack of every pair exists.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import gather_windows, window_rows
 from .errors import DataError
 
 
@@ -118,17 +120,28 @@ def prediction_loss(encoder: TemporalEncoder, windows: np.ndarray,
                     1.0 / count)
 
 
-def train_temporal(encoder: TemporalEncoder, windows: np.ndarray,
-                   successors: np.ndarray, epochs: int, lr: float) -> list[float]:
-    """Fit the encoder on stacked (window, successor) pairs; returns the
-    per-epoch mean losses. Each epoch's loss is one part per
-    ``autodiff.CHUNK`` pairs."""
-    count = len(windows)
+def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
+                   starts: np.ndarray, epochs: int, lr: float) -> list[float]:
+    """Fit the encoder on the (window, successor) pairs of a (rows x
+    sensors) stream: pair i is the ``encoder.window`` rows from
+    ``starts[i]`` and, as its successor, the ``encoder.window`` rows right
+    after them. Returns the per-epoch mean losses.
+
+    Each epoch's loss is one part per ``autodiff.CHUNK`` pairs, and each
+    part gathers its pairs from ``values`` when it is built: its windows as
+    a C-ordered copy (``data.gather_windows``) and its successors as the
+    transposed view of their rows that the loss reads.
+    """
+    count = len(starts)
     if count == 0:
         raise DataError("no training pairs with successor windows")
+    length = encoder.window
 
     def parts():
         for rows in ad.chunks(count):
-            yield prediction_loss(encoder, windows[rows], successors[rows], count)
+            part = starts[rows]
+            successors = values[window_rows(part + length, length)]
+            yield prediction_loss(encoder, gather_windows(values, part, length),
+                                  successors.transpose(0, 2, 1), count)
 
     return ad.fit(encoder.named_parameters(), parts, epochs, lr, tag="temporal")

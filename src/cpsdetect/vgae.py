@@ -7,9 +7,11 @@ mean and log-variance heads side by side; reparameterized samples decode
 back to edge probabilities through a sigmoid Gram matrix. The training loss
 is squared reconstruction error against the binary edge support (plus
 self-loops) plus a weighted diagonal-Gaussian KL term, averaged over the
-training graphs. Graphs pass every step as a stack (leading axis): a
-training epoch passes them in consecutive stacks of ``autodiff.CHUNK``, each
-backpropagated before the next is built.
+training graphs. Graphs pass every step as a stack (leading axis). A fit
+reads its graphs as a list of parts, each one stack's ``fit_inputs`` (its
+``propagate`` constants and reconstruction target), which the caller builds
+part by part, so no stack of every graph exists; each epoch backpropagates
+one part before the next is built.
 """
 from __future__ import annotations
 
@@ -62,6 +64,12 @@ def propagate(graph: WeightedGraph) -> tuple[Tensor, Tensor]:
     not every epoch."""
     norm = Tensor(normalize_adjacency(graph.adjacency))
     return norm, ad.matmul(norm, Tensor(graph.attributes))
+
+
+def fit_inputs(graph: WeightedGraph) -> tuple[tuple[Tensor, Tensor], np.ndarray]:
+    """A stack of graphs as a fit reads it: its ``propagate`` constants and
+    its ``reconstruction_target``."""
+    return propagate(graph), reconstruction_target(graph.adjacency)
 
 
 class VgaeEncoder:
@@ -140,26 +148,24 @@ def vgae_objective(encoder: VgaeEncoder, inputs: tuple[Tensor, Tensor],
     return ad.scale(loss, 1.0 / count)
 
 
-def train_vgae(encoder: VgaeEncoder, graphs: WeightedGraph,
+def train_vgae(encoder: VgaeEncoder,
+               parts: list[tuple[tuple[Tensor, Tensor], np.ndarray]],
                epochs: int, lr: float, rng: np.random.Generator) -> list[float]:
-    """Fit the encoder on a stack of graphs; returns per-epoch mean losses.
+    """Fit the encoder on graphs given as consecutive parts, each a stack's
+    ``fit_inputs``; returns per-epoch mean losses.
 
-    Each epoch's loss is one part per ``autodiff.CHUNK`` graphs, and each
-    part draws fresh noise for its graphs at once: over the epoch, the same
-    numbers as one draw per graph in stack order. A part's constants (its
-    ``propagate`` inputs and reconstruction target) are built once per fit.
+    Each epoch's loss is one term per part, and each part draws fresh noise
+    for its graphs at once: over the epoch, the same numbers as one draw
+    per graph in stack order. The parts' constants are built once, by the
+    caller, not every epoch.
     """
-    count = len(graphs.adjacency)
+    count = sum(len(target) for _, target in parts)
     if count == 0:
         raise DataError("no graphs to train on")
-    constants = [
-        (propagate(WeightedGraph(graphs.adjacency[rows], graphs.attributes[rows])),
-         reconstruction_target(graphs.adjacency[rows]))
-        for rows in ad.chunks(count)]
 
-    def parts():
-        for inputs, target in constants:
+    def losses():
+        for inputs, target in parts:
             noise = rng.standard_normal(target.shape[:-1] + (encoder.embed_dim,))
             yield vgae_objective(encoder, inputs, target, noise, count)
 
-    return ad.fit(encoder.named_parameters(), parts, epochs, lr, tag="vgae")
+    return ad.fit(encoder.named_parameters(), losses, epochs, lr, tag="vgae")

@@ -56,8 +56,9 @@ def pairwise_auc(labels: np.ndarray, scores: np.ndarray) -> float:
 def reference_synthetic(config):
     """``data.generate_synthetic`` as one step per row: the AR(1) state is a
     new array at every step and is added to the sinusoid mixture row by
-    row, and ``inject_anomalies`` copies the clean stream before it takes
-    its std. The topology comes from the library's own generator."""
+    row, and the events go into a copy of the clean stream, scaled by
+    numpy's whole-stream ``std``. The topology comes from the library's own
+    generator."""
     from cpsdetect import data
 
     rng = np.random.default_rng(config.seed)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cpsdetect import benchmark, checkpoint, data, pipeline
-from cpsdetect.errors import DataError
+from cpsdetect.errors import ConfigError, DataError
 
 from tiny import tiny_config, tiny_data
 
@@ -155,6 +155,19 @@ def test_checkpoint_stores_its_topology(tmp_path, trained):
         checkpoint.load_checkpoint(path, _drop_one_edge(pipe.topology))
 
 
+def test_a_stored_one_row_window_is_a_config_error(tmp_path, trained):
+    pipe, _ = trained
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    blob = path.read_bytes()
+    old, new = b"[window]\nlength = 10\n", b"[window]\nlength =  1\n"
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: window length must be >= 2, got 1")):
+        checkpoint.load_checkpoint(path, pipe.topology)
+
+
 def test_digest_script_prints_the_raw_digest():
     # The script reads the checkpoint listing, so it runs here once, on the
     # quickest variant.
@@ -166,4 +179,5 @@ def test_digest_script_prints_the_raw_digest():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("threads: ")
-    assert len(lines) == 2 and re.fullmatch(r"raw: [0-9a-f]{64}", lines[1])
+    assert len(lines) == 2 and re.fullmatch(r"raw: [0-9a-f]{64} record [0-9a-f]{64}",
+                                            lines[1])

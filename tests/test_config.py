@@ -1,11 +1,12 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
                               parse_config_text)
+from cpsdetect.data import AnomalyWindow
 from cpsdetect.errors import ConfigError
 
 # configparser strips surrounding blanks, so text values draw from an
@@ -53,6 +54,23 @@ def test_text_round_trip_over_scalar_fields(values):
     for (section, key), value in values.items():
         setattr(getattr(config, section), key, value)
     assert parse_config_text(config_to_text(config)) == config
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+@example([2.123456789, 1e-300, 3.0])
+def test_text_round_trip_over_anomaly_magnitudes(magnitudes):
+    config = PipelineConfig()
+    config.synthetic.anomalies = tuple(
+        AnomalyWindow(kind, 100 * i, 50, i, magnitude)
+        for i, (kind, magnitude) in enumerate(zip(AnomalyWindow.KINDS, magnitudes)))
+    assert parse_config_text(config_to_text(config)) == config
+
+
+def test_a_one_row_window_is_a_config_error():
+    config = PipelineConfig()
+    config.window.length = 1
+    with pytest.raises(ConfigError, match=r"^window length must be >= 2, got 1$"):
+        config.validate()
 
 
 def test_sections_are_written_in_declaration_order():

@@ -274,11 +274,16 @@ def test_prediction_loss_gradients_pass_finite_differences():
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
 
+def _pairs(values: np.ndarray, window: int, count: int):
+    """A (rows x sensors) stream of ``count`` pairs and the pairs' starts:
+    pair i is rows ``i * window`` to ``(i + 2) * window``."""
+    return values[:(count + 1) * window], np.arange(count) * window
+
+
 class TestTraining:
     def _constant_pairs(self, value=0.7, sensors=4, window=8, count=4):
-        """(windows, successors) stacks of one constant block."""
-        block = np.full((count, sensors, window), value)
-        return block, block.copy()
+        """A constant stream and the starts of ``count`` pairs in it."""
+        return _pairs(np.full(((count + 1) * window, sensors), value), window, count)
 
     def test_constant_stream_converges(self):
         enc = make_encoder(sensors=4, window=8, heads=1, head_dim=2, model_dim=4,
@@ -312,37 +317,48 @@ class TestTraining:
                 enc, *self._constant_pairs(sensors=3, window=4), epochs=20, lr=0.02))
         assert traces[0] == traces[1]
 
+    def test_epoch_loss_is_the_loss_of_the_gathered_pairs(self):
+        # Overlapping pairs at uneven starts: a pair's window is the rows
+        # at its start, its successor the rows right after, both sensor-major.
+        enc = make_encoder(seed=9)
+        values = np.random.default_rng(10).normal(size=(30, 3))
+        starts = np.array([0, 3, 4, 11, 22])
+        windows = np.stack([values[s:s + 4].T for s in starts])
+        successors = np.stack([values[s + 4:s + 8].T for s in starts])
+        expected = temporal.prediction_loss(enc, windows, successors, 5).value[0, 0]
+        trace = temporal.train_temporal(enc, values, starts, epochs=1, lr=0.01)
+        assert trace == [pytest.approx(expected, rel=1e-12)]
+
     def test_chunked_fit_equals_one_whole_stack_part(self, monkeypatch):
-        rng = np.random.default_rng(30)
-        windows, successors = rng.normal(size=(2, 17, 3, 4))
+        values, starts = _pairs(np.random.default_rng(30).normal(size=(72, 3)),
+                                window=4, count=17)
         fitted = []
         for chunk in (10**6, 7):
             monkeypatch.setattr(ad, "CHUNK", chunk)
             enc = make_encoder(seed=31)
-            temporal.train_temporal(enc, windows, successors, epochs=3, lr=0.05)
+            temporal.train_temporal(enc, values, starts, epochs=3, lr=0.05)
             fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
         assert fitted[0] == fitted[1]
 
     def test_empty_pairs_rejected(self):
         enc = make_encoder()
-        empty = np.zeros((0, 3, 4))
         with pytest.raises(DataError, match="no training pairs"):
-            temporal.train_temporal(enc, empty, empty, epochs=1, lr=0.01)
+            temporal.train_temporal(enc, np.zeros((8, 3)), np.arange(0),
+                                    epochs=1, lr=0.01)
 
 
 def test_fit_epoch_peak_memory_stays_flat_in_the_stack_length(monkeypatch):
-    # One epoch over 4x the windows holds one 64-window part's graph at a
-    # time, as one over 1x does: 1.01x the 1x peak (numpy 2.4.6, Python
-    # 3.11). A part kept alive while the next is built peaks at about 1.4x,
-    # a single whole-stack part at about 4x.
+    # One epoch over 4x the pairs holds one 64-pair part's windows,
+    # successors and graph at a time, as one over 1x does: 1.01x the 1x
+    # peak (numpy 2.4.6, Python 3.11). A part kept alive while the next is
+    # built peaks at about 1.4x, a single whole-stack part at about 4x.
     monkeypatch.setattr(ad, "CHUNK", 64)
-    rng = np.random.default_rng(32)
-    windows = rng.normal(size=(256, 12, 30))
-    successors = rng.normal(size=windows.shape)
+    values, starts = _pairs(np.random.default_rng(32).normal(size=(257 * 30, 12)),
+                            window=30, count=256)
     peaks = []
     for count in (64, 256):
         enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8,
                            model_dim=32)
-        peaks.append(traced_peak(temporal.train_temporal, enc, windows[:count],
-                                 successors[:count], 1, 0.01)[1])
+        peaks.append(traced_peak(temporal.train_temporal, enc, values,
+                                 starts[:count], 1, 0.01)[1])
     assert peaks[1] < 1.2 * peaks[0], peaks

@@ -33,6 +33,13 @@ def stack(*graphs):
                          np.stack([g.attributes for g in graphs]))
 
 
+def fit_parts(graphs: WeightedGraph) -> list:
+    """A stack's ``fit_inputs``, one part per ``autodiff.CHUNK`` graphs."""
+    return [vgae.fit_inputs(WeightedGraph(graphs.adjacency[rows],
+                                          graphs.attributes[rows]))
+            for rows in ad.chunks(len(graphs.adjacency))]
+
+
 class TestNormalizeAdjacency:
     def test_empty_graph_normalizes_to_identity(self):
         np.testing.assert_allclose(
@@ -218,8 +225,8 @@ class TestTraining:
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder()
         before = [p.value.copy() for _, p in enc.named_parameters()]
-        trace = vgae.train_vgae(enc, stack(toy_graph()), epochs=0, lr=0.01,
-                                rng=np.random.default_rng(0))
+        trace = vgae.train_vgae(enc, fit_parts(stack(toy_graph())), epochs=0,
+                                lr=0.01, rng=np.random.default_rng(0))
         assert trace == []
         for (_, p), b in zip(enc.named_parameters(), before):
             np.testing.assert_array_equal(p.value, b)
@@ -235,7 +242,7 @@ class TestTraining:
         expected = vgae.vgae_objective(
             enc, vgae.propagate(graphs),
             vgae.reconstruction_target(graphs.adjacency), noise, 2).value[0, 0]
-        trace = vgae.train_vgae(enc, graphs, epochs=1, lr=0.01,
+        trace = vgae.train_vgae(enc, fit_parts(graphs), epochs=1, lr=0.01,
                                 rng=np.random.default_rng(33))
         assert trace == [expected]
 
@@ -243,8 +250,9 @@ class TestTraining:
         traces = []
         for _ in range(2):
             enc = make_encoder(seed=20)
-            traces.append(vgae.train_vgae(enc, stack(toy_graph(seed=21)), epochs=15,
-                                          lr=0.02, rng=np.random.default_rng(22)))
+            traces.append(vgae.train_vgae(enc, fit_parts(stack(toy_graph(seed=21))),
+                                          epochs=15, lr=0.02,
+                                          rng=np.random.default_rng(22)))
         assert traces[0] == traces[1]
 
     def test_chunked_fit_equals_one_whole_stack_part(self, monkeypatch):
@@ -253,14 +261,14 @@ class TestTraining:
         for chunk in (10**6, 7):
             monkeypatch.setattr(ad, "CHUNK", chunk)
             enc = make_encoder(seed=34)
-            vgae.train_vgae(enc, graphs, epochs=3, lr=0.05,
+            vgae.train_vgae(enc, fit_parts(graphs), epochs=3, lr=0.05,
                             rng=np.random.default_rng(35))
             fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
         assert fitted[0] == fitted[1]
 
     def test_part_constants_are_built_once_per_fit(self, monkeypatch):
         # Each part's normalized adjacency and reconstruction target are
-        # built once, not once per epoch.
+        # built once, by fit_inputs, and never by the fit's epochs.
         monkeypatch.setattr(ad, "CHUNK", 2)
         built = []
         for name in ("normalize_adjacency", "reconstruction_target"):
@@ -268,22 +276,21 @@ class TestTraining:
                 built.append((name, len(adjacency)))
                 return build(adjacency)
             monkeypatch.setattr(vgae, name, counting)
-        graphs = stack(*(toy_graph(seed=50 + i) for i in range(5)))
-        vgae.train_vgae(make_encoder(), graphs, epochs=4, lr=0.01,
+        parts = fit_parts(stack(*(toy_graph(seed=50 + i) for i in range(5))))
+        vgae.train_vgae(make_encoder(), parts, epochs=4, lr=0.01,
                         rng=np.random.default_rng(0))
         assert built == [(name, n) for n in (2, 2, 1) for name in
                          ("normalize_adjacency", "reconstruction_target")]
 
     def test_empty_graphs_rejected(self):
         with pytest.raises(DataError, match="no graphs"):
-            vgae.train_vgae(make_encoder(),
-                            WeightedGraph(np.zeros((0, 3, 3)), np.zeros((0, 3, 4))),
-                            epochs=1, lr=0.01, rng=np.random.default_rng(0))
+            vgae.train_vgae(make_encoder(), [], epochs=1, lr=0.01,
+                            rng=np.random.default_rng(0))
 
     def test_toy_reconstruction_auc_after_training(self):
         g = self._four_node_toy()
         enc = make_encoder(input_dim=4, hidden_dim=8, embed_dim=2, seed=23)
-        vgae.train_vgae(enc, g, epochs=100, lr=0.05,
+        vgae.train_vgae(enc, fit_parts(g), epochs=100, lr=0.05,
                         rng=np.random.default_rng(24))
         reconstructed = vgae.decode(enc.encode(g).r).value[0]
         target = vgae.reconstruction_target(g.adjacency[0])
