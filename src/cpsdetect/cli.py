@@ -206,9 +206,10 @@ def cmd_score(args) -> int:
     if args.dump_graphs and len(segments):
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
+        values = data_mod.apply_normalizer(pipe.normalizer, stream.values)
         for rows in chunks(len(segments)):
-            graphs = pipeline_mod.segment_graphs(pipe.config, topology,
-                                                 pipe.temporal, segments.values[rows])
+            windows = data_mod.gather_windows(values, segments.starts[rows], segments.length)
+            graphs = pipeline_mod.segment_graphs(pipe.config, topology, pipe.temporal, windows)
             for i, adjacency in enumerate(graphs.adjacency, start=rows.start):
                 np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
 

@@ -31,12 +31,12 @@ or ``[start, end)``, is empty or outside the labeled rows.
 The topology file is line oriented: ``sensor <name> <type>`` lines (not
 ``label``, the CSV's label column), then ``edge <nameA> <nameB>`` lines;
 blank lines and ``#`` comments allowed.
-``window_starts`` gives the first rows of a stream's windows and
-``window_rows`` the (windows x length) index of the rows they cover, with
-which labels are read; ``gather_windows`` copies the windows at any starts
-out of the stream, so a caller can hold a few windows at a time, not the
-whole stack. ``segment_stream`` gathers every window into one ``Segments``
-stack.
+``segment_stream`` cuts a stream into windows and returns them as
+``Segments``, an index of start rows that copies nothing; ``window_rows``
+gives the (windows x length) index of the rows windows cover, with which
+labels are read, and ``gather_windows`` copies the windows at any starts out
+of the stream, so a caller holds a few windows at a time, never a stack of
+every window.
 
 The synthetic generator holds one stream-sized array: the clean stream is
 made in place and ``inject_anomalies`` adds the events into it, after
@@ -311,7 +311,11 @@ def fit_normalizer(values: np.ndarray) -> Normalizer:
 
 
 def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
-    return (values - normalizer.mean) / normalizer.std
+    """The z-scored stream, a new array: the difference is divided in place,
+    so only one stream-sized array is made."""
+    out = values - normalizer.mean
+    out /= normalizer.std
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +324,40 @@ def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Segments:
-    """Sliding windows of a stream as one C-contiguous (windows x sensors x
-    length) stack; window ``i`` covers rows ``starts[i]:ends[i]``."""
+    """The sliding windows of a stream as an index: window ``i`` covers
+    rows ``starts[i]:ends[i]``, ``length`` rows; ``gather_windows`` copies
+    any of them out of the stream."""
 
-    values: np.ndarray
     starts: np.ndarray
+    length: int
 
     def __len__(self) -> int:
         return len(self.starts)
 
     @property
     def ends(self) -> np.ndarray:
-        return self.starts + self.values.shape[2]
+        return self.starts + self.length
 
     @property
     def rows(self) -> np.ndarray:
         """The (windows x length) index of the rows each window covers."""
-        return window_rows(self.starts, self.values.shape[2])
+        return window_rows(self.starts, self.length)
 
 
-def window_starts(total: int, length: int, stride: int) -> np.ndarray:
-    """The first rows of the windows of ``length`` rows every ``stride``
-    rows of a ``total``-row stream.
+def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
+    """The windows of ``length`` rows every ``stride`` rows of a stream.
 
-    The trailing remainder that does not fill a window is dropped.
+    The trailing remainder that does not fill a window is dropped. Only the
+    start rows are made; the stream is not copied.
     """
     if length < 2:
         raise ConfigError(f"window length must be >= 2, got {length}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
+    total = len(values)
     if total < length:
         raise DataError(f"stream of length {total} is shorter than one window ({length})")
-    return np.arange(0, total - length + 1, stride)
+    return Segments(np.arange(0, total - length + 1, stride), length)
 
 
 def window_rows(starts: np.ndarray, length: int) -> np.ndarray:
@@ -364,13 +370,6 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, length: int) -> np.nd
     """The windows of ``length`` rows at ``starts`` as one C-ordered
     (windows x sensors x length) copy."""
     return values[window_rows(starts, length)].transpose(0, 2, 1).copy()
-
-
-def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
-    """Cut the stream into windows of ``length`` rows every ``stride`` rows
-    (``window_starts``), gathered into one stack."""
-    starts = window_starts(values.shape[0], length, stride)
-    return Segments(gather_windows(values, starts, length), starts)
 
 
 # ---------------------------------------------------------------------------

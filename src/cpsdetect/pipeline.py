@@ -9,26 +9,27 @@ calibrate the alarm threshold on a held-out slice of normal segments.
 Ablation toggles swap a stage for the identity: raw window matrices stand in
 for missing temporal embeddings, the binary adjacency for missing edge
 weighting, and the flattened embeddings themselves for the missing graph
-autoencoder, in which case no graph is built. Training works from window
-start rows: it flags anomalous windows and picks prediction pairs with its
-labels read at ``data.window_rows``, keeps only the z-scored stream, and
-gathers each ``autodiff.CHUNK`` part's windows from it
+autoencoder, in which case no graph is built. Training and scoring both
+work from window start rows (``data.segment_stream``), keep only the
+z-scored stream, and gather each ``autodiff.CHUNK`` part's windows from it
 (``data.gather_windows``) when a step reads them, so no window stack is
-built. The temporal fit gathers its pairs part by part every epoch; with the
-VGAE, each part's graphs become that part's fit inputs (``vgae.fit_inputs``)
-at once, and the posterior-mean pass encodes those same inputs; without it,
-the features are built part by part. No pass outside a stage's own fit
-records an autodiff graph, because a stage's parameters are constants
-except inside its ``autodiff.fit``: ``segment_graphs``,
-``segment_features``, the detector's center and scores and training's
-posterior-mean pass run on constants. Those passes embed and encode in
-``autodiff.CHUNK`` parts and write each part's rows into one stacked
-result. Training holds the z-scored stream until the VGAE's fit inputs or
-the features exist, and the VGAE's inputs (about 1.9 times the stream's
-bytes at the default sizes) until the posterior means exist; its peak is
-reached as the last input is built. When scoring, the arrays that grow
-with the stream are the normalized stream, its window stack
-(``segment_stream``), the features (one row per window) and the scores; the
+built. Training flags anomalous windows and picks prediction pairs with its
+labels read at the windows' rows. The temporal fit gathers its pairs part
+by part every epoch; with the VGAE, each part's graphs become that part's
+fit inputs (``vgae.fit_inputs``) at once, and the posterior-mean pass
+encodes those same inputs; without it, ``segment_features`` builds the
+features. ``segment_features`` is scoring's one loop over parts: it gathers
+each part's windows, embeds them (and with the VGAE builds their graphs and
+encodes them) and writes the part's rows into one stacked result. No pass
+outside a stage's own fit records an autodiff graph, because a stage's
+parameters are constants except inside its ``autodiff.fit``:
+``segment_graphs``, ``segment_features``, the detector's center and scores
+and training's posterior-mean pass run on constants. Training holds the
+z-scored stream until the VGAE's fit inputs or the features exist, and the
+VGAE's inputs (about 1.9 times the stream's bytes at the default sizes)
+until the posterior means exist; its peak is reached as the last input is
+built. When scoring, the arrays that grow with the stream are the
+normalized stream, the features (one row per window) and the scores; the
 detector scores all features in one call. A library caller's stream is
 converted to float64 and checked where it enters: numbers, 2-D, one column
 per sensor, finite. Every numeric step of training and scoring runs in a
@@ -47,8 +48,7 @@ import numpy as np
 from .autodiff import Tensor, chunks, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
-                   fit_normalizer, gather_windows, segment_stream, window_rows,
-                   window_starts)
+                   fit_normalizer, gather_windows, segment_stream, window_rows)
 from .errors import DataError
 from .graphgen import WeightedGraph, weighted_graph
 from .metrics import _binary_array
@@ -129,10 +129,7 @@ def _in_parts(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
 
 def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
     """Node attributes of a window stack: embeddings, or the raw windows."""
-    if temporal is None:
-        return windows
-    return _in_parts((temporal.encode(Tensor(windows[rows])).value
-                      for rows in chunks(len(windows))), len(windows))
+    return windows if temporal is None else temporal.encode(Tensor(windows)).value
 
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,
@@ -146,21 +143,27 @@ def segment_graphs(config: PipelineConfig, topology: SensorTopology,
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
-                     windows: np.ndarray) -> np.ndarray:
-    """One feature row per window of a stack, through the enabled stages:
-    each window's (nodes x dim) matrix flattened node-major.
+                     values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """One feature row per window of ``config.window.length`` rows of a
+    z-scored stream, one at each row of ``starts``, through the enabled
+    stages: each window's (nodes x dim) matrix flattened node-major.
 
     The windows are embedded once; graphs are built only for the graph
     autoencoder, whose posterior means (no samples) are flattened. Each
-    ``autodiff.CHUNK`` windows are embedded, turned into graphs and encoded
-    before the next part starts, so only the features grow with the stack.
+    ``autodiff.CHUNK`` windows are gathered from the stream, embedded,
+    turned into graphs and encoded before the next part starts, so only the
+    features grow with the number of windows.
     """
-    if vgae_encoder is None:
-        nodes = _embed(temporal, windows)
-    else:
-        nodes = _in_parts((vgae_encoder.encode(segment_graphs(
-            config, topology, temporal, windows[rows])).mean.value
-            for rows in chunks(len(windows))), len(windows))
+    length = config.window.length
+
+    def features(rows: slice) -> np.ndarray:
+        windows = gather_windows(values, starts[rows], length)
+        if vgae_encoder is None:
+            return _embed(temporal, windows)
+        return vgae_encoder.encode(segment_graphs(
+            config, topology, temporal, windows)).mean.value
+
+    nodes = _in_parts(map(features, chunks(len(starts))), len(starts))
     return nodes.reshape(len(nodes), -1)
 
 
@@ -185,15 +188,15 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         values = apply_normalizer(normalizer, values)
 
     length = config.window.length
-    starts = window_starts(len(values), length, config.window.stride)
-    anomalous = labels[window_rows(starts, length)].any(axis=1)
-    normal = starts[~anomalous]
+    segments = segment_stream(values, length, config.window.stride)
+    anomalous = labels[segments.rows].any(axis=1)
+    normal = segments.starts[~anomalous]
     count = len(normal)
     if not count:
         raise DataError("no normal training segments remain after filtering")
     record = {"data": {
         "rows": len(values), "anomalous_rows": int(labels.sum()),
-        "windows": len(starts), "anomalous_windows": int(anomalous.sum()),
+        "windows": len(segments), "anomalous_windows": int(anomalous.sum()),
         "normal_windows": count, "window_length": length}}
 
     seeds = np.random.SeedSequence(config.run.seed).spawn(4)
@@ -210,17 +213,13 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         record["temporal"] = {"samples": int(pairs.size), "loss": train_temporal(
             temporal, values, pairs, config.temporal.epochs, config.temporal.lr)}
 
-    def normal_parts():
-        """Each part of the normal windows, gathered from the stream."""
-        for rows in chunks(count):
-            yield gather_windows(values, normal[rows], length)
-
     # A stage's first pass after its fit is where weights that its last
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
-            parts = [fit_inputs(segment_graphs(config, topology, temporal, windows))
-                     for windows in normal_parts()]
+            parts = [fit_inputs(segment_graphs(
+                config, topology, temporal, gather_windows(values, normal[rows], length)))
+                for rows in chunks(count)]
         del values  # the VGAE and the detector read only the parts
         with numeric_context("[vgae]"):
             record["vgae"] = {
@@ -234,9 +233,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         features = means.reshape(count, -1)
     else:
         with numeric_context("[temporal] after training"):
-            features = _in_parts((segment_features(config, topology, temporal, None,
-                                                   windows)
-                                  for windows in normal_parts()), count)
+            features = segment_features(config, topology, temporal, None,
+                                        values, normal)
         del values  # the detector reads only the features
 
     split = len(features)
@@ -269,20 +267,20 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     Streams shorter than one window yield empty segments (and no error), so
     header-only outputs are possible downstream. A stream that is not
     numbers, not (rows x sensors) or holds a non-finite value is a
-    ``DataError``. The
-    normalized stream, the window stack, the features and the scores are
-    whole-stream arrays; the embeddings, graphs and posterior means exist
-    for ``autodiff.CHUNK`` windows at a time.
+    ``DataError``. The normalized stream, the features and the scores are
+    whole-stream arrays; the windows, embeddings, graphs and posterior
+    means exist for ``autodiff.CHUNK`` windows at a time, gathered from the
+    normalized stream by ``segment_features``.
     """
     config = pipe.config
     values = _checked_stream(values, pipe.topology)
     length = config.window.length
     if values.shape[0] < length:
-        return Segments(np.empty((0, pipe.topology.n, length)), np.arange(0)), []
+        return Segments(np.arange(0), length), []
     values = apply_normalizer(pipe.normalizer, values)
     segments = segment_stream(values, length, config.window.stride)
     features = segment_features(config, pipe.topology, pipe.temporal,
-                                pipe.vgae, segments.values)
+                                pipe.vgae, values, segments.starts)
     scores = pipe.svdd.scores(features)
     results = [
         DetectionResult(i, float(s), pipe.threshold, int(s > pipe.threshold))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpsdetect import autodiff, checkpoint, data
+from cpsdetect import autodiff, checkpoint, data, pipeline
 from cpsdetect.cli import main
 
 from tiny import SETTINGS, TRAIN_ROWS
@@ -88,6 +88,24 @@ def test_dump_graphs_writes_the_same_bytes_in_parts(trained, tmp_path, monkeypat
         written.append({p.name: p.read_bytes()
                         for p in sorted((out / "graphs").iterdir())})
     assert len(written[0]) == 10 and written[0] == written[1]
+
+
+def test_dump_graphs_are_the_graphs_scoring_encodes(trained, tmp_path, monkeypatch):
+    # The test windows' first graphs are the ones the VGAE scores, built
+    # from the z-scored stream; the dumped files must hold the same values.
+    built, graph = [], pipeline.weighted_graph
+
+    def spied_graph(*args, **kwargs):
+        built.append(graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "weighted_graph", spied_graph)
+    assert main(["score", "--out", str(tmp_path), "--dump-graphs",
+                 "--data", str(trained / "test.csv"),
+                 "--topology", str(trained / "topology.txt"),
+                 "--checkpoint", str(trained / "model.ckpt")]) == 0
+    dumped = [np.loadtxt(p, delimiter=",") for p in sorted((tmp_path / "graphs").iterdir())]
+    np.testing.assert_array_equal(dumped, built[0].adjacency)
 
 
 def test_dump_graphs_records_no_graph(trained, tmp_path, made_tensors):

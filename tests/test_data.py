@@ -184,6 +184,15 @@ class TestNormalizer:
         with pytest.raises(DataError, match="empty"):
             data.fit_normalizer(np.zeros((0, 2)))
 
+    def test_makes_one_stream_sized_array(self):
+        # The z-scored stream alone: a traced peak of 1.00x the input's
+        # bytes. Dividing a separate difference makes two arrays, 2x.
+        values = np.random.default_rng(4).normal(5.0, 3.0, size=(20_000, 12))
+        norm = data.fit_normalizer(values)
+        out, peak = traced_peak(data.apply_normalizer, norm, values)
+        assert peak <= 1.1 * values.nbytes, peak / values.nbytes
+        assert out.tobytes() == ((values - norm.mean) / norm.std).tobytes()
+
     def test_affine_preserves_correlation(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(100, 3)) * [1.0, 5.0, 0.2] + [4, -2, 9]
@@ -226,8 +235,9 @@ class TestSegmentation:
     def test_segment_values_are_sensor_major(self):
         vals = self._stream(6, n=3)
         segs = data.segment_stream(vals, length=4, stride=4)
-        assert segs.values.shape == (1, 3, 4)
-        np.testing.assert_array_equal(segs.values[0][:, 0], vals[0])
+        windows = data.gather_windows(vals, segs.starts, segs.length)
+        assert windows.shape == (1, 3, 4)
+        np.testing.assert_array_equal(windows[0][:, 0], vals[0])
 
     def test_successor_is_next_window(self):
         # Starts 0, 2, 4 have a full window after them; 6 and 8 do not.
@@ -280,10 +290,11 @@ class TestSegmentation:
             return
         vals = np.random.default_rng(seed).normal(size=(total, n))
         segs = data.segment_stream(vals, length, stride)
-        assert segs.values.shape == (len(segs), n, length)
-        assert segs.values.flags["C_CONTIGUOUS"]
+        windows = data.gather_windows(vals, segs.starts, length)
+        assert windows.shape == (len(segs), n, length)
+        assert windows.flags["C_CONTIGUOUS"]
         for i, start in enumerate(segs.starts):
-            np.testing.assert_array_equal(segs.values[i], vals[start:start + length].T)
+            np.testing.assert_array_equal(windows[i], vals[start:start + length].T)
         np.testing.assert_array_equal(segs.rows, [np.arange(s, s + length)
                                                   for s in segs.starts])
 

@@ -55,7 +55,7 @@ class TestScoreStream:
     def test_short_stream_yields_nothing(self):
         segments, results = pipeline.score_stream(raw_pipeline(1.0), np.zeros((2, 2)))
         assert len(segments) == 0 and results == []
-        assert segments.values.shape == (0, 2, 3)
+        assert segments.length == 3
         assert [len(a) for a in pipeline.expand_to_timestamps(
             segments, results, 1.0)] == [0, 0, 0]
 
@@ -110,11 +110,21 @@ def _tiny_pipeline(variant):
     return pipeline.train_pipeline(config, topology, values, labels), test
 
 
-@pytest.mark.parametrize("variant", benchmark.VARIANTS, ids=FLATTENED)
-def test_whole_stream_scores_equal_per_window_scores(variant):
+def scoring_cases(ids):
+    """Each variant, under ``ids``, scored at the tiny pipelines' stride of
+    10 rows, whose windows tile the stream, then at a stride of 3 rows,
+    whose windows overlap."""
+    return [pytest.param(variant, stride, id=name + suffix)
+            for stride, suffix in ((10, ""), (3, "-overlapping"))
+            for variant, name in zip(benchmark.VARIANTS, ids)]
+
+
+@pytest.mark.parametrize("variant, stride", scoring_cases(FLATTENED))
+def test_whole_stream_scores_equal_per_window_scores(variant, stride):
     pipe, test = _tiny_pipeline(variant)
+    pipe.config.window.stride = stride
     segments, results = pipeline.score_stream(pipe, test)
-    assert len(segments) == 10
+    assert len(segments) == (len(test) - 10) // stride + 1
     for start, end, result in zip(segments.starts, segments.ends, results):
         _, (alone,) = pipeline.score_stream(pipe, test[start:end])
         assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)
@@ -191,10 +201,12 @@ def test_chunked_training_stores_the_whole_stack_bits(monkeypatch, variant):
     assert stored[0] == stored[1]
 
 
-@pytest.mark.parametrize("variant", benchmark.VARIANTS)
-def test_chunked_scoring_gives_the_whole_stack_bits(monkeypatch, variant):
-    # The tiny test stream has 10 windows: 7-window parts split it in two.
+@pytest.mark.parametrize("variant, stride", scoring_cases(benchmark.VARIANTS))
+def test_chunked_scoring_gives_the_whole_stack_bits(monkeypatch, variant, stride):
+    # The tiny test stream has 10 windows at stride 10 and 31 at stride 3:
+    # 7-window parts split it in two or five.
     pipe, test = _tiny_pipeline(variant)
+    pipe.config.window.stride = stride
     scored = []
     for chunk in (10**6, 7):
         monkeypatch.setattr(autodiff, "CHUNK", chunk)
@@ -205,23 +217,46 @@ def test_chunked_scoring_gives_the_whole_stack_bits(monkeypatch, variant):
 
 def test_feature_working_set_stays_flat_in_the_stack_length(monkeypatch):
     # The traced peak of a feature pass above its output, for 4x and 16x
-    # the benchmark's 266 test windows at the default sizes: about 1.09 MB
-    # both times (numpy 2.4.6, Python 3.11), one 64-window part's embeddings,
-    # graphs and encodings. One whole-stack pass grows 4x with the stack.
+    # the benchmark's 266 test windows at the default sizes, gathered from
+    # one stream: about 1.33 MB both times (numpy 2.4.6, Python 3.11), one
+    # 64-window part's windows, embeddings, graphs and encodings. One
+    # whole-stack pass grows 4x with the stack.
     monkeypatch.setattr(autodiff, "CHUNK", 64)
     config = benchmark.benchmark_config()
     topology, _, _ = benchmark.benchmark_data()
     temporal, vgae, _ = pipeline.build_stages(
         config, topology, np.random.SeedSequence(0).spawn(4))
-    windows = np.random.default_rng(40).normal(
-        size=(16 * 266, topology.n, config.window.length))
+    length = config.window.length
+    values = np.random.default_rng(40).normal(size=(16 * 266 * length, topology.n))
     working = []
     for count in (4 * 266, 16 * 266):
         features, peak = traced_peak(pipeline.segment_features, config, topology,
-                                     temporal, vgae, windows[:count])
+                                     temporal, vgae, values, np.arange(count) * length)
         assert features.shape == (count, topology.n * config.vgae.embed_dim)
         working.append(peak - features.nbytes)
     assert working[1] < 1.2 * working[0], working
+
+
+def test_scoring_holds_the_stream_features_and_scores():
+    # The benchmark's test stream tiled 4x through the benchmark stages
+    # (untrained; the shapes set the working set): a traced peak of 1.83x
+    # the stream's bytes (numpy 2.4.6, Python 3.11), the normalized stream,
+    # the features and one part's windows and graphs. Scoring that also
+    # builds a stack of every window reads 3.00x.
+    config = benchmark.benchmark_config()
+    topology, values, _ = benchmark.benchmark_data()
+    temporal, vgae, net = pipeline.build_stages(
+        config, topology, np.random.SeedSequence(0).spawn(4))
+    net.init_center(np.zeros((1, net.weights[0].shape[0])))
+    net.trained = True
+    normalizer = data.fit_normalizer(values[:benchmark.TRAIN_ROWS])
+    pipe = pipeline.TrainedPipeline(config, topology, normalizer, temporal, vgae,
+                                    net, 1.0)
+    test = np.tile(values[benchmark.TRAIN_ROWS:], (4, 1))
+    pipeline.score_stream(pipe, test[:config.window.length])
+    (segments, _), peak = traced_peak(pipeline.score_stream, pipe, test)
+    assert len(segments) == len(test) // config.window.length
+    assert peak <= 2.2 * test.nbytes, peak / test.nbytes
 
 
 def test_training_drops_each_stack_after_its_last_reader():

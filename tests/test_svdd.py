@@ -26,10 +26,15 @@ def numpy_forward(net, x):
 
 def detector_rows(stack: np.ndarray) -> np.ndarray:
     """The detector input ``pipeline.segment_features`` makes of a
-    (segments x nodes x dim) stack when no learned stage comes first."""
-    topology = data.parse_topology(
-        "".join(f"sensor S{i} x\n" for i in range(stack.shape[1])))
-    return pipeline.segment_features(PipelineConfig(), topology, None, None, stack)
+    (segments x nodes x dim) stack when no learned stage comes first: the
+    stack's windows are laid end to end in a stream, one row per step."""
+    count, nodes, dim = stack.shape
+    topology = data.parse_topology("".join(f"sensor S{i} x\n" for i in range(nodes)))
+    config = PipelineConfig()
+    config.window.length = dim
+    stream = stack.transpose(0, 2, 1).reshape(count * dim, nodes)
+    return pipeline.segment_features(config, topology, None, None, stream,
+                                     np.arange(count) * dim)
 
 
 class TestFlatten:
