@@ -56,7 +56,10 @@ def type_similarity(embeddings: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity between type embeddings.
 
     A zero-norm embedding is degenerate: its similarity is defined as 0 to
-    every other type and 1 to itself, with a warning.
+    every other type and 1 to itself, with a warning. Its type's edges to
+    other types then get weight 0 (for example a constant type's raw
+    windows under ``no-temporal``): the VGAE's propagation drops them, but
+    its reconstruction target, the topology's edges, keeps them.
     """
     norms = np.linalg.norm(embeddings, axis=-1)
     if (norms == 0.0).any():

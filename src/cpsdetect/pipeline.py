@@ -16,18 +16,19 @@ z-scored stream, and gather each ``autodiff.CHUNK`` part's windows from it
 built. Training flags anomalous windows and picks prediction pairs with its
 labels read at the windows' rows. The temporal fit gathers its pairs part
 by part every epoch; with the VGAE, each part's graphs become that part's
-fit inputs (``vgae.fit_inputs``) at once, and the posterior-mean pass
-encodes those same inputs; without it, ``segment_features`` builds the
-features. ``segment_features`` is scoring's one loop over parts: it gathers
+``vgae.propagate`` constants at once, the fit reconstructs one target, the
+topology's edges (``vgae.reconstruction_target``), and the posterior-mean
+pass encodes the parts it fitted; without it, ``segment_features`` builds
+the features. ``segment_features`` is scoring's one loop over parts: it gathers
 each part's windows, embeds them (and with the VGAE builds their graphs and
 encodes them) and writes the part's rows into one stacked result. No pass
 outside a stage's own fit records an autodiff graph, because a stage's
 parameters are constants except inside its ``autodiff.fit``:
 ``segment_graphs``, ``segment_features``, the detector's center and scores
 and training's posterior-mean pass run on constants. Training holds the
-z-scored stream until the VGAE's fit inputs or the features exist, and the
-VGAE's inputs (about 1.9 times the stream's bytes at the default sizes)
-until the posterior means exist; its peak is reached as the last input is
+z-scored stream until the VGAE's parts or the features exist, and the
+VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
+until the posterior means exist; its peak is reached as the last part is
 built. When scoring, the arrays that grow with the stream are the
 normalized stream, the features (one row per window) and the scores; the
 detector scores all features in one call. A library caller's stream is
@@ -54,7 +55,7 @@ from .graphgen import WeightedGraph, weighted_graph
 from .metrics import _binary_array
 from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
-from .vgae import VgaeEncoder, fit_inputs, train_vgae
+from .vgae import VgaeEncoder, propagate, reconstruction_target, train_vgae
 
 
 @dataclass
@@ -160,8 +161,8 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
         windows = gather_windows(values, starts[rows], length)
         if vgae_encoder is None:
             return _embed(temporal, windows)
-        return vgae_encoder.encode(segment_graphs(
-            config, topology, temporal, windows)).mean.value
+        return vgae_encoder.encode(propagate(segment_graphs(
+            config, topology, temporal, windows))).mean.value
 
     nodes = _in_parts(map(features, chunks(len(starts))), len(starts))
     return nodes.reshape(len(nodes), -1)
@@ -217,18 +218,20 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
-            parts = [fit_inputs(segment_graphs(
+            parts = [propagate(segment_graphs(
                 config, topology, temporal, gather_windows(values, normal[rows], length)))
                 for rows in chunks(count)]
         del values  # the VGAE and the detector read only the parts
         with numeric_context("[vgae]"):
             record["vgae"] = {
                 "samples": count, "attribute_dim": vgae_encoder.input_dim,
-                "loss": train_vgae(vgae_encoder, parts, config.vgae.epochs,
-                                   config.vgae.lr, np.random.default_rng(seeds[2]))}
+                "loss": train_vgae(vgae_encoder, parts,
+                                   reconstruction_target(topology.adjacency),
+                                   config.vgae.epochs, config.vgae.lr,
+                                   np.random.default_rng(seeds[2]))}
         with numeric_context("[vgae] after training"):
-            means = _in_parts((vgae_encoder.encode_normalized(*inputs).mean.value
-                               for inputs, _ in parts), count)
+            means = _in_parts((vgae_encoder.encode(inputs).mean.value
+                               for inputs in parts), count)
         del parts  # the detector reads only the posterior means
         features = means.reshape(count, -1)
     else:

@@ -1,17 +1,17 @@
 """Variational graph autoencoder over weighted attributed graphs.
 
 Two graph-convolution layers share one symmetrically normalized adjacency
-(self-loops added before normalization, degree magnitudes floored so
-isolated or negatively weighted rows stay finite). The second layer emits
+(self-loops added before normalization, degrees summed as weight
+magnitudes so negatively weighted rows stay finite). The second layer emits
 mean and log-variance heads side by side; reparameterized samples decode
 back to edge probabilities through a sigmoid Gram matrix. The training loss
-is squared reconstruction error against the binary edge support (plus
-self-loops) plus a weighted diagonal-Gaussian KL term, averaged over the
-training graphs. Graphs pass every step as a stack (leading axis). A fit
-reads its graphs as a list of parts, each one stack's ``fit_inputs`` (its
-``propagate`` constants and reconstruction target), which the caller builds
-part by part, so no stack of every graph exists; each epoch backpropagates
-one part before the next is built.
+is squared reconstruction error against one target, the topology's edges
+plus self-loops, plus a weighted diagonal-Gaussian KL term, averaged over
+the training graphs. Graphs pass every step as a stack (leading axis), and
+a stack enters the encoder as its ``propagate`` constants. A fit reads its
+graphs as a list of parts, each one stack's constants, which the caller
+builds part by part, so no stack of every graph exists; each epoch
+backpropagates one part before the next is built.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .autodiff import Tensor
 from .errors import DataError
 from .graphgen import WeightedGraph
 
-DEGREE_FLOOR = 1e-8
 LOGVAR_RANGE = 10.0
 
 
@@ -42,18 +41,25 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of the self-looped adjacency.
 
     Degrees are sums of edge-weight magnitudes, the signed-graph convention:
-    negative weights then cannot cancel the unit self-loop, so every degree
-    is at least 1 and the normalized entries stay bounded. The floor only
-    guards pathological all-zero rows.
+    negative weights then cannot cancel the unit self-loop. Every graph has
+    a zero diagonal (``SensorTopology.validate`` checks the topology's, and
+    weighting multiplies into it), so every self-looped degree is at least
+    1 and the normalized entries stay bounded.
     """
     with_loops = adjacency + np.eye(adjacency.shape[-1])
-    degrees = np.maximum(np.abs(with_loops).sum(axis=-1), DEGREE_FLOOR)
+    degrees = np.abs(with_loops).sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]
 
 
 def reconstruction_target(adjacency: np.ndarray) -> np.ndarray:
-    """Binary edge support plus self-loops, matching the sigmoid decoder range."""
+    """Binary edge support plus self-loops, matching the sigmoid decoder range.
+
+    A fit builds it once, from the topology's adjacency: every window's
+    graph has the topology's edges, and an edge that a window weights 0
+    (similarity 0 to a type whose attributes are all zero there) stays in
+    the target, although ``normalize_adjacency`` then gives it no weight.
+    """
     return ((adjacency != 0.0) | np.eye(adjacency.shape[-1], dtype=bool)).astype(float)
 
 
@@ -64,12 +70,6 @@ def propagate(graph: WeightedGraph) -> tuple[Tensor, Tensor]:
     not every epoch."""
     norm = Tensor(normalize_adjacency(graph.adjacency))
     return norm, ad.matmul(norm, Tensor(graph.attributes))
-
-
-def fit_inputs(graph: WeightedGraph) -> tuple[tuple[Tensor, Tensor], np.ndarray]:
-    """A stack of graphs as a fit reads it: its ``propagate`` constants and
-    its ``reconstruction_target``."""
-    return propagate(graph), reconstruction_target(graph.adjacency)
 
 
 class VgaeEncoder:
@@ -89,15 +89,11 @@ class VgaeEncoder:
         yield "w_hidden", self.w_hidden
         yield "w_heads", self.w_heads
 
-    def encode(self, graph: WeightedGraph,
+    def encode(self, inputs: tuple[Tensor, Tensor],
                noise: np.ndarray | None = None) -> GraphEmbedding:
-        """Encode a graph or a stack; ``noise=None`` is deterministic."""
-        return self.encode_normalized(*propagate(graph), noise)
-
-    def encode_normalized(self, norm: Tensor, mixed: Tensor,
-                          noise: np.ndarray | None = None) -> GraphEmbedding:
-        """``encode`` from ``propagate(graph)``: the normalized adjacency
-        ``norm`` and ``mixed``, that times the node attributes."""
+        """Encode a graph or a stack given as its ``propagate`` constants;
+        ``noise=None`` is deterministic."""
+        norm, mixed = inputs
         if mixed.shape[-1] != self.input_dim:
             raise ValueError(
                 f"attribute dim {mixed.shape[-1]} does not match "
@@ -130,7 +126,8 @@ def kl_divergence(mean: Tensor, logvar: Tensor) -> Tensor:
 
 def vgae_loss(target: np.ndarray, reconstructed: Tensor,
               embedding: GraphEmbedding, kl_weight: float) -> Tensor:
-    """Squared reconstruction error plus weighted KL."""
+    """Squared reconstruction error plus weighted KL; a (nodes x nodes)
+    target broadcasts against a stack's reconstructions."""
     recon = ad.frobenius_sq(ad.sub(Tensor(target), reconstructed))
     return ad.add(recon, ad.scale(kl_divergence(embedding.mean,
                                                 embedding.logvar), kl_weight))
@@ -139,33 +136,34 @@ def vgae_loss(target: np.ndarray, reconstructed: Tensor,
 def vgae_objective(encoder: VgaeEncoder, inputs: tuple[Tensor, Tensor],
                    target: np.ndarray, noise: np.ndarray, count: int) -> Tensor:
     """Training loss summed over a stack of graphs, given as their
-    ``propagate`` constants and ``reconstruction_target``, at a (graphs x
-    nodes x embed_dim) noise draw, divided by ``count``: the stack's length
-    gives the mean, a training epoch's graph count gives a part's share of
-    it."""
-    embedding = encoder.encode_normalized(*inputs, noise)
+    ``propagate`` constants, against one (nodes x nodes) ``target`` that
+    every graph shares, at a (graphs x nodes x embed_dim) noise draw,
+    divided by ``count``: the stack's length gives the mean, a training
+    epoch's graph count gives a part's share of it."""
+    embedding = encoder.encode(inputs, noise)
     loss = vgae_loss(target, decode(embedding.r), embedding, encoder.kl_weight)
     return ad.scale(loss, 1.0 / count)
 
 
-def train_vgae(encoder: VgaeEncoder,
-               parts: list[tuple[tuple[Tensor, Tensor], np.ndarray]],
-               epochs: int, lr: float, rng: np.random.Generator) -> list[float]:
+def train_vgae(encoder: VgaeEncoder, parts: list[tuple[Tensor, Tensor]],
+               target: np.ndarray, epochs: int, lr: float,
+               rng: np.random.Generator) -> list[float]:
     """Fit the encoder on graphs given as consecutive parts, each a stack's
-    ``fit_inputs``; returns per-epoch mean losses.
+    ``propagate`` constants, to reconstruct ``target``, the one
+    ``reconstruction_target`` of every graph; returns per-epoch mean losses.
 
     Each epoch's loss is one term per part, and each part draws fresh noise
     for its graphs at once: over the epoch, the same numbers as one draw
-    per graph in stack order. The parts' constants are built once, by the
-    caller, not every epoch.
+    per graph in stack order. The parts' constants and the target are built
+    once, by the caller, not every epoch.
     """
-    count = sum(len(target) for _, target in parts)
+    count = sum(len(mixed.value) for _, mixed in parts)
     if count == 0:
         raise DataError("no graphs to train on")
 
     def losses():
-        for inputs, target in parts:
-            noise = rng.standard_normal(target.shape[:-1] + (encoder.embed_dim,))
-            yield vgae_objective(encoder, inputs, target, noise, count)
+        for norm, mixed in parts:
+            noise = rng.standard_normal(mixed.shape[:-1] + (encoder.embed_dim,))
+            yield vgae_objective(encoder, (norm, mixed), target, noise, count)
 
     return ad.fit(encoder.named_parameters(), losses, epochs, lr, tag="vgae")

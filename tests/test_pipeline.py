@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from cpsdetect import autodiff, benchmark, checkpoint, data, pipeline, svdd, temporal
+from cpsdetect import (autodiff, benchmark, checkpoint, data, pipeline, svdd,
+                       temporal, vgae)
 from cpsdetect.autodiff import Tensor
 from cpsdetect.config import PipelineConfig
 from cpsdetect.errors import DataError, NumericError
@@ -261,19 +262,20 @@ def test_scoring_holds_the_stream_features_and_scores():
 
 def test_training_drops_each_stack_after_its_last_reader():
     # The benchmark's training rows tiled twice, one epoch per stage: a
-    # traced peak of 3.13x the stream's bytes (numpy 2.4.6, Python 3.11),
-    # the z-scored stream and the VGAE's fit inputs as the last part's are
-    # built. A training that builds the window stack, the normal windows,
-    # the prediction pairs and a whole graph stack reads 4.04x, and one
-    # that also holds the z-scored stream, the window stack and the normal
-    # windows through every fit 6.93x.
+    # traced peak of 2.74x the stream's bytes (numpy 2.4.6, Python 3.11),
+    # the z-scored stream and the VGAE's parts as the last one is built.
+    # A training that also keeps a reconstruction target per graph reads
+    # 3.13x; one that builds the window stack, the normal windows, the
+    # prediction pairs and a whole graph stack 4.04x, and one that also
+    # holds the z-scored stream, the window stack and the normal windows
+    # through every fit 6.93x.
     config = benchmark.benchmark_config()
     config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 1
     topology, values, labels = benchmark.benchmark_data()
     values = np.tile(values[:benchmark.TRAIN_ROWS], (2, 1))
     labels = np.tile(labels[:benchmark.TRAIN_ROWS], 2)
     _, peak = traced_peak(pipeline.train_pipeline, config, topology, values, labels)
-    assert peak <= 3.25 * values.nbytes, peak / values.nbytes
+    assert peak <= 2.85 * values.nbytes, peak / values.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +392,41 @@ def test_the_record_holds_the_losses_each_fit_returned(monkeypatch):
     leaves = [v for entry in record.values() for v in entry.values()]
     assert all(type(v) in (int, float, list) for v in leaves)
     assert all(type(x) is float for v in leaves if type(v) is list for x in v)
+
+
+def test_the_vgae_target_keeps_the_edges_a_window_weights_zero(monkeypatch):
+    # Every sensor of type 0 is constant, so without the temporal encoder
+    # its z-scored attributes are all zero in every window, and weighting
+    # gives each edge between the two types weight 0. The fit's one target,
+    # built once, still holds those edges; the encoder's propagation drops
+    # them.
+    config = tiny_config("no-temporal")
+    topology, values, labels, _ = tiny_data(config)
+    values = values.copy()
+    values[:, topology.type_of == 0] = 1.0
+    across = topology.adjacency.astype(bool) & (
+        topology.type_of[:, None] != topology.type_of[None, :])
+    assert across.any()
+    received, built = [], []
+    train_vgae, reconstruction_target = pipeline.train_vgae, pipeline.reconstruction_target
+
+    def spy(encoder, parts, target, *args):
+        received.append((parts, target))
+        return train_vgae(encoder, parts, target, *args)
+
+    def counted(adjacency):
+        built.append(adjacency.shape)
+        return reconstruction_target(adjacency)
+
+    monkeypatch.setattr(pipeline, "train_vgae", spy)
+    monkeypatch.setattr(pipeline, "reconstruction_target", counted)
+    with pytest.warns(RuntimeWarning, match="zero-norm"):
+        pipeline.train_pipeline(config, topology, values, labels)
+    ((parts, target),) = received
+    assert built == [topology.adjacency.shape]
+    np.testing.assert_array_equal(
+        target, vgae.reconstruction_target(topology.adjacency))
+    assert all((norm.value[:, across] == 0.0).all() for norm, _ in parts)
 
 
 def test_scoring_records_no_graph(made_tensors):

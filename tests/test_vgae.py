@@ -34,10 +34,16 @@ def stack(*graphs):
 
 
 def fit_parts(graphs: WeightedGraph) -> list:
-    """A stack's ``fit_inputs``, one part per ``autodiff.CHUNK`` graphs."""
-    return [vgae.fit_inputs(WeightedGraph(graphs.adjacency[rows],
-                                          graphs.attributes[rows]))
+    """A stack's ``propagate`` constants, one part per ``autodiff.CHUNK``
+    graphs."""
+    return [vgae.propagate(WeightedGraph(graphs.adjacency[rows],
+                                         graphs.attributes[rows]))
             for rows in ad.chunks(len(graphs.adjacency))]
+
+
+def path_target():
+    """The reconstruction target of ``toy_graph``'s 3-node path."""
+    return vgae.reconstruction_target(toy_graph().adjacency)
 
 
 class TestNormalizeAdjacency:
@@ -77,7 +83,7 @@ class TestEncode:
     def test_zero_noise_returns_mean(self):
         enc = make_encoder()
         g = toy_graph()
-        emb = enc.encode(stack(g, toy_graph(seed=2)), noise=None)
+        emb = enc.encode(vgae.propagate(stack(g, toy_graph(seed=2))), noise=None)
         np.testing.assert_array_equal(emb.r.value, emb.mean.value)
 
     def test_zero_weights_collapse_to_pure_noise(self):
@@ -86,7 +92,7 @@ class TestEncode:
         enc.w_heads.value[:] = 0.0
         g = stack(toy_graph(), toy_graph(seed=2))
         noise = np.random.default_rng(2).normal(size=(2, 3, 2))
-        emb = enc.encode(g, noise=noise)
+        emb = enc.encode(vgae.propagate(g), noise=noise)
         np.testing.assert_array_equal(emb.mean.value, 0.0)
         np.testing.assert_array_equal(emb.logvar.value, 0.0)
         np.testing.assert_allclose(emb.r.value, noise)  # sigma = exp(0) = 1
@@ -95,7 +101,7 @@ class TestEncode:
         enc = make_encoder(seed=5)
         g = toy_graph(seed=6)
         noise = np.random.default_rng(7).normal(size=(3, 2))
-        emb = enc.encode(g, noise=noise)
+        emb = enc.encode(vgae.propagate(g), noise=noise)
 
         norm = vgae.normalize_adjacency(g.adjacency)
         hidden = np.maximum(norm @ g.attributes @ enc.w_hidden.value, 0.0)
@@ -107,14 +113,15 @@ class TestEncode:
     def test_logvar_is_clamped(self):
         enc = make_encoder()
         enc.w_heads.value[:] = 50.0
-        emb = enc.encode(WeightedGraph(np.zeros((3, 3)), np.ones((3, 4)) * 10.0))
+        emb = enc.encode(vgae.propagate(
+            WeightedGraph(np.zeros((3, 3)), np.ones((3, 4)) * 10.0)))
         assert (np.abs(emb.logvar.value) <= 10.0).all()
 
     def test_deterministic_mode_is_pure(self):
         enc = make_encoder(seed=9)
-        g = stack(toy_graph(seed=10), toy_graph(seed=11))
-        first = enc.encode(g).r.value
-        second = enc.encode(g).r.value
+        inputs = vgae.propagate(stack(toy_graph(seed=10), toy_graph(seed=11)))
+        first = enc.encode(inputs).r.value
+        second = enc.encode(inputs).r.value
         np.testing.assert_array_equal(first, second)
 
     def test_stack_equals_one_graph_at_a_time(self):
@@ -123,8 +130,9 @@ class TestEncode:
         graphs[1].adjacency[0, 1] = graphs[1].adjacency[1, 0] = -0.4
         noise = np.random.default_rng(16).normal(size=(3, 3, 2))
         for n in (None, noise):
-            batched = enc.encode(stack(*graphs), noise=n)
-            singles = [enc.encode(g, noise=None if n is None else n[b])
+            batched = enc.encode(vgae.propagate(stack(*graphs)), noise=n)
+            singles = [enc.encode(vgae.propagate(g),
+                                  noise=None if n is None else n[b])
                        for b, g in enumerate(graphs)]
             for field in ("r", "mean", "logvar"):
                 assert np.array_equal(
@@ -133,7 +141,7 @@ class TestEncode:
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ValueError, match="input dim"):
-            make_encoder(input_dim=5).encode(toy_graph(dim=4))
+            make_encoder(input_dim=5).encode(vgae.propagate(toy_graph(dim=4)))
 
 
 class TestDecode:
@@ -200,7 +208,7 @@ def test_objective_gradients_pass_finite_differences():
                       np.random.default_rng(15).standard_normal((3, 2))])
 
     inputs = vgae.propagate(graphs)
-    target = vgae.reconstruction_target(graphs.adjacency)
+    target = path_target()
 
     def loss_value():
         return float(vgae.vgae_objective(enc, inputs, target, noise, 2).value[0, 0])
@@ -214,6 +222,27 @@ def test_objective_gradients_pass_finite_differences():
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
 
+def test_shared_target_equals_a_stacked_target_per_graph():
+    # One (nodes x nodes) target broadcast against the stack gives the bits
+    # of the same target stacked once per graph: loss and gradients alike.
+    graphs = [toy_graph(seed=s) for s in (60, 61, 62)]
+    graphs[1].adjacency[0, 1] = graphs[1].adjacency[1, 0] = -0.7
+    graphs[2].adjacency[1, 2] = graphs[2].adjacency[2, 1] = -0.2
+    inputs = vgae.propagate(stack(*graphs))
+    noise = np.random.default_rng(63).standard_normal((3, 3, 2))
+    target = path_target()
+    results = []
+    for each in (target, np.broadcast_to(target, (3, 3, 3))):
+        enc = make_encoder(seed=64)
+        params = [p for _, p in enc.named_parameters()]
+        with ad.trainable(params):
+            loss = vgae.vgae_objective(enc, inputs, each, noise, 3)
+            loss.backward()
+            results.append([loss.value.tobytes()]
+                           + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
+
+
 class TestTraining:
     def _four_node_toy(self):
         adjacency = np.zeros((4, 4))
@@ -225,8 +254,8 @@ class TestTraining:
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder()
         before = [p.value.copy() for _, p in enc.named_parameters()]
-        trace = vgae.train_vgae(enc, fit_parts(stack(toy_graph())), epochs=0,
-                                lr=0.01, rng=np.random.default_rng(0))
+        trace = vgae.train_vgae(enc, fit_parts(stack(toy_graph())), path_target(),
+                                epochs=0, lr=0.01, rng=np.random.default_rng(0))
         assert trace == []
         for (_, p), b in zip(enc.named_parameters(), before):
             np.testing.assert_array_equal(p.value, b)
@@ -240,10 +269,9 @@ class TestTraining:
         rng = np.random.default_rng(33)
         noise = np.stack([rng.standard_normal((3, 2)) for _ in range(2)])
         expected = vgae.vgae_objective(
-            enc, vgae.propagate(graphs),
-            vgae.reconstruction_target(graphs.adjacency), noise, 2).value[0, 0]
-        trace = vgae.train_vgae(enc, fit_parts(graphs), epochs=1, lr=0.01,
-                                rng=np.random.default_rng(33))
+            enc, vgae.propagate(graphs), path_target(), noise, 2).value[0, 0]
+        trace = vgae.train_vgae(enc, fit_parts(graphs), path_target(), epochs=1,
+                                lr=0.01, rng=np.random.default_rng(33))
         assert trace == [expected]
 
     def test_seeded_runs_identical(self):
@@ -251,7 +279,7 @@ class TestTraining:
         for _ in range(2):
             enc = make_encoder(seed=20)
             traces.append(vgae.train_vgae(enc, fit_parts(stack(toy_graph(seed=21))),
-                                          epochs=15, lr=0.02,
+                                          path_target(), epochs=15, lr=0.02,
                                           rng=np.random.default_rng(22)))
         assert traces[0] == traces[1]
 
@@ -261,39 +289,41 @@ class TestTraining:
         for chunk in (10**6, 7):
             monkeypatch.setattr(ad, "CHUNK", chunk)
             enc = make_encoder(seed=34)
-            vgae.train_vgae(enc, fit_parts(graphs), epochs=3, lr=0.05,
-                            rng=np.random.default_rng(35))
+            vgae.train_vgae(enc, fit_parts(graphs), path_target(), epochs=3,
+                            lr=0.05, rng=np.random.default_rng(35))
             fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
         assert fitted[0] == fitted[1]
 
     def test_part_constants_are_built_once_per_fit(self, monkeypatch):
-        # Each part's normalized adjacency and reconstruction target are
-        # built once, by fit_inputs, and never by the fit's epochs.
+        # Each part's normalized adjacency is built once, by propagate, and
+        # the one target once for the whole fit; the fit's epochs build
+        # neither.
         monkeypatch.setattr(ad, "CHUNK", 2)
         built = []
         for name in ("normalize_adjacency", "reconstruction_target"):
             def counting(adjacency, build=getattr(vgae, name), name=name):
-                built.append((name, len(adjacency)))
+                built.append((name, adjacency.shape))
                 return build(adjacency)
             monkeypatch.setattr(vgae, name, counting)
         parts = fit_parts(stack(*(toy_graph(seed=50 + i) for i in range(5))))
-        vgae.train_vgae(make_encoder(), parts, epochs=4, lr=0.01,
+        target = vgae.reconstruction_target(toy_graph().adjacency)
+        vgae.train_vgae(make_encoder(), parts, target, epochs=4, lr=0.01,
                         rng=np.random.default_rng(0))
-        assert built == [(name, n) for n in (2, 2, 1) for name in
-                         ("normalize_adjacency", "reconstruction_target")]
+        assert built == [("normalize_adjacency", (n, 3, 3)) for n in (2, 2, 1)
+                         ] + [("reconstruction_target", (3, 3))]
 
     def test_empty_graphs_rejected(self):
         with pytest.raises(DataError, match="no graphs"):
-            vgae.train_vgae(make_encoder(), [], epochs=1, lr=0.01,
-                            rng=np.random.default_rng(0))
+            vgae.train_vgae(make_encoder(), [], path_target(), epochs=1,
+                            lr=0.01, rng=np.random.default_rng(0))
 
     def test_toy_reconstruction_auc_after_training(self):
         g = self._four_node_toy()
         enc = make_encoder(input_dim=4, hidden_dim=8, embed_dim=2, seed=23)
-        vgae.train_vgae(enc, fit_parts(g), epochs=100, lr=0.05,
-                        rng=np.random.default_rng(24))
-        reconstructed = vgae.decode(enc.encode(g).r).value[0]
         target = vgae.reconstruction_target(g.adjacency[0])
+        vgae.train_vgae(enc, fit_parts(g), target, epochs=100, lr=0.05,
+                        rng=np.random.default_rng(24))
+        reconstructed = vgae.decode(enc.encode(vgae.propagate(g)).r).value[0]
         iu = np.triu_indices(4, k=1)
         auc = metrics.roc_auc(target[iu].astype(int), reconstructed[iu])
         assert auc > 0.9
