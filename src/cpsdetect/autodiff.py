@@ -3,7 +3,10 @@
 Everything the learned stages need lives here: a ``Tensor`` (a value plus,
 if it requires a gradient, its graph node), a closed set of differentiable
 primitives, an adaptive-moment optimizer with decoupled weight decay, and
-the one training loop every stage runs. A value
+``fit``, the one epoch loop every stage runs. The temporal and VGAE stages
+hand ``fit`` a loss built from these primitives, which it backpropagates;
+the SVDD stage writes its reverse pass by hand and hands ``fit`` its loss
+and gradients, so its fit records no graph. A value
 is a matrix or a stack of matrices (leading stack axes; vectors are 1 x n);
 ops act on the last two axes. An elementwise operand of the other's trailing
 shape is shared across the stack. ``matmul`` broadcasts its operands' stack
@@ -27,7 +30,7 @@ gradient received so far. Each closure captures only the arrays its
 backward reads: ``matmul`` and ``mul`` the other operand, and only for a
 side that needs a gradient; ``frobenius_sq`` its input; ``exp``,
 ``sigmoid`` and ``softmax_rows`` their own output; ``relu`` and ``clamp``
-their masks; ``leaky_relu`` its factor. Every other forward value, such as
+their masks. Every other forward value, such as
 a bias sum or the attention logits before the softmax, is freed as soon as
 the expression that made it no longer holds its tensor, so a graph keeps
 about half the bytes it would if every node kept its value.
@@ -335,13 +338,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.maximum(a.value, 0.0), a, _relu_rule, a.value)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    # The output's derivative, gathered with take(): in the SVDD fit it beats
-    # both np.where's branchy loop and fancy indexing.
-    factor = np.array([slope, 1.0]).take((a.value > 0.0).view(np.uint8))
-    return _record(a.value * factor, a, _times, factor)
-
-
 def _sigmoid_rule(node, y):
     return lambda g: _accumulate(node, g * y * (1.0 - y), fresh=True)
 
@@ -448,8 +444,9 @@ class Adam:
 
     Weight decay is applied directly to the parameter (not mixed into the
     moment estimates), so a nonzero ``weight_decay`` realizes an L2 penalty
-    on the weights independently of the gradient scaling. ``step`` only
-    reads each ``.grad``; it never writes into one.
+    on the weights independently of the gradient scaling. ``step`` takes
+    the gradients it applies, one per parameter in order (``None`` for a
+    parameter the loss does not reach), and only reads them.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float,
@@ -465,15 +462,13 @@ class Adam:
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
+    def step(self, grads: list[Array | None]) -> None:
+        if len(grads) != len(self.params):
+            raise ValueError(
+                f"{len(grads)} gradients for {len(self.params)} parameters")
         self.count += 1
         t = self.count
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
+        for p, m, v, g in zip(self.params, self._m, self._v, grads):
             if g is None:
                 g = np.zeros_like(p.value)
             elif g.shape != p.value.shape:
@@ -523,32 +518,40 @@ def trainable(params: list[Tensor]):
             p._node = None
 
 
-def fit(named_params: Iterable[tuple[str, Tensor]],
-        loss_fn: Callable[[], Iterable[Tensor]],
+def fit(named_params: Iterable[tuple[str, Tensor]], loss_fn: Callable,
         epochs: int, lr: float, weight_decay: float = 0.0,
-        tag: str = "fit") -> list[float]:
-    """Adam on the loss ``loss_fn()`` yields in parts, rebuilt each epoch;
-    returns the per-epoch losses, each the sum of its parts' values.
+        tag: str = "fit", graph: bool = True) -> list[float]:
+    """Adam on the loss ``loss_fn()`` gives, rebuilt each epoch; returns the
+    per-epoch losses.
 
-    The parameters are leaves for the run (``trainable``). Each epoch runs in
-    a ``numeric_context`` labelled ``[tag] epoch e/E``.
-
+    Each epoch runs in a ``numeric_context`` labelled ``[tag] epoch e/E``.
+    With ``graph``, ``loss_fn()`` yields the loss in parts built from this
+    module's ops and the parameters are leaves for the run (``trainable``).
     Each part is backpropagated, its gradient adding to what the earlier
     parts left, and dropped before the next part is built, so the peak
     holds one part's graph: for a stage that splits its stack into
-    ``chunks``, the same size whatever the stack's length.
+    ``chunks``, the same size whatever the stack's length. The epoch's loss
+    is the sum of its parts' values, and each leaf keeps the last epoch's
+    gradient. Without ``graph``, ``loss_fn()`` returns the loss and one
+    gradient per parameter, and no parameter becomes a leaf.
     """
     optimizer = Adam((p for _, p in named_params), lr=lr, weight_decay=weight_decay)
+    params = optimizer.params
     trace: list[float] = []
-    with trainable(optimizer.params):
+    with trainable(params if graph else []):
         for epoch in range(epochs):
-            loss = 0.0
             with numeric_context(f"[{tag}] epoch {epoch + 1}/{epochs}"):
-                optimizer.zero_grad()
-                for part in loss_fn():
-                    part.backward()
-                    loss += float(part.value[0, 0])
-                    del part  # its graph goes before the next part is built
-                optimizer.step()
+                if graph:
+                    loss = 0.0
+                    for p in params:
+                        p.grad = None
+                    for part in loss_fn():
+                        part.backward()
+                        loss += float(part.value[0, 0])
+                        del part  # its graph goes before the next part is built
+                    optimizer.step([p.grad for p in params])
+                else:
+                    loss, grads = loss_fn()
+                    optimizer.step(grads)
             trace.append(loss)
     return trace

@@ -117,6 +117,10 @@ class PipelineConfig:
             raise ConfigError(f"svdd.weight_decay must be non-negative, got {s.weight_decay}")
         if not s.widths or any(width <= 0 for width in s.widths):
             raise ConfigError(f"svdd.widths must be positive, got {s.widths}")
+        # A slope outside (0, 1] makes the leaky layer non-monotone or
+        # expanding.
+        if not 0.0 < s.slope <= 1.0:
+            raise ConfigError(f"svdd.slope must be in (0, 1], got {s.slope}")
         if not 0.0 < s.quantile <= 1.0:
             raise ConfigError(f"svdd.quantile must be in (0, 1], got {s.quantile}")
         if not 0.0 < r.train_fraction <= 1.0:

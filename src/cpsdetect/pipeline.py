@@ -22,10 +22,12 @@ pass encodes the parts it fitted; without it, ``segment_features`` builds
 the features. ``segment_features`` is scoring's one loop over parts: it gathers
 each part's windows, embeds them (and with the VGAE builds their graphs and
 encodes them) and writes the part's rows into one stacked result. No pass
-outside a stage's own fit records an autodiff graph, because a stage's
-parameters are constants except inside its ``autodiff.fit``:
-``segment_graphs``, ``segment_features``, the detector's center and scores
-and training's posterior-mean pass run on constants. Training holds the
+outside the temporal or VGAE fit records an autodiff graph, because their
+parameters are constants except inside their ``autodiff.fit``:
+``segment_graphs``, ``segment_features`` and training's posterior-mean pass
+run on constants. The detector records no graph at all: its fit, center and
+scores work on plain arrays, and its fit differentiates by hand
+(``svdd.loss_and_gradients``). Training holds the
 z-scored stream until the VGAE's parts or the features exist, and the
 VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is

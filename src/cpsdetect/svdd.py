@@ -8,6 +8,19 @@ normal rows toward a fixed center; a row's anomaly score is its squared
 distance to that center. Bias-free layers and an unbounded leaky activation
 are deliberate: with a nonzero fixed center they block the degenerate
 solution where everything collapses onto the center regardless of input.
+
+The network works on plain arrays and builds no autodiff graph.
+``forward`` is the one definition of the map, for the fit, ``init_center``
+and ``scores`` alike; given a tape, it keeps each layer's input and leaky
+factor (1 above zero, the slope elsewhere). The fit's objective,
+``loss_and_gradients``, is the mean squared distance to the center and a
+reverse pass written out by hand over that tape: one gradient per weight,
+for any number of layers, with the same products in the same order as a
+graph of ``autodiff`` matmul, mul by the factor, sub, frobenius_sq and
+scale ops, so a fit leaves the same bits. The leaky factor, the center
+subtraction and the gradient scale are applied in place to arrays the
+epoch made itself. ``autodiff.fit`` still runs the epochs: the optimizer,
+the labelled numeric context and the loss trace.
 """
 from __future__ import annotations
 
@@ -51,12 +64,28 @@ class SvddNet:
         for i, w in enumerate(self.weights):
             yield f"w{i}", w
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Map a batch of sample rows through the network."""
-        out = x
+    def forward(self, x: np.ndarray,
+                tape: list[tuple[np.ndarray, np.ndarray | None]] | None = None
+                ) -> np.ndarray:
+        """Map a batch of sample rows through the network.
+
+        With a ``tape``, each layer appends its input and the leaky factor
+        that made that input (``None`` for the samples): what the reverse
+        pass reads.
+        """
+        leak = np.array([self.slope, 1.0])
+        out, factor = x, None
         for w in self.weights[:-1]:
-            out = ad.leaky_relu(ad.matmul(out, w), self.slope)
-        return ad.matmul(out, self.weights[-1])
+            if tape is not None:
+                tape.append((out, factor))
+            out = out @ w.value
+            # The activation's derivative, gathered with take(): in the fit
+            # it beats both np.where's branchy loop and fancy indexing.
+            factor = leak.take((out > 0.0).view(np.uint8))
+            out *= factor
+        if tape is not None:
+            tape.append((out, factor))
+        return out @ self.weights[-1].value
 
     def init_center(self, samples: np.ndarray) -> np.ndarray:
         """Fix the center at the mean initial image of the training samples.
@@ -68,7 +97,7 @@ class SvddNet:
         samples = np.atleast_2d(samples)
         if samples.shape[0] == 0:
             raise DataError("cannot initialize the center from zero samples")
-        image = self.forward(Tensor(samples)).value
+        image = self.forward(samples)
         center = image.mean(axis=0)
         small = np.abs(center) < CENTER_FLOOR
         center[small] = np.where(center[small] < 0.0, -CENTER_FLOOR, CENTER_FLOOR)
@@ -88,20 +117,29 @@ class SvddNet:
         """Squared distances to the center, one per sample row."""
         self._require_trained()
         center = self._require_center()
-        image = self.forward(Tensor(np.atleast_2d(samples))).value
-        diff = image - center
+        diff = self.forward(np.atleast_2d(samples))
+        diff -= center
         return (diff * diff).sum(axis=1)
 
 
-def svdd_objective(net: SvddNet, samples: np.ndarray) -> Tensor:
-    """Mean squared distance of the samples' images to the center."""
-    samples = np.atleast_2d(samples)
-    center = net._require_center()
-    # A read-only view, one center row for every sample: nothing is copied.
-    tiled = Tensor(np.broadcast_to(center, (samples.shape[0], center.shape[-1])))
-    return ad.scale(
-        ad.frobenius_sq(ad.sub(net.forward(Tensor(samples)), tiled)),
-        1.0 / samples.shape[0])
+def loss_and_gradients(net: SvddNet, samples: np.ndarray
+                       ) -> tuple[float, list[np.ndarray]]:
+    """Mean squared distance of the samples' images to the center, and its
+    gradient with respect to each weight, in ``weights`` order."""
+    tape: list[tuple[np.ndarray, np.ndarray | None]] = []
+    g = net.forward(samples, tape)
+    g -= net._require_center()
+    scale = 1.0 / samples.shape[0]
+    loss = float((g * g).sum()) * scale
+    g *= 2.0 * scale  # d loss / d image
+    grads = []
+    for (inp, factor), w in zip(reversed(tape), reversed(net.weights)):
+        grads.append(inp.T @ g)
+        if factor is not None:  # the samples get no gradient
+            g = g @ w.value.T
+            g *= factor
+    grads.reverse()
+    return loss, grads
 
 
 def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
@@ -117,8 +155,8 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     net._require_center()
     # One part: the weight gradient is one product over every sample, whose
     # bits a split into parts would change.
-    trace = ad.fit(net.named_parameters(), lambda: [svdd_objective(net, samples)],
-                   epochs, lr, weight_decay=weight_decay, tag="svdd")
+    trace = ad.fit(net.named_parameters(), lambda: loss_and_gradients(net, samples),
+                   epochs, lr, weight_decay=weight_decay, tag="svdd", graph=False)
     net.trained = True
     return trace
 

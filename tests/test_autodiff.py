@@ -94,7 +94,7 @@ class TestBackward:
         ad.frobenius_sq(used).backward()
         np.testing.assert_allclose(used.grad, [[2.0]])
         assert unused.grad is None
-        ad.Adam([used, unused], lr=0.1).step()
+        ad.Adam([used, unused], lr=0.1).step([used.grad, unused.grad])
         np.testing.assert_array_equal(unused.value, [[5.0]])
         assert used.value[0, 0] < 1.0
 
@@ -123,8 +123,9 @@ class TestBackward:
         ad.frobenius_sq(p).backward()
         ad.total_sum(p).backward()
         np.testing.assert_array_equal(p.grad, [[7.0]])
-        ad.Adam([p], lr=0.1).zero_grad()
-        assert p.grad is None
+        # A fit's epoch starts from no gradient.
+        ad.fit([("p", p)], lambda: [ad.total_sum(p)], epochs=1, lr=0.1)
+        np.testing.assert_array_equal(p.grad, [[1.0]])
 
 
 class TestParts:
@@ -199,7 +200,6 @@ def _scalar_probe(rng, shape):
 
 UNARY_OPS = [
     ("relu", lambda t: ad.relu(t), (3, 4)),
-    ("leaky_relu", lambda t: ad.leaky_relu(t, 0.1), (3, 4)),
     ("sigmoid", ad.sigmoid, (3, 4)),
     ("exp", ad.exp, (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
@@ -275,15 +275,14 @@ class TestAdam:
     def test_zero_gradient_zero_decay_unchanged(self):
         p = param([[1.0, -2.0]])
         opt = ad.Adam([p], lr=0.1)
-        opt.step()
+        opt.step([None])
         np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
     def test_constant_gradient_descends(self):
         p = param([[0.0]])
         opt = ad.Adam([p], lr=0.01)
         for _ in range(50):
-            p.grad = np.array([[3.0]])
-            opt.step()
+            opt.step([np.array([[3.0]])])
         assert p.value[0, 0] < 0.0
 
     def test_single_step_on_quadratic(self):
@@ -291,27 +290,31 @@ class TestAdam:
         p = param([[1.0]])
         opt = ad.Adam([p], lr=0.1)
         ad.frobenius_sq(p).backward()
-        opt.step()
+        opt.step([p.grad])
         assert abs(p.value[0, 0]) < 1.0
 
     def test_step_counter_increments(self):
         p = param([[1.0]])
         opt = ad.Adam([p], lr=0.1)
         for expected in (1, 2, 3):
-            opt.step()
+            opt.step([None])
             assert opt.count == expected
 
     def test_gradient_shape_mismatch(self):
         p = param([[1.0, 2.0]])
         opt = ad.Adam([p], lr=0.1)
-        p.grad = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
-            opt.step()
+            opt.step([np.zeros((2, 2))])
+
+    def test_one_gradient_per_parameter(self):
+        opt = ad.Adam([param([[1.0]]), param([[2.0]])], lr=0.1)
+        with pytest.raises(ValueError, match="1 gradients for 2 parameters"):
+            opt.step([None])
 
     def test_decoupled_decay_shrinks_without_gradient(self):
         p = param([[10.0]])
         opt = ad.Adam([p], lr=0.1, weight_decay=0.5)
-        opt.step()
+        opt.step([None])
         np.testing.assert_allclose(p.value, [[10.0 - 0.1 * 0.5 * 10.0]])
 
     def test_bad_hyperparameters_rejected(self):
@@ -360,8 +363,7 @@ def test_adam_steps_match_the_written_out_formula_bitwise(weight_decay):
     p = param(start.copy())
     opt = ad.Adam([p], lr=0.07, weight_decay=weight_decay)
     for g in grads:
-        p.grad = g
-        opt.step()
+        opt.step([g])
     expected = _reference_adam(start, grads, 0.07, weight_decay)
     assert p.value.tobytes() == expected.tobytes()
 
@@ -579,7 +581,6 @@ OPS = [
     ("reshape", 1, lambda a, b: ad.reshape(a, (3, 6))),
     ("scale", 1, lambda a, b: ad.scale(a, -1.7)),
     ("relu", 1, lambda a, b: ad.relu(a)),
-    ("leaky_relu", 1, lambda a, b: ad.leaky_relu(a, 0.2)),
     ("sigmoid", 1, lambda a, b: ad.sigmoid(a)),
     ("exp", 1, lambda a, b: ad.exp(a)),
     ("softmax_rows", 1, lambda a, b: ad.softmax_rows(a)),
@@ -647,10 +648,21 @@ PACKAGE = Path(ad.__file__).parent
 def test_only_autodiff_decides_whether_a_tensor_records(path):
     # A module that set or read a node itself, or made its own parameters
     # trainable, would bring back a second place that decides which tensors
-    # record a graph.
+    # record a graph: only autodiff.py calls trainable, and only inside fit.
     source = path.read_text(encoding="utf-8")
     for name in ("_node", "requires_grad", "trainable"):
         assert mentioners(source, name) == [], name
+
+
+def test_svdd_takes_from_autodiff_only_its_fit_and_weight_draw():
+    # The SVDD writes its reverse pass by hand: its weights are never leaves
+    # and it builds no graph, so it calls no op and constructs no Tensor.
+    tree = ast.parse((PACKAGE / "svdd.py").read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "ad"}
+    assert used == {"fit", "uniform_init"}
+    assert not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "Tensor" for node in ast.walk(tree))
 
 
 def test_only_fit_makes_parameters_trainable():
@@ -750,10 +762,10 @@ def test_adam_step_leaves_every_gradient_unchanged():
     rng = np.random.default_rng(2)
     p = param(rng.normal(size=(3, 2)))
     q = param(rng.normal(size=(3, 2)))
-    loss = ad.frobenius_sq(ad.leaky_relu(ad.add(ad.add(p, q), p)))
+    loss = ad.frobenius_sq(ad.relu(ad.add(ad.add(p, q), p)))
     loss.backward()
     before = {id(t): (t.grad, t.grad.copy()) for t in (p, q)}
-    ad.Adam([p, q], lr=0.1, weight_decay=0.5).step()
+    ad.Adam([p, q], lr=0.1, weight_decay=0.5).step([p.grad, q.grad])
     for t in (p, q):
         grad, copy = before[id(t)]
         assert t.grad is grad and np.array_equal(grad, copy)
@@ -767,7 +779,7 @@ def test_backward_holds_a_few_gradients_at_a_time():
     c = ad.Tensor(rng.normal(size=p.shape))
     t = p
     for op in (lambda t: ad.scale(t, 0.5), lambda t: ad.mul(t, c), ad.relu,
-               lambda t: ad.add(t, c), ad.leaky_relu, lambda t: ad.sub(t, c),
+               lambda t: ad.add(t, c), ad.sigmoid, lambda t: ad.sub(t, c),
                ad.exp, lambda t: ad.clamp(t, -1.0, 2.0)):
         t = op(t)
     loss = ad.total_sum(t)
@@ -807,15 +819,6 @@ def test_relu_matches_the_masked_select_bitwise():
     assert not np.signbit(ad.relu(param([[-0.0]])).value).any()
     ad.total_sum(y).backward()
     assert a.grad.tobytes() == (np.ones_like(a.value) * (a.value > 0.0)).tobytes()
-
-
-def test_leaky_relu_matches_the_masked_factor_bitwise():
-    a = param(_activation_inputs())
-    factor = np.where(a.value > 0.0, 1.0, 0.1)
-    y = ad.leaky_relu(a)
-    assert y.value.tobytes() == (a.value * factor).tobytes()
-    ad.total_sum(y).backward()
-    assert a.grad.tobytes() == (np.ones_like(a.value) * factor).tobytes()
 
 
 def test_sigmoid_matches_the_logaddexp_formula_bitwise():

@@ -330,6 +330,10 @@ EXIT_CASES = {
         "train-set", setting, 1, f"{setting.split('=')[0]} must be finite")
        for setting in ("svdd.lr=nan", "temporal.lr=inf", "vgae.kl_weight=inf",
                        "svdd.slope=nan")},
+    **{f"config svdd.slope={slope}": (
+        "train-set", f"svdd.slope={slope}", 1,
+        f"svdd.slope must be in (0, 1], got {float(slope)}")
+       for slope in ("-3", "5")},
     "config negative run seed": (
         "train-set", "run.seed=-1", 1, "run.seed must be non-negative, got -1"),
     "synth negative seed": (
@@ -369,6 +373,9 @@ EXIT_CASES = {
         "checkpoint", lambda b: _replace_once(b, b"[run]\nseed = 7\n",
                                               b"[run]\nseed =-7\n"),
         1, "run.seed must be non-negative, got -7"),
+    "checkpoint svdd.slope 5": (
+        "checkpoint", lambda b: _replace_once(b, b"slope = 0.1\n", b"slope = 5.0\n"),
+        1, "svdd.slope must be in (0, 1], got 5.0"),
     **{f"checkpoint truncated to {n} bytes": ("checkpoint", lambda b, n=n: b[:n], 2)
        for n in (0, 3, 11, 40, 700)},
     "checkpoint missing its last byte": ("checkpoint", lambda b: b[:-1], 2),

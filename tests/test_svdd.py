@@ -24,6 +24,18 @@ def numpy_forward(net, x):
     return out @ net.weights[-1].value
 
 
+def graph_objective(net, samples):
+    """The SVDD loss as a graph of autodiff ops: the reference for the
+    hand-written reverse pass."""
+    out = Tensor(samples)
+    for w in net.weights[:-1]:
+        z = ad.matmul(out, w)
+        out = ad.mul(z, Tensor(np.where(z.value > 0.0, 1.0, net.slope)))
+    tiled = Tensor(np.broadcast_to(net.center, (samples.shape[0], net.center.size)))
+    return ad.scale(ad.frobenius_sq(ad.sub(ad.matmul(out, net.weights[-1]), tiled)),
+                    1.0 / samples.shape[0])
+
+
 def detector_rows(stack: np.ndarray) -> np.ndarray:
     """The detector input ``pipeline.segment_features`` makes of a
     (segments x nodes x dim) stack when no learned stage comes first: the
@@ -64,8 +76,23 @@ class TestNetStructure:
     def test_forward_matches_numpy_oracle(self):
         net = make_net(seed=3)
         x = np.random.default_rng(4).normal(size=(7, 6))
-        np.testing.assert_allclose(net.forward(Tensor(x)).value,
-                                   numpy_forward(net, x), atol=1e-12)
+        np.testing.assert_allclose(net.forward(x), numpy_forward(net, x), atol=1e-12)
+
+    def test_leaky_layer_matches_the_masked_factor_bitwise(self):
+        # Identity first layer: its output is the inputs, zeros and
+        # subnormals among them, so the hidden layer sees every case.
+        rng = np.random.default_rng(6)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300])
+        x = rng.permutation(np.concatenate([rng.normal(size=2000),
+                                            np.tile(special, 50)])).reshape(-1, 8)
+        net = make_net(input_dim=8, widths=(8, 3), slope=0.1, seed=6)
+        net.weights[0].value[...] = np.eye(8)
+        tape = []
+        net.forward(x, tape)
+        z = x @ net.weights[0].value
+        factor = np.where(z > 0.0, 1.0, 0.1)
+        assert tape[1][1].tobytes() == factor.tobytes()
+        assert tape[1][0].tobytes() == (z * factor).tobytes()
 
 
 class TestInitCenter:
@@ -207,25 +234,49 @@ class TestObjectiveGradients:
         net = make_net(input_dim=4, widths=(4, 3), seed=25)
         x = np.random.default_rng(26).normal(size=(3, 4))
         net.init_center(x)
-
-        def loss_value():
-            return float(svdd.svdd_objective(net, x).value[0, 0])
-
-        with ad.trainable(net.weights):
-            svdd.svdd_objective(net, x).backward()
-            grads = [w.grad.copy() for w in net.weights]
+        _, grads = svdd.loss_and_gradients(net, x)
         for w, analytic in zip(net.weights, grads):
-            numeric = finite_difference(loss_value, w.value)
+            numeric = finite_difference(
+                lambda: svdd.loss_and_gradients(net, x)[0], w.value)
             assert relative_gradient_error(analytic, numeric) < 1e-4
 
-    def test_objective_outside_a_fit_records_nothing(self, made_tensors):
+    @pytest.mark.parametrize("slope", [0.1, 1.0])
+    @pytest.mark.parametrize("widths", [(5,), (5, 3), (5, 4, 3)], ids=str)
+    def test_hand_gradient_has_the_graph_bits(self, widths, slope):
+        net = make_net(widths=widths, slope=slope, seed=30)
+        x = np.random.default_rng(31).normal(size=(12, 6)) + 0.5
+        net.init_center(x)
+        loss, grads = svdd.loss_and_gradients(net, x)
+        with ad.trainable(net.weights):
+            reference = graph_objective(net, x)
+            reference.backward()
+            expected = [w.grad for w in net.weights]
+        assert loss == float(reference.value[0, 0])
+        assert len(grads) == len(expected)
+        for got, want in zip(grads, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.1, 1.0])
+    @pytest.mark.parametrize("widths", [(5,), (5, 3), (5, 4, 3)], ids=str)
+    def test_training_has_the_graph_fit_bits(self, widths, slope):
+        x = np.random.default_rng(32).normal(size=(12, 6)) + 0.5
+        hand, graph = (make_net(widths=widths, slope=slope, seed=33) for _ in range(2))
+        graph.center = hand.init_center(x).copy()
+        trace = svdd.train_svdd(hand, x, epochs=20, lr=0.01, weight_decay=1e-4)
+        expected = ad.fit(graph.named_parameters(), lambda: [graph_objective(graph, x)],
+                          20, 0.01, weight_decay=1e-4, tag="svdd")
+        assert trace == expected
+        for a, b in zip(hand.weights, graph.weights):
+            assert a.value.tobytes() == b.value.tobytes()
+
+    def test_the_svdd_makes_no_tensor(self, made_tensors):
         net = make_net(input_dim=4, widths=(4, 3), seed=25)
         x = np.random.default_rng(26).normal(size=(3, 4))
-        net.init_center(x)
         made_tensors.clear()
-        loss = svdd.svdd_objective(net, x)
-        assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
-        assert not loss.requires_grad
+        net.init_center(x)
+        svdd.train_svdd(net, x, epochs=3, lr=0.01, weight_decay=1e-4)
+        net.scores(x)
+        assert made_tensors == []
 
 
 class TestThreshold:
