@@ -2,17 +2,19 @@
 
 Everything the learned stages need lives here: a ``Tensor`` (a value plus,
 if it requires a gradient, its graph node), a closed set of differentiable
-primitives, an adaptive-moment optimizer with decoupled weight decay, and
-``fit``, the one epoch loop every stage runs. The temporal and VGAE stages
-hand ``fit`` a loss built from these primitives, which it backpropagates;
-the SVDD stage writes its reverse pass by hand and hands ``fit`` its loss
-and gradients, so its fit records no graph. A value
-is a matrix or a stack of matrices (leading stack axes; vectors are 1 x n);
-ops act on the last two axes. An elementwise operand of the other's trailing
-shape is shared across the stack. ``matmul`` broadcasts its operands' stack
-axes by numpy rules, so a (B, 1, n, k) stack times an (H, k, m) stack gives
-(B, H, n, m); an operand broadcast along an axis gets its gradient summed
-over that axis.
+primitives (``add``, ``sub``, ``scale``, ``matmul``, ``swap_axes``,
+``transpose``, ``reshape``, ``relu``, ``softmax_rows`` and
+``frobenius_sq``), an adaptive-moment optimizer with decoupled weight
+decay, and ``fit``, the one epoch loop every stage runs. The temporal
+stage hands ``fit`` a loss built from these primitives, which it
+backpropagates; the VGAE and SVDD stages write their reverse passes by
+hand and hand ``fit`` their loss and gradients, so their fits record no
+graph. A value is a matrix or a stack of matrices (leading stack axes;
+vectors are 1 x n); ops act on the last two axes. An elementwise operand of
+the other's trailing shape is shared across the stack. ``matmul``
+broadcasts its operands' stack axes by numpy rules, so a (B, 1, n, k) stack
+times an (H, k, m) stack gives (B, H, n, m); an operand broadcast along an
+axis gets its gradient summed over that axis.
 A parameter is a constant except inside its ``fit``, which alone makes it
 a leaf (through ``trainable``) and a constant again on leaving. Every op
 records through one helper, ``_record``: the op computes its value and
@@ -27,17 +29,16 @@ A recorded graph is a chain of small node records, kept apart from the
 tensors' forward values. A node holds its parents' nodes (the operands that
 require a gradient), the op's backward closure, the value's shape and the
 gradient received so far. Each closure captures only the arrays its
-backward reads: ``matmul`` and ``mul`` the other operand, and only for a
-side that needs a gradient; ``frobenius_sq`` its input; ``exp``,
-``sigmoid`` and ``softmax_rows`` their own output; ``relu`` and ``clamp``
-their masks. Every other forward value, such as
+backward reads: ``matmul`` the other operand, and only for a side that
+needs a gradient; ``frobenius_sq`` its input; ``softmax_rows`` its own
+output; ``relu`` its mask. Every other forward value, such as
 a bias sum or the attention logits before the softmax, is freed as soon as
 the expression that made it no longer holds its tensor, so a graph keeps
 about half the bytes it would if every node kept its value.
 
 The reverse pass does only work that reaches a trainable tensor: gradients
-flow only to tensors that require them, so a constant operand (an input, a
-fixed adjacency) gets no product computed and keeps ``grad is None``. Only
+flow only to tensors that require them, so a constant operand (an input
+window) gets no product computed and keeps ``grad is None``. Only
 leaves keep a ``.grad`` after :meth:`Tensor.backward`: an interior node's
 gradient is dropped as soon as it has been passed on to its parents, so a
 reverse pass holds a few gradients at a time, not one per node. A node's
@@ -50,8 +51,9 @@ split into parts over consecutive slices of a stack (``CHUNK`` entries
 each, see :func:`chunks`) can be backpropagated one part at a time, each
 part's graph dropped before the next is built. A broadcast operand's
 gradient is summed over the stack in stack order, continuing from the
-gradient its node already holds, so the parts leave a shared weight or bias
-with the bits of one pass over the whole stack.
+gradient its node already holds (``carried_sum``, which the hand-written
+passes use too), so the parts leave a shared weight or bias with the bits
+of one pass over the whole stack.
 """
 from __future__ import annotations
 
@@ -78,6 +80,17 @@ def chunks(count: int) -> list[slice]:
     """Consecutive slices of at most ``CHUNK`` entries that cover a stack
     of ``count``, in stack order."""
     return [slice(start, start + CHUNK) for start in range(0, count, CHUNK)]
+
+
+def carried_sum(stack: Array, held: Array | None, axes: tuple[int, ...]) -> Array:
+    """``stack`` summed over ``axes``, continuing the sum ``held`` of the
+    stacks before it: ``held`` is added into the first entry of those axes
+    first, in place, so consecutive stacks leave the bits of one sum over
+    all of them."""
+    if held is not None:
+        stack[tuple(slice(0, 1) if i in axes else slice(None)
+                    for i in range(stack.ndim))] += held
+    return stack.sum(axis=axes)
 
 
 def _as_matrix(value) -> Array:
@@ -205,13 +218,9 @@ def _accumulate(node: _Node, g: Array, fresh: bool = False) -> None:
         lead = g.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(
             lead + i for i, n in enumerate(shape) if n == 1)
-        if held is not None:
-            if not fresh:
-                g = g.copy()
-            g[tuple(slice(0, 1) if i in axes else slice(None)
-                    for i in range(g.ndim))] += held
-            held = None
-        g = g.sum(axis=axes, keepdims=True).reshape(shape)
+        if held is not None and not fresh:
+            g = g.copy()
+        g, held = carried_sum(g, held, axes).reshape(shape), None
     node.grad = g if held is None else held + g
 
 
@@ -276,12 +285,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.value - b.value, a, _passed, None, b, _times, -1.0)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product."""
-    _check_broadcast(a, b, "mul")
-    return _record(a.value * b.value, a, _times, b.value, b, _times, a.value)
-
-
 def _matmul_left_rule(node, bv):
     return lambda g: _accumulate(node, g @ np.swapaxes(bv, -1, -2), fresh=True)
 
@@ -338,25 +341,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.maximum(a.value, 0.0), a, _relu_rule, a.value)
 
 
-def _sigmoid_rule(node, y):
-    return lambda g: _accumulate(node, g * y * (1.0 - y), fresh=True)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # exp(-logaddexp(0, -x)) is the overflow-safe logistic for both tails,
-    # computed in place in the one array the negation allocates.
-    y = np.negative(a.value)
-    np.logaddexp(0.0, y, out=y)
-    np.negative(y, out=y)
-    np.exp(y, out=y)
-    return _record(y, a, _sigmoid_rule, y)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.value)
-    return _record(y, a, _times, y)
-
-
 def _softmax_rule(node, y):
     def share(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -380,14 +364,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(y, a, _softmax_rule, y)
 
 
-def _sum_rule(node, _):
-    return lambda g: _accumulate(node, np.full(node.shape, g[0, 0]))
-
-
-def total_sum(a: Tensor) -> Tensor:
-    return _record([[a.value.sum()]], a, _sum_rule)
-
-
 def _frobenius_rule(node, x):
     return lambda g: _accumulate(node, 2.0 * g[0, 0] * x, fresh=True)
 
@@ -396,32 +372,6 @@ def frobenius_sq(a: Tensor) -> Tensor:
     """Squared Frobenius norm, i.e. the sum of squared entries."""
     x = a.value
     return _record([[float((x * x).sum())]], a, _frobenius_rule, x)
-
-
-def _clamp_rule(node, kept):
-    x, low, high = kept
-    return _times(node, (x >= low) & (x <= high))
-
-
-def clamp(a: Tensor, low: float, high: float) -> Tensor:
-    """Clip entries to [low, high]; gradient flows where the input is in range."""
-    return _record(np.clip(a.value, low, high), a, _clamp_rule, (a.value, low, high))
-
-
-def _slice_rule(node, cols):
-    start, stop = cols
-
-    def share(g):
-        full = np.zeros(node.shape)
-        full[..., start:stop] = g
-        _accumulate(node, full, fresh=True)
-    return share
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.shape[-1]):
-        raise ValueError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-    return _record(a.value[..., start:stop].copy(), a, _slice_rule, (start, stop))
 
 
 def uniform_init(rng: np.random.Generator, *shape: int) -> Tensor:

@@ -53,6 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import carried_sum
 from .errors import ConfigError, DataError, reading
 
 STD_FLOOR = 1e-8
@@ -522,14 +523,11 @@ STD_BLOCK = 1024
 def _column_sum(values: np.ndarray, term) -> np.ndarray:
     """The column sums of ``term(block)`` over the ``STD_BLOCK``-row blocks
     of ``values``, as one sum down the rows. ``term`` returns a new array,
-    and each block's first row adds the previous blocks' sums before the
-    block is summed, the carry ``autodiff._accumulate`` uses."""
+    into whose first row ``autodiff.carried_sum`` adds the previous blocks'
+    sums before the block is summed."""
     total = None
     for start in range(0, len(values), STD_BLOCK):
-        block = term(values[start:start + STD_BLOCK])
-        if total is not None:
-            block[:1] += total
-        total = block.sum(axis=0)
+        total = carried_sum(term(values[start:start + STD_BLOCK]), total, (0,))
     return total
 
 

@@ -16,18 +16,18 @@ z-scored stream, and gather each ``autodiff.CHUNK`` part's windows from it
 built. Training flags anomalous windows and picks prediction pairs with its
 labels read at the windows' rows. The temporal fit gathers its pairs part
 by part every epoch; with the VGAE, each part's graphs become that part's
-``vgae.propagate`` constants at once, the fit reconstructs one target, the
+``vgae.propagate`` arrays at once, the fit reconstructs one target, the
 topology's edges (``vgae.reconstruction_target``), and the posterior-mean
 pass encodes the parts it fitted; without it, ``segment_features`` builds
 the features. ``segment_features`` is scoring's one loop over parts: it gathers
 each part's windows, embeds them (and with the VGAE builds their graphs and
-encodes them) and writes the part's rows into one stacked result. No pass
-outside the temporal or VGAE fit records an autodiff graph, because their
-parameters are constants except inside their ``autodiff.fit``:
-``segment_graphs``, ``segment_features`` and training's posterior-mean pass
-run on constants. The detector records no graph at all: its fit, center and
-scores work on plain arrays, and its fit differentiates by hand
-(``svdd.loss_and_gradients``). Training holds the
+encodes them) and writes the part's rows into one stacked result. Only
+the temporal fit records an autodiff graph: the temporal parameters are
+constants except inside their ``autodiff.fit``, so ``segment_graphs`` and
+``segment_features`` run on constants. The graph autoencoder and the
+detector record no graph at all: they work on plain arrays, and their fits
+differentiate by hand (``vgae.loss_and_gradients``,
+``svdd.loss_and_gradients``). Training holds the
 z-scored stream until the VGAE's parts or the features exist, and the
 VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is
@@ -164,7 +164,7 @@ def segment_features(config: PipelineConfig, topology: SensorTopology,
         if vgae_encoder is None:
             return _embed(temporal, windows)
         return vgae_encoder.encode(propagate(segment_graphs(
-            config, topology, temporal, windows))).mean.value
+            config, topology, temporal, windows)))
 
     nodes = _in_parts(map(features, chunks(len(starts))), len(starts))
     return nodes.reshape(len(nodes), -1)
@@ -232,8 +232,7 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                                    config.vgae.epochs, config.vgae.lr,
                                    np.random.default_rng(seeds[2]))}
         with numeric_context("[vgae] after training"):
-            means = _in_parts((vgae_encoder.encode(inputs).mean.value
-                               for inputs in parts), count)
+            means = _in_parts(map(vgae_encoder.encode, parts), count)
         del parts  # the detector reads only the posterior means
         features = means.reshape(count, -1)
     else:

@@ -15,9 +15,11 @@ and ``scores`` alike; given a tape, it keeps each layer's input and leaky
 factor (1 above zero, the slope elsewhere). The fit's objective,
 ``loss_and_gradients``, is the mean squared distance to the center and a
 reverse pass written out by hand over that tape: one gradient per weight,
-for any number of layers, with the same products in the same order as a
-graph of ``autodiff`` matmul, mul by the factor, sub, frobenius_sq and
-scale ops, so a fit leaves the same bits. The leaky factor, the center
+for any number of layers, with the products of reverse-mode
+differentiation through the layers' products, the factor, the center's
+subtraction, the squared norm and the 1/n scale, in its order (the
+reference in ``tests/oracles.py``), so a fit leaves the bits that
+differentiating a graph of those steps leaves. The leaky factor, the center
 subtraction and the gradient scale are applied in place to arrays the
 epoch made itself. ``autodiff.fit`` still runs the epochs: the optimizer,
 the labelled numeric context and the loss trace.

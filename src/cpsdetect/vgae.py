@@ -8,14 +8,29 @@ back to edge probabilities through a sigmoid Gram matrix. The training loss
 is squared reconstruction error against one target, the topology's edges
 plus self-loops, plus a weighted diagonal-Gaussian KL term, averaged over
 the training graphs. Graphs pass every step as a stack (leading axis), and
-a stack enters the encoder as its ``propagate`` constants. A fit reads its
-graphs as a list of parts, each one stack's constants, which the caller
-builds part by part, so no stack of every graph exists; each epoch
-backpropagates one part before the next is built.
+a stack enters the encoder as its ``propagate`` arrays. A fit reads its
+graphs as a list of parts, each one stack's arrays, which the caller
+builds part by part, so no stack of every graph exists.
+
+The encoder works on plain arrays and builds no autodiff graph. ``encode``
+is the one definition of the map, for the fit and the posterior-mean pass
+alike, and ``decode`` that of the decoder; given a tape, each keeps what
+the reverse pass reads. A fit's epoch runs ``loss_and_gradients`` on one
+part after another: the part's share of the loss and a reverse pass
+written out by hand, which adds the part's weight gradients to those the
+earlier parts left (``autodiff.carried_sum``), so the parts leave the bits
+of one pass over every graph. The pass makes the products and sums of
+reverse-mode differentiation through the loss, in its order, the mean's
+and the log-variance's three gradient terms included (``tests/oracles.py``
+writes that order out as a reference), so a fit leaves the bits of one
+differentiated through a graph of the same steps. It frees its
+temporaries before its largest products and works in place where the
+elementwise steps stay the same, so an epoch holds one part's working set
+at a time and reuses its heap part after part. ``autodiff.fit`` runs the
+epochs: the optimizer, the labelled numeric context and the loss trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -26,15 +41,6 @@ from .errors import DataError
 from .graphgen import WeightedGraph
 
 LOGVAR_RANGE = 10.0
-
-
-@dataclass
-class GraphEmbedding:
-    """Latent summary of a graph (or stack): samples plus posterior moments."""
-
-    r: Tensor
-    mean: Tensor
-    logvar: Tensor
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -63,13 +69,13 @@ def reconstruction_target(adjacency: np.ndarray) -> np.ndarray:
     return ((adjacency != 0.0) | np.eye(adjacency.shape[-1], dtype=bool)).astype(float)
 
 
-def propagate(graph: WeightedGraph) -> tuple[Tensor, Tensor]:
-    """The constants a graph or a stack enters the encoder as: its
-    normalized adjacency, and that times the node attributes (the first
-    layer's propagation, which holds no parameter). A fit builds them once,
-    not every epoch."""
-    norm = Tensor(normalize_adjacency(graph.adjacency))
-    return norm, ad.matmul(norm, Tensor(graph.attributes))
+def propagate(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays a graph or a stack enters the encoder as: its normalized
+    adjacency, and that times the node attributes (the first layer's
+    propagation, which holds no parameter). A fit builds them once, not
+    every epoch."""
+    norm = normalize_adjacency(graph.adjacency)
+    return norm, norm @ graph.attributes
 
 
 class VgaeEncoder:
@@ -89,81 +95,138 @@ class VgaeEncoder:
         yield "w_hidden", self.w_hidden
         yield "w_heads", self.w_heads
 
-    def encode(self, inputs: tuple[Tensor, Tensor],
-               noise: np.ndarray | None = None) -> GraphEmbedding:
-        """Encode a graph or a stack given as its ``propagate`` constants;
-        ``noise=None`` is deterministic."""
+    def encode(self, inputs: tuple[np.ndarray, np.ndarray],
+               noise: np.ndarray | None = None,
+               tape: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Posterior samples, (..., nodes, embed_dim), of a graph or a stack
+        given as its ``propagate`` arrays, at a standard-normal ``noise``
+        draw of that shape; ``noise=None`` gives the posterior means.
+
+        With a ``tape`` and noise, it keeps what the reverse pass reads:
+        the hidden layer's mask, the propagated hidden layer, the mean, the
+        clipped log-variance, the clip's mask and the std.
+        """
         norm, mixed = inputs
         if mixed.shape[-1] != self.input_dim:
             raise ValueError(
                 f"attribute dim {mixed.shape[-1]} does not match "
                 f"encoder input dim {self.input_dim}")
-        hidden = ad.relu(ad.matmul(mixed, self.w_hidden))
-        heads = ad.matmul(ad.matmul(norm, hidden), self.w_heads)
-        mean = ad.slice_cols(heads, 0, self.embed_dim)
-        logvar = ad.clamp(ad.slice_cols(heads, self.embed_dim, 2 * self.embed_dim),
-                          -LOGVAR_RANGE, LOGVAR_RANGE)
+        hidden = mixed @ self.w_hidden.value
+        mask = None if tape is None else hidden > 0.0
+        np.maximum(hidden, 0.0, out=hidden)
+        propagated = norm @ hidden
+        del hidden  # the reverse pass reads only its mask
+        heads = propagated @ self.w_heads.value
+        mean = heads[..., :self.embed_dim].copy()
         if noise is None:
-            r = mean
-        else:
-            std = ad.exp(ad.scale(logvar, 0.5))
-            r = ad.add(mean, ad.mul(std, Tensor(noise)))
-        return GraphEmbedding(r, mean, logvar)
+            return mean
+        raw = heads[..., self.embed_dim:]
+        logvar = np.clip(raw, -LOGVAR_RANGE, LOGVAR_RANGE)
+        std = np.exp(logvar * 0.5)
+        r = std * noise
+        r += mean
+        if tape is not None:
+            tape.update(hidden_mask=mask, propagated=propagated, mean=mean,
+                        logvar=logvar, std=std,
+                        clip_mask=(raw >= -LOGVAR_RANGE) & (raw <= LOGVAR_RANGE))
+        return r
 
 
-def decode(r: Tensor) -> Tensor:
-    """Edge probabilities: elementwise sigmoid of the Gram matrix."""
-    return ad.sigmoid(ad.matmul(r, ad.transpose(r)))
+def decode(r: np.ndarray, tape: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Edge probabilities: the elementwise sigmoid of the Gram matrix r rᵀ.
+    With a ``tape``, it keeps the transposed samples the reverse pass reads.
+    """
+    # A copy, not a view: numpy multiplies a matrix by its own transposed
+    # view with a symmetric-product routine instead of the general one.
+    rt = np.swapaxes(r, -1, -2).copy()
+    y = r @ rt
+    # exp(-logaddexp(0, -x)) is the overflow-safe logistic for both tails.
+    np.negative(y, out=y)
+    np.logaddexp(0.0, y, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    if tape is not None:
+        tape["rt"] = rt
+    return y
 
 
-def kl_divergence(mean: Tensor, logvar: Tensor) -> Tensor:
-    """KL from the diagonal Gaussian posterior to the standard normal prior."""
-    variance = ad.exp(logvar)
-    inner = ad.sub(ad.add(ad.mul(mean, mean), variance), logvar)
-    ones = Tensor(np.broadcast_to(1.0, inner.shape))
-    return ad.scale(ad.total_sum(ad.sub(inner, ones)), 0.5)
+def loss_and_gradients(encoder: VgaeEncoder, inputs: tuple[np.ndarray, np.ndarray],
+                       target: np.ndarray, noise: np.ndarray, count: int,
+                       grads: list[np.ndarray | None]) -> float:
+    """One part's share of a training epoch's loss; adds its gradients.
+
+    The part is a stack of graphs given as its ``propagate`` arrays, at a
+    (graphs x nodes x embed_dim) ``noise`` draw, against one (nodes x
+    nodes) ``target`` that every graph shares. Its loss is summed over the
+    stack and divided by ``count``, the epoch's graph count. ``grads``
+    holds one gradient per weight, in ``named_parameters`` order, summed
+    over the epoch's earlier parts (``None`` before the first); each is
+    replaced by the sum continued over this part.
+    """
+    tape: dict[str, np.ndarray] = {}
+    r = encoder.encode(inputs, noise, tape)
+    y = decode(r, tape)
+    c = 1.0 / count
+    # The squared error, then its gradient at the Gram matrix in place:
+    # (2c (target - y)) (-1) y (1 - y), the exact negation folded in.
+    g = target - y
+    recon = float((g * g).sum())
+    g *= -2.0 * c
+    g *= y
+    g *= np.subtract(1.0, y, out=y)
+    g_r = g @ np.swapaxes(tape.pop("rt"), -1, -2)
+    g_r += np.swapaxes(np.swapaxes(r, -1, -2) @ g, -1, -2)
+    mean, logvar = tape.pop("mean"), tape.pop("logvar")
+    variance = np.exp(logvar)
+    kl = float((mean * mean + variance - logvar - 1.0).sum())
+    gk = c * encoder.kl_weight * 0.5  # the KL sum's gradient, every entry
+    # The log-variance's terms, (the KL's -logvar + the sample's std) + the
+    # KL's exp, through the clip; the mean's, (the sample + the KL's
+    # mean * mean) + its other factor. The heads' gradient is the sum of
+    # the two halves' zero-padded gradients: adding 0.0 gives its bits.
+    g_logvar = (-gk + g_r * noise * tape.pop("std") * 0.5 + variance * gk
+                ) * tape.pop("clip_mask")
+    mean *= gk
+    g = np.concatenate([g_r + mean + mean, g_logvar], axis=-1)
+    g += 0.0
+    # Freed before the largest products: held, they raise a part's peak so
+    # far that malloc hands the freed heap back to the OS after each part
+    # and faults it in again (about 3,400 minor faults an epoch at the
+    # benchmark's part shape, against none).
+    del y, r, g_r, mean, logvar, variance, g_logvar
+    axes = tuple(range(g.ndim - 2))
+    grads[1] = ad.carried_sum(np.swapaxes(tape.pop("propagated"), -1, -2) @ g,
+                              grads[1], axes)
+    norm, mixed = inputs
+    g = np.swapaxes(norm, -1, -2) @ (g @ encoder.w_heads.value.T)
+    g *= tape.pop("hidden_mask")
+    grads[0] = ad.carried_sum(np.swapaxes(mixed, -1, -2) @ g, grads[0], axes)
+    return (recon + kl * 0.5 * encoder.kl_weight) * c
 
 
-def vgae_loss(target: np.ndarray, reconstructed: Tensor,
-              embedding: GraphEmbedding, kl_weight: float) -> Tensor:
-    """Squared reconstruction error plus weighted KL; a (nodes x nodes)
-    target broadcasts against a stack's reconstructions."""
-    recon = ad.frobenius_sq(ad.sub(Tensor(target), reconstructed))
-    return ad.add(recon, ad.scale(kl_divergence(embedding.mean,
-                                                embedding.logvar), kl_weight))
-
-
-def vgae_objective(encoder: VgaeEncoder, inputs: tuple[Tensor, Tensor],
-                   target: np.ndarray, noise: np.ndarray, count: int) -> Tensor:
-    """Training loss summed over a stack of graphs, given as their
-    ``propagate`` constants, against one (nodes x nodes) ``target`` that
-    every graph shares, at a (graphs x nodes x embed_dim) noise draw,
-    divided by ``count``: the stack's length gives the mean, a training
-    epoch's graph count gives a part's share of it."""
-    embedding = encoder.encode(inputs, noise)
-    loss = vgae_loss(target, decode(embedding.r), embedding, encoder.kl_weight)
-    return ad.scale(loss, 1.0 / count)
-
-
-def train_vgae(encoder: VgaeEncoder, parts: list[tuple[Tensor, Tensor]],
+def train_vgae(encoder: VgaeEncoder, parts: list[tuple[np.ndarray, np.ndarray]],
                target: np.ndarray, epochs: int, lr: float,
                rng: np.random.Generator) -> list[float]:
     """Fit the encoder on graphs given as consecutive parts, each a stack's
-    ``propagate`` constants, to reconstruct ``target``, the one
+    ``propagate`` arrays, to reconstruct ``target``, the one
     ``reconstruction_target`` of every graph; returns per-epoch mean losses.
 
-    Each epoch's loss is one term per part, and each part draws fresh noise
-    for its graphs at once: over the epoch, the same numbers as one draw
-    per graph in stack order. The parts' constants and the target are built
-    once, by the caller, not every epoch.
+    Each epoch's loss is one term per part, summed from 0.0 in part order,
+    and each part draws fresh noise for its graphs at once: over the epoch,
+    the same numbers as one draw per graph in stack order. The parts'
+    arrays and the target are built once, by the caller, not every epoch.
     """
-    count = sum(len(mixed.value) for _, mixed in parts)
+    count = sum(len(mixed) for _, mixed in parts)
     if count == 0:
         raise DataError("no graphs to train on")
 
-    def losses():
+    def epoch() -> tuple[float, list[np.ndarray | None]]:
+        loss, grads = 0.0, [None, None]
         for norm, mixed in parts:
             noise = rng.standard_normal(mixed.shape[:-1] + (encoder.embed_dim,))
-            yield vgae_objective(encoder, (norm, mixed), target, noise, count)
+            loss += loss_and_gradients(encoder, (norm, mixed), target, noise,
+                                       count, grads)
+        return loss, grads
 
-    return ad.fit(encoder.named_parameters(), losses, epochs, lr, tag="vgae")
+    return ad.fit(encoder.named_parameters(), epoch, epochs, lr, tag="vgae",
+                  graph=False)

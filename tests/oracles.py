@@ -106,3 +106,85 @@ def reference_synthetic(config):
                     values[onset:end, u] += (
                         w.magnitude * (config.cascade_attenuation ** h) * scale[u])
     return topology, clean, values, labels
+
+
+def _carried(stack, held):
+    """``stack`` summed over its leading axis, ``held`` added into its first
+    entry before the sum: a gradient summed over consecutive parts."""
+    stack = stack.copy()
+    if held is not None:
+        stack[:1] += held
+    return stack.sum(axis=0)
+
+
+def reference_svdd_gradients(weights, slope, center, samples):
+    """The SVDD fit's loss and weight gradients, one out-of-place numpy step
+    per step of reverse-mode differentiation through its expression: each
+    layer's product, the leaky factor's product, the center's subtraction,
+    the squared norm and the 1/n scale, then the gradient rule of each, in
+    reverse."""
+    inputs, factors, out = [], [], samples
+    for w in weights[:-1]:
+        inputs.append(out)
+        z = out @ w
+        factor = np.where(z > 0.0, 1.0, slope)
+        factors.append(factor)
+        out = z * factor
+    inputs.append(out)
+    diff = out @ weights[-1] - np.broadcast_to(center, (len(samples), len(center)))
+    scale = 1.0 / len(samples)
+    loss = float((diff * diff).sum()) * scale
+    g = 2.0 * (1.0 * scale) * diff
+    grads = [inputs[-1].T @ g]
+    for w, inp, factor in zip(reversed(weights[1:]), reversed(inputs[:-1]),
+                              reversed(factors)):
+        g = (g @ w.T) * factor
+        grads.append(inp.T @ g)
+    return loss, grads[::-1]
+
+
+def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
+                        noise, count, held):
+    """One part of a VGAE fit's epoch: its share of the loss and the weight
+    gradients summed over it and the earlier parts (``held``, one per
+    weight or ``None``), one out-of-place numpy step per operation of the
+    loss and per gradient rule of reverse-mode differentiation through it.
+
+    The loss is (‖target − σ(r rᵀ)‖² + kl_weight · ½ Σ(μ² + e^λ − λ − 1)) /
+    count, with r = μ + e^{λ/2} · noise, (μ, raw λ) = the heads' column
+    halves and λ the raw half clipped to [−10, 10]. Of the gradient terms,
+    μ's and λ's three each are summed in the order reverse-mode
+    differentiation of that expression meets them; every other sum has two
+    terms.
+    """
+    embed = w_heads.shape[-1] // 2
+    a = mixed @ w_hidden
+    p = norm @ np.maximum(a, 0.0)
+    heads = p @ w_heads
+    mean = heads[..., :embed].copy()
+    raw = heads[..., embed:].copy()
+    logvar = np.clip(raw, -10.0, 10.0)
+    std = np.exp(logvar * 0.5)
+    r = mean + std * noise
+    rt = np.swapaxes(r, -1, -2).copy()
+    y = np.exp(-np.logaddexp(0.0, -(r @ rt)))
+    diff = target - y
+    variance = np.exp(logvar)
+    kl = (((mean * mean + variance) - logvar) - 1.0).sum()
+    c = 1.0 / count
+    loss = (float((diff * diff).sum()) + kl * 0.5 * kl_weight) * c
+
+    gk = c * kl_weight * 0.5
+    g_gram = ((2.0 * c) * diff) * -1.0 * y * (1.0 - y)
+    g_r = (g_gram @ np.swapaxes(rt, -1, -2)
+           + np.swapaxes(np.swapaxes(r, -1, -2) @ g_gram, -1, -2))
+    g_mean = (g_r + gk * mean) + gk * mean
+    g_logvar = (-gk + g_r * noise * std * 0.5) + gk * variance
+    g_logvar = g_logvar * ((raw >= -10.0) & (raw <= 10.0))
+    mean_half, logvar_half = np.zeros(heads.shape), np.zeros(heads.shape)
+    mean_half[..., :embed] = g_mean
+    logvar_half[..., embed:] = g_logvar
+    g_heads = mean_half + logvar_half
+    g_hidden = (np.swapaxes(norm, -1, -2) @ (g_heads @ w_heads.T)) * (a > 0.0)
+    return loss, [_carried(np.swapaxes(mixed, -1, -2) @ g_hidden, held[0]),
+                  _carried(np.swapaxes(p, -1, -2) @ g_heads, held[1])]

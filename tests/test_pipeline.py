@@ -178,12 +178,13 @@ def test_parameters_are_leaves_only_inside_their_fit(monkeypatch, tmp_path, vari
 
     monkeypatch.setattr(autodiff, "fit", spied_fit)
     pipe = pipeline.train_pipeline(config, topology, values, labels)
-    # The temporal and VGAE parameters are leaves in every epoch of their fit;
-    # the SVDD weights, differentiated by hand, never are.
+    # The temporal parameters are leaves in every epoch of their fit; the
+    # VGAE and SVDD weights, differentiated by hand, never are.
     assert inside
     for epoch in inside:
-        svdd_fit = any(p is pipe.svdd.weights[0] for p, _ in epoch)
-        assert all(leaf != svdd_fit for _, leaf in epoch)
+        temporal_fit = (pipe.temporal is not None
+                        and any(p is pipe.temporal.w_query for p, _ in epoch))
+        assert all(leaf == temporal_fit for _, leaf in epoch)
     checkpoint.save_checkpoint(tmp_path / "model.ckpt", pipe)
     loaded = checkpoint.load_checkpoint(tmp_path / "model.ckpt", topology)
     for stages in (built, (pipe.temporal, pipe.vgae, pipe.svdd),
@@ -430,7 +431,7 @@ def test_the_vgae_target_keeps_the_edges_a_window_weights_zero(monkeypatch):
     assert built == [topology.adjacency.shape]
     np.testing.assert_array_equal(
         target, vgae.reconstruction_target(topology.adjacency))
-    assert all((norm.value[:, across] == 0.0).all() for norm, _ in parts)
+    assert all((norm[:, across] == 0.0).all() for norm, _ in parts)
 
 
 def test_scoring_records_no_graph(made_tensors):
@@ -445,10 +446,10 @@ def test_scoring_records_no_graph(made_tensors):
 def test_training_records_a_graph_only_inside_its_fits(made_tensors, variant):
     config = tiny_config(variant)
     _tiny_pipeline(variant)
-    # The SVDD fit records none, so a variant with neither a temporal nor a
-    # VGAE stage records no graph at all.
+    # The VGAE and SVDD fits record none, so a variant without the temporal
+    # stage records no graph at all.
     assert (any(recorded for recorded, fitting, _ in made_tensors if fitting)
-            == (config.temporal.enabled or config.vgae.enabled))
+            == config.temporal.enabled)
     assert not any(recorded for recorded, fitting, _ in made_tensors if not fitting)
     assert all(trapped for _, _, trapped in made_tensors)
 
