@@ -21,13 +21,12 @@ topology's edges (``vgae.reconstruction_target``), and the posterior-mean
 pass encodes the parts it fitted; without it, ``segment_features`` builds
 the features. ``segment_features`` is scoring's one loop over parts: it gathers
 each part's windows, embeds them (and with the VGAE builds their graphs and
-encodes them) and writes the part's rows into one stacked result. Only
-the temporal fit records an autodiff graph: the temporal parameters are
-constants except inside their ``autodiff.fit``, so ``segment_graphs`` and
-``segment_features`` run on constants. The graph autoencoder and the
-detector record no graph at all: they work on plain arrays, and their fits
-differentiate by hand (``vgae.loss_and_gradients``,
-``svdd.loss_and_gradients``). Training holds the
+encodes them) and writes the part's rows into one stacked result. No
+fit records a graph: every stage works on plain arrays, and its fit
+differentiates by hand (``temporal.loss_and_gradients``,
+``vgae.loss_and_gradients``, ``svdd.loss_and_gradients``) through the
+same ``encode`` or ``forward`` that ``segment_graphs``,
+``segment_features`` and scoring call. Training holds the
 z-scored stream until the VGAE's parts or the features exist, and the
 VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is
@@ -48,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, chunks, numeric_context
+from .autodiff import chunks, numeric_context
 from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, gather_windows, segment_stream, window_rows)
@@ -132,7 +131,7 @@ def _in_parts(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
 
 def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
     """Node attributes of a window stack: embeddings, or the raw windows."""
-    return windows if temporal is None else temporal.encode(Tensor(windows)).value
+    return windows if temporal is None else temporal.encode(windows)
 
 
 def segment_graphs(config: PipelineConfig, topology: SensorTopology,

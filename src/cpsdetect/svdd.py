@@ -158,7 +158,7 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     # One part: the weight gradient is one product over every sample, whose
     # bits a split into parts would change.
     trace = ad.fit(net.named_parameters(), lambda: loss_and_gradients(net, samples),
-                   epochs, lr, weight_decay=weight_decay, tag="svdd", graph=False)
+                   epochs, lr, weight_decay=weight_decay, tag="svdd")
     net.trained = True
     return trace
 

@@ -16,7 +16,23 @@ successor) pairs drawn from normal data. Segments pass every layer together
 as a (segments x sensors x window_length) stack: scoring encodes a stream's
 windows as one stack, and a training epoch passes its pairs in consecutive
 stacks of ``autodiff.CHUNK``, each gathered from the stream and
-backpropagated before the next is built, so no stack of every pair exists.
+differentiated before the next is gathered, so no stack of every pair
+exists.
+
+The encoder works on plain arrays. ``encode`` is the one definition of the
+map, for the fit, graph building and scoring alike; given a tape, it keeps
+what the reverse pass reads. A fit's epoch runs ``loss_and_gradients`` on
+one part after another: the part's share of the loss and a reverse pass
+written out by hand, which adds the part's weight gradients to those the
+earlier parts left (``autodiff.carried_sum``), so the parts leave the bits
+of one pass over every pair. The pass makes the products and sums of
+reverse-mode differentiation through the loss, in its order
+(``tests/oracles.py`` writes that order out as a reference), so a fit
+leaves the bits of one differentiated through a graph of the same steps. It
+frees each forward array after its last reader and works in place where the
+elementwise steps stay the same, so an epoch holds one part's working set
+at a time and reuses its heap part after part. ``autodiff.fit`` runs the
+epochs: the optimizer, the labelled numeric context and the loss trace.
 """
 from __future__ import annotations
 
@@ -30,6 +46,21 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import gather_windows, window_rows
 from .errors import DataError
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, with the row max subtracted first."""
+    # The row max as a running maximum over the columns: one pass over every
+    # row per column, where a reduction along a short last axis pays per row.
+    # A max is exact in any order. Then one full-size array: the shifted
+    # logits, exponentiated and normalized in place.
+    row_max = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j:j + 1], out=row_max)
+    y = x - row_max
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
 
 
 class TemporalEncoder:
@@ -62,62 +93,139 @@ class TemporalEncoder:
                      "w_ff2", "b_ff2", "w_pred", "b_pred"):
             yield name, getattr(self, name)
 
-    def _heads_input(self, t: Tensor) -> Tensor:
-        """The input as (..., 1, sensors, window), one matrix for every head."""
-        if t.shape[-2:] != (self.sensors, self.window):
-            raise ValueError(
-                f"segment shape {t.shape} does not match encoder "
-                f"({self.sensors}, {self.window})")
-        return ad.reshape(t, t.shape[:-2] + (1, self.sensors, self.window))
-
-    def _attention(self, t: Tensor) -> Tensor:
-        # The queries and keys live only inside this expression and each
-        # temporary is dropped once used, so a long stack's working set
-        # does not grow with every head's projections at once.
-        return ad.softmax_rows(ad.scale(
-            ad.matmul(ad.matmul(t, self.w_query),
-                      ad.transpose(ad.matmul(t, self.w_key))),
-            1.0 / math.sqrt(self.window)))
-
-    def attention_weights(self, t: Tensor) -> Tensor:
+    def attention_weights(self, windows: np.ndarray) -> np.ndarray:
         """Every head's (sensors x sensors) softmax attention matrix, as
         (..., heads, sensors, sensors)."""
-        return self._attention(self._heads_input(t))
+        tape: dict[str, np.ndarray] = {}
+        self.encode(windows, tape)
+        return tape["attention"]
 
-    def attend(self, t: Tensor) -> Tensor:
-        """The attention output, (..., sensors, heads * head_dim): head h's
-        attention-weighted value projections fill column block h."""
-        t = self._heads_input(t)
-        heads = ad.swap_axes(
-            ad.matmul(self._attention(t), ad.matmul(t, self.w_value)), -3, -2)
-        return ad.reshape(heads, heads.shape[:-2] + (self.heads * self.head_dim,))
+    def encode(self, windows: np.ndarray,
+               tape: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Embed a segment, or a stack of them, as (sensors x model_dim)
+        matrices.
 
-    def encode(self, t: Tensor) -> Tensor:
-        """Embed a segment, or a stack of them, as (sensors x model_dim) matrices."""
-        merged = ad.matmul(self.attend(t), self.w_out)
-        # One expression, so that each temporary (the hidden layer too) is
-        # dropped as soon as the next operation has used it.
-        return ad.add(merged, ad.add(ad.matmul(
-            ad.relu(ad.add(ad.matmul(merged, self.w_ff1), self.b_ff1)),
-            self.w_ff2), self.b_ff2))
+        With a ``tape``, it keeps what the reverse pass reads: the input
+        reshaped for the heads, the queries, the transposed keys (a
+        contiguous copy), the attention matrices, the values, the heads'
+        outputs side by side, the merged embedding, the hidden layer's
+        mask, the activated hidden layer and the embedding. Without one,
+        each array is freed after its last reader, so a long stack's
+        working set does not grow with every head's projections at once.
+        """
+        if windows.shape[-2:] != (self.sensors, self.window):
+            raise ValueError(
+                f"segment shape {windows.shape} does not match encoder "
+                f"({self.sensors}, {self.window})")
+        x = windows.reshape(windows.shape[:-2] + (1, self.sensors, self.window))
+        q = x @ self.w_query.value
+        kt = np.swapaxes(x @ self.w_key.value, -1, -2).copy()
+        logits = q @ kt
+        if tape is not None:
+            tape.update(x=x, q=q, kt=kt)
+        del q, kt
+        logits *= 1.0 / math.sqrt(self.window)
+        a = softmax_rows(logits)
+        del logits
+        v = x @ self.w_value.value
+        mixed = a @ v
+        if tape is not None:
+            tape.update(attention=a, v=v)
+        del a, v
+        heads = np.swapaxes(mixed, -3, -2).copy()
+        del mixed
+        heads = heads.reshape(heads.shape[:-2] + (self.heads * self.head_dim,))
+        merged = heads @ self.w_out.value
+        if tape is not None:
+            tape.update(heads=heads, merged=merged)
+        del heads
+        hidden = merged @ self.w_ff1.value
+        hidden += self.b_ff1.value
+        mask = None if tape is None else hidden > 0.0
+        np.maximum(hidden, 0.0, out=hidden)
+        embedding = hidden @ self.w_ff2.value
+        embedding += self.b_ff2.value
+        embedding += merged
+        if tape is not None:
+            tape.update(mask=mask, hidden=hidden, embedding=embedding)
+        return embedding
 
-    def predict_next(self, embedding: Tensor) -> Tensor:
+    def predict_next(self, embedding: np.ndarray) -> np.ndarray:
         """Linear prediction of the next window from an embedding."""
         if embedding.shape[-2:] != (self.sensors, self.model_dim):
             raise ValueError(
                 f"embedding shape {embedding.shape} does not match encoder "
                 f"({self.sensors}, {self.model_dim})")
-        return ad.add(ad.matmul(embedding, self.w_pred), self.b_pred)
+        predicted = embedding @ self.w_pred.value
+        predicted += self.b_pred.value
+        return predicted
 
 
-def prediction_loss(encoder: TemporalEncoder, windows: np.ndarray,
-                    successors: np.ndarray, count: int) -> Tensor:
-    """Squared Frobenius error of next-window predictions over a stack,
+def loss_and_gradients(encoder: TemporalEncoder, windows: np.ndarray,
+                       successors: np.ndarray, count: int,
+                       grads: list[np.ndarray | None]) -> float:
+    """One part's share of a training epoch's loss; adds its gradients.
+
+    The part is a stack of windows and the stack of their successors. Its
+    loss is the squared Frobenius error of the next-window predictions
     divided by ``count``: the stack's length gives the mean, a training
-    epoch's pair count gives a part's share of it."""
-    predicted = encoder.predict_next(encoder.encode(Tensor(windows)))
-    return ad.scale(ad.frobenius_sq(ad.sub(Tensor(successors), predicted)),
-                    1.0 / count)
+    epoch's pair count gives a part's share of it. ``grads`` holds one
+    gradient per weight, in ``named_parameters`` order, summed over the
+    epoch's earlier parts (``None`` before the first); each is replaced by
+    the sum continued over this part.
+    """
+    tape: dict[str, np.ndarray] = {}
+    d = encoder.predict_next(encoder.encode(windows, tape))
+    np.subtract(successors, d, out=d)
+    c = 1.0 / count
+    loss = float((d * d).sum()) * c
+    # The gradient at the prediction, in place: (2c d) (-1), the exact
+    # negation of the subtraction.
+    g = d
+    g *= 2.0 * c
+    g *= -1.0
+
+    def weight(i: int, inputs: np.ndarray, g: np.ndarray) -> None:
+        grads[i] = ad.carried_sum(np.swapaxes(inputs, -1, -2) @ g, grads[i], (0,))
+
+    def bias(i: int, g: np.ndarray) -> None:
+        # Its last reader: the held sum is added into g's first entry.
+        grads[i] = ad.carried_sum(g, grads[i], (0,))
+
+    # The prediction head, then the feed-forward block. The embedding's
+    # gradient reaches the merged embedding twice, through the residual
+    # and through the hidden layer.
+    weight(8, tape.pop("embedding"), g)
+    g_embedding = g @ encoder.w_pred.value.T
+    bias(9, g)
+    weight(6, tape.pop("hidden"), g_embedding)
+    g = g_embedding @ encoder.w_ff2.value.T
+    g *= tape.pop("mask")
+    weight(4, tape.pop("merged"), g)
+    g_merged = g @ encoder.w_ff1.value.T
+    bias(5, g)
+    g_merged += g_embedding
+    bias(7, g_embedding)
+    del g_embedding
+    # The heads' outputs, the attention and the values.
+    weight(3, tape.pop("heads"), g_merged)
+    g = g_merged @ encoder.w_out.value.T
+    del g_merged
+    g = np.swapaxes(g.reshape(g.shape[:-1] + (encoder.heads, encoder.head_dim)),
+                    -3, -2)
+    a, x = tape.pop("attention"), tape.pop("x")
+    weight(2, x, np.swapaxes(a, -1, -2) @ g)
+    g = g @ np.swapaxes(tape.pop("v"), -1, -2)
+    # The softmax's rule, then the scale, in place.
+    g -= (g * a).sum(axis=-1, keepdims=True)
+    g *= a
+    del a
+    g *= 1.0 / math.sqrt(encoder.window)
+    # The queries and the keys.
+    q = tape.pop("q")
+    weight(0, x, g @ np.swapaxes(tape.pop("kt"), -1, -2))
+    weight(1, x, np.swapaxes(np.swapaxes(q, -1, -2) @ g, -1, -2))
+    return loss
 
 
 def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
@@ -127,21 +235,25 @@ def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
     ``starts[i]`` and, as its successor, the ``encoder.window`` rows right
     after them. Returns the per-epoch mean losses.
 
-    Each epoch's loss is one part per ``autodiff.CHUNK`` pairs, and each
-    part gathers its pairs from ``values`` when it is built: its windows as
-    a C-ordered copy (``data.gather_windows``) and its successors as the
-    transposed view of their rows that the loss reads.
+    Each epoch's loss is one term per ``autodiff.CHUNK`` pairs, summed from
+    0.0 in part order, and each part gathers its pairs from ``values`` when
+    it is differentiated: its windows as a C-ordered copy
+    (``data.gather_windows``) and its successors as the transposed view of
+    their rows that the loss reads.
     """
     count = len(starts)
     if count == 0:
         raise DataError("no training pairs with successor windows")
     length = encoder.window
 
-    def parts():
+    def epoch() -> tuple[float, list[np.ndarray | None]]:
+        loss, grads = 0.0, [None] * 10
         for rows in ad.chunks(count):
             part = starts[rows]
             successors = values[window_rows(part + length, length)]
-            yield prediction_loss(encoder, gather_windows(values, part, length),
-                                  successors.transpose(0, 2, 1), count)
+            loss += loss_and_gradients(
+                encoder, gather_windows(values, part, length),
+                successors.transpose(0, 2, 1), count, grads)
+        return loss, grads
 
-    return ad.fit(encoder.named_parameters(), parts, epochs, lr, tag="temporal")
+    return ad.fit(encoder.named_parameters(), epoch, epochs, lr, tag="temporal")

@@ -228,5 +228,4 @@ def train_vgae(encoder: VgaeEncoder, parts: list[tuple[np.ndarray, np.ndarray]],
                                        count, grads)
         return loss, grads
 
-    return ad.fit(encoder.named_parameters(), epoch, epochs, lr, tag="vgae",
-                  graph=False)
+    return ad.fit(encoder.named_parameters(), epoch, epochs, lr, tag="vgae")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cpsdetect import autodiff
+from cpsdetect import autodiff, pipeline, svdd, temporal, vgae
 
 # Make the shared oracle helpers importable from every test module.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -32,25 +32,41 @@ def traced_peak(fn, *args):
 
 @pytest.fixture
 def made_tensors(monkeypatch):
-    """For every Tensor made from here on: whether it records a graph,
-    whether an ``autodiff.fit`` was running, and whether numpy's overflow,
-    invalid-value and division-by-zero traps were on."""
-    made, fitting = [], []
-    tensor_init, fit = autodiff.Tensor.__init__, autodiff.fit
+    """Every Tensor made from here on."""
+    made = []
+    tensor_init = autodiff.Tensor.__init__
 
-    def spy(self, value, requires_grad=False, _parents=(), _backward=None):
-        flags = np.geterr()
-        trapped = all(flags[kind] == "raise" for kind in ("over", "invalid", "divide"))
-        made.append((bool(_parents), bool(fitting), trapped))
-        tensor_init(self, value, requires_grad, _parents, _backward)
-
-    def marked_fit(*args, **kwargs):
-        fitting.append(True)
-        try:
-            return fit(*args, **kwargs)
-        finally:
-            fitting.pop()
+    def spy(self, value):
+        made.append(self)
+        tensor_init(self, value)
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", spy)
-    monkeypatch.setattr(autodiff, "fit", marked_fit)
     return made
+
+
+# Each stage's map, as training and scoring call it: the object that
+# binds it and its name there.
+STAGE_MAPS = {"TemporalEncoder.encode": (temporal.TemporalEncoder, "encode"),
+              "weighted_graph": (pipeline, "weighted_graph"),
+              "VgaeEncoder.encode": (vgae.VgaeEncoder, "encode"),
+              "SvddNet.forward": (svdd.SvddNet, "forward")}
+
+
+@pytest.fixture
+def trapped_calls(monkeypatch):
+    """For every call from here on of a map in ``STAGE_MAPS``: its name and
+    whether numpy's overflow, invalid-value and division-by-zero traps were
+    on."""
+    calls = []
+
+    def spied(name, original):
+        def spy(*args, **kwargs):
+            flags = np.geterr()
+            calls.append((name, all(flags[kind] == "raise"
+                                    for kind in ("over", "invalid", "divide"))))
+            return original(*args, **kwargs)
+        return spy
+
+    for name, (owner, attribute) in STAGE_MAPS.items():
+        monkeypatch.setattr(owner, attribute, spied(name, getattr(owner, attribute)))
+    return calls

@@ -6,6 +6,7 @@ numpy re-implementations of forward formulas where tests need them.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -188,3 +189,67 @@ def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
     g_hidden = (np.swapaxes(norm, -1, -2) @ (g_heads @ w_heads.T)) * (a > 0.0)
     return loss, [_carried(np.swapaxes(mixed, -1, -2) @ g_hidden, held[0]),
                   _carried(np.swapaxes(p, -1, -2) @ g_heads, held[1])]
+
+
+def reference_temporal_part(weights, windows, successors, count, held):
+    """One part of a temporal fit's epoch: its share of the loss and the
+    ten weight gradients summed over it and the earlier parts (``held``,
+    one per weight or ``None``), one out-of-place numpy step per operation
+    of the loss and per gradient rule of reverse-mode differentiation
+    through it. ``weights`` are the encoder's parameter arrays in
+    ``named_parameters`` order.
+
+    The loss is ‖successors − ((m + relu(m W₁ + b₁) W₂ + b₂) W_p + b_p)‖²
+    / count, with m the heads' attention outputs side by side times W_o,
+    and head h's output softmax(q kᵀ / √window) v of the window's
+    projections q, k and v. Every sum of two gradient terms commutes, so
+    its order does not matter.
+    """
+    w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2, w_pred, b_pred = weights
+    heads, window, head_dim = w_query.shape
+    scale = 1.0 / math.sqrt(window)
+    x = windows.reshape(windows.shape[:-2] + (1,) + windows.shape[-2:])
+    q = x @ w_query
+    k = x @ w_key
+    kt = np.swapaxes(k, -1, -2).copy()
+    logits = q @ kt
+    scaled = logits * scale
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    v = x @ w_value
+    mixed = a @ v
+    side_by_side = np.swapaxes(mixed, -3, -2).copy()
+    concatenated = side_by_side.reshape(side_by_side.shape[:-2] + (heads * head_dim,))
+    merged = concatenated @ w_out
+    pre = merged @ w_ff1 + b_ff1
+    hidden = np.maximum(pre, 0.0)
+    refined = hidden @ w_ff2 + b_ff2
+    embedding = merged + refined
+    predicted = embedding @ w_pred + b_pred
+    d = successors - predicted
+    c = 1.0 / count
+    loss = float((d * d).sum()) * c
+
+    g_pred = (2.0 * c) * d * -1.0
+    g_w_pred = np.swapaxes(embedding, -1, -2) @ g_pred
+    g_embedding = g_pred @ np.swapaxes(w_pred, -1, -2)
+    g_w_ff2 = np.swapaxes(hidden, -1, -2) @ g_embedding
+    g_pre = (g_embedding @ np.swapaxes(w_ff2, -1, -2)) * (pre > 0.0)
+    g_w_ff1 = np.swapaxes(merged, -1, -2) @ g_pre
+    g_merged = g_embedding + g_pre @ np.swapaxes(w_ff1, -1, -2)
+    g_w_out = np.swapaxes(concatenated, -1, -2) @ g_merged
+    g_concatenated = g_merged @ np.swapaxes(w_out, -1, -2)
+    g_mixed = np.swapaxes(g_concatenated.reshape(side_by_side.shape), -3, -2)
+    g_a = g_mixed @ np.swapaxes(v, -1, -2)
+    g_v = np.swapaxes(a, -1, -2) @ g_mixed
+    g_w_value = np.swapaxes(x, -1, -2) @ g_v
+    g_scaled = a * (g_a - (g_a * a).sum(axis=-1, keepdims=True))
+    g_logits = g_scaled * scale
+    g_q = g_logits @ np.swapaxes(kt, -1, -2)
+    g_kt = np.swapaxes(q, -1, -2) @ g_logits
+    g_k = np.swapaxes(g_kt, -1, -2)
+    g_w_query = np.swapaxes(x, -1, -2) @ g_q
+    g_w_key = np.swapaxes(x, -1, -2) @ g_k
+    stacks = [g_w_query, g_w_key, g_w_value, g_w_out, g_w_ff1, g_pre,
+              g_w_ff2, g_embedding, g_w_pred, g_pred]
+    return loss, [_carried(stack, h) for stack, h in zip(stacks, held)]

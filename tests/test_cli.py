@@ -10,6 +10,7 @@ import pytest
 from cpsdetect import autodiff, checkpoint, data, pipeline
 from cpsdetect.cli import main
 
+from conftest import STAGE_MAPS
 from tiny import SETTINGS, TRAIN_ROWS
 
 
@@ -108,13 +109,14 @@ def test_dump_graphs_are_the_graphs_scoring_encodes(trained, tmp_path, monkeypat
     np.testing.assert_array_equal(dumped, built[0].adjacency)
 
 
-def test_dump_graphs_records_no_graph(trained, tmp_path, made_tensors):
+def test_dump_graphs_runs_every_stage_with_the_numeric_traps_on(trained, tmp_path,
+                                                              trapped_calls):
     assert main(["score", "--out", str(tmp_path), "--dump-graphs",
                  "--data", str(trained / "test.csv"),
                  "--topology", str(trained / "topology.txt"),
                  "--checkpoint", str(trained / "model.ckpt")]) == 0
-    assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
-    assert all(trapped for _, _, trapped in made_tensors)
+    assert {name for name, _ in trapped_calls} == set(STAGE_MAPS)
+    assert all(trapped for _, trapped in trapped_calls)
 
 
 def test_short_csv_row_exits_with_data_error(trained, tmp_path, capsys):

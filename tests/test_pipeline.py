@@ -10,7 +10,7 @@ from cpsdetect.config import PipelineConfig
 from cpsdetect.errors import DataError, NumericError
 from cpsdetect.temporal import TemporalEncoder
 
-from conftest import traced_peak
+from conftest import STAGE_MAPS, traced_peak
 from tiny import tiny_config, tiny_data
 
 
@@ -67,10 +67,10 @@ class TestEmbedOnce:
         counts = {"encode calls": 0, "segments embedded": 0, "graphs": 0}
         encode, graph = TemporalEncoder.encode, pipeline.weighted_graph
 
-        def counted_encode(self, t):
+        def counted_encode(self, windows, tape=None):
             counts["encode calls"] += 1
-            counts["segments embedded"] += t.shape[0]
-            return encode(self, t)
+            counts["segments embedded"] += windows.shape[0]
+            return encode(self, windows, tape)
 
         def counted_graph(topology, attributes, *args, **kwargs):
             counts["graphs"] += attributes.shape[0]
@@ -161,37 +161,27 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
-def test_parameters_are_leaves_only_inside_their_fit(monkeypatch, tmp_path, variant):
+def test_every_fit_returns_one_gradient_per_parameter(monkeypatch, variant):
     config = tiny_config(variant)
     topology, values, labels, _ = tiny_data(config)
-    built = pipeline.build_stages(
-        config, topology, np.random.SeedSequence(config.run.seed).spawn(4))
-    fit, inside = autodiff.fit, []
+    fit, returned = autodiff.fit, {}
 
     def spied_fit(named_params, loss_fn, *args, **kwargs):
         named_params = list(named_params)
 
         def spied_loss():
-            inside.append([(p, p.requires_grad) for _, p in named_params])
-            return loss_fn()
+            loss, grads = loss_fn()
+            returned.setdefault(kwargs["tag"], []).append(
+                [g.shape for g in grads] == [p.value.shape for _, p in named_params])
+            return loss, grads
         return fit(named_params, spied_loss, *args, **kwargs)
 
     monkeypatch.setattr(autodiff, "fit", spied_fit)
-    pipe = pipeline.train_pipeline(config, topology, values, labels)
-    # The temporal parameters are leaves in every epoch of their fit; the
-    # VGAE and SVDD weights, differentiated by hand, never are.
-    assert inside
-    for epoch in inside:
-        temporal_fit = (pipe.temporal is not None
-                        and any(p is pipe.temporal.w_query for p, _ in epoch))
-        assert all(leaf == temporal_fit for _, leaf in epoch)
-    checkpoint.save_checkpoint(tmp_path / "model.ckpt", pipe)
-    loaded = checkpoint.load_checkpoint(tmp_path / "model.ckpt", topology)
-    for stages in (built, (pipe.temporal, pipe.vgae, pipe.svdd),
-                   (loaded.temporal, loaded.vgae, loaded.svdd)):
-        params = [p for stage in stages if stage is not None
-                  for _, p in stage.named_parameters()]
-        assert params and not any(p.requires_grad for p in params)
+    pipeline.train_pipeline(config, topology, values, labels)
+    fitted = {"svdd"} | {tag for tag, stage in (("temporal", config.temporal),
+                                                 ("vgae", config.vgae)) if stage.enabled}
+    assert set(returned) == fitted
+    assert all(all(epochs) for epochs in returned.values())
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
@@ -253,7 +243,7 @@ def test_scoring_holds_the_stream_features_and_scores():
     topology, values, _ = benchmark.benchmark_data()
     temporal, vgae, net = pipeline.build_stages(
         config, topology, np.random.SeedSequence(0).spawn(4))
-    net.init_center(np.zeros((1, net.weights[0].shape[0])))
+    net.init_center(np.zeros((1, net.weights[0].value.shape[0])))
     net.trained = True
     normalizer = data.fit_normalizer(values[:benchmark.TRAIN_ROWS])
     pipe = pipeline.TrainedPipeline(config, topology, normalizer, temporal, vgae,
@@ -434,24 +424,26 @@ def test_the_vgae_target_keeps_the_edges_a_window_weights_zero(monkeypatch):
     assert all((norm[:, across] == 0.0).all() for norm, _ in parts)
 
 
-def test_scoring_records_no_graph(made_tensors):
+def test_scoring_runs_every_stage_with_the_numeric_traps_on(trapped_calls):
     pipe, test = _tiny_pipeline("full")
-    made_tensors.clear()
+    trapped_calls.clear()
     pipeline.score_stream(pipe, test)
-    assert made_tensors and not any(recorded for recorded, _, _ in made_tensors)
-    assert all(trapped for _, _, trapped in made_tensors)
+    assert {name for name, _ in trapped_calls} == set(STAGE_MAPS)
+    assert all(trapped for _, trapped in trapped_calls)
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
-def test_training_records_a_graph_only_inside_its_fits(made_tensors, variant):
+def test_training_runs_every_stage_with_the_numeric_traps_on(trapped_calls, variant):
     config = tiny_config(variant)
     _tiny_pipeline(variant)
-    # The VGAE and SVDD fits record none, so a variant without the temporal
-    # stage records no graph at all.
-    assert (any(recorded for recorded, fitting, _ in made_tensors if fitting)
-            == config.temporal.enabled)
-    assert not any(recorded for recorded, fitting, _ in made_tensors if not fitting)
-    assert all(trapped for _, _, trapped in made_tensors)
+    # Graphs are built only for the VGAE.
+    expected = {"SvddNet.forward"}
+    if config.temporal.enabled:
+        expected.add("TemporalEncoder.encode")
+    if config.vgae.enabled:
+        expected |= {"weighted_graph", "VgaeEncoder.encode"}
+    assert {name for name, _ in trapped_calls} == expected
+    assert all(trapped for _, trapped in trapped_calls)
 
 
 def _overflow(*args, **kwargs):
@@ -509,13 +501,13 @@ def test_prediction_pairs_are_a_window_and_the_rows_after_it(monkeypatch):
     values, labels = values[:120], labels[:120].copy()
     labels[50:52] = 1
     seen = []
-    loss = temporal.prediction_loss
+    loss = temporal.loss_and_gradients
 
-    def spy(encoder, windows, successors, count):
+    def spy(encoder, windows, successors, count, grads):
         seen.append((windows, successors))
-        return loss(encoder, windows, successors, count)
+        return loss(encoder, windows, successors, count, grads)
 
-    monkeypatch.setattr(temporal, "prediction_loss", spy)
+    monkeypatch.setattr(temporal, "loss_and_gradients", spy)
     monkeypatch.setattr(autodiff, "CHUNK", 7)
     pipe = pipeline.train_pipeline(config, topology, values, labels)
     values = data.apply_normalizer(pipe.normalizer, values)

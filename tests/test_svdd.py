@@ -66,7 +66,7 @@ class TestFlatten:
 class TestNetStructure:
     def test_bias_free_parameter_inventory(self):
         net = make_net(input_dim=6, widths=(5, 3))
-        named = [(name, p.shape) for name, p in net.named_parameters()]
+        named = [(name, p.value.shape) for name, p in net.named_parameters()]
         assert named == [("w0", (6, 5)), ("w1", (5, 3))]  # weights only, no bias rows
 
     def test_forward_matches_numpy_oracle(self):
@@ -257,7 +257,7 @@ class TestObjectiveGradients:
         graph.center = hand.init_center(x).copy()
         trace = svdd.train_svdd(hand, x, epochs=20, lr=0.01, weight_decay=1e-4)
         expected = ad.fit(graph.named_parameters(), lambda: graph_reference(graph, x),
-                          20, 0.01, weight_decay=1e-4, tag="svdd", graph=False)
+                          20, 0.01, weight_decay=1e-4, tag="svdd")
         assert trace == expected
         for a, b in zip(hand.weights, graph.weights):
             assert a.value.tobytes() == b.value.tobytes()

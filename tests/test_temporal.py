@@ -3,19 +3,34 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cpsdetect import autodiff as ad
 from cpsdetect import temporal
-from cpsdetect.autodiff import Tensor
 from cpsdetect.errors import DataError
 
 from conftest import traced_peak
-from oracles import finite_difference, relative_gradient_error
+from oracles import (finite_difference, reference_temporal_part,
+                     relative_gradient_error)
+import reverse_mode as rm
 
 
 def make_encoder(sensors=3, window=4, heads=2, head_dim=2, model_dim=4, seed=0):
     return temporal.TemporalEncoder(sensors, window, heads, head_dim, model_dim,
                                     np.random.default_rng(seed))
+
+
+def attend(enc, t):
+    """The heads' outputs side by side, (..., sensors, heads * head_dim):
+    head h's attention-weighted value projections fill column block h."""
+    tape = {}
+    enc.encode(t, tape)
+    return tape["heads"]
+
+
+def fresh_grads():
+    return [None] * 10
 
 
 def numpy_encode(enc, t):
@@ -34,24 +49,81 @@ def numpy_encode(enc, t):
     return merged + hidden @ enc.w_ff2.value + enc.b_ff2.value
 
 
+class TestSoftmaxRows:
+    def test_symmetry(self):
+        np.testing.assert_allclose(temporal.softmax_rows(np.array([[0.0, 0.0]])),
+                                   [[0.5, 0.5]])
+
+    def test_large_equal_logits_stable(self):
+        for big in (1000.0, 1e150):
+            np.testing.assert_allclose(temporal.softmax_rows(np.array([[big, big]])),
+                                       [[0.5, 0.5]])
+
+    def test_closed_form(self):
+        out = temporal.softmax_rows(np.array([[0.0, math.log(3.0)]]))
+        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
+
+    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
+           st.floats(-100, 100))
+    def test_rows_sum_to_one_and_shift_invariant(self, row, shift):
+        x = np.asarray([row])
+        base = temporal.softmax_rows(x)
+        shifted = temporal.softmax_rows(x + shift)
+        assert abs(base.sum() - 1.0) <= 1e-9
+        np.testing.assert_allclose(base, shifted, atol=1e-12)
+        assert (base >= 0.0).all()
+
+
+def _activation_inputs():
+    # Large enough for numpy's SIMD loops, with both zeros and subnormals.
+    rng = np.random.default_rng(6)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300])
+    values = np.concatenate([rng.normal(size=20_000), np.tile(special, 500)])
+    return rng.permutation(values).reshape(4, 60, 100)
+
+
+def assert_softmax_rows_matches_the_shifted_exp_formula(values):
+    """The bytes of the formula, with numpy's max; the input is unchanged."""
+    before = values.tobytes()
+    e = np.exp(values - values.max(axis=-1, keepdims=True))
+    expected = e / e.sum(axis=-1, keepdims=True)
+    assert temporal.softmax_rows(values).tobytes() == expected.tobytes()
+    assert values.tobytes() == before
+
+
+def test_softmax_rows_matches_the_shifted_exp_formula_bitwise():
+    assert_softmax_rows_matches_the_shifted_exp_formula(_activation_inputs())
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 12, 33])
+def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(length):
+    # Rows hold their max at varied columns, with ties, all-zero rows and
+    # signed zeros at either end.
+    values = _activation_inputs().reshape(-1)[:60 * length].reshape(4, 15, length)
+    values[0] = -0.0
+    values[1, :, 0] = 0.0
+    values[1, :, -1] = -0.0
+    assert_softmax_rows_matches_the_shifted_exp_formula(values)
+
+
 class TestAttentionHead:
     # attention_weights gives every head's matrix along a heads axis, and
-    # head h's output is column block h of attend.
+    # head h's output is column block h of the encoder's concatenated heads.
     def test_single_sensor_attention_is_identity(self):
         enc = make_encoder(sensors=1, window=3, heads=1, head_dim=2)
         t = np.array([[0.5, -1.0, 2.0]])
-        weights = enc.attention_weights(Tensor(t)).value
+        weights = enc.attention_weights(t)
         assert weights.shape == (1, 1, 1)
         np.testing.assert_allclose(weights[0], [[1.0]])
-        out = enc.attend(Tensor(t)).value
+        out = attend(enc, t)
         np.testing.assert_allclose(out[:, 0:2], t @ enc.w_value.value[0])
 
     def test_zero_input_gives_uniform_attention_and_zero_output(self):
         enc = make_encoder(sensors=3, window=4, heads=1, head_dim=2)
         t = np.zeros((3, 4))
-        weights = enc.attention_weights(Tensor(t)).value
+        weights = enc.attention_weights(t)
         np.testing.assert_allclose(weights[0], np.full((3, 3), 1.0 / 3.0))
-        np.testing.assert_allclose(enc.attend(Tensor(t)).value[:, 0:2], 0.0)
+        np.testing.assert_allclose(attend(enc, t)[:, 0:2], 0.0)
 
     def test_hand_executed_two_by_two(self):
         enc = make_encoder(sensors=2, window=2, heads=1, head_dim=1)
@@ -64,15 +136,15 @@ class TestAttentionHead:
         s = 1.0 / math.sqrt(2.0)
         row0 = [math.exp(s) / (math.exp(s) + 1.0), 1.0 / (math.exp(s) + 1.0)]
         expected = np.array([[row0[1]], [0.5]])  # attn @ v picks column 2 weight
-        out = enc.attend(Tensor(t)).value[:, 0:1]
+        out = attend(enc, t)[:, 0:1]
         np.testing.assert_allclose(out, expected, atol=1e-12)
-        weights = enc.attention_weights(Tensor(t)).value[0]
+        weights = enc.attention_weights(t)[0]
         np.testing.assert_allclose(weights[0], row0, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         enc = make_encoder()
         t = np.random.default_rng(1).normal(size=(3, 4))
-        weights = enc.attention_weights(Tensor(t)).value
+        weights = enc.attention_weights(t)
         for h in range(enc.heads):
             sums = weights[h].sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -80,8 +152,8 @@ class TestAttentionHead:
     def test_column_blocks_are_the_heads_in_order(self):
         enc = make_encoder(sensors=4, window=5, heads=3, head_dim=2, seed=24)
         stack = np.random.default_rng(25).normal(size=(2, 4, 5))
-        weights = enc.attention_weights(Tensor(stack)).value
-        out = enc.attend(Tensor(stack)).value
+        weights = enc.attention_weights(stack)
+        out = attend(enc, stack)
         assert weights.shape == (2, 3, 4, 4) and out.shape == (2, 4, 6)
         for t, w, o in zip(stack, weights, out):
             for h in range(enc.heads):
@@ -102,21 +174,21 @@ class TestEncode:
         for p in (enc.w_ff1, enc.w_ff2, enc.b_ff1, enc.b_ff2):
             p.value[:] = 0.0
         t = np.random.default_rng(2).normal(size=(3, 4))
-        merged = ad.matmul(enc.attend(Tensor(t)), enc.w_out).value
-        np.testing.assert_allclose(enc.encode(Tensor(t)).value, merged)
+        merged = attend(enc, t) @ enc.w_out.value
+        np.testing.assert_allclose(enc.encode(t), merged)
 
     def test_matches_composed_numpy_oracle(self):
         enc = make_encoder(sensors=4, window=5, heads=1, head_dim=3, model_dim=3,
                            seed=7)
         t = np.random.default_rng(3).normal(size=(4, 5))
-        np.testing.assert_allclose(enc.encode(Tensor(t)).value,
+        np.testing.assert_allclose(enc.encode(t),
                                    numpy_encode(enc, t, ), atol=1e-12)
 
     def test_multi_head_matches_composed_numpy_oracle(self):
         enc = make_encoder(sensors=4, window=5, heads=3, head_dim=2, model_dim=3,
                            seed=26)
         t = np.random.default_rng(27).normal(size=(4, 5))
-        np.testing.assert_allclose(enc.encode(Tensor(t)).value,
+        np.testing.assert_allclose(enc.encode(t),
                                    numpy_encode(enc, t), atol=1e-12)
 
     def test_row_permutation_equivariance_with_fresh_biases(self):
@@ -126,41 +198,41 @@ class TestEncode:
         enc = make_encoder(sensors=5, window=4, seed=9)
         t = np.random.default_rng(4).normal(size=(5, 4))
         perm = np.array([3, 0, 4, 1, 2])
-        direct = enc.encode(Tensor(t[perm])).value
-        permuted = enc.encode(Tensor(t)).value[perm]
+        direct = enc.encode(t[perm])
+        permuted = enc.encode(t)[perm]
         np.testing.assert_allclose(direct, permuted, atol=1e-12)
 
     @pytest.mark.parametrize("window", [3, 6, 9])
     def test_output_shape_independent_of_window(self, window):
         enc = make_encoder(sensors=3, window=window, model_dim=5)
         t = np.zeros((3, window))
-        assert enc.encode(Tensor(t)).shape == (3, 5)
+        assert enc.encode(t).shape == (3, 5)
 
 
 class TestStack:
     def test_stack_equals_one_segment_at_a_time(self):
         enc = make_encoder(sensors=4, window=5, seed=17)
         stack = np.random.default_rng(18).normal(size=(6, 4, 5))
-        batched = enc.encode(Tensor(stack)).value
+        batched = enc.encode(stack)
         assert batched.shape == (6, 4, 4)
         assert np.array_equal(
-            batched, np.stack([enc.encode(Tensor(t)).value for t in stack]))
-        predicted = enc.predict_next(Tensor(batched)).value
+            batched, np.stack([enc.encode(t) for t in stack]))
+        predicted = enc.predict_next(batched)
         assert np.array_equal(
-            predicted, np.stack([enc.predict_next(Tensor(u)).value for u in batched]))
+            predicted, np.stack([enc.predict_next(u) for u in batched]))
 
     def test_loss_is_the_mean_of_per_pair_losses(self):
         enc = make_encoder(seed=19)
         windows, successors = np.random.default_rng(20).normal(size=(2, 5, 3, 4))
-        per_pair = [temporal.prediction_loss(enc, w[None], s[None], 1).value[0, 0]
+        per_pair = [temporal.loss_and_gradients(enc, w[None], s[None], 1, fresh_grads())
                     for w, s in zip(windows, successors)]
-        loss = temporal.prediction_loss(enc, windows, successors,
-                                        len(windows)).value[0, 0]
+        loss = temporal.loss_and_gradients(enc, windows, successors, len(windows),
+                                           fresh_grads())
         assert loss == pytest.approx(np.mean(per_pair), rel=1e-12)
 
     def test_wrong_segment_shape_rejected(self):
         with pytest.raises(ValueError, match="segment shape"):
-            make_encoder().encode(Tensor(np.zeros((2, 3, 5))))
+            make_encoder().encode(np.zeros((2, 3, 5)))
 
 
 def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
@@ -171,7 +243,7 @@ def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
     # Keeping every head's queries, keys and values alive across the encode
     # (or the hidden layer across the residual add) exceeds that.
     enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8, model_dim=32)
-    x = Tensor(np.random.default_rng(28).normal(size=(266, 12, 30)))
+    x = np.random.default_rng(28).normal(size=(266, 12, 30))
     enc.encode(x)
     out, peak = traced_peak(enc.encode, x)
     assert out.shape == (266, 12, 32)
@@ -179,28 +251,26 @@ def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
 
 
 
-def test_prediction_loss_graph_keeps_only_what_its_backward_reads():
-    # The bytes a recorded 64-window loss holds at the default sizes,
-    # against the windows' own bytes. Its ops' closures keep the queries,
-    # the transposed keys, the softmax output, the values, the head outputs,
-    # the merged embedding, the hidden layer and its mask, the embedding and
-    # the residual: about 10.3x (numpy 2.4.6, Python 3.11). A graph that
-    # keeps every node's forward value (the logits before and after
-    # scaling, k before its transpose, every bias sum) holds about 21.9x.
+def test_the_tape_keeps_only_what_the_reverse_pass_reads():
+    # The bytes a 64-window part's tape holds at the default sizes, against
+    # the windows' own bytes: the queries, the transposed keys, the
+    # attention matrices, the values, the heads' outputs, the merged
+    # embedding, the hidden layer and its mask and the embedding: 9.21x
+    # (1,698,277 bytes; numpy 2.4.6, Python 3.11). Keeping one more such
+    # array, such as the logits before the softmax (1.6x) or the keys
+    # before their transpose (1.07x), exceeds the bound.
     enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8, model_dim=32)
-    rng = np.random.default_rng(29)
-    windows = rng.normal(size=(64, 12, 30))
-    successors = rng.normal(size=windows.shape)
+    windows = np.random.default_rng(29).normal(size=(64, 12, 30))
 
-    def build():
-        # Traced bytes start at 0: what is traced now is what the loss holds.
-        loss = temporal.prediction_loss(enc, windows, successors, 64)
-        return loss, tracemalloc.get_traced_memory()[0]
+    def encode():
+        # Traced bytes start at 0: what is traced now is what the tape holds.
+        tape = {}
+        enc.encode(windows, tape)
+        return tape, tracemalloc.get_traced_memory()[0]
 
-    with ad.trainable([p for _, p in enc.named_parameters()]):
-        (loss, kept), _ = traced_peak(build)
-    assert loss.requires_grad
-    assert kept < 13 * windows.nbytes, (kept, windows.nbytes)
+    (tape, kept), _ = traced_peak(encode)
+    assert kept < 9.5 * windows.nbytes, (kept, windows.nbytes)
+
 
 class TestParameters:
     def test_named_in_checkpoint_order_each_once(self):
@@ -211,13 +281,12 @@ class TestParameters:
             "w_ff2", "b_ff2", "w_pred", "b_pred"]
         params = [p for _, p in named]
         assert len({id(p) for p in params}) == len(params)
-        assert not any(p.requires_grad for p in params)
 
     def test_projections_are_three_stored_stacks(self):
         enc = make_encoder(window=4, heads=3, head_dim=2)
         stacks = [p for _, p in enc.named_parameters()][:3]
         assert stacks == [enc.w_query, enc.w_key, enc.w_value]
-        assert all(p.shape == (3, 4, 2) for p in stacks)
+        assert all(p.value.shape == (3, 4, 2) for p in stacks)
         assert len(list(enc.named_parameters())) == 3 + 7
 
     def test_stacked_draws_equal_the_per_head_draws(self):
@@ -237,7 +306,7 @@ class TestPredictNext:
         enc = make_encoder()
         enc.w_pred.value[:] = 0.0
         enc.b_pred.value[:] = 2.5
-        out = enc.predict_next(Tensor(np.ones((3, 4)))).value
+        out = enc.predict_next(np.ones((3, 4)))
         np.testing.assert_allclose(out, np.full((3, 4), 2.5))
 
     def test_rank_one_case(self):
@@ -245,14 +314,14 @@ class TestPredictNext:
         enc.w_pred.value = np.ones((1, 3))
         enc.b_pred.value = np.arange(6.0).reshape(2, 3)
         u = np.array([[2.0], [-1.0]])
-        out = enc.predict_next(Tensor(u)).value
+        out = enc.predict_next(u)
         np.testing.assert_allclose(out, u @ np.ones((1, 3)) + enc.b_pred.value)
 
     def test_matches_affine_oracle(self):
         enc = make_encoder(seed=13)
         u = np.random.default_rng(6).normal(size=(3, 4))
         expected = u @ enc.w_pred.value + enc.b_pred.value
-        np.testing.assert_allclose(enc.predict_next(Tensor(u)).value, expected)
+        np.testing.assert_allclose(enc.predict_next(u), expected)
 
 
 def test_prediction_loss_gradients_pass_finite_differences():
@@ -260,18 +329,47 @@ def test_prediction_loss_gradients_pass_finite_differences():
                        seed=21)
     rng = np.random.default_rng(22)
     windows, successors = rng.normal(size=(2, 2, 3, 4))
+    for _, p in enc.named_parameters():
+        p.value += rng.normal(scale=0.1, size=p.value.shape)  # nonzero biases
 
     def loss_value():
-        return float(temporal.prediction_loss(enc, windows, successors, 2).value[0, 0])
+        return temporal.loss_and_gradients(enc, windows, successors, 2, fresh_grads())
 
-    params = [p for _, p in enc.named_parameters()]
-    with ad.trainable(params):
-        temporal.prediction_loss(enc, windows, successors, 2).backward()
-        grads = [np.zeros_like(p.value) if p.grad is None else p.grad.copy()
-                 for p in params]
-    for p, analytic in zip(params, grads):
+    grads = fresh_grads()
+    temporal.loss_and_gradients(enc, windows, successors, 2, grads)
+    for (_, p), analytic in zip(enc.named_parameters(), grads):
         numeric = finite_difference(loss_value, p.value)
         assert relative_gradient_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("sizes, parts", [
+    ((12, 30, 4, 8, 32), (64, 64, 17)),
+    ((5, 6, 1, 3, 4), (4, 4, 4, 2)),
+], ids=["benchmark-shape", "one-head"])
+def test_hand_pass_has_the_reference_bits_over_carried_parts(sizes, parts):
+    # Two references: the numpy one, one step per gradient rule, and the
+    # reverse-mode graph of the loss, each part backpropagated into leaves
+    # that hold the earlier parts' gradients.
+    sensors, window = sizes[:2]
+    enc = make_encoder(*sizes, seed=33)
+    rng = np.random.default_rng(34)
+    for _, p in enc.named_parameters():
+        if not p.value.any():
+            p.value[...] = rng.normal(scale=0.3, size=p.value.shape)
+    weights = [p.value for _, p in enc.named_parameters()]
+    leaves = [rm.Tensor(w.copy(), requires_grad=True) for w in weights]
+    held, grads = fresh_grads(), fresh_grads()
+    for n in parts:
+        windows = rng.normal(size=(n, sensors, window))
+        successors = rng.normal(size=(n, window, sensors)).transpose(0, 2, 1)
+        expected, held = reference_temporal_part(weights, windows, successors,
+                                                 sum(parts), held)
+        recorded = rm.temporal_part_loss(leaves, windows, successors, sum(parts))
+        recorded.backward()
+        loss = temporal.loss_and_gradients(enc, windows, successors, sum(parts), grads)
+        assert loss == expected == float(recorded.value[0, 0])
+        assert [g.tobytes() for g in grads] == [h.tobytes() for h in held]
+        assert [g.tobytes() for g in grads] == [t.grad.tobytes() for t in leaves]
 
 
 def _pairs(values: np.ndarray, window: int, count: int):
@@ -325,7 +423,7 @@ class TestTraining:
         starts = np.array([0, 3, 4, 11, 22])
         windows = np.stack([values[s:s + 4].T for s in starts])
         successors = np.stack([values[s + 4:s + 8].T for s in starts])
-        expected = temporal.prediction_loss(enc, windows, successors, 5).value[0, 0]
+        expected = temporal.loss_and_gradients(enc, windows, successors, 5, fresh_grads())
         trace = temporal.train_temporal(enc, values, starts, epochs=1, lr=0.01)
         assert trace == [pytest.approx(expected, rel=1e-12)]
 
@@ -339,6 +437,14 @@ class TestTraining:
             temporal.train_temporal(enc, values, starts, epochs=3, lr=0.05)
             fitted.append([p.value.tobytes() for _, p in enc.named_parameters()])
         assert fitted[0] == fitted[1]
+
+    def test_the_temporal_fit_makes_no_tensor(self, made_tensors):
+        enc = make_encoder(seed=6)
+        values, starts = self._constant_pairs(sensors=3, window=4)
+        made_tensors.clear()
+        temporal.train_temporal(enc, values, starts, epochs=3, lr=0.01)
+        enc.encode(np.zeros((2, 3, 4)))
+        assert made_tensors == []
 
     def test_empty_pairs_rejected(self):
         enc = make_encoder()
