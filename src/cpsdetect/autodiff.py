@@ -3,9 +3,10 @@ optimizer and the epoch loop.
 
 Every stage differentiates its loss by hand, in a reverse pass written out
 in its own module, so nothing here records a graph. A ``Tensor`` holds one
-parameter's float64 value, a matrix or a stack of matrices, drawn by
+parameter's value, a matrix or a stack of matrices, drawn in float64 by
 ``uniform_init`` or ``zeros_init`` and updated in place by ``Adam``, an
-adaptive-moment optimizer with decoupled weight decay. ``fit`` is the one
+adaptive-moment optimizer with decoupled weight decay that works in its
+parameters' dtype (the pipeline's fits run in float32). ``fit`` is the one
 epoch loop every stage runs: each epoch its ``loss_fn`` returns the loss
 and one gradient per parameter, which ``Adam`` applies.
 
@@ -62,8 +63,8 @@ def carried_sum(stack: Array, held: Array | None, axes: tuple[int, ...]) -> Arra
 
 
 class Tensor:
-    """A parameter: its float64 value, a matrix or a stack of matrices,
-    which ``fit``'s optimizer updates in place."""
+    """A parameter: its value, a matrix or a stack of matrices, which
+    ``fit``'s optimizer updates in place."""
 
     __slots__ = ("value",)
 

@@ -16,7 +16,11 @@ the topology file format; loading against any other topology is an error.
 The array blocks follow in the order of ``_arrays``, the one listing of
 stored values: the z-score statistics, each enabled stage's parameters
 under its prefix (``temporal/w_out``), the hypersphere center and the 0-d
-threshold, each in its own shape. Identical training runs write identical
+threshold, each in its own shape. Training fits in float32
+(``pipeline.FIT_DTYPE``), so every stored parameter, the center and the
+threshold hold float32-representable values; they are stored, loaded and
+scored as float64 like the z-score statistics, and the format does not
+depend on the fits' dtype. Identical training runs write identical
 files. Loading builds the stages from the stored config through
 ``pipeline.build_stages`` and writes each block, shape-checked, into the
 array the listing names. A non-finite value, or a std below the floor that

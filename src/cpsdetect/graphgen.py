@@ -40,7 +40,8 @@ def type_embeddings(attributes: np.ndarray,
     members = topology.type_members
     # Padding indices point at an appended zero row.
     padded = np.concatenate(
-        (attributes, np.zeros(attributes.shape[:-2] + (1, attributes.shape[-1]))),
+        (attributes, np.zeros(attributes.shape[:-2] + (1, attributes.shape[-1]),
+                              dtype=attributes.dtype)),
         axis=-2)
     # Sums start at +0.0 (a -0.0 first member becomes +0.0) and add one
     # member at a time in sensor order: numpy may add the entries of a
@@ -49,7 +50,8 @@ def type_embeddings(attributes: np.ndarray,
     sums += 0.0
     for column in members[:, 1:].T:
         sums += padded.take(column, axis=-2)
-    return sums / np.bincount(topology.type_of, minlength=len(members))[:, None]
+    counts = np.bincount(topology.type_of, minlength=len(members))
+    return sums / counts.astype(sums.dtype)[:, None]
 
 
 def type_similarity(embeddings: np.ndarray) -> np.ndarray:
@@ -84,7 +86,7 @@ def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
     if attributes.shape[-2] != topology.n:
         raise ValueError(
             f"attributes {attributes.shape} do not match {topology.n} nodes")
-    adjacency = topology.adjacency.astype(float)
+    adjacency = topology.adjacency.astype(attributes.dtype)
     if not weighting:
         return WeightedGraph(
             np.broadcast_to(adjacency, attributes.shape[:-2] + adjacency.shape),

@@ -75,7 +75,7 @@ class SvddNet:
         that made that input (``None`` for the samples): what the reverse
         pass reads.
         """
-        leak = np.array([self.slope, 1.0])
+        leak = np.array([self.slope, 1.0], dtype=x.dtype)
         out, factor = x, None
         for w in self.weights[:-1]:
             if tape is not None:

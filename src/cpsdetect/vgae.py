@@ -52,7 +52,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     weighting multiplies into it), so every self-looped degree is at least
     1 and the normalized entries stay bounded.
     """
-    with_loops = adjacency + np.eye(adjacency.shape[-1])
+    with_loops = adjacency + np.eye(adjacency.shape[-1], dtype=adjacency.dtype)
     degrees = np.abs(with_loops).sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]
@@ -223,7 +223,8 @@ def train_vgae(encoder: VgaeEncoder, parts: list[tuple[np.ndarray, np.ndarray]],
     def epoch() -> tuple[float, list[np.ndarray | None]]:
         loss, grads = 0.0, [None, None]
         for norm, mixed in parts:
-            noise = rng.standard_normal(mixed.shape[:-1] + (encoder.embed_dim,))
+            noise = rng.standard_normal(mixed.shape[:-1] + (encoder.embed_dim,)
+                                        ).astype(mixed.dtype, copy=False)
             loss += loss_and_gradients(encoder, (norm, mixed), target, noise,
                                        count, grads)
         return loss, grads

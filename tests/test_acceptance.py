@@ -4,10 +4,13 @@
 trains each variant with epochs (1, 1, 300) on the first ``TRAIN_ROWS`` rows
 of the pinned benchmark stream and scores the rest; all five take a few
 seconds. The expected F1 (point-adjusted and raw) and AUC over the covered
-timestamps were measured with default BLAS threading and with one thread,
-which agree to six decimals. Work on the graph stages (ROADMAP item 2) is
-expected to move these numbers; a change that does so records the new
-values in CHANGES.md.
+timestamps were measured with default BLAS threading (two threads on a
+2-vCPU host). The fits run in float32, whose rounding makes the trained
+weights depend on how the BLAS splits its products: with one thread, four
+variants agree within 1e-3, and ``temporal-only`` reads (0.579151,
+0.385965, 0.660410). Work on the graph stages (ROADMAP item 2) is expected
+to move these numbers; a change that does so records the new values in
+CHANGES.md.
 """
 import pytest
 
@@ -16,11 +19,11 @@ from cpsdetect.benchmark import TRAIN_ROWS
 
 # variant -> (F1 point-adjusted, F1 raw, AUC)
 EXPECTED = {
-    "full": (0.588235, 0.356164, 0.617988),
-    "no-weighting": (0.588235, 0.333333, 0.622195),
-    "no-temporal": (0.555556, 0.452381, 0.734763),
-    "temporal-only": (0.579151, 0.406926, 0.658360),
-    "raw": (0.880196, 0.816537, 0.927211),
+    "full": (0.588235, 0.356164, 0.618069),
+    "no-weighting": (0.588235, 0.333333, 0.621980),
+    "no-temporal": (0.555556, 0.452381, 0.734547),
+    "temporal-only": (0.572519, 0.401709, 0.660059),
+    "raw": (0.880196, 0.816537, 0.926807),
 }
 
 

@@ -356,13 +356,15 @@ EXIT_CASES = {
         "synth", f"--split {split}", 1,
         f"synthetic.split {split} outside stream of length 400")
        for split in ("0", "400", "-5")},
+    # The fits run in float32: a learning rate beyond its range overflows
+    # where Adam's first step casts it.
     "train svdd.lr=1e300 overflows": (
         "train-set", "svdd.lr=1e300", 3,
-        "numeric failure: [svdd] epoch 2/20: overflow encountered in matmul"),
-    # One epoch: the last Adam step leaves the weights huge, and the first
-    # pass after training overflows.
-    **{f"train {stage}.lr=1e300 one epoch overflows after training": (
-        "train-set", f"{stage}.lr=1e300 {stage}.epochs=1", 3,
+        "numeric failure: [svdd] epoch 1/20: overflow encountered in cast"),
+    # One epoch: the last Adam step leaves the weights near the float32
+    # maximum, and the first pass after training overflows.
+    **{f"train {stage}.lr=1e38 one epoch overflows after training": (
+        "train-set", f"{stage}.lr=1e38 {stage}.epochs=1", 3,
         f"numeric failure: [{stage}] after training: overflow encountered in matmul")
        for stage in ("svdd", "temporal", "vgae")},
     **{f"checkpoint format version {version}": (

@@ -133,7 +133,8 @@ def test_whole_stream_scores_equal_per_window_scores(variant, stride):
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS, ids=FLATTENED)
 def test_training_starts_from_the_built_stages(tmp_path, variant):
-    # With no epochs, training leaves every stage as build_stages drew it.
+    # With no epochs, training leaves every stage as build_stages drew it,
+    # rounded to the fits' float32 and stored as float64.
     config = tiny_config(variant)
     config.temporal.epochs = config.vgae.epochs = config.svdd.epochs = 0
     topology, values, labels, _ = tiny_data(config)
@@ -153,7 +154,8 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
                 fresh.named_parameters(), kept.named_parameters(), strict=True):
             assert kept_name == name
             assert drawn.value.shape == blocks[f"{prefix}/{name}"].shape
-            assert drawn.value.tobytes() == param.value.tobytes()
+            rounded = drawn.value.astype(pipeline.FIT_DTYPE).astype(np.float64)
+            assert rounded.tobytes() == param.value.tobytes()
             compared.append(f"{prefix}/{name}")
     assert compared == [name for name, _ in checkpoint._arrays(pipe)
                         if name.split("/")[0] in ("temporal", "vgae", "svdd")]
@@ -162,6 +164,10 @@ def test_training_starts_from_the_built_stages(tmp_path, variant):
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
 def test_every_fit_returns_one_gradient_per_parameter(monkeypatch, variant):
+    # Every parameter and gradient of every epoch is float32: a stray
+    # float64 operand would keep the quality and lose the speed. The trained
+    # pipeline holds float64 values that the fits' float32 round trips keep,
+    # apart from the normalizer's statistics, which are fitted in float64.
     config = tiny_config(variant)
     topology, values, labels, _ = tiny_data(config)
     fit, returned = autodiff.fit, {}
@@ -171,17 +177,26 @@ def test_every_fit_returns_one_gradient_per_parameter(monkeypatch, variant):
 
         def spied_loss():
             loss, grads = loss_fn()
+            params = [p.value for _, p in named_params]
             returned.setdefault(kwargs["tag"], []).append(
-                [g.shape for g in grads] == [p.value.shape for _, p in named_params])
+                [g.shape for g in grads] == [p.shape for p in params]
+                and all(a.dtype == pipeline.FIT_DTYPE for a in grads + params))
             return loss, grads
         return fit(named_params, spied_loss, *args, **kwargs)
 
     monkeypatch.setattr(autodiff, "fit", spied_fit)
-    pipeline.train_pipeline(config, topology, values, labels)
+    # 7-window parts: every pass that walks parts meets several.
+    monkeypatch.setattr(autodiff, "CHUNK", 7)
+    pipe = pipeline.train_pipeline(config, topology, values, labels)
     fitted = {"svdd"} | {tag for tag, stage in (("temporal", config.temporal),
                                                  ("vgae", config.vgae)) if stage.enabled}
     assert set(returned) == fitted
     assert all(all(epochs) for epochs in returned.values())
+    for name, array in checkpoint._arrays(pipe):
+        assert array.dtype == np.float64, name
+        if not name.startswith("normalizer/"):
+            rounded = array.astype(pipeline.FIT_DTYPE).astype(np.float64)
+            assert rounded.tobytes() == array.tobytes(), name
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS)
@@ -510,13 +525,17 @@ def test_prediction_pairs_are_a_window_and_the_rows_after_it(monkeypatch):
     monkeypatch.setattr(temporal, "loss_and_gradients", spy)
     monkeypatch.setattr(autodiff, "CHUNK", 7)
     pipe = pipeline.train_pipeline(config, topology, values, labels)
-    values = data.apply_normalizer(pipe.normalizer, values)
+    # The fits read the z-scored stream cast to float32 once.
+    values = data.apply_normalizer(pipe.normalizer, values).astype(pipeline.FIT_DTYPE)
     starts = [s for s in range(0, 120 - 12 + 1, 4) if s not in (40, 44, 48)]
     # The 25 pairs come in parts of 7, 7, 7 and 4.
     assert [len(windows) for windows, _ in seen] == [7, 7, 7, 4]
     windows, successors = (np.concatenate(stacks) for stacks in zip(*seen))
-    np.testing.assert_array_equal(windows, [values[s:s + 6].T for s in starts])
-    np.testing.assert_array_equal(successors, [values[s + 6:s + 12].T for s in starts])
+    np.testing.assert_array_equal(windows, np.array([values[s:s + 6].T for s in starts]),
+                                  strict=True)
+    np.testing.assert_array_equal(successors,
+                                  np.array([values[s + 6:s + 12].T for s in starts]),
+                                  strict=True)
 
 
 def test_timestamp_scores_are_the_max_over_covering_windows():
