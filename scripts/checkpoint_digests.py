@@ -22,11 +22,12 @@ loaded pipeline.
 
 Two trees behave the same when they print the same digests on the same
 host. The digests depend on BLAS threading, so compare runs made with the
-same thread settings; the first line printed names them, e.g.
-``threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset
-MKL_NUM_THREADS=unset (nproc 2)``. Each variant's line reads
-``<variant>: <model digest> record <record digest>``. Run from the
-repository root::
+same thread settings: BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
+set, and the first line printed names the settings, e.g. ``threads:
+OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 (nproc 2)``.
+Each variant's line reads ``<variant>: <model digest> record <record
+digest>``. Run from the repository root::
 
     PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
 """
@@ -38,11 +39,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from cpsdetect import benchmark, checkpoint, pipeline
-
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for name in THREAD_VARIABLES:
+    os.environ.setdefault(name, "1")
+
+import numpy as np  # noqa: E402  (after the thread settings)
+
+from cpsdetect import benchmark, checkpoint, pipeline  # noqa: E402
 
 
 def contents(pipe, segments, results) -> list[bytes]:
@@ -86,8 +89,7 @@ def main() -> None:
     unknown = sorted(set(args.variants) - set(benchmark.VARIANTS))
     if unknown:
         parser.error(f"unknown variants {unknown}")
-    print("threads: " + " ".join(f"{v}={os.environ.get(v, 'unset')}"
-                                 for v in THREAD_VARIABLES)
+    print("threads: " + " ".join(f"{v}={os.environ[v]}" for v in THREAD_VARIABLES)
           + f" (nproc {os.cpu_count()})", flush=True)
     topology, values, labels = benchmark.benchmark_data()
     for name in args.variants or benchmark.VARIANTS:

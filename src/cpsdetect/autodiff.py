@@ -97,8 +97,7 @@ class Adam:
     them.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float, weight_decay: float):
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if weight_decay < 0.0:
@@ -152,8 +151,8 @@ def numeric_context(label: str):
 
 
 def fit(named_params: Iterable[tuple[str, Tensor]], loss_fn: Callable,
-        epochs: int, lr: float, weight_decay: float = 0.0,
-        tag: str = "fit") -> list[float]:
+        epochs: int, lr: float, weight_decay: float = 0.0, *,
+        tag: str) -> list[float]:
     """Adam on the loss ``loss_fn()`` gives, rebuilt each epoch; returns the
     per-epoch losses.
 

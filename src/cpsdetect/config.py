@@ -142,13 +142,9 @@ def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:
                 f"anomaly spec {chunk.strip()!r} is not "
                 "kind:start:duration:sensor[:magnitude]")
         try:
-            window = AnomalyWindow(
-                kind=parts[0],
-                start=int(parts[1]),
-                duration=int(parts[2]),
-                sensor=int(parts[3]),
-                magnitude=float(parts[4]) if len(parts) == 5 else 3.0,
-            )
+            # A 4-field spec leaves the magnitude at AnomalyWindow's default.
+            window = AnomalyWindow(parts[0], int(parts[1]), int(parts[2]),
+                                   int(parts[3]), *map(float, parts[4:]))
         except ValueError as err:
             raise ConfigError(f"bad anomaly spec {chunk.strip()!r}: {err}") from None
         if window.kind not in AnomalyWindow.KINDS:

@@ -282,11 +282,10 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_csv(path, topology: SensorTopology, values: np.ndarray,
-             labels: np.ndarray | None = None,
-             timestamps=None) -> None:
-    columns = {"timestamp": range(len(values)) if timestamps is None else timestamps,
-               **dict(zip(topology.names, values.T))}
-    write_columns(path, columns if labels is None else {**columns, "label": labels})
+             labels: np.ndarray, timestamps=None) -> None:
+    write_columns(path, {
+        "timestamp": range(len(values)) if timestamps is None else timestamps,
+        **dict(zip(topology.names, values.T)), "label": labels})
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +550,8 @@ def column_std(values: np.ndarray) -> np.ndarray:
 
 
 def inject_anomalies(values: np.ndarray, topology: SensorTopology,
-                     windows, *, drift_delay: int = 60, cascade_lag: int = 5,
-                     cascade_attenuation: float = 0.6) -> np.ndarray:
+                     windows, *, drift_delay: int, cascade_lag: int,
+                     cascade_attenuation: float) -> np.ndarray:
     """Add the configured events into ``values`` in place and return the
     labels, which mark the events' full windows.
 

@@ -76,7 +76,7 @@ def type_similarity(embeddings: np.ndarray) -> np.ndarray:
 
 
 def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
-                   weighting: bool = True) -> WeightedGraph:
+                   weighting: bool) -> WeightedGraph:
     """Weighted attributed graphs of one attribute matrix or a stack.
 
     The (types x types) similarity reaches sensor pairs through each

@@ -32,7 +32,10 @@ VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is
 built. When scoring, the arrays that grow with the stream are the
 normalized stream, the features (one row per window) and the scores; the
-detector scores all features in one call. A library caller's stream is
+detector scores all features in one call. ``score_stream`` returns one
+``DetectionResult``, the window's score, per window; a window alarms when
+its score is above the threshold, a rule that ``expand_to_timestamps`` and
+the ``score`` command apply. A library caller's stream is
 converted to float64 and checked where it enters: numbers, 2-D, one column
 per sensor, finite. Every numeric step of training and scoring runs in a
 labelled ``numeric_context``.
@@ -64,7 +67,7 @@ from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
 from .errors import DataError
 from .graphgen import WeightedGraph, weighted_graph
 from .metrics import _binary_array
-from .svdd import DetectionResult, SvddNet, calibrate_threshold, train_svdd
+from .svdd import SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
 from .vgae import VgaeEncoder, propagate, reconstruction_target, train_vgae
 
@@ -84,6 +87,13 @@ class TrainedPipeline:
     svdd: SvddNet
     threshold: float
     record: dict | None = None
+
+
+@dataclass
+class DetectionResult:
+    """One window's anomaly score."""
+
+    score: float
 
 
 def build_stages(config: PipelineConfig, topology: SensorTopology,
@@ -311,12 +321,7 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     segments = segment_stream(values, length, config.window.stride)
     features = segment_features(config, pipe.topology, pipe.temporal,
                                 pipe.vgae, values, segments.starts)
-    scores = pipe.svdd.scores(features)
-    results = [
-        DetectionResult(i, float(s), pipe.threshold, int(s > pipe.threshold))
-        for i, s in enumerate(scores)
-    ]
-    return segments, results
+    return segments, [DetectionResult(float(s)) for s in pipe.svdd.scores(features)]
 
 
 def expand_to_timestamps(segments: Segments,

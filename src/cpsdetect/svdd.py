@@ -26,7 +26,6 @@ the labelled numeric context and the loss trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,14 +35,6 @@ from .autodiff import Tensor
 from .errors import DataError
 
 CENTER_FLOOR = 0.1
-
-
-@dataclass
-class DetectionResult:
-    segment_index: int
-    score: float
-    threshold: float
-    predicted: int
 
 
 class SvddNet:

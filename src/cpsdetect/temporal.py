@@ -93,13 +93,6 @@ class TemporalEncoder:
                      "w_ff2", "b_ff2", "w_pred", "b_pred"):
             yield name, getattr(self, name)
 
-    def attention_weights(self, windows: np.ndarray) -> np.ndarray:
-        """Every head's (sensors x sensors) softmax attention matrix, as
-        (..., heads, sensors, sensors)."""
-        tape: dict[str, np.ndarray] = {}
-        self.encode(windows, tape)
-        return tape["attention"]
-
     def encode(self, windows: np.ndarray,
                tape: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Embed a segment, or a stack of them, as (sensors x model_dim)
@@ -107,10 +100,11 @@ class TemporalEncoder:
 
         With a ``tape``, it keeps what the reverse pass reads: the input
         reshaped for the heads, the queries, the transposed keys (a
-        contiguous copy), the attention matrices, the values, the heads'
-        outputs side by side, the merged embedding, the hidden layer's
-        mask, the activated hidden layer and the embedding. Without one,
-        each array is freed after its last reader, so a long stack's
+        contiguous copy), every head's softmax attention matrix
+        (``attention``, (..., heads, sensors, sensors)), the values, the
+        heads' outputs side by side, the merged embedding, the hidden
+        layer's mask, the activated hidden layer and the embedding. Without
+        one, each array is freed after its last reader, so a long stack's
         working set does not grow with every head's projections at once.
         """
         if windows.shape[-2:] != (self.sensors, self.window):

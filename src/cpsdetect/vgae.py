@@ -14,9 +14,10 @@ builds part by part, so no stack of every graph exists.
 
 The encoder works on plain arrays and builds no autodiff graph. ``encode``
 is the one definition of the map, for the fit and the posterior-mean pass
-alike, and ``decode`` that of the decoder; given a tape, each keeps what
-the reverse pass reads. A fit's epoch runs ``loss_and_gradients`` on one
-part after another: the part's share of the loss and a reverse pass
+alike, and ``decode`` that of the decoder, which only the fit runs; each
+keeps what the reverse pass reads on a tape (``encode`` only when given
+one). A fit's epoch runs ``loss_and_gradients`` on one part after
+another: the part's share of the loss and a reverse pass
 written out by hand, which adds the part's weight gradients to those the
 earlier parts left (``autodiff.carried_sum``), so the parts leave the bits
 of one pass over every graph. The pass makes the products and sums of
@@ -82,7 +83,7 @@ class VgaeEncoder:
     """Two-layer graph convolution with mean / log-variance output heads."""
 
     def __init__(self, input_dim: int, hidden_dim: int, embed_dim: int,
-                 rng: np.random.Generator, kl_weight: float = 1.0):
+                 rng: np.random.Generator, kl_weight: float):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim
@@ -132,9 +133,9 @@ class VgaeEncoder:
         return r
 
 
-def decode(r: np.ndarray, tape: dict[str, np.ndarray] | None = None) -> np.ndarray:
+def decode(r: np.ndarray, tape: dict[str, np.ndarray]) -> np.ndarray:
     """Edge probabilities: the elementwise sigmoid of the Gram matrix r rᵀ.
-    With a ``tape``, it keeps the transposed samples the reverse pass reads.
+    It keeps the transposed samples the reverse pass reads in ``tape``.
     """
     # A copy, not a view: numpy multiplies a matrix by its own transposed
     # view with a symmetric-product routine instead of the general one.
@@ -145,8 +146,7 @@ def decode(r: np.ndarray, tape: dict[str, np.ndarray] | None = None) -> np.ndarr
     np.logaddexp(0.0, y, out=y)
     np.negative(y, out=y)
     np.exp(y, out=y)
-    if tape is not None:
-        tape["rt"] = rt
+    tape["rt"] = rt
     return y
 
 

@@ -184,13 +184,13 @@ class TestFiniteness:
 class TestAdam:
     def test_zero_gradient_zero_decay_unchanged(self):
         p = param([[1.0, -2.0]])
-        opt = ad.Adam([p], lr=0.1)
+        opt = ad.Adam([p], lr=0.1, weight_decay=0.0)
         opt.step([np.zeros((1, 2))])
         np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
     def test_constant_gradient_descends(self):
         p = param([[0.0]])
-        opt = ad.Adam([p], lr=0.01)
+        opt = ad.Adam([p], lr=0.01, weight_decay=0.0)
         for _ in range(50):
             opt.step([np.array([[3.0]])])
         assert p.value[0, 0] < 0.0
@@ -198,25 +198,25 @@ class TestAdam:
     def test_single_step_on_quadratic(self):
         # f(x) = x^2 from x=1 with lr 0.1 strictly reduces |x|.
         p = param([[1.0]])
-        opt = ad.Adam([p], lr=0.1)
+        opt = ad.Adam([p], lr=0.1, weight_decay=0.0)
         opt.step([2.0 * p.value])
         assert abs(p.value[0, 0]) < 1.0
 
     def test_step_counter_increments(self):
         p = param([[1.0]])
-        opt = ad.Adam([p], lr=0.1)
+        opt = ad.Adam([p], lr=0.1, weight_decay=0.0)
         for expected in (1, 2, 3):
             opt.step([np.zeros((1, 1))])
             assert opt.count == expected
 
     def test_gradient_shape_mismatch(self):
         p = param([[1.0, 2.0]])
-        opt = ad.Adam([p], lr=0.1)
+        opt = ad.Adam([p], lr=0.1, weight_decay=0.0)
         with pytest.raises(ValueError, match="shape"):
             opt.step([np.zeros((2, 2))])
 
     def test_one_gradient_per_parameter(self):
-        opt = ad.Adam([param([[1.0]]), param([[2.0]])], lr=0.1)
+        opt = ad.Adam([param([[1.0]]), param([[2.0]])], lr=0.1, weight_decay=0.0)
         with pytest.raises(ValueError, match="1 gradients for 2 parameters"):
             opt.step([np.zeros((1, 1))])
 
@@ -228,7 +228,7 @@ class TestAdam:
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
-            ad.Adam([param([[1.0]])], lr=0.0)
+            ad.Adam([param([[1.0]])], lr=0.0, weight_decay=0.0)
         with pytest.raises(ValueError):
             ad.Adam([param([[1.0]])], lr=0.1, weight_decay=-1.0)
 
@@ -294,19 +294,21 @@ def _squared_norm(p):
 class TestFit:
     def test_descends_and_returns_one_loss_per_epoch(self):
         p = param([[3.0, -2.0]])
-        trace = ad.fit([("p", p)], _squared_norm(p), epochs=20, lr=0.1)
+        trace = ad.fit([("p", p)], _squared_norm(p), epochs=20, lr=0.1,
+                       tag="toy")
         assert len(trace) == 20 and trace[-1] < trace[0]
         assert trace[0] == pytest.approx(13.0)
 
     def test_zero_epochs_never_calls_the_loss(self):
         def loss():
             raise AssertionError("loss evaluated")
-        assert ad.fit([("p", param([[1.0]]))], loss, epochs=0, lr=0.1) == []
+        assert ad.fit([("p", param([[1.0]]))], loss, epochs=0, lr=0.1,
+                      tag="toy") == []
 
     def test_weight_decay_reaches_the_optimizer(self):
         p = param([[2.0]])
         ad.fit([("p", p)], lambda: (0.0, [np.zeros((1, 1))]), epochs=1, lr=0.1,
-               weight_decay=0.5)
+               weight_decay=0.5, tag="toy")
         assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_numeric_error_names_tag_and_epoch_without_a_warning(self):

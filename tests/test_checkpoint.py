@@ -170,14 +170,19 @@ def test_a_stored_one_row_window_is_a_config_error(tmp_path, trained):
 
 def test_digest_script_prints_the_raw_digest():
     # The script reads the checkpoint listing, so it runs here once, on the
-    # quickest variant.
+    # quickest variant, with no BLAS thread setting: it runs BLAS on one
+    # thread.
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(root / "src")
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / "checkpoint_digests.py"), "raw"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("threads: ")
+    assert "OPENBLAS_NUM_THREADS=1" in lines[0].split()
     assert len(lines) == 2 and re.fullmatch(r"raw: [0-9a-f]{64} record [0-9a-f]{64}",
                                             lines[1])

@@ -76,6 +76,20 @@ def test_dump_graphs_uses_the_checkpoint_window(trained, tmp_path, capsys):
     assert dumped == [f"graph_{int(r['segment']):05d}.csv" for r in rows]
 
 
+def test_segments_csv_flags_the_scores_above_the_threshold(trained, tmp_path):
+    topology = trained / "topology.txt"
+    assert main(["score", "--out", str(tmp_path), "--data", str(trained / "test.csv"),
+                 "--topology", str(topology),
+                 "--checkpoint", str(trained / "model.ckpt")]) == 0
+    pipe = checkpoint.load_checkpoint(trained / "model.ckpt",
+                                      data.load_topology(topology))
+    with (tmp_path / "segments.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {float(r["threshold"]) for r in rows} == {pipe.threshold}
+    assert [int(r["predicted"]) for r in rows] == [
+        int(float(r["score"]) > pipe.threshold) for r in rows]
+
+
 def test_dump_graphs_writes_the_same_bytes_in_parts(trained, tmp_path, monkeypatch):
     # The 10 test windows in one part, and in parts of 7 and 3.
     written = []

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
-                              parse_config_text)
+                              parse_anomaly_spec, parse_config_text)
 from cpsdetect.data import AnomalyWindow
 from cpsdetect.errors import ConfigError
 
@@ -64,6 +64,13 @@ def test_text_round_trip_over_anomaly_magnitudes(magnitudes):
         AnomalyWindow(kind, 100 * i, 50, i, magnitude)
         for i, (kind, magnitude) in enumerate(zip(AnomalyWindow.KINDS, magnitudes)))
     assert parse_config_text(config_to_text(config)) == config
+
+
+def test_a_four_field_anomaly_spec_takes_the_default_magnitude():
+    assert parse_anomaly_spec("drift:10:50:2 | offset:90:5:1:1.5") == (
+        AnomalyWindow("drift", 10, 50, 2), AnomalyWindow("offset", 90, 5, 1, 1.5))
+    with pytest.raises(ConfigError, match="bad anomaly spec 'offset:1:5:x'"):
+        parse_anomaly_spec("offset:1:5:x")
 
 
 def test_a_one_row_window_is_a_config_error():

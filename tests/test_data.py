@@ -21,6 +21,11 @@ edge A B
 edge B C
 """
 
+# The event settings of ``inject_anomalies``, as the generator's config
+# gives them.
+EVENTS = {name: getattr(data.SyntheticConfig(), name)
+          for name in ("drift_delay", "cascade_lag", "cascade_attenuation")}
+
 
 @pytest.fixture
 def path_topology():
@@ -376,7 +381,7 @@ class TestSynthetic:
                                             np.random.default_rng(7))
         stream = clean.copy()
         window = data.AnomalyWindow("offset", 100, 80, 2, magnitude=4.0)
-        labels = data.inject_anomalies(stream, topology, [window])
+        labels = data.inject_anomalies(stream, topology, [window], **EVENTS)
         added = np.zeros_like(clean)
         added[100:180, 2] = 4.0 * clean.std(axis=0)[2]
         np.testing.assert_array_equal(stream, clean + added)
@@ -388,7 +393,7 @@ class TestSynthetic:
         windows = [data.AnomalyWindow("offset", 10, 20, 0),
                    data.AnomalyWindow("offset", 290, 20, 1)]
         with pytest.raises(DataError, match="outside stream"):
-            data.inject_anomalies(stream, topology, windows)
+            data.inject_anomalies(stream, topology, windows, **EVENTS)
         assert not stream.any()
 
     def test_different_seed_differs(self):
@@ -430,7 +435,8 @@ class TestSynthetic:
         window = data.AnomalyWindow("cascade", 100, 80, 0, magnitude=4.0)
         dirty = clean.copy()
         labels = data.inject_anomalies(
-            dirty, topology, [window], cascade_lag=5, cascade_attenuation=0.7)
+            dirty, topology, [window],
+            **{**EVENTS, "cascade_lag": 5, "cascade_attenuation": 0.7})
         delta = np.abs(dirty - clean)
         onsets = [int(np.flatnonzero(delta[:, i] > 1e-9)[0]) for i in range(3)]
         assert onsets[0] == 100
@@ -444,7 +450,8 @@ class TestSynthetic:
         clean = data.generate_normal_stream(topology, 300, 0.05, rng)
         window = data.AnomalyWindow("drift", 100, 80, 1, magnitude=4.0)
         dirty = clean.copy()
-        labels = data.inject_anomalies(dirty, topology, [window], drift_delay=20)
+        labels = data.inject_anomalies(dirty, topology, [window],
+                                       **{**EVENTS, "drift_delay": 20})
         delta = np.abs(dirty - clean)[:, 1]
         assert delta[:121].max() == 0.0  # ramp starts at 0 at onset+delay
         assert delta[150] > 0.0

@@ -149,14 +149,14 @@ class TestExpandSimilarity:
     def test_single_type_gives_all_ones(self):
         topology = data.parse_topology("sensor A x\nsensor B x\nedge A B\n")
         attrs = np.random.default_rng(0).normal(size=(3, 2, 4))
-        g = graphgen.weighted_graph(topology, attrs)
+        g = graphgen.weighted_graph(topology, attrs, weighting=True)
         np.testing.assert_array_equal(g.adjacency, np.ones((3, 1, 1))
                                       * topology.adjacency)
 
     def test_two_types_direct_mapping(self):
         topology = data.parse_topology("sensor A x\nsensor B y\nedge A B\n")
         attrs = np.array([[[3.0, 4.0], [4.0, 3.0]]])  # cosine 24/25
-        g = graphgen.weighted_graph(topology, attrs)
+        g = graphgen.weighted_graph(topology, attrs, weighting=True)
         np.testing.assert_array_equal(g.adjacency,
                                       [[[0.0, 24 / 25], [24 / 25, 0.0]]])
 
@@ -164,7 +164,7 @@ class TestExpandSimilarity:
         rng = np.random.default_rng(1)
         topology = data.generate_topology(7, 3, 0.3, rng)
         attrs = rng.normal(size=(4, 7, 5))
-        g = graphgen.weighted_graph(topology, attrs)
+        g = graphgen.weighted_graph(topology, attrs, weighting=True)
         for b in range(4):
             c = graphgen.type_similarity(
                 graphgen.type_embeddings(attrs[b], topology))
@@ -181,21 +181,21 @@ class TestBuildGraph:
     def test_all_ones_similarity_is_noop(self):
         # Parallel type means (1, 0) and (2, 0) have cosine exactly 1.
         attrs = np.array([[[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
-        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs)
+        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting=True)
         np.testing.assert_array_equal(g.adjacency[0], PATH_TOPOLOGY.adjacency)
         np.testing.assert_array_equal(g.attributes, attrs)
 
     def test_empty_adjacency_stays_empty(self):
         topology = data.parse_topology("sensor A x\nsensor B y\nsensor C x\n")
         attrs = np.random.default_rng(4).normal(size=(2, 3, 2))
-        g = graphgen.weighted_graph(topology, attrs)
+        g = graphgen.weighted_graph(topology, attrs, weighting=True)
         np.testing.assert_array_equal(g.adjacency, np.zeros((2, 3, 3)))
 
     def test_hand_path_graph(self):
         # Types are (flow, flow, level); the flow mean (3, 4) and the level
         # row (4, 3) have cosine 24/25, the weight of the cross-type edge.
         attrs = np.array([[[2.0, 4.0], [4.0, 4.0], [4.0, 3.0]]])
-        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs)
+        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting=True)
         np.testing.assert_array_equal(
             g.adjacency,
             [[[0.0, 1.0, 0.0], [1.0, 0.0, 24 / 25], [0.0, 24 / 25, 0.0]]])
@@ -214,7 +214,7 @@ class TestWeightedGraph:
         rng = np.random.default_rng(seed)
         topology = data.generate_topology(8, 3, 0.4, rng)
         attrs = rng.normal(size=(8, 6))
-        g = graphgen.weighted_graph(topology, attrs)
+        g = graphgen.weighted_graph(topology, attrs, weighting=True)
         support = g.adjacency != 0.0
         assert not support[topology.adjacency == 0].any()
         np.testing.assert_allclose(g.adjacency, g.adjacency.T)
@@ -228,8 +228,10 @@ class TestWeightedGraph:
 
     def test_different_attributes_give_different_weights(self):
         rng = np.random.default_rng(3)
-        a1 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)))
-        a2 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)))
+        a1 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)),
+                                     weighting=True)
+        a2 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)),
+                                     weighting=True)
         assert not np.array_equal(a1.adjacency, a2.adjacency)
 
 

@@ -1,6 +1,7 @@
-"""Every name a package module or script imports is used in that file, and
+"""Every name a package module or script imports is used in that file,
 every function, class and method the package defines is read by program
-code, not only by tests."""
+code, not only by tests, and every parameter default it defines is left out
+by some program call."""
 from __future__ import annotations
 
 import ast
@@ -17,8 +18,6 @@ SOURCES = sorted([*PACKAGE, *ROOT.glob("scripts/*.py")])
 # own tests are left out.
 READERS = sorted([*SOURCES, *(path for path in ROOT.glob("perfbench/*.py")
                               if not path.name.startswith("test_"))])
-# Definitions that no program code reads, each with the reason it stays.
-UNREAD_ALLOWED = {"TemporalEncoder.attention_weights": "ROADMAP item 4"}
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
@@ -100,9 +99,137 @@ def unread_definitions(modules: list[str], readers: list[str]) -> list[str]:
 
 def test_every_definition_is_read_by_program_code():
     texts = {path: path.read_text(encoding="utf-8") for path in READERS}
-    unread = unread_definitions([texts[path] for path in PACKAGE],
-                                list(texts.values()))
-    assert sorted(unread) == sorted(UNREAD_ALLOWED)
+    assert unread_definitions([texts[path] for path in PACKAGE],
+                              list(texts.values())) == []
+
+
+def calls_and_references(tree: ast.AST) -> tuple[list[tuple[str, ast.Call]],
+                                                  set[str]]:
+    """The tree's calls by the name they call (``f(...)`` and
+    ``x.f(...)`` both call ``f``), and the names it reads otherwise: a
+    loaded name or attribute that is not a call's function and not inside
+    an annotation (``map(x.f, parts)`` references ``f``)."""
+    skip: set[int] = set()  # the ids of nodes that are not references
+    calls = []
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            annotations = [node.returns, *(arg.annotation for arg in (
+                *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        elif isinstance(node, ast.Call):
+            skip.add(id(node.func))
+            if isinstance(node.func, ast.Name):
+                calls.append((node.func.id, node))
+            elif isinstance(node.func, ast.Attribute):
+                calls.append((node.func.attr, node))
+        for annotation in filter(None, annotations):
+            skip.update(map(id, ast.walk(annotation)))
+    references = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            references.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            references.add(node.attr)
+    return calls, references
+
+
+def unrelied_defaults(modules: list[str], readers: list[str]) -> list[str]:
+    """``function(parameter)`` for each parameter default of a function or
+    method defined in ``modules`` that no call in ``readers`` leaves out.
+
+    A method's or ``__init__``'s first parameter is bound, and its class
+    name calls ``__init__``; other dunder methods are called by Python.
+    The check goes by name, as ``unread_definitions`` does: a call of
+    ``encode`` that leaves out a parameter relies on that default of every
+    ``encode``, and a call with ``*args`` or ``**kwargs``, or a read of the
+    name that does not call it, relies on every default."""
+    calls, references = [], set()
+    for source in readers:
+        found = calls_and_references(ast.parse(source))
+        calls += found[0]
+        references |= found[1]
+    unrelied = []
+
+    def check(node, name, label, bound):
+        arguments = node.args
+        positional = [*arguments.posonlyargs, *arguments.args][bound:]
+        defaults = [arg.arg for arg in positional[len(positional)
+                                                  - len(arguments.defaults):]]
+        defaults += [arg.arg for arg, default in zip(arguments.kwonlyargs,
+                                                     arguments.kw_defaults)
+                     if default is not None]
+        if not defaults or name in references:
+            return
+        order = [arg.arg for arg in positional]
+        relied = set()
+        for called, call in calls:
+            if called != name:
+                continue
+            if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(keyword.arg is None for keyword in call.keywords)):
+                return
+            given = set(order[:len(call.args)])
+            given.update(keyword.arg for keyword in call.keywords)
+            relied.update(set(defaults) - given)
+        unrelied.extend(f"{label}({arg})" for arg in defaults if arg not in relied)
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name == "__init__" and in_class:
+                    name = in_class
+                elif name.startswith("__") and name.endswith("__"):
+                    continue
+                check(node, name, prefix + node.name, int(in_class is not None))
+
+    for source in modules:
+        visit(ast.parse(source).body, "", None)
+    return unrelied
+
+
+def test_every_parameter_default_is_relied_on_by_program_code():
+    texts = {path: path.read_text(encoding="utf-8") for path in READERS}
+    assert unrelied_defaults([texts[path] for path in PACKAGE],
+                             list(texts.values())) == []
+
+
+@pytest.mark.parametrize("module, reader, unrelied", [
+    # Every call overrides the default.
+    ("def f(a, b=1): pass\n", "f(0, 2)\nf(0, b=3)\n", ["f(b)"]),
+    ("def f(a, *, k=1): pass\n", "f(0, k=2)\n", ["f(k)"]),
+    ("def f(b=1): pass\n", "", ["f(b)"]),
+    # One call that leaves it out, a *args or **kwargs call, or a read
+    # that does not call the name relies on it.
+    ("def f(a, b=1): pass\n", "f(0, 2)\nf(0)\n", []),
+    ("def f(a, *, k=1): pass\n", "f(0)\n", []),
+    ("def f(a, b=1): pass\n", "f(0, 2)\nf(*args)\n", []),
+    ("def f(a, b=1): pass\n", "f(0, 2)\nf(0, **kwargs)\n", []),
+    ("def f(a, b=1): pass\n", "f(0, 2)\nlist(map(f, [0]))\n", []),
+    ("def f(a, b=1): pass\n", "f(0, 2)\nx.f\n", []),
+    # A read inside an annotation does not.
+    ("def f(a, b=1): pass\n", "f(0, 2)\ndef g(h: f) -> f: pass\nv: f = 0\n",
+     ["f(b)"]),
+    # Methods and __init__: the first parameter is bound; the class name
+    # calls __init__.
+    ("class A:\n    def m(self, b=1): pass\n", "A().m(2)\n", ["A.m(b)"]),
+    ("class A:\n    def m(self, b=1): pass\n", "A().m()\n", []),
+    ("class A:\n    def __init__(self, b=1): pass\n", "A(2)\n",
+     ["A.__init__(b)"]),
+    ("class A:\n    def __init__(self, b=1): pass\n", "A()\n", []),
+    # The check goes by name: any call of `m` relies for every `m`.
+    ("class A:\n    def m(self, b=1): pass\n", "A().m(2)\nB().m()\n", []),
+])
+def test_unrelied_defaults_finds_defaults_every_call_overrides(
+        module, reader, unrelied):
+    assert unrelied_defaults([module], [module, reader]) == unrelied
 
 
 @pytest.mark.parametrize("module, reader, unread", [

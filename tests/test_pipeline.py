@@ -39,18 +39,22 @@ class TestScoreStream:
         values = np.random.default_rng(32).normal(size=(6, 2))
         pipe.svdd.center = pipe.svdd.forward(window_row(values, 0))[0]
         segments, results = pipeline.score_stream(pipe, values)
-        assert segments.starts.tolist() == [0, 3]
+        assert segments.starts.tolist() == [0, 3] and len(results) == 2
         assert results[0].score == pytest.approx(0.0)
-        assert results[0].predicted == 0
-        assert [r.segment_index for r in results] == [0, 1]
+        _, _, predictions = pipeline.expand_to_timestamps(
+            segments, results, pipe.threshold)
+        assert predictions.tolist()[:3] == [0, 0, 0]
 
     def test_boundary_is_strict(self):
         values = np.random.default_rng(33).normal(size=(3, 2))
         score = raw_pipeline(0.0).svdd.scores(window_row(values, 0))[0]
-        _, results = pipeline.score_stream(raw_pipeline(score), values)
-        assert results[0].score == score and results[0].predicted == 0
-        _, results = pipeline.score_stream(raw_pipeline(score - 1e-9), values)
-        assert results[0].predicted == 1
+        segments, results = pipeline.score_stream(raw_pipeline(score), values)
+        assert results[0].score == score
+        _, _, predictions = pipeline.expand_to_timestamps(segments, results, score)
+        assert predictions.tolist() == [0, 0, 0]
+        _, _, predictions = pipeline.expand_to_timestamps(segments, results,
+                                                          score - 1e-9)
+        assert predictions.tolist() == [1, 1, 1]
 
     def test_short_stream_yields_nothing(self):
         segments, results = pipeline.score_stream(raw_pipeline(1.0), np.zeros((2, 2)))
@@ -128,7 +132,7 @@ def test_whole_stream_scores_equal_per_window_scores(variant, stride):
     for start, end, result in zip(segments.starts, segments.ends, results):
         _, (alone,) = pipeline.score_stream(pipe, test[start:end])
         assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)
-        assert alone.predicted == result.predicted
+        assert (alone.score > pipe.threshold) == (result.score > pipe.threshold)
 
 
 @pytest.mark.parametrize("variant", benchmark.VARIANTS, ids=FLATTENED)
@@ -543,8 +547,7 @@ def test_timestamp_scores_are_the_max_over_covering_windows():
     # three windows, and row 11 in none.
     segments = data.segment_stream(np.zeros((12, 1)), 5, 2)
     scores = [0.3, 0.9, 0.1, 0.5]
-    results = [svdd.DetectionResult(i, s, 0.4, int(s > 0.4))
-               for i, s in enumerate(scores)]
+    results = [pipeline.DetectionResult(s) for s in scores]
     indices, ts_scores, predictions = pipeline.expand_to_timestamps(
         segments, results, 0.4)
     expected = [max(s for start, s in zip((0, 2, 4, 6), scores)

@@ -29,6 +29,14 @@ def attend(enc, t):
     return tape["heads"]
 
 
+def attention(enc, t):
+    """Every head's (sensors x sensors) softmax attention matrix,
+    (..., heads, sensors, sensors), as ``encode`` keeps it on its tape."""
+    tape = {}
+    enc.encode(t, tape)
+    return tape["attention"]
+
+
 def fresh_grads():
     return [None] * 10
 
@@ -107,12 +115,12 @@ def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(leng
 
 
 class TestAttentionHead:
-    # attention_weights gives every head's matrix along a heads axis, and
+    # The tape's attention holds every head's matrix along a heads axis, and
     # head h's output is column block h of the encoder's concatenated heads.
     def test_single_sensor_attention_is_identity(self):
         enc = make_encoder(sensors=1, window=3, heads=1, head_dim=2)
         t = np.array([[0.5, -1.0, 2.0]])
-        weights = enc.attention_weights(t)
+        weights = attention(enc, t)
         assert weights.shape == (1, 1, 1)
         np.testing.assert_allclose(weights[0], [[1.0]])
         out = attend(enc, t)
@@ -121,7 +129,7 @@ class TestAttentionHead:
     def test_zero_input_gives_uniform_attention_and_zero_output(self):
         enc = make_encoder(sensors=3, window=4, heads=1, head_dim=2)
         t = np.zeros((3, 4))
-        weights = enc.attention_weights(t)
+        weights = attention(enc, t)
         np.testing.assert_allclose(weights[0], np.full((3, 3), 1.0 / 3.0))
         np.testing.assert_allclose(attend(enc, t)[:, 0:2], 0.0)
 
@@ -138,13 +146,13 @@ class TestAttentionHead:
         expected = np.array([[row0[1]], [0.5]])  # attn @ v picks column 2 weight
         out = attend(enc, t)[:, 0:1]
         np.testing.assert_allclose(out, expected, atol=1e-12)
-        weights = enc.attention_weights(t)[0]
+        weights = attention(enc, t)[0]
         np.testing.assert_allclose(weights[0], row0, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         enc = make_encoder()
         t = np.random.default_rng(1).normal(size=(3, 4))
-        weights = enc.attention_weights(t)
+        weights = attention(enc, t)
         for h in range(enc.heads):
             sums = weights[h].sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -152,7 +160,7 @@ class TestAttentionHead:
     def test_column_blocks_are_the_heads_in_order(self):
         enc = make_encoder(sensors=4, window=5, heads=3, head_dim=2, seed=24)
         stack = np.random.default_rng(25).normal(size=(2, 4, 5))
-        weights = enc.attention_weights(stack)
+        weights = attention(enc, stack)
         out = attend(enc, stack)
         assert weights.shape == (2, 3, 4, 4) and out.shape == (2, 4, 6)
         for t, w, o in zip(stack, weights, out):

@@ -14,9 +14,9 @@ from conftest import traced_peak
 from oracles import finite_difference, reference_vgae_part, relative_gradient_error
 
 
-def make_encoder(input_dim=4, hidden_dim=3, embed_dim=2, seed=0, **kw):
+def make_encoder(input_dim=4, hidden_dim=3, embed_dim=2, seed=0, kl_weight=1.0):
     return vgae.VgaeEncoder(input_dim, hidden_dim, embed_dim,
-                            np.random.default_rng(seed), **kw)
+                            np.random.default_rng(seed), kl_weight)
 
 
 def toy_graph(seed=1, nodes=3, dim=4):
@@ -163,21 +163,21 @@ class TestEncode:
 
 class TestDecode:
     def test_zero_embedding_gives_half(self):
-        np.testing.assert_allclose(vgae.decode(np.zeros((3, 2))), 0.5)
+        np.testing.assert_allclose(vgae.decode(np.zeros((3, 2)), {}), 0.5)
 
     def test_orthogonal_rows_give_half_off_diagonal(self):
-        out = vgae.decode(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        out = vgae.decode(np.array([[1.0, 0.0], [0.0, 1.0]]), {})
         assert out[0, 1] == pytest.approx(0.5)
         assert out[1, 0] == pytest.approx(0.5)
 
     def test_closed_form_diagonal(self):
         r = np.array([[math.sqrt(math.log(3.0))]])
-        assert vgae.decode(r)[0, 0] == pytest.approx(0.75)
+        assert vgae.decode(r, {})[0, 0] == pytest.approx(0.75)
 
     def test_open_interval_and_symmetric(self):
         # Strictness holds for embedding magnitudes the encoder produces;
         # float64 sigmoid only saturates beyond |x| ~ 36.
-        out = vgae.decode(np.random.default_rng(3).normal(size=(4, 2)))
+        out = vgae.decode(np.random.default_rng(3).normal(size=(4, 2)), {})
         assert (out > 0.0).all() and (out < 1.0).all()
         np.testing.assert_allclose(out, out.T)
 
@@ -203,7 +203,7 @@ class TestLoss:
         noise = np.random.default_rng(5).normal(size=(2, 3, 2))
         inputs = vgae.propagate(stack(toy_graph(), toy_graph(seed=2)))
         loss, _ = part_loss(enc, inputs, path_target(), noise, 2)
-        error = path_target() - vgae.decode(noise)
+        error = path_target() - vgae.decode(noise, {})
         assert loss == pytest.approx((error * error).sum() / 2.0, rel=1e-12)
 
     def test_unit_mean_unit_variance_kl(self):
@@ -401,7 +401,7 @@ class TestTraining:
         target = vgae.reconstruction_target(g.adjacency[0])
         vgae.train_vgae(enc, fit_parts(g), target, epochs=100, lr=0.05,
                         rng=np.random.default_rng(24))
-        reconstructed = vgae.decode(enc.encode(vgae.propagate(g)))[0]
+        reconstructed = vgae.decode(enc.encode(vgae.propagate(g)), {})[0]
         iu = np.triu_indices(4, k=1)
         auc = metrics.roc_auc(target[iu].astype(int), reconstructed[iu])
         assert auc > 0.9
