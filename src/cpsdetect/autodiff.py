@@ -98,10 +98,6 @@ class Adam:
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float, weight_decay: float):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -163,7 +163,7 @@ def _rebuild(blocks: dict, topology: SensorTopology) -> TrainedPipeline:
     stages = build_stages(config, topology,
                           np.random.SeedSequence(config.run.seed).spawn(4))
     net = stages[-1]
-    net.center, net.trained = np.zeros(net.widths[-1]), True
+    net.center = np.zeros(net.widths[-1])
     normalizer = Normalizer(np.zeros(topology.n), np.zeros(topology.n))
     pipe = TrainedPipeline(config, topology, normalizer, *stages, 0.0)
     arrays = _arrays(pipe)

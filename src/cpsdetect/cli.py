@@ -6,10 +6,11 @@ Subcommands: ``synth`` (generate a labeled synthetic dataset), ``train``
 stdout), ``score`` (per-segment and per-timestamp anomaly scores),
 ``evaluate`` (run-adjusted and unadjusted metrics from score and label files).
 
-Every configuration field can be overridden with ``--set section.key=value``;
-the most common ones also have dedicated flags. Exit codes: 0 success,
-1 usage or configuration error, 2 data error (an input that is malformed,
-unreadable or not utf-8), 3 numeric failure.
+Every configuration field can be overridden with ``--set section.key=value``,
+an ablation too (``--set vgae.enabled=false``). Only the paths, the seed and
+``synth``'s anomaly spec and split also have dedicated flags. Exit codes: 0
+success, 1 usage or configuration error, 2 data error (an input that is
+malformed, unreadable or not utf-8), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -62,15 +63,6 @@ def build_parser() -> _Parser:
     train.add_argument("--data", help="training stream CSV")
     train.add_argument("--topology", help="sensor topology file")
     train.add_argument("--checkpoint", help="checkpoint output path")
-    train.add_argument("--train-fraction", type=float,
-                       help="use only this leading fraction of the stream")
-    train.add_argument("--no-temporal", action="store_true",
-                       help="ablation: raw windows instead of temporal embeddings")
-    train.add_argument("--no-graph-weighting", action="store_true",
-                       help="ablation: binary adjacency instead of learned weights")
-    train.add_argument("--no-vgae", action="store_true",
-                       help="ablation: flattened node embeddings instead of "
-                            "graph encoding")
 
     score = sub.add_parser("score", help="score a stream with a checkpoint")
     _add_common(score)
@@ -148,14 +140,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
-    if args.train_fraction is not None:
-        config.run.train_fraction = args.train_fraction
-    if args.no_temporal:
-        config.temporal.enabled = False
-    if args.no_graph_weighting:
-        config.graph.weighting = False
-    if args.no_vgae:
-        config.vgae.enabled = False
     topology = data_mod.load_topology(
         _require(config.paths.topology, "a topology file", "--topology"))
     stream = data_mod.load_csv(

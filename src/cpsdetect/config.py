@@ -125,9 +125,9 @@ class PipelineConfig:
             raise ConfigError(f"svdd.quantile must be in (0, 1], got {s.quantile}")
         if not 0.0 < r.train_fraction <= 1.0:
             raise ConfigError(f"run.train_fraction must be in (0, 1], got {r.train_fraction}")
-        if not 0.0 <= r.calibration_fraction < 1.0:
+        if not 0.0 < r.calibration_fraction < 1.0:
             raise ConfigError(
-                f"run.calibration_fraction must be in [0, 1), got {r.calibration_fraction}")
+                f"run.calibration_fraction must be in (0, 1), got {r.calibration_fraction}")
 
 
 def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:

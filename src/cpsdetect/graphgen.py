@@ -83,9 +83,6 @@ def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
     sensor's type. With ``weighting`` off every graph keeps the binary
     adjacency untouched (the ablation configuration).
     """
-    if attributes.shape[-2] != topology.n:
-        raise ValueError(
-            f"attributes {attributes.shape} do not match {topology.n} nodes")
     adjacency = topology.adjacency.astype(attributes.dtype)
     if not weighting:
         return WeightedGraph(

@@ -227,8 +227,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     anomalous = labels[segments.rows].any(axis=1)
     normal = segments.starts[~anomalous]
     count = len(normal)
-    if not count:
-        raise DataError("no normal training segments remain after filtering")
+    if count < 2:
+        raise DataError(f"need 2 normal training windows, one to fit the detector "
+                        f"and one to calibrate it; {count} remain after filtering")
     record = {"data": {
         "rows": len(values), "anomalous_rows": int(labels.sum()),
         "windows": len(segments), "anomalous_windows": int(anomalous.sum()),
@@ -275,12 +276,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
                                         values, normal)
         del values  # the detector reads only the features
 
-    split = len(features)
-    if config.run.calibration_fraction > 0.0 and len(features) > 1:
-        split = max(1, int(round(len(features) *
-                                 (1.0 - config.run.calibration_fraction))))
-    fit_features = features[:split]
-    calibration_features = features[split:] if split < len(features) else fit_features
+    # The threshold is calibrated on windows the detector was not fit on.
+    split = min(count - 1, max(1, round(count * (1.0 - config.run.calibration_fraction))))
+    fit_features, calibration_features = features[:split], features[split:]
 
     with numeric_context("[svdd]"):
         net.init_center(fit_features)

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError
 
 CENTER_FLOOR = 0.1
 
@@ -42,15 +41,12 @@ class SvddNet:
 
     def __init__(self, input_dim: int, widths: Sequence[int],
                  slope: float, rng: np.random.Generator):
-        if not widths:
-            raise ValueError("need at least one layer width")
         self.widths = tuple(int(w) for w in widths)
         self.slope = slope
         dims = [input_dim, *self.widths]
         self.weights = [ad.uniform_init(rng, dims[i], dims[i + 1])
                         for i in range(len(self.widths))]
         self.center: np.ndarray | None = None
-        self.trained = False
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         """Parameters by name, in checkpoint order."""
@@ -87,9 +83,6 @@ class SvddNet:
         (sign-preserving; exact zeros go positive) so the center cannot sit
         at the trivial all-zeros solution.
         """
-        samples = np.atleast_2d(samples)
-        if samples.shape[0] == 0:
-            raise DataError("cannot initialize the center from zero samples")
         image = self.forward(samples)
         center = image.mean(axis=0)
         small = np.abs(center) < CENTER_FLOOR
@@ -97,21 +90,10 @@ class SvddNet:
         self.center = center
         return center
 
-    def _require_center(self) -> np.ndarray:
-        if self.center is None:
-            raise RuntimeError("hypersphere center is not initialized")
-        return self.center
-
-    def _require_trained(self) -> None:
-        if not self.trained:
-            raise RuntimeError("scoring requires a trained network")
-
     def scores(self, samples: np.ndarray) -> np.ndarray:
         """Squared distances to the center, one per sample row."""
-        self._require_trained()
-        center = self._require_center()
-        diff = self.forward(np.atleast_2d(samples))
-        diff -= center
+        diff = self.forward(samples)
+        diff -= self.center
         return (diff * diff).sum(axis=1)
 
 
@@ -121,7 +103,7 @@ def loss_and_gradients(net: SvddNet, samples: np.ndarray
     gradient with respect to each weight, in ``weights`` order."""
     tape: list[tuple[np.ndarray, np.ndarray | None]] = []
     g = net.forward(samples, tape)
-    g -= net._require_center()
+    g -= net.center
     scale = 1.0 / samples.shape[0]
     loss = float((g * g).sum()) * scale
     g *= 2.0 * scale  # d loss / d image
@@ -142,25 +124,14 @@ def train_svdd(net: SvddNet, samples: np.ndarray, epochs: int, lr: float,
     The weight penalty is realized as decoupled decay inside the optimizer;
     the recorded trace is the mean squared distance term.
     """
-    samples = np.atleast_2d(samples)
-    if samples.shape[0] == 0:
-        raise DataError("no training samples")
-    net._require_center()
     # One part: the weight gradient is one product over every sample, whose
     # bits a split into parts would change.
-    trace = ad.fit(net.named_parameters(), lambda: loss_and_gradients(net, samples),
-                   epochs, lr, weight_decay=weight_decay, tag="svdd")
-    net.trained = True
-    return trace
+    return ad.fit(net.named_parameters(), lambda: loss_and_gradients(net, samples),
+                  epochs, lr, weight_decay=weight_decay, tag="svdd")
 
 
 def calibrate_threshold(net: SvddNet, samples: np.ndarray,
                         quantile: float) -> float:
     """Empirical quantile of calibration scores (linear interpolation)."""
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    samples = np.atleast_2d(samples)
-    if samples.shape[0] == 0:
-        raise DataError("no calibration samples")
     return float(np.quantile(net.scores(samples), quantile))
 

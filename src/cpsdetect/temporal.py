@@ -45,7 +45,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import gather_windows, window_rows
-from .errors import DataError
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -146,10 +145,6 @@ class TemporalEncoder:
 
     def predict_next(self, embedding: np.ndarray) -> np.ndarray:
         """Linear prediction of the next window from an embedding."""
-        if embedding.shape[-2:] != (self.sensors, self.model_dim):
-            raise ValueError(
-                f"embedding shape {embedding.shape} does not match encoder "
-                f"({self.sensors}, {self.model_dim})")
         predicted = embedding @ self.w_pred.value
         predicted += self.b_pred.value
         return predicted
@@ -236,8 +231,6 @@ def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
     their rows that the loss reads.
     """
     count = len(starts)
-    if count == 0:
-        raise DataError("no training pairs with successor windows")
     length = encoder.window
 
     def epoch() -> tuple[float, list[np.ndarray | None]]:

@@ -47,6 +47,17 @@ def test_train_writes_its_record_as_run_json(trained, tmp_path, capsys):
     assert stages == ["[data]", "[temporal]", "[vgae]", "[svdd]"]
 
 
+def test_an_ablation_is_a_set_override(trained, tmp_path):
+    assert main(["train", "--out", str(tmp_path), "--data", str(trained / "train.csv"),
+                 "--topology", str(trained / "topology.txt"), *_sets(SETTINGS),
+                 *_sets(["vgae.enabled=false", "graph.weighting=false"])]) == 0
+    record = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert list(record) == ["data", "temporal", "svdd"]
+    pipe = checkpoint.load_checkpoint(tmp_path / "model.ckpt",
+                                      data.load_topology(trained / "topology.txt"))
+    assert (pipe.vgae, pipe.config.graph.weighting) == (None, False)
+
+
 def test_a_percent_sign_in_a_path_survives_the_checkpoint(trained, tmp_path, capsys):
     # The checkpoint stores paths.data as it is; loading it must read it back.
     folder = tmp_path / "100%"
@@ -352,6 +363,17 @@ EXIT_CASES = {
        for slope in ("-3", "5")},
     "config negative run seed": (
         "train-set", "run.seed=-1", 1, "run.seed must be non-negative, got -1"),
+    # Refused where the config enters: no stage checks these again.
+    **{f"config {setting}": ("train-set", setting, 1, message)
+       for setting, message in (
+           ("window.stride=0", "window.stride must be positive, got 0"),
+           ("temporal.lr=0", "temporal.lr must be positive, got 0.0"),
+           ("svdd.weight_decay=-1", "svdd.weight_decay must be non-negative, got -1.0"),
+           ("svdd.widths=", "svdd.widths must be positive, got ()"),
+           ("svdd.quantile=0", "svdd.quantile must be in (0, 1], got 0.0"),
+           ("svdd.quantile=1.5", "svdd.quantile must be in (0, 1], got 1.5"),
+           ("run.calibration_fraction=0",
+            "run.calibration_fraction must be in (0, 1), got 0.0"))},
     "synth negative seed": (
         "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
     **{f"synth {setting}": ("synth", f"--set {setting}", 1, message)

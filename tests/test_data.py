@@ -229,9 +229,13 @@ class TestSegmentation:
 
     def test_single_window_no_successor(self):
         assert len(data.segment_stream(self._stream(4), length=4, stride=1)) == 1
-        # The one window has no rows after it, so there is nothing to predict.
-        with pytest.raises(DataError, match=r"no normal \(window, successor\) pairs"):
+        # Training needs two windows: one to fit, one to calibrate on.
+        with pytest.raises(DataError, match="need 2 normal training windows"):
             _train_record(np.zeros(4), length=4, stride=1)
+        # Neither of two windows has a full window of rows after it, so
+        # there is nothing to predict.
+        with pytest.raises(DataError, match=r"no normal \(window, successor\) pairs"):
+            _train_record(np.zeros(5), length=4, stride=1)
 
     def test_disjoint_tiling(self):
         segs = data.segment_stream(self._stream(23), length=5, stride=5)
@@ -271,13 +275,6 @@ class TestSegmentation:
     def test_too_short_stream(self):
         with pytest.raises(DataError, match="shorter than one window"):
             data.segment_stream(self._stream(3), length=4, stride=1)
-
-    def test_bad_parameters(self):
-        vals = self._stream(10)
-        with pytest.raises(ConfigError):
-            data.segment_stream(vals, length=1, stride=1)
-        with pytest.raises(ConfigError):
-            data.segment_stream(vals, length=4, stride=0)
 
     @given(st.integers(8, 200), st.integers(2, 12), st.integers(1, 15))
     @settings(max_examples=60)
@@ -386,15 +383,6 @@ class TestSynthetic:
         added[100:180, 2] = 4.0 * clean.std(axis=0)[2]
         np.testing.assert_array_equal(stream, clean + added)
         assert labels.tolist() == [0] * 100 + [1] * 80 + [0] * 120
-
-    def test_inject_anomalies_checks_every_window_first(self):
-        topology = data.parse_topology(PATH_TOPOLOGY)
-        stream = np.zeros((300, 3))
-        windows = [data.AnomalyWindow("offset", 10, 20, 0),
-                   data.AnomalyWindow("offset", 290, 20, 1)]
-        with pytest.raises(DataError, match="outside stream"):
-            data.inject_anomalies(stream, topology, windows, **EVENTS)
-        assert not stream.any()
 
     def test_different_seed_differs(self):
         _, v1, _ = data.generate_synthetic(self._config(seed=1))

@@ -200,12 +200,6 @@ class TestBuildGraph:
             g.adjacency,
             [[[0.0, 1.0, 0.0], [1.0, 0.0, 24 / 25], [0.0, 24 / 25, 0.0]]])
 
-    def test_shape_mismatch(self):
-        for attrs in (np.zeros((2, 2)), np.zeros((4, 2, 2))):
-            for weighting in (True, False):
-                with pytest.raises(ValueError, match="nodes"):
-                    graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting)
-
 
 class TestWeightedGraph:
     @given(st.integers(0, 1000))

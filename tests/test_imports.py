@@ -1,7 +1,7 @@
 """Every name a package module or script imports is used in that file,
 every function, class and method the package defines is read by program
-code, not only by tests, and every parameter default it defines is left out
-by some program call."""
+code, not only by tests, every parameter default it defines is left out
+by some program call, and a setting is refused only where it enters."""
 from __future__ import annotations
 
 import ast
@@ -101,6 +101,50 @@ def test_every_definition_is_read_by_program_code():
     texts = {path: path.read_text(encoding="utf-8") for path in READERS}
     assert unread_definitions([texts[path] for path in PACKAGE],
                               list(texts.values())) == []
+
+
+# The modules that read settings: the config file and ``--set`` parser, the
+# CLI and the checkpoint reader. Elsewhere a setting is refused only by the
+# ``validate`` of the object that holds it, which every path runs first.
+SETTING_READERS = {"config.py", "cli.py", "checkpoint.py"}
+
+
+def misplaced_config_errors(source: str) -> list[int]:
+    """Lines of the ``raise ConfigError`` statements outside any function
+    named ``validate``."""
+    lines = []
+
+    def visit(node: ast.AST, in_validate: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_validate = in_validate or node.name == "validate"
+        elif isinstance(node, ast.Raise) and node.exc is not None and not in_validate:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if name == "ConfigError":
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_validate)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+def test_settings_are_refused_only_where_they_enter():
+    assert [f"{path.name}:{line}" for path in PACKAGE
+            if path.name not in SETTING_READERS
+            for line in misplaced_config_errors(path.read_text(encoding="utf-8"))
+            ] == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("def f():\n    raise ConfigError('x')\n", [2]),
+    ("def f():\n    raise errors.ConfigError\n", [2]),
+    ("class A:\n    def validate(self):\n        raise ConfigError('x')\n", []),
+    ("def validate():\n    def g():\n        raise ConfigError('x')\n", []),
+    ("def f():\n    raise DataError('x')\n    raise\n", []),
+])
+def test_misplaced_config_errors_finds_raises_outside_validate(source, lines):
+    assert misplaced_config_errors(source) == lines
 
 
 def calls_and_references(tree: ast.AST) -> tuple[list[tuple[str, ast.Call]],

@@ -22,7 +22,6 @@ def raw_pipeline(threshold: float) -> pipeline.TrainedPipeline:
     config.temporal.enabled = config.vgae.enabled = False
     net = svdd.SvddNet(6, (4, 2), 0.1, np.random.default_rng(0))
     net.init_center(np.zeros((1, 6)))
-    net.trained = True
     identity = data.Normalizer(np.zeros(2), np.ones(2))
     return pipeline.TrainedPipeline(config, topology, identity, None, None,
                                     net, threshold)
@@ -263,7 +262,6 @@ def test_scoring_holds_the_stream_features_and_scores():
     temporal, vgae, net = pipeline.build_stages(
         config, topology, np.random.SeedSequence(0).spawn(4))
     net.init_center(np.zeros((1, net.weights[0].value.shape[0])))
-    net.trained = True
     normalizer = data.fit_normalizer(values[:benchmark.TRAIN_ROWS])
     pipe = pipeline.TrainedPipeline(config, topology, normalizer, temporal, vgae,
                                     net, 1.0)
@@ -406,6 +404,17 @@ def test_the_record_holds_the_losses_each_fit_returned(monkeypatch):
     leaves = [v for entry in record.values() for v in entry.values()]
     assert all(type(v) in (int, float, list) for v in leaves)
     assert all(type(x) is float for v in leaves if type(v) is list for x in v)
+
+
+@pytest.mark.parametrize("windows, fit", [(2, 1), (3, 2), (20, 17)])
+def test_the_threshold_is_calibrated_on_windows_the_fit_did_not_see(windows, fit):
+    config = tiny_config("raw")
+    topology, values, _, _ = tiny_data(config)
+    rows = windows * config.window.length
+    record = pipeline.train_pipeline(config, topology, values[:rows],
+                                     np.zeros(rows, dtype=np.int64)).record
+    assert record["svdd"]["samples"] == fit
+    assert record["svdd"]["calibration_samples"] == windows - fit
 
 
 def test_the_vgae_target_keeps_the_edges_a_window_weights_zero(monkeypatch):

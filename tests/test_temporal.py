@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cpsdetect import autodiff as ad
 from cpsdetect import temporal
-from cpsdetect.errors import DataError
 
 from conftest import traced_peak
 from oracles import (finite_difference, reference_temporal_part,
@@ -453,12 +452,6 @@ class TestTraining:
         temporal.train_temporal(enc, values, starts, epochs=3, lr=0.01)
         enc.encode(np.zeros((2, 3, 4)))
         assert made_tensors == []
-
-    def test_empty_pairs_rejected(self):
-        enc = make_encoder()
-        with pytest.raises(DataError, match="no training pairs"):
-            temporal.train_temporal(enc, np.zeros((8, 3)), np.arange(0),
-                                    epochs=1, lr=0.01)
 
 
 def test_fit_epoch_peak_memory_stays_flat_in_the_stack_length(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cpsdetect import autodiff as ad
 from cpsdetect import metrics, vgae
-from cpsdetect.errors import DataError
 from cpsdetect.graphgen import WeightedGraph
 
 from conftest import traced_peak
@@ -389,11 +388,6 @@ class TestTraining:
                         rng=np.random.default_rng(0))
         assert built == [("normalize_adjacency", (n, 3, 3)) for n in (2, 2, 1)
                          ] + [("reconstruction_target", (3, 3))]
-
-    def test_empty_graphs_rejected(self):
-        with pytest.raises(DataError, match="no graphs"):
-            vgae.train_vgae(make_encoder(), [], path_target(), epochs=1,
-                            lr=0.01, rng=np.random.default_rng(0))
 
     def test_toy_reconstruction_auc_after_training(self):
         g = self._four_node_toy()
