@@ -1,5 +1,10 @@
 """Detection metrics: run-adjusted and raw precision/recall/F1, rank-based ROC AUC.
 
+``evaluate_scores`` is the one entry. It checks its inputs once: labels and
+predictions must be 1-D and hold only 0 and 1, and scores must be 1-D
+finite numbers; all three must have one length. The private helpers it
+calls take those checked arrays and check nothing again.
+
 The adjustment rule treats each maximal run of consecutive positive ground
 truth labels as one event: if any prediction inside the run fires, the whole
 run counts as detected. Predictions outside true runs are never modified.
@@ -28,76 +33,31 @@ def _binary_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _binary_pair(labels, predictions) -> tuple[np.ndarray, np.ndarray]:
-    lab = _binary_array(labels, "labels")
-    pred = _binary_array(predictions, "predictions")
-    if len(lab) != len(pred):
-        raise DataError(
-            f"length mismatch: {len(lab)} labels vs {len(pred)} predictions")
-    return lab, pred
-
-
-def anomaly_runs(labels) -> list[tuple[int, int]]:
-    """Half-open [start, end) index ranges of maximal runs of 1-labels."""
-    arr = _binary_array(labels, "labels")
-    edges = np.flatnonzero(np.diff(arr, prepend=0, append=0))
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]
-
-
-def point_adjust(labels, predictions) -> np.ndarray:
-    """Expand any hit inside a true-anomaly run to the whole run.
+def _point_adjust(labels: np.ndarray, predictions: np.ndarray) -> np.ndarray:
+    """Expand any hit inside a maximal run of 1-labels to the whole run.
 
     Predictions at indices whose label is 0 pass through unchanged, so the
     operation is idempotent and can only raise recall.
     """
-    lab, pred = _binary_pair(labels, predictions)
-    adjusted = pred.copy()
-    for start, end in anomaly_runs(lab):
+    adjusted = predictions.copy()
+    edges = np.flatnonzero(np.diff(labels, prepend=0, append=0))
+    for start, end in zip(edges[::2], edges[1::2]):
         if adjusted[start:end].any():
             adjusted[start:end] = 1
     return adjusted
 
 
-def confusion_counts(labels, predictions) -> tuple[int, int, int, int]:
-    """Return (tp, fp, fn, tn)."""
-    lab, pred = _binary_pair(labels, predictions)
-    tp = int(((lab == 1) & (pred == 1)).sum())
-    fp = int(((lab == 0) & (pred == 1)).sum())
-    fn = int(((lab == 1) & (pred == 0)).sum())
-    tn = int(((lab == 0) & (pred == 0)).sum())
-    return tp, fp, fn, tn
-
-
-def precision_recall_f1(labels, predictions):
-    """Standard confusion-matrix metrics with 0/0 defined as 0."""
-    tp, fp, fn, tn = confusion_counts(labels, predictions)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1, (tp, fp, fn, tn)
-
-
-def roc_auc(labels, scores) -> float:
-    """Area under the ROC curve via average ranks (ties count one half).
-
-    Equivalent to the pairwise concordance statistic over all
-    (positive, negative) score pairs.
-    """
-    lab = _binary_array(labels, "labels")
-    sc = np.asarray(scores, dtype=float)
-    if sc.ndim != 1 or len(sc) != len(lab):
-        raise DataError(
-            f"length mismatch: {len(lab)} labels vs {sc.shape} scores")
-    n_pos = int(lab.sum())
-    n_neg = len(lab) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("roc auc needs at least one positive and one negative label")
+def _roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Area under the ROC curve via average ranks (ties count one half), the
+    concordance over all (positive, negative) score pairs; needs both classes."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
     # Average rank per distinct score value, ascending order, ranks start at 1.
-    _, inverse, counts = np.unique(sc, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     upper = np.cumsum(counts)
     avg_rank = (upper - counts + 1 + upper) / 2.0
     ranks = avg_rank[inverse]
-    pos_rank_sum = ranks[lab == 1].sum()
+    pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -116,10 +76,30 @@ class MetricReport:
 def evaluate_scores(labels, scores, predictions,
                     adjust: bool = True) -> MetricReport:
     """Metrics of 0/1 predictions, run-adjusted unless ``adjust`` is False,
-    and the AUC of the raw scores."""
-    adjusted = point_adjust(labels, predictions) if adjust else predictions
-    precision, recall, f1, (tp, fp, fn, tn) = precision_recall_f1(labels, adjusted)
-    auc = roc_auc(labels, scores) if 0 < tp + fn < tp + fp + fn + tn else math.nan
+    and the AUC of the raw scores; 0/0 counts as 0."""
+    labels = _binary_array(labels, "labels")
+    predictions = _binary_array(predictions, "predictions")
+    scores = np.asarray(scores)
+    if scores.dtype.kind not in "biuf":
+        raise DataError(f"scores must be numbers, got {scores.dtype}")
+    if scores.ndim != 1:
+        raise DataError(f"scores must be 1-D, got shape {scores.shape}")
+    n = len(labels)
+    if len(predictions) != n or len(scores) != n:
+        raise DataError(f"length mismatch: {n} labels, {len(predictions)} "
+                        f"predictions, {len(scores)} scores")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
+    if adjust:
+        predictions = _point_adjust(labels, predictions)
+    tp = int((labels & predictions).sum())
+    fp = int(predictions.sum()) - tp
+    fn = int(labels.sum()) - tp
+    tn = n - tp - fp - fn
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    auc = _roc_auc(labels, scores) if 0 < tp + fn < n else math.nan
     return MetricReport(precision, recall, f1, auc, tp, fp, fn, tn)
 
 

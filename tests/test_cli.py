@@ -342,6 +342,9 @@ EXIT_CASES = {
     "score csv nan score": ("scores", b"index,score,predicted\n0,nan,0\n", 2),
     "score csv fractional prediction": (
         "scores", b"index,score,predicted\n0,0.1,0.7\n", 2),
+    "score csv prediction 2": (
+        "scores", b"index,score,predicted\n0,0.1,2\n", 2,
+        "predictions must contain only 0 and 1"),
     "score csv repeated index": (
         "scores", b"index,score,predicted\n1,0.1,0\n1,0.1,0\n1,0.1,0\n", 2),
     "segment csv repeated start": (
