@@ -19,9 +19,10 @@ by part every epoch; with the VGAE, each part's graphs become that part's
 ``vgae.propagate`` arrays at once, the fit reconstructs one target, the
 topology's edges (``vgae.reconstruction_target``), and the posterior-mean
 pass encodes the parts it fitted; without it, ``segment_features`` builds
-the features. ``segment_features`` is scoring's one loop over parts: it gathers
-each part's windows, embeds them (and with the VGAE builds their graphs and
-encodes them) and writes the part's rows into one stacked result. No
+the features. ``segment_features`` is the one loop over feature parts: it
+gathers each part's windows, embeds them (and with the VGAE builds their
+graphs and encodes them) and yields the part's rows; training stacks them
+for the full-batch detector fit, scoring scores each as it comes. No
 fit records a graph: every stage works on plain arrays, and its fit
 differentiates by hand (``temporal.loss_and_gradients``,
 ``vgae.loss_and_gradients``, ``svdd.loss_and_gradients``) through the
@@ -31,8 +32,10 @@ z-scored stream until the VGAE's parts or the features exist, and the
 VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is
 built. When scoring, the arrays that grow with the stream are the
-normalized stream, the features (one row per window) and the scores; the
-detector scores all features in one call. ``score_stream`` returns one
+normalized stream and the scores: the detector scores each part's features
+as the part is built, which leaves the bits of one call over every window
+(a row's score reads only that row; the tests check it at two part
+sizes). ``score_stream`` returns one
 ``DetectionResult``, the window's score, per window; a window alarms when
 its score is above the threshold, a rule that ``expand_to_timestamps`` and
 the ``score`` command apply. A library caller's stream is
@@ -56,7 +59,7 @@ and checkpoint loading start from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,28 +181,27 @@ def segment_graphs(config: PipelineConfig, topology: SensorTopology,
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
-                     values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+                     values: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
     """One feature row per window of ``config.window.length`` rows of a
     z-scored stream, one at each row of ``starts``, through the enabled
     stages: each window's (nodes x dim) matrix flattened node-major.
 
-    The windows are embedded once; graphs are built only for the graph
-    autoencoder, whose posterior means (no samples) are flattened. Each
-    ``autodiff.CHUNK`` windows are gathered from the stream, embedded,
-    turned into graphs and encoded before the next part starts, so only the
-    features grow with the number of windows.
+    The rows come in consecutive parts of ``autodiff.CHUNK`` windows, in
+    window order, each built when the next part is asked for: its windows
+    are gathered from the stream and embedded once; graphs are built only
+    for the graph autoencoder, whose posterior means (no samples) are
+    flattened. So nothing here grows with the number of windows: training
+    stacks the parts, scoring scores each part as it comes.
     """
     length = config.window.length
-
-    def features(rows: slice) -> np.ndarray:
+    for rows in chunks(len(starts)):
         windows = gather_windows(values, starts[rows], length)
         if vgae_encoder is None:
-            return _embed(temporal, windows)
-        return vgae_encoder.encode(propagate(segment_graphs(
-            config, topology, temporal, windows)))
-
-    nodes = _in_parts(map(features, chunks(len(starts))), len(starts))
-    return nodes.reshape(len(nodes), -1)
+            nodes = _embed(temporal, windows)
+        else:
+            nodes = vgae_encoder.encode(propagate(segment_graphs(
+                config, topology, temporal, windows)))
+        yield nodes.reshape(len(nodes), -1)
 
 
 @numeric_context("[train]")
@@ -272,8 +274,8 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
         features = means.reshape(count, -1)
     else:
         with numeric_context("[temporal] after training"):
-            features = segment_features(config, topology, temporal, None,
-                                        values, normal)
+            features = _in_parts(segment_features(config, topology, temporal, None,
+                                                  values, normal), count)
         del values  # the detector reads only the features
 
     # The threshold is calibrated on windows the detector was not fit on.
@@ -305,10 +307,10 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     Streams shorter than one window yield empty segments (and no error), so
     header-only outputs are possible downstream. A stream that is not
     numbers, not (rows x sensors) or holds a non-finite value is a
-    ``DataError``. The normalized stream, the features and the scores are
-    whole-stream arrays; the windows, embeddings, graphs and posterior
-    means exist for ``autodiff.CHUNK`` windows at a time, gathered from the
-    normalized stream by ``segment_features``.
+    ``DataError``. The normalized stream and the scores are whole-stream
+    arrays; the windows, embeddings, graphs, features and detector layers
+    exist for ``autodiff.CHUNK`` windows at a time, gathered from the
+    normalized stream by ``segment_features`` and scored part by part.
     """
     config = pipe.config
     values = _checked_stream(values, pipe.topology)
@@ -317,9 +319,10 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
         return Segments(np.arange(0), length), []
     values = apply_normalizer(pipe.normalizer, values)
     segments = segment_stream(values, length, config.window.stride)
-    features = segment_features(config, pipe.topology, pipe.temporal,
-                                pipe.vgae, values, segments.starts)
-    return segments, [DetectionResult(float(s)) for s in pipe.svdd.scores(features)]
+    scores = _in_parts(map(pipe.svdd.scores, segment_features(
+        config, pipe.topology, pipe.temporal, pipe.vgae, values, segments.starts)),
+        len(segments))
+    return segments, [DetectionResult(float(s)) for s in scores]
 
 
 def expand_to_timestamps(segments: Segments,

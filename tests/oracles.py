@@ -128,7 +128,7 @@ def reference_svdd_gradients(weights, slope, center, samples):
     for w in weights[:-1]:
         inputs.append(out)
         z = out @ w
-        factor = np.where(z > 0.0, 1.0, slope)
+        factor = np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(slope))
         factors.append(factor)
         out = z * factor
     inputs.append(out)
@@ -142,6 +142,15 @@ def reference_svdd_gradients(weights, slope, center, samples):
         g = (g @ w.T) * factor
         grads.append(inp.T @ g)
     return loss, grads[::-1]
+
+
+def reference_vgae_forward(w_hidden, w_heads, norm, mixed):
+    """The VGAE encoder's stacked products, one out-of-place numpy step
+    each: the hidden layer before its ReLU, the propagated hidden layer and
+    the heads, the posterior means in their first ``embed_dim`` columns."""
+    a = mixed @ w_hidden
+    p = norm @ np.maximum(a, 0.0)
+    return a, p, p @ w_heads
 
 
 def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
@@ -159,9 +168,7 @@ def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
     terms.
     """
     embed = w_heads.shape[-1] // 2
-    a = mixed @ w_hidden
-    p = norm @ np.maximum(a, 0.0)
-    heads = p @ w_heads
+    a, p, heads = reference_vgae_forward(w_hidden, w_heads, norm, mixed)
     mean = heads[..., :embed].copy()
     raw = heads[..., embed:].copy()
     logvar = np.clip(raw, -10.0, 10.0)
@@ -182,13 +189,44 @@ def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
     g_mean = (g_r + gk * mean) + gk * mean
     g_logvar = (-gk + g_r * noise * std * 0.5) + gk * variance
     g_logvar = g_logvar * ((raw >= -10.0) & (raw <= 10.0))
-    mean_half, logvar_half = np.zeros(heads.shape), np.zeros(heads.shape)
+    mean_half, logvar_half = np.zeros_like(heads), np.zeros_like(heads)
     mean_half[..., :embed] = g_mean
     logvar_half[..., embed:] = g_logvar
     g_heads = mean_half + logvar_half
     g_hidden = (np.swapaxes(norm, -1, -2) @ (g_heads @ w_heads.T)) * (a > 0.0)
     return loss, [_carried(np.swapaxes(mixed, -1, -2) @ g_hidden, held[0]),
                   _carried(np.swapaxes(p, -1, -2) @ g_heads, held[1])]
+
+
+def reference_temporal_forward(weights, windows):
+    """The temporal encoder's forward pass over a stack of windows, one
+    out-of-place numpy step per operation, every head in one stacked
+    product per projection, and the heads' outputs made side by side by a
+    copy of their transpose: each step's result by name, the embedding
+    last. ``weights`` are the encoder's parameter arrays in
+    ``named_parameters`` order."""
+    w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2 = weights[:8]
+    heads, window, head_dim = w_query.shape
+    x = windows.reshape(windows.shape[:-2] + (1,) + windows.shape[-2:])
+    q = x @ w_query
+    k = x @ w_key
+    kt = np.swapaxes(k, -1, -2).copy()
+    logits = q @ kt
+    scaled = logits * (1.0 / math.sqrt(window))
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    v = x @ w_value
+    mixed = a @ v
+    side_by_side = np.swapaxes(mixed, -3, -2).copy()
+    concatenated = side_by_side.reshape(side_by_side.shape[:-2] + (heads * head_dim,))
+    merged = concatenated @ w_out
+    pre = merged @ w_ff1 + b_ff1
+    hidden = np.maximum(pre, 0.0)
+    refined = hidden @ w_ff2 + b_ff2
+    return {"x": x, "q": q, "kt": kt, "a": a, "v": v,
+            "side_by_side": side_by_side, "concatenated": concatenated,
+            "merged": merged, "pre": pre, "hidden": hidden,
+            "embedding": merged + refined}
 
 
 def reference_temporal_part(weights, windows, successors, count, held):
@@ -206,25 +244,11 @@ def reference_temporal_part(weights, windows, successors, count, held):
     its order does not matter.
     """
     w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2, w_pred, b_pred = weights
-    heads, window, head_dim = w_query.shape
-    scale = 1.0 / math.sqrt(window)
-    x = windows.reshape(windows.shape[:-2] + (1,) + windows.shape[-2:])
-    q = x @ w_query
-    k = x @ w_key
-    kt = np.swapaxes(k, -1, -2).copy()
-    logits = q @ kt
-    scaled = logits * scale
-    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
-    v = x @ w_value
-    mixed = a @ v
-    side_by_side = np.swapaxes(mixed, -3, -2).copy()
-    concatenated = side_by_side.reshape(side_by_side.shape[:-2] + (heads * head_dim,))
-    merged = concatenated @ w_out
-    pre = merged @ w_ff1 + b_ff1
-    hidden = np.maximum(pre, 0.0)
-    refined = hidden @ w_ff2 + b_ff2
-    embedding = merged + refined
+    scale = 1.0 / math.sqrt(w_query.shape[1])
+    f = reference_temporal_forward(weights, windows)
+    x, q, kt, a, v, side_by_side, concatenated, merged, pre, hidden, embedding = (
+        f[name] for name in ("x", "q", "kt", "a", "v", "side_by_side", "concatenated",
+                             "merged", "pre", "hidden", "embedding"))
     predicted = embedding @ w_pred + b_pred
     d = successors - predicted
     c = 1.0 / count

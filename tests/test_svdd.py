@@ -40,8 +40,8 @@ def detector_rows(stack: np.ndarray) -> np.ndarray:
     config = PipelineConfig()
     config.window.length = dim
     stream = stack.transpose(0, 2, 1).reshape(count * dim, nodes)
-    return pipeline.segment_features(config, topology, None, None, stream,
-                                     np.arange(count) * dim)
+    return np.concatenate(list(pipeline.segment_features(
+        config, topology, None, None, stream, np.arange(count) * dim)))
 
 
 class TestFlatten:
@@ -222,6 +222,35 @@ class TestObjectiveGradients:
         assert len(grads) == len(expected)
         for got, want in zip(grads, expected):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.1, 1.0])
+    def test_exact_zero_pre_activations_take_the_slope(self, slope, dtype):
+        # Rows 0 and 1 make the first hidden layer exactly +0 and -0: row 0
+        # is zero, row 1 the negative smallest subnormal, whose products
+        # with weights of one sign below 0.5 round to zeros of the
+        # opposite sign. The leaky factor there is the slope, and the hand
+        # gradient keeps the reference's bits.
+        net = make_net(widths=(5, 4, 3), slope=slope, seed=34)
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        net.weights[0].value = np.abs(net.weights[0].value) * signs
+        for w in net.weights:
+            w.value = w.value.astype(dtype)
+        x = (np.random.default_rng(35).normal(size=(12, 6)) + 0.5).astype(dtype)
+        x[0] = 0.0
+        x[1] = -np.finfo(dtype).smallest_subnormal
+        z = x[:2] @ net.weights[0].value
+        assert not z.any()
+        assert np.signbit(z[1]).tolist() == (signs > 0.0).tolist()
+        net.init_center(x)
+        tape = []
+        net.forward(x, tape)
+        assert tape[1][1].dtype == dtype
+        assert (tape[1][1][:2] == dtype(slope)).all()
+        loss, grads = svdd.loss_and_gradients(net, x)
+        expected_loss, expected = graph_reference(net, x)
+        assert loss == expected_loss
+        assert [g.tobytes() for g in grads] == [e.tobytes() for e in expected]
 
     @pytest.mark.parametrize("slope", [0.1, 1.0])
     @pytest.mark.parametrize("widths", [(5,), (5, 3), (5, 4, 3)], ids=str)

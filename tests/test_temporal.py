@@ -10,8 +10,8 @@ from cpsdetect import autodiff as ad
 from cpsdetect import temporal
 
 from conftest import traced_peak
-from oracles import (finite_difference, reference_temporal_part,
-                     relative_gradient_error)
+from oracles import (finite_difference, reference_temporal_forward,
+                     reference_temporal_part, relative_gradient_error)
 import reverse_mode as rm
 
 
@@ -344,7 +344,8 @@ def test_prediction_loss_gradients_pass_finite_differences():
 
     grads = fresh_grads()
     temporal.loss_and_gradients(enc, windows, successors, 2, grads)
-    for (_, p), analytic in zip(enc.named_parameters(), grads):
+    for (_, p), analytic in zip(enc.named_parameters(),
+                                temporal.stored_layout(enc, grads)):
         numeric = finite_difference(loss_value, p.value)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
@@ -374,9 +375,53 @@ def test_hand_pass_has_the_reference_bits_over_carried_parts(sizes, parts):
         recorded = rm.temporal_part_loss(leaves, windows, successors, sum(parts))
         recorded.backward()
         loss = temporal.loss_and_gradients(enc, windows, successors, sum(parts), grads)
+        stored = temporal.stored_layout(enc, grads)
         assert loss == expected == float(recorded.value[0, 0])
-        assert [g.tobytes() for g in grads] == [h.tobytes() for h in held]
-        assert [g.tobytes() for g in grads] == [t.grad.tobytes() for t in leaves]
+        assert [g.tobytes() for g in stored] == [h.tobytes() for h in held]
+        assert [g.tobytes() for g in stored] == [t.grad.tobytes() for t in leaves]
+
+
+# The benchmark's part shape: 64 windows of 12 sensors x 30 rows, 4 heads of
+# 8, model width 32. OpenBLAS picks its kernels by shape, and kernels round
+# differently, so bits pinned at small shapes say nothing about this one.
+BENCHMARK_PART = dict(sensors=12, window=30, heads=4, head_dim=8, model_dim=32)
+
+
+def test_float32_fit_keeps_the_reference_bits_at_the_benchmark_part_shape():
+    # A float32 fit's epoch, two 64-window parts carried, at the test
+    # process's BLAS threading: the loss and the ten summed gradients equal
+    # the reference's, one out-of-place step per gradient rule.
+    enc = make_encoder(**BENCHMARK_PART, seed=35)
+    rng = np.random.default_rng(36)
+    for _, p in enc.named_parameters():
+        if not p.value.any():
+            p.value[...] = rng.normal(scale=0.3, size=p.value.shape)
+        p.value = p.value.astype(np.float32)
+    weights = [p.value for _, p in enc.named_parameters()]
+    held, grads = fresh_grads(), fresh_grads()
+    for _ in range(2):
+        windows = rng.normal(size=(64, 12, 30)).astype(np.float32)
+        successors = rng.normal(size=(64, 30, 12)).astype(np.float32).transpose(0, 2, 1)
+        expected, held = reference_temporal_part(weights, windows, successors, 128, held)
+        loss = temporal.loss_and_gradients(enc, windows, successors, 128, grads)
+        stored = temporal.stored_layout(enc, grads)
+        assert loss == expected
+        assert [g.dtype for g in stored] == [np.float32] * 10
+        assert [g.tobytes() for g in stored] == [h.tobytes() for h in held]
+
+
+@pytest.mark.parametrize("count", [1, 64])
+def test_float64_encode_keeps_the_stacked_product_bits_at_the_benchmark_shape(count):
+    # Scoring's float64 encode of one window (a one-window call) and of a
+    # 64-window part: the bits of the stacked products, whose heads' outputs
+    # are made side by side by a copy of their transpose.
+    enc = make_encoder(**BENCHMARK_PART, seed=37)
+    windows = np.random.default_rng(38).normal(size=(count, 12, 30))
+    weights = [p.value for _, p in enc.named_parameters()]
+    expected = reference_temporal_forward(weights, windows)
+    tape = {}
+    assert enc.encode(windows, tape).tobytes() == expected["embedding"].tobytes()
+    assert tape["heads"].tobytes() == expected["concatenated"].tobytes()
 
 
 def _pairs(values: np.ndarray, window: int, count: int):

@@ -10,8 +10,8 @@ from cpsdetect import vgae
 from cpsdetect.graphgen import WeightedGraph
 
 from conftest import traced_peak
-from oracles import (finite_difference, pairwise_auc, reference_vgae_part,
-                     relative_gradient_error)
+from oracles import (finite_difference, pairwise_auc, reference_vgae_forward,
+                     reference_vgae_part, relative_gradient_error)
 
 
 def make_encoder(input_dim=4, hidden_dim=3, embed_dim=2, seed=0, kl_weight=1.0):
@@ -320,6 +320,56 @@ def test_hand_pass_has_the_reference_bits_over_carried_parts(case):
         enc.encode(inputs, noise, tape)
         clipped |= not tape["clip_mask"].all()
     assert clipped == (scale > 10.0)
+
+
+def _benchmark_part(rng, count=64, dtype=np.float32):
+    """A part's ``propagate`` arrays at the benchmark's shape: ``count``
+    weighted graphs of 12 nodes with 32 attributes each."""
+    adjacency = rng.uniform(-1.0, 1.0, size=(count, 12, 12))
+    adjacency = np.triu(adjacency * (rng.random(adjacency.shape) < 0.5), 1)
+    return vgae.propagate(WeightedGraph(
+        (adjacency + np.swapaxes(adjacency, 1, 2)).astype(dtype),
+        rng.normal(size=(count, 12, 32)).astype(dtype)))
+
+
+def test_float32_fit_keeps_the_reference_bits_at_the_benchmark_part_shape():
+    # A float32 fit's epoch at the benchmark's part shape and widths
+    # (32/32/8), two 64-graph parts carried, at the test process's BLAS
+    # threading. OpenBLAS picks its kernels by shape, and kernels round
+    # differently, so the float64 and small-shape pins do not cover this.
+    rng = np.random.default_rng(72)
+    enc = make_encoder(32, 32, 8, seed=73)
+    for _, p in enc.named_parameters():
+        p.value = p.value.astype(np.float32)
+    edges = np.triu(rng.random((12, 12)) < 0.3, 1)
+    target = vgae.reconstruction_target((edges | edges.T).astype(float)
+                                        ).astype(np.float32)
+    held, grads = [None, None], [None, None]
+    for _ in range(2):
+        norm, mixed = inputs = _benchmark_part(rng)
+        noise = rng.standard_normal((64, 12, 8)).astype(np.float32)
+        with np.errstate(under="ignore"):
+            loss = vgae.loss_and_gradients(enc, inputs, target, noise, 128, grads)
+            expected, held = reference_vgae_part(
+                enc.w_hidden.value, enc.w_heads.value, 1.0, norm, mixed,
+                target, noise, 128, held)
+        assert loss == expected
+        assert [g.dtype for g in grads] == [np.float32] * 2
+        assert [g.tobytes() for g in grads] == [h.tobytes() for h in held]
+
+
+@pytest.mark.parametrize("count", [1, 64])
+def test_float64_posterior_means_keep_the_stacked_product_bits(count):
+    # Scoring's float64 posterior means of one graph (a one-window call)
+    # and of a 64-graph part at the benchmark's widths: the mean columns of
+    # the whole heads product.
+    enc = make_encoder(32, 32, 8, seed=74)
+    norm, mixed = inputs = _benchmark_part(np.random.default_rng(75), count,
+                                           np.float64)
+    _, _, heads = reference_vgae_forward(enc.w_hidden.value, enc.w_heads.value,
+                                         norm, mixed)
+    assert enc.encode(inputs).tobytes() == heads[..., :8].tobytes()
+
 
 class TestTraining:
     def _four_node_toy(self):
