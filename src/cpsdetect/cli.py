@@ -25,10 +25,11 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import pipeline as pipeline_mod
-from .autodiff import chunks, numeric_context
+from .autodiff import numeric_context
 from .config import (PipelineConfig, apply_setting, load_config,
                      parse_anomaly_spec)
 from .errors import ConfigError, DataError, NumericError, reading
+from .graphgen import weighted_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,12 +143,11 @@ def cmd_train(args) -> int:
     config = _build_config(args)
     topology = data_mod.load_topology(
         _require(config.paths.topology, "a topology file", "--topology"))
-    stream = data_mod.load_csv(
+    values, labels = data_mod.load_csv(
         _require(config.paths.data, "a training CSV", "--data"), topology)
-    print(f"loaded {len(stream)} rows x {topology.n} sensors")
+    print(f"loaded {len(values)} rows x {topology.n} sensors")
 
-    pipe = pipeline_mod.train_pipeline(config, topology, stream.values,
-                                       stream.labels)
+    pipe = pipeline_mod.train_pipeline(config, topology, values, labels)
     out = _out_dir(config)
     ckpt_path = Path(config.paths.checkpoint or out / "model.ckpt")
     ckpt.save_checkpoint(ckpt_path, pipe)
@@ -170,9 +170,9 @@ def cmd_score(args) -> int:
         _require(config.paths.topology, "a topology file", "--topology"))
     pipe = ckpt.load_checkpoint(
         _require(config.paths.checkpoint, "a checkpoint", "--checkpoint"), topology)
-    stream = data_mod.load_csv(
+    values, _ = data_mod.load_csv(
         _require(config.paths.data, "a data CSV", "--data"), topology)
-    segments, results = pipeline_mod.score_stream(pipe, stream.values)
+    segments, results = pipeline_mod.score_stream(pipe, values)
     out = _out_dir(config)
 
     scores = np.array([r.score for r in results])
@@ -190,12 +190,13 @@ def cmd_score(args) -> int:
     if args.dump_graphs and len(segments):
         graph_dir = out / "graphs"
         graph_dir.mkdir(exist_ok=True)
-        values = data_mod.apply_normalizer(pipe.normalizer, stream.values)
-        for rows in chunks(len(segments)):
-            windows = data_mod.gather_windows(values, segments.starts[rows], segments.length)
-            graphs = pipeline_mod.segment_graphs(pipe.config, topology, pipe.temporal, windows)
-            for i, adjacency in enumerate(graphs.adjacency, start=rows.start):
-                np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
+        values = data_mod.apply_normalizer(pipe.normalizer, values)
+        parts = pipeline_mod.segment_nodes(pipe.config, pipe.temporal, values,
+                                           segments.starts)
+        graphs = (graph for nodes in parts
+                  for graph in weighted_graph(topology, nodes, pipe.config.graph.weighting))
+        for i, adjacency in enumerate(graphs):
+            np.savetxt(graph_dir / f"graph_{i:05d}.csv", adjacency, delimiter=",")
 
     flagged = int((scores > pipe.threshold).sum())
     print(f"scored {len(segments)} segments ({flagged} flagged) "

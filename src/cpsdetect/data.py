@@ -190,17 +190,6 @@ def save_topology(path, topology: SensorTopology) -> None:
 # CSV streams
 
 
-@dataclass
-class RawStream:
-    """A loaded stream: values are (timesteps x sensors) in topology order."""
-
-    values: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def finite(cell: str) -> float:
     """A float cell; ``nan`` and ``inf`` are rejected."""
     value = float(cell)
@@ -268,12 +257,13 @@ def write_columns(path, columns: dict) -> None:
         writer.writerows(zip(*cells))
 
 
-def load_csv(path, topology: SensorTopology) -> RawStream:
-    """Read a stream CSV, mapping columns onto topology sensor order."""
+def load_csv(path, topology: SensorTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Read a stream CSV as (values, labels): the (rows x sensors) values
+    in topology sensor order and one 0/1 label per row."""
     table = read_columns(path, {**dict.fromkeys(topology.names, finite),
                                 "label": label}, optional=("label",))
     values = np.stack([table[name] for name in topology.names], axis=1)
-    return RawStream(values, table.get("label", np.zeros(len(values), np.int64)))
+    return values, table.get("label", np.zeros(len(values), np.int64))
 
 
 def load_labels(path) -> np.ndarray:
@@ -392,11 +382,11 @@ class AnomalyWindow:
         if not math.isfinite(self.magnitude):
             raise ConfigError(f"anomaly magnitude must be finite, got {self.magnitude}")
         if self.start < 0 or self.start + self.duration > length:
-            raise DataError(
+            raise ConfigError(
                 f"anomaly window [{self.start}, {self.start + self.duration}) "
                 f"outside stream of length {length}")
         if not 0 <= self.sensor < n:
-            raise DataError(f"anomaly sensor {self.sensor} out of range for {n} sensors")
+            raise ConfigError(f"anomaly sensor {self.sensor} out of range for {n} sensors")
 
 
 @dataclass

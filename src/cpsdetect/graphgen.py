@@ -1,4 +1,4 @@
-"""Dynamic weighted attributed graphs from embeddings and the static topology.
+"""Dynamic edge weights from node attributes and the static topology.
 
 Edge weights come from type-level cosine similarity: per-type mean embeddings
 are compared pairwise, the resulting (types x types) matrix is expanded to
@@ -7,7 +7,10 @@ elementwise into the binary adjacency. Weighting therefore reshapes existing
 edges but never creates new ones, and weights stay in [-1, 1]. Negative
 similarities are kept as negative weights; the downstream degree
 normalization handles them. Every step takes a (sensors x dim) attribute
-matrix or a (segments x sensors x dim) stack.
+matrix or a (segments x sensors x dim) stack. A graph is two plain arrays,
+its weighted adjacency and its node attributes, as the VGAE reads it
+(``vgae.propagate``): ``weighted_graph`` returns the adjacency, and the
+caller, which made the attributes, keeps them.
 
 A type's mean is the sum of its sensors' rows, added to +0.0 one sensor at
 a time in sensor index order, divided by the type's size. The topology's
@@ -19,19 +22,10 @@ gets.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SensorTopology
-
-
-@dataclass
-class WeightedGraph:
-    """Weighted adjacency plus node attributes of one graph or a stack."""
-
-    adjacency: np.ndarray
-    attributes: np.ndarray
 
 
 def type_embeddings(attributes: np.ndarray,
@@ -76,8 +70,9 @@ def type_similarity(embeddings: np.ndarray) -> np.ndarray:
 
 
 def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
-                   weighting: bool) -> WeightedGraph:
-    """Weighted attributed graphs of one attribute matrix or a stack.
+                   weighting: bool) -> np.ndarray:
+    """The weighted adjacency of one attribute matrix's graph, or the
+    stacked adjacencies of a stack's graphs.
 
     The (types x types) similarity reaches sensor pairs through each
     sensor's type. With ``weighting`` off every graph keeps the binary
@@ -85,11 +80,8 @@ def weighted_graph(topology: SensorTopology, attributes: np.ndarray,
     """
     adjacency = topology.adjacency.astype(attributes.dtype)
     if not weighting:
-        return WeightedGraph(
-            np.broadcast_to(adjacency, attributes.shape[:-2] + adjacency.shape),
-            attributes)
+        return np.broadcast_to(adjacency, attributes.shape[:-2] + adjacency.shape)
     idx = topology.type_of
     sim = type_similarity(type_embeddings(attributes, topology))
     # take() keeps the stack C-ordered: later row sums add as for one graph.
-    return WeightedGraph(adjacency * sim.take(idx, axis=-2).take(idx, axis=-1),
-                         attributes)
+    return adjacency * sim.take(idx, axis=-2).take(idx, axis=-1)

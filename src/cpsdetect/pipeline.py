@@ -11,25 +11,29 @@ for missing temporal embeddings, the binary adjacency for missing edge
 weighting, and the flattened embeddings themselves for the missing graph
 autoencoder, in which case no graph is built. Training and scoring both
 work from window start rows (``data.segment_stream``), keep only the
-z-scored stream, and gather each ``autodiff.CHUNK`` part's windows from it
-(``data.gather_windows``) when a step reads them, so no window stack is
-built. Training flags anomalous windows and picks prediction pairs with its
-labels read at the windows' rows. The temporal fit gathers its pairs part
-by part every epoch; with the VGAE, each part's graphs become that part's
+z-scored stream, and walk it with ``segment_nodes``, the one part loop
+outside the temporal fit: it gathers each ``autodiff.CHUNK`` part's windows
+(``data.gather_windows``) when a step reads them and embeds them into the
+part's node attributes, so no window stack is built. Training flags
+anomalous windows and picks prediction pairs with its labels read at the
+windows' rows. The temporal fit gathers its pairs part by part every epoch.
+A graph is two plain arrays, its weighted adjacency
+(``graphgen.weighted_graph``) and the node attributes it was built from.
+With the VGAE, training turns each part's graphs into that part's
 ``vgae.propagate`` arrays at once, the fit reconstructs one target, the
 topology's edges (``vgae.reconstruction_target``), and the posterior-mean
 pass encodes the parts it fitted; without it, ``segment_features`` builds
-the features. ``segment_features`` is the one loop over feature parts: it
-gathers each part's windows, embeds them (and with the VGAE builds their
-graphs and encodes them) and yields the part's rows; training stacks them
-for the full-batch detector fit, scoring scores each as it comes. No
-fit records a graph: every stage works on plain arrays, and its fit
-differentiates by hand (``temporal.loss_and_gradients``,
-``vgae.loss_and_gradients``, ``svdd.loss_and_gradients``) through the
-same ``encode`` or ``forward`` that ``segment_graphs``,
-``segment_features`` and scoring call. Training holds the
-z-scored stream until the VGAE's parts or the features exist, and the
-VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
+the features. ``segment_features`` maps each part of ``segment_nodes`` to
+its feature rows (through the part's graphs and posterior means when the
+VGAE is on); training stacks them for the full-batch detector fit, scoring
+scores each as it comes. ``score --dump-graphs`` walks ``segment_nodes``
+again and writes each part's adjacencies. No fit records a graph: every
+stage works on plain arrays, and its fit differentiates by hand
+(``temporal.loss_and_gradients``, ``vgae.loss_and_gradients``,
+``svdd.loss_and_gradients``) through the same ``encode`` or ``forward``
+that ``segment_nodes``, ``segment_features`` and scoring call. Training
+holds the z-scored stream until the VGAE's parts or the features exist,
+and the VGAE's parts (about 1.5 times the stream's bytes at the default sizes)
 until the posterior means exist; its peak is reached as the last part is
 built. When scoring, the arrays that grow with the stream are the
 normalized stream and the scores: the detector scores each part's features
@@ -39,9 +43,9 @@ sizes). ``score_stream`` returns one
 ``DetectionResult``, the window's score, per window; a window alarms when
 its score is above the threshold, a rule that ``expand_to_timestamps`` and
 the ``score`` command apply. A library caller's stream is
-converted to float64 and checked where it enters: numbers, 2-D, one column
-per sensor, finite. Every numeric step of training and scoring runs in a
-labelled ``numeric_context``.
+converted to float64 and checked where it enters: real numbers, 2-D, one
+column per sensor, finite. Every numeric step of training and scoring runs
+in a labelled ``numeric_context``.
 Training and scoring differ in precision. Training fits and applies the
 z-score statistics in float64, then casts the z-scored stream and every
 parameter ``build_stages`` drew to ``FIT_DTYPE`` (float32) once; each pass
@@ -68,7 +72,7 @@ from .config import PipelineConfig
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, gather_windows, segment_stream, window_rows)
 from .errors import DataError
-from .graphgen import WeightedGraph, weighted_graph
+from .graphgen import weighted_graph
 from .metrics import _binary_array
 from .svdd import SvddNet, calibrate_threshold, train_svdd
 from .temporal import TemporalEncoder, train_temporal
@@ -130,8 +134,12 @@ def _cast_stages(stages: Iterable, dtype: type) -> None:
 
 def _checked_stream(values, topology: SensorTopology) -> np.ndarray:
     """A stream from a library caller as a float64 array, checked to be
-    (rows x sensors) and finite. A float64 array is returned as it is."""
+    real, (rows x sensors) and finite. A float64 array is returned as it
+    is."""
     try:
+        # The float64 cast would drop a complex stream's imaginary part.
+        if np.iscomplexobj(values):
+            raise TypeError("its values are complex")
         values = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise DataError(f"stream is not an array of numbers: {err}") from None
@@ -165,42 +173,37 @@ def _in_parts(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
     return stack
 
 
-def _embed(temporal: TemporalEncoder | None, windows: np.ndarray) -> np.ndarray:
-    """Node attributes of a window stack: embeddings, or the raw windows."""
-    return windows if temporal is None else temporal.encode(windows)
+def segment_nodes(config: PipelineConfig, temporal: TemporalEncoder | None,
+                  values: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
+    """The node attributes of each window of ``config.window.length`` rows
+    of a z-scored stream, one at each row of ``starts``: its (nodes x dim)
+    embedding, or the raw window without a temporal stage.
 
-
-def segment_graphs(config: PipelineConfig, topology: SensorTopology,
-                   temporal: TemporalEncoder | None,
-                   windows: np.ndarray) -> WeightedGraph:
-    """Embed a window stack once and build its stacked weighted graphs."""
-    return weighted_graph(topology, _embed(temporal, windows),
-                          weighting=config.graph.weighting)
+    They come in consecutive (windows x nodes x dim) parts of
+    ``autodiff.CHUNK`` windows, in window order, each built when the next
+    part is asked for: its windows are gathered from the stream and
+    embedded once. So nothing here grows with the number of windows.
+    """
+    length = config.window.length
+    for rows in chunks(len(starts)):
+        windows = gather_windows(values, starts[rows], length)
+        yield windows if temporal is None else temporal.encode(windows)
 
 
 def segment_features(config: PipelineConfig, topology: SensorTopology,
                      temporal: TemporalEncoder | None,
                      vgae_encoder: VgaeEncoder | None,
                      values: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
-    """One feature row per window of ``config.window.length`` rows of a
-    z-scored stream, one at each row of ``starts``, through the enabled
-    stages: each window's (nodes x dim) matrix flattened node-major.
-
-    The rows come in consecutive parts of ``autodiff.CHUNK`` windows, in
-    window order, each built when the next part is asked for: its windows
-    are gathered from the stream and embedded once; graphs are built only
-    for the graph autoencoder, whose posterior means (no samples) are
-    flattened. So nothing here grows with the number of windows: training
-    stacks the parts, scoring scores each part as it comes.
+    """One feature row per window of ``segment_nodes``, in its parts, through
+    the enabled stages: each window's (nodes x dim) matrix flattened
+    node-major. Graphs are built only for the graph autoencoder, whose
+    posterior means (no samples) are flattened. Training stacks the parts,
+    scoring scores each part as it comes.
     """
-    length = config.window.length
-    for rows in chunks(len(starts)):
-        windows = gather_windows(values, starts[rows], length)
-        if vgae_encoder is None:
-            nodes = _embed(temporal, windows)
-        else:
-            nodes = vgae_encoder.encode(propagate(segment_graphs(
-                config, topology, temporal, windows)))
+    for nodes in segment_nodes(config, temporal, values, starts):
+        if vgae_encoder is not None:
+            nodes = vgae_encoder.encode(propagate(weighted_graph(
+                topology, nodes, config.graph.weighting), nodes))
         yield nodes.reshape(len(nodes), -1)
 
 
@@ -256,9 +259,9 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     # Adam step made huge overflow, so that pass names the stage.
     if vgae_encoder is not None:
         with numeric_context("[temporal] after training"):
-            parts = [propagate(segment_graphs(
-                config, topology, temporal, gather_windows(values, normal[rows], length)))
-                for rows in chunks(count)]
+            parts = [propagate(weighted_graph(topology, nodes, config.graph.weighting),
+                               nodes)
+                     for nodes in segment_nodes(config, temporal, values, normal)]
         del values  # the VGAE and the detector read only the parts
         with numeric_context("[vgae]"):
             record["vgae"] = {
@@ -310,7 +313,7 @@ def score_stream(pipe: TrainedPipeline, values: np.ndarray
     ``DataError``. The normalized stream and the scores are whole-stream
     arrays; the windows, embeddings, graphs, features and detector layers
     exist for ``autodiff.CHUNK`` windows at a time, gathered from the
-    normalized stream by ``segment_features`` and scored part by part.
+    normalized stream by ``segment_nodes`` and scored part by part.
     """
     config = pipe.config
     values = _checked_stream(values, pipe.topology)

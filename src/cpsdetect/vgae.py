@@ -7,10 +7,12 @@ mean and log-variance heads side by side; reparameterized samples decode
 back to edge probabilities through a sigmoid Gram matrix. The training loss
 is squared reconstruction error against one target, the topology's edges
 plus self-loops, plus a weighted diagonal-Gaussian KL term, averaged over
-the training graphs. Graphs pass every step as a stack (leading axis), and
-a stack enters the encoder as its ``propagate`` arrays. A fit reads its
-graphs as a list of parts, each one stack's arrays, which the caller
-builds part by part, so no stack of every graph exists.
+the training graphs. Graphs pass every step as a stack (leading axis). A
+graph is two plain arrays, its weighted adjacency and its node attributes
+(Kipf & Welling's A and X), and a stack enters the encoder as the
+``propagate`` arrays of the two. A fit reads its graphs as a list of
+parts, each one stack's arrays, which the caller builds part by part
+(``pipeline.segment_nodes``), so no stack of every graph exists.
 
 The encoder works on plain arrays and builds no autodiff graph. ``encode``
 is the one definition of the map, for the fit and the posterior-mean pass
@@ -38,7 +40,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphgen import WeightedGraph
 
 LOGVAR_RANGE = 10.0
 
@@ -69,13 +70,14 @@ def reconstruction_target(adjacency: np.ndarray) -> np.ndarray:
     return ((adjacency != 0.0) | np.eye(adjacency.shape[-1], dtype=bool)).astype(float)
 
 
-def propagate(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays a graph or a stack enters the encoder as: its normalized
-    adjacency, and that times the node attributes (the first layer's
-    propagation, which holds no parameter). A fit builds them once, not
-    every epoch."""
-    norm = normalize_adjacency(graph.adjacency)
-    return norm, norm @ graph.attributes
+def propagate(adjacency: np.ndarray, attributes: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays a graph or a stack, given as its weighted adjacency and
+    its node attributes, enters the encoder as: the normalized adjacency,
+    and that times the attributes (the first layer's propagation, which
+    holds no parameter). A fit builds them once, not every epoch."""
+    norm = normalize_adjacency(adjacency)
+    return norm, norm @ attributes
 
 
 class VgaeEncoder:

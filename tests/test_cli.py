@@ -117,21 +117,23 @@ def test_dump_graphs_writes_the_same_bytes_in_parts(trained, tmp_path, monkeypat
 
 
 def test_dump_graphs_are_the_graphs_scoring_encodes(trained, tmp_path, monkeypatch):
-    # The test windows' first graphs are the ones the VGAE scores, built
-    # from the z-scored stream; the dumped files must hold the same values.
+    # The graphs the VGAE scores, built from the z-scored stream in parts of
+    # 7 and 3 windows; the dumped files must hold the same values, in order.
     built, graph = [], pipeline.weighted_graph
 
     def spied_graph(*args, **kwargs):
         built.append(graph(*args, **kwargs))
         return built[-1]
 
+    monkeypatch.setattr(autodiff, "CHUNK", 7)
     monkeypatch.setattr(pipeline, "weighted_graph", spied_graph)
     assert main(["score", "--out", str(tmp_path), "--dump-graphs",
                  "--data", str(trained / "test.csv"),
                  "--topology", str(trained / "topology.txt"),
                  "--checkpoint", str(trained / "model.ckpt")]) == 0
+    assert [len(part) for part in built] == [7, 3]
     dumped = [np.loadtxt(p, delimiter=",") for p in sorted((tmp_path / "graphs").iterdir())]
-    np.testing.assert_array_equal(dumped, built[0].adjacency)
+    np.testing.assert_array_equal(dumped, np.concatenate(built))
 
 
 def test_dump_graphs_runs_every_stage_with_the_numeric_traps_on(trained, tmp_path,
@@ -391,6 +393,12 @@ EXIT_CASES = {
     "synth anomaly magnitude nan": (
         "synth", "--anomalies offset:10:5:1:nan", 1,
         "anomaly magnitude must be finite, got nan"),
+    "synth anomaly window outside the stream": (
+        "synth", "--anomalies offset:390:20:0", 1,
+        "anomaly window [390, 410) outside stream of length 400"),
+    "synth anomaly on a sensor that does not exist": (
+        "synth", "--anomalies offset:10:5:99", 1,
+        "anomaly sensor 99 out of range for 4 sensors"),
     **{f"synth split {split}": (
         "synth", f"--split {split}", 1,
         f"synthetic.split {split} outside stream of length 400")

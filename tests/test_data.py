@@ -66,16 +66,16 @@ class TestCsv:
     def test_three_row_hand_csv(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("timestamp,A,B,C,label\n0,1,2,3,0\n1,4,5,6,1\n2,7,8,9,0\n")
-        stream = data.load_csv(f, path_topology)
-        assert len(stream) == 3
-        assert stream.labels.sum() == 1
-        np.testing.assert_array_equal(stream.values[1], [4, 5, 6])
+        values, labels = data.load_csv(f, path_topology)
+        assert len(values) == len(labels) == 3
+        assert labels.sum() == 1
+        np.testing.assert_array_equal(values[1], [4, 5, 6])
 
     def test_column_order_follows_topology(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("C,A,B\n3,1,2\n")
-        stream = data.load_csv(f, path_topology)
-        np.testing.assert_array_equal(stream.values, [[1, 2, 3]])
+        values, _ = data.load_csv(f, path_topology)
+        np.testing.assert_array_equal(values, [[1, 2, 3]])
 
     def test_missing_sensor_column(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
@@ -107,18 +107,18 @@ class TestCsv:
     def test_repeated_unread_column_is_ignored(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("A,B,C,note,note\n1,2,3,x,y\n")
-        np.testing.assert_array_equal(data.load_csv(f, path_topology).values,
+        np.testing.assert_array_equal(data.load_csv(f, path_topology)[0],
                                       [[1, 2, 3]])
 
     def test_missing_label_column_means_normal(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("A,B,C\n1,2,3\n")
-        assert data.load_csv(f, path_topology).labels.tolist() == [0]
+        assert data.load_csv(f, path_topology)[1].tolist() == [0]
 
     def test_swat_style_text_labels(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
         f.write_text("A,B,C,label\n1,2,3,Normal\n1,2,3,Attack\n1,2,3, Attack \n")
-        assert data.load_csv(f, path_topology).labels.tolist() == [0, 1, 1]
+        assert data.load_csv(f, path_topology)[1].tolist() == [0, 1, 1]
 
     def test_unparseable_label(self, tmp_path, path_topology):
         f = tmp_path / "d.csv"
@@ -144,11 +144,11 @@ class TestCsv:
         labels = np.arange(len(values)) % 2
         f = tmp_path_factory.mktemp("csv") / "d.csv"
         data.save_csv(f, topology, values, labels)
-        stream = data.load_csv(f, topology)
+        loaded, loaded_labels = data.load_csv(f, topology)
         # Bit-exact: -0.0 and subnormals must come back as written.
-        assert stream.values.shape == values.shape
-        assert stream.values.tobytes() == values.tobytes()
-        np.testing.assert_array_equal(stream.labels, labels)
+        assert loaded.shape == values.shape
+        assert loaded.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(loaded_labels, labels)
 
     def test_load_labels_only(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -399,7 +399,7 @@ class TestSynthetic:
 
     def test_window_out_of_bounds(self):
         cfg = self._config(anomalies=(data.AnomalyWindow("offset", 390, 20, 0),))
-        with pytest.raises(DataError, match="outside stream"):
+        with pytest.raises(ConfigError, match="outside stream"):
             data.generate_synthetic(cfg)
 
     def test_overlapping_windows_rejected(self):

@@ -1,7 +1,8 @@
 """Every name a package module or script imports is used in that file,
 every function, class and method the package defines is read by program
 code, not only by tests, every parameter default it defines is left out
-by some program call, and a setting is refused only where it enters."""
+by some program call, a setting is refused only where it enters, and
+windows are gathered in parts by one walk only."""
 from __future__ import annotations
 
 import ast
@@ -145,6 +146,52 @@ def test_settings_are_refused_only_where_they_enter():
 ])
 def test_misplaced_config_errors_finds_raises_outside_validate(source, lines):
     assert misplaced_config_errors(source) == lines
+
+
+# The functions that walk a stream's windows in parts: the one walk that
+# training, scoring and ``score --dump-graphs`` share, and the temporal fit,
+# which gathers its pairs every epoch.
+PART_WALKERS = {"pipeline.py": "segment_nodes", "temporal.py": "train_temporal"}
+PART_WALK_CALLS = {"chunks", "gather_windows"}
+
+
+def stray_part_walks(source: str, walker: str | None) -> list[int]:
+    """Lines of the calls of ``chunks`` or ``gather_windows`` (``f(...)``
+    or ``x.f(...)``) outside the function named ``walker``."""
+    lines = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == walker
+        elif isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in PART_WALK_CALLS:
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+def test_windows_are_walked_in_parts_only_by_the_part_walkers():
+    assert [f"{path.name}:{line}" for path in PACKAGE
+            for line in stray_part_walks(path.read_text(encoding="utf-8"),
+                                         PART_WALKERS.get(path.name))] == []
+
+
+@pytest.mark.parametrize("source, walker, lines", [
+    ("def f():\n    for rows in chunks(9):\n        pass\n", None, [2]),
+    ("def f():\n    ad.chunks(9)\n", "g", [2]),
+    ("def f():\n    return data.gather_windows(v, s, 3)\n", None, [2]),
+    ("x = chunks(3)\n", None, [1]),
+    ("def g():\n    def epoch():\n        chunks(9)\n", "g", []),
+    ("def g():\n    gather_windows(v, s, 3)\ndef f():\n    chunks(9)\n", "g", [4]),
+    ("chunks = []\nchunks.append(b'')\n", None, []),
+])
+def test_stray_part_walks_finds_calls_outside_the_walker(source, walker, lines):
+    assert stray_part_walks(source, walker) == lines
 
 
 def calls_and_references(tree: ast.AST) -> tuple[list[tuple[str, ast.Call]],

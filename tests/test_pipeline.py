@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,17 @@ def test_a_stream_of_text_is_a_data_error(tiny_full, caller):
         _enter(caller, pipe, text)
 
 
+@pytest.mark.parametrize("caller", ["train", "score"])
+def test_a_complex_stream_is_a_data_error(tiny_full, caller):
+    # A float64 cast would drop the imaginary part with only a warning.
+    pipe, test = tiny_full
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^stream is not an array of numbers: "
+                                            "its values are complex$"):
+            _enter(caller, pipe, test + 1j)
+
+
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_training_labels_must_match_the_stream(offset):
     config = tiny_config("full")
@@ -488,7 +500,7 @@ def _overflow(*args, **kwargs):
 STEP_LABELS = [
     (pipeline, "fit_normalizer", "[data] normalizer"),
     (pipeline, "build_stages", "[train]"),
-    (pipeline, "segment_graphs", "[temporal] after training"),
+    (pipeline, "weighted_graph", "[temporal] after training"),
     (pipeline, "train_vgae", "[vgae]"),
     (svdd.SvddNet, "init_center", "[svdd]"),
     (pipeline, "calibrate_threshold", "[svdd] after training"),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cpsdetect import autodiff as ad
 from cpsdetect import vgae
-from cpsdetect.graphgen import WeightedGraph
 
 from conftest import traced_peak
 from oracles import (finite_difference, pairwise_auc, reference_vgae_forward,
@@ -24,26 +23,25 @@ def toy_graph(seed=1, nodes=3, dim=4):
     adjacency = np.zeros((nodes, nodes))
     for i in range(nodes - 1):
         adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
-    return WeightedGraph(adjacency, rng.normal(size=(nodes, dim)))
+    return adjacency, rng.normal(size=(nodes, dim))
 
 
 def stack(*graphs):
-    """One stacked WeightedGraph of single graphs."""
-    return WeightedGraph(np.stack([g.adjacency for g in graphs]),
-                         np.stack([g.attributes for g in graphs]))
+    """One stacked (adjacency, attributes) graph of single graphs."""
+    return tuple(np.stack(arrays) for arrays in zip(*graphs))
 
 
-def fit_parts(graphs: WeightedGraph) -> list:
+def fit_parts(graphs: tuple[np.ndarray, np.ndarray]) -> list:
     """A stack's ``propagate`` arrays, one part per ``autodiff.CHUNK``
     graphs."""
-    return [vgae.propagate(WeightedGraph(graphs.adjacency[rows],
-                                         graphs.attributes[rows]))
-            for rows in ad.chunks(len(graphs.adjacency))]
+    adjacency, attributes = graphs
+    return [vgae.propagate(adjacency[rows], attributes[rows])
+            for rows in ad.chunks(len(adjacency))]
 
 
 def path_target():
     """The reconstruction target of ``toy_graph``'s 3-node path."""
-    return vgae.reconstruction_target(toy_graph().adjacency)
+    return vgae.reconstruction_target(toy_graph()[0])
 
 
 def part_loss(enc, inputs, target, noise, count, grads=None):
@@ -55,8 +53,7 @@ def part_loss(enc, inputs, target, noise, count, grads=None):
 
 def tiny_graph(adjacency, attributes):
     """One stacked graph from nested lists."""
-    return WeightedGraph(np.array([adjacency], dtype=float),
-                         np.array([attributes], dtype=float))
+    return np.array([adjacency], dtype=float), np.array([attributes], dtype=float)
 
 
 class TestNormalizeAdjacency:
@@ -95,7 +92,7 @@ class TestNormalizeAdjacency:
 class TestEncode:
     def test_zero_noise_returns_mean(self):
         enc = make_encoder()
-        inputs = vgae.propagate(stack(toy_graph(), toy_graph(seed=2)))
+        inputs = vgae.propagate(*stack(toy_graph(), toy_graph(seed=2)))
         tape = {}
         r = enc.encode(inputs, np.zeros((2, 3, 2)), tape)
         np.testing.assert_array_equal(enc.encode(inputs, noise=None), tape["mean"])
@@ -108,7 +105,7 @@ class TestEncode:
         g = stack(toy_graph(), toy_graph(seed=2))
         noise = np.random.default_rng(2).normal(size=(2, 3, 2))
         tape = {}
-        r = enc.encode(vgae.propagate(g), noise, tape)
+        r = enc.encode(vgae.propagate(*g), noise, tape)
         np.testing.assert_array_equal(tape["mean"], 0.0)
         np.testing.assert_array_equal(tape["logvar"], 0.0)
         np.testing.assert_allclose(r, noise)  # sigma = exp(0) = 1
@@ -117,10 +114,10 @@ class TestEncode:
         enc = make_encoder(seed=5)
         g = toy_graph(seed=6)
         noise = np.random.default_rng(7).normal(size=(3, 2))
-        r = enc.encode(vgae.propagate(g), noise=noise)
+        r = enc.encode(vgae.propagate(*g), noise=noise)
 
-        norm = vgae.normalize_adjacency(g.adjacency)
-        hidden = np.maximum(norm @ g.attributes @ enc.w_hidden.value, 0.0)
+        norm = vgae.normalize_adjacency(g[0])
+        hidden = np.maximum(norm @ g[1] @ enc.w_hidden.value, 0.0)
         heads = norm @ hidden @ enc.w_heads.value
         mean, logvar = heads[:, :2], np.clip(heads[:, 2:], -10.0, 10.0)
         expected = mean + np.exp(0.5 * logvar) * noise
@@ -130,27 +127,27 @@ class TestEncode:
         enc = make_encoder()
         enc.w_heads.value[:] = 50.0
         tape = {}
-        enc.encode(vgae.propagate(WeightedGraph(np.zeros((3, 3)), np.ones((3, 4)) * 10.0)),
+        enc.encode(vgae.propagate(np.zeros((3, 3)), np.ones((3, 4)) * 10.0),
                    np.zeros((3, 2)), tape)
         assert (np.abs(tape["logvar"]) <= 10.0).all()
         assert not tape["clip_mask"].any()
 
     def test_deterministic_mode_is_pure(self):
         enc = make_encoder(seed=9)
-        inputs = vgae.propagate(stack(toy_graph(seed=10), toy_graph(seed=11)))
+        inputs = vgae.propagate(*stack(toy_graph(seed=10), toy_graph(seed=11)))
         np.testing.assert_array_equal(enc.encode(inputs), enc.encode(inputs))
 
     def test_stack_equals_one_graph_at_a_time(self):
         enc = make_encoder(seed=12)
         graphs = [toy_graph(seed=s) for s in (13, 14, 15)]
-        graphs[1].adjacency[0, 1] = graphs[1].adjacency[1, 0] = -0.4
+        graphs[1][0][0, 1] = graphs[1][0][1, 0] = -0.4
         noise = np.random.default_rng(16).normal(size=(3, 3, 2))
-        assert np.array_equal(enc.encode(vgae.propagate(stack(*graphs))),
-                              np.stack([enc.encode(vgae.propagate(g)) for g in graphs]))
+        assert np.array_equal(enc.encode(vgae.propagate(*stack(*graphs))),
+                              np.stack([enc.encode(vgae.propagate(*g)) for g in graphs]))
         tape = {}
-        batched = enc.encode(vgae.propagate(stack(*graphs)), noise, tape)
+        batched = enc.encode(vgae.propagate(*stack(*graphs)), noise, tape)
         singles = [{} for _ in graphs]
-        rs = [enc.encode(vgae.propagate(g), noise[b], singles[b])
+        rs = [enc.encode(vgae.propagate(*g), noise[b], singles[b])
               for b, g in enumerate(graphs)]
         assert np.array_equal(batched, np.stack(rs))
         for field in ("mean", "logvar", "std", "propagated"):
@@ -158,7 +155,7 @@ class TestEncode:
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ValueError, match="input dim"):
-            make_encoder(input_dim=5).encode(vgae.propagate(toy_graph(dim=4)))
+            make_encoder(input_dim=5).encode(vgae.propagate(*toy_graph(dim=4)))
 
 
 class TestDecode:
@@ -201,7 +198,7 @@ class TestLoss:
         enc.w_hidden.value[:] = 0.0
         enc.w_heads.value[:] = 0.0
         noise = np.random.default_rng(5).normal(size=(2, 3, 2))
-        inputs = vgae.propagate(stack(toy_graph(), toy_graph(seed=2)))
+        inputs = vgae.propagate(*stack(toy_graph(), toy_graph(seed=2)))
         loss, _ = part_loss(enc, inputs, path_target(), noise, 2)
         error = path_target() - vgae.decode(noise, {})
         assert loss == pytest.approx((error * error).sum() / 2.0, rel=1e-12)
@@ -213,7 +210,7 @@ class TestLoss:
         enc.w_hidden.value[:] = 1.0
         enc.w_heads.value[:] = [[1.0, 0.0]]
         g = tiny_graph([[0.0]], [[1.0]])
-        loss, _ = part_loss(enc, vgae.propagate(g), np.ones((1, 1)),
+        loss, _ = part_loss(enc, vgae.propagate(*g), np.ones((1, 1)),
                             np.zeros((1, 1, 1)), 1)
         assert loss == pytest.approx((1.0 - 1.0 / (1.0 + math.exp(-1.0))) ** 2 + 0.5)
 
@@ -225,15 +222,15 @@ class TestLoss:
         enc.w_hidden.value[:] = 1.0
         enc.w_heads.value[:] = [[10.0, 0.0]]
         g = tiny_graph([[0.0, 1.0], [1.0, 0.0]], [[1.0], [1.0]])
-        target = vgae.reconstruction_target(g.adjacency[0])
-        loss, _ = part_loss(enc, vgae.propagate(g), target, np.zeros((1, 2, 1)), 1)
+        target = vgae.reconstruction_target(g[0][0])
+        loss, _ = part_loss(enc, vgae.propagate(*g), target, np.zeros((1, 2, 1)), 1)
         assert loss == pytest.approx(100.0, rel=1e-12)
 
     @given(st.integers(0, 500))
     @settings(max_examples=40)
     def test_kl_non_negative(self, seed):
         rng = np.random.default_rng(seed)
-        inputs = vgae.propagate(stack(toy_graph(seed=seed), toy_graph(seed=seed + 1)))
+        inputs = vgae.propagate(*stack(toy_graph(seed=seed), toy_graph(seed=seed + 1)))
         noise = rng.normal(size=(2, 3, 2))
         enc = make_encoder(seed=seed)
         enc.w_heads.value *= rng.uniform(0.5, 4.0)
@@ -255,7 +252,7 @@ def test_objective_gradients_pass_finite_differences():
     graphs = stack(toy_graph(seed=12), toy_graph(seed=13))
     noise = np.stack([np.random.default_rng(14).standard_normal((3, 2)),
                       np.random.default_rng(15).standard_normal((3, 2))])
-    inputs = vgae.propagate(graphs)
+    inputs = vgae.propagate(*graphs)
     target = path_target()
     _, grads = part_loss(enc, inputs, target, noise, 2)
     for (_, p), analytic in zip(enc.named_parameters(), grads):
@@ -268,9 +265,9 @@ def test_shared_target_equals_a_stacked_target_per_graph():
     # One (nodes x nodes) target broadcast against the stack gives the bits
     # of the same target stacked once per graph: loss and gradients alike.
     graphs = [toy_graph(seed=s) for s in (60, 61, 62)]
-    graphs[1].adjacency[0, 1] = graphs[1].adjacency[1, 0] = -0.7
-    graphs[2].adjacency[1, 2] = graphs[2].adjacency[2, 1] = -0.2
-    inputs = vgae.propagate(stack(*graphs))
+    graphs[1][0][0, 1] = graphs[1][0][1, 0] = -0.7
+    graphs[2][0][1, 2] = graphs[2][0][2, 1] = -0.2
+    inputs = vgae.propagate(*stack(*graphs))
     noise = np.random.default_rng(63).standard_normal((3, 3, 2))
     target = path_target()
     results = []
@@ -304,9 +301,9 @@ def test_hand_pass_has_the_reference_bits_over_carried_parts(case):
     for _ in range(parts):
         adjacency = rng.uniform(-1.0, 1.0, size=(count, nodes, nodes))
         adjacency = np.triu(adjacency * (rng.random(adjacency.shape) < 0.5), 1)
-        norm, mixed = inputs = vgae.propagate(WeightedGraph(
+        norm, mixed = inputs = vgae.propagate(
             adjacency + np.swapaxes(adjacency, 1, 2),
-            rng.normal(size=(count, nodes, dim))))
+            rng.normal(size=(count, nodes, dim)))
         noise = rng.standard_normal((count, nodes, embed))
         with np.errstate(under="ignore"):
             loss = vgae.loss_and_gradients(enc, inputs, target, noise,
@@ -327,9 +324,9 @@ def _benchmark_part(rng, count=64, dtype=np.float32):
     weighted graphs of 12 nodes with 32 attributes each."""
     adjacency = rng.uniform(-1.0, 1.0, size=(count, 12, 12))
     adjacency = np.triu(adjacency * (rng.random(adjacency.shape) < 0.5), 1)
-    return vgae.propagate(WeightedGraph(
+    return vgae.propagate(
         (adjacency + np.swapaxes(adjacency, 1, 2)).astype(dtype),
-        rng.normal(size=(count, 12, 32)).astype(dtype)))
+        rng.normal(size=(count, 12, 32)).astype(dtype))
 
 
 def test_float32_fit_keeps_the_reference_bits_at_the_benchmark_part_shape():
@@ -377,7 +374,7 @@ class TestTraining:
         for i, j in ((0, 1), (1, 2), (2, 3)):
             adjacency[i, j] = adjacency[j, i] = 1.0
         attrs = np.eye(4)
-        return WeightedGraph(adjacency[None], attrs[None])
+        return adjacency[None], attrs[None]
 
     def test_zero_epochs_changes_nothing(self):
         enc = make_encoder()
@@ -396,7 +393,7 @@ class TestTraining:
         enc = make_encoder(seed=32)
         rng = np.random.default_rng(33)
         noise = np.stack([rng.standard_normal((3, 2)) for _ in range(2)])
-        expected, _ = part_loss(enc, vgae.propagate(graphs), path_target(), noise, 2)
+        expected, _ = part_loss(enc, vgae.propagate(*graphs), path_target(), noise, 2)
         trace = vgae.train_vgae(enc, fit_parts(graphs), path_target(), epochs=1,
                                 lr=0.01, rng=np.random.default_rng(33))
         assert trace == [0.0 + expected]
@@ -434,7 +431,7 @@ class TestTraining:
                 return build(adjacency)
             monkeypatch.setattr(vgae, name, counting)
         parts = fit_parts(stack(*(toy_graph(seed=50 + i) for i in range(5))))
-        target = vgae.reconstruction_target(toy_graph().adjacency)
+        target = vgae.reconstruction_target(toy_graph()[0])
         vgae.train_vgae(make_encoder(), parts, target, epochs=4, lr=0.01,
                         rng=np.random.default_rng(0))
         assert built == [("normalize_adjacency", (n, 3, 3)) for n in (2, 2, 1)
@@ -443,10 +440,10 @@ class TestTraining:
     def test_toy_reconstruction_auc_after_training(self):
         g = self._four_node_toy()
         enc = make_encoder(input_dim=4, hidden_dim=8, embed_dim=2, seed=23)
-        target = vgae.reconstruction_target(g.adjacency[0])
+        target = vgae.reconstruction_target(g[0][0])
         vgae.train_vgae(enc, fit_parts(g), target, epochs=100, lr=0.05,
                         rng=np.random.default_rng(24))
-        reconstructed = vgae.decode(enc.encode(vgae.propagate(g)), {})[0]
+        reconstructed = vgae.decode(enc.encode(vgae.propagate(*g)), {})[0]
         iu = np.triu_indices(4, k=1)
         auc = pairwise_auc(target[iu].astype(int), reconstructed[iu])
         assert auc > 0.9
@@ -469,13 +466,12 @@ def test_fit_epoch_peak_memory_stays_flat_in_the_graph_count(monkeypatch):
     monkeypatch.setattr(ad, "CHUNK", 64)
     rng = np.random.default_rng(38)
     adjacency = np.triu(rng.uniform(-1.0, 1.0, size=(256, 12, 12)), 1)
-    graphs = WeightedGraph(adjacency + np.swapaxes(adjacency, 1, 2),
-                           rng.normal(size=(256, 12, 32)))
+    adjacency = adjacency + np.swapaxes(adjacency, 1, 2)
+    attributes = rng.normal(size=(256, 12, 32))
     target = vgae.reconstruction_target(np.ones((12, 12)) - np.eye(12))
     peaks = []
     for count in (64, 256):
-        parts = fit_parts(WeightedGraph(graphs.adjacency[:count],
-                                        graphs.attributes[:count]))
+        parts = fit_parts((adjacency[:count], attributes[:count]))
         enc = make_encoder(32, 32, 8, seed=39)
         peaks.append(traced_peak(vgae.train_vgae, enc, parts, target, 1, 0.01,
                                  np.random.default_rng(40))[1])
