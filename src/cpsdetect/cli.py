@@ -9,8 +9,9 @@ stdout), ``score`` (per-segment and per-timestamp anomaly scores),
 Every configuration field can be overridden with ``--set section.key=value``,
 an ablation too (``--set vgae.enabled=false``). Only the paths, the seed and
 ``synth``'s anomaly spec and split also have dedicated flags. Exit codes: 0
-success, 1 usage or configuration error, 2 data error (an input that is
-malformed, unreadable or not utf-8), 3 numeric failure.
+success, 1 usage or configuration error (a setting that sizes an array
+beyond memory too, reported with numpy's message), 2 data error (an input
+that is malformed, unreadable or not utf-8), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return commands[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (DataError, OSError, UnicodeDecodeError) as err:

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from .data import AnomalyWindow, SyntheticConfig
+from .data import INT64, AnomalyWindow, SyntheticConfig
 from .errors import ConfigError
 
 
@@ -89,11 +89,15 @@ class PipelineConfig:
         w, t, v, s, r = self.window, self.temporal, self.vgae, self.svdd, self.run
         # NaN passes every comparison below, and an infinite rate or weight
         # would only fail later, as a numeric error inside training.
-        for section in ("temporal", "vgae", "svdd", "run"):
+        for section in ("window", "temporal", "vgae", "svdd", "run"):
             for f in fields(getattr(self, section)):
                 value = getattr(getattr(self, section), f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
+                for number in value if isinstance(value, tuple) else (value,):
+                    if isinstance(number, int) and not INT64.min <= number <= INT64.max:
+                        raise ConfigError(
+                            f"{section}.{f.name} must fit in int64, got {number}")
         positive = {
             "window.length": w.length, "window.stride": w.stride,
             "temporal.heads": t.heads, "temporal.head_dim": t.head_dim,

@@ -57,6 +57,9 @@ from .autodiff import carried_sum
 from .errors import ConfigError, DataError, reading
 
 STD_FLOOR = 1e-8
+# The range of every integer setting: numpy holds a larger integer only in
+# an object array, which fails later as an index or a size.
+INT64 = np.iinfo(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +410,8 @@ class SyntheticConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"synthetic.{name} must be finite, got {value}")
+            if isinstance(value, int) and not INT64.min <= value <= INT64.max:
+                raise ConfigError(f"synthetic.{name} must fit in int64, got {value}")
         if self.length < 1:
             raise ConfigError(f"synthetic.length must be positive, got {self.length}")
         if self.noise < 0:

@@ -51,6 +51,18 @@ weights on every call, which makes a one-window encode about 1.18 times
 slower. The products that make the gradients at the projections stay
 stacked too, since each multiplies one window's and one head's own
 matrices (attention, keys, values).
+
+The softmax's row sums, in ``softmax_rows`` and in the reverse pass's
+softmax rule, come from ``row_sums``: from 512 rows on, whole columns added
+in numpy's own pairwise order, 35 us against 84 us for ``sum(axis=-1)``
+over a 64-window part's 3,072 float32 rows of 12, with the same bits; below
+512 rows (a one-window encode has 48), the reduction itself, which is
+faster there. The tape keeps the keys as projected and the values'
+transpose as a contiguous copy, so the reverse pass multiplies by
+contiguous matrices, with the same bits: the gradient at the queries takes
+22 us against 57 us through a transposed view of the keys, and that at the
+attention 17 us for the copy plus 19 us against 82 us through a transposed
+view of the values (64-window float32 part, 2-vCPU host, one BLAS thread).
 """
 from __future__ import annotations
 
@@ -65,6 +77,61 @@ from .autodiff import Tensor
 from .data import gather_windows, window_rows
 
 
+def _pairwise_sum(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The sums over columns ``start`` to ``stop`` of ``x``'s rows, added as
+    whole columns in numpy's pairwise order: fewer than 8 columns in turn
+    from +0.0; up to 128, eight accumulators over blocks of eight, joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    turn; above 128, the two halves, split at a multiple of 8."""
+    n = stop - start
+    if n < 8:
+        total = np.zeros(x.shape[:-1], dtype=x.dtype)
+        for j in range(start, stop):
+            total += x[..., j]
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(x, start, start + half)
+        total += _pairwise_sum(x, start + half, stop)
+        return total
+    end = stop - n % 8
+    # The first block's columns are the accumulators as views while no
+    # later block adds to them, so a row of 8 to 15 needs three temporaries.
+    r = [x[..., start + j] for j in range(8)]
+    if end - start > 8:
+        r = [r[j] + x[..., start + 8 + j] for j in range(8)]
+        for i in range(start + 16, end, 8):
+            for j in range(8):
+                r[j] += x[..., i + j]
+    total = r[0] + r[1]
+    right = r[2] + r[3]
+    total += right
+    np.add(r[4], r[5], out=right)
+    pair = r[6] + r[7]
+    right += pair
+    total += right
+    for j in range(end, stop):
+        total += x[..., j]
+    return total
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """The bits of ``x.sum(axis=-1)``.
+
+    A reduction along a short last axis pays per row, so from 512 rows on
+    the rows are summed as whole columns in numpy's own pairwise order
+    (``_pairwise_sum``), which gives the same bits. Below that the
+    reduction itself is faster: the crossover lies between 384 and 768
+    rows.
+    """
+    if x.size < 512 * x.shape[-1]:
+        return x.sum(axis=-1)
+    total = _pairwise_sum(x, 0, x.shape[-1])
+    # The reduction starts from +0.0, so a -0.0 sum reads +0.0.
+    total += 0.0
+    return total
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, with the row max subtracted first."""
     # The row max as a running maximum over the columns: one pass over every
@@ -76,7 +143,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
         np.maximum(row_max, x[..., j:j + 1], out=row_max)
     y = x - row_max
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= row_sums(y)[..., None]
     return y
 
 
@@ -116,13 +183,13 @@ class TemporalEncoder:
         matrices.
 
         With a ``tape``, it keeps what the reverse pass reads: the queries,
-        the transposed keys (a contiguous copy), every head's softmax
-        attention matrix (``attention``, (..., heads, sensors, sensors)),
-        the values, the heads' outputs side by side, the merged embedding,
-        the hidden layer's mask, the activated hidden layer and the
-        embedding. Without
-        one, each array is freed after its last reader, so a long stack's
-        working set does not grow with every head's projections at once.
+        the keys, every head's softmax attention matrix (``attention``,
+        (..., heads, sensors, sensors)), the transposed values (a
+        contiguous copy), the heads' outputs side by side, the merged
+        embedding, the hidden layer's mask, the activated hidden layer and
+        the embedding. Without one, each array is freed after its last
+        reader, so a long stack's working set does not grow with every
+        head's projections at once.
         """
         if windows.shape[-2:] != (self.sensors, self.window):
             raise ValueError(
@@ -130,10 +197,12 @@ class TemporalEncoder:
                 f"({self.sensors}, {self.window})")
         x = windows.reshape(windows.shape[:-2] + (1, self.sensors, self.window))
         q = x @ self.w_query.value
-        kt = np.swapaxes(x @ self.w_key.value, -1, -2).copy()
-        logits = q @ kt
+        k = x @ self.w_key.value
+        kt = np.swapaxes(k, -1, -2).copy()
         if tape is not None:
-            tape.update(q=q, kt=kt)
+            tape.update(q=q, k=k)
+        del k
+        logits = q @ kt
         del q, kt
         logits *= 1.0 / math.sqrt(self.window)
         a = softmax_rows(logits)
@@ -144,7 +213,7 @@ class TemporalEncoder:
                          dtype=v.dtype)
         np.matmul(a, v, out=np.swapaxes(heads, -3, -2))
         if tape is not None:
-            tape.update(attention=a, v=v)
+            tape.update(attention=a, vt=np.swapaxes(v, -1, -2).copy())
         del a, v
         heads = heads.reshape(heads.shape[:-2] + (self.heads * self.head_dim,))
         merged = heads @ self.w_out.value
@@ -236,14 +305,14 @@ def loss_and_gradients(encoder: TemporalEncoder, windows: np.ndarray,
     a = tape.pop("attention")
     np.matmul(np.swapaxes(a, -1, -2), g, out=by_head)
     projection(2)
-    g = g @ np.swapaxes(tape.pop("v"), -1, -2)
+    g = g @ tape.pop("vt")
     # The softmax's rule, then the scale, in place.
-    g -= (g * a).sum(axis=-1, keepdims=True)
+    g -= row_sums(g * a)[..., None]
     g *= a
     del a
     g *= 1.0 / math.sqrt(encoder.window)
     # The queries and the keys.
-    np.matmul(g, np.swapaxes(tape.pop("kt"), -1, -2), out=by_head)
+    np.matmul(g, tape.pop("k"), out=by_head)
     projection(0)
     np.matmul(np.swapaxes(tape.pop("q"), -1, -2), g,
               out=np.swapaxes(by_head, -1, -2))

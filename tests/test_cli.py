@@ -379,6 +379,27 @@ EXIT_CASES = {
            ("svdd.quantile=1.5", "svdd.quantile must be in (0, 1], got 1.5"),
            ("run.calibration_fraction=0",
             "run.calibration_fraction must be in (0, 1), got 0.0"))},
+    # Beyond int64, numpy holds an integer only in an object array, which
+    # failed as an index (the stride) or hung (the sensor count).
+    "config window.stride beyond int64": (
+        "train-set", "window.stride=100000000000000000000", 1,
+        "window.stride must fit in int64, got 100000000000000000000"),
+    "config svdd.widths beyond int64": (
+        "train-set", "svdd.widths=8,100000000000000000000", 1,
+        "svdd.widths must fit in int64, got 100000000000000000000"),
+    "synth synthetic.sensors beyond int64": (
+        "synth", "--set synthetic.sensors=100000000000000000000", 1,
+        "synthetic.sensors must fit in int64, got 100000000000000000000"),
+    # A setting that sizes an array beyond memory. Each array is above
+    # 2**47 bytes, more than any allocator can map, so no case touches
+    # memory.
+    **{f"{flag} {setting} beyond memory": (
+        flag, ("--set " if flag == "synth" else "") + setting, 1,
+        f"error: Unable to allocate {size}")
+       for flag, setting, size in (
+           ("train-set", "temporal.heads=1000000000000", "146. TiB"),
+           ("train-set", "svdd.widths=10000000000000", "582. TiB"),
+           ("synth", "synthetic.length=100000000000000", "728. TiB"))},
     "synth negative seed": (
         "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
     **{f"synth {setting}": ("synth", f"--set {setting}", 1, message)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
                               parse_anomaly_spec, parse_config_text)
-from cpsdetect.data import AnomalyWindow
+from cpsdetect.data import INT64, AnomalyWindow, SyntheticConfig
 from cpsdetect.errors import ConfigError
 
 # configparser strips surrounding blanks, so text values draw from an
@@ -78,6 +78,38 @@ def test_a_one_row_window_is_a_config_error():
     config.window.length = 1
     with pytest.raises(ConfigError, match=r"^window length must be >= 2, got 1$"):
         config.validate()
+
+
+def _integer_fields(group):
+    return [f.name for f in fields(group) if type(getattr(group, f.name)) is int]
+
+
+@pytest.mark.parametrize("section", ["window", "temporal", "vgae", "svdd", "run"])
+def test_an_integer_setting_outside_int64_is_a_config_error(section):
+    default = getattr(PipelineConfig(), section)
+    keys = _integer_fields(default) + (["widths"] if section == "svdd" else [])
+    assert keys
+    for key in keys:
+        for value in (INT64.min - 1, INT64.max + 1, INT64.max):
+            config = PipelineConfig()
+            setattr(getattr(config, section), key,
+                    (8, value) if key == "widths" else value)
+            if value == INT64.max:
+                config.validate()
+                continue
+            with pytest.raises(ConfigError, match=(
+                    rf"^{section}\.{key} must fit in int64, got {value}$")):
+                config.validate()
+
+
+@pytest.mark.parametrize("key", _integer_fields(SyntheticConfig()) + ["split"])
+def test_a_synthetic_integer_outside_int64_is_a_config_error(key):
+    for value in (INT64.min - 1, INT64.max + 1):
+        config = SyntheticConfig()
+        setattr(config, key, value)
+        with pytest.raises(ConfigError, match=(
+                rf"^synthetic\.{key} must fit in int64, got {value}$")):
+            config.validate()
 
 
 def test_sections_are_written_in_declaration_order():

@@ -113,6 +113,48 @@ def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(leng
     assert_softmax_rows_matches_the_shifted_exp_formula(values)
 
 
+def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_in_float32():
+    # 768 rows of 12, the shape of a 16-window part's attention: beyond the
+    # 512 rows from which row_sums adds columns.
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    values = (rng.normal(size=(16, 4, 12, 12)) * 8.0).astype(np.float32)
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-38, -1e-38], dtype=np.float32)
+    mask = rng.random(values.shape) < 0.2
+    values[mask] = rng.choice(special, size=mask.sum())
+    values[0] = -0.0
+    assert_softmax_rows_matches_the_shifted_exp_formula(values)
+
+
+def _summands(shape, dtype, seed):
+    """Entries over nine decades of either sign, a third of them signed
+    zeros or subnormals, with a row of -0.0 and a row of subnormals."""
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+    values = values.astype(dtype)
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -7 * tiny], dtype=dtype)
+    mask = rng.random(shape) < 0.3
+    values[mask] = rng.choice(special, size=mask.sum())
+    values[..., 0, :] = -0.0
+    values[..., 1, :] = tiny
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [*range(1, 18), 33, 129, 200])
+def test_row_sums_are_the_bits_of_sum_over_the_last_axis(length, dtype):
+    # 7 rows take numpy's reduction itself, 600 and 2 x 300 the column adds.
+    for shape in ((7, length), (600, length), (2, 300, length)):
+        values = _summands(shape, dtype, seed=length)
+        before = values.tobytes()
+        sums = temporal.row_sums(values)
+        expected = values.sum(axis=-1)
+        assert sums.dtype == expected.dtype and sums.shape == expected.shape
+        assert sums.tobytes() == expected.tobytes(), shape
+        assert values.tobytes() == before
+
+
 class TestAttentionHead:
     # The tape's attention holds every head's matrix along a heads axis, and
     # head h's output is column block h of the encoder's concatenated heads.

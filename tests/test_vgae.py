@@ -160,34 +160,58 @@ class TestEncode:
 
 class TestDecode:
     def test_zero_embedding_gives_half(self):
-        np.testing.assert_allclose(vgae.decode(np.zeros((3, 2)), {}), 0.5)
+        np.testing.assert_allclose(vgae.decode(np.zeros((3, 2))), 0.5)
 
     def test_orthogonal_rows_give_half_off_diagonal(self):
-        out = vgae.decode(np.array([[1.0, 0.0], [0.0, 1.0]]), {})
+        out = vgae.decode(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert out[0, 1] == pytest.approx(0.5)
         assert out[1, 0] == pytest.approx(0.5)
 
     def test_closed_form_diagonal(self):
         r = np.array([[math.sqrt(math.log(3.0))]])
-        assert vgae.decode(r, {})[0, 0] == pytest.approx(0.75)
+        assert vgae.decode(r)[0, 0] == pytest.approx(0.75)
 
     def test_open_interval_and_symmetric(self):
         # Strictness holds for embedding magnitudes the encoder produces;
         # float64 sigmoid only saturates beyond |x| ~ 36.
-        out = vgae.decode(np.random.default_rng(3).normal(size=(4, 2)), {})
+        out = vgae.decode(np.random.default_rng(3).normal(size=(4, 2)))
         assert (out > 0.0).all() and (out < 1.0).all()
         np.testing.assert_allclose(out, out.T)
 
     def test_decode_is_the_logaddexp_sigmoid_of_the_gram_matrix_bitwise(self):
         # Gram entries from about -1e4 to 1e4 reach both tails, where
-        # 1 / (1 + exp(-x)) would overflow; the tape keeps the transpose.
+        # 1 / (1 + exp(-x)) would overflow.
         rng = np.random.default_rng(4)
         r = rng.normal(size=(6, 12, 8)) * 10.0 ** rng.integers(-3, 2, size=(6, 12, 1))
-        tape = {}
-        y = vgae.decode(r, tape)
+        y = vgae.decode(r)
         rt = np.swapaxes(r, -1, -2).copy()
-        assert tape["rt"].tobytes() == rt.tobytes()
         assert y.tobytes() == np.exp(-np.logaddexp(0.0, -(r @ rt))).tobytes()
+
+
+    def test_the_gram_matrix_is_exactly_symmetric(self):
+        # decode takes the sigmoid on the upper triangle and copies it to the
+        # lower one, which gives the full matrix's bits only while every
+        # product r @ rt is exactly symmetric.
+        rng = np.random.default_rng(8)
+        for dtype in (np.float32, np.float64):
+            for graphs in (1, 2, 6, 10, 33, 64):
+                r = rng.normal(size=(graphs, 12, 8)).astype(dtype)
+                y = r @ np.swapaxes(r, -1, -2).copy()
+                assert y.tobytes() == np.swapaxes(y, -1, -2).copy().tobytes(), (
+                    f"r @ rt is not exactly symmetric for {graphs} graphs in "
+                    f"{np.dtype(dtype)} on this BLAS, so decode's upper "
+                    f"triangle no longer gives the full matrix's bits")
+
+    @pytest.mark.parametrize("graphs", [64, 10])
+    def test_decode_is_the_full_matrix_formula_bitwise_at_the_fit_shapes(self, graphs):
+        # A part of the fit and the last, shorter one, in float32.
+        rng = np.random.default_rng(graphs)
+        r = (rng.normal(size=(graphs, 12, 8))
+             * 10.0 ** rng.integers(-2, 2, size=(graphs, 12, 1))).astype(np.float32)
+        y = vgae.decode(r)
+        gram = r @ np.swapaxes(r, -1, -2).copy()
+        assert y.dtype == np.float32
+        assert y.tobytes() == np.exp(-np.logaddexp(0.0, -gram)).tobytes()
 
 
 class TestLoss:
@@ -200,7 +224,7 @@ class TestLoss:
         noise = np.random.default_rng(5).normal(size=(2, 3, 2))
         inputs = vgae.propagate(*stack(toy_graph(), toy_graph(seed=2)))
         loss, _ = part_loss(enc, inputs, path_target(), noise, 2)
-        error = path_target() - vgae.decode(noise, {})
+        error = path_target() - vgae.decode(noise)
         assert loss == pytest.approx((error * error).sum() / 2.0, rel=1e-12)
 
     def test_unit_mean_unit_variance_kl(self):
@@ -443,7 +467,7 @@ class TestTraining:
         target = vgae.reconstruction_target(g[0][0])
         vgae.train_vgae(enc, fit_parts(g), target, epochs=100, lr=0.05,
                         rng=np.random.default_rng(24))
-        reconstructed = vgae.decode(enc.encode(vgae.propagate(*g)), {})[0]
+        reconstructed = vgae.decode(enc.encode(vgae.propagate(*g)))[0]
         iu = np.triu_indices(4, k=1)
         auc = pairwise_auc(target[iu].astype(int), reconstructed[iu])
         assert auc > 0.9
