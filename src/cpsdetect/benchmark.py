@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import pipeline
-from .config import PipelineConfig
-from .data import AnomalyWindow, SensorTopology, SyntheticConfig, generate_synthetic
+from .config import AnomalyWindow, PipelineConfig, SyntheticConfig
+from .data import SensorTopology, generate_synthetic
 
 TRAIN_ROWS = 20_000
 

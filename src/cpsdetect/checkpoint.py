@@ -11,8 +11,10 @@ Layout (all integers little-endian):
         T: u64 byte length, then utf-8 text
         A: u8 ndim, ndim u32 dims, then the little-endian float64 values
 
-Two text blocks lead: ``config`` and ``topology``, the training topology in
-the topology file format; loading against any other topology is an error.
+Two text blocks lead: ``config``, the settings the model reads as
+``config_to_text`` writes them (no ``paths`` or ``synthetic`` section), and
+``topology``, the training topology in the topology file format; loading
+against any other topology is an error.
 The array blocks follow in the order of ``_arrays``, the one listing of
 stored values: the z-score statistics, each enabled stage's parameters
 under its prefix (``temporal/w_out``), the hypersphere center and the 0-d
@@ -25,8 +27,10 @@ files. Loading builds the stages from the stored config through
 ``pipeline.build_stages`` and writes each block, shape-checked, into the
 array the listing names. A non-finite value, or a std below the floor that
 ``fit_normalizer`` keeps, is an error that names its block. The reader
-accepts exactly what ``save_checkpoint`` writes; anything else, a version
-mismatch included, is an error, never a silent migration.
+accepts what ``save_checkpoint`` writes, and a config block that also
+holds ``paths`` and ``synthetic`` sections, as earlier version-4 files do;
+anything else, a version mismatch included, is an error, never a silent
+migration.
 """
 from __future__ import annotations
 

@@ -1,11 +1,14 @@
-"""Pipeline configuration: dataclasses plus the key = value file format.
+"""Every setting of the package: the pipeline's and the synthetic
+generator's dataclasses, each checked once by its ``validate``, and the
+key = value file format.
 
 Config files are INI-style: ``[section]`` headers with ``key = value`` lines.
 Every field can be overridden on the command line with ``--set
 section.key=value``; unknown sections or keys are errors so typos fail
 loudly. Anomaly specs for the synthetic generator use a compact
 ``kind:start:duration:sensor[:magnitude]`` syntax, multiple windows joined
-with ``|``.
+with ``|``. ``config_to_text`` writes the settings a trained model reads,
+every section but ``paths`` and ``synthetic``, for its checkpoint.
 """
 from __future__ import annotations
 
@@ -14,8 +17,27 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from .data import INT64, AnomalyWindow, SyntheticConfig
+import numpy as np
+
 from .errors import ConfigError
+
+# The range of every integer setting: numpy holds a larger integer only in
+# an object array, which fails later as an index or a size.
+INT64 = np.iinfo(np.int64)
+
+
+def _check_numbers(section: str, group) -> None:
+    """Refuse a non-finite float, or an integer outside int64, in any field
+    of ``group``, each entry of a tuple included. NaN passes every
+    comparison of a range check, and an infinite rate or weight would only
+    fail later, as a numeric error inside training."""
+    for f in fields(group):
+        value = getattr(group, f.name)
+        for number in value if isinstance(value, tuple) else (value,):
+            if isinstance(number, float) and not math.isfinite(number):
+                raise ConfigError(f"{section}.{f.name} must be finite, got {number}")
+            if isinstance(number, int) and not INT64.min <= number <= INT64.max:
+                raise ConfigError(f"{section}.{f.name} must fit in int64, got {number}")
 
 
 @dataclass
@@ -75,6 +97,81 @@ class RunConfig:
 
 
 @dataclass
+class AnomalyWindow:
+    """One injected event. ``kind`` is offset, drift, or cascade."""
+
+    kind: str
+    start: int
+    duration: int
+    sensor: int
+    magnitude: float = 3.0
+
+    KINDS = ("offset", "drift", "cascade")
+
+    def validate(self, length: int, n: int) -> None:
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"unknown anomaly kind {self.kind!r}")
+        if self.duration < 1:
+            raise ConfigError(f"anomaly duration must be positive, got {self.duration}")
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"anomaly magnitude must be finite, got {self.magnitude}")
+        if self.start < 0 or self.start + self.duration > length:
+            raise ConfigError(
+                f"anomaly window [{self.start}, {self.start + self.duration}) "
+                f"outside stream of length {length}")
+        if not 0 <= self.sensor < n:
+            raise ConfigError(f"anomaly sensor {self.sensor} out of range for {n} sensors")
+
+
+@dataclass
+class SyntheticConfig:
+    sensors: int = 12
+    types: int = 3
+    length: int = 28_000
+    density: float = 0.25
+    noise: float = 0.12
+    seed: int = 7
+    anomalies: tuple[AnomalyWindow, ...] = ()
+    drift_delay: int = 60
+    cascade_lag: int = 5
+    cascade_attenuation: float = 0.6
+    split: int | None = None
+
+    def validate(self) -> None:
+        _check_numbers("synthetic", self)
+        if self.length < 1:
+            raise ConfigError(f"synthetic.length must be positive, got {self.length}")
+        if self.noise < 0:
+            raise ConfigError(f"synthetic.noise must be non-negative, got {self.noise}")
+        if self.sensors < 4:
+            raise ConfigError(f"need at least 4 sensors, got {self.sensors}")
+        if self.types < 2:
+            raise ConfigError(f"need at least 2 sensor types, got {self.types}")
+        if self.types > self.sensors:
+            raise ConfigError("more types than sensors")
+        if not 0.0 <= self.density <= 1.0:
+            raise ConfigError(f"density must be in [0, 1], got {self.density}")
+        if self.drift_delay < 0 or self.cascade_lag < 0:
+            raise ConfigError("delays must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic.seed must be non-negative, got {self.seed}")
+        if self.split is not None and not 0 < self.split < self.length:
+            raise ConfigError(f"synthetic.split {self.split} outside stream "
+                              f"of length {self.length}")
+        spans = sorted((w.start, w.start + w.duration) for w in self.anomalies)
+        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
+            if s1 < e0:
+                raise ConfigError(
+                    f"anomaly windows overlap near timestamps {s1}..{e0}")
+        for w in self.anomalies:
+            w.validate(self.length, self.sensors)
+            if w.kind == "drift" and self.drift_delay >= w.duration:
+                raise ConfigError(
+                    f"drift delay {self.drift_delay} swallows the whole "
+                    f"window of {w.duration} steps")
+
+
+@dataclass
 class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     window: WindowConfig = field(default_factory=WindowConfig)
@@ -87,17 +184,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         w, t, v, s, r = self.window, self.temporal, self.vgae, self.svdd, self.run
-        # NaN passes every comparison below, and an infinite rate or weight
-        # would only fail later, as a numeric error inside training.
         for section in ("window", "temporal", "vgae", "svdd", "run"):
-            for f in fields(getattr(self, section)):
-                value = getattr(getattr(self, section), f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
-                for number in value if isinstance(value, tuple) else (value,):
-                    if isinstance(number, int) and not INT64.min <= number <= INT64.max:
-                        raise ConfigError(
-                            f"{section}.{f.name} must fit in int64, got {number}")
+            _check_numbers(section, getattr(self, section))
         positive = {
             "window.length": w.length, "window.stride": w.stride,
             "temporal.heads": t.heads, "temporal.head_dim": t.head_dim,
@@ -155,14 +243,6 @@ def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:
             raise ConfigError(f"unknown anomaly kind {window.kind!r}")
         windows.append(window)
     return tuple(windows)
-
-
-def format_anomaly_spec(windows) -> str:
-    """The spec ``parse_anomaly_spec`` reads back; a magnitude is written as
-    its ``repr``, so it reads back bit-exactly."""
-    return " | ".join(
-        f"{w.kind}:{w.start}:{w.duration}:{w.sensor}:{float(w.magnitude)!r}"
-        for w in windows)
 
 
 def _coerce(section: str, key: str, raw: str, current):
@@ -227,19 +307,21 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_to_text(config: PipelineConfig) -> str:
-    """Deterministic serialization; parse_config_text inverts it."""
+    """The settings a trained model reads, as text ``parse_config_text``
+    reads back: the window, temporal, graph, vgae, svdd and run sections,
+    in declaration order. ``paths`` and ``synthetic`` are left out, so the
+    text does not depend on where the files were or how the data was
+    made."""
     out = io.StringIO()
     for section in fields(PipelineConfig):
+        if section.name in ("paths", "synthetic"):
+            continue
         group = getattr(config, section.name)
         out.write(f"[{section.name}]\n")
         for f in fields(group):
             value = getattr(group, f.name)
-            if f.name == "anomalies":
-                value = format_anomaly_spec(value)
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            elif value is None:
-                value = "none"
             elif isinstance(value, float):
                 value = repr(value)
             out.write(f"{f.name} = {value}\n")

@@ -41,6 +41,8 @@ every window.
 The synthetic generator holds one stream-sized array: the clean stream is
 made in place and ``inject_anomalies`` adds the events into it, after
 ``column_std`` has taken each sensor's std in blocks of ``STD_BLOCK`` rows.
+Its settings live in ``config`` (``SyntheticConfig``, whose ``validate``
+``generate_synthetic`` runs first); nothing here refuses a setting.
 """
 from __future__ import annotations
 
@@ -54,12 +56,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import carried_sum
-from .errors import ConfigError, DataError, reading
+from .errors import DataError, reading
 
 STD_FLOOR = 1e-8
-# The range of every integer setting: numpy holds a larger integer only in
-# an object array, which fails later as an index or a size.
-INT64 = np.iinfo(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -365,104 +364,24 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, length: int) -> np.nd
 # synthetic generator
 
 
-@dataclass
-class AnomalyWindow:
-    """One injected event. ``kind`` is offset, drift, or cascade."""
-
-    kind: str
-    start: int
-    duration: int
-    sensor: int
-    magnitude: float = 3.0
-
-    KINDS = ("offset", "drift", "cascade")
-
-    def validate(self, length: int, n: int) -> None:
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown anomaly kind {self.kind!r}")
-        if self.duration < 1:
-            raise ConfigError(f"anomaly duration must be positive, got {self.duration}")
-        if not math.isfinite(self.magnitude):
-            raise ConfigError(f"anomaly magnitude must be finite, got {self.magnitude}")
-        if self.start < 0 or self.start + self.duration > length:
-            raise ConfigError(
-                f"anomaly window [{self.start}, {self.start + self.duration}) "
-                f"outside stream of length {length}")
-        if not 0 <= self.sensor < n:
-            raise ConfigError(f"anomaly sensor {self.sensor} out of range for {n} sensors")
-
-
-@dataclass
-class SyntheticConfig:
-    sensors: int = 12
-    types: int = 3
-    length: int = 28_000
-    density: float = 0.25
-    noise: float = 0.12
-    seed: int = 7
-    anomalies: tuple[AnomalyWindow, ...] = ()
-    drift_delay: int = 60
-    cascade_lag: int = 5
-    cascade_attenuation: float = 0.6
-    split: int | None = None
-
-    def validate(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"synthetic.{name} must be finite, got {value}")
-            if isinstance(value, int) and not INT64.min <= value <= INT64.max:
-                raise ConfigError(f"synthetic.{name} must fit in int64, got {value}")
-        if self.length < 1:
-            raise ConfigError(f"synthetic.length must be positive, got {self.length}")
-        if self.noise < 0:
-            raise ConfigError(f"synthetic.noise must be non-negative, got {self.noise}")
-        if self.sensors < 4:
-            raise ConfigError(f"need at least 4 sensors, got {self.sensors}")
-        if self.types < 2:
-            raise ConfigError(f"need at least 2 sensor types, got {self.types}")
-        if self.types > self.sensors:
-            raise ConfigError("more types than sensors")
-        if not 0.0 <= self.density <= 1.0:
-            raise ConfigError(f"density must be in [0, 1], got {self.density}")
-        if self.drift_delay < 0 or self.cascade_lag < 0:
-            raise ConfigError("delays must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"synthetic.seed must be non-negative, got {self.seed}")
-        if self.split is not None and not 0 < self.split < self.length:
-            raise ConfigError(f"synthetic.split {self.split} outside stream "
-                              f"of length {self.length}")
-        spans = sorted((w.start, w.start + w.duration) for w in self.anomalies)
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            if s1 < e0:
-                raise ConfigError(
-                    f"anomaly windows overlap near timestamps {s1}..{e0}")
-        for w in self.anomalies:
-            w.validate(self.length, self.sensors)
-            if w.kind == "drift" and self.drift_delay >= w.duration:
-                raise ConfigError(
-                    f"drift delay {self.drift_delay} swallows the whole "
-                    f"window of {w.duration} steps")
-
-
 def generate_topology(sensors: int, types: int, density: float,
                       rng: np.random.Generator) -> SensorTopology:
     """Random connected topology with round-robin type assignment."""
-    names = [f"S{i:02d}" for i in range(sensors)]
-    type_names = [f"T{j}" for j in range(types)]
-    type_of = np.array([i % types for i in range(sensors)])
     adjacency = np.zeros((sensors, sensors), dtype=np.int64)
+    type_of = np.arange(sensors) % types
     # Spanning tree first, so cascades can always propagate somewhere.
     for i in range(1, sensors):
         j = int(rng.integers(0, i))
         adjacency[i, j] = adjacency[j, i] = 1
+    # Then the free pairs, in upper-triangle row order, shuffled: the first
+    # ones bring the edge count up to the target.
     target = int(round(density * sensors * (sensors - 1) / 2))
-    candidates = [(i, j) for i in range(sensors) for j in range(i + 1, sensors)
-                  if not adjacency[i, j]]
-    rng.shuffle(candidates)
-    for i, j in candidates:
-        if adjacency.sum() // 2 >= target:
-            break
-        adjacency[i, j] = adjacency[j, i] = 1
+    rows, cols = np.nonzero(np.triu(adjacency == 0, 1))
+    chosen = rng.permutation(len(rows))[:max(target - (sensors - 1), 0)]
+    adjacency[rows[chosen], cols[chosen]] = 1
+    adjacency[cols[chosen], rows[chosen]] = 1
+    names = [f"S{i:02d}" for i in range(sensors)]
+    type_names = [f"T{j}" for j in range(types)]
     topology = SensorTopology(names, adjacency, type_of, type_names)
     topology.validate()
     return topology
@@ -578,9 +497,9 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
     return labels
 
 
-def generate_synthetic(config: SyntheticConfig
-                       ) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
-    """Seed-deterministic synthetic stream with labeled anomaly windows.
+def generate_synthetic(config) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
+    """Seed-deterministic synthetic stream with labeled anomaly windows, as
+    ``config``, a ``config.SyntheticConfig``, describes it.
 
     The stream is the one whole-stream array: the events are added into
     the clean stream in place."""

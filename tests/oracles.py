@@ -54,17 +54,42 @@ def pairwise_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return total / (len(pos) * len(neg))
 
 
+def reference_topology(sensors, types, density, rng):
+    """``data.generate_topology`` one candidate edge at a time: the free
+    upper-triangle pairs, shuffled as a list, are added while the edge
+    count, recounted from the whole adjacency for each, is below the
+    target."""
+    from cpsdetect import data
+
+    names = [f"S{i:02d}" for i in range(sensors)]
+    type_names = [f"T{j}" for j in range(types)]
+    type_of = np.array([i % types for i in range(sensors)])
+    adjacency = np.zeros((sensors, sensors), dtype=np.int64)
+    for i in range(1, sensors):
+        j = int(rng.integers(0, i))
+        adjacency[i, j] = adjacency[j, i] = 1
+    target = int(round(density * sensors * (sensors - 1) / 2))
+    candidates = [(i, j) for i in range(sensors) for j in range(i + 1, sensors)
+                  if not adjacency[i, j]]
+    rng.shuffle(candidates)
+    for i, j in candidates:
+        if adjacency.sum() // 2 >= target:
+            break
+        adjacency[i, j] = adjacency[j, i] = 1
+    return data.SensorTopology(names, adjacency, type_of, type_names)
+
+
 def reference_synthetic(config):
     """``data.generate_synthetic`` as one step per row: the AR(1) state is a
     new array at every step and is added to the sinusoid mixture row by
     row, and the events go into a copy of the clean stream, scaled by
-    numpy's whole-stream ``std``. The topology comes from the library's own
-    generator."""
+    numpy's whole-stream ``std``. The topology comes from
+    ``reference_topology``."""
     from cpsdetect import data
 
     rng = np.random.default_rng(config.seed)
-    topology = data.generate_topology(config.sensors, config.types,
-                                      config.density, rng)
+    topology = reference_topology(config.sensors, config.types,
+                                  config.density, rng)
     length, n = config.length, topology.n
     t = np.arange(length)
     freqs = rng.uniform(1.0 / 400.0, 1.0 / 40.0, size=(topology.type_count, 3))

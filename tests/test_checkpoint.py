@@ -130,6 +130,20 @@ def test_center_of_the_wrong_width_is_a_data_error(tmp_path, monkeypatch, traine
         checkpoint.load_checkpoint(path, pipe.topology)
 
 
+def test_a_config_block_with_paths_and_synthetic_still_loads(tmp_path, trained):
+    # Earlier version-4 files also stored these two sections; no model
+    # reads them.
+    pipe, test = trained
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_checkpoint(path, pipe)
+    blocks = checkpoint._read_blocks(path)
+    config = ("[paths]\ndata = d/data.csv\nout = .\n\n" + blocks["config"]
+              + "[synthetic]\nsensors = 4\nanomalies = drift:10:50:2:3.0\n"
+              "split = none\n\n")
+    loaded = checkpoint._rebuild({**blocks, "config": config}, pipe.topology)
+    np.testing.assert_array_equal(scores(loaded, test), scores(pipe, test))
+
+
 def _drop_one_edge(topology):
     adjacency = topology.adjacency.copy()
     i, j = np.argwhere(np.triu(adjacency))[0]

@@ -47,6 +47,19 @@ def test_train_writes_its_record_as_run_json(trained, tmp_path, capsys):
     assert stages == ["[data]", "[temporal]", "[vgae]", "[svdd]"]
 
 
+def test_a_checkpoint_does_not_depend_on_where_its_files_are(
+        trained, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "data.csv").write_bytes((trained / "train.csv").read_bytes())
+    for out, data_path in (("a", "d/data.csv"), ("b", "./d/../d/data.csv")):
+        assert main(["train", "--out", out, "--data", data_path,
+                     "--topology", str(trained / "topology.txt"),
+                     *_sets(SETTINGS)]) == 0
+    assert ((tmp_path / "a" / "model.ckpt").read_bytes()
+            == (tmp_path / "b" / "model.ckpt").read_bytes())
+
+
 def test_an_ablation_is_a_set_override(trained, tmp_path):
     assert main(["train", "--out", str(tmp_path), "--data", str(trained / "train.csv"),
                  "--topology", str(trained / "topology.txt"), *_sets(SETTINGS),
@@ -399,7 +412,8 @@ EXIT_CASES = {
        for flag, setting, size in (
            ("train-set", "temporal.heads=1000000000000", "146. TiB"),
            ("train-set", "svdd.widths=10000000000000", "582. TiB"),
-           ("synth", "synthetic.length=100000000000000", "728. TiB"))},
+           ("synth", "synthetic.length=100000000000000", "728. TiB"),
+           ("synth", "synthetic.sensors=1000000000", "6.94 EiB"))},
     "synth negative seed": (
         "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
     **{f"synth {setting}": ("synth", f"--set {setting}", 1, message)
@@ -439,8 +453,10 @@ EXIT_CASES = {
         "checkpoint", lambda b, v=version: b[:4] + struct.pack("<I", v) + b[8:], 1,
         f"checkpoint format version {version} is not supported (expected 4)")
        for version in (2, 3)},
-    "checkpoint config split not an integer": (
-        "checkpoint", lambda b: b.replace(b"split = none", b"split = n0ne"), 1),
+    "checkpoint weighting not a boolean": (
+        "checkpoint", lambda b: _replace_once(b, b"[graph]\nweighting = True\n",
+                                              b"[graph]\nweighting =maybe\n"),
+        1, "[graph] weighting: expected a boolean, got 'maybe'"),
     "checkpoint negative run seed": (
         "checkpoint", lambda b: _replace_once(b, b"[run]\nseed = 7\n",
                                               b"[run]\nseed =-7\n"),

@@ -1,12 +1,12 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from cpsdetect.config import (PipelineConfig, apply_setting, config_to_text,
-                              parse_anomaly_spec, parse_config_text)
-from cpsdetect.data import INT64, AnomalyWindow, SyntheticConfig
+from cpsdetect.config import (INT64, AnomalyWindow, PipelineConfig, SyntheticConfig,
+                              apply_setting, config_to_text, parse_anomaly_spec,
+                              parse_config_text)
 from cpsdetect.errors import ConfigError
 
 # configparser strips surrounding blanks, so text values draw from an
@@ -41,6 +41,18 @@ def _scalar_fields():
 
 
 SCALARS = _scalar_fields()
+# The sections a trained model does not read, which ``config_to_text``
+# leaves out.
+UNSAVED = ("paths", "synthetic")
+MODEL_SCALARS = {key: s for key, s in SCALARS.items() if key[0] not in UNSAVED}
+UNSAVED_SCALARS = {key: s for key, s in SCALARS.items() if key[0] in UNSAVED}
+
+
+def _config_with(values):
+    config = PipelineConfig()
+    for (section, key), value in values.items():
+        setattr(getattr(config, section), key, value)
+    return config
 
 
 def test_every_section_has_scalar_fields():
@@ -48,22 +60,17 @@ def test_every_section_has_scalar_fields():
         f.name for f in fields(PipelineConfig)}
 
 
-@given(st.fixed_dictionaries(SCALARS))
+@given(st.fixed_dictionaries(MODEL_SCALARS))
 def test_text_round_trip_over_scalar_fields(values):
-    config = PipelineConfig()
-    for (section, key), value in values.items():
-        setattr(getattr(config, section), key, value)
+    config = _config_with(values)
     assert parse_config_text(config_to_text(config)) == config
 
 
-@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
-@example([2.123456789, 1e-300, 3.0])
-def test_text_round_trip_over_anomaly_magnitudes(magnitudes):
-    config = PipelineConfig()
-    config.synthetic.anomalies = tuple(
-        AnomalyWindow(kind, 100 * i, 50, i, magnitude)
-        for i, (kind, magnitude) in enumerate(zip(AnomalyWindow.KINDS, magnitudes)))
-    assert parse_config_text(config_to_text(config)) == config
+@given(st.fixed_dictionaries(UNSAVED_SCALARS))
+def test_paths_and_synthetic_settings_do_not_change_the_text(values):
+    config = _config_with(values)
+    config.synthetic.anomalies = (AnomalyWindow("drift", 10, 50, 2),)
+    assert config_to_text(config) == config_to_text(PipelineConfig())
 
 
 def test_a_four_field_anomaly_spec_takes_the_default_magnitude():
@@ -115,7 +122,8 @@ def test_a_synthetic_integer_outside_int64_is_a_config_error(key):
 def test_sections_are_written_in_declaration_order():
     headers = [line for line in config_to_text(PipelineConfig()).splitlines()
                if line.startswith("[")]
-    assert headers == [f"[{f.name}]" for f in fields(PipelineConfig)]
+    assert headers == ["[window]", "[temporal]", "[graph]", "[vgae]", "[svdd]",
+                       "[run]"]
 
 
 def test_unknown_section_rejected():

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cpsdetect import benchmark, data, pipeline
+from cpsdetect.config import AnomalyWindow, SyntheticConfig
 from cpsdetect.errors import ConfigError, DataError
 
 from conftest import traced_peak
-from oracles import reference_synthetic
+from oracles import reference_synthetic, reference_topology
 from tiny import tiny_config, tiny_data
 
 PATH_TOPOLOGY = """\
@@ -23,7 +24,7 @@ edge B C
 
 # The event settings of ``inject_anomalies``, as the generator's config
 # gives them.
-EVENTS = {name: getattr(data.SyntheticConfig(), name)
+EVENTS = {name: getattr(SyntheticConfig(), name)
           for name in ("drift_delay", "cascade_lag", "cascade_attenuation")}
 
 
@@ -320,7 +321,7 @@ class TestSynthetic:
         defaults = dict(sensors=6, types=2, length=400, density=0.4,
                         noise=0.1, seed=11)
         defaults.update(kw)
-        return data.SyntheticConfig(**defaults)
+        return SyntheticConfig(**defaults)
 
     def test_empty_spec_gives_zero_labels(self):
         _, _, labels = data.generate_synthetic(self._config())
@@ -339,9 +340,9 @@ class TestSynthetic:
         config = benchmark.benchmark_synthetic()
         if small:
             config = self._config(anomalies=(
-                data.AnomalyWindow("offset", 50, 30, 0),
-                data.AnomalyWindow("drift", 120, 40, 1),
-                data.AnomalyWindow("cascade", 200, 50, 2)), drift_delay=10)
+                AnomalyWindow("offset", 50, 30, 0),
+                AnomalyWindow("drift", 120, 40, 1),
+                AnomalyWindow("cascade", 200, 50, 2)), drift_delay=10)
         topology, clean, values, labels = reference_synthetic(config)
         rng = np.random.default_rng(config.seed)
         data.generate_topology(config.sensors, config.types, config.density, rng)
@@ -377,7 +378,7 @@ class TestSynthetic:
         clean = data.generate_normal_stream(topology, 300, 0.05,
                                             np.random.default_rng(7))
         stream = clean.copy()
-        window = data.AnomalyWindow("offset", 100, 80, 2, magnitude=4.0)
+        window = AnomalyWindow("offset", 100, 80, 2, magnitude=4.0)
         labels = data.inject_anomalies(stream, topology, [window], **EVENTS)
         added = np.zeros_like(clean)
         added[100:180, 2] = 4.0 * clean.std(axis=0)[2]
@@ -390,26 +391,26 @@ class TestSynthetic:
         assert not np.array_equal(v1, v2)
 
     def test_anomaly_fraction_is_exact(self):
-        windows = (data.AnomalyWindow("offset", 50, 30, 0),
-                   data.AnomalyWindow("drift", 120, 40, 1),
-                   data.AnomalyWindow("cascade", 200, 50, 2))
+        windows = (AnomalyWindow("offset", 50, 30, 0),
+                   AnomalyWindow("drift", 120, 40, 1),
+                   AnomalyWindow("cascade", 200, 50, 2))
         cfg = self._config(anomalies=windows, drift_delay=10)
         _, _, labels = data.generate_synthetic(cfg)
         assert labels.sum() == 30 + 40 + 50
 
     def test_window_out_of_bounds(self):
-        cfg = self._config(anomalies=(data.AnomalyWindow("offset", 390, 20, 0),))
+        cfg = self._config(anomalies=(AnomalyWindow("offset", 390, 20, 0),))
         with pytest.raises(ConfigError, match="outside stream"):
             data.generate_synthetic(cfg)
 
     def test_overlapping_windows_rejected(self):
-        cfg = self._config(anomalies=(data.AnomalyWindow("offset", 50, 30, 0),
-                                      data.AnomalyWindow("offset", 60, 30, 1)))
+        cfg = self._config(anomalies=(AnomalyWindow("offset", 50, 30, 0),
+                                      AnomalyWindow("offset", 60, 30, 1)))
         with pytest.raises(ConfigError, match="overlap"):
             data.generate_synthetic(cfg)
 
     def test_drift_delay_longer_than_window_rejected(self):
-        cfg = self._config(anomalies=(data.AnomalyWindow("drift", 50, 30, 0),),
+        cfg = self._config(anomalies=(AnomalyWindow("drift", 50, 30, 0),),
                            drift_delay=30)
         with pytest.raises(ConfigError, match="drift delay"):
             data.generate_synthetic(cfg)
@@ -420,7 +421,7 @@ class TestSynthetic:
         topology = data.parse_topology(PATH_TOPOLOGY)
         rng = np.random.default_rng(5)
         clean = data.generate_normal_stream(topology, 300, 0.05, rng)
-        window = data.AnomalyWindow("cascade", 100, 80, 0, magnitude=4.0)
+        window = AnomalyWindow("cascade", 100, 80, 0, magnitude=4.0)
         dirty = clean.copy()
         labels = data.inject_anomalies(
             dirty, topology, [window],
@@ -436,7 +437,7 @@ class TestSynthetic:
         topology = data.parse_topology(PATH_TOPOLOGY)
         rng = np.random.default_rng(6)
         clean = data.generate_normal_stream(topology, 300, 0.05, rng)
-        window = data.AnomalyWindow("drift", 100, 80, 1, magnitude=4.0)
+        window = AnomalyWindow("drift", 100, 80, 1, magnitude=4.0)
         dirty = clean.copy()
         labels = data.inject_anomalies(dirty, topology, [window],
                                        **{**EVENTS, "drift_delay": 20})
@@ -444,6 +445,21 @@ class TestSynthetic:
         assert delta[:121].max() == 0.0  # ramp starts at 0 at onset+delay
         assert delta[150] > 0.0
         assert labels[100:180].all()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("sensors, types", [(4, 2), (9, 3), (30, 4)])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.25, 0.6, 1.0])
+    def test_topology_equals_the_per_candidate_reference(self, seed, sensors,
+                                                         types, density):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = data.generate_topology(sensors, types, density, rng)
+        want = reference_topology(sensors, types, density, reference_rng)
+        assert (got.names, got.type_names) == (want.names, want.type_names)
+        for name in ("adjacency", "type_of"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # Both leave the generator at the same draw.
+        assert rng.random() == reference_rng.random()
 
     def test_same_type_sensors_share_dynamics(self):
         topology = data.generate_topology(8, 2, 0.3, np.random.default_rng(4))

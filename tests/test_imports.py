@@ -104,30 +104,23 @@ def test_every_definition_is_read_by_program_code():
                               list(texts.values())) == []
 
 
-# The modules that read settings: the config file and ``--set`` parser, the
-# CLI and the checkpoint reader. Elsewhere a setting is refused only by the
-# ``validate`` of the object that holds it, which every path runs first.
+# The modules that read settings: ``config``, which holds every settings
+# object and its ``validate`` beside the config file and ``--set`` parser,
+# the CLI and the checkpoint reader. No other module refuses a setting.
 SETTING_READERS = {"config.py", "cli.py", "checkpoint.py"}
 
 
 def misplaced_config_errors(source: str) -> list[int]:
-    """Lines of the ``raise ConfigError`` statements outside any function
-    named ``validate``."""
+    """Lines of the ``raise ConfigError`` statements, in whatever function
+    they are."""
     lines = []
-
-    def visit(node: ast.AST, in_validate: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_validate = in_validate or node.name == "validate"
-        elif isinstance(node, ast.Raise) and node.exc is not None and not in_validate:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
             if name == "ConfigError":
                 lines.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, in_validate)
-
-    visit(ast.parse(source), False)
-    return lines
+    return sorted(lines)
 
 
 def test_settings_are_refused_only_where_they_enter():
@@ -140,9 +133,10 @@ def test_settings_are_refused_only_where_they_enter():
 @pytest.mark.parametrize("source, lines", [
     ("def f():\n    raise ConfigError('x')\n", [2]),
     ("def f():\n    raise errors.ConfigError\n", [2]),
-    ("class A:\n    def validate(self):\n        raise ConfigError('x')\n", []),
-    ("def validate():\n    def g():\n        raise ConfigError('x')\n", []),
+    ("class A:\n    def validate(self):\n        raise ConfigError('x')\n", [3]),
+    ("def validate():\n    def g():\n        raise ConfigError('x')\n", [3]),
     ("def f():\n    raise DataError('x')\n    raise\n", []),
+    ("x = 1\nraise ConfigError('x')\n", [2]),
 ])
 def test_misplaced_config_errors_finds_raises_outside_validate(source, lines):
     assert misplaced_config_errors(source) == lines
