@@ -26,8 +26,12 @@ same thread settings: BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
 set, and the first line printed names the settings, e.g. ``threads:
 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 (nproc 2)``.
-Each variant's line reads ``<variant>: <model digest> record <record
-digest>``. Run from the repository root::
+The second line, ``stream: <digest>``, hashes the pinned benchmark stream
+the variants train and score on: the values (``<f8``), labels (``<i8``)
+and topology adjacency (``<i8``) of ``benchmark.benchmark_data()``, so a
+change of the generator shows apart from the models. Each variant's line
+reads ``<variant>: <model digest> record <record digest>``. Run from the
+repository root::
 
     PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
 """
@@ -64,6 +68,14 @@ def contents(pipe, segments, results) -> list[bytes]:
     return parts
 
 
+def stream_digest(topology, values, labels) -> str:
+    """The digest of a stream: its values, labels and adjacency."""
+    return hashlib.sha256(b"".join(
+        np.ascontiguousarray(array, dtype=dtype).tobytes()
+        for array, dtype in ((values, "<f8"), (labels, "<i8"),
+                             (topology.adjacency, "<i8")))).hexdigest()
+
+
 def digest(name: str, topology, values, labels) -> tuple[str, str]:
     """The model digest and the record digest of variant ``name``."""
     pipe, segments, results = benchmark.short_run(name, topology, values, labels)
@@ -92,6 +104,7 @@ def main() -> None:
     print("threads: " + " ".join(f"{v}={os.environ[v]}" for v in THREAD_VARIABLES)
           + f" (nproc {os.cpu_count()})", flush=True)
     topology, values, labels = benchmark.benchmark_data()
+    print(f"stream: {stream_digest(topology, values, labels)}", flush=True)
     for name in args.variants or benchmark.VARIANTS:
         model, record = digest(name, topology, values, labels)
         print(f"{name}: {model} record {record}", flush=True)

@@ -10,8 +10,9 @@ Every configuration field can be overridden with ``--set section.key=value``,
 an ablation too (``--set vgae.enabled=false``). Only the paths, the seed and
 ``synth``'s anomaly spec and split also have dedicated flags. Exit codes: 0
 success, 1 usage or configuration error (a setting that sizes an array
-beyond memory too, reported with numpy's message), 2 data error (an input
-that is malformed, unreadable or not utf-8), 3 numeric failure.
+beyond memory too, reported with numpy's message, or too big to exist,
+reported with the stage's size settings), 2 data error (an input that is
+malformed, unreadable or not utf-8), 3 numeric failure.
 """
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ every section but ``paths`` and ``synthetic``, for its checkpoint.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -220,6 +221,24 @@ class PipelineConfig:
         if not 0.0 < r.calibration_fraction < 1.0:
             raise ConfigError(
                 f"run.calibration_fraction must be in (0, 1), got {r.calibration_fraction}")
+
+
+@contextlib.contextmanager
+def sizing(section: str, group):
+    """Refuse the size settings of ``group``, every integer or tuple field
+    but the epoch count, if a parameter array of the stage built in here is
+    too big to exist. numpy refuses an array whose byte count overflows its
+    index type with a ValueError, the only one drawing parameters raises;
+    an array that could exist but does not fit in memory stays numpy's
+    MemoryError."""
+    try:
+        yield
+    except ValueError:
+        sizes = ", ".join(f"{section}.{f.name}={getattr(group, f.name)}"
+                          for f in fields(group) if f.name != "epochs"
+                          and type(getattr(group, f.name)) in (int, tuple))
+        raise ConfigError(f"a {section} parameter array sized by {sizes} "
+                          "is too big to exist") from None
 
 
 def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:

@@ -68,7 +68,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .autodiff import chunks, numeric_context
-from .config import PipelineConfig
+from .config import PipelineConfig, sizing
 from .data import (Normalizer, Segments, SensorTopology, apply_normalizer,
                    fit_normalizer, gather_windows, segment_stream, window_rows)
 from .errors import DataError
@@ -107,20 +107,25 @@ def build_stages(config: PipelineConfig, topology: SensorTopology,
                  seeds: Sequence[np.random.SeedSequence]
                  ) -> tuple[TemporalEncoder | None, VgaeEncoder | None, SvddNet]:
     """The untrained (temporal, vgae, svdd) stages the config enables, drawn
-    from ``seeds`` 0, 1 and 3; seed 2 is the VGAE's sampling noise."""
+    from ``seeds`` 0, 1 and 3; seed 2 is the VGAE's sampling noise. A stage
+    with a parameter array too big to exist is a ConfigError naming the
+    stage's size settings (``config.sizing``)."""
     t, v = config.temporal, config.vgae
     temporal = vgae = None
     width = config.window.length
     if t.enabled:
-        temporal = TemporalEncoder(topology.n, width, t.heads, t.head_dim,
-                                   t.model_dim, np.random.default_rng(seeds[0]))
+        with sizing("temporal", t):
+            temporal = TemporalEncoder(topology.n, width, t.heads, t.head_dim,
+                                       t.model_dim, np.random.default_rng(seeds[0]))
         width = t.model_dim
     if v.enabled:
-        vgae = VgaeEncoder(width, v.hidden_dim, v.embed_dim,
-                           np.random.default_rng(seeds[1]), kl_weight=v.kl_weight)
+        with sizing("vgae", v):
+            vgae = VgaeEncoder(width, v.hidden_dim, v.embed_dim,
+                               np.random.default_rng(seeds[1]), kl_weight=v.kl_weight)
         width = v.embed_dim
-    svdd = SvddNet(topology.n * width, config.svdd.widths, config.svdd.slope,
-                   np.random.default_rng(seeds[3]))
+    with sizing("svdd", config.svdd):
+        svdd = SvddNet(topology.n * width, config.svdd.widths, config.svdd.slope,
+                       np.random.default_rng(seeds[3]))
     return temporal, vgae, svdd
 
 

@@ -79,12 +79,22 @@ def reference_topology(sensors, types, density, rng):
     return data.SensorTopology(names, adjacency, type_of, type_names)
 
 
+def reference_ar1(innovations):
+    """``data.ar1_in_place`` as one step per row, into a new array: the
+    AR(1) state starts at zero and is a new array at every step."""
+    noise = np.empty_like(innovations)
+    ar = np.zeros(innovations.shape[1])
+    for step, innovation in enumerate(innovations):
+        ar = 0.8 * ar + innovation
+        noise[step] = ar
+    return noise
+
+
 def reference_synthetic(config):
-    """``data.generate_synthetic`` as one step per row: the AR(1) state is a
-    new array at every step and is added to the sinusoid mixture row by
-    row, and the events go into a copy of the clean stream, scaled by
-    numpy's whole-stream ``std``. The topology comes from
-    ``reference_topology``."""
+    """``data.generate_synthetic`` as one step per row: the AR(1) noise of
+    ``reference_ar1`` is added to the sinusoid mixture, and the events go
+    into a copy of the clean stream, scaled by numpy's whole-stream
+    ``std``. The topology comes from ``reference_topology``."""
     from cpsdetect import data
 
     rng = np.random.default_rng(config.seed)
@@ -105,11 +115,7 @@ def reference_synthetic(config):
             signal += amps[tau, c] * np.sin(
                 2.0 * np.pi * freqs[tau, c] * t + phases[tau, c] + jitter[i])
         clean[:, i] = gains[i] * signal
-    innovations = rng.normal(scale=config.noise, size=(length, n))
-    ar = np.zeros(n)
-    for step in range(length):
-        ar = 0.8 * ar + innovations[step]
-        clean[step] += ar
+    clean += reference_ar1(rng.normal(scale=config.noise, size=(length, n)))
 
     values = clean.copy()
     labels = np.zeros(length, dtype=np.int64)

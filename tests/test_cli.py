@@ -414,6 +414,12 @@ EXIT_CASES = {
            ("train-set", "svdd.widths=10000000000000", "582. TiB"),
            ("synth", "synthetic.length=100000000000000", "728. TiB"),
            ("synth", "synthetic.sensors=1000000000", "6.94 EiB"))},
+    # A shape whose byte count overflows numpy's index type is refused
+    # before any memory is asked for, and the message names the setting.
+    **{f"train-set {setting} too big to exist": (
+        "train-set", f"{setting}={2**62}", 1, named, "is too big to exist")
+       for setting, named in (("temporal.heads", f"temporal.heads={2**62},"),
+                              ("svdd.widths", f"svdd.widths=({2**62},)"))},
     "synth negative seed": (
         "synth", "--seed -1", 1, "synthetic.seed must be non-negative, got -1"),
     **{f"synth {setting}": ("synth", f"--set {setting}", 1, message)

@@ -1,4 +1,8 @@
+import os
 import re
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from cpsdetect.config import AnomalyWindow, SyntheticConfig
 from cpsdetect.errors import ConfigError, DataError
 
 from conftest import traced_peak
-from oracles import reference_synthetic, reference_topology
+from oracles import reference_ar1, reference_synthetic, reference_topology
 from tiny import tiny_config, tiny_data
 
 PATH_TOPOLOGY = """\
@@ -21,6 +25,10 @@ sensor C level
 edge A B
 edge B C
 """
+
+# The ``stream:`` line of ``scripts/checkpoint_digests.py``: the digest of
+# the pinned benchmark stream's values, labels and adjacency.
+BENCHMARK_STREAM = "6886e30e027dc6a63349a3d3593274203ce54105bf3ac73bd905bf4652b886cc"
 
 # The event settings of ``inject_anomalies``, as the generator's config
 # gives them.
@@ -352,6 +360,61 @@ class TestSynthetic:
         np.testing.assert_array_equal(got_topology.adjacency, topology.adjacency)
         assert got_values.tobytes() == values.tobytes()
         assert got_labels.tobytes() == labels.tobytes()
+
+    def test_generator_gives_the_pinned_benchmark_stream(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+        # The script sets the BLAS thread variables as it is imported; they
+        # stay out of this process's environment.
+        with mock.patch.dict(os.environ):
+            from checkpoint_digests import stream_digest
+        assert stream_digest(*benchmark.benchmark_data()) == BENCHMARK_STREAM
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 0.12, 100.0, 1e-320],
+                             ids=["noise 0", "noise 1e-3", "noise 0.12",
+                                  "noise 100", "subnormal noise"])
+    @pytest.mark.parametrize("sensors", [4, 12])
+    @pytest.mark.parametrize("rows", [1, data.AR_BLOCK - 1, 3 * data.AR_BLOCK,
+                                      3 * data.AR_BLOCK + 17, 28_000],
+                             ids=["one row", "under a block", "three blocks",
+                                  "three blocks and a remainder", "28000 rows"])
+    def test_blocked_ar1_equals_the_per_row_reference(self, rows, sensors, noise):
+        # tobytes, not ==, which takes -0.0 and +0.0 as equal.
+        innovations = np.random.default_rng(rows + sensors).normal(
+            scale=noise, size=(rows, sensors))
+        noise = innovations.copy()
+        data.ar1_in_place(noise)
+        assert noise.tobytes() == reference_ar1(innovations).tobytes()
+
+    @pytest.mark.parametrize("block", [4, 64])
+    def test_blocked_ar1_doubles_a_warmup_whose_bounds_do_not_meet(
+            self, monkeypatch, block):
+        # From one row of warm-up no block's bounds meet, so every block
+        # doubles its warm-up. With 4-row blocks the second block's bounds
+        # cannot meet within 1 or 2 rows, and its warm-up of 4 reaches row 0.
+        monkeypatch.setattr(data, "AR_WARMUP", 1)
+        monkeypatch.setattr(data, "AR_BLOCK", block)
+        innovations = np.random.default_rng(block).normal(scale=0.12, size=(2_000, 12))
+        noise = innovations.copy()
+        data.ar1_in_place(noise)
+        assert noise.tobytes() == reference_ar1(innovations).tobytes()
+
+    def test_blocked_ar1_keeps_the_sign_of_zero(self):
+        # Every innovation -0.0: every state is +0.0, since row 0's
+        # e_0 + 0.0 turns -0.0 into +0.0, but the bounds start at -0.0 and
+        # +0.0 and stay there, equal as floats and never bit for bit. So
+        # every block walks from row 0.
+        innovations = np.full((3 * data.AR_BLOCK + 5, 4), -0.0)
+        noise = innovations.copy()
+        data.ar1_in_place(noise)
+        assert noise.tobytes() == reference_ar1(innovations).tobytes()
+
+    def test_blocked_ar1_with_an_overflowing_bound_runs_row_by_row(self):
+        # 8 x 3e307 overflows, so the bounds would start at -inf and +inf.
+        innovations = np.random.default_rng(3).normal(scale=0.12, size=(2_000, 4))
+        innovations[700, 2] = 3e307
+        noise = innovations.copy()
+        data.ar1_in_place(noise)
+        assert noise.tobytes() == reference_ar1(innovations).tobytes()
 
     def test_generator_holds_one_stream(self):
         # The stream, with the events added into it in place: a traced peak
