@@ -30,7 +30,10 @@ The second line, ``stream: <digest>``, hashes the pinned benchmark stream
 the variants train and score on: the values (``<f8``), labels (``<i8``)
 and topology adjacency (``<i8``) of ``benchmark.benchmark_data()``, so a
 change of the generator shows apart from the models. Each variant's line
-reads ``<variant>: <model digest> record <record digest>``. Run from the
+reads ``<variant>: <model digest> record <record digest> windows <window
+digest>``. The window digest hashes the one-window path a monitor takes:
+each of the short run's test windows scored in its own ``score_stream``
+call on its own rows, the scores (``<f8``) in window order. Run from the
 repository root::
 
     PYTHONPATH=src python3 scripts/checkpoint_digests.py [variant ...]
@@ -76,8 +79,17 @@ def stream_digest(topology, values, labels) -> str:
                              (topology.adjacency, "<i8")))).hexdigest()
 
 
-def digest(name: str, topology, values, labels) -> tuple[str, str]:
-    """The model digest and the record digest of variant ``name``."""
+def window_digest(pipe, segments, test) -> str:
+    """The digest of each of ``segments``' windows of ``test`` scored in its
+    own ``score_stream`` call."""
+    scores = [pipeline.score_stream(pipe, test[start:end])[1][0].score
+              for start, end in zip(segments.starts, segments.ends)]
+    return hashlib.sha256(np.asarray(scores, dtype="<f8").tobytes()).hexdigest()
+
+
+def digest(name: str, topology, values, labels) -> tuple[str, str, str]:
+    """The model digest, the record digest and the window digest of variant
+    ``name``."""
     pipe, segments, results = benchmark.short_run(name, topology, values, labels)
     trained = contents(pipe, segments, results)
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,7 +102,8 @@ def digest(name: str, topology, values, labels) -> tuple[str, str]:
               "pipeline", file=sys.stderr)
         sys.exit(1)
     return (hashlib.sha256(b"".join(trained)).hexdigest(),
-            hashlib.sha256(json.dumps(pipe.record).encode("utf-8")).hexdigest())
+            hashlib.sha256(json.dumps(pipe.record).encode("utf-8")).hexdigest(),
+            window_digest(pipe, segments, test))
 
 
 def main() -> None:
@@ -106,8 +119,8 @@ def main() -> None:
     topology, values, labels = benchmark.benchmark_data()
     print(f"stream: {stream_digest(topology, values, labels)}", flush=True)
     for name in args.variants or benchmark.VARIANTS:
-        model, record = digest(name, topology, values, labels)
-        print(f"{name}: {model} record {record}", flush=True)
+        model, record, windows = digest(name, topology, values, labels)
+        print(f"{name}: {model} record {record} windows {windows}", flush=True)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import carried_sum
+from .autodiff import carried_sum, numeric_context
 from .errors import DataError, reading
 
 STD_FLOOR = 1e-8
@@ -69,6 +69,12 @@ STD_FLOOR = 1e-8
 
 # ---------------------------------------------------------------------------
 # topology
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a constant that many calls share."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -89,16 +95,32 @@ class SensorTopology:
         return len(self.type_names)
 
     @cached_property
+    def type_sizes(self) -> np.ndarray:
+        """The number of sensors of each type, read-only. Built once per
+        topology."""
+        return _read_only(np.bincount(self.type_of, minlength=self.type_count))
+
+    @cached_property
     def type_members(self) -> np.ndarray:
-        """(types x largest type size) sensor indices: row ``k`` lists type
-        ``k``'s sensors in index order, padded with ``n`` (one past the last
-        sensor). Built once per topology."""
-        counts = np.bincount(self.type_of, minlength=self.type_count)
-        members = np.full((self.type_count, counts.max()), self.n)
+        """(types x largest type size) sensor indices, read-only: row ``k``
+        lists type ``k``'s sensors in index order, padded with ``n`` (one
+        past the last sensor). Built once per topology."""
+        members = np.full((self.type_count, self.type_sizes.max()), self.n)
         for k, row in enumerate(members):
             sensors = np.flatnonzero(self.type_of == k)
             row[:len(sensors)] = sensors
-        return members
+        return _read_only(members)
+
+    def graph_constants(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency and the (types x 1) type sizes in ``dtype``, the
+        constants of every graph built in that dtype: read-only arrays,
+        built once per topology and dtype."""
+        cache = self.__dict__.setdefault("_graph_constants", {})
+        dtype = np.dtype(dtype)
+        if dtype not in cache:
+            cache[dtype] = (_read_only(self.adjacency.astype(dtype)),
+                            _read_only(self.type_sizes.astype(dtype)[:, None]))
+        return cache[dtype]
 
     def validate(self) -> None:
         a = self.adjacency
@@ -592,12 +614,15 @@ def inject_anomalies(values: np.ndarray, topology: SensorTopology,
     return labels
 
 
+@numeric_context("[synth]")
 def generate_synthetic(config) -> tuple[SensorTopology, np.ndarray, np.ndarray]:
     """Seed-deterministic synthetic stream with labeled anomaly windows, as
     ``config``, a ``config.SyntheticConfig``, describes it.
 
     The stream is the one whole-stream array: the events are added into
-    the clean stream in place."""
+    the clean stream in place. A setting whose stream overflows (a noise
+    scale near the float64 range) is a ``NumericError``, not a stream of
+    non-finite values."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     topology = generate_topology(config.sensors, config.types, config.density, rng)

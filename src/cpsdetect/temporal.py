@@ -52,17 +52,26 @@ slower. The products that make the gradients at the projections stay
 stacked too, since each multiplies one window's and one head's own
 matrices (attention, keys, values).
 
-The softmax's row sums, in ``softmax_rows`` and in the reverse pass's
-softmax rule, come from ``row_sums``: from 512 rows on, whole columns added
-in numpy's own pairwise order, 35 us against 84 us for ``sum(axis=-1)``
-over a 64-window part's 3,072 float32 rows of 12, with the same bits; below
-512 rows (a one-window encode has 48), the reduction itself, which is
-faster there. The tape keeps the keys as projected and the values'
-transpose as a contiguous copy, so the reverse pass multiplies by
-contiguous matrices, with the same bits: the gradient at the queries takes
-22 us against 57 us through a transposed view of the keys, and that at the
-attention 17 us for the copy plus 19 us against 82 us through a transposed
-view of the values (64-window float32 part, 2-vCPU host, one BLAS thread).
+A reduction along a short last axis pays per row, so from ``COLUMN_ROWS``
+(512) rows on the softmax's row reductions run over whole columns; below
+that (a one-window encode has 48 rows) they are numpy's reductions. The row
+sums, in ``softmax_rows`` and in the reverse pass's softmax rule, come from
+``row_sums``: from 512 rows on, whole columns added in numpy's own pairwise
+order, 35 us against 84 us for ``sum(axis=-1)`` over a 64-window part's
+3,072 float32 rows of 12, with the same bits. ``softmax_rows``' row max is,
+from 512 rows on, a running maximum over the columns, and below that one
+``max(axis=-1)``: 4.5 us against 16 us for the column loop over a
+one-window encode's 48 float64 rows of 12 (2-vCPU host). A max is exact in
+any order; only a zero max's sign may differ, and the shift and the
+exponential map both signs to the same values, so either way gives the
+softmax's bits.
+
+The tape keeps the keys as projected and the values' transpose as a
+contiguous copy, so the reverse pass multiplies by contiguous matrices,
+with the same bits: the gradient at the queries takes 22 us against 57 us
+through a transposed view of the keys, and that at the attention 17 us for
+the copy plus 19 us against 82 us through a transposed view of the values
+(64-window float32 part, 2-vCPU host, one BLAS thread).
 """
 from __future__ import annotations
 
@@ -115,16 +124,21 @@ def _pairwise_sum(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return total
 
 
+# From this many rows on, the softmax's row reductions run over whole
+# columns: the row sums' crossover with numpy's reduction lies between 384
+# and 768 rows.
+COLUMN_ROWS = 512
+
+
 def row_sums(x: np.ndarray) -> np.ndarray:
     """The bits of ``x.sum(axis=-1)``.
 
-    A reduction along a short last axis pays per row, so from 512 rows on
-    the rows are summed as whole columns in numpy's own pairwise order
-    (``_pairwise_sum``), which gives the same bits. Below that the
-    reduction itself is faster: the crossover lies between 384 and 768
-    rows.
+    A reduction along a short last axis pays per row, so from
+    ``COLUMN_ROWS`` rows on the rows are summed as whole columns in numpy's
+    own pairwise order (``_pairwise_sum``), which gives the same bits.
+    Below that the reduction itself is faster.
     """
-    if x.size < 512 * x.shape[-1]:
+    if x.size < COLUMN_ROWS * x.shape[-1]:
         return x.sum(axis=-1)
     total = _pairwise_sum(x, 0, x.shape[-1])
     # The reduction starts from +0.0, so a -0.0 sum reads +0.0.
@@ -134,13 +148,17 @@ def row_sums(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, with the row max subtracted first."""
-    # The row max as a running maximum over the columns: one pass over every
-    # row per column, where a reduction along a short last axis pays per row.
-    # A max is exact in any order. Then one full-size array: the shifted
-    # logits, exponentiated and normalized in place.
-    row_max = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(row_max, x[..., j:j + 1], out=row_max)
+    # From COLUMN_ROWS rows on, the row max is a running maximum over the
+    # columns: one pass over every row per column, where a reduction along
+    # a short last axis pays per row. A max is exact in any order. Then one
+    # full-size array: the shifted logits, exponentiated and normalized in
+    # place.
+    if x.size < COLUMN_ROWS * x.shape[-1]:
+        row_max = x.max(axis=-1, keepdims=True)
+    else:
+        row_max = x[..., :1].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(row_max, x[..., j:j + 1], out=row_max)
     y = x - row_max
     np.exp(y, out=y)
     y /= row_sums(y)[..., None]

@@ -50,6 +50,15 @@ from .autodiff import Tensor
 LOGVAR_RANGE = 10.0
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(nodes: int, dtype: np.dtype) -> np.ndarray:
+    """The (nodes x nodes) identity in ``dtype``, read-only: the self-loops
+    every graph of that size and dtype adds, built once."""
+    identity = np.eye(nodes, dtype=dtype)
+    identity.flags.writeable = False
+    return identity
+
+
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of the self-looped adjacency.
 
@@ -59,7 +68,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     weighting multiplies into it), so every self-looped degree is at least
     1 and the normalized entries stay bounded.
     """
-    with_loops = adjacency + np.eye(adjacency.shape[-1], dtype=adjacency.dtype)
+    with_loops = adjacency + _identity(adjacency.shape[-1], adjacency.dtype)
     degrees = np.abs(with_loops).sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]

@@ -12,10 +12,12 @@ to 1: the test process has loaded numpy's BLAS with its own thread count
 before this module is collected. The same child also hashes each run as
 ``scripts/checkpoint_digests.py`` does (its ``contents``, and the training
 record), so the ten digests that script prints at one thread are pinned
-too. Run as a script, this file prints the measured values and digests as
+too, and so are the five window digests it prints beside them: each test
+window scored in its own ``score_stream`` call, the path a monitor takes
+as windows arrive. Run as a script, this file prints the measured values and digests as
 JSON. Work on the graph stages (ROADMAP item 2) is expected to move these
 numbers; a change that moves any trained bit updates ``EXPECTED`` and
-``DIGESTS`` and records the new values in CHANGES.md.
+``DIGESTS`` (and ``WINDOW_DIGESTS``) and records the new values in CHANGES.md.
 """
 import hashlib
 import json
@@ -58,15 +60,26 @@ DIGESTS = {
             "e872e462875eb12d4b22ae2d62e8415b0fca6b209a84938efd7a37991fe04bc7"),
 }
 
+# variant -> window digest, as scripts/checkpoint_digests.py prints it with
+# BLAS on one thread.
+WINDOW_DIGESTS = {
+    "full": "853d71a099bfc13cd4ea3d0470c014d304ed3568774bcb6c29bb70e6a4d082f2",
+    "no-weighting": "b971cac3eb2a29a29d9a40aad47be09e017bd8958de880e26445b654961fae67",
+    "no-temporal": "76d65e36b8cdd161c9f9c0e8bda6e273fe369259b3e4c5dbd4a61ae9ad187efc",
+    "temporal-only": "7ad1428a343822565ec233c38baef1509109c6bb71fc3cfc99c364fb17d46de4",
+    "raw": "2b74f9faa4c55b6a213c8b590fe7ddc72bc2ab09967e300d9aac686a815f7c74",
+}
+
 
 def measure() -> dict[str, dict[str, list]]:
     """Each variant's (F1 point-adjusted, F1 raw, AUC) on the pinned stream,
-    under ``quality``, and its (model, record) digests, under ``digests``."""
+    under ``quality``, its (model, record) digests, under ``digests``, and
+    its window digest, under ``windows``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-    from checkpoint_digests import contents
+    from checkpoint_digests import contents, window_digest
 
     topology, values, labels = benchmark.benchmark_data()
-    measured = {"quality": {}, "digests": {}}
+    measured = {"quality": {}, "digests": {}, "windows": {}}
     for variant in EXPECTED:
         pipe, segments, results = benchmark.short_run(variant, topology, values,
                                                       labels)
@@ -80,6 +93,8 @@ def measure() -> dict[str, dict[str, list]]:
         measured["digests"][variant] = (
             hashlib.sha256(b"".join(contents(pipe, segments, results))).hexdigest(),
             hashlib.sha256(json.dumps(pipe.record).encode("utf-8")).hexdigest())
+        measured["windows"][variant] = window_digest(pipe, segments,
+                                                     values[TRAIN_ROWS:])
     return measured
 
 
@@ -104,6 +119,11 @@ def test_short_run_quality_is_pinned(measured, variant):
 @pytest.mark.parametrize("variant", DIGESTS)
 def test_short_run_digests_are_pinned(measured, variant):
     assert tuple(measured["digests"][variant]) == DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", WINDOW_DIGESTS)
+def test_one_window_digests_are_pinned(measured, variant):
+    assert measured["windows"][variant] == WINDOW_DIGESTS[variant]
 
 
 if __name__ == "__main__":

@@ -199,5 +199,5 @@ def test_digest_script_prints_the_raw_digest():
     assert lines[0].startswith("threads: ")
     assert "OPENBLAS_NUM_THREADS=1" in lines[0].split()
     assert re.fullmatch(r"stream: [0-9a-f]{64}", lines[1])
-    assert len(lines) == 3 and re.fullmatch(r"raw: [0-9a-f]{64} record [0-9a-f]{64}",
-                                            lines[2])
+    assert len(lines) == 3 and re.fullmatch(
+        r"raw: [0-9a-f]{64} record [0-9a-f]{64} windows [0-9a-f]{64}", lines[2])

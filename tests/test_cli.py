@@ -431,6 +431,10 @@ EXIT_CASES = {
             "synthetic.cascade_attenuation must be finite, got nan"),
            ("synthetic.length=-5", "synthetic.length must be positive, got -5"),
            ("synthetic.length=0", "synthetic.length must be positive, got 0"))},
+    # A finite noise scale whose draws overflow: the generator runs in a
+    # numeric context, so no stream of inf and nan cells is written.
+    "synth noise overflows the stream": (
+        "synth", "--set synthetic.noise=1e308", 3, "[synth]: overflow"),
     "synth anomaly magnitude nan": (
         "synth", "--anomalies offset:10:5:1:nan", 1,
         "anomaly magnitude must be finite, got nan"),

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsdetect import data, graphgen
+from cpsdetect import data, graphgen, vgae
 
 PATH_TOPOLOGY = data.parse_topology(
     "sensor A flow\nsensor B flow\nsensor C level\nedge A B\nedge B C\n")
@@ -117,6 +118,28 @@ class TestTypeSimilarity:
         assert sim[0, 1] == 0.0
         assert sim[1, 0] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5), (64, 3, 32), (2, 7, 1)])
+    def test_bits_of_the_norm_mask_and_clip_formula(self, shape, dtype):
+        # Entries over many magnitudes, with signed zeros; a zero-norm type
+        # in every matrix.
+        rng = np.random.default_rng(shape[-1])
+        emb = rng.normal(size=shape) * 10.0 ** rng.integers(-15, 15, size=shape)
+        emb[rng.random(shape) < 0.2] = -0.0
+        emb = emb.astype(dtype)
+        emb[..., 0, :] = 0.0
+        norms = np.linalg.norm(emb, axis=-1)
+        denom = norms[..., :, None] * norms[..., None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = (emb @ np.swapaxes(emb, -1, -2)) / denom
+        expected[denom == 0.0] = 0.0
+        expected[..., np.eye(shape[-2], dtype=bool)] = 1.0
+        expected = np.clip(expected, -1.0, 1.0)
+        with pytest.warns(RuntimeWarning, match="zero-norm"):
+            sim = graphgen.type_similarity(emb)
+        assert sim.dtype == expected.dtype
+        assert sim.tobytes() == expected.tobytes()
+
     @given(st.integers(0, 1000))
     @settings(max_examples=30)
     def test_symmetric_unit_diagonal_bounded(self, seed):
@@ -215,6 +238,29 @@ class TestWeightedGraph:
         g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting=False)
         np.testing.assert_array_equal(g, PATH_TOPOLOGY.adjacency)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weighting", [True, False])
+    def test_graph_takes_the_attributes_dtype(self, weighting, dtype):
+        attrs = np.random.default_rng(2).normal(size=(2, 3, 4)).astype(dtype)
+        g = graphgen.weighted_graph(PATH_TOPOLOGY, attrs, weighting)
+        assert g.dtype == dtype
+        assert all(a.dtype == dtype for a in vgae.propagate(g, attrs))
+
+    def test_topology_constants_are_built_once_and_read_only(self):
+        topology = data.parse_topology(
+            "sensor A flow\nsensor B flow\nsensor C level\nedge A B\n")
+        adjacency, sizes = topology.graph_constants(np.float32)
+        assert topology.graph_constants(np.float32)[0] is adjacency
+        assert adjacency.dtype == sizes.dtype == np.float32
+        assert sizes.tolist() == [[2.0], [1.0]]
+        assert topology.graph_constants(np.float64)[0].dtype == np.float64
+        identity = vgae._identity(3, np.dtype(np.float64))
+        assert vgae._identity(3, np.dtype(np.float64)) is identity
+        for constant in (adjacency, sizes, topology.type_sizes,
+                         topology.type_members, identity):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 1
+
     def test_different_attributes_give_different_weights(self):
         rng = np.random.default_rng(3)
         a1 = graphgen.weighted_graph(PATH_TOPOLOGY, rng.normal(size=(3, 4)),
@@ -227,14 +273,27 @@ class TestWeightedGraph:
 class TestStack:
     """A stack of attribute matrices gives the stack of single graphs."""
 
+    @pytest.mark.parametrize("zero_norm", [False, True])
     @pytest.mark.parametrize("weighting", [True, False])
-    def test_stack_equals_one_graph_at_a_time(self, weighting):
+    def test_stack_equals_one_graph_at_a_time(self, weighting, zero_norm):
+        # With zero_norm, graph 2's type-1 sensors are all zero, so the
+        # stack takes the zero-denominator path and the other graphs with
+        # it; each graph still gets the bits it gets alone.
         rng = np.random.default_rng(5)
         topology = data.generate_topology(9, 3, 0.4, rng)
         attrs = rng.normal(size=(6, 9, 5))
-        g = graphgen.weighted_graph(topology, attrs, weighting)
-        singles = [graphgen.weighted_graph(topology, a, weighting) for a in attrs]
+        if zero_norm:
+            attrs[2, topology.type_of == 1] = 0.0
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            g = graphgen.weighted_graph(topology, attrs, weighting)
+        assert [str(w.message).startswith("zero-norm") for w in warned] == (
+            [True] if weighting and zero_norm else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            singles = [graphgen.weighted_graph(topology, a, weighting)
+                       for a in attrs]
         assert g.shape == (6, 9, 9)
-        assert np.array_equal(g, np.stack(singles))
+        assert g.tobytes() == np.stack(singles).tobytes()
         if weighting:
             assert g.flags.c_contiguous

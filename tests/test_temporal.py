@@ -113,16 +113,28 @@ def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(leng
     assert_softmax_rows_matches_the_shifted_exp_formula(values)
 
 
-def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_in_float32():
-    # 768 rows of 12, the shape of a 16-window part's attention: beyond the
-    # 512 rows from which row_sums adds columns.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("windows", [1, 10, 11, 16])
+def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_across_the_crossover(
+        windows, dtype):
+    # The attention of 1, 10 (480 rows of 12) and 11 windows (528): below
+    # and from the COLUMN_ROWS rows at which the row max and row_sums turn
+    # from numpy's reductions to whole columns; 16 windows are 768 rows.
+    assert 10 * 48 < temporal.COLUMN_ROWS <= 11 * 48
     rng = np.random.default_rng(7)
-    tiny = np.finfo(np.float32).smallest_subnormal
-    values = (rng.normal(size=(16, 4, 12, 12)) * 8.0).astype(np.float32)
-    special = np.array([0.0, -0.0, tiny, -tiny, 1e-38, -1e-38], dtype=np.float32)
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = (rng.normal(size=(windows, 4, 12, 12)) * 8.0).astype(dtype)
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-38, -1e-38], dtype=dtype)
     mask = rng.random(values.shape) < 0.2
     values[mask] = rng.choice(special, size=mask.sum())
-    values[0] = -0.0
+    values[0, 0] = -0.0
+    # Tied maxima, and rows whose max is a zero of either sign, or both.
+    values[-1, 1, :, ::3] = values[-1, 1, :, :1]
+    values[-1, 2] = -np.abs(values[-1, 2]) - 1.0
+    values[-1, 2, :4, 5] = 0.0
+    values[-1, 2, 4:8, 5] = -0.0
+    values[-1, 2, 8:, 2], values[-1, 2, 8:, 9] = 0.0, -0.0
+    values[-1, 2, 10:, 2], values[-1, 2, 10:, 9] = -0.0, 0.0
     assert_softmax_rows_matches_the_shifted_exp_formula(values)
 
 
