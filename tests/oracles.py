@@ -229,6 +229,13 @@ def reference_vgae_part(w_hidden, w_heads, kl_weight, norm, mixed, target,
                   _carried(np.swapaxes(p, -1, -2) @ g_heads, held[1])]
 
 
+def reference_softmax_rows(x):
+    """Softmax along the last axis, out of place: each row shifted by its
+    numpy max, exponentiated and divided by its numpy sum."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def reference_temporal_forward(weights, windows):
     """The temporal encoder's forward pass over a stack of windows, one
     out-of-place numpy step per operation, every head in one stacked
@@ -243,9 +250,7 @@ def reference_temporal_forward(weights, windows):
     k = x @ w_key
     kt = np.swapaxes(k, -1, -2).copy()
     logits = q @ kt
-    scaled = logits * (1.0 / math.sqrt(window))
-    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
+    a = reference_softmax_rows(logits * (1.0 / math.sqrt(window)))
     v = x @ w_value
     mixed = a @ v
     side_by_side = np.swapaxes(mixed, -3, -2).copy()

