@@ -33,50 +33,55 @@ elementwise steps stay the same, so an epoch holds one part's working set
 at a time and reuses its heap part after part. ``autodiff.fit`` runs the
 epochs: the optimizer, the labelled numeric context and the loss trace.
 
-``encode`` takes one of two paths to the heads' outputs, with the same
-bits. A tape-free encode of fewer than ``STACK_WINDOWS`` windows, such as a
-one-window scoring call, takes the row-major path (``_attend_rows``): the
-input, reshaped to (..., 1, sensors, window), times each stored projection,
-the logits (..., heads, queries, keys) and ``softmax_rows`` along their rows,
-with numpy's own max and sum. Every other encode, each one with a tape
-among them, takes the stack path (``_attend_stack``). Each projection is
-one (windows * sensors x window) @ (window x heads * head_dim) product, the
-stored weight laid side by side per call, so parameters and checkpoints
-keep their layout. The logits go straight into one key-major buffer (keys
-x windows x heads x queries): the product of the keys and the queries'
-transpose, written through a permuted view with ``out=``, so numpy makes no
-temporary. ``softmax_keys`` runs on that buffer in place: the max is one
-reduction over the leading axis, the shift, exponential and division are
-whole-buffer passes, and the key sums add contiguous leading slices in
-numpy's pairwise order (``row_sums`` on the (..., keys) view). A reduction
-along a 12-long last axis pays per row instead. The attention times the
-values reads the buffer as a transposed operand below ``ROW_MAJOR_KEYS``
-(32) sensors. From 32 sensors on it reads a row-major copy, since OpenBLAS
-then multiplies a transposed float32 operand with another kernel, whose
-bits differ from the row-major path's. A taped encode always makes the
-copy and keeps it, so the reverse pass reads a contiguous attention and is
-the same for every part.
+``encode`` takes one of two paths to the heads' outputs. Every taped
+encode, and a tape-free one of fewer than ``STACK_WINDOWS`` windows such as
+a one-window scoring call, takes the row-major path (``_attend_rows``):
+the input, reshaped to (..., 1, sensors, window), times each stored
+projection, so every (window, head) pair is one small product; the logits
+(..., heads, queries, keys) and ``softmax_rows`` along their rows. A
+tape-free encode of at least ``STACK_WINDOWS`` windows, such as a
+whole-stream scoring part, takes the stack path (``_attend_stack``). Each
+projection is one (windows * sensors x window) @ (window x heads *
+head_dim) product, the stored weight laid side by side per call, so
+parameters and checkpoints keep their layout. The queries' product is
+made transposed, (heads * head_dim x windows * sensors), so the logits'
+product reads no transposed operand: for a 64-window float64 part it
+takes 73 us against 105-165 us through a transposed view of the queries,
+and the transposed projection 7 us more (one BLAS thread, 2-vCPU host).
+The logits go straight into one key-major buffer (keys x windows x heads
+x queries), written through a permuted view with ``out=``, so numpy makes
+no temporary. ``softmax_keys`` runs on that buffer in place: the max is
+one reduction over the leading axis, the shift, exponential and division
+are whole-buffer passes, and the key sums add contiguous leading slices in
+numpy's pairwise order. A reduction along a 12-long last axis pays per row
+instead. The attention times the values reads a row-major copy of the
+buffer, the row-major path's operand.
 
-``STACK_WINDOWS`` (6) is where the stack path starts to win a tape-free
-float64 encode at the default sizes. Row-major against stack path, best
-of three runs of five interleaved rounds (one BLAS thread, 2-vCPU host):
-1 window 36.5 against 53.7 us, 2: 49.0/62.2, 3: 60.9/69.7, 4: 73.1/84.3,
-5: 93.5/91.9, 6: 107.4/98.9, 7: 118.5/104.1, 8: 131.4/110.4, 9:
-141.7/115.1, 10: 156.9/124.9 us. In float32 the stack path wins from 4
-windows on. The gate keeps one-window scoring, 1.47 times slower on the
-stack path, on the row-major one.
+``STACK_WINDOWS`` (6) is the smallest stack at which the stack path won a
+tape-free float64 encode at the default sizes in every measurement.
+Row-major against stack path, best of two measurements, each the best of
+five interleaved rounds of three runs (one BLAS thread, 2-vCPU host): 1
+window 46.3 against 53.2 us, 2: 50.1/61.0, 3: 65.7/73.7, 4: 74.1/82.0, 5:
+93.1/88.4, 6: 106.9/95.4, 7: 120.4/103.4, 8: 130.4/108.3, 9: 148.8/118.4,
+10: 157.8/122.3 us; at 5 windows other measurements read 1.006 and 1.030
+times the row-major time. In float32 the stack path wins from 4 windows
+on. The gate keeps one-window scoring, 1.15 times slower on the stack
+path, on the row-major one.
 
-Both paths give the bits of the stacked products (``tests/oracles.py``) at
-the default head widths (4 heads of 8), checked from 2 to 200 sensors and
-for windows of 10 and 30 rows in float32 and float64, and a taped part's
-gradients keep the bits they had when taped encodes took the row-major
-path. The 2-D projections and the key-major logits are products of other
-shapes than the per-(window, head) ones, and OpenBLAS picks its kernel by
-shape: at other head widths (4 heads of 4 or 2 of 16 in float64, 1 head of
-32) the stack path can round differently from the row-major path: an
-embedding's entries then differ by about 5e-16 of its largest, far within
-the 1e-9 at which a window scored alone must agree with it scored inside a
-stream.
+Both paths give the bits of the stacked products (``tests/oracles.py``)
+at the default head widths (4 heads of 8, windows of 10 or 30 rows) and at
+3 heads of 5 and 8 of 8, checked from 2 to 200 sensors in float32 and
+float64. The stack path's products have other shapes than the
+per-(window, head) ones, and OpenBLAS picks its kernel by shape, so at
+other widths its bits can differ: at 4 heads of 4 the float64 side-by-side
+projection rounds differently, and with 16 or more terms per logit in
+float64 (2 heads of 16) or 32 in float32 (1 head of 32) the key-major
+logits do, at most sensor counts. An embedding's entries then differ by
+about 5e-16 of its largest, far within the 1e-9 at which a window scored
+alone must agree with it scored inside a stream (the later stages already
+differ in their last bits between the two). The temporal fit's bits do
+not depend on it, since its parts are taped and take the row-major path;
+the embeddings the later stages are fit on are tape-free stacks and do.
 
 The reverse pass writes the gradients at the values, the queries and the
 keys, in turn, into one array laid out side by side as the heads' outputs
@@ -90,15 +95,25 @@ those three sums across an epoch's parts in that layout, and
 ``stored_layout`` turns them into the parameters' (heads x window x
 head_dim) layout once per epoch. The products that make the gradients at
 the projections stay stacked, since each multiplies one window's and one
-head's own matrices (attention, keys, values). The softmax rule's row sums
-come from ``row_sums``, whole columns added in numpy's own pairwise order:
-35 us against 84 us for ``sum(axis=-1)`` over a 64-window part's 3,072
-float32 rows of 12, with the same bits (a part of a few windows sums a
-little slower than numpy's reduction would).
+head's own matrices (attention, keys, values).
+
+A reduction along a short last axis pays per row, so from ``COLUMN_ROWS``
+(512) rows on the softmax's row reductions run over whole columns; below
+that (a one-window encode has 48 rows) they are numpy's reductions. The row
+sums, in ``softmax_rows`` and in the reverse pass's softmax rule, come from
+``row_sums``: from 512 rows on, whole columns added in numpy's own pairwise
+order, 35 us against 84 us for ``sum(axis=-1)`` over a 64-window part's
+3,072 float32 rows of 12, with the same bits. ``softmax_rows``' row max is,
+from 512 rows on, a running maximum over the columns, and below that one
+``max(axis=-1)``: 4.5 us against 16 us for the column loop over a
+one-window encode's 48 float64 rows of 12 (2-vCPU host). A max is exact in
+any order; only a zero max's sign may differ, and the shift and the
+exponential map both signs to the same values, so either way gives the
+softmax's bits.
 
 The tape keeps the keys as projected and the values' transpose as a
-copy, so the reverse pass multiplies by untransposed matrices, with the
-same bits: the gradient at the queries takes 22 us against 57 us
+contiguous copy, so the reverse pass multiplies by contiguous matrices,
+with the same bits: the gradient at the queries takes 22 us against 57 us
 through a transposed view of the keys, and that at the attention 17 us for
 the copy plus 19 us against 82 us through a transposed view of the values
 (64-window float32 part, 2-vCPU host, one BLAS thread).
@@ -154,11 +169,22 @@ def _pairwise_sum(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return total
 
 
+# From this many rows on, the softmax's row reductions run over whole
+# columns: the row sums' crossover with numpy's reduction lies between 384
+# and 768 rows.
+COLUMN_ROWS = 512
+
+
 def row_sums(x: np.ndarray) -> np.ndarray:
-    """The bits of ``x.sum(axis=-1)``, with the rows summed as whole
-    columns in numpy's own pairwise order (``_pairwise_sum``): a reduction
-    along a short last axis pays per row. On a key-major array's (...,
-    keys) view, each column is one contiguous leading slice."""
+    """The bits of ``x.sum(axis=-1)``.
+
+    A reduction along a short last axis pays per row, so from
+    ``COLUMN_ROWS`` rows on the rows are summed as whole columns in numpy's
+    own pairwise order (``_pairwise_sum``), which gives the same bits.
+    Below that the reduction itself is faster.
+    """
+    if x.size < COLUMN_ROWS * x.shape[-1]:
+        return x.sum(axis=-1)
     total = _pairwise_sum(x, 0, x.shape[-1])
     # The reduction starts from +0.0, so a -0.0 sum reads +0.0.
     total += 0.0
@@ -166,34 +192,39 @@ def row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, with the row max subtracted first:
-    numpy's own max and sum over each row."""
-    y = x - x.max(axis=-1, keepdims=True)
+    """Softmax along the last axis, with the row max subtracted first."""
+    # From COLUMN_ROWS rows on, the row max is a running maximum over the
+    # columns: one pass over every row per column, where a reduction along
+    # a short last axis pays per row. A max is exact in any order. Then one
+    # full-size array: the shifted logits, exponentiated and normalized in
+    # place.
+    if x.size < COLUMN_ROWS * x.shape[-1]:
+        row_max = x.max(axis=-1, keepdims=True)
+    else:
+        row_max = x[..., :1].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(row_max, x[..., j:j + 1], out=row_max)
+    y = x - row_max
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= row_sums(y)[..., None]
     return y
 
 
 def softmax_keys(s: np.ndarray) -> None:
     """Softmax over the leading axis of key-major logits, in place: the
     bits of ``softmax_rows`` over their (..., queries, keys) view. The max
-    is one leading-axis reduction; a max is exact in any order, and a zero
+    is one leading-axis reduction: a max is exact in any order, and a zero
     max's sign, which may differ, shifts every logit to the same
-    exponential."""
+    exponential. The key sums add contiguous leading slices in numpy's
+    pairwise order; each holds an exp(0) = 1, so none is a signed zero."""
     s -= s.max(axis=0)
     np.exp(s, out=s)
-    s /= row_sums(np.moveaxis(s, 0, -1))
+    s /= _pairwise_sum(np.moveaxis(s, 0, -1), 0, len(s))
 
 
-# From this many keys on, the attention times the values reads a row-major
-# copy of the attention: read through a transposed view, OpenBLAS's float32
-# product then takes another kernel, whose bits differ. A taped encode
-# always makes the copy, which the reverse pass reads.
-ROW_MAJOR_KEYS = 32
-
-# Tape-free encodes of fewer windows than this take the row-major path: the
-# stack path's fixed cost, about 17 us, outweighs what it saves below the
-# float64 crossover (module docstring).
+# Tape-free encodes of at least this many windows take the stack path:
+# below the float64 crossover its fixed costs outweigh what it saves
+# (module docstring).
 STACK_WINDOWS = 6
 
 
@@ -232,28 +263,28 @@ class TemporalEncoder:
         """Embed a segment, or a stack of them, as (sensors x model_dim)
         matrices.
 
-        With a ``tape``, it keeps what the reverse pass reads: the queries
-        and the keys, each (..., heads, sensors, head_dim), every head's
-        softmax attention matrix (``attention``, (..., heads, sensors,
-        sensors), row-major), the transposed values (a contiguous copy),
-        the heads' outputs side by side, the merged embedding, the hidden
-        layer's mask, the activated hidden layer and the embedding. Without
-        one, each array is freed after its last reader, so a long stack's
-        working set does not grow with every head's projections at once.
-        An encode with a tape, or of at least ``STACK_WINDOWS`` windows,
-        takes the stack path (``_attend_stack``); the rest take the
-        row-major one (``_attend_rows``). At the default head widths both
-        give the same bits (module docstring).
+        With a ``tape``, it keeps what the reverse pass reads: the queries,
+        the keys, every head's softmax attention matrix (``attention``,
+        (..., heads, sensors, sensors)), the transposed values (a
+        contiguous copy), the heads' outputs side by side, the merged
+        embedding, the hidden layer's mask, the activated hidden layer and
+        the embedding. Without one, each array is freed after its last
+        reader, so a long stack's working set does not grow with every
+        head's projections at once.
+        A tape-free encode of at least ``STACK_WINDOWS`` windows takes the
+        stack path (``_attend_stack``); the rest take the row-major one
+        (``_attend_rows``). At the default head widths both give the same
+        bits (module docstring).
         """
         if windows.shape[-2:] != (self.sensors, self.window):
             raise ValueError(
                 f"segment shape {windows.shape} does not match encoder "
                 f"({self.sensors}, {self.window})")
         lead = windows.shape[:-2]
-        if tape is None and math.prod(lead) < STACK_WINDOWS:
-            heads = self._attend_rows(windows)
+        if tape is None and math.prod(lead) >= STACK_WINDOWS:
+            heads = self._attend_stack(windows)
         else:
-            heads = self._attend_stack(windows, tape)
+            heads = self._attend_rows(windows, tape)
         heads = heads.reshape(lead + (self.sensors, self.heads * self.head_dim))
         merged = heads @ self.w_out.value
         if tape is not None:
@@ -270,13 +301,19 @@ class TemporalEncoder:
             tape.update(mask=mask, hidden=hidden, embedding=embedding)
         return embedding
 
-    def _attend_rows(self, windows: np.ndarray) -> np.ndarray:
+    def _attend_rows(self, windows: np.ndarray,
+                     tape: dict[str, np.ndarray] | None) -> np.ndarray:
         """The heads' outputs, (..., sensors, heads, head_dim), by stacked
         products of the (..., 1, sensors, window) input and the stored
-        weights, and a softmax along the logits' rows."""
+        weights, and a softmax along the logits' rows; with a ``tape``, it
+        keeps what the reverse pass reads of the attention block."""
         x = windows.reshape(windows.shape[:-2] + (1, self.sensors, self.window))
         q = x @ self.w_query.value
-        kt = np.swapaxes(x @ self.w_key.value, -1, -2).copy()
+        k = x @ self.w_key.value
+        kt = np.swapaxes(k, -1, -2).copy()
+        if tape is not None:
+            tape.update(q=q, k=k)
+        del k
         logits = q @ kt
         del q, kt
         logits *= 1.0 / math.sqrt(self.window)
@@ -287,44 +324,44 @@ class TemporalEncoder:
         heads = np.empty(v.shape[:-3] + (self.sensors, self.heads, self.head_dim),
                          dtype=v.dtype)
         np.matmul(a, v, out=np.swapaxes(heads, -3, -2))
+        if tape is not None:
+            tape.update(attention=a, vt=np.swapaxes(v, -1, -2).copy())
         return heads
 
-    def _attend_stack(self, windows: np.ndarray,
-                      tape: dict[str, np.ndarray] | None) -> np.ndarray:
+    def _attend_stack(self, windows: np.ndarray) -> np.ndarray:
         """The heads' outputs, (windows, sensors, heads, head_dim), by one
         2-D product per projection and a softmax over key-major logits
-        (keys x windows x heads x queries); with a ``tape``, it keeps what
-        the reverse pass reads of the attention block."""
-        lead = windows.shape[:-2]
-        n, sensors = math.prod(lead), self.sensors
+        (keys x windows x heads x queries)."""
+        n, sensors = math.prod(windows.shape[:-2]), self.sensors
         rows = windows.reshape(n * sensors, self.window)
 
-        def project(weight: Tensor) -> np.ndarray:
+        def side_by_side(weight: Tensor) -> np.ndarray:
             # Every head's weight side by side, (window x heads * head_dim),
             # so each window and head reads its own column block.
-            side = weight.value.transpose(1, 0, 2).reshape(self.window, -1)
-            out = (rows @ side).reshape(n, sensors, self.heads, self.head_dim)
+            return weight.value.transpose(1, 0, 2).reshape(self.window, -1)
+
+        def project(weight: Tensor) -> np.ndarray:
+            out = (rows @ side_by_side(weight)).reshape(
+                n, sensors, self.heads, self.head_dim)
             return np.swapaxes(out, 1, 2)
 
-        q, k = project(self.w_query), project(self.w_key)
-        s = np.empty((sensors, n, self.heads, sensors), dtype=q.dtype)
-        np.matmul(k, np.swapaxes(q, -1, -2), out=s.transpose(1, 2, 0, 3))
-        if tape is not None:
-            by_head = lead + (self.heads, sensors, self.head_dim)
-            tape.update(q=q.reshape(by_head), k=k.reshape(by_head))
-        del q, k
+        # The queries come transposed, (heads * head_dim x windows *
+        # sensors), so the logits' product reads no transposed operand.
+        qt = (side_by_side(self.w_query).T @ rows.T).reshape(
+            self.heads, self.head_dim, n, sensors)
+        k = project(self.w_key)
+        s = np.empty((sensors, n, self.heads, sensors), dtype=k.dtype)
+        np.matmul(k, qt.transpose(2, 0, 1, 3), out=s.transpose(1, 2, 0, 3))
+        del qt, k
         s *= 1.0 / math.sqrt(self.window)
         softmax_keys(s)
-        a = s.transpose(1, 2, 3, 0)
-        if tape is not None or sensors >= ROW_MAJOR_KEYS:
-            a = a.copy()
+        # A row-major copy: the attention's rows are then the row-major
+        # path's operand, so the product with the values keeps its bits.
+        a = s.transpose(1, 2, 3, 0).copy()
         del s
         v = project(self.w_value)
         heads = np.empty((n, sensors, self.heads, self.head_dim), dtype=v.dtype)
         np.matmul(a, v, out=np.swapaxes(heads, 1, 2))
-        if tape is not None:
-            tape.update(attention=a.reshape(lead + a.shape[1:]),
-                        vt=np.swapaxes(v.reshape(by_head), -1, -2).copy())
         return heads
 
     def predict_next(self, embedding: np.ndarray) -> np.ndarray:

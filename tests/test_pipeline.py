@@ -108,8 +108,8 @@ class TestEmbedOnce:
 FLATTENED = [f"{variant}-flatten" for variant in benchmark.VARIANTS]
 
 
-def _tiny_pipeline(variant):
-    config = tiny_config(variant)
+def _tiny_pipeline(variant, settings=()):
+    config = tiny_config(variant, settings)
     topology, values, labels, test = tiny_data(config)
     return pipeline.train_pipeline(config, topology, values, labels), test
 
@@ -123,12 +123,27 @@ def scoring_cases(ids):
             for variant, name in zip(benchmark.VARIANTS, ids)]
 
 
-@pytest.mark.parametrize("variant, stride", scoring_cases(FLATTENED))
-def test_whole_stream_scores_equal_per_window_scores(variant, stride):
-    pipe, test = _tiny_pipeline(variant)
+# The full detector at other head widths than the tiny pipelines' 2 heads
+# of 2: 4 heads of 4, and 1 head of 32 over 60-row windows, at which the
+# temporal stage's stack path can round differently from the row-major
+# path a lone window takes (temporal's module docstring).
+OTHER_WIDTHS = [
+    pytest.param("full", stride, settings, id=f"full-flatten-{name}{suffix}")
+    for name, settings in (
+        ("4x4", ("temporal.heads=4", "temporal.head_dim=4")),
+        ("1x32", ("temporal.heads=1", "temporal.head_dim=32", "window.length=60")))
+    for stride, suffix in ((10, ""), (3, "-overlapping"))]
+
+
+@pytest.mark.parametrize("variant, stride, settings", [
+    pytest.param(*case.values, (), id=case.id)
+    for case in scoring_cases(FLATTENED)] + OTHER_WIDTHS)
+def test_whole_stream_scores_equal_per_window_scores(variant, stride, settings):
+    pipe, test = _tiny_pipeline(variant, settings)
     pipe.config.window.stride = stride
     segments, results = pipeline.score_stream(pipe, test)
-    assert len(segments) == (len(test) - 10) // stride + 1
+    length = pipe.config.window.length
+    assert len(segments) == (len(test) - length) // stride + 1
     for start, end, result in zip(segments.starts, segments.ends, results):
         _, (alone,) = pipeline.score_stream(pipe, test[start:end])
         assert alone.score == pytest.approx(result.score, rel=1e-9, abs=0.0)

@@ -20,9 +20,10 @@ SETTINGS = (
 TRAIN_ROWS = 300
 
 
-def tiny_config(variant: str = "full") -> PipelineConfig:
+def tiny_config(variant: str = "full", settings: tuple[str, ...] = ()) -> PipelineConfig:
+    """The tiny settings, then ``settings`` (as ``--set`` overrides)."""
     config = PipelineConfig()
-    for setting in SETTINGS:
+    for setting in SETTINGS + settings:
         target, value = setting.split("=")
         section, key = target.split(".")
         apply_setting(config, section, key, value)
