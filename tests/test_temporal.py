@@ -418,8 +418,8 @@ def test_prediction_loss_gradients_pass_finite_differences():
 
 
 @pytest.mark.parametrize("sizes, parts", [
-    # A tail part of fewer than STACK_WINDOWS windows: a taped encode takes
-    # the row-major path at any length.
+    # A tail part of fewer than STACK_WINDOWS windows, whose 240 softmax
+    # rows take numpy's reductions below COLUMN_ROWS.
     ((12, 30, 4, 8, 32), (64, 64, 17, temporal.STACK_WINDOWS - 1)),
     ((5, 6, 1, 3, 4), (4, 4, 4, 2)),
 ], ids=["benchmark-shape", "one-head"])
