@@ -106,15 +106,9 @@ class Adam:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, grads: list[Array]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError(
-                f"{len(grads)} gradients for {len(self.params)} parameters")
         self.count += 1
         t = self.count
         for p, m, v, g in zip(self.params, self._m, self._v, grads):
-            if g.shape != p.value.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} does not match parameter {p.value.shape}")
             # lr * m_hat / (sqrt(v_hat) + eps) [+ lr * decay * p], in the
             # order of that formula, in two scratch arrays.
             m *= BETA1

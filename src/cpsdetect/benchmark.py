@@ -1,10 +1,13 @@
 """Reference synthetic benchmark: dataset recipe plus pipeline settings.
 
 One pinned-seed configuration shared by the benchmark harness
-(``perfbench/``) and ``scripts/run_synthetic_benchmark.py``: a 12-sensor, 3-type plant simulated for 28k steps, the
-first 20k anomaly-free for training, the rest holding five labeled events
-that cover all three archetypes (plain offsets, a delayed drift, and two
-cascades that spread over graph neighbors).
+(``perfbench/``), ``scripts/run_synthetic_benchmark.py`` and
+``scripts/checkpoint_digests.py``: a 12-sensor, 3-type plant simulated for
+28k steps, the first 20k anomaly-free for training, the rest holding five
+labeled events that cover all three archetypes (plain offsets, a delayed
+drift, and two cascades that spread over graph neighbors). A variant name
+is one of ``VARIANTS``; the harness and both scripts refuse any other name
+before they call in here.
 """
 from __future__ import annotations
 
@@ -60,12 +63,8 @@ VARIANTS = {
 
 
 def apply_variant(config: PipelineConfig, name: str) -> PipelineConfig:
-    """Set the ablation toggles for one named pipeline variant in place."""
-    try:
-        temporal, weighting, vgae = VARIANTS[name]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}; "
-                         f"choose from {sorted(VARIANTS)}") from None
+    """Set the ablation toggles for one variant of ``VARIANTS`` in place."""
+    temporal, weighting, vgae = VARIANTS[name]
     config.temporal.enabled = temporal
     config.graph.weighting = weighting
     config.vgae.enabled = vgae

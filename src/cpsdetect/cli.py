@@ -145,11 +145,15 @@ def cmd_train(args) -> int:
     config = _build_config(args)
     topology = data_mod.load_topology(
         _require(config.paths.topology, "a topology file", "--topology"))
-    values, labels = data_mod.load_csv(
-        _require(config.paths.data, "a training CSV", "--data"), topology)
+    data_path = _require(config.paths.data, "a training CSV", "--data")
+    values, labels = data_mod.load_csv(data_path, topology)
     print(f"loaded {len(values)} rows x {topology.n} sensors")
 
-    pipe = pipeline_mod.train_pipeline(config, topology, values, labels)
+    try:
+        pipe = pipeline_mod.train_pipeline(config, topology, values, labels)
+    except DataError as err:
+        # Every count training refuses is one of the CSV's.
+        raise DataError(f"{data_path}: {err}") from None
     out = _out_dir(config)
     ckpt_path = Path(config.paths.checkpoint or out / "model.ckpt")
     ckpt.save_checkpoint(ckpt_path, pipe)

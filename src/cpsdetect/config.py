@@ -254,13 +254,10 @@ def parse_anomaly_spec(text: str) -> tuple[AnomalyWindow, ...]:
                 "kind:start:duration:sensor[:magnitude]")
         try:
             # A 4-field spec leaves the magnitude at AnomalyWindow's default.
-            window = AnomalyWindow(parts[0], int(parts[1]), int(parts[2]),
-                                   int(parts[3]), *map(float, parts[4:]))
+            windows.append(AnomalyWindow(parts[0], int(parts[1]), int(parts[2]),
+                                         int(parts[3]), *map(float, parts[4:])))
         except ValueError as err:
             raise ConfigError(f"bad anomaly spec {chunk.strip()!r}: {err}") from None
-        if window.kind not in AnomalyWindow.KINDS:
-            raise ConfigError(f"unknown anomaly kind {window.kind!r}")
-        windows.append(window)
     return tuple(windows)
 
 

@@ -30,9 +30,13 @@ or ``[start, end)``, is empty or outside the labeled rows.
 
 The topology file is line oriented: ``sensor <name> <type>`` lines (not
 ``label``, the CSV's label column), then ``edge <nameA> <nameB>`` lines;
-blank lines and ``#`` comments allowed.
+blank lines and ``#`` comments allowed. A ``SensorTopology`` is checked
+when it is built, by the parser, the generator or a library caller, so an
+invalid one cannot exist.
 ``segment_stream`` cuts a stream into windows and returns them as
-``Segments``, an index of start rows that copies nothing; ``window_rows``
+``Segments``, an index of start rows that copies nothing. Windowing refuses
+no count: a stream shorter than one window has no window (``train_pipeline``
+refuses such a stream, ``score_stream`` scores none). ``window_rows``
 gives the (windows x length) index of the rows windows cover, with which
 labels are read, and ``gather_windows`` copies the windows at any starts out
 of the stream, so a caller holds a few windows at a time, never a stack of
@@ -79,7 +83,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SensorTopology:
-    """Static sensor set: names, binary adjacency, and type assignment."""
+    """Static sensor set: names, binary adjacency, and type assignment,
+    checked when built: a DataError names the first defect."""
 
     names: list[str]
     adjacency: np.ndarray
@@ -122,7 +127,7 @@ class SensorTopology:
                             _read_only(self.type_sizes.astype(dtype)[:, None]))
         return cache[dtype]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         a = self.adjacency
         if a.shape != (self.n, self.n):
             raise DataError(f"adjacency shape {a.shape} does not match {self.n} sensors")
@@ -192,9 +197,7 @@ def parse_topology(text: str) -> SensorTopology:
         adjacency[index[a], index[b]] = 1
         adjacency[index[b], index[a]] = 1
     type_of = np.array([type_names.index(sensor_type[n]) for n in names])
-    topology = SensorTopology(names, adjacency, type_of, type_names)
-    topology.validate()
-    return topology
+    return SensorTopology(names, adjacency, type_of, type_names)
 
 
 def format_topology(topology: SensorTopology) -> str:
@@ -321,8 +324,6 @@ class Normalizer:
 
 
 def fit_normalizer(values: np.ndarray) -> Normalizer:
-    if values.shape[0] == 0:
-        raise DataError("cannot fit a normalizer on an empty stream")
     mean = values.mean(axis=0)
     std = values.std(axis=0)
     # Constant sensors get a floored std, so their normalized values are 0.
@@ -370,10 +371,7 @@ def segment_stream(values: np.ndarray, length: int, stride: int) -> Segments:
     The trailing remainder that does not fill a window is dropped. Only the
     start rows are made; the stream is not copied.
     """
-    total = len(values)
-    if total < length:
-        raise DataError(f"stream of length {total} is shorter than one window ({length})")
-    return Segments(np.arange(0, total - length + 1, stride), length)
+    return Segments(np.arange(0, len(values) - length + 1, stride), length)
 
 
 def window_rows(starts: np.ndarray, length: int) -> np.ndarray:
@@ -410,9 +408,7 @@ def generate_topology(sensors: int, types: int, density: float,
     adjacency[cols[chosen], rows[chosen]] = 1
     names = [f"S{i:02d}" for i in range(sensors)]
     type_names = [f"T{j}" for j in range(types)]
-    topology = SensorTopology(names, adjacency, type_of, type_names)
-    topology.validate()
-    return topology
+    return SensorTopology(names, adjacency, type_of, type_names)
 
 
 # Rows per block of ``ar1_in_place``, and the rows before a block over

@@ -42,10 +42,15 @@ as the part is built, which leaves the bits of one call over every window
 sizes). ``score_stream`` returns one
 ``DetectionResult``, the window's score, per window; a window alarms when
 its score is above the threshold, a rule that ``expand_to_timestamps`` and
-the ``score`` command apply. A library caller's stream is
-converted to float64 and checked where it enters: real numbers, 2-D, one
-column per sensor, finite. Every numeric step of training and scoring runs
-in a labelled ``numeric_context``.
+the ``score`` command apply. Each input is checked once, at its entry,
+and no stage checks it again: the settings by ``PipelineConfig.validate``,
+the topology when it is built (``data.SensorTopology``), a library caller's
+stream by ``_checked_stream`` (converted to float64; real numbers, 2-D, one
+column per sensor, finite) and the labels and counts by ``train_pipeline``
+(one 0/1 label per row, a stream of at least one window after the
+``train_fraction`` cut, two normal windows, a prediction pair). Every
+numeric step of training and scoring runs in a labelled
+``numeric_context``.
 Training and scoring differ in precision. Training fits and applies the
 z-score statistics in float64, then casts the z-scored stream and every
 parameter ``build_stages`` drew to ``FIT_DTYPE`` (float32) once; each pass
@@ -218,7 +223,6 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     """Run all enabled training stages on one stream and calibrate; the
     result's ``record`` is the ``run.json`` that ``data.py`` describes."""
     config.validate()
-    topology.validate()
     values = _checked_stream(values, topology)
     labels = _binary_array(labels, "labels")
     if len(labels) != len(values):
@@ -227,12 +231,15 @@ def train_pipeline(config: PipelineConfig, topology: SensorTopology,
     if config.run.train_fraction < 1.0:
         keep = max(int(round(values.shape[0] * config.run.train_fraction)), 1)
         values, labels = values[:keep], labels[:keep]
+    length = config.window.length
+    if len(values) < length:
+        raise DataError(f"stream of length {len(values)} is shorter than one "
+                        f"window ({length})")
 
     with numeric_context("[data] normalizer"):
         normalizer = fit_normalizer(values)
         values = apply_normalizer(normalizer, values).astype(FIT_DTYPE)
 
-    length = config.window.length
     segments = segment_stream(values, length, config.window.stride)
     anomalous = labels[segments.rows].any(axis=1)
     normal = segments.starts[~anomalous]

@@ -276,10 +276,6 @@ class TemporalEncoder:
         (``_attend_rows``). At the default head widths both give the same
         bits (module docstring).
         """
-        if windows.shape[-2:] != (self.sensors, self.window):
-            raise ValueError(
-                f"segment shape {windows.shape} does not match encoder "
-                f"({self.sensors}, {self.window})")
         lead = windows.shape[:-2]
         if tape is None and math.prod(lead) >= STACK_WINDOWS:
             heads = self._attend_stack(windows)

@@ -64,7 +64,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
     Degrees are sums of edge-weight magnitudes, the signed-graph convention:
     negative weights then cannot cancel the unit self-loop. Every graph has
-    a zero diagonal (``SensorTopology.validate`` checks the topology's, and
+    a zero diagonal (building a ``SensorTopology`` checks the topology's, and
     weighting multiplies into it), so every self-looped degree is at least
     1 and the normalized entries stay bounded.
     """
@@ -124,10 +124,6 @@ class VgaeEncoder:
         clipped log-variance, the clip's mask and the std.
         """
         norm, mixed = inputs
-        if mixed.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"attribute dim {mixed.shape[-1]} does not match "
-                f"encoder input dim {self.input_dim}")
         hidden = mixed @ self.w_hidden.value
         mask = None if tape is None else hidden > 0.0
         np.maximum(hidden, 0.0, out=hidden)

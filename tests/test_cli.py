@@ -435,6 +435,9 @@ EXIT_CASES = {
     # numeric context, so no stream of inf and nan cells is written.
     "synth noise overflows the stream": (
         "synth", "--set synthetic.noise=1e308", 3, "[synth]: overflow"),
+    # Refused by the generator's config check, not by the spec parser.
+    "synth unknown anomaly kind": (
+        "synth", "--anomalies bogus:10:5:1", 1, "unknown anomaly kind 'bogus'"),
     "synth anomaly magnitude nan": (
         "synth", "--anomalies offset:10:5:1:nan", 1,
         "anomaly magnitude must be finite, got nan"),
@@ -504,6 +507,11 @@ EXIT_CASES = {
     "train csv cell 1e300 overflows the normalizer": (
         "train-data", _first_sensor_cell(b"1e300"), 3,
         "numeric failure: [data] normalizer: overflow encountered in square"),
+    # A stream without one 10-row window, refused where training checks
+    # its counts, before the normalizer is fit.
+    **{f"train csv {name}": ("train-data", cut, 2, "shorter than one window")
+       for name, cut in (("header only", lambda b: b[:b.index(b"\n") + 1]),
+                         ("of 5 rows", lambda b: b"".join(b.splitlines(True)[:6])))},
     "checkpoint normalizer one sensor short": (
         "checkpoint", _one_short("normalizer/std", axis=0), 2),
     "checkpoint svdd/w0 one row short": ("checkpoint", _one_short("svdd/w0", axis=0), 2),

@@ -80,6 +80,15 @@ def test_a_four_field_anomaly_spec_takes_the_default_magnitude():
         parse_anomaly_spec("offset:1:5:x")
 
 
+def test_the_anomaly_kind_is_checked_once_by_the_generator_config():
+    # The spec parser checks the syntax only; the kind is the config's to
+    # refuse, as it does for a window built any other way.
+    (window,) = parse_anomaly_spec("bogus:10:5:1")
+    assert window == AnomalyWindow("bogus", 10, 5, 1)
+    with pytest.raises(ConfigError, match=r"^unknown anomaly kind 'bogus'$"):
+        SyntheticConfig(anomalies=(window,)).validate()
+
+
 def test_a_one_row_window_is_a_config_error():
     config = PipelineConfig()
     config.window.length = 1

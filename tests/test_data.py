@@ -70,6 +70,26 @@ class TestTopology:
     def test_hop_distances(self, path_topology):
         np.testing.assert_array_equal(path_topology.hop_distances(0), [0, 1, 2])
 
+    # Each defect of a path A - B - C of types (0, 1, 0), made on a copy of
+    # its adjacency and type indices.
+    @pytest.mark.parametrize("defect, message", [
+        (lambda a, t: (np.zeros((3, 2), np.int64), t),
+         "adjacency shape (3, 2) does not match 3 sensors"),
+        (lambda a, t: (a * 2, t), "adjacency entries must be 0 or 1"),
+        (lambda a, t: (a + np.triu(1 - a, 1), t), "adjacency must be symmetric"),
+        (lambda a, t: (a + np.eye(3, dtype=np.int64), t),
+         "adjacency must have a zero diagonal"),
+        (lambda a, t: (a, t[:2]), "every sensor needs exactly one type"),
+        (lambda a, t: (a, np.zeros_like(t)), "type indices used [0] do not cover 0..1"),
+    ], ids=["shape", "entry-2", "asymmetric", "self-loop", "short-types",
+            "uncovered-types"])
+    def test_an_invalid_topology_cannot_be_built(self, path_topology, defect, message):
+        adjacency, type_of = defect(path_topology.adjacency.copy(),
+                                    path_topology.type_of.copy())
+        with pytest.raises(DataError, match=re.escape(message)):
+            data.SensorTopology(path_topology.names, adjacency, type_of,
+                                path_topology.type_names)
+
 
 class TestCsv:
     def test_three_row_hand_csv(self, tmp_path, path_topology):
@@ -194,10 +214,6 @@ class TestNormalizer:
         twice = data.apply_normalizer(norm, once)
         assert not np.allclose(once, twice)
 
-    def test_empty_range_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            data.fit_normalizer(np.zeros((0, 2)))
-
     def test_makes_one_stream_sized_array(self):
         # The z-scored stream alone: a traced peak of 1.00x the input's
         # bytes. Dividing a separate difference makes two arrays, 2x.
@@ -238,6 +254,11 @@ class TestSegmentation:
 
     def test_single_window_no_successor(self):
         assert len(data.segment_stream(self._stream(4), length=4, stride=1)) == 1
+        # Training refuses a stream with no window, an empty one too.
+        for rows in (0, 3):
+            with pytest.raises(DataError, match=re.escape(
+                    f"stream of length {rows} is shorter than one window (4)")):
+                _train_record(np.zeros(rows), length=4, stride=1)
         # Training needs two windows: one to fit, one to calibrate on.
         with pytest.raises(DataError, match="need 2 normal training windows"):
             _train_record(np.zeros(4), length=4, stride=1)
@@ -281,17 +302,11 @@ class TestSegmentation:
                                   "anomalous_windows": 1, "normal_windows": 2,
                                   "window_length": 4}
 
-    def test_too_short_stream(self):
-        with pytest.raises(DataError, match="shorter than one window"):
-            data.segment_stream(self._stream(3), length=4, stride=1)
-
     @given(st.integers(8, 200), st.integers(2, 12), st.integers(1, 15))
     @settings(max_examples=60)
     def test_count_formula(self, total, length, stride):
-        if total < length:
-            return
         segs = data.segment_stream(np.zeros((total, 2)), length, stride)
-        assert len(segs) == (total - length) // stride + 1
+        assert len(segs) == max((total - length) // stride + 1, 0)
 
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(2, 12),
            st.integers(1, 15), st.integers(0, 10_000))

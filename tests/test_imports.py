@@ -1,8 +1,8 @@
 """Every name a package module or script imports is used in that file,
 every function, class and method the package defines is read by program
 code, not only by tests, every parameter default it defines is left out
-by some program call, a setting is refused only where it enters, and
-windows are gathered in parts by one walk only."""
+by some program call, a setting is refused only where it enters, only the
+entries raise, and windows are gathered in parts by one walk only."""
 from __future__ import annotations
 
 import ast
@@ -110,17 +110,32 @@ def test_every_definition_is_read_by_program_code():
 SETTING_READERS = {"config.py", "cli.py", "checkpoint.py"}
 
 
+def raise_statements(source: str) -> list[tuple[int, str, str]]:
+    """(line, where, exception) of each ``raise`` statement: ``where`` is
+    the dotted name of the classes and functions it is inside (``""`` at
+    module level), ``exception`` the name it raises (``""`` for a bare
+    ``raise``)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            found.append((node.lineno, where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
 def misplaced_config_errors(source: str) -> list[int]:
     """Lines of the ``raise ConfigError`` statements, in whatever function
     they are."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
-            if name == "ConfigError":
-                lines.append(node.lineno)
-    return sorted(lines)
+    return [line for line, _, name in raise_statements(source)
+            if name == "ConfigError"]
 
 
 def test_settings_are_refused_only_where_they_enter():
@@ -140,6 +155,52 @@ def test_settings_are_refused_only_where_they_enter():
 ])
 def test_misplaced_config_errors_finds_raises_outside_validate(source, lines):
     assert misplaced_config_errors(source) == lines
+
+
+# The entries, the only functions that refuse a value: each checks the
+# value where it enters, and no stage checks it again. ``"*"`` allows any
+# function of a settings reader; a module not listed may not raise at all.
+ENTRIES = {
+    **dict.fromkeys(SETTING_READERS, {"*"}),
+    "errors.py": {"reading"},
+    "autodiff.py": {"numeric_context"},
+    "metrics.py": {"_binary_array", "evaluate_scores"},
+    "pipeline.py": {"_checked_stream", "train_pipeline"},
+    "data.py": {"finite", "label", "read_columns", "parse_topology",
+                "SensorTopology.__post_init__"},
+}
+
+
+def misplaced_raises(source: str, entries: set[str]) -> list[int]:
+    """Lines of the ``raise`` statements outside ``entries``: a statement
+    inside an entry's nested function counts as the entry's."""
+    if "*" in entries:
+        return []
+    return [line for line, where, _ in raise_statements(source)
+            if not any(where == entry or where.startswith(entry + ".")
+                       for entry in entries)]
+
+
+def test_only_the_entries_raise():
+    assert [f"{path.name}:{line}" for path in PACKAGE
+            for line in misplaced_raises(path.read_text(encoding="utf-8"),
+                                         ENTRIES.get(path.name, set()))] == []
+
+
+@pytest.mark.parametrize("source, entries, lines", [
+    ("def f():\n    raise ValueError('x')\n", set(), [2]),
+    ("def f():\n    raise ValueError('x')\n", {"f"}, []),
+    ("def f():\n    raise ValueError('x')\n", {"*"}, []),
+    ("def f():\n    raise\ndef g():\n    raise E\n", {"g"}, [2]),
+    ("def f():\n    def g():\n        raise E\n", {"f"}, []),
+    ("def f():\n    def g():\n        raise E\n", {"g"}, [3]),
+    ("class A:\n    def m(self):\n        raise E\n", {"m"}, [3]),
+    ("class A:\n    def m(self):\n        raise E\n", {"A.m"}, []),
+    ("def fa():\n    raise E\n", {"f"}, [2]),
+    ("raise E\n", {"f"}, [1]),
+])
+def test_misplaced_raises_finds_raises_outside_the_entries(source, entries, lines):
+    assert misplaced_raises(source, entries) == lines
 
 
 # The functions that walk a stream's windows in parts: the one walk that

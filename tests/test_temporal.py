@@ -304,10 +304,6 @@ class TestStack:
                                            fresh_grads())
         assert loss == pytest.approx(np.mean(per_pair), rel=1e-12)
 
-    def test_wrong_segment_shape_rejected(self):
-        with pytest.raises(ValueError, match="segment shape"):
-            make_encoder().encode(np.zeros((2, 3, 5)))
-
 
 def test_batch_encode_peak_memory_stays_within_the_per_head_loop():
     # An encode of the benchmark's 266 test windows at the default

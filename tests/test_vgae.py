@@ -153,10 +153,6 @@ class TestEncode:
         for field in ("mean", "logvar", "std", "propagated"):
             assert np.array_equal(tape[field], np.stack([t[field] for t in singles]))
 
-    def test_input_dim_mismatch(self):
-        with pytest.raises(ValueError, match="input dim"):
-            make_encoder(input_dim=5).encode(vgae.propagate(*toy_graph(dim=4)))
-
 
 class TestDecode:
     def test_zero_embedding_gives_half(self):
