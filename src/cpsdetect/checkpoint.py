@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"CPSD"
-    u32    format version
+    u32    format version (5)
     u32    block count
     blocks, each:
         u8   kind  (T = text, A = array)
@@ -18,7 +18,9 @@ against any other topology is an error.
 The array blocks follow in the order of ``_arrays``, the one listing of
 stored values: the z-score statistics, each enabled stage's parameters
 under its prefix (``temporal/w_out``), the hypersphere center and the 0-d
-threshold, each in its own shape. Training fits in float32
+threshold, each in its own shape; the temporal projections
+(``temporal/w_query``, ``w_key``, ``w_value``) are (window x heads *
+head_dim), head h in the h-th column block. Training fits in float32
 (``pipeline.FIT_DTYPE``), so every stored parameter, the center and the
 threshold hold float32-representable values; they are stored, loaded and
 scored as float64 like the z-score statistics, and the format does not
@@ -28,9 +30,8 @@ files. Loading builds the stages from the stored config through
 array the listing names. A non-finite value, or a std below the floor that
 ``fit_normalizer`` keeps, is an error that names its block. The reader
 accepts what ``save_checkpoint`` writes, and a config block that also
-holds ``paths`` and ``synthetic`` sections, as earlier version-4 files do;
-anything else, a version mismatch included, is an error, never a silent
-migration.
+holds ``paths`` and ``synthetic`` sections; anything else, a version
+mismatch included, is an error, never a silent migration.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .errors import ConfigError, DataError, reading
 from .pipeline import TrainedPipeline, build_stages
 
 MAGIC = b"CPSD"
-VERSION = 4
+VERSION = 5
 
 
 def _arrays(pipe: TrainedPipeline) -> list[tuple[str, np.ndarray]]:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -128,6 +128,11 @@ class SensorTopology:
         return cache[dtype]
 
     def __post_init__(self) -> None:
+        if not self.names:
+            raise DataError("topology defines no sensors")
+        repeated = [name for name, count in Counter(self.names).items() if count > 1]
+        if repeated:
+            raise DataError(f"duplicate sensor {repeated[0]!r}")
         a = self.adjacency
         if a.shape != (self.n, self.n):
             raise DataError(f"adjacency shape {a.shape} does not match {self.n} sensors")
@@ -171,8 +176,6 @@ def parse_topology(text: str) -> SensorTopology:
         parts = line.split()
         if parts[0] == "sensor" and len(parts) == 3:
             _, name, tname = parts
-            if name in sensor_type:
-                raise DataError(f"line {lineno}: duplicate sensor {name!r}")
             if name == "label":
                 raise DataError(f"line {lineno}: a sensor cannot be named 'label'")
             sensor_type[name] = tname
@@ -183,8 +186,6 @@ def parse_topology(text: str) -> SensorTopology:
             edges.append((parts[1], parts[2]))
         else:
             raise DataError(f"line {lineno}: cannot parse topology line {raw!r}")
-    if not names:
-        raise DataError("topology defines no sensors")
     index = {name: i for i, name in enumerate(names)}
     adjacency = np.zeros((len(names), len(names)), dtype=np.int64)
     for a, b in edges:

@@ -5,11 +5,10 @@ projects the per-sensor time rows to query/key/value spaces, so the attention
 matrix is (sensors x sensors): sensors attend to each other, sharing temporal
 information. Time steps are the projections' input coordinates, so no
 positional encoding is added. Scores are scaled by sqrt(window_length). The
-heads are one stack axis: each projection is stored as one (heads x
-window_length x head_dim) parameter, every head runs in the same array
-operations, and the head outputs are laid side by side as column blocks, head
-h in columns h*head_dim to (h+1)*head_dim. The feed-forward refinement uses
-full per-sensor bias matrices, and a linear head predicts the next window;
+heads are one stack axis: every head runs in the same array operations, and
+the head outputs are laid side by side as column blocks, head h in columns
+h*head_dim to (h+1)*head_dim. The feed-forward refinement uses full
+per-sensor bias matrices, and a linear head predicts the next window;
 training minimizes the mean squared prediction error over all (window,
 successor) pairs drawn from normal data. Segments pass every layer together
 as a (segments x sensors x window_length) stack: scoring encodes a stream's
@@ -35,27 +34,23 @@ epochs: the optimizer, the labelled numeric context and the loss trace.
 
 ``encode`` takes one of two paths to the heads' outputs. Every taped
 encode, and a tape-free one of fewer than ``STACK_WINDOWS`` windows such as
-a one-window scoring call, takes the row-major path (``_attend_rows``):
-the input, reshaped to (..., 1, sensors, window), times each stored
-projection, so every (window, head) pair is one small product; the logits
-(..., heads, queries, keys) and ``softmax_rows`` along their rows. A
+a one-window scoring call, takes the row-major path (``_attend_rows``): the
+input, reshaped to (..., 1, sensors, window), times each projection's
+per-head view, so every (window, head) pair is one small product; the
+logits (..., heads, queries, keys) and ``softmax_rows`` along their rows. A
 tape-free encode of at least ``STACK_WINDOWS`` windows, such as a
 whole-stream scoring part, takes the stack path (``_attend_stack``). Each
 projection is one (windows * sensors x window) @ (window x heads *
-head_dim) product, the stored weight laid side by side per call, so
-parameters and checkpoints keep their layout. The queries' product is
-made transposed, (heads * head_dim x windows * sensors), so the logits'
-product reads no transposed operand: for a 64-window float64 part it
-takes 73 us against 105-165 us through a transposed view of the queries,
-and the transposed projection 7 us more (one BLAS thread, 2-vCPU host).
-The logits go straight into one key-major buffer (keys x windows x heads
-x queries), written through a permuted view with ``out=``, so numpy makes
-no temporary. ``softmax_keys`` runs on that buffer in place: the max is
-one reduction over the leading axis, the shift, exponential and division
-are whole-buffer passes, and the key sums add contiguous leading slices in
-numpy's pairwise order. A reduction along a 12-long last axis pays per row
-instead. The attention times the values reads a row-major copy of the
-buffer, the row-major path's operand.
+head_dim) product of the stored weight. One contiguous copy turns the
+queries into (heads x head_dim x windows x sensors), so the logits' product
+reads no transposed operand. The logits go straight into one key-major
+buffer (keys x windows x heads x queries), written through a permuted view
+with ``out=``, so numpy makes no temporary. ``softmax_keys`` runs on that
+buffer in place: the max is one reduction over the leading axis, the shift,
+exponential and division are whole-buffer passes, and the key sums add
+contiguous leading slices in numpy's pairwise order. A reduction along a
+12-long last axis pays per row instead. The attention times the values
+reads a row-major copy of the buffer, the row-major path's operand.
 
 ``STACK_WINDOWS`` (6) is the smallest stack at which the stack path won a
 tape-free float64 encode at the default sizes in every measurement.
@@ -68,34 +63,37 @@ times the row-major time. In float32 the stack path wins from 4 windows
 on. The gate keeps one-window scoring, 1.15 times slower on the stack
 path, on the row-major one.
 
-Both paths give the bits of the stacked products (``tests/oracles.py``)
-at the default head widths (4 heads of 8, windows of 10 or 30 rows) and at
-3 heads of 5 and 8 of 8, checked from 2 to 200 sensors in float32 and
-float64. The stack path's products have other shapes than the
-per-(window, head) ones, and OpenBLAS picks its kernel by shape, so at
-other widths its bits can differ: at 4 heads of 4 the float64 side-by-side
-projection rounds differently, and with 16 or more terms per logit in
-float64 (2 heads of 16) or 32 in float32 (1 head of 32) the key-major
-logits do, at most sensor counts. An embedding's entries then differ by
-about 5e-16 of its largest, far within the 1e-9 at which a window scored
-alone must agree with it scored inside a stream (the later stages already
-differ in their last bits between the two). The temporal fit's bits do
-not depend on it, since its parts are taped and take the row-major path;
-the embeddings the later stages are fit on are tape-free stacks and do.
+At the benchmark's head widths, 4 heads of 8, both paths give the bits of
+the stacked products (``tests/oracles.py``) at every sensor count the tests
+try, in float32 and float64, at one BLAS thread and at two. The stack
+path's products have other shapes than the per-(window, head) ones, and
+OpenBLAS picks its kernel by shape, so at other widths its bits can differ:
+at 4 heads of 4 the float64 side-by-side projection rounds differently, and
+with 16 or more terms per logit in float64 (2 heads of 16) or 32 in float32
+(1 head of 32) the key-major logits do. There the tests hold the embedding
+within 16 units of rounding of its largest entry; it differs by about 5e-16
+of it, far within the 1e-9 at which a window scored alone must agree with
+it scored inside a stream (the later stages already differ in their last
+bits between the two). The temporal fit's bits do not depend on it, since
+its parts are taped and take the row-major path; the embeddings the later
+stages are fit on are tape-free stacks and do.
 
-The reverse pass writes the gradients at the values, the queries and the
-keys, in turn, into one array laid out side by side as the heads' outputs
-are (through its per-head view, with ``out=``), so each projection's
-weight gradient is one (window x heads * head_dim) product per window: 64
-products for a 64-window part instead of 256 per (window, head), 27 us
-against 68 us in float32 (2-vCPU host, one BLAS thread), with the same
-bits, since every entry is the same dot product over the sensors and the
-sum over windows runs in the same order. ``loss_and_gradients`` carries
-those three sums across an epoch's parts in that layout, and
-``stored_layout`` turns them into the parameters' (heads x window x
-head_dim) layout once per epoch. The products that make the gradients at
-the projections stay stacked, since each multiplies one window's and one
-head's own matrices (attention, keys, values).
+Each projection, ``w_query``, ``w_key`` or ``w_value``, keeps one layout,
+(window x heads * head_dim) with head h in the h-th column block: drawn per
+head, as (heads x window x head_dim), and laid side by side once at
+construction, it is the layout of the stack path's products and of the
+projection gradients, and the row-major path reads a per-head view. The
+reverse pass writes the gradients at the values, the queries and the keys,
+in turn, into one array laid out side by side as the heads' outputs are
+(through its per-head view, with ``out=``), so each projection's weight
+gradient is one (window x heads * head_dim) product per window: 64 products
+for a 64-window part instead of 256 per (window, head), 27 us against 68 us
+in float32 (2-vCPU host, one BLAS thread), with the same bits, since every
+entry is the same dot product over the sensors and the sum over windows
+runs in the same order. ``loss_and_gradients`` carries those three sums
+across an epoch's parts. The products that make the gradients at the
+projections stay stacked, since each multiplies one window's and one head's
+own matrices (attention, keys, values).
 
 A reduction along a short last axis pays per row, so from ``COLUMN_ROWS``
 (512) rows on the softmax's row reductions run over whole columns; below
@@ -238,11 +236,12 @@ class TemporalEncoder:
         self.heads = heads
         self.head_dim = head_dim
         self.model_dim = model_dim
-        # One (heads x window x head_dim) draw each: the numbers of one draw
-        # per head, in head order.
-        self.w_query = ad.uniform_init(rng, heads, window, head_dim)
-        self.w_key = ad.uniform_init(rng, heads, window, head_dim)
-        self.w_value = ad.uniform_init(rng, heads, window, head_dim)
+        # One (heads x window x head_dim) draw each, the numbers of one draw
+        # per head in head order, laid side by side once.
+        self.w_query, self.w_key, self.w_value = (
+            ad.uniform_init(rng, heads, window, head_dim) for _ in range(3))
+        for p in (self.w_query, self.w_key, self.w_value):
+            p.value = p.value.transpose(1, 0, 2).reshape(window, heads * head_dim)
         self.w_out = ad.uniform_init(rng, heads * head_dim, model_dim)
         self.w_ff1 = ad.uniform_init(rng, model_dim, model_dim)
         self.w_ff2 = ad.uniform_init(rng, model_dim, model_dim)
@@ -252,8 +251,8 @@ class TemporalEncoder:
         self.b_pred = ad.zeros_init(sensors, window)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        """Parameters by name, in checkpoint order: the three projection
-        stacks, then the rest."""
+        """Parameters by name, in checkpoint order: the three projections,
+        then the rest."""
         for name in ("w_query", "w_key", "w_value", "w_out", "w_ff1", "b_ff1",
                      "w_ff2", "b_ff2", "w_pred", "b_pred"):
             yield name, getattr(self, name)
@@ -297,15 +296,21 @@ class TemporalEncoder:
             tape.update(mask=mask, hidden=hidden, embedding=embedding)
         return embedding
 
+    def _by_head(self, weight: Tensor) -> np.ndarray:
+        """A projection's per-head view, (heads x window x head_dim)."""
+        return weight.value.reshape(self.window, self.heads,
+                                    self.head_dim).swapaxes(0, 1)
+
     def _attend_rows(self, windows: np.ndarray,
                      tape: dict[str, np.ndarray] | None) -> np.ndarray:
         """The heads' outputs, (..., sensors, heads, head_dim), by stacked
-        products of the (..., 1, sensors, window) input and the stored
-        weights, and a softmax along the logits' rows; with a ``tape``, it
-        keeps what the reverse pass reads of the attention block."""
+        products of the (..., 1, sensors, window) input and each
+        projection's per-head view, and a softmax along the logits' rows;
+        with a ``tape``, it keeps what the reverse pass reads of the
+        attention block."""
         x = windows.reshape(windows.shape[:-2] + (1, self.sensors, self.window))
-        q = x @ self.w_query.value
-        k = x @ self.w_key.value
+        q = x @ self._by_head(self.w_query)
+        k = x @ self._by_head(self.w_key)
         kt = np.swapaxes(k, -1, -2).copy()
         if tape is not None:
             tape.update(q=q, k=k)
@@ -315,7 +320,7 @@ class TemporalEncoder:
         logits *= 1.0 / math.sqrt(self.window)
         a = softmax_rows(logits)
         del logits
-        v = x @ self.w_value.value
+        v = x @ self._by_head(self.w_value)
         # Each head's output written straight into its column block.
         heads = np.empty(v.shape[:-3] + (self.sensors, self.heads, self.head_dim),
                          dtype=v.dtype)
@@ -331,20 +336,15 @@ class TemporalEncoder:
         n, sensors = math.prod(windows.shape[:-2]), self.sensors
         rows = windows.reshape(n * sensors, self.window)
 
-        def side_by_side(weight: Tensor) -> np.ndarray:
-            # Every head's weight side by side, (window x heads * head_dim),
-            # so each window and head reads its own column block.
-            return weight.value.transpose(1, 0, 2).reshape(self.window, -1)
-
         def project(weight: Tensor) -> np.ndarray:
-            out = (rows @ side_by_side(weight)).reshape(
+            out = (rows @ weight.value).reshape(
                 n, sensors, self.heads, self.head_dim)
             return np.swapaxes(out, 1, 2)
 
-        # The queries come transposed, (heads * head_dim x windows *
-        # sensors), so the logits' product reads no transposed operand.
-        qt = (side_by_side(self.w_query).T @ rows.T).reshape(
-            self.heads, self.head_dim, n, sensors)
+        # One contiguous copy turns the queries into (heads x head_dim x
+        # windows x sensors), so the logits' product reads no transposed
+        # operand.
+        qt = project(self.w_query).transpose(1, 3, 0, 2).copy()
         k = project(self.w_key)
         s = np.empty((sensors, n, self.heads, sensors), dtype=k.dtype)
         np.matmul(k, qt.transpose(2, 0, 1, 3), out=s.transpose(1, 2, 0, 3))
@@ -449,16 +449,6 @@ def loss_and_gradients(encoder: TemporalEncoder, windows: np.ndarray,
     return loss
 
 
-def stored_layout(encoder: TemporalEncoder, grads: list[np.ndarray]
-                  ) -> list[np.ndarray]:
-    """An epoch's gradients as ``loss_and_gradients`` left them, with the
-    three projection gradients turned from side by side (window x heads *
-    head_dim) into their parameters' (heads x window x head_dim) layout."""
-    shape = (encoder.window, encoder.heads, encoder.head_dim)
-    return [np.ascontiguousarray(g.reshape(shape).swapaxes(0, 1))
-            for g in grads[:3]] + grads[3:]
-
-
 def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
                    starts: np.ndarray, epochs: int, lr: float) -> list[float]:
     """Fit the encoder on the (window, successor) pairs of a (rows x
@@ -483,6 +473,6 @@ def train_temporal(encoder: TemporalEncoder, values: np.ndarray,
             loss += loss_and_gradients(
                 encoder, gather_windows(values, part, length),
                 successors.transpose(0, 2, 1), count, grads)
-        return loss, stored_layout(encoder, grads)
+        return loss, grads
 
     return ad.fit(encoder.named_parameters(), epoch, epochs, lr, tag="temporal")

@@ -236,22 +236,39 @@ def reference_softmax_rows(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def reference_temporal_forward(weights, windows):
+def by_head(projection, heads):
+    """A projection as the encoder stores it, (window x heads * head_dim)
+    with head h in the h-th column block, viewed per head: (heads x window
+    x head_dim)."""
+    window, width = projection.shape
+    return projection.reshape(window, heads, width // heads).swapaxes(0, 1)
+
+
+def column_blocks(stack):
+    """A (..., heads, window, head_dim) stack of per-head matrices as one
+    (..., window, heads * head_dim) array, head h in the h-th column block:
+    ``by_head``'s inverse, as a copy."""
+    shape = stack.shape[:-3] + (stack.shape[-2], -1)
+    return np.swapaxes(stack, -3, -2).reshape(shape)
+
+
+def reference_temporal_forward(weights, windows, heads):
     """The temporal encoder's forward pass over a stack of windows, one
     out-of-place numpy step per operation, every head in one stacked
     product per projection, and the heads' outputs made side by side by a
     copy of their transpose: each step's result by name, the embedding
     last. ``weights`` are the encoder's parameter arrays in
-    ``named_parameters`` order."""
+    ``named_parameters`` order, of an encoder of ``heads`` heads; each
+    projection is multiplied through its per-head view (``by_head``)."""
     w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2 = weights[:8]
-    heads, window, head_dim = w_query.shape
+    window, head_dim = w_query.shape[0], w_query.shape[1] // heads
     x = windows.reshape(windows.shape[:-2] + (1,) + windows.shape[-2:])
-    q = x @ w_query
-    k = x @ w_key
+    q = x @ by_head(w_query, heads)
+    k = x @ by_head(w_key, heads)
     kt = np.swapaxes(k, -1, -2).copy()
     logits = q @ kt
     a = reference_softmax_rows(logits * (1.0 / math.sqrt(window)))
-    v = x @ w_value
+    v = x @ by_head(w_value, heads)
     mixed = a @ v
     side_by_side = np.swapaxes(mixed, -3, -2).copy()
     concatenated = side_by_side.reshape(side_by_side.shape[:-2] + (heads * head_dim,))
@@ -265,13 +282,15 @@ def reference_temporal_forward(weights, windows):
             "embedding": merged + refined}
 
 
-def reference_temporal_part(weights, windows, successors, count, held):
+def reference_temporal_part(weights, windows, successors, count, held, heads):
     """One part of a temporal fit's epoch: its share of the loss and the
     ten weight gradients summed over it and the earlier parts (``held``,
     one per weight or ``None``), one out-of-place numpy step per operation
     of the loss and per gradient rule of reverse-mode differentiation
     through it. ``weights`` are the encoder's parameter arrays in
-    ``named_parameters`` order.
+    ``named_parameters`` order, of an encoder of ``heads`` heads, and the
+    gradients take their layout: each projection's per-head gradients are
+    laid side by side before the sum over the part.
 
     The loss is ‖successors − ((m + relu(m W₁ + b₁) W₂ + b₂) W_p + b_p)‖²
     / count, with m the heads' attention outputs side by side times W_o,
@@ -280,8 +299,8 @@ def reference_temporal_part(weights, windows, successors, count, held):
     its order does not matter.
     """
     w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2, w_pred, b_pred = weights
-    scale = 1.0 / math.sqrt(w_query.shape[1])
-    f = reference_temporal_forward(weights, windows)
+    scale = 1.0 / math.sqrt(w_query.shape[0])
+    f = reference_temporal_forward(weights, windows, heads)
     x, q, kt, a, v, side_by_side, concatenated, merged, pre, hidden, embedding = (
         f[name] for name in ("x", "q", "kt", "a", "v", "side_by_side", "concatenated",
                              "merged", "pre", "hidden", "embedding"))
@@ -310,6 +329,7 @@ def reference_temporal_part(weights, windows, successors, count, held):
     g_k = np.swapaxes(g_kt, -1, -2)
     g_w_query = np.swapaxes(x, -1, -2) @ g_q
     g_w_key = np.swapaxes(x, -1, -2) @ g_k
-    stacks = [g_w_query, g_w_key, g_w_value, g_w_out, g_w_ff1, g_pre,
+    stacks = [column_blocks(g_w_query), column_blocks(g_w_key),
+              column_blocks(g_w_value), g_w_out, g_w_ff1, g_pre,
               g_w_ff2, g_embedding, g_w_pred, g_pred]
     return loss, [_carried(stack, h) for stack, h in zip(stacks, held)]

@@ -288,7 +288,11 @@ def temporal_part_loss(weights: list[Tensor], windows: Array, successors: Array,
     """One part's share of the temporal stage's loss, recorded: the squared
     Frobenius error of ``TemporalEncoder``'s next-window predictions over
     the stack, divided by ``count``. ``weights`` are the encoder's ten
-    parameters in ``named_parameters`` order, as leaves."""
+    parameters in ``named_parameters`` order, as leaves, with the three
+    projections held per head, (heads x window x head_dim)
+    (``oracles.by_head``): a leaf sums its broadcast gradient over the
+    stack itself, continuing from what it holds, so a view between it and
+    its product would change the carried sums' bits."""
     w_query, w_key, w_value, w_out, w_ff1, b_ff1, w_ff2, b_ff2, w_pred, b_pred = weights
     heads, window, head_dim = w_query.shape
     t = reshape(Tensor(windows), windows.shape[:-2] + (1,) + windows.shape[-2:])

@@ -45,16 +45,16 @@ EXPECTED = {
 # variant -> (model digest, record digest), as scripts/checkpoint_digests.py
 # prints them with BLAS on one thread.
 DIGESTS = {
-    "full": ("03e8efe12796f36f071480d6f1177b97dc1eb4221b569ef8951caaf13e5f72ff",
+    "full": ("2602bfe728a7af3f286bc6f56f56dd4fb114e155e07448feacbad13d06563472",
              "74598e8aeb955165b5d5938dd7c99c5b245fdb923e5cf0eeb0417ab4fab5e619"),
     "no-weighting": (
-        "33ace835c02318c8dd813a57648cfbac2e7744bc56498e2ae0670181729fb29c",
+        "25f18d4c99609c95f6f15ae76ca761cceb636523a90463128b748ee31f7667cb",
         "216aafe2c2ed5fcb95e1f31e393d564b8851a6535d75be001d6e640515d00809"),
     "no-temporal": (
         "d0bf79999b6dd9a74ebf00e44320f00b8970f3bb2f04e20c06cbb76027048769",
         "065f21047c941b3f3758924aa0203152fc51ab2f5661260f2fd94d86a6956b2f"),
     "temporal-only": (
-        "12d5c0d764457ada9984482f58b4e53deb6d427effd79de4634d7164a7b3c74c",
+        "d0ec0f8b99374bdf836bbf6531f6f927da1dca5e98ada56633556ec778eaddb8",
         "3bf6c25d269d1ab65a4b72c852e4ea75d282e73463c3657ebe7eee2e1d38f4d1"),
     "raw": ("6d80c4aea68cadfaf8ea12ab5fda2153939f94eda9a8776dc09ddc9c99409c28",
             "e872e462875eb12d4b22ae2d62e8415b0fca6b209a84938efd7a37991fe04bc7"),

@@ -67,7 +67,7 @@ def test_each_array_keeps_its_own_shape(tmp_path, trained):
     checkpoint.save_checkpoint(path, pipe)
     blocks = checkpoint._read_blocks(path)
     assert blocks["normalizer/mean"].shape == (4,)
-    assert blocks["temporal/w_query"].shape == (2, 10, 2)
+    assert blocks["temporal/w_query"].shape == (10, 2 * 2)
     assert blocks["temporal/w_out"].shape == (4, 4)
     assert blocks["detector/center"].shape == (4,)
     assert blocks["detector/threshold"].shape == ()
@@ -131,8 +131,8 @@ def test_center_of_the_wrong_width_is_a_data_error(tmp_path, monkeypatch, traine
 
 
 def test_a_config_block_with_paths_and_synthetic_still_loads(tmp_path, trained):
-    # Earlier version-4 files also stored these two sections; no model
-    # reads them.
+    # No model reads these two sections, but the reader accepts a config
+    # block that holds them.
     pipe, test = trained
     path = tmp_path / "model.ckpt"
     checkpoint.save_checkpoint(path, pipe)

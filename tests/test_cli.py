@@ -344,6 +344,11 @@ EXIT_CASES = {
         "line 2: a sensor cannot be named 'label'"),
     "topology edge to unknown sensor": (
         "topology", b"sensor s0 t0\nsensor s1 t0\nedge s0 s9\n", 2),
+    "topology of no sensors": ("topology", b"# no sensor lines\n", 2,
+                               "topology defines no sensors"),
+    "topology repeating a sensor": (
+        "topology", b"sensor s0 t0\nsensor s1 t0\nsensor s0 t1\n", 2,
+        "duplicate sensor 's0'"),
     "topology other than the checkpoint's": ("topology", _without_first_edge, 2),
     "csv not utf-8": ("data", lambda b: b.replace(b"\n", b"\n\xff", 1), 2),
     "csv non-numeric cell": ("data", _first_sensor_cell(b"abc"), 2),
@@ -464,8 +469,8 @@ EXIT_CASES = {
        for stage in ("svdd", "temporal", "vgae")},
     **{f"checkpoint format version {version}": (
         "checkpoint", lambda b, v=version: b[:4] + struct.pack("<I", v) + b[8:], 1,
-        f"checkpoint format version {version} is not supported (expected 4)")
-       for version in (2, 3)},
+        f"checkpoint format version {version} is not supported (expected 5)")
+       for version in (2, 3, 4)},
     "checkpoint weighting not a boolean": (
         "checkpoint", lambda b: _replace_once(b, b"[graph]\nweighting = True\n",
                                               b"[graph]\nweighting =maybe\n"),

@@ -71,24 +71,27 @@ class TestTopology:
         np.testing.assert_array_equal(path_topology.hop_distances(0), [0, 1, 2])
 
     # Each defect of a path A - B - C of types (0, 1, 0), made on a copy of
-    # its adjacency and type indices.
+    # its names, adjacency and type indices.
     @pytest.mark.parametrize("defect, message", [
-        (lambda a, t: (np.zeros((3, 2), np.int64), t),
+        (lambda n, a, t: ([], a[:0, :0], t[:0]), "topology defines no sensors"),
+        (lambda n, a, t: (["A", "B", "A"], a, t), "duplicate sensor 'A'"),
+        (lambda n, a, t: (n, np.zeros((3, 2), np.int64), t),
          "adjacency shape (3, 2) does not match 3 sensors"),
-        (lambda a, t: (a * 2, t), "adjacency entries must be 0 or 1"),
-        (lambda a, t: (a + np.triu(1 - a, 1), t), "adjacency must be symmetric"),
-        (lambda a, t: (a + np.eye(3, dtype=np.int64), t),
+        (lambda n, a, t: (n, a * 2, t), "adjacency entries must be 0 or 1"),
+        (lambda n, a, t: (n, a + np.triu(1 - a, 1), t), "adjacency must be symmetric"),
+        (lambda n, a, t: (n, a + np.eye(3, dtype=np.int64), t),
          "adjacency must have a zero diagonal"),
-        (lambda a, t: (a, t[:2]), "every sensor needs exactly one type"),
-        (lambda a, t: (a, np.zeros_like(t)), "type indices used [0] do not cover 0..1"),
-    ], ids=["shape", "entry-2", "asymmetric", "self-loop", "short-types",
-            "uncovered-types"])
+        (lambda n, a, t: (n, a, t[:2]), "every sensor needs exactly one type"),
+        (lambda n, a, t: (n, a, np.zeros_like(t)),
+         "type indices used [0] do not cover 0..1"),
+    ], ids=["no-sensors", "duplicate-name", "shape", "entry-2", "asymmetric",
+            "self-loop", "short-types", "uncovered-types"])
     def test_an_invalid_topology_cannot_be_built(self, path_topology, defect, message):
-        adjacency, type_of = defect(path_topology.adjacency.copy(),
-                                    path_topology.type_of.copy())
+        names, adjacency, type_of = defect(list(path_topology.names),
+                                           path_topology.adjacency.copy(),
+                                           path_topology.type_of.copy())
         with pytest.raises(DataError, match=re.escape(message)):
-            data.SensorTopology(path_topology.names, adjacency, type_of,
-                                path_topology.type_names)
+            data.SensorTopology(names, adjacency, type_of, path_topology.type_names)
 
 
 class TestCsv:

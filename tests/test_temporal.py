@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,9 @@ from cpsdetect import autodiff as ad
 from cpsdetect import temporal
 
 from conftest import traced_peak
-from oracles import (finite_difference, reference_softmax_rows,
-                     reference_temporal_forward, reference_temporal_part,
-                     relative_gradient_error)
+from oracles import (by_head, column_blocks, finite_difference,
+                     reference_softmax_rows, reference_temporal_forward,
+                     reference_temporal_part, relative_gradient_error)
 import reverse_mode as rm
 
 
@@ -41,13 +45,18 @@ def fresh_grads():
     return [None] * 10
 
 
+def head(enc, weight, h):
+    """Head h's (window x head_dim) column block of a stored projection."""
+    return weight.value[:, h * enc.head_dim:(h + 1) * enc.head_dim]
+
+
 def numpy_encode(enc, t):
     """Independent numpy composition of the attention + feed-forward formulas."""
     heads = []
     for h in range(enc.heads):
-        q = t @ enc.w_query.value[h]
-        k = t @ enc.w_key.value[h]
-        v = t @ enc.w_value.value[h]
+        q = t @ head(enc, enc.w_query, h)
+        k = t @ head(enc, enc.w_key, h)
+        v = t @ head(enc, enc.w_value, h)
         scores = (q @ k.T) / math.sqrt(enc.window)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
@@ -190,7 +199,7 @@ class TestAttentionHead:
         assert weights.shape == (1, 1, 1)
         np.testing.assert_allclose(weights[0], [[1.0]])
         out = attend(enc, t)
-        np.testing.assert_allclose(out[:, 0:2], t @ enc.w_value.value[0])
+        np.testing.assert_allclose(out[:, 0:2], t @ head(enc, enc.w_value, 0))
 
     def test_zero_input_gives_uniform_attention_and_zero_output(self):
         enc = make_encoder(sensors=3, window=4, heads=1, head_dim=2)
@@ -201,9 +210,9 @@ class TestAttentionHead:
 
     def test_hand_executed_two_by_two(self):
         enc = make_encoder(sensors=2, window=2, heads=1, head_dim=1)
-        enc.w_query.value[0] = [[1.0], [0.0]]
-        enc.w_key.value[0] = [[1.0], [0.0]]
-        enc.w_value.value[0] = [[0.0], [1.0]]
+        enc.w_query.value[...] = [[1.0], [0.0]]
+        enc.w_key.value[...] = [[1.0], [0.0]]
+        enc.w_value.value[...] = [[0.0], [1.0]]
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
         # Hand execution: q = k = [[1],[0]], v = [[0],[1]],
         # scores/sqrt(2) = [[s,0],[0,0]] with s = 1/sqrt(2).
@@ -231,14 +240,14 @@ class TestAttentionHead:
         assert weights.shape == (2, 3, 4, 4) and out.shape == (2, 4, 6)
         for t, w, o in zip(stack, weights, out):
             for h in range(enc.heads):
-                q = t @ enc.w_query.value[h]
-                k = t @ enc.w_key.value[h]
+                q = t @ head(enc, enc.w_query, h)
+                k = t @ head(enc, enc.w_key, h)
                 scores = (q @ k.T) / math.sqrt(enc.window)
                 e = np.exp(scores - scores.max(axis=1, keepdims=True))
                 np.testing.assert_allclose(w[h], e / e.sum(axis=1, keepdims=True),
                                            atol=1e-12)
                 np.testing.assert_allclose(o[:, 2 * h:2 * h + 2],
-                                           w[h] @ (t @ enc.w_value.value[h]),
+                                           w[h] @ (t @ head(enc, enc.w_value, h)),
                                            atol=1e-12)
 
 
@@ -352,21 +361,23 @@ class TestParameters:
         params = [p for _, p in named]
         assert len({id(p) for p in params}) == len(params)
 
-    def test_projections_are_three_stored_stacks(self):
+    def test_projections_are_three_stored_side_by_side(self):
         enc = make_encoder(window=4, heads=3, head_dim=2)
-        stacks = [p for _, p in enc.named_parameters()][:3]
-        assert stacks == [enc.w_query, enc.w_key, enc.w_value]
-        assert all(p.value.shape == (3, 4, 2) for p in stacks)
+        projections = [p for _, p in enc.named_parameters()][:3]
+        assert projections == [enc.w_query, enc.w_key, enc.w_value]
+        assert all(p.value.shape == (4, 3 * 2) and p.value.flags.c_contiguous
+                   for p in projections)
         assert len(list(enc.named_parameters())) == 3 + 7
 
     def test_stacked_draws_equal_the_per_head_draws(self):
-        # One (heads x window x head_dim) draw per projection gives the
-        # numbers of one (window x head_dim) draw per head.
+        # One (heads x window x head_dim) draw per projection, laid side by
+        # side, gives the numbers of one (window x head_dim) draw per head
+        # in its column block.
         enc = make_encoder(window=4, heads=3, head_dim=2, seed=30)
         rng = np.random.default_rng(30)
         for kind in ("w_query", "w_key", "w_value"):
             for h in range(3):
-                assert np.array_equal(getattr(enc, kind).value[h],
+                assert np.array_equal(head(enc, getattr(enc, kind), h),
                                       ad.uniform_init(rng, 4, 2).value)
         assert np.array_equal(enc.w_out.value, ad.uniform_init(rng, 6, 4).value)
 
@@ -407,8 +418,7 @@ def test_prediction_loss_gradients_pass_finite_differences():
 
     grads = fresh_grads()
     temporal.loss_and_gradients(enc, windows, successors, 2, grads)
-    for (_, p), analytic in zip(enc.named_parameters(),
-                                temporal.stored_layout(enc, grads)):
+    for (_, p), analytic in zip(enc.named_parameters(), grads):
         numeric = finite_difference(loss_value, p.value)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
@@ -430,20 +440,24 @@ def test_hand_pass_has_the_reference_bits_over_carried_parts(sizes, parts):
         if not p.value.any():
             p.value[...] = rng.normal(scale=0.3, size=p.value.shape)
     weights = [p.value for _, p in enc.named_parameters()]
-    leaves = [rm.Tensor(w.copy(), requires_grad=True) for w in weights]
+    # The engine's projection leaves are per head; their gradients are laid
+    # side by side to compare.
+    leaves = [rm.Tensor((by_head(w, enc.heads) if i < 3 else w).copy(),
+                        requires_grad=True) for i, w in enumerate(weights)]
     held, grads = fresh_grads(), fresh_grads()
     for n in parts:
         windows = rng.normal(size=(n, sensors, window))
         successors = rng.normal(size=(n, window, sensors)).transpose(0, 2, 1)
         expected, held = reference_temporal_part(weights, windows, successors,
-                                                 sum(parts), held)
+                                                 sum(parts), held, enc.heads)
         recorded = rm.temporal_part_loss(leaves, windows, successors, sum(parts))
         recorded.backward()
         loss = temporal.loss_and_gradients(enc, windows, successors, sum(parts), grads)
-        stored = temporal.stored_layout(enc, grads)
+        engine = [column_blocks(t.grad) if i < 3 else t.grad
+                  for i, t in enumerate(leaves)]
         assert loss == expected == float(recorded.value[0, 0])
-        assert [g.tobytes() for g in stored] == [h.tobytes() for h in held]
-        assert [g.tobytes() for g in stored] == [t.grad.tobytes() for t in leaves]
+        assert [g.tobytes() for g in grads] == [h.tobytes() for h in held]
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in engine]
 
 
 # The benchmark's part shape: 64 windows of 12 sensors x 30 rows, 4 heads of
@@ -467,12 +481,12 @@ def test_float32_fit_keeps_the_reference_bits_at_the_benchmark_part_shape():
     for _ in range(2):
         windows = rng.normal(size=(64, 12, 30)).astype(np.float32)
         successors = rng.normal(size=(64, 30, 12)).astype(np.float32).transpose(0, 2, 1)
-        expected, held = reference_temporal_part(weights, windows, successors, 128, held)
+        expected, held = reference_temporal_part(weights, windows, successors, 128,
+                                                 held, enc.heads)
         loss = temporal.loss_and_gradients(enc, windows, successors, 128, grads)
-        stored = temporal.stored_layout(enc, grads)
         assert loss == expected
-        assert [g.dtype for g in stored] == [np.float32] * 10
-        assert [g.tobytes() for g in stored] == [h.tobytes() for h in held]
+        assert [g.dtype for g in grads] == [np.float32] * 10
+        assert [g.tobytes() for g in grads] == [h.tobytes() for h in held]
 
 
 _GATE = temporal.STACK_WINDOWS
@@ -492,26 +506,11 @@ ENCODE_SHAPES = [(count, sensors) for sensors in (5, 12)
 WIDTHS = {"4x8": (4, 8, 30), "4x4": (4, 4, 30), "1x32": (1, 32, 60)}
 
 
-@pytest.mark.parametrize("widths", WIDTHS)
-@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("count, sensors", ENCODE_SHAPES)
-def test_encode_keeps_the_stacked_product_bits(count, sensors, dtype, taped,
-                                               widths, monkeypatch):
-    # Scoring's float64 encodes and training's float32 ones: the bits of
-    # the stacked products, whose heads' outputs are made side by side by
-    # a copy of their transpose, on both sides of the gate and on the
-    # row-major path a tape takes. The row-major path keeps them at every
-    # width, the stack path at the benchmark's; at the others its
-    # embedding agrees to a few units of rounding. A sensor of zeros gives
-    # zero queries and keys, so rows of tied zero logits and rows whose max
-    # is a zero; two equal sensors give tied maxima.
-    paths = []
-    for name in ("_attend_rows", "_attend_stack"):
-        def spy(*args, _attend=getattr(temporal.TemporalEncoder, name), _name=name):
-            paths.append(_name)
-            return _attend(*args)
-        monkeypatch.setattr(temporal.TemporalEncoder, name, spy)
+def _encoder_and_windows(count, sensors, dtype, widths):
+    """An encoder of the benchmark's part shape at ``WIDTHS[widths]`` and
+    ``count`` windows of ``sensors`` sensors, in ``dtype``. A sensor of
+    zeros gives zero queries and keys, so rows of tied zero logits and rows
+    whose max is a zero; two equal sensors give tied maxima."""
     heads, head_dim, window = WIDTHS[widths]
     sizes = dict(BENCHMARK_PART, sensors=sensors, window=window, heads=heads,
                  head_dim=head_dim)
@@ -521,8 +520,31 @@ def test_encode_keeps_the_stacked_product_bits(count, sensors, dtype, taped,
     windows = np.random.default_rng(38).normal(size=(count, sensors, window)).astype(dtype)
     windows[:, 0] = 0.0
     windows[:, 2] = windows[:, 1]
+    return enc, windows
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count, sensors", ENCODE_SHAPES)
+def test_encode_keeps_the_stacked_product_bits(count, sensors, dtype, taped,
+                                               widths, monkeypatch):
+    # Scoring's float64 encodes and training's float32 ones, at the test
+    # process's BLAS threading: the bits of the stacked products, whose
+    # heads' outputs are made side by side by a copy of their transpose,
+    # on both sides of the gate and on the row-major path a tape takes.
+    # The row-major path keeps them at every width, the stack path at the
+    # benchmark's; at the others its embedding agrees to a few units of
+    # rounding.
+    paths = []
+    for name in ("_attend_rows", "_attend_stack"):
+        def spy(*args, _attend=getattr(temporal.TemporalEncoder, name), _name=name):
+            paths.append(_name)
+            return _attend(*args)
+        monkeypatch.setattr(temporal.TemporalEncoder, name, spy)
+    enc, windows = _encoder_and_windows(count, sensors, dtype, widths)
     weights = [p.value for _, p in enc.named_parameters()]
-    expected = reference_temporal_forward(weights, windows)
+    expected = reference_temporal_forward(weights, windows, enc.heads)
     tape = {} if taped else None
     embedding = enc.encode(windows, tape)
     stacked = not taped and count >= temporal.STACK_WINDOWS
@@ -540,6 +562,45 @@ def test_encode_keeps_the_stacked_product_bits(count, sensors, dtype, taped,
         assert tape["attention"].tobytes() == expected["a"].tobytes()
         assert tape["heads"].tobytes() == expected["concatenated"].tobytes()
         assert tape["hidden"].tobytes() == expected["hidden"].tobytes()
+
+
+# (sensors, windows) of float64 stack-path encodes at 4 heads of 8: at 5 x
+# 266, 130 x 10 and 130 x 11 a queries' product with a transposed operand
+# rounds differently on one BLAS thread than on two; 12 x 266 is the
+# benchmark's whole test stream.
+ONE_THREAD_SHAPES = [(5, 266), (130, 10), (130, 11), (12, 266)]
+
+
+def one_thread_mismatches() -> list[list[int]]:
+    """The (sensors, windows) of ``ONE_THREAD_SHAPES`` at which a tape-free
+    float64 encode at 4 heads of 8 leaves the reference's bits."""
+    mismatched = []
+    for sensors, count in ONE_THREAD_SHAPES:
+        enc, windows = _encoder_and_windows(count, sensors, np.float64, "4x8")
+        weights = [p.value for _, p in enc.named_parameters()]
+        expected = reference_temporal_forward(weights, windows, enc.heads)
+        if enc.encode(windows).tobytes() != expected["embedding"].tobytes():
+            mismatched.append([sensors, count])
+    return mismatched
+
+
+def test_encode_keeps_the_stacked_product_bits_on_one_blas_thread():
+    # The digests and the benchmark run BLAS on one thread, and OpenBLAS
+    # picks its kernels by thread count as well as by shape. The test
+    # process has loaded numpy's BLAS with its own thread count, so the
+    # encodes run in a child process with the thread variables set to 1.
+    paths = (Path(temporal.__file__).resolve().parents[1],
+             Path(__file__).resolve().parent)
+    env = {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+        "PYTHONPATH": os.pathsep.join(filter(None, (
+            *map(str, paths), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import test_temporal; print(test_temporal.one_thread_mismatches())"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _pairs(values: np.ndarray, window: int, count: int):
