@@ -44,7 +44,6 @@ def benchmark_synthetic() -> SyntheticConfig:
 
 def benchmark_config() -> PipelineConfig:
     config = PipelineConfig()
-    config.synthetic = benchmark_synthetic()
     config.run.seed = 20_715
     return config
 

@@ -2,6 +2,11 @@
 generator's dataclasses, each checked once by its ``validate``, and the
 key = value file format.
 
+Each bounded setting declares its range on its own field, beside its
+default (``bounded``), and one walk over a section's fields refuses a value
+outside it. A ``validate`` keeps only the rules that read two values or a
+tuple as a whole.
+
 Config files are INI-style: ``[section]`` headers with ``key = value`` lines.
 Every field can be overridden on the command line with ``--set
 section.key=value``; unknown sections or keys are errors so typos fail
@@ -26,19 +31,42 @@ from .errors import ConfigError
 # an object array, which fails later as an index or a size.
 INT64 = np.iinfo(np.int64)
 
+# The ranges a setting can declare: the words of its refusal and the test
+# each value passes.
+POSITIVE = ("positive", lambda x: x > 0)
+NON_NEGATIVE = ("non-negative", lambda x: x >= 0)
+UNIT = ("in (0, 1]", lambda x: 0 < x <= 1)
+OPEN_UNIT = ("in (0, 1)", lambda x: 0 < x < 1)
+CLOSED_UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
 
-def _check_numbers(section: str, group) -> None:
-    """Refuse a non-finite float, or an integer outside int64, in any field
-    of ``group``, each entry of a tuple included. NaN passes every
-    comparison of a range check, and an infinite rate or weight would only
-    fail later, as a numeric error inside training."""
+
+def at_least(k: int):
+    return (f"at least {k}", lambda x: x >= k)
+
+
+def bounded(default, rule):
+    """A field whose value, each entry of a tuple, must pass ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check_fields(section: str, group) -> None:
+    """Refuse a value of any field of ``group``, each entry of a tuple
+    included, that is a non-finite float, an integer outside int64, or
+    outside the range its field declares. NaN passes every comparison of a
+    range check, and an infinite rate or weight would only fail later, as a
+    numeric error inside training."""
     for f in fields(group):
         value = getattr(group, f.name)
-        for number in value if isinstance(value, tuple) else (value,):
+        numbers = value if isinstance(value, tuple) else (value,)
+        for number in numbers:
             if isinstance(number, float) and not math.isfinite(number):
                 raise ConfigError(f"{section}.{f.name} must be finite, got {number}")
             if isinstance(number, int) and not INT64.min <= number <= INT64.max:
                 raise ConfigError(f"{section}.{f.name} must fit in int64, got {number}")
+        if "rule" in f.metadata:
+            words, holds = f.metadata["rule"]
+            if not all(map(holds, numbers)):
+                raise ConfigError(f"{section}.{f.name} must be {words}, got {value}")
 
 
 @dataclass
@@ -51,18 +79,18 @@ class PathsConfig:
 
 @dataclass
 class WindowConfig:
-    length: int = 30
-    stride: int = 30
+    length: int = bounded(30, at_least(2))
+    stride: int = bounded(30, POSITIVE)
 
 
 @dataclass
 class TemporalConfig:
     enabled: bool = True
-    heads: int = 4
-    head_dim: int = 8
-    model_dim: int = 32
-    epochs: int = 40
-    lr: float = 2e-3
+    heads: int = bounded(4, POSITIVE)
+    head_dim: int = bounded(8, POSITIVE)
+    model_dim: int = bounded(32, POSITIVE)
+    epochs: int = bounded(40, NON_NEGATIVE)
+    lr: float = bounded(2e-3, POSITIVE)
 
 
 @dataclass
@@ -73,28 +101,30 @@ class GraphConfig:
 @dataclass
 class VgaeConfig:
     enabled: bool = True
-    hidden_dim: int = 32
-    embed_dim: int = 8
-    kl_weight: float = 1.0
-    epochs: int = 60
-    lr: float = 1e-2
+    hidden_dim: int = bounded(32, POSITIVE)
+    embed_dim: int = bounded(8, POSITIVE)
+    kl_weight: float = bounded(1.0, NON_NEGATIVE)
+    epochs: int = bounded(60, NON_NEGATIVE)
+    lr: float = bounded(1e-2, POSITIVE)
 
 
 @dataclass
 class SvddConfig:
-    widths: tuple[int, ...] = (64, 32)
-    slope: float = 0.1
-    weight_decay: float = 1e-4
-    epochs: int = 1500
-    lr: float = 1e-3
-    quantile: float = 0.99
+    widths: tuple[int, ...] = bounded((64, 32), POSITIVE)
+    # A slope outside (0, 1] makes the leaky layer non-monotone or
+    # expanding.
+    slope: float = bounded(0.1, UNIT)
+    weight_decay: float = bounded(1e-4, NON_NEGATIVE)
+    epochs: int = bounded(1500, NON_NEGATIVE)
+    lr: float = bounded(1e-3, POSITIVE)
+    quantile: float = bounded(0.99, UNIT)
 
 
 @dataclass
 class RunConfig:
-    seed: int = 7
-    train_fraction: float = 1.0
-    calibration_fraction: float = 0.15
+    seed: int = bounded(7, NON_NEGATIVE)
+    train_fraction: float = bounded(1.0, UNIT)
+    calibration_fraction: float = bounded(0.15, OPEN_UNIT)
 
 
 @dataclass
@@ -126,36 +156,22 @@ class AnomalyWindow:
 
 @dataclass
 class SyntheticConfig:
-    sensors: int = 12
-    types: int = 3
-    length: int = 28_000
-    density: float = 0.25
-    noise: float = 0.12
-    seed: int = 7
+    sensors: int = bounded(12, at_least(4))
+    types: int = bounded(3, at_least(2))
+    length: int = bounded(28_000, POSITIVE)
+    density: float = bounded(0.25, CLOSED_UNIT)
+    noise: float = bounded(0.12, NON_NEGATIVE)
+    seed: int = bounded(7, NON_NEGATIVE)
     anomalies: tuple[AnomalyWindow, ...] = ()
-    drift_delay: int = 60
-    cascade_lag: int = 5
+    drift_delay: int = bounded(60, NON_NEGATIVE)
+    cascade_lag: int = bounded(5, NON_NEGATIVE)
     cascade_attenuation: float = 0.6
     split: int | None = None
 
     def validate(self) -> None:
-        _check_numbers("synthetic", self)
-        if self.length < 1:
-            raise ConfigError(f"synthetic.length must be positive, got {self.length}")
-        if self.noise < 0:
-            raise ConfigError(f"synthetic.noise must be non-negative, got {self.noise}")
-        if self.sensors < 4:
-            raise ConfigError(f"need at least 4 sensors, got {self.sensors}")
-        if self.types < 2:
-            raise ConfigError(f"need at least 2 sensor types, got {self.types}")
+        _check_fields("synthetic", self)
         if self.types > self.sensors:
             raise ConfigError("more types than sensors")
-        if not 0.0 <= self.density <= 1.0:
-            raise ConfigError(f"density must be in [0, 1], got {self.density}")
-        if self.drift_delay < 0 or self.cascade_lag < 0:
-            raise ConfigError("delays must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"synthetic.seed must be non-negative, got {self.seed}")
         if self.split is not None and not 0 < self.split < self.length:
             raise ConfigError(f"synthetic.split {self.split} outside stream "
                               f"of length {self.length}")
@@ -184,43 +200,10 @@ class PipelineConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
     def validate(self) -> None:
-        w, t, v, s, r = self.window, self.temporal, self.vgae, self.svdd, self.run
         for section in ("window", "temporal", "vgae", "svdd", "run"):
-            _check_numbers(section, getattr(self, section))
-        positive = {
-            "window.length": w.length, "window.stride": w.stride,
-            "temporal.heads": t.heads, "temporal.head_dim": t.head_dim,
-            "temporal.model_dim": t.model_dim, "temporal.lr": t.lr,
-            "vgae.hidden_dim": v.hidden_dim, "vgae.embed_dim": v.embed_dim,
-            "vgae.lr": v.lr, "svdd.lr": s.lr,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if w.length < 2:
-            raise ConfigError(f"window length must be >= 2, got {w.length}")
-        for name, value in (("temporal.epochs", t.epochs),
-                            ("vgae.epochs", v.epochs),
-                            ("svdd.epochs", s.epochs), ("run.seed", r.seed)):
-            if value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        if v.kl_weight < 0:
-            raise ConfigError(f"vgae.kl_weight must be non-negative, got {v.kl_weight}")
-        if s.weight_decay < 0:
-            raise ConfigError(f"svdd.weight_decay must be non-negative, got {s.weight_decay}")
-        if not s.widths or any(width <= 0 for width in s.widths):
-            raise ConfigError(f"svdd.widths must be positive, got {s.widths}")
-        # A slope outside (0, 1] makes the leaky layer non-monotone or
-        # expanding.
-        if not 0.0 < s.slope <= 1.0:
-            raise ConfigError(f"svdd.slope must be in (0, 1], got {s.slope}")
-        if not 0.0 < s.quantile <= 1.0:
-            raise ConfigError(f"svdd.quantile must be in (0, 1], got {s.quantile}")
-        if not 0.0 < r.train_fraction <= 1.0:
-            raise ConfigError(f"run.train_fraction must be in (0, 1], got {r.train_fraction}")
-        if not 0.0 < r.calibration_fraction < 1.0:
-            raise ConfigError(
-                f"run.calibration_fraction must be in (0, 1), got {r.calibration_fraction}")
+            _check_fields(section, getattr(self, section))
+        if not self.svdd.widths:
+            raise ConfigError(f"svdd.widths must be positive, got {self.svdd.widths}")
 
 
 @contextlib.contextmanager

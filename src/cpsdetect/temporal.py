@@ -52,16 +52,17 @@ contiguous leading slices in numpy's pairwise order. A reduction along a
 12-long last axis pays per row instead. The attention times the values
 reads a row-major copy of the buffer, the row-major path's operand.
 
-``STACK_WINDOWS`` (6) is the smallest stack at which the stack path won a
-tape-free float64 encode at the default sizes in every measurement.
-Row-major against stack path, best of two measurements, each the best of
-five interleaved rounds of three runs (one BLAS thread, 2-vCPU host): 1
-window 46.3 against 53.2 us, 2: 50.1/61.0, 3: 65.7/73.7, 4: 74.1/82.0, 5:
-93.1/88.4, 6: 106.9/95.4, 7: 120.4/103.4, 8: 130.4/108.3, 9: 148.8/118.4,
-10: 157.8/122.3 us; at 5 windows other measurements read 1.006 and 1.030
-times the row-major time. In float32 the stack path wins from 4 windows
-on. The gate keeps one-window scoring, 1.15 times slower on the stack
-path, on the row-major one.
+``STACK_WINDOWS`` (6) gates the stack path. Measured on the attention
+block alone, ``_attend_stack`` against ``_attend_rows`` without a tape, the
+stack path's time is, at 1 / 2 / 3 / 4 / 5 / 6 / 10 windows, 1.42 / 1.21
+/ 1.02 / 0.95 / 0.88 / 0.87 / 0.77 times the row-major path's in float64
+and 1.29 / 1.00 / 0.86 / 0.77 / 0.70 / 0.63 / 0.51 times in float32, with
+equal bits at every count (the default sizes, one BLAS thread, 2-vCPU
+host, the mean of two measurements, each the best of seven interleaved
+rounds). The gate stays at 6 although the stack path wins from 3 or 4
+windows: the benchmark's tape-free encodes are one-window calls and parts
+of 10, 26 and 64 windows, so no call it makes has 2 to 5 windows, and the
+gate keeps one-window scoring on the row-major path.
 
 At the benchmark's head widths, 4 heads of 8, both paths give the bits of
 the stacked products (``tests/oracles.py``) at every sensor count the tests
@@ -220,9 +221,9 @@ def softmax_keys(s: np.ndarray) -> None:
     s /= _pairwise_sum(np.moveaxis(s, 0, -1), 0, len(s))
 
 
-# Tape-free encodes of at least this many windows take the stack path:
-# below the float64 crossover its fixed costs outweigh what it saves
-# (module docstring).
+# Tape-free encodes of at least this many windows take the stack path;
+# below 3 windows its fixed costs outweigh what it saves (module
+# docstring).
 STACK_WINDOWS = 6
 
 

@@ -178,7 +178,7 @@ def test_a_stored_one_row_window_is_a_config_error(tmp_path, trained):
     assert blob.count(old) == 1
     path.write_bytes(blob.replace(old, new))
     with pytest.raises(ConfigError, match=re.escape(
-            f"{path}: window length must be >= 2, got 1")):
+            f"{path}: window.length must be at least 2, got 1")):
         checkpoint.load_checkpoint(path, pipe.topology)
 
 

@@ -1,8 +1,13 @@
 import csv
 import json
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,7 +440,12 @@ EXIT_CASES = {
            ("synthetic.cascade_attenuation=nan",
             "synthetic.cascade_attenuation must be finite, got nan"),
            ("synthetic.length=-5", "synthetic.length must be positive, got -5"),
-           ("synthetic.length=0", "synthetic.length must be positive, got 0"))},
+           ("synthetic.length=0", "synthetic.length must be positive, got 0"),
+           ("synthetic.sensors=3", "synthetic.sensors must be at least 4, got 3"),
+           ("synthetic.types=1", "synthetic.types must be at least 2, got 1"),
+           ("synthetic.density=1.5", "synthetic.density must be in [0, 1], got 1.5"),
+           ("synthetic.drift_delay=-1",
+            "synthetic.drift_delay must be non-negative, got -1"))},
     # A finite noise scale whose draws overflow: the generator runs in a
     # numeric context, so no stream of inf and nan cells is written.
     "synth noise overflows the stream": (
@@ -580,3 +590,29 @@ def test_bad_input_ends_in_its_documented_exit_code(trained, tmp_path, capsys, c
         # a bad config stored in a checkpoint, the checkpoint too.
         named = "checkpoint" if case.endswith("checkpoint's") else flag
         assert str(args[named]) in err
+
+
+def test_a_sensor_count_beyond_the_address_space_ends_in_exit_1(tmp_path):
+    # No bound on the sensor count refuses one whose arrays do not fit, so
+    # `synth` runs in a child process whose address space is capped at 512
+    # MiB. 5,000 sensors make a 191 MiB adjacency, which fits, and a list
+    # of 12,492,501 free pairs, which does not: numpy's MemoryError ends in
+    # exit 1 with the child at about 300 MB resident. Without a cap the
+    # kernel's overcommit decides where such a count fails.
+    sensors, cap = 5000, 512 << 20
+    free_pairs = sensors * (sensors - 1) // 2 - (sensors - 1)
+    src = Path(data.__file__).resolve().parents[1]
+    env = {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+        "PYTHONPATH": os.pathsep.join(filter(None, (
+            str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "cpsdetect.cli", "synth",
+         *_sets([f"synthetic.sensors={sensors}", "synthetic.length=10"]),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: Unable to allocate"), done.stderr
+    assert f"({free_pairs}, 2)" in done.stderr, done.stderr
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -92,8 +94,82 @@ def test_the_anomaly_kind_is_checked_once_by_the_generator_config():
 def test_a_one_row_window_is_a_config_error():
     config = PipelineConfig()
     config.window.length = 1
-    with pytest.raises(ConfigError, match=r"^window length must be >= 2, got 1$"):
+    with pytest.raises(ConfigError, match=r"^window\.length must be at least 2, got 1$"):
         config.validate()
+
+
+# Every bounded setting's range, as its refusal words it.
+RANGES = {
+    "window.length": "at least 2", "window.stride": "positive",
+    **{f"temporal.{key}": "positive" for key in ("heads", "head_dim", "model_dim", "lr")},
+    **{f"vgae.{key}": "positive" for key in ("hidden_dim", "embed_dim", "lr")},
+    **{f"{section}.epochs": "non-negative" for section in ("temporal", "vgae", "svdd")},
+    "vgae.kl_weight": "non-negative", "svdd.weight_decay": "non-negative",
+    "svdd.widths": "positive", "svdd.lr": "positive",
+    "svdd.slope": "in (0, 1]", "svdd.quantile": "in (0, 1]",
+    "run.seed": "non-negative", "run.train_fraction": "in (0, 1]",
+    "run.calibration_fraction": "in (0, 1)",
+    "synthetic.sensors": "at least 4", "synthetic.types": "at least 2",
+    "synthetic.length": "positive", "synthetic.density": "in [0, 1]",
+    **{f"synthetic.{key}": "non-negative"
+       for key in ("noise", "seed", "drift_delay", "cascade_lag")},
+}
+# The settings with no range of their own: the paths, the switches, the
+# event list, the split (checked against the stream's length) and the
+# cascade attenuation.
+RULE_FREE = {"paths.data", "paths.topology", "paths.checkpoint", "paths.out",
+             "temporal.enabled", "graph.weighting", "vgae.enabled",
+             "synthetic.anomalies", "synthetic.split",
+             "synthetic.cascade_attenuation"}
+
+
+def test_every_setting_has_a_range_or_is_rule_free():
+    default = PipelineConfig()
+    settings = [f"{section.name}.{f.name}" for section in fields(PipelineConfig)
+                for f in fields(getattr(default, section.name))]
+    assert sorted(settings) == sorted([*RANGES, *RULE_FREE])
+
+
+def _outside_and_inside(words: str, kind: type) -> tuple[list, list]:
+    """Values just past each bound of the range ``words`` names, and values
+    at or just inside each bound, for a setting of type ``kind``."""
+    def step(bound, direction):
+        if kind is int:
+            return bound + direction
+        return math.nextafter(float(bound), direction * math.inf)
+
+    if words.startswith("at least "):
+        k = int(words.removeprefix("at least "))
+        return [step(k, -1)], [k]
+    return {"positive": ([kind(0), step(0, -1)], [step(0, 1)]),
+            "non-negative": ([step(0, -1)], [kind(0)]),
+            "in (0, 1]": ([0.0, step(1, 1)], [step(0, 1), 1.0]),
+            "in (0, 1)": ([0.0, 1.0], [step(0, 1), step(1, -1)]),
+            "in [0, 1]": ([step(0, -1), step(1, 1)], [0.0, 1.0])}[words]
+
+
+def _validate(setting: str, value) -> None:
+    config = PipelineConfig()
+    section, key = setting.split(".")
+    setattr(getattr(config, section), key, value)
+    (config.synthetic if section == "synthetic" else config).validate()
+
+
+@pytest.mark.parametrize("setting", RANGES)
+def test_a_setting_just_outside_its_range_is_refused(setting):
+    section, key = setting.split(".")
+    default = getattr(getattr(PipelineConfig(), section), key)
+    # A tuple setting's range holds for each entry; the message shows the
+    # whole tuple.
+    as_set = (lambda v: (8, v)) if isinstance(default, tuple) else (lambda v: v)
+    kind = type(default[0] if isinstance(default, tuple) else default)
+    outside, inside = _outside_and_inside(RANGES[setting], kind)
+    for value in map(as_set, outside):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{setting} must be {RANGES[setting]}, got {value}") + "$"):
+            _validate(setting, value)
+    for value in map(as_set, inside):
+        _validate(setting, value)
 
 
 def _integer_fields(group):

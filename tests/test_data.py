@@ -60,8 +60,8 @@ class TestTopology:
             data.parse_topology("sensor A x\nsensor B x\nedge A Z\n")
 
     def test_self_edge_rejected(self):
-        with pytest.raises(DataError, match="self edge"):
-            data.parse_topology("sensor A x\nsensor B x\nedge A A\n")
+        with pytest.raises(DataError, match="^self edge on 'B' is not allowed$"):
+            data.parse_topology("sensor A x\nsensor B x\nedge A B\nedge B B\n")
 
     def test_garbage_line_rejected(self):
         with pytest.raises(DataError, match="line 1"):
@@ -79,8 +79,8 @@ class TestTopology:
          "adjacency shape (3, 2) does not match 3 sensors"),
         (lambda n, a, t: (n, a * 2, t), "adjacency entries must be 0 or 1"),
         (lambda n, a, t: (n, a + np.triu(1 - a, 1), t), "adjacency must be symmetric"),
-        (lambda n, a, t: (n, a + np.eye(3, dtype=np.int64), t),
-         "adjacency must have a zero diagonal"),
+        (lambda n, a, t: (n, a + np.diag([0, 1, 1]), t),
+         "self edge on 'B' is not allowed"),
         (lambda n, a, t: (n, a, t[:2]), "every sensor needs exactly one type"),
         (lambda n, a, t: (n, a, np.zeros_like(t)),
          "type indices used [0] do not cover 0..1"),
